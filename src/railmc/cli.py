@@ -13,19 +13,15 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from . import pipeline
 from .config import STRATEGIES, RunConfig
 from .core import StateSpace
-from .ingest import (
-    NoTargetError,
-    load_timetable,
-    parse_events,
-    select_target_station,
-    write_rejects,
-)
+from .ingest import NoTargetError, load_timetable, parse_events, write_rejects
 from .pipeline import CoverageError, EmptySelectionError
+from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
 
 EXIT_OK = 0
@@ -62,12 +58,8 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    keys = [
-        "n_max", "alpha1", "alpha2", "epsilon", "horizon_minutes",
-        "trend_metric", "jump_metric", "minutes_metric", "strategy",
-        "statistic", "rwmse_form", "clip_mode", "seed",
-    ]
-    overrides = {k: getattr(args, k, None) for k in keys}
+    # a field with no flag (regression_std) reads None and falls through
+    overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return RunConfig.load(getattr(args, "config", None), **overrides)
 
 
@@ -119,34 +111,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
     if args.print_matrix:
-        from .core import RowStatus, TransitionMatrix
-        from .recovery import format_matrix_text
-        import numpy as np
-
         tid, t = args.print_matrix.rsplit(":", 1)
-        rows = bundle["trains"][tid]["matrices"][t]
-        space = StateSpace(config.n_max)
-        mat = TransitionMatrix(int(t), np.asarray(rows),
-                               tuple([RowStatus.RECOVERED] * space.cardinality))
-        print(format_matrix_text(mat, space))
+        (mat,) = pipeline.bundle_matrices(bundle, tid, int(t) - 1, int(t))
+        print(format_matrix_text(mat, StateSpace(config.n_max)))
     return EXIT_OK
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     config = _config_from(args)
     bundle = pipeline.load_json(args.bundle)
-    if args.target is not None:
-        target = args.target
-    elif args.store is not None:
-        import datetime as dt
-
-        store = pipeline.load_json(args.store)
-        template = pipeline.store_template(store, args.train)
-        target = select_target_station(
-            template, args.station, dt.timedelta(minutes=config.horizon_minutes)
-        )
-    else:
+    if args.target is None and args.store is None:
         raise SystemExit("forecast needs --target or --store to resolve the target station")
+    store = None if args.target is not None else pipeline.load_json(args.store)
+    target = pipeline._resolve_target(store, args.train, args.station, config, args.target)
     pred = pipeline.forecast_from_bundle(
         bundle, args.train, args.station, args.delay, target, config
     )

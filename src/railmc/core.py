@@ -1,17 +1,17 @@
 """Domain types and maximum-likelihood frequency estimators.
 
 States are integer delay minutes on the bounded domain [-N, N]. Station
-indices are 1-based along a journey. Counts are kept as exact integers in
-plain dicts keyed by state tuples; frequencies are derived double-precision
-ratios. Rows with no observations are explicitly *undefined*, never emitted
-as all-zero probability rows.
+indices are 1-based along a journey. Counts are dense integer arrays indexed
+by state index (delay + N); frequencies are derived double-precision ratios
+on the same indices. Rows with no observations are explicitly *undefined*
+(NaN), never emitted as all-zero probability rows.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9
-FREQ_SUM_TOL = 1e-12
 
 
 class AlignmentError(ValueError):
@@ -88,11 +87,11 @@ class DelaySeries:
 
 @dataclass(frozen=True)
 class CountTensor:
-    """Observation counts at station t.
+    """Observation counts at station t, indexed by state index (delay + N).
 
-    n1[j]       = n_j(t):      series delayed j minutes at station t
-    n2[(i, j)]  = n_{i,j}(t):  j at t and i at t-1
-    n3[(h,i,j)] = n_{h,i,j}(t): j at t, i at t-1, h at t-2
+    n1[j]       = n_j(t):       series delayed j minutes at station t, shape (k,)
+    n2[i, j]    = n_{i,j}(t):   j at t and i at t-1, shape (k, k)
+    n3[h, i, j] = n_{h,i,j}(t): j at t, i at t-1, h at t-2, shape (k, k, k)
 
     Only series long enough to cover the relevant stations contribute; all
     series start at station 1, so the contributing set is identical for all
@@ -100,70 +99,42 @@ class CountTensor:
     """
 
     station_index: int
-    n1: Mapping[int, int]
-    n2: Mapping[tuple[int, int], int]
-    n3: Mapping[tuple[int, int, int], int]
-
-    def pair_counts(self) -> dict[tuple[int, int], int]:
-        """n_{h,i}(t-1) aggregated from the triple counts."""
-        out: dict[tuple[int, int], int] = {}
-        for (h, i, _j), c in self.n3.items():
-            out[(h, i)] = out.get((h, i), 0) + c
-        return out
-
-    def row_counts(self) -> dict[int, int]:
-        """n_i(t-1) aggregated from the pair counts."""
-        out: dict[int, int] = {}
-        for (i, _j), c in self.n2.items():
-            out[i] = out.get(i, 0) + c
-        return out
-
-    def destination_support(self, j: int) -> frozenset[int]:
-        """C_j(t) = {i : n_{i,j}(t) > 0}. Derivable accessor, unused downstream."""
-        return frozenset(i for (i, jj), c in self.n2.items() if jj == j and c > 0)
+    n1: np.ndarray
+    n2: np.ndarray
+    n3: np.ndarray
 
     def validate(self) -> None:
         """Assert the count-aggregation relations over the contributing series."""
-        for c in list(self.n1.values()) + list(self.n2.values()) + list(self.n3.values()):
-            if c < 0:
-                raise ValueError("negative count")
-        if self.n2:
-            col = {}
-            for (_i, j), c in self.n2.items():
-                col[j] = col.get(j, 0) + c
-            if col != {j: c for j, c in self.n1.items() if c > 0}:
-                raise ValueError("n_j(t) != sum_i n_{i,j}(t)")
-        if self.n3:
-            col2 = {}
-            for (_h, i, j), c in self.n3.items():
-                col2[(i, j)] = col2.get((i, j), 0) + c
-            if col2 != {k: c for k, c in self.n2.items() if c > 0}:
-                raise ValueError("n_{i,j}(t) != sum_h n_{h,i,j}(t)")
+        if (self.n1 < 0).any() or (self.n2 < 0).any() or (self.n3 < 0).any():
+            raise ValueError("negative count")
+        if self.n2.any() and not np.array_equal(self.n2.sum(axis=0), self.n1):
+            raise ValueError("n_j(t) != sum_i n_{i,j}(t)")
+        if self.n3.any() and not np.array_equal(self.n3.sum(axis=0), self.n2):
+            raise ValueError("n_{i,j}(t) != sum_h n_{h,i,j}(t)")
 
 
 @dataclass(frozen=True)
 class FrequencyEstimates:
-    """MLE frequencies derived from a CountTensor.
+    """MLE frequencies derived from a CountTensor, on the same state indices.
 
-    p2/p3 rows exist only where the corresponding marginal count is positive;
-    missing rows mean *undefined*, not zero.
+    p1[j] = p̂_j, p2[i, j] = p̂_{i,j}, p3[h, i, j] = p̂_{h,i,j}. A row whose
+    marginal count is zero is NaN: *undefined*, not zero.
     """
 
     station_index: int
-    p1: Mapping[int, float]
-    p2: Mapping[int, Mapping[int, float]]
-    p3: Mapping[tuple[int, int], Mapping[int, float]]
-    support_t: frozenset[int]        # A(t)
-    support_tm1: frozenset[int]      # A(t-1)
-    support_tm2: frozenset[int]      # A(t-2)
-    row_support: Mapping[int, frozenset[int]]  # B_i(t)
+    p1: np.ndarray
+    p2: np.ndarray
+    p3: np.ndarray
 
 
-def build_count_tensor(series_set: Iterable[DelaySeries], t: int) -> CountTensor:
+def build_count_tensor(
+    series_set: Iterable[DelaySeries], t: int, space: StateSpace
+) -> CountTensor:
     """Tally n_j(t), n_{i,j}(t), n_{h,i,j}(t) over a group of aligned series.
 
     A series contributes to n1 when it covers station t, to n2 additionally
-    when t >= 2, and to n3 when t >= 3.
+    when t >= 2, and to n3 when t >= 3. A counted delay outside the state
+    space raises ValueError.
     """
     if t < 1:
         raise ValueError(f"station index must be >= 1, got {t}")
@@ -172,53 +143,47 @@ def build_count_tensor(series_set: Iterable[DelaySeries], t: int) -> CountTensor
     if len(train_ids) > 1:
         raise AlignmentError(f"series from multiple alignment groups: {sorted(train_ids)}")
 
-    n1: dict[int, int] = {}
-    n2: dict[tuple[int, int], int] = {}
-    n3: dict[tuple[int, int, int], int] = {}
-    for s in series_list:
-        if len(s) < t:
-            continue
-        j = s.delays[t - 1]
-        n1[j] = n1.get(j, 0) + 1
-        if t >= 2:
-            i = s.delays[t - 2]
-            n2[(i, j)] = n2.get((i, j), 0) + 1
-            if t >= 3:
-                h = s.delays[t - 3]
-                n3[(h, i, j)] = n3.get((h, i, j), 0) + 1
-    return CountTensor(station_index=t, n1=n1, n2=n2, n3=n3)
+    width = min(t, 3)
+    window = np.array(
+        [s.delays[t - width:t] for s in series_list if len(s) >= t], dtype=np.int64
+    ).reshape(-1, width)
+    outside = np.abs(window) > space.n_max
+    if outside.any():
+        raise ValueError(
+            f"delay {window[outside][0]} outside [-{space.n_max}, {space.n_max}]"
+        )
+    idx = window + space.n_max
+    k = space.cardinality
+    return CountTensor(t, *(_tally(idx, order, k) for order in (1, 2, 3)))
+
+
+def _tally(idx: np.ndarray, order: int, k: int) -> np.ndarray:
+    """Dense counts of the last `order` state-index columns, shape (k,) * order."""
+    shape = (k,) * order
+    if idx.shape[1] < order:
+        return np.zeros(shape, dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(idx[:, -order:].T), shape)
+    return np.bincount(flat, minlength=k**order).reshape(shape)
 
 
 def estimate_frequencies(counts: CountTensor) -> FrequencyEstimates:
     """Turn counts into MLE frequencies p̂_j, p̂_{i,j}, p̂_{h,i,j}.
 
-    Rows whose marginal count is zero are simply absent from p2/p3.
+    Each tally is divided by its sum over the last axis; rows whose marginal
+    count is zero come out NaN.
     """
-    total = sum(counts.n1.values())
-    p1 = {j: c / total for j, c in counts.n1.items() if c > 0} if total else {}
+    p1, p2, p3 = (_conditional(n) for n in (counts.n1, counts.n2, counts.n3))
+    return FrequencyEstimates(counts.station_index, p1, p2, p3)
 
-    row_tot: dict[int, int] = counts.row_counts()
-    p2: dict[int, dict[int, float]] = {}
-    for (i, j), c in counts.n2.items():
-        if c > 0:
-            p2.setdefault(i, {})[j] = c / row_tot[i]
 
-    pair_tot = counts.pair_counts()
-    p3: dict[tuple[int, int], dict[int, float]] = {}
-    for (h, i, j), c in counts.n3.items():
-        if c > 0:
-            p3.setdefault((h, i), {})[j] = c / pair_tot[(h, i)]
-
-    return FrequencyEstimates(
-        station_index=counts.station_index,
-        p1=p1,
-        p2=p2,
-        p3=p3,
-        support_t=frozenset(p1),
-        support_tm1=frozenset(p2),
-        support_tm2=frozenset(h for (h, _i) in p3),
-        row_support={i: frozenset(row) for i, row in p2.items()},
-    )
+def _conditional(n: np.ndarray) -> np.ndarray:
+    """n divided by its sum over the last axis; rows summing to zero are NaN."""
+    rows = n.reshape(-1, n.shape[-1])
+    tot = rows.sum(axis=1)
+    defined = tot > 0
+    p = np.full(rows.shape, np.nan)
+    p[defined] = rows[defined] / tot[defined, None]
+    return p.reshape(n.shape)
 
 
 class RowStatus(enum.Enum):

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .core import CountTensor, DelayDistribution, StateSpace
 from .forecast import MetricConfig, Prediction, make_prediction, point_delay
 
@@ -151,13 +149,11 @@ def marginal_predictor(
     config: MetricConfig | None = None,
 ) -> Prediction:
     """Baseline using the marginal delay distribution at the target station."""
-    total = sum(counts_at_target.n1.values())
+    n1 = counts_at_target.n1
+    total = n1.sum()
     if total == 0:
         raise ValueError("no observations at the target station")
-    probs = np.zeros(space.cardinality)
-    for j, c in counts_at_target.n1.items():
-        probs[space.index(j)] = c / total
-    v = DelayDistribution(counts_at_target.station_index, probs)
+    v = DelayDistribution(counts_at_target.station_index, n1 / total)
     return make_prediction(v, d_s, space, config)
 
 

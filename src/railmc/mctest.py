@@ -1,7 +1,7 @@
 """Chi-square test of the Markov order of delay evolution at one station.
 
 Implements likelihood-ratio and chi-square statistics for the zero-order and
-first-order null hypotheses on sparse count matrices. Degrees of freedom are
+first-order null hypotheses on dense count arrays. Degrees of freedom are
 computed on the truncated matrices (all-zero rows and columns removed), so the
 statistics and df are invariant under relabeling of unobserved states.
 
@@ -12,10 +12,10 @@ uses Q by default, with LR available as an alternative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal
 
+import numpy as np
 from scipy import special
 
 from .core import CountTensor, FrequencyEstimates, estimate_frequencies
@@ -56,6 +56,23 @@ def chi_square_quantile(p: float, df: int) -> float:
     return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 
+def _lr_q(
+    n: np.ndarray, p: np.ndarray, p_null: np.ndarray, tot: np.ndarray
+) -> tuple[float, float]:
+    """LR and Q summed over the observed cells of the count rows n.
+
+    p holds the alternative's conditional frequencies and p_null the null's
+    on the same cells, and tot the count of each row's conditioning context;
+    p_null and tot broadcast to n.
+    """
+    obs = n > 0
+    p_null = np.broadcast_to(p_null, n.shape)[obs]
+    p = p[obs]
+    lr = (2.0 * n[obs] * np.log(p / p_null)).sum()
+    q = (np.broadcast_to(tot, n.shape)[obs] * (p - p_null) ** 2 / p_null).sum()
+    return float(lr), float(q)
+
+
 def zero_order_statistics(
     freq: FrequencyEstimates, counts: CountTensor
 ) -> tuple[float, float, int]:
@@ -70,22 +87,15 @@ def zero_order_statistics(
     """
     if counts.station_index < 2:
         raise ValueError("zero-order test needs station index t >= 2")
-    if not freq.p2:
+    n2 = counts.n2
+    row_tot = n2.sum(axis=1)
+    rows = row_tot > 0
+    if not rows.any():
         raise ValueError("no defined transition rows: untestable")
-    row_tot = counts.row_counts()
-    lr = 0.0
-    q = 0.0
-    for (i, j), n_ij in counts.n2.items():
-        if n_ij == 0:
-            continue
-        p_ij = freq.p2[i][j]
-        p_j = freq.p1[j]
-        lr += 2.0 * n_ij * math.log(p_ij / p_j)
-        q += row_tot[i] * (p_ij - p_j) ** 2 / p_j
-    rows = {i for (i, j), c in counts.n2.items() if c > 0}
-    cols = {j for (i, j), c in counts.n2.items() if c > 0}
-    df = (len(rows) - 1) * (len(cols) - 1)
-    return lr, q, df
+    n = n2[rows]
+    lr, q = _lr_q(n, freq.p2[rows], freq.p1, row_tot[rows, None])
+    df = (np.count_nonzero(rows) - 1) * (np.count_nonzero(n.any(axis=0)) - 1)
+    return lr, q, int(df)
 
 
 def first_order_statistics(
@@ -102,23 +112,18 @@ def first_order_statistics(
     """
     if counts.station_index < 3:
         raise ValueError("first-order test needs station index t >= 3")
-    if not freq.p3:
+    n3 = counts.n3
+    pair_tot = n3.sum(axis=2)
+    pairs = pair_tot > 0
+    if not pairs.any():
         raise ValueError("no defined second-order cells: untestable")
-    pair_tot = counts.pair_counts()
-    lr = 0.0
-    q = 0.0
-    for (h, i, j), n_hij in counts.n3.items():
-        if n_hij == 0:
-            continue
-        p_hij = freq.p3[(h, i)][j]
-        p_ij = freq.p2[i][j]
-        lr += 2.0 * n_hij * math.log(p_hij / p_ij)
-        q += pair_tot[(h, i)] * (p_hij - p_ij) ** 2 / p_ij
-    sup_h = {h for (h, i, j), c in counts.n3.items() if c > 0}
-    sup_i = {i for (h, i, j), c in counts.n3.items() if c > 0}
-    sup_j = {j for (h, i, j), c in counts.n3.items() if c > 0}
-    df = (len(sup_h) - 1) * len(sup_i) * (len(sup_j) - 1)
-    return lr, q, df
+    n = n3[pairs]
+    _h, i = np.nonzero(pairs)
+    lr, q = _lr_q(n, freq.p3[pairs], freq.p2[i], pair_tot[pairs, None])
+    sup_h = np.count_nonzero(pairs.any(axis=1))
+    sup_i = np.count_nonzero(pairs.any(axis=0))
+    sup_j = np.count_nonzero(n.any(axis=0))
+    return lr, q, int((sup_h - 1) * sup_i * (sup_j - 1))
 
 
 @dataclass(frozen=True)
@@ -196,8 +201,7 @@ def markov_property_test(
     """
     if not 0.0 < alpha1 < 1.0 or not 0.0 < alpha2 < 1.0:
         raise ValueError("significance levels must lie in (0, 1)")
-    freq = estimate_frequencies(counts)
-    if not freq.p2:
+    if not counts.n2.any():
         return OrderTestReport(
             station_index=counts.station_index,
             alpha1=alpha1,
@@ -205,10 +209,11 @@ def markov_property_test(
             statistic=statistic,
             verdicts={"LR": ("untestable", None), "Q": ("untestable", None)},
         )
+    freq = estimate_frequencies(counts)
     lr0, q0, df0 = zero_order_statistics(freq, counts)
     lr1 = q1 = None
     df1 = None
-    if counts.station_index >= 3 and freq.p3:
+    if counts.station_index >= 3 and counts.n3.any():
         lr1, q1, df1 = first_order_statistics(freq, counts)
     verdicts = {
         "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),

@@ -27,6 +27,7 @@ from .evaluate import ScoreReport, marginal_predictor, naive_predictor, score_ba
 from .forecast import MetricConfig, Prediction, make_prediction, point_delay, propagate
 from .ingest import (
     JourneyTemplate,
+    NoTargetError,
     RealizationEvent,
     RejectedRow,
     StationKey,
@@ -134,6 +135,7 @@ def test_store(store: dict, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate."""
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
+    space = StateSpace(store["n_max"])
     per_station = []
     reports = []
     for tid in sorted(store["trains"]):
@@ -142,7 +144,7 @@ def test_store(store: dict, config: RunConfig) -> dict:
             continue
         max_len = max(len(s) for s in series)
         for t in range(2, max_len + 1):
-            counts = build_count_tensor(series, t)
+            counts = build_count_tensor(series, t, space)
             report = markov_property_test(
                 counts, config.alpha1, config.alpha2, config.statistic
             )
@@ -161,7 +163,6 @@ def _kde_seed(run_seed: int, train_id: str, t: int) -> np.random.SeedSequence:
 def _recover(
     series: list[DelaySeries], t: int, space: StateSpace, config: RunConfig, train_id: str
 ) -> TransitionMatrix | None:
-    counts = build_count_tensor(series, t)
     if config.strategy == "gaussian_kernel":
         pairs = np.array(
             [(s.delays[t - 2], s.delays[t - 1]) for s in series if len(s) >= t],
@@ -174,7 +175,8 @@ def _recover(
             seed=_kde_seed(config.seed, train_id, t), station_index=t,
         )
         return kde_matrix(model, space)
-    partial = empirical_matrix(counts, space)
+    counts = build_count_tensor(series, t, space)
+    partial = empirical_matrix(counts)
     if config.strategy == "diagonal":
         return diagonal_fill(partial)
     if config.strategy == "uniform":
@@ -261,9 +263,17 @@ def forecast_from_bundle(
     return make_prediction(v, d_s, space, _metric_config(config))
 
 
-def _resolve_target(store: dict, train_id: str, s: int, config: RunConfig, target: int | None) -> int:
+def _check_target(s: int, t: int) -> int:
+    if t <= s:
+        raise NoTargetError(f"target station {t} is not after current station {s}")
+    return t
+
+
+def _resolve_target(
+    store: dict | None, train_id: str, s: int, config: RunConfig, target: int | None
+) -> int:
     if target is not None:
-        return target
+        return _check_target(s, target)
     template = store_template(store, train_id)
     return select_target_station(
         template, s, dt.timedelta(minutes=config.horizon_minutes)
@@ -284,7 +294,8 @@ def evaluate_store(
     Exactly one of `bundle` or `baseline` drives the predictions; the marginal
     baseline additionally needs the training store it draws counts from.
     Series too short to reach the target, and trains the bundle does not
-    cover, are skipped; an empty surviving batch is an error.
+    cover, are skipped; an empty surviving batch is an error. A fixed target
+    at or before `from_station` raises NoTargetError.
     """
     if (bundle is None) == (baseline is None):
         raise ValueError("provide exactly one of bundle or baseline")
@@ -293,6 +304,9 @@ def evaluate_store(
     if baseline == "marginal" and train_store is None:
         raise ValueError("marginal baseline needs a training store")
 
+    if target is not None:
+        # before the loop: the loop counts a ValueError as a skipped train
+        _check_target(from_station, target)
     space = StateSpace(eval_store["n_max"])
     cfg_metrics = _metric_config(config)
     predictions: list[Prediction] = []
@@ -310,8 +324,10 @@ def evaluate_store(
             if tid not in train_store["trains"]:
                 skipped += 1
                 continue
-            marginal_counts = build_count_tensor(store_series(train_store, tid), t_target)
-            if not marginal_counts.n1:
+            marginal_counts = build_count_tensor(
+                store_series(train_store, tid), t_target, space
+            )
+            if not marginal_counts.n1.any():
                 skipped += 1
                 continue
         for s in store_series(eval_store, tid):

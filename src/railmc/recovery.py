@@ -25,7 +25,6 @@ from .core import CountTensor, RowStatus, StateSpace, TransitionMatrix
 
 __all__ = [
     "KdeModel",
-    "RegressionFit",
     "empirical_matrix",
     "diagonal_fill",
     "uniform_fill",
@@ -42,20 +41,17 @@ _RIDGE = 1e-6
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-def empirical_matrix(counts: CountTensor, space: StateSpace) -> TransitionMatrix:
+def empirical_matrix(counts: CountTensor) -> TransitionMatrix:
     """Count-ratio rows; rows with no observations stay undefined."""
     if counts.station_index < 2:
         raise ValueError("transition counts need station index t >= 2")
-    k = space.cardinality
-    probs = np.zeros((k, k))
-    status = [RowStatus.UNDEFINED] * k
-    row_tot = counts.row_counts()
-    for (i, j), c in counts.n2.items():
-        probs[space.index(i), space.index(j)] = c / row_tot[i]
-    for i, tot in row_tot.items():
-        if tot > 0:
-            status[space.index(i)] = RowStatus.OBSERVED
-    return TransitionMatrix(counts.station_index, probs, tuple(status))
+    n2 = counts.n2
+    row = n2.sum(axis=1)
+    observed = row > 0
+    probs = np.zeros(n2.shape)
+    probs[observed] = n2[observed] / row[observed, None]
+    status = tuple(RowStatus.OBSERVED if o else RowStatus.UNDEFINED for o in observed)
+    return TransitionMatrix(counts.station_index, probs, status)
 
 
 def _fill(partial: TransitionMatrix, make_row) -> TransitionMatrix:
@@ -83,24 +79,6 @@ def uniform_fill(partial: TransitionMatrix) -> TransitionMatrix:
     """Unobserved rows become uniform over the whole state space."""
     k = partial.probs.shape[0]
     return _fill(partial, lambda r: np.full(k, 1.0 / k))
-
-
-@dataclass(frozen=True)
-class RegressionFit:
-    """Least-squares lines through per-row fitted means and spreads."""
-
-    mean_intercept: float
-    mean_slope: float
-    std_intercept: float
-    std_slope: float
-    fitted_mean: dict[int, float]
-    fitted_std: dict[int, float]
-
-    def mean_at(self, i: int) -> float:
-        return self.mean_intercept + self.mean_slope * i
-
-    def std_at(self, i: int) -> float:
-        return self.std_intercept + self.std_slope * i
 
 
 def _discretized_gaussian(mu: float, sigma: float, states: np.ndarray) -> np.ndarray:
@@ -131,49 +109,41 @@ def gaussian_regression_fill(
     """
     if std_form not in ("printed", "sqrt"):
         raise ValueError(f"unknown std_form {std_form!r}")
-    row_tot = counts.row_counts()
-    observed = sorted(i for i, tot in row_tot.items() if tot > 0)
-    if len(observed) < 2:
+    states = space.states()
+    n2 = counts.n2
+    tot = n2.sum(axis=1)
+    observed = tot > 0
+    if observed.sum() < 2:
         warnings.warn("fewer than two observed rows; falling back to diagonal fill")
         return diagonal_fill(partial)
 
-    fitted_mean: dict[int, float] = {}
-    fitted_std: dict[int, float] = {}
-    for i in observed:
-        tot = row_tot[i]
-        mu = sum(c * j for (ii, j), c in counts.n2.items() if ii == i) / tot
-        fitted_mean[i] = mu
-        if tot > 1:
-            ss = sum(c * (j - mu) ** 2 for (ii, j), c in counts.n2.items() if ii == i)
-            s = ss / (tot - 1)
-            fitted_std[i] = np.sqrt(s) if std_form == "sqrt" else s
-
-    mi, ms = np.polynomial.polynomial.polyfit(
-        observed, [fitted_mean[i] for i in observed], 1
-    )
-    std_rows = sorted(fitted_std)
-    if len(std_rows) >= 2:
-        si, ss_ = np.polynomial.polynomial.polyfit(
-            std_rows, [fitted_std[i] for i in std_rows], 1
-        )
-    elif len(std_rows) == 1:
-        si, ss_ = fitted_std[std_rows[0]], 0.0
-    else:
+    spread_rows = tot > 1
+    if not spread_rows.any():
         warnings.warn("no rows support a spread estimate; falling back to diagonal fill")
         return diagonal_fill(partial)
-    fit = RegressionFit(float(mi), float(ms), float(si), float(ss_), fitted_mean, fitted_std)
+    with np.errstate(invalid="ignore"):
+        mean = n2 @ states / tot
+    dev = states[None, :] - mean[spread_rows, None]
+    spread = (n2[spread_rows] * dev**2).sum(axis=1) / (tot[spread_rows] - 1)
+    if std_form == "sqrt":
+        spread = np.sqrt(spread)
 
-    states = space.states()
+    mi, ms = np.polynomial.polynomial.polyfit(states[observed], mean[observed], 1)
+    if len(spread) >= 2:
+        si, ss_ = np.polynomial.polynomial.polyfit(states[spread_rows], spread, 1)
+    else:
+        si, ss_ = spread[0], 0.0
+
     k = space.cardinality
 
     def regressed_row(r: int) -> np.ndarray:
         i = space.state(r)
-        sigma = fit.std_at(i)
+        sigma = si + ss_ * i
         if sigma <= 0.0:
             row = np.zeros(k)
             row[r] = 1.0
             return row
-        return _discretized_gaussian(fit.mean_at(i), sigma, states)
+        return _discretized_gaussian(mi + ms * i, sigma, states)
 
     return _fill(partial, regressed_row)
 

@@ -89,12 +89,8 @@ def sample_series(
             idx[:, t - 1] = _draw_rows(rng, rows)
 
     return [
-        DelaySeries(
-            train_id=train_id,
-            date=f"{date_prefix}{n:05d}",
-            delays=tuple(int(states[s]) for s in idx[n]),
-        )
-        for n in range(count)
+        DelaySeries(train_id=train_id, date=f"{date_prefix}{n:05d}", delays=tuple(row))
+        for n, row in enumerate(states[idx].tolist())
     ]
 
 

@@ -35,7 +35,7 @@ from railmc.pipeline import evaluate_store, train_bundle
 from railmc.recovery import kde_fit, kde_matrix
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_series
 
-from test_core import series  # shared fixture helper
+from test_core import cells, series  # shared fixture helpers
 
 
 def criterion(label):
@@ -64,10 +64,11 @@ def test_score_arithmetic():
 
 
 def _dense_zero_order(counts):
-    states = sorted({i for i, _ in counts.n2} | {j for _, j in counts.n2})
+    n2 = cells(counts.n2)
+    states = sorted({i for i, _ in n2} | {j for _, j in n2})
     pos = {s: k for k, s in enumerate(states)}
     n = np.zeros((len(states), len(states)))
-    for (i, j), c in counts.n2.items():
+    for (i, j), c in n2.items():
         n[pos[i], pos[j]] = c
     row, col = n.sum(axis=1), n.sum(axis=0)
     p_j = col / n.sum()
@@ -82,7 +83,7 @@ def _dense_zero_order(counts):
 
 
 def _dense_first_order(counts):
-    n3 = counts.n3
+    n3 = cells(counts.n3)
     pair_tot = {}
     dest_tot = {}
     for (h, i, j), c in n3.items():
@@ -106,7 +107,7 @@ def _dense_first_order(counts):
 
 @criterion("order-test statistic hand fixtures match the direct-summation oracle")
 def test_statistic_fixtures():
-    c2 = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2)
+    c2 = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, StateSpace(15))
     f2 = estimate_frequencies(c2)
     lr0, q0, df0 = zero_order_statistics(f2, c2)
     assert q0 == pytest.approx(2.0, abs=1e-12)
@@ -117,7 +118,7 @@ def test_statistic_fixtures():
     assert q0 == pytest.approx(o_q, abs=1e-12)
     assert df0 == o_df
 
-    c3 = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3)
+    c3 = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, StateSpace(15))
     f3 = estimate_frequencies(c3)
     lr1, q1, df1 = first_order_statistics(f3, c3)
     assert q1 == pytest.approx(2.0, abs=1e-12)
@@ -159,7 +160,8 @@ def _order2_spec(seed):
 def _rejection_rates(make_spec, reps=500, m=2000, t=3):
     h00 = h01 = 0
     for rep in range(reps):
-        counts = build_count_tensor(sample_series(make_spec(1000 + rep), m), t)
+        spec = make_spec(1000 + rep)
+        counts = build_count_tensor(sample_series(spec, m), t, spec.space)
         report = markov_property_test(counts)
         h00 += report.verdict_h0_0 == "rejected"
         h01 += report.verdict_h0_1 == "rejected"

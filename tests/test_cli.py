@@ -175,6 +175,46 @@ class TestExitCodes:
             "--store", str(workspace / "store.json"),
         ]) == 4
 
+    def test_print_matrix_outside_bundle_is_coverage_gap(self, workspace, capsys):
+        store, bundle = workspace / "store.json", workspace / "bundle.json"
+        train = ["train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal"]
+        assert main(train + ["--print-matrix", "T001:3"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[0] == "-15"
+        # the journey has 5 stations, so station 9 has no matrix
+        assert main(train + ["--print-matrix", "T001:9"]) == 4
+        assert "station 9 for train T001" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1", "2"])
+    def test_forecast_target_not_after_station(self, workspace, capsys, target):
+        bundle = workspace / "bundle.json"
+        assert main([
+            "train", "--store", str(workspace / "store.json"),
+            "--out", str(bundle), "--strategy", "diagonal",
+        ]) == 0
+        assert main([
+            "forecast", "--bundle", str(bundle), "--train", "T001",
+            "--station", "2", "--delay", "0", "--target", target,
+        ]) == 4
+        assert f"target station {target} is not after current station 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["1", "2"])
+    def test_evaluate_target_not_after_station(self, workspace, capsys, target):
+        store, bundle = workspace / "store.json", workspace / "bundle.json"
+        assert main([
+            "train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal",
+        ]) == 0
+        for method in (
+            ["--bundle", str(bundle)],
+            ["--baseline", "naive"],
+            ["--baseline", "marginal", "--train-store", str(store)],
+        ):
+            assert main([
+                "evaluate", "--store", str(store), *method, "--from-station", "2",
+                "--target", target, "--out", str(workspace / "scores.json"),
+            ]) == 4
+            err = capsys.readouterr().err
+            assert f"target station {target} is not after current station 2" in err
+
     def test_internal_error_for_bad_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"not_a_key": 1}))

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from railmc.core import CountTensor, StateSpace
+from railmc.core import CountTensor, StateSpace, build_count_tensor
 from railmc.evaluate import (
     actual_jump,
     actual_trend,
@@ -164,7 +164,9 @@ class TestBaselinePredictors:
 
     def test_marginal(self):
         space = StateSpace(15)
-        counts = CountTensor(5, n1={0: 3, 5: 1}, n2={}, n3={})
+        n1 = np.zeros(space.cardinality, dtype=np.int64)
+        n1[space.index(0)], n1[space.index(5)] = 3, 1
+        counts = CountTensor(5, n1, np.zeros((31, 31), np.int64), np.zeros((31,) * 3, np.int64))
         pred = marginal_predictor(counts, 0, space, MetricConfig(minutes_metric="mean"))
         assert pred.minutes == pytest.approx(5 / 4)
         assert pred.trend == "equal"  # median stays at 0
@@ -172,7 +174,7 @@ class TestBaselinePredictors:
 
     def test_marginal_requires_observations(self):
         with pytest.raises(ValueError):
-            marginal_predictor(CountTensor(5, {}, {}, {}), 0, StateSpace(15))
+            marginal_predictor(build_count_tensor([], 5, StateSpace(15)), 0, StateSpace(15))
 
 
 class TestScoreBatch:

@@ -21,6 +21,10 @@ from railmc.mctest import (
 )
 from railmc.synth import ChainSpec, sample_series
 
+from test_core import cells
+
+SPACE = StateSpace(15)
+
 
 def chi2_cdf_by_quadrature(x, df):
     """Numerical-integration oracle for the chi-square CDF."""
@@ -72,10 +76,11 @@ class TestChiSquareFunctions:
 
 def direct_summation_zero_order(counts):
     """Independent oracle: materialize dense arrays and sum term by term."""
-    states = sorted({i for i, _ in counts.n2} | {j for _, j in counts.n2})
+    n2 = cells(counts.n2)
+    states = sorted({i for i, _ in n2} | {j for _, j in n2})
     pos = {s: k for k, s in enumerate(states)}
     n = np.zeros((len(states), len(states)))
-    for (i, j), c in counts.n2.items():
+    for (i, j), c in n2.items():
         n[pos[i], pos[j]] = c
     row = n.sum(axis=1)
     col = n.sum(axis=0)
@@ -93,7 +98,7 @@ def direct_summation_zero_order(counts):
 
 class TestZeroOrderStatistics:
     def test_two_state_hand_case(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2)
+        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         f = estimate_frequencies(c)
         lr0, q0, df0 = zero_order_statistics(f, c)
         assert q0 == pytest.approx(2.0, abs=1e-12)
@@ -110,7 +115,7 @@ class TestZeroOrderStatistics:
         for i in (0, 1):
             for j, reps in ((0, 3), (1, 1)):
                 s += [(i, j)] * reps
-        c = build_count_tensor(series(*s), 2)
+        c = build_count_tensor(series(*s), 2, SPACE)
         f = estimate_frequencies(c)
         lr0, q0, _df = zero_order_statistics(f, c)
         assert lr0 == pytest.approx(0.0, abs=1e-12)
@@ -119,16 +124,16 @@ class TestZeroOrderStatistics:
     def test_df_arithmetic(self):
         # 4 observed source states, 3 observed destination states
         s = [(i, j) for i in (-2, -1, 0, 1) for j in (0, 1, 2)]
-        c = build_count_tensor(series(*s), 2)
+        c = build_count_tensor(series(*s), 2, SPACE)
         f = estimate_frequencies(c)
         _lr, _q, df0 = zero_order_statistics(f, c)
         assert df0 == 6
 
     def test_truncation_invariance(self):
         # relabeling through unobserved states changes nothing
-        a = build_count_tensor(series((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)), 2)
+        a = build_count_tensor(series((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)), 2, SPACE)
         shifted = [tuple(5 * d - 3 for d in s.delays) for s in series((0, 0), (0, 1), (1, 1), (1, 0), (0, 0))]
-        b = build_count_tensor(series(*shifted), 2)
+        b = build_count_tensor(series(*shifted), 2, SPACE)
         ra = zero_order_statistics(estimate_frequencies(a), a)
         rb = zero_order_statistics(estimate_frequencies(b), b)
         assert ra == pytest.approx(rb)
@@ -146,7 +151,7 @@ class TestZeroOrderStatistics:
                 [0.2, 0.1, 0.1, 0.1, 0.5],
             ]),),
         )
-        c = build_count_tensor(sample_series(spec, 400), 2)
+        c = build_count_tensor(sample_series(spec, 400), 2, SPACE)
         f = estimate_frequencies(c)
         got = zero_order_statistics(f, c)
         expect = direct_summation_zero_order(c)
@@ -157,7 +162,7 @@ class TestZeroOrderStatistics:
 
 class TestFirstOrderStatistics:
     def test_hand_case(self):
-        c = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3)
+        c = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, SPACE)
         f = estimate_frequencies(c)
         lr1, q1, df1 = first_order_statistics(f, c)
         assert q1 == pytest.approx(2.0, abs=1e-12)
@@ -170,7 +175,7 @@ class TestFirstOrderStatistics:
         for h in (0, 1):
             for i in (0, 1):
                 s += [(h, i, 0), (h, i, 1)]
-        c = build_count_tensor(series(*s), 3)
+        c = build_count_tensor(series(*s), 3, SPACE)
         f = estimate_frequencies(c)
         lr1, q1, _df = first_order_statistics(f, c)
         assert lr1 == pytest.approx(0.0, abs=1e-12)
@@ -179,14 +184,14 @@ class TestFirstOrderStatistics:
     def test_df_arithmetic(self):
         # |A(t-2)|=3, |A(t-1)|=2, |A(t)|=4 -> df1 = 2*2*3 = 12
         s = [(h, i, j) for h in (0, 1, 2) for i in (0, 1) for j in (0, 1, 2, 3)]
-        c = build_count_tensor(series(*s), 3)
+        c = build_count_tensor(series(*s), 3, SPACE)
         f = estimate_frequencies(c)
         assert first_order_statistics(f, c)[2] == 12
 
 
 class TestMarkovPropertyTest:
     def test_hand_case_not_rejected(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2)
+        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         report = markov_property_test(c, alpha1=0.05)
         # q0 = 2 < 3.841 at df = 1
         assert report.verdict_h0_0 == "not_rejected"
@@ -199,21 +204,21 @@ class TestMarkovPropertyTest:
             space, 3, 1, np.array([1 / 3, 1 / 3, 1 / 3]), seed=23,
             matrices=(diag, diag),
         )
-        c = build_count_tensor(sample_series(spec, 10_000), 3)
+        c = build_count_tensor(sample_series(spec, 10_000), 3, SPACE)
         report = markov_property_test(c)
         assert report.verdicts["Q"] == ("rejected", "not_rejected")
         assert report.verdicts["LR"] == ("rejected", "not_rejected")
 
     def test_degenerate_support_untestable(self):
-        c = build_count_tensor(series((0, 0), (0, 0)), 2)
+        c = build_count_tensor(series((0, 0), (0, 0)), 2, SPACE)
         assert markov_property_test(c).verdict_h0_0 == "untestable"
 
     def test_no_rows_untestable(self):
-        c = build_count_tensor([], 2)
+        c = build_count_tensor([], 2, SPACE)
         assert markov_property_test(c).verdict_h0_0 == "untestable"
 
     def test_alpha_validation(self):
-        c = build_count_tensor(series((0, 0)), 2)
+        c = build_count_tensor(series((0, 0)), 2, SPACE)
         with pytest.raises(ValueError):
             markov_property_test(c, alpha1=0.0)
 
@@ -228,13 +233,8 @@ class TestMarkovPropertyTest:
         gaps = []
         for eps in (0.05, 0.01, 0.002):
             joint = (base[None, :] + eps * bump_dirs) / 3.0
-            n2 = {
-                (i - 1, j - 1): 10_000.0 * joint[i, j]
-                for i in range(3)
-                for j in range(3)
-            }
-            c = CountTensor(2, n1={j: sum(v for (_, jj), v in n2.items() if jj == j)
-                                   for j in (-1, 0, 1)}, n2=n2, n3={})
+            n2 = 10_000.0 * joint  # states -1..1
+            c = CountTensor(2, n1=n2.sum(axis=0), n2=n2, n3=np.zeros((3, 3, 3)))
             f = estimate_frequencies(c)
             lr0, q0, _ = zero_order_statistics(f, c)
             gaps.append(abs(q0 - lr0) / q0)
@@ -243,15 +243,14 @@ class TestMarkovPropertyTest:
 
 class TestReporting:
     def test_report_roundtrips_to_dict(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2)
+        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         d = markov_property_test(c).to_dict()
         assert d["t"] == 2 and d["df0"] == 1
         assert d["verdicts"]["Q"][0] == "not_rejected"
 
     def test_aggregate_shape(self):
-        reports = [
-            markov_property_test(build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2))
-        ]
+        counts = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
+        reports = [markov_property_test(counts)]
         agg = aggregate_reports(reports)
         assert agg["total_stations"] == 1
         assert agg["statistics"]["Q"] == {"reject_h0_0": 0, "reject_h0_1": 0}

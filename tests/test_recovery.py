@@ -33,8 +33,8 @@ def transition_pairs(sampled):
 class TestEmpiricalMatrix:
     def test_observed_row_ratios(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, -1), (0, -1), (0, 1), (0, 2)), 2)
-        mat = empirical_matrix(c, space)
+        c = build_count_tensor(series((0, -1), (0, -1), (0, 1), (0, 2)), 2, space)
+        mat = empirical_matrix(c)
         row = mat.probs[space.index(0)]
         assert row[space.index(-1)] == pytest.approx(0.5)
         assert row[space.index(1)] == pytest.approx(0.25)
@@ -43,21 +43,21 @@ class TestEmpiricalMatrix:
 
     def test_unobserved_rows_undefined(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2)
-        mat = empirical_matrix(c, space)
+        c = build_count_tensor(series((0, 1)), 2, space)
+        mat = empirical_matrix(c)
         assert mat.row_status[space.index(1)] is RowStatus.UNDEFINED
         assert len(mat.undefined_rows()) == space.cardinality - 1
 
     def test_station_index_validation(self):
         with pytest.raises(ValueError):
-            empirical_matrix(build_count_tensor(series((0,)), 1), StateSpace(2))
+            empirical_matrix(build_count_tensor(series((0,)), 1, StateSpace(2)))
 
 
 class TestFills:
     def test_diagonal_fill(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2)
-        mat = diagonal_fill(empirical_matrix(c, space))
+        c = build_count_tensor(series((0, 1)), 2, space)
+        mat = diagonal_fill(empirical_matrix(c))
         r = space.index(2)
         assert mat.probs[r, r] == 1.0
         assert mat.probs[r].sum() == 1.0
@@ -67,34 +67,34 @@ class TestFills:
 
     def test_uniform_fill(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2)
-        mat = uniform_fill(empirical_matrix(c, space))
+        c = build_count_tensor(series((0, 1)), 2, space)
+        mat = uniform_fill(empirical_matrix(c))
         r = space.index(-2)
         assert np.allclose(mat.probs[r], 1.0 / 5.0)
 
     def test_all_rows_defined_after_fill(self):
         space = StateSpace(3)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2)
+        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
         for fill in (diagonal_fill, uniform_fill):
-            mat = fill(empirical_matrix(c, space))
+            mat = fill(empirical_matrix(c))
             assert not mat.undefined_rows()
             assert np.allclose(mat.probs.sum(axis=1), 1.0)
 
 
 class TestGaussianRegressionFill:
-    def _symmetric_counts(self, rows=(-1, 0, 1)):
+    def _symmetric_counts(self, space, rows=(-1, 0, 1)):
         # from each observed row i: one transition each to i-1, i, i+1, so the
         # fitted mean is exactly i and the variance-form spread is
         # (1 + 0 + 1) / (3 - 1) = 1 for every row
         s = []
         for i in rows:
             s += [(i, i - 1), (i, i), (i, i + 1)]
-        return build_count_tensor(series(*s), 2)
+        return build_count_tensor(series(*s), 2, space)
 
     def test_constant_spread_line(self):
         space = StateSpace(5)
-        c = self._symmetric_counts()
-        mat = gaussian_regression_fill(empirical_matrix(c, space), c, space)
+        c = self._symmetric_counts(space)
+        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         states = space.states()
         # filled row 3: Gaussian with mean 3, spread 1, discretized and normalized
         expected = np.exp(-0.5 * (states - 3.0) ** 2)
@@ -106,9 +106,9 @@ class TestGaussianRegressionFill:
     def test_sqrt_form_matches_printed_here(self):
         # with unit variance both spread conventions coincide
         space = StateSpace(5)
-        c = self._symmetric_counts()
-        a = gaussian_regression_fill(empirical_matrix(c, space), c, space, std_form="printed")
-        b = gaussian_regression_fill(empirical_matrix(c, space), c, space, std_form="sqrt")
+        c = self._symmetric_counts(space)
+        a = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="printed")
+        b = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="sqrt")
         assert np.allclose(a.probs, b.probs)
 
     def test_negative_fitted_spread_becomes_unit_diagonal(self):
@@ -122,8 +122,8 @@ class TestGaussianRegressionFill:
             s.append((-2, j))
         for j in (1, 2, 3):
             s.append((2, j))
-        c = build_count_tensor(series(*s), 2)
-        mat = gaussian_regression_fill(empirical_matrix(c, space), c, space)
+        c = build_count_tensor(series(*s), 2, space)
+        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
         assert mat.probs[r, r] == 1.0
@@ -133,24 +133,24 @@ class TestGaussianRegressionFill:
 
     def test_single_observed_row_falls_back_to_diagonal(self):
         space = StateSpace(3)
-        c = build_count_tensor(series((0, 1), (0, -1)), 2)
+        c = build_count_tensor(series((0, 1), (0, -1)), 2, space)
         with pytest.warns(UserWarning):
-            mat = gaussian_regression_fill(empirical_matrix(c, space), c, space)
+            mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         r = space.index(2)
         assert mat.probs[r, r] == 1.0
 
     def test_rows_sum_to_one(self):
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
-        c = build_count_tensor(sample_series(spec, 50), 2)
-        mat = gaussian_regression_fill(empirical_matrix(c, space), c, space)
+        c = build_count_tensor(sample_series(spec, 50), 2, space)
+        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         assert np.allclose(mat.probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_unknown_std_form(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2)
+        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
         with pytest.raises(ValueError):
-            gaussian_regression_fill(empirical_matrix(c, space), c, space, std_form="bogus")
+            gaussian_regression_fill(empirical_matrix(c), c, space, std_form="bogus")
 
 
 class TestKdeFit:
@@ -264,8 +264,8 @@ class TestKdeMatrix:
 class TestMatrixOutput:
     def test_csv_grid(self, tmp_path):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2)
-        mat = uniform_fill(empirical_matrix(c, space))
+        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
+        mat = uniform_fill(empirical_matrix(c))
         out = tmp_path / "mat.csv"
         write_matrix_csv(mat, space, out)
         lines = out.read_text().splitlines()
