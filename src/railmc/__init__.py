@@ -9,16 +9,13 @@ F1/RWMSE prediction score, plus a CLI tying them together.
 from .config import RunConfig
 from .core import (
     CountTensor,
-    DelayDistribution,
     DelaySeries,
     FrequencyEstimates,
-    RowStatus,
     StateSpace,
-    TransitionMatrix,
     build_count_tensor,
     estimate_frequencies,
 )
-from .forecast import MetricConfig, Prediction
+from .forecast import Prediction
 
 __version__ = "0.1.0"
 
@@ -28,10 +25,6 @@ __all__ = [
     "DelaySeries",
     "CountTensor",
     "FrequencyEstimates",
-    "TransitionMatrix",
-    "DelayDistribution",
-    "RowStatus",
-    "MetricConfig",
     "Prediction",
     "build_count_tensor",
     "estimate_frequencies",

@@ -5,8 +5,9 @@ Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs.
 
-Exit codes: 0 ok, 1 internal error, 2 I/O error, 3 empty selection,
-4 coverage gap.
+Exit codes: 0 ok, 1 internal error, 2 I/O error or malformed bundle,
+3 empty selection, 4 coverage gap (a station missing from the bundle, or a
+delay or store outside the model's state space).
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .config import STRATEGIES, RunConfig
+from .config import METRICS, POINT_METRICS, STRATEGIES, RunConfig
 from .core import StateSpace
 from .ingest import NoTargetError, load_timetable, parse_events, write_rejects
-from .pipeline import CoverageError, EmptySelectionError
+from .pipeline import BundleError, CoverageError, EmptySelectionError
 from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
 
@@ -40,13 +41,13 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, help=f"KDE jitter bound in minutes (default {defaults.epsilon})")
     p.add_argument("--horizon", type=float, dest="horizon_minutes",
                    help=f"prediction horizon in minutes (default {defaults.horizon_minutes})")
-    p.add_argument("--trend-metric", choices=["mean", "mode", "median", "probability"],
+    p.add_argument("--trend-metric", choices=METRICS,
                    help=f"metric for the trend prediction (default {defaults.trend_metric})")
-    p.add_argument("--jump-metric", choices=["mean", "mode", "median", "probability"],
+    p.add_argument("--jump-metric", choices=METRICS,
                    help=f"metric for the jump prediction (default {defaults.jump_metric})")
-    p.add_argument("--minutes-metric", choices=["mean", "mode", "median"],
+    p.add_argument("--minutes-metric", choices=POINT_METRICS,
                    help=f"metric for the minutes prediction (default {defaults.minutes_metric})")
-    p.add_argument("--strategy", choices=list(STRATEGIES),
+    p.add_argument("--strategy", choices=STRATEGIES,
                    help=f"matrix recovery strategy (default {defaults.strategy})")
     p.add_argument("--statistic", choices=["LR", "Q"],
                    help=f"ladder statistic for the order test (default {defaults.statistic})")
@@ -234,7 +235,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CoverageError, NoTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except OSError as exc:
+    except (OSError, BundleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - CLI boundary

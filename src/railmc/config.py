@@ -13,6 +13,8 @@ from dataclasses import dataclass
 __all__ = ["RunConfig"]
 
 STRATEGIES = ("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")
+POINT_METRICS = ("mean", "mode", "median")
+METRICS = POINT_METRICS + ("probability",)
 
 
 @dataclass(frozen=True)
@@ -33,12 +35,18 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.statistic not in ("LR", "Q"):
-            raise ValueError(f"unknown statistic {self.statistic!r}")
-        if self.rwmse_form not in ("printed", "squared"):
-            raise ValueError(f"unknown rwmse form {self.rwmse_form!r}")
+        choices = {
+            "strategy": STRATEGIES,
+            "statistic": ("LR", "Q"),
+            "rwmse_form": ("printed", "squared"),
+            "trend_metric": METRICS,
+            "jump_metric": METRICS,
+            "minutes_metric": POINT_METRICS,
+        }
+        for name, allowed in choices.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(allowed)}")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":

@@ -1,15 +1,19 @@
-"""Domain types and maximum-likelihood frequency estimators.
+"""Domain types, maximum-likelihood frequency estimators and the matrix check.
 
 States are integer delay minutes on the bounded domain [-N, N]. Station
 indices are 1-based along a journey. Counts are dense integer arrays indexed
 by state index (delay + N); frequencies are derived double-precision ratios
 on the same indices. Rows with no observations are explicitly *undefined*
 (NaN), never emitted as all-zero probability rows.
+
+A transition matrix P(t) is a plain (k, k) float array with k = 2N + 1, and a
+delay distribution v(t) a (k,) vector. A partial matrix marks its unobserved
+rows NaN until recovery fills them; `check_transition_matrix` is the one
+row-stochasticity check, run where matrices enter or leave a bundle.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,12 +24,10 @@ __all__ = [
     "DelaySeries",
     "CountTensor",
     "FrequencyEstimates",
-    "RowStatus",
-    "TransitionMatrix",
-    "DelayDistribution",
     "AlignmentError",
     "build_count_tensor",
     "estimate_frequencies",
+    "check_transition_matrix",
 ]
 
 ROW_SUM_TOL = 1e-9
@@ -186,52 +188,20 @@ def _conditional(n: np.ndarray) -> np.ndarray:
     return p.reshape(n.shape)
 
 
-class RowStatus(enum.Enum):
-    OBSERVED = "observed"
-    RECOVERED = "recovered"
-    UNDEFINED = "undefined"
+def check_transition_matrix(p: np.ndarray, space: StateSpace) -> None:
+    """Raise ValueError unless p is a complete (k, k) row-stochastic matrix.
 
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """(2N+1) x (2N+1) row-stochastic matrix P(t), possibly partial.
-
-    Undefined rows hold zeros in `probs` and carry status UNDEFINED; they must
-    be recovered before the matrix can be used for propagation.
+    Every entry must be finite and non-negative, and every row must sum to
+    one within ROW_SUM_TOL.
     """
-
-    station_index: int
-    probs: np.ndarray
-    row_status: tuple[RowStatus, ...]
-
-    def __post_init__(self) -> None:
-        k = self.probs.shape[0]
-        if self.probs.shape != (k, k) or len(self.row_status) != k:
-            raise ValueError("matrix shape and row_status length disagree")
-        for r, status in enumerate(self.row_status):
-            if status is RowStatus.UNDEFINED:
-                continue
-            row = self.probs[r]
-            if (row < -1e-15).any() or abs(row.sum() - 1.0) > ROW_SUM_TOL:
-                raise ValueError(f"row {r} is not a probability row (sum={row.sum()!r})")
-
-    @property
-    def is_complete(self) -> bool:
-        return RowStatus.UNDEFINED not in self.row_status
-
-    def undefined_rows(self) -> list[int]:
-        return [r for r, s in enumerate(self.row_status) if s is RowStatus.UNDEFINED]
-
-
-@dataclass(frozen=True)
-class DelayDistribution:
-    """Probability vector v(t) over the state space at station t."""
-
-    station_index: int
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        if (self.probs < -1e-15).any():
-            raise ValueError("negative probability mass")
-        if abs(self.probs.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"distribution sums to {self.probs.sum()!r}, not 1")
+    k = space.cardinality
+    if p.shape != (k, k):
+        raise ValueError(f"matrix shape {p.shape}, expected {(k, k)} for n_max {space.n_max}")
+    if not np.isfinite(p).all():
+        raise ValueError("matrix holds NaN or infinite entries")
+    if (p < 0).any():
+        raise ValueError("matrix holds negative entries")
+    off = np.abs(p.sum(axis=1) - 1.0)
+    if (off > ROW_SUM_TOL).any():
+        r = int(np.argmax(off))
+        raise ValueError(f"row {r} sums to {p[r].sum()!r}, not 1")

@@ -10,8 +10,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import CountTensor, DelayDistribution, StateSpace
-from .forecast import MetricConfig, Prediction, make_prediction, point_delay
+from .config import RunConfig
+from .core import CountTensor, StateSpace
+from .forecast import Prediction, make_prediction, point_delay
 
 __all__ = [
     "ScoreReport",
@@ -138,7 +139,7 @@ def naive_predictor(d_s: int, space: StateSpace) -> Prediction:
         trend="equal",
         jump=False,
         minutes=float(d_s),
-        metric_config=MetricConfig(),
+        config=RunConfig(),
     )
 
 
@@ -146,15 +147,14 @@ def marginal_predictor(
     counts_at_target: CountTensor,
     d_s: int,
     space: StateSpace,
-    config: MetricConfig | None = None,
+    config: RunConfig,
 ) -> Prediction:
     """Baseline using the marginal delay distribution at the target station."""
     n1 = counts_at_target.n1
     total = n1.sum()
     if total == 0:
         raise ValueError("no observations at the target station")
-    v = DelayDistribution(counts_at_target.station_index, n1 / total)
-    return make_prediction(v, d_s, space, config)
+    return make_prediction(n1 / total, d_s, space, config)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Delay-distribution propagation and prediction extraction.
 
-The current delay becomes a unit-mass vector, is pushed through the recovered
-transition matrices to the target station, and the resulting distribution is
+A delay distribution v is a (k,) probability vector over the states -N..N,
+and the propagation chain P(S+1) .. P(T) is a (T - S, k, k) stack of checked
+transition matrices. The current delay becomes a unit-mass vector, is pushed
+through the chain to the target station, and the resulting distribution is
 summarized into a trend (increase/decrease/equal), a jump flag, and a
 minutes-of-delay point prediction.
 """
@@ -12,107 +14,91 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DelayDistribution, StateSpace, TransitionMatrix
+from .config import RunConfig
+from .core import StateSpace
 
 __all__ = [
-    "MetricConfig",
     "Prediction",
     "point_delay",
     "propagate",
     "summarize",
     "trend_and_jump_probabilities",
-    "predict_trend",
-    "predict_jump",
-    "predict_minutes",
     "make_prediction",
 ]
 
-POINT_METRICS = ("mean", "mode", "median")
-
-
-@dataclass(frozen=True)
-class MetricConfig:
-    """Which summary drives each prediction output, plus decision thresholds."""
-
-    trend_metric: str = "median"
-    jump_metric: str = "probability"
-    minutes_metric: str = "mean"
-    trend_threshold: float = 1.0
-    jump_threshold: float = 2.0
-    jump_prob_threshold: float = 0.5
+# A point metric within +-TREND_THRESHOLD of d_S reads "equal"; a jump is a
+# point move of at least JUMP_THRESHOLD, or jump mass >= JUMP_PROB_THRESHOLD.
+TREND_THRESHOLD = 1.0
+JUMP_THRESHOLD = 2.0
+JUMP_PROB_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
 class Prediction:
     """Forecast outputs for one train at the target station."""
 
-    distribution: DelayDistribution
+    distribution: np.ndarray
     current_delay: int
     trend: str
     jump: bool
     minutes: float
-    metric_config: MetricConfig
+    config: RunConfig
 
     def to_dict(self) -> dict:
         return {
             "d_S": self.current_delay,
-            "distribution": [float(p) for p in self.distribution.probs],
+            "distribution": self.distribution.tolist(),
             "trend": self.trend,
             "jump": self.jump,
             "minutes": self.minutes,
             "metrics_used": {
-                "trend": self.metric_config.trend_metric,
-                "jump": self.metric_config.jump_metric,
-                "minutes": self.metric_config.minutes_metric,
+                "trend": self.config.trend_metric,
+                "jump": self.config.jump_metric,
+                "minutes": self.config.minutes_metric,
             },
         }
 
 
-def point_delay(initial_value: int, space: StateSpace, station_index: int = 0) -> DelayDistribution:
+def point_delay(initial_value: int, space: StateSpace) -> np.ndarray:
     """Unit-mass distribution at the known current delay."""
     if not space.contains(initial_value):
         raise ValueError(f"delay {initial_value} outside state space")
-    probs = np.zeros(space.cardinality)
-    probs[space.index(initial_value)] = 1.0
-    return DelayDistribution(station_index, probs)
+    v = np.zeros(space.cardinality)
+    v[space.index(initial_value)] = 1.0
+    return v
 
 
-def propagate(
-    initial: DelayDistribution, matrices: list[TransitionMatrix]
-) -> DelayDistribution:
+def propagate(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
     """Chapman-Kolmogorov product v(T) = v(S) P(S+1) ... P(T).
 
-    Every matrix must be fully recovered; an undefined row means recovery has
-    not run and propagation refuses.
+    Every matrix must be fully recovered; an undefined (NaN) row means
+    recovery has not run and propagation refuses.
     """
-    v = initial.probs
-    station = initial.station_index
-    for mat in matrices:
-        if not mat.is_complete:
-            raise ValueError(
-                f"matrix for station {mat.station_index} has undefined rows "
-                f"{mat.undefined_rows()}; run recovery first"
-            )
-        v = v @ mat.probs
-        station = mat.station_index
-    return DelayDistribution(station, v)
+    if np.isnan(chain).any():
+        step, row = np.argwhere(np.isnan(chain))[0][:2]
+        raise ValueError(
+            f"chain matrix {step} has undefined row {row}; run recovery first"
+        )
+    for p in chain:
+        v = v @ p
+    return v
 
 
-def summarize(v: DelayDistribution, space: StateSpace) -> tuple[float, int, int]:
+def summarize(v: np.ndarray, space: StateSpace) -> tuple[float, int, int]:
     """(mean, mode, median) of the distribution over delay values.
 
     Mode ties break toward the smaller state; the median is the smallest state
     where the cumulative mass reaches one half.
     """
     states = space.states()
-    mean = float(np.dot(v.probs, states))
-    mode = int(states[int(np.argmax(v.probs))])
-    median = int(states[int(np.searchsorted(np.cumsum(v.probs), 0.5))])
+    mean = float(np.dot(v, states))
+    mode = int(states[int(np.argmax(v))])
+    median = int(states[int(np.searchsorted(np.cumsum(v), 0.5))])
     return mean, mode, median
 
 
 def trend_and_jump_probabilities(
-    v: DelayDistribution, d_s: int, space: StateSpace
+    v: np.ndarray, d_s: int, space: StateSpace
 ) -> tuple[float, float, float, float]:
     """(P(increase), P(decrease), P(equal), P(jump)) relative to the current delay.
 
@@ -122,90 +108,57 @@ def trend_and_jump_probabilities(
     if not space.contains(d_s):
         raise ValueError(f"delay {d_s} outside state space")
     idx = space.index(d_s)
-    p_inc = float(v.probs[idx + 1 :].sum())
-    p_dec = float(v.probs[:idx].sum())
-    p_eq = float(v.probs[idx])
+    p_inc = float(v[idx + 1 :].sum())
+    p_dec = float(v[:idx].sum())
+    p_eq = float(v[idx])
     lo = max(0, idx - 1)
     hi = min(space.cardinality, idx + 2)
-    p_jump = float(1.0 - v.probs[lo:hi].sum())
+    p_jump = float(1.0 - v[lo:hi].sum())
     return p_inc, p_dec, p_eq, max(0.0, p_jump)
 
 
-def predict_trend(
-    v: DelayDistribution,
-    d_s: int,
-    space: StateSpace,
-    metric: str = "median",
-    threshold: float = 1.0,
-) -> str:
-    """Classify the delay trend at the target station.
-
-    Point metrics compare the summary against d_S with a +-threshold band; the
-    probability metric picks the strictly largest of the three trend masses,
-    defaulting to "equal" on ties.
-    """
-    if metric == "probability":
-        p_inc, p_dec, p_eq, _ = trend_and_jump_probabilities(v, d_s, space)
-        if p_inc > max(p_dec, p_eq):
-            return "increase"
-        if p_dec > max(p_inc, p_eq):
-            return "decrease"
-        return "equal"
-    value = _point_value(v, space, metric)
-    if value - d_s >= threshold:
-        return "increase"
-    if value - d_s <= -threshold:
-        return "decrease"
-    return "equal"
-
-
-def predict_jump(
-    v: DelayDistribution,
-    d_s: int,
-    space: StateSpace,
-    metric: str = "probability",
-    threshold: float = 2.0,
-    prob_threshold: float = 0.5,
-) -> bool:
-    """Predict whether the delay jumps by at least the threshold."""
-    if metric == "probability":
-        _, _, _, p_jump = trend_and_jump_probabilities(v, d_s, space)
-        return p_jump >= prob_threshold
-    return abs(_point_value(v, space, metric) - d_s) >= threshold
-
-
-def predict_minutes(v: DelayDistribution, space: StateSpace, metric: str = "mean") -> float:
-    """Point prediction of the delay in minutes; the probability metric has no
-    minutes reading and is refused."""
-    return _point_value(v, space, metric)
-
-
-def _point_value(v: DelayDistribution, space: StateSpace, metric: str) -> float:
-    mean, mode, median = summarize(v, space)
-    if metric == "mean":
-        return mean
-    if metric == "mode":
-        return float(mode)
-    if metric == "median":
-        return float(median)
-    raise ValueError(f"no point value for metric {metric!r}")
-
-
 def make_prediction(
-    v: DelayDistribution,
-    d_s: int,
-    space: StateSpace,
-    config: MetricConfig | None = None,
+    v: np.ndarray, d_s: int, space: StateSpace, config: RunConfig
 ) -> Prediction:
-    """Extract trend/jump/minutes from a propagated distribution."""
-    cfg = config or MetricConfig()
+    """Extract trend/jump/minutes from a propagated distribution.
+
+    A point metric (mean, mode, median) compares its summary against d_S:
+    the trend within +-TREND_THRESHOLD is "equal", and a move of at least
+    JUMP_THRESHOLD is a jump. The probability metric picks the strictly
+    largest trend mass (ties read "equal") and flags a jump when the mass
+    beyond one minute of d_S reaches JUMP_PROB_THRESHOLD. Minutes always
+    come from a point metric.
+    """
+    mean, mode, median = summarize(v, space)
+    point = {"mean": mean, "mode": float(mode), "median": float(median)}
+    p_inc, p_dec, p_eq, p_jump = trend_and_jump_probabilities(v, d_s, space)
+
+    if config.trend_metric == "probability":
+        if p_inc > max(p_dec, p_eq):
+            trend = "increase"
+        elif p_dec > max(p_inc, p_eq):
+            trend = "decrease"
+        else:
+            trend = "equal"
+    else:
+        move = point[config.trend_metric] - d_s
+        if move >= TREND_THRESHOLD:
+            trend = "increase"
+        elif move <= -TREND_THRESHOLD:
+            trend = "decrease"
+        else:
+            trend = "equal"
+
+    if config.jump_metric == "probability":
+        jump = p_jump >= JUMP_PROB_THRESHOLD
+    else:
+        jump = abs(point[config.jump_metric] - d_s) >= JUMP_THRESHOLD
+
     return Prediction(
         distribution=v,
         current_delay=d_s,
-        trend=predict_trend(v, d_s, space, cfg.trend_metric, cfg.trend_threshold),
-        jump=predict_jump(
-            v, d_s, space, cfg.jump_metric, cfg.jump_threshold, cfg.jump_prob_threshold
-        ),
-        minutes=predict_minutes(v, space, cfg.minutes_metric),
-        metric_config=cfg,
+        trend=trend,
+        jump=jump,
+        minutes=point[config.minutes_metric],
+        config=config,
     )

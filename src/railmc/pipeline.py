@@ -16,15 +16,9 @@ import zlib
 import numpy as np
 
 from .config import RunConfig
-from .core import (
-    DelaySeries,
-    RowStatus,
-    StateSpace,
-    TransitionMatrix,
-    build_count_tensor,
-)
+from .core import DelaySeries, StateSpace, build_count_tensor, check_transition_matrix
 from .evaluate import ScoreReport, marginal_predictor, naive_predictor, score_batch
-from .forecast import MetricConfig, Prediction, make_prediction, point_delay, propagate
+from .forecast import Prediction, make_prediction, point_delay, propagate
 from .ingest import (
     JourneyTemplate,
     NoTargetError,
@@ -45,6 +39,7 @@ from .recovery import (
 )
 
 __all__ = [
+    "BundleError",
     "CoverageError",
     "EmptySelectionError",
     "build_store",
@@ -63,7 +58,12 @@ BASELINES = ("naive", "marginal")
 
 
 class CoverageError(RuntimeError):
-    """The bundle lacks a matrix for a station on the propagation path."""
+    """The bundle lacks a matrix for a station on the propagation path, or a
+    delay falls outside the state space a model was built on."""
+
+
+class BundleError(ValueError):
+    """A bundle's metadata or matrices are malformed."""
 
 
 class EmptySelectionError(RuntimeError):
@@ -160,9 +160,18 @@ def _kde_seed(run_seed: int, train_id: str, t: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([run_seed, zlib.crc32(train_id.encode()), t])
 
 
+def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> None:
+    """A model on [-model_n_max, model_n_max] cannot read delays of a wider grid."""
+    if data_n_max > model_n_max:
+        raise CoverageError(
+            f"{data} n_max {data_n_max} exceeds {model} n_max {model_n_max}: its delays "
+            f"in [-{data_n_max}, {data_n_max}] fall outside [-{model_n_max}, {model_n_max}]"
+        )
+
+
 def _recover(
     series: list[DelaySeries], t: int, space: StateSpace, config: RunConfig, train_id: str
-) -> TransitionMatrix | None:
+) -> np.ndarray | None:
     if config.strategy == "gaussian_kernel":
         pairs = np.array(
             [(s.delays[t - 2], s.delays[t - 1]) for s in series if len(s) >= t],
@@ -170,10 +179,7 @@ def _recover(
         )
         if len(pairs) == 0:
             return None
-        model = kde_fit(
-            pairs, epsilon=config.epsilon,
-            seed=_kde_seed(config.seed, train_id, t), station_index=t,
-        )
+        model = kde_fit(pairs, epsilon=config.epsilon, seed=_kde_seed(config.seed, train_id, t))
         return kde_matrix(model, space)
     counts = build_count_tensor(series, t, space)
     partial = empirical_matrix(counts)
@@ -192,6 +198,7 @@ def train_bundle(store: dict, config: RunConfig, jobs: int = 1) -> dict:
     """
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
+    _check_n_max(store["n_max"], config.n_max, "store", "training")
     space = StateSpace(config.n_max)
 
     def build(tid: str) -> dict:
@@ -203,7 +210,11 @@ def train_bundle(store: dict, config: RunConfig, jobs: int = 1) -> dict:
         for t in range(2, max_len + 1):
             mat = _recover(series, t, space, config, tid)
             if mat is not None:
-                matrices[str(t)] = [[float(p) for p in row] for row in mat.probs]
+                try:
+                    check_transition_matrix(mat, space)
+                except ValueError as exc:
+                    raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
+                matrices[str(t)] = mat.tolist()
         return matrices
 
     tids = sorted(store["trains"])
@@ -228,39 +239,48 @@ def train_bundle(store: dict, config: RunConfig, jobs: int = 1) -> dict:
     }
 
 
-def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> list[TransitionMatrix]:
-    """The propagation chain P(S+1) .. P(T) for one train."""
+def _bundle_space(bundle: dict, where: str) -> StateSpace:
+    try:
+        return StateSpace(int(bundle["meta"]["n_max"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise BundleError(f"bundle meta has no valid n_max for {where} ({exc!r})") from None
+
+
+def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
+    """The checked propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k)."""
     if train_id not in bundle["trains"]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
-    k = 2 * bundle["meta"]["n_max"] + 1
+    space = _bundle_space(bundle, f"train {train_id} station {s + 1}")
     entry = bundle["trains"][train_id]["matrices"]
-    chain = []
-    for station in range(s + 1, t + 1):
+    chain = np.empty((t - s, space.cardinality, space.cardinality))
+    for step, station in enumerate(range(s + 1, t + 1)):
         rows = entry.get(str(station))
         if rows is None:
             raise CoverageError(f"bundle misses station {station} for train {train_id}")
-        chain.append(
-            TransitionMatrix(station, np.asarray(rows), tuple([RowStatus.RECOVERED] * k))
-        )
+        try:
+            p = np.asarray(rows, dtype=float)
+            check_transition_matrix(p, space)
+        except (TypeError, ValueError) as exc:
+            raise BundleError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
+        chain[step] = p
     return chain
 
 
-def _metric_config(config: RunConfig) -> MetricConfig:
-    return MetricConfig(
-        trend_metric=config.trend_metric,
-        jump_metric=config.jump_metric,
-        minutes_metric=config.minutes_metric,
-    )
+def _predict_chain(chain: np.ndarray, d_s: int, space: StateSpace, config: RunConfig) -> Prediction:
+    return make_prediction(propagate(point_delay(d_s, space), chain), d_s, space, config)
 
 
 def forecast_from_bundle(
     bundle: dict, train_id: str, s: int, d_s: int, t: int, config: RunConfig
 ) -> Prediction:
     """Propagate the current delay through the bundle and extract predictions."""
-    space = StateSpace(bundle["meta"]["n_max"])
     chain = bundle_matrices(bundle, train_id, s, t)
-    v = propagate(point_delay(d_s, space, station_index=s), chain)
-    return make_prediction(v, d_s, space, _metric_config(config))
+    space = _bundle_space(bundle, f"train {train_id}")
+    if not space.contains(d_s):
+        raise CoverageError(
+            f"delay {d_s} outside the bundle's state space [-{space.n_max}, {space.n_max}]"
+        )
+    return _predict_chain(chain, d_s, space, config)
 
 
 def _check_target(s: int, t: int) -> int:
@@ -295,7 +315,9 @@ def evaluate_store(
     baseline additionally needs the training store it draws counts from.
     Series too short to reach the target, and trains the bundle does not
     cover, are skipped; an empty surviving batch is an error. A fixed target
-    at or before `from_station` raises NoTargetError.
+    at or before `from_station` raises NoTargetError, and a store whose
+    delay bound exceeds the model's raises CoverageError. The bundle path
+    loads and checks each train's chain once, not once per series.
     """
     if (bundle is None) == (baseline is None):
         raise ValueError("provide exactly one of bundle or baseline")
@@ -308,7 +330,11 @@ def evaluate_store(
         # before the loop: the loop counts a ValueError as a skipped train
         _check_target(from_station, target)
     space = StateSpace(eval_store["n_max"])
-    cfg_metrics = _metric_config(config)
+    if bundle is not None:
+        space_bundle = _bundle_space(bundle, "evaluation")
+        _check_n_max(space.n_max, space_bundle.n_max, "evaluation store", "bundle")
+    if baseline == "marginal":
+        _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
     predictions: list[Prediction] = []
     actuals: list[int] = []
     detail = []
@@ -319,7 +345,6 @@ def evaluate_store(
         except ValueError:
             skipped += 1
             continue
-        marginal_counts = None
         if baseline == "marginal":
             if tid not in train_store["trains"]:
                 skipped += 1
@@ -330,20 +355,25 @@ def evaluate_store(
             if not marginal_counts.n1.any():
                 skipped += 1
                 continue
+        chain = None
+        if bundle is not None:
+            try:
+                chain = bundle_matrices(bundle, tid, from_station, t_target)
+            except CoverageError:
+                pass  # each series that reaches the target is skipped below
         for s in store_series(eval_store, tid):
             if len(s) < t_target or len(s) < from_station:
                 skipped += 1
                 continue
             d_s = s.delays[from_station - 1]
             d_t = s.delays[t_target - 1]
-            try:
-                if baseline == "naive":
-                    pred = naive_predictor(d_s, space)
-                elif baseline == "marginal":
-                    pred = marginal_predictor(marginal_counts, d_s, space, cfg_metrics)
-                else:
-                    pred = forecast_from_bundle(bundle, tid, from_station, d_s, t_target, config)
-            except CoverageError:
+            if baseline == "naive":
+                pred = naive_predictor(d_s, space)
+            elif baseline == "marginal":
+                pred = marginal_predictor(marginal_counts, d_s, space, config)
+            elif chain is not None:
+                pred = _predict_chain(chain, d_s, space_bundle, config)
+            else:
                 skipped += 1
                 continue
             predictions.append(pred)

@@ -9,8 +9,10 @@ Four strategies build fully-defined row-stochastic matrices:
 * bivariate Gaussian kernel density estimation over (previous, current)
   delay pairs, normalized row-wise into a transition matrix
 
-The KDE strategy replaces *every* row with the kernel estimate; the other
-three pass observed rows through untouched.
+A matrix is a plain (k, k) float array. `empirical_matrix` returns the
+count ratios with unobserved rows NaN; each fill replaces exactly the NaN
+rows in one assignment and passes observed rows through untouched. The KDE
+strategy replaces *every* row with the kernel estimate.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .core import CountTensor, RowStatus, StateSpace, TransitionMatrix
+from .core import CountTensor, StateSpace, _conditional
 
 __all__ = [
     "KdeModel",
@@ -41,63 +43,58 @@ _RIDGE = 1e-6
 LOG_2PI = np.log(2.0 * np.pi)
 
 
-def empirical_matrix(counts: CountTensor) -> TransitionMatrix:
-    """Count-ratio rows; rows with no observations stay undefined."""
+def empirical_matrix(counts: CountTensor) -> np.ndarray:
+    """Count-ratio rows; rows with no observations stay undefined (NaN)."""
     if counts.station_index < 2:
         raise ValueError("transition counts need station index t >= 2")
-    n2 = counts.n2
-    row = n2.sum(axis=1)
-    observed = row > 0
-    probs = np.zeros(n2.shape)
-    probs[observed] = n2[observed] / row[observed, None]
-    status = tuple(RowStatus.OBSERVED if o else RowStatus.UNDEFINED for o in observed)
-    return TransitionMatrix(counts.station_index, probs, status)
+    return _conditional(counts.n2)
 
 
-def _fill(partial: TransitionMatrix, make_row) -> TransitionMatrix:
-    probs = partial.probs.copy()
-    status = list(partial.row_status)
-    for r in partial.undefined_rows():
-        probs[r] = make_row(r)
-        status[r] = RowStatus.RECOVERED
-    return TransitionMatrix(partial.station_index, probs, tuple(status))
+def _undefined(partial: np.ndarray) -> np.ndarray:
+    return np.isnan(partial).any(axis=1)
 
 
-def diagonal_fill(partial: TransitionMatrix) -> TransitionMatrix:
+def diagonal_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become unit mass on the diagonal (delay unchanged)."""
-    k = partial.probs.shape[0]
-
-    def unit_row(r: int) -> np.ndarray:
-        row = np.zeros(k)
-        row[r] = 1.0
-        return row
-
-    return _fill(partial, unit_row)
+    filled = partial.copy()
+    rows = _undefined(partial)
+    filled[rows] = np.eye(len(partial))[rows]
+    return filled
 
 
-def uniform_fill(partial: TransitionMatrix) -> TransitionMatrix:
+def uniform_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become uniform over the whole state space."""
-    k = partial.probs.shape[0]
-    return _fill(partial, lambda r: np.full(k, 1.0 / k))
+    filled = partial.copy()
+    filled[_undefined(partial)] = 1.0 / len(partial)
+    return filled
 
 
-def _discretized_gaussian(mu: float, sigma: float, states: np.ndarray) -> np.ndarray:
+def _gaussian_rows(
+    mu: np.ndarray, sigma: np.ndarray, own: np.ndarray, states: np.ndarray
+) -> np.ndarray:
+    """One discretized Gaussian row per (mu, sigma), normalized over the states.
+
+    A row with sigma <= 0 is unit mass on its own state index; a row whose
+    density underflows everywhere puts its mass on the state nearest mu.
+    """
+    k = len(states)
+    rows = np.eye(k)[own]
+    fit = sigma > 0.0
+    mu, sigma = mu[fit, None], sigma[fit, None]
     dens = np.exp(-0.5 * ((states - mu) / sigma) ** 2)
-    total = dens.sum()
-    if total <= 0.0 or not np.isfinite(total):
-        # far-tail underflow: put mass on the nearest state to mu
-        row = np.zeros(len(states))
-        row[int(np.argmin(np.abs(states - mu)))] = 1.0
-        return row
-    return dens / total
+    total = dens.sum(axis=1)[:, None]
+    nearest = np.eye(k)[np.argmin(np.abs(states - mu), axis=1)]
+    ok = (total > 0.0) & np.isfinite(total)
+    rows[fit] = np.divide(dens, total, out=nearest, where=ok)
+    return rows
 
 
 def gaussian_regression_fill(
-    partial: TransitionMatrix,
+    partial: np.ndarray,
     counts: CountTensor,
     space: StateSpace,
     std_form: str = "printed",
-) -> TransitionMatrix:
+) -> np.ndarray:
     """Fill unobserved rows with Gaussians whose mean/spread follow fitted lines.
 
     Per observed row i the count-weighted mean is fitted; the spread uses the
@@ -134,25 +131,17 @@ def gaussian_regression_fill(
     else:
         si, ss_ = spread[0], 0.0
 
-    k = space.cardinality
-
-    def regressed_row(r: int) -> np.ndarray:
-        i = space.state(r)
-        sigma = si + ss_ * i
-        if sigma <= 0.0:
-            row = np.zeros(k)
-            row[r] = 1.0
-            return row
-        return _discretized_gaussian(mi + ms * i, sigma, states)
-
-    return _fill(partial, regressed_row)
+    filled = partial.copy()
+    rows = np.flatnonzero(_undefined(partial))
+    i = states[rows]
+    filled[rows] = _gaussian_rows(mi + ms * i, si + ss_ * i, rows, states)
+    return filled
 
 
 @dataclass(frozen=True)
 class KdeModel:
     """Fitted bivariate Gaussian kernel density over (d(t-1), d(t)) pairs."""
 
-    station_index: int
     points: np.ndarray          # jittered observations, shape (m, 2)
     mean: np.ndarray
     cov: np.ndarray
@@ -171,7 +160,6 @@ def kde_fit(
     observations: np.ndarray,
     epsilon: float = 0.1,
     seed: int = 0,
-    station_index: int = 0,
 ) -> KdeModel:
     """Jitter observations, estimate the sample covariance, fix the bandwidth.
 
@@ -203,7 +191,6 @@ def kde_fit(
 
     det = float(np.linalg.det(cov))
     return KdeModel(
-        station_index=station_index,
         points=pts,
         mean=mean,
         cov=cov,
@@ -239,7 +226,7 @@ def kde_density(model: KdeModel, x) -> float:
     return float(np.exp(_log_density_at(model, xs)[0]))
 
 
-def kde_matrix(model: KdeModel, space: StateSpace) -> TransitionMatrix:
+def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     """Evaluate the density on the full state grid and normalize each row.
 
     Row i holds f((i, j)) / sum_k f((i, k)); every row is defined. Rows are
@@ -253,12 +240,10 @@ def kde_matrix(model: KdeModel, space: StateSpace) -> TransitionMatrix:
         logf = _log_density_at(model, grid)
         probs[r] = np.exp(logf - logsumexp(logf))
         probs[r] /= probs[r].sum()
-    return TransitionMatrix(
-        model.station_index, probs, tuple([RowStatus.RECOVERED] * k)
-    )
+    return probs
 
 
-def write_matrix_csv(matrix: TransitionMatrix, space: StateSpace, path) -> None:
+def write_matrix_csv(matrix: np.ndarray, space: StateSpace, path) -> None:
     """Dump a matrix as a CSV grid with state values as header and row labels."""
     import csv
 
@@ -266,17 +251,17 @@ def write_matrix_csv(matrix: TransitionMatrix, space: StateSpace, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([""] + [str(s) for s in states])
-        for r, row in enumerate(matrix.probs):
+        for r, row in enumerate(matrix):
             w.writerow([str(states[r])] + [f"{p:.6g}" for p in row])
 
 
-def format_matrix_text(matrix: TransitionMatrix, space: StateSpace) -> str:
+def format_matrix_text(matrix: np.ndarray, space: StateSpace) -> str:
     """Render a matrix as an aligned text grid (a poor man's heatmap table)."""
     states = space.states()
     width = 6
     header = " " * 4 + "".join(f"{s:>{width}}" for s in states)
     lines = [header]
-    for r, row in enumerate(matrix.probs):
+    for r, row in enumerate(matrix):
         cells = "".join(f"{p:>{width}.2f}" if p >= 0.005 else " " * (width - 1) + "." for p in row)
         lines.append(f"{states[r]:>4}" + cells)
     return "\n".join(lines)

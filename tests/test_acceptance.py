@@ -15,13 +15,7 @@ from scipy.integrate import quad
 
 from railmc.cli import main as cli_main
 from railmc.config import RunConfig
-from railmc.core import (
-    RowStatus,
-    StateSpace,
-    TransitionMatrix,
-    build_count_tensor,
-    estimate_frequencies,
-)
+from railmc.core import StateSpace, build_count_tensor, estimate_frequencies
 from railmc.evaluate import rwmse, total_score
 from railmc.forecast import point_delay, propagate
 from railmc.mctest import (
@@ -192,13 +186,13 @@ def test_kde_recovery_convergence():
     spec = near_diagonal_spec(space, 2, 2.0, seed=42)
     sampled = sample_series(spec, 100_000)
     pairs = np.array([(s.delays[0], s.delays[1]) for s in sampled], dtype=float)
-    mat = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7, station_index=2), space)
+    mat = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7), space)
     truth = spec.matrices[0]
-    tv = 0.5 * np.abs(mat.probs - truth).sum(axis=1).max()
+    tv = 0.5 * np.abs(mat - truth).sum(axis=1).max()
     assert tv <= 0.1, f"max row TV {tv}"
-    assert np.abs(mat.probs.sum(axis=1) - 1.0).max() <= 1e-9
-    again = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7, station_index=2), space)
-    assert np.array_equal(mat.probs, again.probs)
+    assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
+    again = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7), space)
+    assert np.array_equal(mat, again)
 
 
 def _store_from(sampled, n_max=15):
@@ -238,25 +232,24 @@ def test_propagation_oracle():
     space = StateSpace(1)
     rng = np.random.default_rng(33)
 
-    def random_matrix(t):
-        rows = rng.random((3, 3)) + 1e-3
-        rows /= rows.sum(axis=1, keepdims=True)
-        return TransitionMatrix(t, rows, tuple([RowStatus.RECOVERED] * 3))
+    def random_chain(steps):
+        rows = rng.random((steps, 3, 3)) + 1e-3
+        return rows / rows.sum(axis=2, keepdims=True)
 
-    mats = [random_matrix(t) for t in range(2, 7)]
-    v = point_delay(0, space, station_index=1)
-    got = propagate(v, mats).probs
+    chain = random_chain(5)
+    v = point_delay(0, space)
+    got = propagate(v, chain)
     want = np.zeros(3)
     for path in itertools.product(range(3), repeat=6):
-        p = v.probs[path[0]]
-        for step, mat in enumerate(mats):
-            p *= mat.probs[path[step], path[step + 1]]
+        p = v[path[0]]
+        for step, mat in enumerate(chain):
+            p *= mat[path[step], path[step + 1]]
         want[path[-1]] += p
     assert np.abs(got - want).max() <= 1e-12
 
     for _ in range(1000):
         steps = int(rng.integers(1, 6))
-        out = propagate(v, [random_matrix(2 + s) for s in range(steps)]).probs
+        out = propagate(v, random_chain(steps))
         assert abs(out.sum() - 1.0) <= 1e-9
         assert (out >= 0).all()
 

@@ -224,6 +224,114 @@ class TestExitCodes:
         ]) == 1
 
 
+@pytest.fixture
+def wide_store(tmp_path):
+    """A `synth --series 50 --length 4 --seed 2` corpus ingested at the default n_max 15."""
+    tt, rz, store = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"
+    assert main([
+        "synth", "--series", "50", "--length", "4", "--seed", "2",
+        "--out-timetable", str(tt), "--out-realization", str(rz),
+    ]) == 0
+    assert main(["ingest", "--timetable", str(tt), "--realization", str(rz), "--out", str(store)]) == 0
+    return tmp_path
+
+
+class TestStateSpaceGaps:
+    @pytest.mark.parametrize("strategy", ["diagonal", "gaussian_kernel"])
+    def test_train_narrower_than_store(self, wide_store, capsys, strategy):
+        bundle = wide_store / "bundle.json"
+        assert main([
+            "train", "--store", str(wide_store / "store.json"), "--out", str(bundle),
+            "--n-max", "5", "--strategy", strategy,
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "store n_max 15" in err and "training n_max 5" in err
+        assert not bundle.exists()
+
+    def test_evaluate_with_narrower_bundle(self, wide_store, capsys):
+        narrow, bundle, out = (wide_store / n for n in ("narrow.json", "bundle.json", "s.json"))
+        assert main([
+            "ingest", "--timetable", str(wide_store / "tt.csv"),
+            "--realization", str(wide_store / "rz.csv"), "--out", str(narrow), "--n-max", "5",
+        ]) == 0
+        assert main([
+            "train", "--store", str(narrow), "--out", str(bundle),
+            "--n-max", "5", "--strategy", "diagonal",
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--store", str(wide_store / "store.json"), "--bundle", str(bundle),
+            "--target", "3", "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "evaluation store n_max 15" in err and "bundle n_max 5" in err
+        assert not out.exists()
+        # the marginal baseline draws counts from the training store on the evaluation grid
+        assert main([
+            "evaluate", "--store", str(narrow), "--baseline", "marginal",
+            "--train-store", str(wide_store / "store.json"), "--target", "3", "--out", str(out),
+        ]) == 4
+        err = capsys.readouterr().err
+        assert "training store n_max 15" in err and "evaluation store n_max 5" in err
+
+    def test_forecast_delay_outside_bundle(self, workspace, capsys):
+        bundle = workspace / "bundle.json"
+        assert main([
+            "train", "--store", str(workspace / "store.json"),
+            "--out", str(bundle), "--strategy", "diagonal",
+        ]) == 0
+        assert main([
+            "forecast", "--bundle", str(bundle), "--train", "T001",
+            "--station", "1", "--delay", "40", "--target", "3",
+        ]) == 4
+        assert "delay 40 outside the bundle's state space [-15, 15]" in capsys.readouterr().err
+
+
+def _corrupt_shape(bundle):
+    bundle["trains"]["T001"]["matrices"]["2"] = [[1.0]]
+
+
+def _corrupt_nan(bundle):
+    bundle["trains"]["T001"]["matrices"]["2"][0][0] = float("nan")
+
+
+def _corrupt_negative(bundle):
+    row = bundle["trains"]["T001"]["matrices"]["2"][0]
+    row[:] = [-0.5, 1.5] + [0.0] * (len(row) - 2)  # still sums to one
+
+
+def _corrupt_row_sum(bundle):
+    bundle["trains"]["T001"]["matrices"]["2"][3][3] += 0.5
+
+
+def _corrupt_meta(bundle):
+    del bundle["meta"]["n_max"]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    (_corrupt_shape, "shape (1, 1), expected (31, 31)"),
+    (_corrupt_nan, "NaN"),
+    (_corrupt_negative, "negative"),
+    (_corrupt_row_sum, "row 3 sums to"),
+    (_corrupt_meta, "n_max"),
+])
+def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
+    bundle = workspace / "bundle.json"
+    assert main([
+        "train", "--store", str(workspace / "store.json"),
+        "--out", str(bundle), "--strategy", "diagonal",
+    ]) == 0
+    payload = load_json(bundle)
+    corrupt(payload)
+    save_json(payload, bundle)
+    capsys.readouterr()
+    assert main([
+        "forecast", "--bundle", str(bundle), "--train", "T001",
+        "--station", "1", "--delay", "0", "--target", "3",
+    ]) == 2
+    err = capsys.readouterr().err
+    assert "train T001 station 2" in err and reason in err
+
 class TestConfig:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -239,3 +347,14 @@ class TestConfig:
         assert (c.trend_metric, c.jump_metric, c.minutes_metric) == (
             "median", "probability", "mean",
         )
+
+    @pytest.mark.parametrize("key, value", [
+        ("trend_metric", "bogus"),
+        ("jump_metric", "bogus"),
+        ("minutes_metric", "probability"),
+    ])
+    def test_unknown_metric_fails_at_load(self, tmp_path, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
+            RunConfig.load(cfg)

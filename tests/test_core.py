@@ -11,6 +11,7 @@ from railmc.core import (
     DelaySeries,
     StateSpace,
     build_count_tensor,
+    check_transition_matrix,
     estimate_frequencies,
 )
 from railmc.synth import ChainSpec, sample_series
@@ -179,3 +180,19 @@ class TestEstimateFrequencies:
         b = estimate_frequencies(build_count_tensor(shuffled, 3, SPACE))
         for pa, pb in ((a.p1, b.p1), (a.p2, b.p2), (a.p3, b.p3)):
             assert np.array_equal(pa, pb, equal_nan=True)
+
+
+class TestCheckTransitionMatrix:
+    def test_accepts_row_stochastic(self):
+        space = StateSpace(1)
+        check_transition_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]]), space)
+
+    @pytest.mark.parametrize("p, reason", [
+        (np.eye(5), r"shape \(5, 5\), expected \(3, 3\)"),
+        (np.array([[np.nan] * 3, [0, 1, 0], [0, 0, 1]]), "NaN"),
+        (np.array([[-0.5, 1.5, 0], [0, 1, 0], [0, 0, 1]]), "negative"),
+        (np.array([[1, 0, 0], [0, 1, 0], [0, 0.5, 0.4]]), "row 2 sums to"),
+    ])
+    def test_rejects(self, p, reason):
+        with pytest.raises(ValueError, match=reason):
+            check_transition_matrix(np.asarray(p, dtype=float), StateSpace(1))

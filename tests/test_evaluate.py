@@ -4,7 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from railmc import pipeline
+from railmc.config import RunConfig
 from railmc.core import CountTensor, StateSpace, build_count_tensor
+from railmc.synth import near_diagonal_spec, sample_series
 from railmc.evaluate import (
     actual_jump,
     actual_trend,
@@ -17,7 +20,6 @@ from railmc.evaluate import (
     total_score,
     trend_score,
 )
-from railmc.forecast import MetricConfig
 
 
 class TestF1:
@@ -160,21 +162,23 @@ class TestBaselinePredictors:
         assert pred.trend == "equal"
         assert pred.jump is False
         assert pred.minutes == 7.0
-        assert pred.distribution.probs[space.index(7)] == 1.0
+        assert pred.distribution[space.index(7)] == 1.0
 
     def test_marginal(self):
         space = StateSpace(15)
         n1 = np.zeros(space.cardinality, dtype=np.int64)
         n1[space.index(0)], n1[space.index(5)] = 3, 1
         counts = CountTensor(5, n1, np.zeros((31, 31), np.int64), np.zeros((31,) * 3, np.int64))
-        pred = marginal_predictor(counts, 0, space, MetricConfig(minutes_metric="mean"))
+        pred = marginal_predictor(counts, 0, space, RunConfig(minutes_metric="mean"))
         assert pred.minutes == pytest.approx(5 / 4)
         assert pred.trend == "equal"  # median stays at 0
         assert pred.jump is False  # mass off the +-1 window is 0.25 < 0.5
 
     def test_marginal_requires_observations(self):
         with pytest.raises(ValueError):
-            marginal_predictor(build_count_tensor([], 5, StateSpace(15)), 0, StateSpace(15))
+            marginal_predictor(
+                build_count_tensor([], 5, StateSpace(15)), 0, StateSpace(15), RunConfig()
+            )
 
 
 class TestScoreBatch:
@@ -201,3 +205,33 @@ class TestScoreBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             score_batch([], [])
+
+
+class TestEvaluateStore:
+    def test_bundle_chain_loaded_once_per_train(self, monkeypatch):
+        space = StateSpace(15)
+        trains = {}
+        for k, tid in enumerate(("T001", "T002")):
+            sampled = sample_series(near_diagonal_spec(space, 5, 1.5, seed=k), 20, train_id=tid)
+            trains[tid] = {"series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
+        store = {"n_max": 15, "trains": trains}
+        config = RunConfig(strategy="diagonal")
+        bundle = pipeline.train_bundle(store, config)
+
+        calls = []
+        original = pipeline.bundle_matrices
+
+        def counting(*args):
+            calls.append(args[1:])
+            return original(*args)
+
+        monkeypatch.setattr(pipeline, "bundle_matrices", counting)
+        report, payload = pipeline.evaluate_store(store, config, bundle=bundle, target=5)
+        assert calls == [("T001", 1, 5), ("T002", 1, 5)]
+        assert report.eval_count == 40 and payload["skipped"] == 0
+        # each prediction equals the single-series forecast path
+        first = payload["predictions"][0]
+        pred = pipeline.forecast_from_bundle(bundle, "T001", 1, first["d_S"], 5, config)
+        assert (pred.trend, pred.jump, pred.minutes) == (
+            first["trend"], first["jump"], first["minutes"],
+        )

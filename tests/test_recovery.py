@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from railmc.core import (
-    DelaySeries,
-    RowStatus,
-    StateSpace,
-    build_count_tensor,
-)
+from railmc.core import DelaySeries, StateSpace, build_count_tensor
 from railmc.recovery import (
+    _gaussian_rows,
     diagonal_fill,
     empirical_matrix,
     gaussian_regression_fill,
@@ -35,18 +31,18 @@ class TestEmpiricalMatrix:
         space = StateSpace(2)
         c = build_count_tensor(series((0, -1), (0, -1), (0, 1), (0, 2)), 2, space)
         mat = empirical_matrix(c)
-        row = mat.probs[space.index(0)]
+        row = mat[space.index(0)]
         assert row[space.index(-1)] == pytest.approx(0.5)
         assert row[space.index(1)] == pytest.approx(0.25)
         assert row[space.index(2)] == pytest.approx(0.25)
-        assert mat.row_status[space.index(0)] is RowStatus.OBSERVED
+        assert not np.isnan(row).any()
 
     def test_unobserved_rows_undefined(self):
         space = StateSpace(2)
         c = build_count_tensor(series((0, 1)), 2, space)
         mat = empirical_matrix(c)
-        assert mat.row_status[space.index(1)] is RowStatus.UNDEFINED
-        assert len(mat.undefined_rows()) == space.cardinality - 1
+        assert np.isnan(mat[space.index(1)]).all()
+        assert np.isnan(mat).all(axis=1).sum() == space.cardinality - 1
 
     def test_station_index_validation(self):
         with pytest.raises(ValueError):
@@ -59,26 +55,26 @@ class TestFills:
         c = build_count_tensor(series((0, 1)), 2, space)
         mat = diagonal_fill(empirical_matrix(c))
         r = space.index(2)
-        assert mat.probs[r, r] == 1.0
-        assert mat.probs[r].sum() == 1.0
-        assert mat.row_status[r] is RowStatus.RECOVERED
+        assert mat[r, r] == 1.0
+        assert mat[r].sum() == 1.0
+        assert np.isnan(empirical_matrix(c)[r]).all()  # the fill recovered an undefined row
         # observed row untouched
-        assert mat.probs[space.index(0), space.index(1)] == 1.0
+        assert mat[space.index(0), space.index(1)] == 1.0
 
     def test_uniform_fill(self):
         space = StateSpace(2)
         c = build_count_tensor(series((0, 1)), 2, space)
         mat = uniform_fill(empirical_matrix(c))
         r = space.index(-2)
-        assert np.allclose(mat.probs[r], 1.0 / 5.0)
+        assert np.allclose(mat[r], 1.0 / 5.0)
 
     def test_all_rows_defined_after_fill(self):
         space = StateSpace(3)
         c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
         for fill in (diagonal_fill, uniform_fill):
             mat = fill(empirical_matrix(c))
-            assert not mat.undefined_rows()
-            assert np.allclose(mat.probs.sum(axis=1), 1.0)
+            assert np.isfinite(mat).all()
+            assert np.allclose(mat.sum(axis=1), 1.0)
 
 
 class TestGaussianRegressionFill:
@@ -99,9 +95,9 @@ class TestGaussianRegressionFill:
         # filled row 3: Gaussian with mean 3, spread 1, discretized and normalized
         expected = np.exp(-0.5 * (states - 3.0) ** 2)
         expected /= expected.sum()
-        assert np.allclose(mat.probs[space.index(3)], expected, atol=1e-12)
+        assert np.allclose(mat[space.index(3)], expected, atol=1e-12)
         # observed rows pass through as count ratios
-        assert mat.probs[space.index(0), space.index(0)] == pytest.approx(1 / 3)
+        assert mat[space.index(0), space.index(0)] == pytest.approx(1 / 3)
 
     def test_sqrt_form_matches_printed_here(self):
         # with unit variance both spread conventions coincide
@@ -109,7 +105,7 @@ class TestGaussianRegressionFill:
         c = self._symmetric_counts(space)
         a = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="printed")
         b = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="sqrt")
-        assert np.allclose(a.probs, b.probs)
+        assert np.allclose(a, b)
 
     def test_negative_fitted_spread_becomes_unit_diagonal(self):
         # spreads 3 at row -2 and 1 at row 0 regress to sigma(i) = 2 - i,
@@ -126,10 +122,10 @@ class TestGaussianRegressionFill:
         mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
-        assert mat.probs[r, r] == 1.0
-        assert mat.probs[r].sum() == 1.0
+        assert mat[r, r] == 1.0
+        assert mat[r].sum() == 1.0
         # a mid-range unobserved row still gets a proper Gaussian
-        assert (mat.probs[space.index(0)] > 0).sum() > 1
+        assert (mat[space.index(0)] > 0).sum() > 1
 
     def test_single_observed_row_falls_back_to_diagonal(self):
         space = StateSpace(3)
@@ -137,14 +133,53 @@ class TestGaussianRegressionFill:
         with pytest.warns(UserWarning):
             mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         r = space.index(2)
-        assert mat.probs[r, r] == 1.0
+        assert mat[r, r] == 1.0
 
     def test_rows_sum_to_one(self):
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
         c = build_count_tensor(sample_series(spec, 50), 2, space)
         mat = gaussian_regression_fill(empirical_matrix(c), c, space)
-        assert np.allclose(mat.probs.sum(axis=1), 1.0, atol=1e-9)
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_matches_per_row_reference(self):
+        # the one-assignment fill must equal the row-by-row construction exactly
+        space = StateSpace(15)
+        spec = near_diagonal_spec(space, 2, 4.0, seed=9)
+        c = build_count_tensor(sample_series(spec, 40), 2, space)
+        partial = empirical_matrix(c)
+        mat = gaussian_regression_fill(partial, c, space)
+        states = space.states()
+        n2, tot = c.n2, c.n2.sum(axis=1)
+        observed, spread_rows = tot > 0, tot > 1
+        mean = n2[observed] @ states / tot[observed]
+        dev = states[None, :] - (n2[spread_rows] @ states / tot[spread_rows])[:, None]
+        spread = (n2[spread_rows] * dev**2).sum(axis=1) / (tot[spread_rows] - 1)
+        mi, ms = np.polynomial.polynomial.polyfit(states[observed], mean, 1)
+        si, ss_ = np.polynomial.polynomial.polyfit(states[spread_rows], spread, 1)
+        undefined = np.flatnonzero(~observed)
+        assert len(undefined) > 0
+        for r in undefined:
+            i = states[r]
+            sigma = si + ss_ * i
+            if sigma <= 0.0:
+                want = np.eye(len(states))[r]
+            else:
+                dens = np.exp(-0.5 * ((states - (mi + ms * i)) / sigma) ** 2)
+                want = dens / dens.sum()
+            assert np.array_equal(mat[r], want), r
+        assert np.array_equal(mat[observed], partial[observed])
+
+    def test_row_branches(self):
+        # a proper Gaussian, sigma <= 0 (own state), and far-tail underflow (nearest state)
+        states = StateSpace(2).states()
+        rows = _gaussian_rows(
+            np.array([0.0, 1.0, 500.0]), np.array([1.0, -0.5, 0.1]), np.array([2, 0, 4]), states
+        )
+        gauss = np.exp(-0.5 * states.astype(float) ** 2)
+        assert np.array_equal(rows[0], gauss / gauss.sum())
+        assert np.array_equal(rows[1], [1.0, 0, 0, 0, 0])
+        assert np.array_equal(rows[2], [0, 0, 0, 0, 1.0])
 
     def test_unknown_std_form(self):
         space = StateSpace(2)
@@ -234,30 +269,30 @@ class TestKdeMatrix:
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 2.0, seed=6)
         pairs = transition_pairs(sample_series(spec, 500))
-        mat = kde_matrix(kde_fit(pairs, seed=6, station_index=2), space)
-        assert mat.probs.shape == (31, 31)
-        assert np.allclose(mat.probs.sum(axis=1), 1.0, atol=1e-9)
-        assert (mat.probs > 0).all()
-        assert all(s is RowStatus.RECOVERED for s in mat.row_status)
+        mat = kde_matrix(kde_fit(pairs, seed=6), space)
+        assert mat.shape == (31, 31)
+        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
+        assert (mat > 0).all()
+        assert np.isfinite(mat).all()
 
     def test_near_diagonal_mass_stays_near_diagonal(self):
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 1.0, seed=8)
         sampled = sample_series(spec, 2000)
         pairs = transition_pairs(sampled)
-        mat = kde_matrix(kde_fit(pairs, seed=8, station_index=2), space)
+        mat = kde_matrix(kde_fit(pairs, seed=8), space)
         observed_rows = sorted({int(p[0]) for p in pairs})
         for i in observed_rows:
-            j_star = space.state(int(np.argmax(mat.probs[space.index(i)])))
+            j_star = space.state(int(np.argmax(mat[space.index(i)])))
             assert abs(j_star - i) <= 2
 
     def test_small_jitter_perturbs_little(self):
         space = StateSpace(5)
         spec = near_diagonal_spec(space, 2, 2.0, seed=12)
         pairs = transition_pairs(sample_series(spec, 800))
-        a = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=1, station_index=2), space)
-        b = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=2, station_index=2), space)
-        tv = 0.5 * np.abs(a.probs - b.probs).sum(axis=1).max()
+        a = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=1), space)
+        b = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=2), space)
+        tv = 0.5 * np.abs(a - b).sum(axis=1).max()
         assert tv < 0.01
 
 
