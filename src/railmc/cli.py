@@ -5,9 +5,9 @@ Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs.
 
-Exit codes: 0 ok, 1 internal error, 2 I/O error or malformed bundle,
-3 empty selection, 4 coverage gap (a station missing from the bundle, or a
-delay or store outside the model's state space).
+Exit codes: 0 ok, 1 internal error, 2 I/O error or a malformed bundle, config
+file or timetable row, 3 empty selection, 4 coverage gap (a station missing
+from the bundle, or a delay or store outside the model's state space).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .config import METRICS, POINT_METRICS, STRATEGIES, RunConfig
+from .config import METRICS, POINT_METRICS, STRATEGIES, ConfigError, RunConfig
 from .core import StateSpace
-from .ingest import NoTargetError, load_timetable, parse_events, write_rejects
+from .ingest import NoTargetError, TimetableError, load_timetable, parse_events, write_rejects
 from .pipeline import BundleError, CoverageError, EmptySelectionError
 from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
@@ -38,7 +38,6 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n-max", type=int, help=f"delay bound N (default {defaults.n_max})")
     p.add_argument("--alpha1", type=float, help=f"level for the zero-order test (default {defaults.alpha1})")
     p.add_argument("--alpha2", type=float, help=f"level for the first-order test (default {defaults.alpha2})")
-    p.add_argument("--epsilon", type=float, help=f"KDE jitter bound in minutes (default {defaults.epsilon})")
     p.add_argument("--horizon", type=float, dest="horizon_minutes",
                    help=f"prediction horizon in minutes (default {defaults.horizon_minutes})")
     p.add_argument("--trend-metric", choices=METRICS,
@@ -55,7 +54,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help=f"error form under the RWMSE root (default {defaults.rwmse_form})")
     p.add_argument("--clip-mode", choices=["saturate", "drop"],
                    help=f"out-of-range delay handling (default {defaults.clip_mode})")
-    p.add_argument("--seed", type=int, help=f"run seed (default {defaults.seed})")
+    p.add_argument("--seed", type=int, help=f"seed of the synthetic corpus; only synth draws random numbers (default {defaults.seed})")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -107,7 +106,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config = _config_from(args)
     store = pipeline.load_json(args.store)
-    bundle = pipeline.train_bundle(store, config, jobs=args.jobs)
+    bundle = pipeline.train_bundle(store, config)
     pipeline.save_json(bundle, args.out)
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
@@ -192,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="recover transition matrices into a bundle")
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="matrix bundle JSON path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel trains")
     p.add_argument("--print-matrix", metavar="TRAIN:T",
                    help="print one recovered matrix as a text grid")
     _add_config_flags(p)
@@ -235,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CoverageError, NoTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (OSError, BundleError) as exc:
+    except (OSError, BundleError, ConfigError, TimetableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - CLI boundary

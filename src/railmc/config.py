@@ -1,7 +1,7 @@
 """Run configuration with the package-wide defaults.
 
 Values can come from an optional JSON config file and be overridden by CLI
-flags; flags win.
+flags; flags win. A malformed file raises ConfigError naming the file.
 """
 
 from __future__ import annotations
@@ -10,11 +10,15 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-__all__ = ["RunConfig"]
+__all__ = ["ConfigError", "RunConfig"]
 
 STRATEGIES = ("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")
 POINT_METRICS = ("mean", "mode", "median")
 METRICS = POINT_METRICS + ("probability",)
+
+
+class ConfigError(ValueError):
+    """A config file or value is malformed."""
 
 
 @dataclass(frozen=True)
@@ -22,7 +26,6 @@ class RunConfig:
     n_max: int = 15
     alpha1: float = 0.05
     alpha2: float = 0.05
-    epsilon: float = 0.1
     horizon_minutes: float = 20.0
     trend_metric: str = "median"
     jump_metric: str = "probability"
@@ -35,6 +38,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if type(self.n_max) is not int or self.n_max < 1:
+            raise ConfigError(f"n_max must be a positive integer, got {self.n_max!r}")
         choices = {
             "strategy": STRATEGIES,
             "statistic": ("LR", "Q"),
@@ -46,7 +51,7 @@ class RunConfig:
         for name, allowed in choices.items():
             value = getattr(self, name)
             if value not in allowed:
-                raise ValueError(f"unknown {name} {value!r}; choose from {', '.join(allowed)}")
+                raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(allowed)}")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
@@ -54,11 +59,20 @@ class RunConfig:
         values: dict = {}
         if path is not None:
             with open(path, "r", encoding="utf-8") as fh:
-                file_values = json.load(fh)
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(file_values) - known
+                try:
+                    file_values = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ConfigError(f"config {path} is not JSON: {exc}") from None
+            if not isinstance(file_values, dict):
+                raise ConfigError(f"config {path} is not a JSON object")
+            unknown = set(file_values) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
-                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+                raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
             values.update(file_values)
         values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        try:
+            return cls(**values)
+        except ConfigError as exc:
+            if path is None:
+                raise
+            raise ConfigError(f"config {path}: {exc}") from None

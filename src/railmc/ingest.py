@@ -7,8 +7,9 @@ Canonical CSV formats (UTF-8, comma-separated, header row):
 * timetable:   ``train_id,station_code,activity,planned_time,sequence``.
 
 Arrival and departure at the same physical station are distinct stations, so
-the alignment key is (station_code, activity). Malformed rows are collected
-into a rejects report, never silently dropped.
+the alignment key is (station_code, activity). Malformed realization rows
+are collected into a rejects report, never silently dropped; a malformed
+timetable row raises TimetableError naming the file and line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "JourneyTemplate",
     "RejectedRow",
     "NoTargetError",
+    "TimetableError",
     "parse_events",
     "load_timetable",
     "compute_delay_minutes",
@@ -98,6 +100,10 @@ class NoTargetError(ValueError):
     """No station after the current one exists to predict."""
 
 
+class TimetableError(ValueError):
+    """A timetable file has a bad header or row; the message names file and line."""
+
+
 def _parse_timestamp(raw: str) -> dt.datetime:
     return dt.datetime.fromisoformat(raw.strip())
 
@@ -158,24 +164,33 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
             return load_timetable(fh)
+    name = getattr(stream, "name", "<timetable>")
     reader = csv.reader(stream)
-    header = next(reader)
-    if [h.strip() for h in header] != TIMETABLE_HEADER:
-        raise ValueError(f"unexpected timetable header {header!r}")
+
+    def error(reason: str) -> TimetableError:
+        return TimetableError(f"timetable {name} line {reader.line_num}: {reason}")
+
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
+        raise error(f"unexpected header {header!r}")
     rows: dict[str, list[tuple[int, StationKey, dt.datetime]]] = {}
     for row in reader:
+        if len(row) != len(TIMETABLE_HEADER):
+            raise error(f"expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
         train_id, station, activity, planned, seq = (f.strip() for f in row)
-        rows.setdefault(train_id, []).append(
-            (int(seq), StationKey(station, activity), _parse_timestamp(planned))
-        )
+        try:
+            entry = (int(seq), StationKey(station, activity), _parse_timestamp(planned))
+        except ValueError as exc:
+            raise error(str(exc)) from None
+        rows.setdefault(train_id, []).append(entry)
     templates = {}
     for train_id, entries in rows.items():
         entries.sort(key=lambda e: e[0])
-        templates[train_id] = JourneyTemplate(
-            train_id=train_id,
-            keys=tuple(e[1] for e in entries),
-            planned=tuple(e[2] for e in entries),
-        )
+        _, keys, planned = zip(*entries)
+        try:
+            templates[train_id] = JourneyTemplate(train_id, keys, planned)
+        except ValueError as exc:
+            raise TimetableError(f"timetable {name} train {train_id}: {exc}") from None
     return templates
 
 

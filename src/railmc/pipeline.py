@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import zlib
 
 import numpy as np
 
@@ -155,11 +154,6 @@ def test_store(store: dict, config: RunConfig) -> dict:
     return {"per_station": per_station, "aggregate": aggregate_reports(reports)}
 
 
-def _kde_seed(run_seed: int, train_id: str, t: int) -> np.random.SeedSequence:
-    # stable per (train, station) fan-out of the run seed
-    return np.random.SeedSequence([run_seed, zlib.crc32(train_id.encode()), t])
-
-
 def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> None:
     """A model on [-model_n_max, model_n_max] cannot read delays of a wider grid."""
     if data_n_max > model_n_max:
@@ -170,7 +164,7 @@ def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> No
 
 
 def _recover(
-    series: list[DelaySeries], t: int, space: StateSpace, config: RunConfig, train_id: str
+    series: list[DelaySeries], t: int, space: StateSpace, config: RunConfig
 ) -> np.ndarray | None:
     if config.strategy == "gaussian_kernel":
         pairs = np.array(
@@ -179,8 +173,7 @@ def _recover(
         )
         if len(pairs) == 0:
             return None
-        model = kde_fit(pairs, epsilon=config.epsilon, seed=_kde_seed(config.seed, train_id, t))
-        return kde_matrix(model, space)
+        return kde_matrix(kde_fit(pairs), space)
     counts = build_count_tensor(series, t, space)
     partial = empirical_matrix(counts)
     if config.strategy == "diagonal":
@@ -190,71 +183,59 @@ def _recover(
     return gaussian_regression_fill(partial, counts, space, std_form=config.regression_std)
 
 
-def train_bundle(store: dict, config: RunConfig, jobs: int = 1) -> dict:
+def train_bundle(store: dict, config: RunConfig) -> dict:
     """Recover transition matrices for every (train, station) in the store.
 
-    Trains are independent; `jobs` > 1 recovers them concurrently. Results are
-    assembled in sorted train order, so the bundle is identical either way.
+    Every strategy is deterministic: the same store and config give the same
+    bundle. Trains are assembled in sorted order.
     """
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
     _check_n_max(store["n_max"], config.n_max, "store", "training")
     space = StateSpace(config.n_max)
-
-    def build(tid: str) -> dict:
+    trains = {}
+    for tid in sorted(store["trains"]):
         series = store_series(store, tid)
-        if not series:
-            return {}
         matrices: dict = {}
-        max_len = max(len(s) for s in series)
-        for t in range(2, max_len + 1):
-            mat = _recover(series, t, space, config, tid)
+        for t in range(2, max((len(s) for s in series), default=0) + 1):
+            mat = _recover(series, t, space, config)
             if mat is not None:
                 try:
                     check_transition_matrix(mat, space)
                 except ValueError as exc:
                     raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
                 matrices[str(t)] = mat.tolist()
-        return matrices
-
-    tids = sorted(store["trains"])
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            built = dict(zip(tids, pool.map(build, tids)))
-    else:
-        built = {tid: build(tid) for tid in tids}
-    trains = {tid: {"matrices": m} for tid, m in built.items() if m}
+        if matrices:
+            trains[tid] = {"matrices": matrices}
     if not trains:
         raise EmptySelectionError("no trainable stations in store")
-    return {
-        "meta": {
-            "n_max": config.n_max,
-            "strategy": config.strategy,
-            "epsilon": config.epsilon,
-            "seed": config.seed,
-        },
-        "trains": trains,
-    }
+    return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}
 
 
 def _bundle_space(bundle: dict, where: str) -> StateSpace:
+    """The bundle's state space, after checking its meta.n_max and trains table."""
     try:
-        return StateSpace(int(bundle["meta"]["n_max"]))
+        space = StateSpace(int(bundle["meta"]["n_max"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"bundle meta has no valid n_max for {where} ({exc!r})") from None
+    if not isinstance(bundle.get("trains"), dict):
+        raise BundleError(f"bundle has no trains table for {where}")
+    return space
 
 
 def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
     """The checked propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k)."""
+    where = f"train {train_id} station {s + 1}"
+    space = _bundle_space(bundle, where)
     if train_id not in bundle["trains"]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
-    space = _bundle_space(bundle, f"train {train_id} station {s + 1}")
-    entry = bundle["trains"][train_id]["matrices"]
+    entry = bundle["trains"][train_id]
+    matrices = entry.get("matrices") if isinstance(entry, dict) else None
+    if not isinstance(matrices, dict):
+        raise BundleError(f"bundle has no matrices table for {where}")
     chain = np.empty((t - s, space.cardinality, space.cardinality))
     for step, station in enumerate(range(s + 1, t + 1)):
-        rows = entry.get(str(station))
+        rows = matrices.get(str(station))
         if rows is None:
             raise CoverageError(f"bundle misses station {station} for train {train_id}")
         try:

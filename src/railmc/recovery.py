@@ -13,6 +13,10 @@ A matrix is a plain (k, k) float array. `empirical_matrix` returns the
 count ratios with unobserved rows NaN; each fill replaces exactly the NaN
 rows in one assignment and passes observed rows through untouched. The KDE
 strategy replaces *every* row with the kernel estimate.
+
+The KDE draws no random numbers. Delays are integers, so the estimate is a
+count-weighted kernel sum over at most (2N+1)^2 distinct pairs; a ridge, not
+noise, keeps the covariance of correlated pairs invertible.
 """
 
 from __future__ import annotations
@@ -142,31 +146,26 @@ def gaussian_regression_fill(
 class KdeModel:
     """Fitted bivariate Gaussian kernel density over (d(t-1), d(t)) pairs."""
 
-    points: np.ndarray          # jittered observations, shape (m, 2)
-    mean: np.ndarray
+    points: np.ndarray          # distinct observed pairs, shape (p, 2)
+    weights: np.ndarray         # how often each distinct pair was observed, shape (p,)
     cov: np.ndarray
     cov_inv: np.ndarray
     log_det: float
     bandwidth: float            # h = m^(-1/6)
-    epsilon: float
-    seed: object                # anything np.random.default_rng accepts
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return int(self.weights.sum())
 
 
-def kde_fit(
-    observations: np.ndarray,
-    epsilon: float = 0.1,
-    seed: int = 0,
-) -> KdeModel:
-    """Jitter observations, estimate the sample covariance, fix the bandwidth.
+def kde_fit(observations: np.ndarray) -> KdeModel:
+    """Estimate the sample covariance and bandwidth over all m pairs.
 
-    Each observation gets independent uniform noise on [-epsilon, epsilon]^2
-    (seeded) so perfectly correlated delay pairs yield an invertible
-    covariance. If the covariance stays near-singular a ridge is added. With a
-    single observation the covariance is undefined and the identity is used.
+    Every pair, duplicates included, enters the mean, the covariance and
+    h = m^(-1/6); the model then keeps each distinct pair with its count. A
+    near-singular covariance (perfectly correlated or identical pairs) gets
+    an escalating ridge. With a single observation the covariance is
+    undefined and the identity is used.
     """
     obs = np.asarray(observations, dtype=float)
     if obs.ndim != 2 or obs.shape[1] != 2:
@@ -175,55 +174,51 @@ def kde_fit(
     if m == 0:
         raise ValueError("no observations to fit")
 
-    rng = np.random.default_rng(seed)
-    pts = obs + rng.uniform(-epsilon, epsilon, size=obs.shape)
-    mean = pts.mean(axis=0)
     if m == 1:
         warnings.warn("single observation: substituting identity covariance")
         cov = np.eye(2)
     else:
-        centered = pts - mean
+        centered = obs - obs.mean(axis=0)
         cov = centered.T @ centered / (m - 1)
         ridge = _RIDGE
         while np.linalg.det(cov) <= _SINGULAR_DET:
             cov = cov + ridge * np.eye(2)
             ridge *= 10.0
 
+    points, weights = np.unique(obs, axis=0, return_counts=True)
     det = float(np.linalg.det(cov))
     return KdeModel(
-        points=pts,
-        mean=mean,
+        points=points,
+        weights=weights,
         cov=cov,
         cov_inv=np.linalg.inv(cov),
         log_det=float(np.log(det)),
         bandwidth=float(m ** (-1.0 / 6.0)),
-        epsilon=epsilon,
-        seed=seed,
     )
 
 
-def _log_density_at(model: KdeModel, xs: np.ndarray) -> np.ndarray:
-    """log f-hat at each row of xs, shape (n, 2), evaluated in log-space."""
-    h2 = model.bandwidth**2
-    a = model.cov_inv
-    # quadratic form via the expansion x'Ax - 2 x'Ap + p'Ap
-    ap = model.points @ a                      # (m, 2)
-    cp = np.einsum("ij,ij->i", model.points, ap)  # (m,)
-    xa = xs @ a                                # (n, 2)
-    q = (
-        np.einsum("ij,ij->i", xs, xa)[:, None]
-        - 2.0 * (xs @ ap.T)
-        + cp[None, :]
-    )                                           # (n, m)
-    log_terms = -q / (2.0 * h2)
+def _log_density_at(model: KdeModel, x, y) -> np.ndarray:
+    """log f-hat at the points (x, y), broadcast against each other.
+
+    Each distinct pair's kernel is weighted by its count, so the cost follows
+    the distinct pairs, not m. The weighted log-sum-exp runs in place on the
+    one (..., p) array of kernel exponents, which stays the largest buffer.
+    """
+    dx = np.asarray(x, dtype=float)[..., None] - model.points[:, 0]
+    dy = np.asarray(y, dtype=float)[..., None] - model.points[:, 1]
+    c = model.cov_inv / (-2.0 * model.bandwidth**2)
+    log_terms = c[0, 0] * dx * dx + (c[0, 1] + c[1, 0]) * dx * dy + c[1, 1] * dy * dy
+    peak = log_terms.max(axis=-1, keepdims=True)
+    log_terms -= peak
+    np.exp(log_terms, out=log_terms)
     log_norm = -(np.log(model.m) + 2.0 * np.log(model.bandwidth) + 0.5 * model.log_det + LOG_2PI)
-    return logsumexp(log_terms, axis=1) + log_norm
+    return np.log(log_terms @ model.weights) + peak[..., 0] + log_norm
 
 
 def kde_density(model: KdeModel, x) -> float:
     """Evaluate the fitted density at one point; strictly positive for finite x."""
-    xs = np.asarray(x, dtype=float).reshape(1, 2)
-    return float(np.exp(_log_density_at(model, xs)[0]))
+    x0, x1 = np.asarray(x, dtype=float).reshape(2)
+    return float(np.exp(_log_density_at(model, x0, x1)))
 
 
 def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
@@ -233,14 +228,9 @@ def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     normalized in log-space so far-tail underflow never produces NaN.
     """
     states = space.states().astype(float)
-    k = space.cardinality
-    probs = np.empty((k, k))
-    for r, i in enumerate(states):
-        grid = np.column_stack((np.full(k, i), states))
-        logf = _log_density_at(model, grid)
-        probs[r] = np.exp(logf - logsumexp(logf))
-        probs[r] /= probs[r].sum()
-    return probs
+    logf = _log_density_at(model, states[:, None], states[None, :])
+    probs = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
 
 
 def write_matrix_csv(matrix: np.ndarray, space: StateSpace, path) -> None:

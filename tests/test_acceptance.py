@@ -186,12 +186,12 @@ def test_kde_recovery_convergence():
     spec = near_diagonal_spec(space, 2, 2.0, seed=42)
     sampled = sample_series(spec, 100_000)
     pairs = np.array([(s.delays[0], s.delays[1]) for s in sampled], dtype=float)
-    mat = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7), space)
+    mat = kde_matrix(kde_fit(pairs), space)
     truth = spec.matrices[0]
     tv = 0.5 * np.abs(mat - truth).sum(axis=1).max()
     assert tv <= 0.1, f"max row TV {tv}"
     assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
-    again = kde_matrix(kde_fit(pairs, epsilon=0.1, seed=7), space)
+    again = kde_matrix(kde_fit(pairs), space)
     assert np.array_equal(mat, again)
 
 

@@ -107,14 +107,6 @@ class TestDeterminism:
             ]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_jobs_flag_does_not_change_output(self, workspace):
-        store = workspace / "store.json"
-        a = workspace / "bundle_serial.json"
-        b = workspace / "bundle_parallel.json"
-        assert main(["train", "--store", str(store), "--out", str(a)]) == 0
-        assert main(["train", "--store", str(store), "--out", str(b), "--jobs", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_fills_agree_when_every_row_observed(self, tmp_path):
         # with a tiny state space and many series all rows get observed, so
         # diagonal and uniform filling recover the same (empirical) matrices
@@ -215,13 +207,39 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert f"target station {target} is not after current station 2" in err
 
-    def test_internal_error_for_bad_config(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"not_a_key": 1}))
+    @pytest.mark.parametrize("values, reason", [
+        ({"not_a_key": 1}, "unknown keys ['not_a_key']"),
+        ({"epsilon": 0.1}, "unknown keys ['epsilon']"),
+        ({"n_max": "5"}, "n_max must be a positive integer, got '5'"),
+        ({"trend_metric": "bogus"}, "unknown trend_metric 'bogus'"),
+    ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice"])
+    def test_bad_config_exits_2(self, workspace, capsys, values, reason):
+        cfg = workspace / "cfg.json"
+        cfg.write_text(json.dumps(values))
         assert main([
-            "test", "--store", str(tmp_path / "x.json"),
-            "--out", str(tmp_path / "y.json"), "--config", str(cfg),
-        ]) == 1
+            "test", "--store", str(workspace / "store.json"),
+            "--out", str(workspace / "y.json"), "--config", str(cfg),
+        ]) == 2
+        assert f"error: config {cfg}: {reason}" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
+    @pytest.mark.parametrize("row, reason", [
+        ("T001,S01,D,2017-11-07T12:00:00", "expected 5 fields, got 4"),
+        ("T001,S01,D,2017-11-07T12:00:00,first", "invalid literal for int()"),
+        ("T001,S01,X,2017-11-07T12:00:00,1", "unknown activity 'X'"),
+    ], ids=["field_count", "sequence", "activity"])
+    def test_malformed_timetable_row_exits_2(self, workspace, capsys, row, reason):
+        tt = workspace / "timetable.csv"
+        lines = tt.read_text().splitlines()
+        lines[2] = row
+        tt.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "ingest", "--timetable", str(tt), "--realization", str(workspace / "realization.csv"),
+            "--out", str(workspace / "new_store.json"),
+        ]) == 2
+        assert f"error: timetable {tt} line 3: {reason}" in capsys.readouterr().err
+        assert not (workspace / "new_store.json").exists()
 
 
 @pytest.fixture
@@ -308,12 +326,22 @@ def _corrupt_meta(bundle):
     del bundle["meta"]["n_max"]
 
 
+def _corrupt_no_trains(bundle):
+    del bundle["trains"]
+
+
+def _corrupt_no_matrices(bundle):
+    del bundle["trains"]["T001"]["matrices"]
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_corrupt_shape, "shape (1, 1), expected (31, 31)"),
     (_corrupt_nan, "NaN"),
     (_corrupt_negative, "negative"),
     (_corrupt_row_sum, "row 3 sums to"),
     (_corrupt_meta, "n_max"),
+    (_corrupt_no_trains, "no trains table"),
+    (_corrupt_no_matrices, "no matrices table"),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     bundle = workspace / "bundle.json"
@@ -331,14 +359,39 @@ def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     ]) == 2
     err = capsys.readouterr().err
     assert "train T001 station 2" in err and reason in err
+    assert main([
+        "evaluate", "--store", str(workspace / "store.json"), "--bundle", str(bundle),
+        "--target", "3", "--out", str(workspace / "scores.json"),
+    ]) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_bundle_with_jitter_meta_still_loads(workspace):
+    # bundles written before the KDE became deterministic carry meta.epsilon and meta.seed
+    bundle, old = workspace / "bundle.json", workspace / "old_bundle.json"
+    assert main(["train", "--store", str(workspace / "store.json"), "--out", str(bundle)]) == 0
+    payload = load_json(bundle)
+    payload["meta"].update(epsilon=0.1, seed=0)
+    save_json(payload, old)
+    for b in (bundle, old):
+        assert main([
+            "forecast", "--bundle", str(b), "--train", "T001", "--station", "1",
+            "--delay", "2", "--target", "4", "--out", str(b) + ".pred.json",
+        ]) == 0
+        assert main([
+            "evaluate", "--store", str(workspace / "store.json"), "--bundle", str(b),
+            "--target", "4", "--out", str(b) + ".scores.json",
+        ]) == 0
+    for suffix in (".pred.json", ".scores.json"):
+        assert (workspace / f"bundle.json{suffix}").read_bytes() == (workspace / f"old_bundle.json{suffix}").read_bytes()
 
 class TestConfig:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"n_max": 10, "epsilon": 0.2}))
+        cfg.write_text(json.dumps({"n_max": 10, "alpha1": 0.2}))
         loaded = RunConfig.load(cfg, n_max=12)
         assert loaded.n_max == 12
-        assert loaded.epsilon == 0.2
+        assert loaded.alpha1 == 0.2
         assert loaded.strategy == "gaussian_kernel"
 
     def test_defaults(self):

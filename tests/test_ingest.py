@@ -9,6 +9,7 @@ from railmc.ingest import (
     NoTargetError,
     RealizationEvent,
     StationKey,
+    TimetableError,
     assemble_series,
     compute_delay_minutes,
     load_timetable,
@@ -110,8 +111,12 @@ class TestLoadTimetable:
             "519,A,V,2017-11-07T12:07:00,1",
             "519,B,V,2017-11-07T12:00:00,2",
         ]
-        with pytest.raises(ValueError):
+        with pytest.raises(TimetableError, match="train 519: planned times must be non-decreasing"):
             load_timetable(io.StringIO(TT_HEADER + "\n".join(rows) + "\n"))
+
+    def test_bad_header(self):
+        with pytest.raises(TimetableError, match="line 1: unexpected header"):
+            load_timetable(io.StringIO("train,station\n"))
 
 
 class TestAssembleSeries:

@@ -5,6 +5,7 @@ import pytest
 
 from railmc.core import DelaySeries, StateSpace, build_count_tensor
 from railmc.recovery import (
+    _RIDGE,
     _gaussian_rows,
     diagonal_fill,
     empirical_matrix,
@@ -192,34 +193,45 @@ class TestKdeFit:
     def test_bandwidth_rule(self):
         rng = np.random.default_rng(0)
         obs = rng.normal(size=(64, 2))
-        model = kde_fit(obs, seed=1)
+        model = kde_fit(obs)
         assert model.bandwidth == pytest.approx(64 ** (-1 / 6))
         assert model.bandwidth == pytest.approx(0.5)
 
     def test_single_point_density(self):
-        # m = 1: identity covariance, h = 1, so the density at the (jittered)
+        # m = 1: identity covariance, h = 1, so the density at the
         # observation is exactly 1 / (2 pi)
         with pytest.warns(UserWarning):
-            model = kde_fit(np.array([[3.0, -2.0]]), epsilon=0.1, seed=5)
-        assert kde_density(model, model.points[0]) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
+            model = kde_fit(np.array([[3.0, -2.0]]))
+        assert kde_density(model, [3.0, -2.0]) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_degenerate_pairs_still_invertible(self):
-        # perfectly correlated raw observations; jitter must rescue the covariance
+        # perfectly correlated pairs: the first ridge step, not noise, makes the
+        # covariance invertible, and the pairs themselves stay as observed
         obs = np.array([[float(i), float(i)] for i in range(-5, 6)])
-        model = kde_fit(obs, epsilon=0.1, seed=2)
+        model = kde_fit(obs)
+        np.testing.assert_allclose(model.cov - np.cov(obs.T), _RIDGE * np.eye(2), rtol=1e-6, atol=1e-12)
+        assert np.array_equal(model.points, obs)
         assert np.linalg.det(model.cov) > 1e-12
         assert np.isfinite(model.log_det)
 
+    def test_identical_pairs_get_a_ridge(self):
+        # a zero sample covariance becomes a ridge times the identity
+        model = kde_fit(np.tile([2.0, 3.0], (5, 1)))
+        assert model.cov[0, 1] == model.cov[1, 0] == 0.0
+        assert model.cov[0, 0] == model.cov[1, 1] >= _RIDGE
+        assert np.linalg.det(model.cov) > 1e-12
+        assert model.points.tolist() == [[2.0, 3.0]] and model.weights.tolist() == [5]
+
     def test_positivity_far_from_data(self):
         obs = np.random.default_rng(3).normal(size=(30, 2))
-        model = kde_fit(obs, seed=3)
+        model = kde_fit(obs)
         assert kde_density(model, [50.0, -50.0]) >= 0.0
         assert np.isfinite(kde_density(model, [50.0, -50.0]))
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(7)
         obs = rng.normal(scale=2.0, size=(40, 2))
-        model = kde_fit(obs, seed=7)
+        model = kde_fit(obs)
         # Riemann sum on a wide grid
         grid = np.linspace(-15, 15, 151)
         step = grid[1] - grid[0]
@@ -233,7 +245,7 @@ class TestKdeFit:
         rng = np.random.default_rng(11)
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         obs = rng.multivariate_normal([0.0, 0.0], cov, size=20_000)
-        model = kde_fit(obs, seed=11)
+        model = kde_fit(obs)
         inv = np.linalg.inv(cov)
         det = np.linalg.det(cov)
 
@@ -246,16 +258,10 @@ class TestKdeFit:
 
     def test_determinism(self):
         obs = np.random.default_rng(1).normal(size=(25, 2))
-        a = kde_fit(obs, seed=9)
-        b = kde_fit(obs, seed=9)
+        a = kde_fit(obs)
+        b = kde_fit(obs)
         assert np.array_equal(a.points, b.points)
         assert kde_density(a, [0.3, 0.4]) == kde_density(b, [0.3, 0.4])
-
-    def test_seed_changes_jitter(self):
-        obs = np.random.default_rng(1).normal(size=(25, 2))
-        a = kde_fit(obs, seed=9)
-        b = kde_fit(obs, seed=10)
-        assert not np.array_equal(a.points, b.points)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -269,7 +275,7 @@ class TestKdeMatrix:
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 2.0, seed=6)
         pairs = transition_pairs(sample_series(spec, 500))
-        mat = kde_matrix(kde_fit(pairs, seed=6), space)
+        mat = kde_matrix(kde_fit(pairs), space)
         assert mat.shape == (31, 31)
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert (mat > 0).all()
@@ -280,20 +286,34 @@ class TestKdeMatrix:
         spec = near_diagonal_spec(space, 2, 1.0, seed=8)
         sampled = sample_series(spec, 2000)
         pairs = transition_pairs(sampled)
-        mat = kde_matrix(kde_fit(pairs, seed=8), space)
+        mat = kde_matrix(kde_fit(pairs), space)
         observed_rows = sorted({int(p[0]) for p in pairs})
         for i in observed_rows:
             j_star = space.state(int(np.argmax(mat[space.index(i)])))
             assert abs(j_star - i) <= 2
 
-    def test_small_jitter_perturbs_little(self):
-        space = StateSpace(5)
-        spec = near_diagonal_spec(space, 2, 2.0, seed=12)
-        pairs = transition_pairs(sample_series(spec, 800))
-        a = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=1), space)
-        b = kde_matrix(kde_fit(pairs, epsilon=1e-3, seed=2), space)
-        tv = 0.5 * np.abs(a - b).sum(axis=1).max()
-        assert tv < 0.01
+    def test_matches_naive_sum_over_all_pairs(self):
+        # 300 integer pairs on 25 cells: the count-weighted sum over distinct
+        # pairs must equal the per-pair kernel sum over all m rows
+        space = StateSpace(4)
+        pairs = np.random.default_rng(5).integers(-2, 3, size=(300, 2)).astype(float)
+        model = kde_fit(pairs)
+        assert model.m == 300 and len(model.points) <= 25
+        np.testing.assert_allclose(model.cov, np.cov(pairs.T), rtol=1e-12)
+        assert model.bandwidth == pytest.approx(300 ** (-1 / 6), rel=1e-12)
+
+        h2 = model.bandwidth**2
+        norm = 300 * 2 * math.pi * h2 * math.sqrt(np.linalg.det(model.cov))
+
+        def naive_density(x):
+            return sum(math.exp(-0.5 * (x - p) @ model.cov_inv @ (x - p) / h2) for p in pairs) / norm
+
+        states = space.states()
+        grid = np.array([[naive_density(np.array([i, j], dtype=float)) for j in states] for i in states])
+        for x in ([0.0, 0.0], [2.0, -1.0], [4.0, 4.0]):
+            assert kde_density(model, x) == pytest.approx(naive_density(np.array(x)), rel=1e-12)
+        naive = grid / grid.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(kde_matrix(model, space), naive, rtol=0, atol=1e-12)
 
 
 class TestMatrixOutput:
