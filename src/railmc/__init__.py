@@ -9,7 +9,6 @@ F1/RWMSE prediction score, plus a CLI tying them together.
 from .config import RunConfig
 from .core import (
     CountTensor,
-    DelaySeries,
     FrequencyEstimates,
     StateSpace,
     build_count_tensor,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "RunConfig",
     "StateSpace",
-    "DelaySeries",
     "CountTensor",
     "FrequencyEstimates",
     "Prediction",

@@ -6,8 +6,9 @@ noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs.
 
 Exit codes: 0 ok, 1 internal error, 2 I/O error or a malformed bundle, config
-file or timetable row, 3 empty selection, 4 coverage gap (a station missing
-from the bundle, or a delay or store outside the model's state space).
+file, realization header or timetable row, 3 empty selection, 4 coverage gap
+(a station missing from the bundle, or a delay or store outside the model's
+state space).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from . import pipeline
 from .config import METRICS, POINT_METRICS, STRATEGIES, ConfigError, RunConfig
 from .core import StateSpace
-from .ingest import NoTargetError, TimetableError, load_timetable, parse_events, write_rejects
+from .ingest import IngestError, NoTargetError, load_timetable, parse_events, write_rejects
 from .pipeline import BundleError, CoverageError, EmptySelectionError
 from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CoverageError, NoTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (OSError, BundleError, ConfigError, TimetableError) as exc:
+    except (OSError, BundleError, ConfigError, IngestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - CLI boundary

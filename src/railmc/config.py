@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 __all__ = ["ConfigError", "RunConfig"]
@@ -40,6 +41,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if type(self.n_max) is not int or self.n_max < 1:
             raise ConfigError(f"n_max must be a positive integer, got {self.n_max!r}")
+        for name, high in (("alpha1", 1), ("alpha2", 1), ("horizon_minutes", math.inf)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < high:
+                raise ConfigError(f"{name} must be a number in (0, {high}), got {value!r}")
         choices = {
             "strategy": STRATEGIES,
             "statistic": ("LR", "Q"),

@@ -6,6 +6,11 @@ by state index (delay + N); frequencies are derived double-precision ratios
 on the same indices. Rows with no observations are explicitly *undefined*
 (NaN), never emitted as all-zero probability rows.
 
+One train's aligned journeys are a zero-padded (n_series, L) integer array of
+delays plus a vector of lengths: row r holds its series' delay at station t in
+column t - 1 while t <= lengths[r], and every read is masked by the lengths.
+The counts n_j(t), n_ij(t) and n_hij(t) tally column slices of that array.
+
 A transition matrix P(t) is a plain (k, k) float array with k = 2N + 1, and a
 delay distribution v(t) a (k,) vector. A partial matrix marks its unobserved
 rows NaN until recovery fills them; `check_transition_matrix` is the one
@@ -15,7 +20,6 @@ row-stochasticity check, run where matrices enter or leave a bundle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -24,17 +28,12 @@ __all__ = [
     "DelaySeries",
     "CountTensor",
     "FrequencyEstimates",
-    "AlignmentError",
     "build_count_tensor",
     "estimate_frequencies",
     "check_transition_matrix",
 ]
 
 ROW_SUM_TOL = 1e-9
-
-
-class AlignmentError(ValueError):
-    """Series in one group do not share a station alignment."""
 
 
 @dataclass(frozen=True)
@@ -76,15 +75,13 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class DelaySeries:
-    """One train's per-station delays on one date. Station t maps to delays[t-1]."""
+    """One train's per-station delays on one date, as read from or written to
+    CSV. Station t maps to delays[t-1]."""
 
     train_id: str
     date: str
     delays: tuple[int, ...]
     clipped: int = 0  # observations saturated into the domain during assembly
-
-    def __len__(self) -> int:
-        return len(self.delays)
 
 
 @dataclass(frozen=True)
@@ -130,25 +127,17 @@ class FrequencyEstimates:
 
 
 def build_count_tensor(
-    series_set: Iterable[DelaySeries], t: int, space: StateSpace
+    delays: np.ndarray, lengths: np.ndarray, t: int, space: StateSpace
 ) -> CountTensor:
-    """Tally n_j(t), n_{i,j}(t), n_{h,i,j}(t) over a group of aligned series.
+    """Tally n_j(t), n_{i,j}(t), n_{h,i,j}(t) over one train's delay array.
 
-    A series contributes to n1 when it covers station t, to n2 additionally
-    when t >= 2, and to n3 when t >= 3. A counted delay outside the state
-    space raises ValueError.
+    Row r covers station t when lengths[r] >= t; a covering row contributes
+    to n1, to n2 additionally when t >= 2, and to n3 when t >= 3. A counted
+    delay outside the state space raises ValueError.
     """
     if t < 1:
         raise ValueError(f"station index must be >= 1, got {t}")
-    series_list = list(series_set)
-    train_ids = {s.train_id for s in series_list}
-    if len(train_ids) > 1:
-        raise AlignmentError(f"series from multiple alignment groups: {sorted(train_ids)}")
-
-    width = min(t, 3)
-    window = np.array(
-        [s.delays[t - width:t] for s in series_list if len(s) >= t], dtype=np.int64
-    ).reshape(-1, width)
+    window = delays[lengths >= t, max(t - 3, 0):t]
     outside = np.abs(window) > space.n_max
     if outside.any():
         raise ValueError(

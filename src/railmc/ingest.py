@@ -8,8 +8,10 @@ Canonical CSV formats (UTF-8, comma-separated, header row):
 
 Arrival and departure at the same physical station are distinct stations, so
 the alignment key is (station_code, activity). Malformed realization rows
-are collected into a rejects report, never silently dropped; a malformed
-timetable row raises TimetableError naming the file and line.
+are collected into a rejects report, never silently dropped, and so is every
+repeat of a (train, date, station, activity) event after its first row. A bad
+realization header, or a malformed timetable row, raises IngestError naming
+the file and line.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ __all__ = [
     "JourneyTemplate",
     "RejectedRow",
     "NoTargetError",
-    "TimetableError",
+    "IngestError",
     "parse_events",
     "load_timetable",
     "compute_delay_minutes",
@@ -100,8 +102,8 @@ class NoTargetError(ValueError):
     """No station after the current one exists to predict."""
 
 
-class TimetableError(ValueError):
-    """A timetable file has a bad header or row; the message names file and line."""
+class IngestError(ValueError):
+    """An input CSV has a bad header or timetable row; the message names file and line."""
 
 
 def _parse_timestamp(raw: str) -> dt.datetime:
@@ -112,7 +114,8 @@ def parse_events(stream) -> tuple[list[RealizationEvent], list[RejectedRow]]:
     """Parse a realization CSV stream into events plus a rejects report.
 
     Accepts a text stream, a byte stream, or a path. Unknown activity codes
-    and unparseable timestamps reject the row with a reason.
+    and unparseable timestamps reject the row with a reason; a bad header
+    raises IngestError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
@@ -122,6 +125,7 @@ def parse_events(stream) -> tuple[list[RealizationEvent], list[RejectedRow]]:
     ):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
 
+    name = getattr(stream, "name", "<realization>")
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -129,7 +133,7 @@ def parse_events(stream) -> tuple[list[RealizationEvent], list[RejectedRow]]:
         warnings.warn("empty realization file")
         return [], []
     if [h.strip() for h in header] != REALIZATION_HEADER:
-        raise ValueError(f"unexpected realization header {header!r}")
+        raise IngestError(f"realization {name} line 1: unexpected header {header!r}")
 
     events: list[RealizationEvent] = []
     rejects: list[RejectedRow] = []
@@ -167,8 +171,8 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
     name = getattr(stream, "name", "<timetable>")
     reader = csv.reader(stream)
 
-    def error(reason: str) -> TimetableError:
-        return TimetableError(f"timetable {name} line {reader.line_num}: {reason}")
+    def error(reason: str) -> IngestError:
+        return IngestError(f"timetable {name} line {reader.line_num}: {reason}")
 
     header = next(reader, None)
     if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
@@ -190,7 +194,7 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
         try:
             templates[train_id] = JourneyTemplate(train_id, keys, planned)
         except ValueError as exc:
-            raise TimetableError(f"timetable {name} train {train_id}: {exc}") from None
+            raise IngestError(f"timetable {name} train {train_id}: {exc}") from None
     return templates
 
 
@@ -208,9 +212,11 @@ def assemble_series(
 ) -> tuple[list[DelaySeries], list[RejectedRow]]:
     """Order one train's events along the template and emit per-date series.
 
-    A date missing any template station is truncated at the first gap. Delays
-    outside [-N, N] either saturate to the bound (counted per series) or, in
-    ``clip_mode="drop"``, truncate the series before the offending station.
+    A date missing any template station is truncated at the first gap. A
+    repeated (date, station, activity) event keeps its first row and rejects
+    the others as duplicates. Delays outside [-N, N] either saturate to the
+    bound (counted per series) or, in ``clip_mode="drop"``, truncate the
+    series before the offending station.
     """
     if clip_mode not in ("saturate", "drop"):
         raise ValueError(f"unknown clip mode {clip_mode!r}")
@@ -221,12 +227,15 @@ def assemble_series(
         if ev.train_id != template.train_id:
             raise ValueError(f"event for train {ev.train_id} against template {template.train_id}")
         if ev.key not in key_set:
-            rejects.append(
-                RejectedRow(f"{ev.train_id},{ev.date},{ev.station_code},{ev.activity}",
-                            "station not in template")
-            )
+            reason = "station not in template"
+        elif ev.key in by_date.get(ev.date, {}):
+            reason = "duplicate event"
+        else:
+            by_date.setdefault(ev.date, {})[ev.key] = ev
             continue
-        by_date.setdefault(ev.date, {})[ev.key] = ev
+        rejects.append(
+            RejectedRow(f"{ev.train_id},{ev.date},{ev.station_code},{ev.activity}", reason)
+        )
 
     series: list[DelaySeries] = []
     for date in sorted(by_date):

@@ -1,21 +1,24 @@
 """End-to-end wiring: series stores, training bundles, and batch evaluation.
 
 A *store* is the serialized form of the ingested delay series, grouped per
-train with the planned station sequence. A *bundle* holds the recovered
-transition matrices per train and station, plus the training metadata needed
-to reproduce it. Both are plain JSON with sorted keys so identical runs are
-byte-identical.
+train with the planned station sequence. `store_series` reads one train back
+as a zero-padded (n_series, L) delay array plus its lengths; counting,
+recovery and evaluation slice that array by station and mask it by length.
+A *bundle* holds the recovered transition matrices per train and station,
+plus the training metadata needed to reproduce it. Both are plain JSON with
+sorted keys so identical runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import itertools
 import json
 
 import numpy as np
 
 from .config import RunConfig
-from .core import DelaySeries, StateSpace, build_count_tensor, check_transition_matrix
+from .core import StateSpace, build_count_tensor, check_transition_matrix
 from .evaluate import ScoreReport, marginal_predictor, naive_predictor, score_batch
 from .forecast import Prediction, make_prediction, point_delay, propagate
 from .ingest import (
@@ -113,12 +116,17 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
-def store_series(store: dict, train_id: str) -> list[DelaySeries]:
-    entry = store["trains"][train_id]
-    return [
-        DelaySeries(train_id, s["date"], tuple(s["delays"]), clipped=s.get("clipped", 0))
-        for s in entry["series"]
-    ]
+def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """One train's series: the (n_series, L) int64 delay array, zero past each
+    row's length, the lengths, and the dates."""
+    series = store["trains"][train_id]["series"]
+    lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
+    delays = np.zeros((len(series), lengths.max(initial=0)), dtype=np.int64)
+    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.fromiter(
+        itertools.chain.from_iterable(s["delays"] for s in series),
+        dtype=np.int64, count=int(lengths.sum()),
+    )
+    return delays, lengths, [s["date"] for s in series]
 
 
 def store_template(store: dict, train_id: str) -> JourneyTemplate:
@@ -138,12 +146,9 @@ def test_store(store: dict, config: RunConfig) -> dict:
     per_station = []
     reports = []
     for tid in sorted(store["trains"]):
-        series = store_series(store, tid)
-        if not series:
-            continue
-        max_len = max(len(s) for s in series)
-        for t in range(2, max_len + 1):
-            counts = build_count_tensor(series, t, space)
+        delays, lengths, _ = store_series(store, tid)
+        for t in range(2, lengths.max(initial=0) + 1):
+            counts = build_count_tensor(delays, lengths, t, space)
             report = markov_property_test(
                 counts, config.alpha1, config.alpha2, config.statistic
             )
@@ -164,17 +169,14 @@ def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> No
 
 
 def _recover(
-    series: list[DelaySeries], t: int, space: StateSpace, config: RunConfig
+    delays: np.ndarray, lengths: np.ndarray, t: int, space: StateSpace, config: RunConfig
 ) -> np.ndarray | None:
     if config.strategy == "gaussian_kernel":
-        pairs = np.array(
-            [(s.delays[t - 2], s.delays[t - 1]) for s in series if len(s) >= t],
-            dtype=float,
-        )
+        pairs = delays[lengths >= t, t - 2:t].astype(float)
         if len(pairs) == 0:
             return None
         return kde_matrix(kde_fit(pairs), space)
-    counts = build_count_tensor(series, t, space)
+    counts = build_count_tensor(delays, lengths, t, space)
     partial = empirical_matrix(counts)
     if config.strategy == "diagonal":
         return diagonal_fill(partial)
@@ -195,10 +197,10 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     space = StateSpace(config.n_max)
     trains = {}
     for tid in sorted(store["trains"]):
-        series = store_series(store, tid)
+        delays, lengths, _ = store_series(store, tid)
         matrices: dict = {}
-        for t in range(2, max((len(s) for s in series), default=0) + 1):
-            mat = _recover(series, t, space, config)
+        for t in range(2, lengths.max(initial=0) + 1):
+            mat = _recover(delays, lengths, t, space, config)
             if mat is not None:
                 try:
                     check_transition_matrix(mat, space)
@@ -213,11 +215,14 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
 
 
 def _bundle_space(bundle: dict, where: str) -> StateSpace:
-    """The bundle's state space, after checking its meta.n_max and trains table."""
+    """The bundle's state space, after checking its meta.n_max, meta.strategy
+    and trains table."""
     try:
         space = StateSpace(int(bundle["meta"]["n_max"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise BundleError(f"bundle meta has no valid n_max for {where} ({exc!r})") from None
+    if not isinstance(bundle["meta"].get("strategy"), str):
+        raise BundleError(f"bundle meta has no strategy for {where}")
     if not isinstance(bundle.get("trains"), dict):
         raise BundleError(f"bundle has no trains table for {where}")
     return space
@@ -265,6 +270,8 @@ def forecast_from_bundle(
 
 
 def _check_target(s: int, t: int) -> int:
+    if s < 1:
+        raise NoTargetError(f"current station {s} is before station 1")
     if t <= s:
         raise NoTargetError(f"target station {t} is not after current station {s}")
     return t
@@ -330,37 +337,32 @@ def evaluate_store(
             if tid not in train_store["trains"]:
                 skipped += 1
                 continue
-            marginal_counts = build_count_tensor(
-                store_series(train_store, tid), t_target, space
-            )
+            train_delays, train_lengths, _ = store_series(train_store, tid)
+            marginal_counts = build_count_tensor(train_delays, train_lengths, t_target, space)
             if not marginal_counts.n1.any():
                 skipped += 1
                 continue
-        chain = None
+        delays, lengths, dates = store_series(eval_store, tid)
+        covered = lengths >= t_target  # T > S: a series that reaches T covers S
         if bundle is not None:
             try:
                 chain = bundle_matrices(bundle, tid, from_station, t_target)
             except CoverageError:
-                pass  # each series that reaches the target is skipped below
-        for s in store_series(eval_store, tid):
-            if len(s) < t_target or len(s) < from_station:
-                skipped += 1
-                continue
-            d_s = s.delays[from_station - 1]
-            d_t = s.delays[t_target - 1]
+                covered[:] = False  # the bundle cannot reach the target
+        skipped += int((~covered).sum())
+        d_S = delays[covered, from_station - 1].tolist()
+        d_T = delays[covered, t_target - 1].tolist()
+        for date, d_s, d_t in zip(itertools.compress(dates, covered), d_S, d_T):
             if baseline == "naive":
                 pred = naive_predictor(d_s, space)
             elif baseline == "marginal":
                 pred = marginal_predictor(marginal_counts, d_s, space, config)
-            elif chain is not None:
-                pred = _predict_chain(chain, d_s, space_bundle, config)
             else:
-                skipped += 1
-                continue
+                pred = _predict_chain(chain, d_s, space_bundle, config)
             predictions.append(pred)
             actuals.append(d_t)
             detail.append(
-                {"train": tid, "date": s.date, "S": from_station, "T": t_target,
+                {"train": tid, "date": date, "S": from_station, "T": t_target,
                  "d_S": d_s, "d_T": d_t, "trend": pred.trend, "jump": pred.jump,
                  "minutes": pred.minutes}
             )

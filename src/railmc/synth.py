@@ -18,6 +18,7 @@ from .core import DelaySeries, StateSpace
 
 __all__ = [
     "ChainSpec",
+    "sample_delays",
     "sample_series",
     "near_diagonal_spec",
     "write_ingest_files",
@@ -48,12 +49,8 @@ class ChainSpec:
             raise ValueError(f"unsupported order {self.order}")
         if self.length < 1:
             raise ValueError("journey length must be >= 1")
-        rows = [self.initial]
-        rows += [m[r] for m in self.matrices for r in range(m.shape[0])]
-        rows += list(self.marginals)
-        rows += [t[a, b] for t in self.tensors for a in range(t.shape[0]) for b in range(t.shape[1])]
-        for row in rows:
-            if abs(row.sum() - 1.0) > 1e-12 or (row < 0).any():
+        for dist in (self.initial, *self.matrices, *self.marginals, *self.tensors):
+            if (np.abs(dist.sum(axis=-1) - 1.0) > 1e-12).any() or (dist < 0).any():
                 raise ValueError("chain rows must be probability vectors")
 
 
@@ -64,33 +61,32 @@ def _draw_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
     return (cum > r[:, None]).argmax(axis=1)
 
 
-def sample_series(
-    spec: ChainSpec, count: int, train_id: str = "synth", date_prefix: str = "d"
-) -> list[DelaySeries]:
-    """Sample `count` journeys; deterministic for a fixed spec seed."""
+def sample_delays(spec: ChainSpec, count: int) -> np.ndarray:
+    """Sample `count` full journeys as a (count, length) array of delays;
+    deterministic for a fixed spec seed."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(spec.seed)
-    k = spec.space.cardinality
-    states = spec.space.states()
-    idx = np.empty((count, spec.length), dtype=int)
+    idx = np.empty((count, spec.length), dtype=np.int64)
+    idx[:, 0] = _draw_rows(rng, np.tile(spec.initial, (count, 1)))
+    for t in range(2, spec.length + 1):
+        if spec.order == 0:
+            rows = np.tile(spec.marginals[t - 1], (count, 1))
+        elif spec.order == 1 or t == 2:
+            rows = spec.matrices[t - 2][idx[:, t - 2]]
+        else:
+            rows = spec.tensors[t - 3][idx[:, t - 3], idx[:, t - 2]]
+        idx[:, t - 1] = _draw_rows(rng, rows)
+    return idx - spec.space.n_max
 
-    if spec.order == 0:
-        idx[:, 0] = _draw_rows(rng, np.tile(spec.initial, (count, 1)))
-        for t in range(2, spec.length + 1):
-            idx[:, t - 1] = _draw_rows(rng, np.tile(spec.marginals[t - 1], (count, 1)))
-    else:
-        idx[:, 0] = _draw_rows(rng, np.tile(spec.initial, (count, 1)))
-        for t in range(2, spec.length + 1):
-            if spec.order == 1 or t == 2:
-                rows = spec.matrices[t - 2][idx[:, t - 2]]
-            else:
-                rows = spec.tensors[t - 3][idx[:, t - 3], idx[:, t - 2]]
-            idx[:, t - 1] = _draw_rows(rng, rows)
 
+def sample_series(
+    spec: ChainSpec, count: int, train_id: str = "synth", date_prefix: str = "d"
+) -> list[DelaySeries]:
+    """`sample_delays` as dated records of one train, for `write_ingest_files`."""
     return [
         DelaySeries(train_id=train_id, date=f"{date_prefix}{n:05d}", delays=tuple(row))
-        for n, row in enumerate(states[idx].tolist())
+        for n, row in enumerate(sample_delays(spec, count).tolist())
     ]
 
 
@@ -107,10 +103,8 @@ def near_diagonal_spec(
         raise ValueError("dispersion must be positive")
     states = space.states().astype(float)
     k = space.cardinality
-    mat = np.empty((k, k))
-    for r in range(k):
-        dens = np.exp(-0.5 * ((states - states[r]) / dispersion) ** 2)
-        mat[r] = dens / dens.sum()
+    dens = np.exp(-0.5 * ((states[None, :] - states[:, None]) / dispersion) ** 2)
+    mat = dens / dens.sum(axis=1, keepdims=True)
     init = np.full(k, 1.0 / k) if initial is None else np.asarray(initial, dtype=float)
     return ChainSpec(
         space=space,
@@ -138,7 +132,7 @@ def write_ingest_files(
     if not series:
         raise ValueError("no series to write")
     train_ids = sorted({s.train_id for s in series})
-    max_len = max(len(s) for s in series)
+    max_len = max(len(s.delays) for s in series)
     start = dt.datetime.fromisoformat(f"{base_date}T08:00:00")
 
     with open(timetable_path, "w", newline="") as fh:

@@ -27,9 +27,9 @@ from railmc.mctest import (
 )
 from railmc.pipeline import evaluate_store, train_bundle
 from railmc.recovery import kde_fit, kde_matrix
-from railmc.synth import ChainSpec, near_diagonal_spec, sample_series
+from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays
 
-from test_core import cells, series  # shared fixture helpers
+from test_core import cells, sampled, series  # shared fixture helpers
 
 
 def criterion(label):
@@ -101,7 +101,7 @@ def _dense_first_order(counts):
 
 @criterion("order-test statistic hand fixtures match the direct-summation oracle")
 def test_statistic_fixtures():
-    c2 = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, StateSpace(15))
+    c2 = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, StateSpace(15))
     f2 = estimate_frequencies(c2)
     lr0, q0, df0 = zero_order_statistics(f2, c2)
     assert q0 == pytest.approx(2.0, abs=1e-12)
@@ -112,7 +112,7 @@ def test_statistic_fixtures():
     assert q0 == pytest.approx(o_q, abs=1e-12)
     assert df0 == o_df
 
-    c3 = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, StateSpace(15))
+    c3 = build_count_tensor(*series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, StateSpace(15))
     f3 = estimate_frequencies(c3)
     lr1, q1, df1 = first_order_statistics(f3, c3)
     assert q1 == pytest.approx(2.0, abs=1e-12)
@@ -155,7 +155,7 @@ def _rejection_rates(make_spec, reps=500, m=2000, t=3):
     h00 = h01 = 0
     for rep in range(reps):
         spec = make_spec(1000 + rep)
-        counts = build_count_tensor(sample_series(spec, m), t, spec.space)
+        counts = build_count_tensor(*sampled(spec, m), t, spec.space)
         report = markov_property_test(counts)
         h00 += report.verdict_h0_0 == "rejected"
         h01 += report.verdict_h0_1 == "rejected"
@@ -184,8 +184,7 @@ def test_order_test_power_and_size():
 def test_kde_recovery_convergence():
     space = StateSpace(15)
     spec = near_diagonal_spec(space, 2, 2.0, seed=42)
-    sampled = sample_series(spec, 100_000)
-    pairs = np.array([(s.delays[0], s.delays[1]) for s in sampled], dtype=float)
+    pairs = sample_delays(spec, 100_000)[:, :2].astype(float)
     mat = kde_matrix(kde_fit(pairs), space)
     truth = spec.matrices[0]
     tv = 0.5 * np.abs(mat - truth).sum(axis=1).max()
@@ -195,14 +194,14 @@ def test_kde_recovery_convergence():
     assert np.array_equal(mat, again)
 
 
-def _store_from(sampled, n_max=15):
+def _store_from(delays, n_max=15):
     return {
         "n_max": n_max,
         "trains": {
             "T001": {
                 "series": [
-                    {"date": s.date, "delays": list(s.delays), "clipped": 0}
-                    for s in sampled
+                    {"date": f"d{n:05d}", "delays": row, "clipped": 0}
+                    for n, row in enumerate(delays.tolist())
                 ]
             }
         },
@@ -212,8 +211,8 @@ def _store_from(sampled, n_max=15):
 @criterion("Gaussian-kernel recovery outscores every fill strategy on sparse data")
 def test_recovery_ranking():
     space = StateSpace(15)
-    train_store = _store_from(sample_series(near_diagonal_spec(space, 5, 1.5, seed=22), 200))
-    eval_store = _store_from(sample_series(near_diagonal_spec(space, 5, 1.5, seed=7799), 1000))
+    train_store = _store_from(sample_delays(near_diagonal_spec(space, 5, 1.5, seed=22), 200))
+    eval_store = _store_from(sample_delays(near_diagonal_spec(space, 5, 1.5, seed=7799), 1000))
     scores = {}
     for strategy in ("gaussian_kernel", "diagonal", "uniform", "gaussian_regression"):
         config = RunConfig(strategy=strategy, seed=7)

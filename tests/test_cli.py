@@ -212,7 +212,14 @@ class TestExitCodes:
         ({"epsilon": 0.1}, "unknown keys ['epsilon']"),
         ({"n_max": "5"}, "n_max must be a positive integer, got '5'"),
         ({"trend_metric": "bogus"}, "unknown trend_metric 'bogus'"),
-    ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice"])
+        ({"alpha1": "0.05"}, "alpha1 must be a number in (0, 1), got '0.05'"),
+        ({"alpha2": True}, "alpha2 must be a number in (0, 1), got True"),
+        ({"alpha1": 0}, "alpha1 must be a number in (0, 1), got 0"),
+        ({"alpha2": 1.5}, "alpha2 must be a number in (0, 1), got 1.5"),
+        ({"horizon_minutes": "20"}, "horizon_minutes must be a number in (0, inf), got '20'"),
+        ({"horizon_minutes": 0}, "horizon_minutes must be a number in (0, inf), got 0"),
+    ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice", "string_alpha",
+            "bool_alpha", "zero_alpha", "alpha_above_1", "string_horizon", "zero_horizon"])
     def test_bad_config_exits_2(self, workspace, capsys, values, reason):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -240,6 +247,27 @@ class TestExitCodes:
         ]) == 2
         assert f"error: timetable {tt} line 3: {reason}" in capsys.readouterr().err
         assert not (workspace / "new_store.json").exists()
+
+    def test_bad_realization_header_exits_2(self, workspace, capsys):
+        rz = workspace / "realization.csv"
+        lines = rz.read_text().splitlines()
+        lines[0] = "train,date,station,activity,planned,realized"
+        rz.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "ingest", "--timetable", str(workspace / "timetable.csv"), "--realization", str(rz),
+            "--out", str(workspace / "new_store.json"),
+        ]) == 2
+        assert f"error: realization {rz} line 1: unexpected header" in capsys.readouterr().err
+        assert not (workspace / "new_store.json").exists()
+
+    def test_station_before_first_exits_4(self, workspace, capsys):
+        # station 0 has no delay column; it must not read another station's
+        assert main([
+            "evaluate", "--store", str(workspace / "store.json"), "--baseline", "naive",
+            "--from-station", "0", "--target", "3", "--out", str(workspace / "scores.json"),
+        ]) == 4
+        assert "current station 0 is before station 1" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -334,6 +362,10 @@ def _corrupt_no_matrices(bundle):
     del bundle["trains"]["T001"]["matrices"]
 
 
+def _corrupt_no_strategy(bundle):
+    del bundle["meta"]["strategy"]
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_corrupt_shape, "shape (1, 1), expected (31, 31)"),
     (_corrupt_nan, "NaN"),
@@ -342,6 +374,7 @@ def _corrupt_no_matrices(bundle):
     (_corrupt_meta, "n_max"),
     (_corrupt_no_trains, "no trains table"),
     (_corrupt_no_matrices, "no matrices table"),
+    (_corrupt_no_strategy, "no strategy"),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     bundle = workspace / "bundle.json"

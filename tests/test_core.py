@@ -7,21 +7,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from railmc.core import (
-    AlignmentError,
-    DelaySeries,
     StateSpace,
     build_count_tensor,
     check_transition_matrix,
     estimate_frequencies,
 )
-from railmc.synth import ChainSpec, sample_series
+from railmc.synth import ChainSpec, sample_delays
 
 
 SPACE = StateSpace(15)
 
 
-def series(*delay_tuples, train="x"):
-    return [DelaySeries(train, f"d{k}", tuple(d)) for k, d in enumerate(delay_tuples)]
+def series(*journeys):
+    """Journeys of mixed lengths as one train's zero-padded delay array plus lengths."""
+    lengths = np.array([len(j) for j in journeys], dtype=np.int64)
+    delays = np.zeros((len(journeys), lengths.max(initial=0)), dtype=np.int64)
+    for row, journey in zip(delays, journeys):
+        row[:len(journey)] = journey
+    return delays, lengths
+
+
+def sampled(spec, count):
+    """`count` full journeys drawn from `spec`, as a delay array plus lengths."""
+    return sample_delays(spec, count), np.full(count, spec.length)
 
 
 def cells(n):
@@ -34,11 +42,10 @@ def cells(n):
 
 @st.composite
 def series_sets(draw):
-    """A state space, a group of series of mixed lengths on it, and a station."""
+    """A state space, a group of journeys of mixed lengths on it, and a station."""
     n_max = draw(st.integers(1, 4))
     journeys = st.lists(st.integers(-n_max, n_max), min_size=1, max_size=6)
-    delays = draw(st.lists(journeys, max_size=40))
-    return StateSpace(n_max), series(*delays), draw(st.integers(1, 7))
+    return StateSpace(n_max), draw(st.lists(journeys, max_size=40)), draw(st.integers(1, 7))
 
 
 class TestStateSpace:
@@ -63,46 +70,40 @@ class TestStateSpace:
 
 class TestBuildCountTensor:
     def test_direct_tally(self):
-        c = build_count_tensor(series((0, 0), (0, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0), (0, 1)), 2, SPACE)
         assert cells(c.n2) == {(0, 0): 1, (0, 1): 1}
         assert cells(c.n1) == {(0,): 1, (1,): 1}
         assert cells(c.n3) == {}
         assert c.n1.shape == (31,) and c.n2.shape == (31, 31) and c.n3.shape == (31, 31, 31)
 
     def test_empty_set(self):
-        c = build_count_tensor([], 3, SPACE)
+        c = build_count_tensor(*series(), 3, SPACE)
         assert not c.n1.any() and not c.n2.any() and not c.n3.any()
 
     def test_short_series_contribute_lower_orders_only(self):
         # length-1 series counts at t=1 but not at t=2
-        c1 = build_count_tensor(series((5,), (5, 6)), 1, SPACE)
+        c1 = build_count_tensor(*series((5,), (5, 6)), 1, SPACE)
         assert cells(c1.n1) == {(5,): 2}
-        c2 = build_count_tensor(series((5,), (5, 6)), 2, SPACE)
+        c2 = build_count_tensor(*series((5,), (5, 6)), 2, SPACE)
         assert cells(c2.n1) == {(6,): 1}
         assert cells(c2.n2) == {(5, 6): 1}
-
-    def test_alignment_error(self):
-        mixed = series((0, 0)) + series((1, 1), train="y")
-        with pytest.raises(AlignmentError):
-            build_count_tensor(mixed, 2, SPACE)
 
     def test_out_of_domain_delay_rejected(self):
         # -4 would index row -1, the last row, without an error
         with pytest.raises(ValueError, match="delay -4"):
-            build_count_tensor(series((0, 0, 0), (0, -4, 1)), 3, StateSpace(3))
+            build_count_tensor(*series((0, 0, 0), (0, -4, 1)), 3, StateSpace(3))
 
     @settings(max_examples=80, deadline=None)
     @given(series_sets())
     def test_matches_independent_recount_oracle(self, drawn):
-        space, sampled, t = drawn
-        c = build_count_tensor(sampled, t, space)
+        space, journeys, t = drawn
+        c = build_count_tensor(*series(*journeys), t, space)
         c.validate()
         # independent single-pass tally
         n1 = collections.Counter()
         n2 = collections.Counter()
         n3 = collections.Counter()
-        for s in sampled:
-            d = s.delays
+        for d in journeys:
             if len(d) >= t:
                 n1[(d[t - 1],)] += 1
                 if t >= 2:
@@ -114,31 +115,31 @@ class TestBuildCountTensor:
         assert dict(n3) == cells(c.n3)
 
     def test_total_count_equals_long_enough_series(self):
-        s = series((0,), (0, 1), (1, 1, 1), (0, 0, 1, 1))
+        journeys = [(0,), (0, 1), (1, 1, 1), (0, 0, 1, 1)]
         for t in (1, 2, 3, 4):
-            c = build_count_tensor(s, t, SPACE)
-            assert c.n1.sum() == sum(1 for x in s if len(x) >= t)
+            c = build_count_tensor(*series(*journeys), t, SPACE)
+            assert c.n1.sum() == sum(1 for x in journeys if len(x) >= t)
 
     def test_pair_counts_consistent_with_n3(self):
-        c = build_count_tensor(series((0, 0, 0), (0, 0, 1), (1, 0, 1)), 3, SPACE)
+        c = build_count_tensor(*series((0, 0, 0), (0, 0, 1), (1, 0, 1)), 3, SPACE)
         assert cells(c.n3.sum(axis=2)) == {(0, 0): 2, (1, 0): 1}
 
 
 class TestEstimateFrequencies:
     def test_ratio_row(self):
-        c = build_count_tensor(series((0, -1), (0, -1), (0, 1), (0, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, -1), (0, -1), (0, 1), (0, 1)), 2, SPACE)
         f = estimate_frequencies(c)
         assert cells(f.p2[SPACE.index(0)]) == {(-1,): 0.5, (1,): 0.5}
 
     def test_zero_row_undefined(self):
         # an unobserved row is NaN throughout; an observed row's unseen cells are 0
-        c = build_count_tensor(series((0, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, 1)), 2, SPACE)
         f = estimate_frequencies(c)
         assert np.isnan(f.p2[SPACE.index(1)]).all()  # state 1 never seen at t-1
         assert f.p2[SPACE.index(0), SPACE.index(0)] == 0.0
 
     def test_defined_rows_are_exactly_support(self):
-        c = build_count_tensor(series((0, 1), (2, 1), (2, 2)), 2, SPACE)
+        c = build_count_tensor(*series((0, 1), (2, 1), (2, 2)), 2, SPACE)
         f = estimate_frequencies(c)
         defined = ~np.isnan(f.p2).all(axis=1)
         assert set(SPACE.states()[defined]) == {0, 2}
@@ -154,7 +155,7 @@ class TestEstimateFrequencies:
             seed=3,
             matrices=tuple(np.full((5, 5), 0.2) for _ in range(2)),
         )
-        c = build_count_tensor(sample_series(spec, 500), 3, space)
+        c = build_count_tensor(*sampled(spec, 500), 3, space)
         f = estimate_frequencies(c)
         assert abs(f.p1.sum() - 1.0) < 1e-12
         for p in (f.p2, f.p3):
@@ -168,16 +169,16 @@ class TestEstimateFrequencies:
         spec = ChainSpec(
             space, 2, 1, np.array([1 / 3, 1 / 3, 1 / 3]), seed=11, matrices=(truth,)
         )
-        c = build_count_tensor(sample_series(spec, 10_000), 2, space)
+        c = build_count_tensor(*sampled(spec, 10_000), 2, space)
         f = estimate_frequencies(c)
         assert np.abs(f.p2 - truth).max() < 0.05
 
     def test_permutation_invariance(self):
-        s = series((0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0))
+        s = [(0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0)]
         shuffled = s[:]
         random.Random(5).shuffle(shuffled)
-        a = estimate_frequencies(build_count_tensor(s, 3, SPACE))
-        b = estimate_frequencies(build_count_tensor(shuffled, 3, SPACE))
+        a = estimate_frequencies(build_count_tensor(*series(*s), 3, SPACE))
+        b = estimate_frequencies(build_count_tensor(*series(*shuffled), 3, SPACE))
         for pa, pb in ((a.p1, b.p1), (a.p2, b.p2), (a.p3, b.p3)):
             assert np.array_equal(pa, pb, equal_nan=True)
 

@@ -21,6 +21,8 @@ from railmc.evaluate import (
     trend_score,
 )
 
+from test_core import series
+
 
 class TestF1:
     def test_perfect(self):
@@ -177,7 +179,7 @@ class TestBaselinePredictors:
     def test_marginal_requires_observations(self):
         with pytest.raises(ValueError):
             marginal_predictor(
-                build_count_tensor([], 5, StateSpace(15)), 0, StateSpace(15), RunConfig()
+                build_count_tensor(*series(), 5, StateSpace(15)), 0, StateSpace(15), RunConfig()
             )
 
 

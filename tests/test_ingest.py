@@ -1,15 +1,21 @@
 import datetime as dt
 import io
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from railmc.core import StateSpace
+from railmc.config import RunConfig
+from railmc.core import DelaySeries, StateSpace
 from railmc.ingest import (
     JourneyTemplate,
     NoTargetError,
     RealizationEvent,
     StationKey,
-    TimetableError,
+    IngestError,
     assemble_series,
     compute_delay_minutes,
     load_timetable,
@@ -17,6 +23,8 @@ from railmc.ingest import (
     select_target_station,
     write_rejects,
 )
+from railmc.pipeline import build_store, store_series
+from railmc.synth import near_diagonal_spec, sample_delays, write_ingest_files
 
 REAL_HEADER = "train_id,date,station_code,activity,planned_time,realized_time\n"
 TT_HEADER = "train_id,station_code,activity,planned_time,sequence\n"
@@ -70,7 +78,7 @@ class TestParseEvents:
         assert rejects[0].reason == "wrong field count"
 
     def test_bad_header_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IngestError, match="realization <realization> line 1: unexpected header"):
             parse_events(io.StringIO("a,b,c\n1,2,3\n"))
 
     def test_empty_file_warns(self):
@@ -111,11 +119,11 @@ class TestLoadTimetable:
             "519,A,V,2017-11-07T12:07:00,1",
             "519,B,V,2017-11-07T12:00:00,2",
         ]
-        with pytest.raises(TimetableError, match="train 519: planned times must be non-decreasing"):
+        with pytest.raises(IngestError, match="train 519: planned times must be non-decreasing"):
             load_timetable(io.StringIO(TT_HEADER + "\n".join(rows) + "\n"))
 
     def test_bad_header(self):
-        with pytest.raises(TimetableError, match="line 1: unexpected header"):
+        with pytest.raises(IngestError, match="line 1: unexpected header"):
             load_timetable(io.StringIO("train,station\n"))
 
 
@@ -182,6 +190,18 @@ class TestAssembleSeries:
         assert len(series) == 1
         assert rejects[0].reason == "station not in template"
 
+    def test_duplicate_event_keeps_first_row(self):
+        # a repeated (date, station, activity) row must not overwrite the first
+        tmpl = template("A", "B")
+        events = [
+            event("A", tmpl.planned[0], tmpl.planned[0] - dt.timedelta(minutes=7)),
+            event("B", tmpl.planned[1], tmpl.planned[1]),
+            event("A", tmpl.planned[0], tmpl.planned[0] + dt.timedelta(minutes=9)),
+        ]
+        series, rejects = assemble_series(events, tmpl, StateSpace(15))
+        assert [s.delays for s in series] == [(-7, 0)]
+        assert [(r.row, r.reason) for r in rejects] == [("519,2017-11-07,A,V", "duplicate event")]
+
     def test_emitted_plus_rejected_covers_all_dates(self):
         tmpl = template("A", "B")
         events = []
@@ -246,3 +266,37 @@ class TestWriteRejects:
         lines = out.read_text().splitlines()
         assert lines[0] == "row,reason"
         assert "unknown activity" in lines[1]
+
+
+@st.composite
+def cut_journeys(draw):
+    """One train's sampled journeys, each cut to a drawn length, on a drawn n_max."""
+    n_max = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 12))
+    spec = near_diagonal_spec(StateSpace(n_max), length, 1.5, seed=draw(st.integers(0, 2**16)))
+    lengths = draw(st.lists(st.integers(1, length), min_size=count, max_size=count))
+    return n_max, sample_delays(spec, count), np.array(lengths)
+
+
+class TestIngestRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(cut_journeys())
+    def test_store_gives_back_every_delay(self, drawn):
+        n_max, delays, lengths = drawn
+        series = [
+            DelaySeries("T001", f"d{n}", tuple(row[:k]))
+            for n, (row, k) in enumerate(zip(delays.tolist(), lengths.tolist()))
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            tt, rz = Path(tmp) / "timetable.csv", Path(tmp) / "realization.csv"
+            write_ingest_files(series, tt, rz)
+            events, parse_rejects = parse_events(rz)
+            store, rejects = build_store(load_timetable(tt), events, RunConfig(n_max=n_max))
+        assert parse_rejects == [] and rejects == []
+        assert all(s["clipped"] == 0 for s in store["trains"]["T001"]["series"])
+        got, got_lengths, _dates = store_series(store, "T001")
+        assert np.array_equal(got_lengths, lengths)
+        width = lengths.max()
+        padded = np.where(np.arange(width) < lengths[:, None], delays[:, :width], 0)
+        assert got.dtype == np.int64 and np.array_equal(got, padded)

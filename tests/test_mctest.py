@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from railmc.core import (
     CountTensor,
-    DelaySeries,
     StateSpace,
     build_count_tensor,
     estimate_frequencies,
@@ -19,9 +18,9 @@ from railmc.mctest import (
     markov_property_test,
     zero_order_statistics,
 )
-from railmc.synth import ChainSpec, sample_series
+from railmc.synth import ChainSpec
 
-from test_core import cells
+from test_core import cells, sampled, series
 
 SPACE = StateSpace(15)
 
@@ -36,10 +35,6 @@ def chi2_cdf_by_quadrature(x, df):
 
     val, _err = quad(density, 0.0, x, limit=200)
     return val
-
-
-def series(*delay_tuples, train="x"):
-    return [DelaySeries(train, f"d{k}", tuple(d)) for k, d in enumerate(delay_tuples)]
 
 
 class TestChiSquareFunctions:
@@ -98,7 +93,7 @@ def direct_summation_zero_order(counts):
 
 class TestZeroOrderStatistics:
     def test_two_state_hand_case(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         f = estimate_frequencies(c)
         lr0, q0, df0 = zero_order_statistics(f, c)
         assert q0 == pytest.approx(2.0, abs=1e-12)
@@ -115,7 +110,7 @@ class TestZeroOrderStatistics:
         for i in (0, 1):
             for j, reps in ((0, 3), (1, 1)):
                 s += [(i, j)] * reps
-        c = build_count_tensor(series(*s), 2, SPACE)
+        c = build_count_tensor(*series(*s), 2, SPACE)
         f = estimate_frequencies(c)
         lr0, q0, _df = zero_order_statistics(f, c)
         assert lr0 == pytest.approx(0.0, abs=1e-12)
@@ -124,16 +119,17 @@ class TestZeroOrderStatistics:
     def test_df_arithmetic(self):
         # 4 observed source states, 3 observed destination states
         s = [(i, j) for i in (-2, -1, 0, 1) for j in (0, 1, 2)]
-        c = build_count_tensor(series(*s), 2, SPACE)
+        c = build_count_tensor(*series(*s), 2, SPACE)
         f = estimate_frequencies(c)
         _lr, _q, df0 = zero_order_statistics(f, c)
         assert df0 == 6
 
     def test_truncation_invariance(self):
         # relabeling through unobserved states changes nothing
-        a = build_count_tensor(series((0, 0), (0, 1), (1, 1), (1, 0), (0, 0)), 2, SPACE)
-        shifted = [tuple(5 * d - 3 for d in s.delays) for s in series((0, 0), (0, 1), (1, 1), (1, 0), (0, 0))]
-        b = build_count_tensor(series(*shifted), 2, SPACE)
+        journeys = [(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)]
+        a = build_count_tensor(*series(*journeys), 2, SPACE)
+        shifted = [tuple(5 * d - 3 for d in j) for j in journeys]
+        b = build_count_tensor(*series(*shifted), 2, SPACE)
         ra = zero_order_statistics(estimate_frequencies(a), a)
         rb = zero_order_statistics(estimate_frequencies(b), b)
         assert ra == pytest.approx(rb)
@@ -151,7 +147,7 @@ class TestZeroOrderStatistics:
                 [0.2, 0.1, 0.1, 0.1, 0.5],
             ]),),
         )
-        c = build_count_tensor(sample_series(spec, 400), 2, SPACE)
+        c = build_count_tensor(*sampled(spec, 400), 2, SPACE)
         f = estimate_frequencies(c)
         got = zero_order_statistics(f, c)
         expect = direct_summation_zero_order(c)
@@ -162,7 +158,7 @@ class TestZeroOrderStatistics:
 
 class TestFirstOrderStatistics:
     def test_hand_case(self):
-        c = build_count_tensor(series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, SPACE)
+        c = build_count_tensor(*series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, SPACE)
         f = estimate_frequencies(c)
         lr1, q1, df1 = first_order_statistics(f, c)
         assert q1 == pytest.approx(2.0, abs=1e-12)
@@ -175,7 +171,7 @@ class TestFirstOrderStatistics:
         for h in (0, 1):
             for i in (0, 1):
                 s += [(h, i, 0), (h, i, 1)]
-        c = build_count_tensor(series(*s), 3, SPACE)
+        c = build_count_tensor(*series(*s), 3, SPACE)
         f = estimate_frequencies(c)
         lr1, q1, _df = first_order_statistics(f, c)
         assert lr1 == pytest.approx(0.0, abs=1e-12)
@@ -184,14 +180,14 @@ class TestFirstOrderStatistics:
     def test_df_arithmetic(self):
         # |A(t-2)|=3, |A(t-1)|=2, |A(t)|=4 -> df1 = 2*2*3 = 12
         s = [(h, i, j) for h in (0, 1, 2) for i in (0, 1) for j in (0, 1, 2, 3)]
-        c = build_count_tensor(series(*s), 3, SPACE)
+        c = build_count_tensor(*series(*s), 3, SPACE)
         f = estimate_frequencies(c)
         assert first_order_statistics(f, c)[2] == 12
 
 
 class TestMarkovPropertyTest:
     def test_hand_case_not_rejected(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         report = markov_property_test(c, alpha1=0.05)
         # q0 = 2 < 3.841 at df = 1
         assert report.verdict_h0_0 == "not_rejected"
@@ -204,21 +200,21 @@ class TestMarkovPropertyTest:
             space, 3, 1, np.array([1 / 3, 1 / 3, 1 / 3]), seed=23,
             matrices=(diag, diag),
         )
-        c = build_count_tensor(sample_series(spec, 10_000), 3, SPACE)
+        c = build_count_tensor(*sampled(spec, 10_000), 3, SPACE)
         report = markov_property_test(c)
         assert report.verdicts["Q"] == ("rejected", "not_rejected")
         assert report.verdicts["LR"] == ("rejected", "not_rejected")
 
     def test_degenerate_support_untestable(self):
-        c = build_count_tensor(series((0, 0), (0, 0)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0), (0, 0)), 2, SPACE)
         assert markov_property_test(c).verdict_h0_0 == "untestable"
 
     def test_no_rows_untestable(self):
-        c = build_count_tensor([], 2, SPACE)
+        c = build_count_tensor(*series(), 2, SPACE)
         assert markov_property_test(c).verdict_h0_0 == "untestable"
 
     def test_alpha_validation(self):
-        c = build_count_tensor(series((0, 0)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0)), 2, SPACE)
         with pytest.raises(ValueError):
             markov_property_test(c, alpha1=0.0)
 
@@ -243,13 +239,13 @@ class TestMarkovPropertyTest:
 
 class TestReporting:
     def test_report_roundtrips_to_dict(self):
-        c = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
+        c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         d = markov_property_test(c).to_dict()
         assert d["t"] == 2 and d["df0"] == 1
         assert d["verdicts"]["Q"][0] == "not_rejected"
 
     def test_aggregate_shape(self):
-        counts = build_count_tensor(series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
+        counts = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         reports = [markov_property_test(counts)]
         agg = aggregate_reports(reports)
         assert agg["total_stations"] == 1

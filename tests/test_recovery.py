@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from railmc.core import DelaySeries, StateSpace, build_count_tensor
+from railmc.core import StateSpace, build_count_tensor
 from railmc.recovery import (
     _RIDGE,
     _gaussian_rows,
@@ -16,21 +16,20 @@ from railmc.recovery import (
     uniform_fill,
     write_matrix_csv,
 )
-from railmc.synth import near_diagonal_spec, sample_series
+from railmc.synth import near_diagonal_spec, sample_delays
+
+from test_core import sampled, series
 
 
-def series(*delay_tuples, train="x"):
-    return [DelaySeries(train, f"d{k}", tuple(d)) for k, d in enumerate(delay_tuples)]
-
-
-def transition_pairs(sampled):
-    return np.array([(s.delays[0], s.delays[1]) for s in sampled], dtype=float)
+def transition_pairs(delays):
+    """The (station 1, station 2) delay pair of every journey."""
+    return delays[:, :2].astype(float)
 
 
 class TestEmpiricalMatrix:
     def test_observed_row_ratios(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, -1), (0, -1), (0, 1), (0, 2)), 2, space)
+        c = build_count_tensor(*series((0, -1), (0, -1), (0, 1), (0, 2)), 2, space)
         mat = empirical_matrix(c)
         row = mat[space.index(0)]
         assert row[space.index(-1)] == pytest.approx(0.5)
@@ -40,20 +39,20 @@ class TestEmpiricalMatrix:
 
     def test_unobserved_rows_undefined(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2, space)
+        c = build_count_tensor(*series((0, 1)), 2, space)
         mat = empirical_matrix(c)
         assert np.isnan(mat[space.index(1)]).all()
         assert np.isnan(mat).all(axis=1).sum() == space.cardinality - 1
 
     def test_station_index_validation(self):
         with pytest.raises(ValueError):
-            empirical_matrix(build_count_tensor(series((0,)), 1, StateSpace(2)))
+            empirical_matrix(build_count_tensor(*series((0,)), 1, StateSpace(2)))
 
 
 class TestFills:
     def test_diagonal_fill(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2, space)
+        c = build_count_tensor(*series((0, 1)), 2, space)
         mat = diagonal_fill(empirical_matrix(c))
         r = space.index(2)
         assert mat[r, r] == 1.0
@@ -64,14 +63,14 @@ class TestFills:
 
     def test_uniform_fill(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1)), 2, space)
+        c = build_count_tensor(*series((0, 1)), 2, space)
         mat = uniform_fill(empirical_matrix(c))
         r = space.index(-2)
         assert np.allclose(mat[r], 1.0 / 5.0)
 
     def test_all_rows_defined_after_fill(self):
         space = StateSpace(3)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
+        c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
         for fill in (diagonal_fill, uniform_fill):
             mat = fill(empirical_matrix(c))
             assert np.isfinite(mat).all()
@@ -86,7 +85,7 @@ class TestGaussianRegressionFill:
         s = []
         for i in rows:
             s += [(i, i - 1), (i, i), (i, i + 1)]
-        return build_count_tensor(series(*s), 2, space)
+        return build_count_tensor(*series(*s), 2, space)
 
     def test_constant_spread_line(self):
         space = StateSpace(5)
@@ -119,7 +118,7 @@ class TestGaussianRegressionFill:
             s.append((-2, j))
         for j in (1, 2, 3):
             s.append((2, j))
-        c = build_count_tensor(series(*s), 2, space)
+        c = build_count_tensor(*series(*s), 2, space)
         mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
@@ -130,7 +129,7 @@ class TestGaussianRegressionFill:
 
     def test_single_observed_row_falls_back_to_diagonal(self):
         space = StateSpace(3)
-        c = build_count_tensor(series((0, 1), (0, -1)), 2, space)
+        c = build_count_tensor(*series((0, 1), (0, -1)), 2, space)
         with pytest.warns(UserWarning):
             mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         r = space.index(2)
@@ -139,7 +138,7 @@ class TestGaussianRegressionFill:
     def test_rows_sum_to_one(self):
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
-        c = build_count_tensor(sample_series(spec, 50), 2, space)
+        c = build_count_tensor(*sampled(spec, 50), 2, space)
         mat = gaussian_regression_fill(empirical_matrix(c), c, space)
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
@@ -147,7 +146,7 @@ class TestGaussianRegressionFill:
         # the one-assignment fill must equal the row-by-row construction exactly
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 4.0, seed=9)
-        c = build_count_tensor(sample_series(spec, 40), 2, space)
+        c = build_count_tensor(*sampled(spec, 40), 2, space)
         partial = empirical_matrix(c)
         mat = gaussian_regression_fill(partial, c, space)
         states = space.states()
@@ -184,7 +183,7 @@ class TestGaussianRegressionFill:
 
     def test_unknown_std_form(self):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
+        c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
         with pytest.raises(ValueError):
             gaussian_regression_fill(empirical_matrix(c), c, space, std_form="bogus")
 
@@ -274,7 +273,7 @@ class TestKdeMatrix:
     def test_rows_are_distributions(self):
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 2.0, seed=6)
-        pairs = transition_pairs(sample_series(spec, 500))
+        pairs = transition_pairs(sample_delays(spec, 500))
         mat = kde_matrix(kde_fit(pairs), space)
         assert mat.shape == (31, 31)
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
@@ -284,8 +283,7 @@ class TestKdeMatrix:
     def test_near_diagonal_mass_stays_near_diagonal(self):
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 1.0, seed=8)
-        sampled = sample_series(spec, 2000)
-        pairs = transition_pairs(sampled)
+        pairs = transition_pairs(sample_delays(spec, 2000))
         mat = kde_matrix(kde_fit(pairs), space)
         observed_rows = sorted({int(p[0]) for p in pairs})
         for i in observed_rows:
@@ -319,7 +317,7 @@ class TestKdeMatrix:
 class TestMatrixOutput:
     def test_csv_grid(self, tmp_path):
         space = StateSpace(2)
-        c = build_count_tensor(series((0, 1), (1, 0)), 2, space)
+        c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
         mat = uniform_fill(empirical_matrix(c))
         out = tmp_path / "mat.csv"
         write_matrix_csv(mat, space, out)
