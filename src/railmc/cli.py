@@ -5,8 +5,8 @@ Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs.
 
-Exit codes: 0 ok, 1 internal error, 2 I/O error or a malformed bundle, config
-file, realization header or timetable row, 3 empty selection, 4 coverage gap
+Exit codes: 0 ok, 1 internal error, 2 I/O error or a malformed store, bundle,
+config file, realization header or timetable row, 3 empty selection, 4 coverage gap
 (a station missing from the bundle, or a delay or store outside the model's
 state space).
 """
@@ -19,10 +19,19 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .config import METRICS, POINT_METRICS, STRATEGIES, ConfigError, RunConfig
+from .config import (
+    CLIP_MODES,
+    METRICS,
+    POINT_METRICS,
+    RWMSE_FORMS,
+    STATISTICS,
+    STRATEGIES,
+    ConfigError,
+    RunConfig,
+)
 from .core import StateSpace
 from .ingest import IngestError, NoTargetError, load_timetable, parse_events, write_rejects
-from .pipeline import BundleError, CoverageError, EmptySelectionError
+from .pipeline import BundleError, CoverageError, EmptySelectionError, StoreError
 from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
 
@@ -49,11 +58,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
                    help=f"metric for the minutes prediction (default {defaults.minutes_metric})")
     p.add_argument("--strategy", choices=STRATEGIES,
                    help=f"matrix recovery strategy (default {defaults.strategy})")
-    p.add_argument("--statistic", choices=["LR", "Q"],
+    p.add_argument("--statistic", choices=STATISTICS,
                    help=f"ladder statistic for the order test (default {defaults.statistic})")
-    p.add_argument("--rwmse-form", choices=["printed", "squared"],
+    p.add_argument("--rwmse-form", choices=RWMSE_FORMS,
                    help=f"error form under the RWMSE root (default {defaults.rwmse_form})")
-    p.add_argument("--clip-mode", choices=["saturate", "drop"],
+    p.add_argument("--clip-mode", choices=CLIP_MODES,
                    help=f"out-of-range delay handling (default {defaults.clip_mode})")
     p.add_argument("--seed", type=int, help=f"seed of the synthetic corpus; only synth draws random numbers (default {defaults.seed})")
 
@@ -234,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CoverageError, NoTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (OSError, BundleError, ConfigError, IngestError) as exc:
+    except (OSError, BundleError, ConfigError, IngestError, StoreError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -16,6 +16,10 @@ __all__ = ["ConfigError", "RunConfig"]
 STRATEGIES = ("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")
 POINT_METRICS = ("mean", "mode", "median")
 METRICS = POINT_METRICS + ("probability",)
+STATISTICS = ("LR", "Q")
+RWMSE_FORMS = ("printed", "squared")
+REGRESSION_STDS = ("printed", "sqrt")
+CLIP_MODES = ("saturate", "drop")
 
 
 class ConfigError(ValueError):
@@ -47,8 +51,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a number in (0, {high}), got {value!r}")
         choices = {
             "strategy": STRATEGIES,
-            "statistic": ("LR", "Q"),
-            "rwmse_form": ("printed", "squared"),
+            "statistic": STATISTICS,
+            "rwmse_form": RWMSE_FORMS,
+            "regression_std": REGRESSION_STDS,
+            "clip_mode": CLIP_MODES,
             "trend_metric": METRICS,
             "jump_metric": METRICS,
             "minutes_metric": POINT_METRICS,

@@ -1,7 +1,10 @@
 """Scoring of delay predictions: class F1 scores, RWMSE, and the total score.
 
-Also provides the two simple baseline predictors (naive persistence and the
-marginal delay distribution at the target station).
+Also provides the two baseline predictors as propagation chains of shape
+(steps, k, k), so they run through the same Chapman-Kolmogorov product as a
+trained bundle: naive persistence is the empty chain, and the marginal
+baseline is one matrix whose every row is the delay distribution at the
+target station.
 """
 
 from __future__ import annotations
@@ -10,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .config import RunConfig
+import numpy as np
+
 from .core import CountTensor, StateSpace
-from .forecast import Prediction, make_prediction, point_delay
 
 __all__ = [
     "ScoreReport",
@@ -131,30 +134,19 @@ def total_score(f_jp: float, f_tr: float, rwmse_value: float) -> float:
     return 10.0 * f_jp + 5.0 * f_tr - rwmse_value
 
 
-def naive_predictor(d_s: int, space: StateSpace) -> Prediction:
-    """Persistence baseline: the future delay equals the current delay."""
-    return Prediction(
-        distribution=point_delay(d_s, space),
-        current_delay=d_s,
-        trend="equal",
-        jump=False,
-        minutes=float(d_s),
-        config=RunConfig(),
-    )
+def naive_predictor(space: StateSpace) -> np.ndarray:
+    """Persistence baseline: the chain with no step, so v(T) = v(S)."""
+    return np.empty((0, space.cardinality, space.cardinality))
 
 
-def marginal_predictor(
-    counts_at_target: CountTensor,
-    d_s: int,
-    space: StateSpace,
-    config: RunConfig,
-) -> Prediction:
-    """Baseline using the marginal delay distribution at the target station."""
+def marginal_predictor(counts_at_target: CountTensor, space: StateSpace) -> np.ndarray:
+    """Marginal baseline: one step whose every row is the delay distribution
+    observed at the target station, whatever the current delay."""
     n1 = counts_at_target.n1
     total = n1.sum()
     if total == 0:
         raise ValueError("no observations at the target station")
-    return make_prediction(n1 / total, d_s, space, config)
+    return np.tile(n1 / total, (space.cardinality, 1))[None]
 
 
 @dataclass(frozen=True)
@@ -190,11 +182,15 @@ class ScoreReport:
 
 
 def score_batch(
-    predictions: Sequence[Prediction],
+    predictions: Sequence,
     actual_delays: Sequence[int],
     rwmse_form: str = "printed",
 ) -> ScoreReport:
-    """Score predictions against the realized delays at the target station."""
+    """Score predictions against the realized delays at the target station.
+
+    Each prediction is a `forecast.Prediction`; only its current_delay,
+    trend, jump and minutes are read.
+    """
     if len(predictions) != len(actual_delays):
         raise ValueError("prediction/actual length mismatch")
     if not predictions:

@@ -11,7 +11,8 @@ the alignment key is (station_code, activity). Malformed realization rows
 are collected into a rejects report, never silently dropped, and so is every
 repeat of a (train, date, station, activity) event after its first row. A bad
 realization header, or a malformed timetable row, raises IngestError naming
-the file and line.
+the file and line; so does a timetable row that repeats its train's
+(station, activity) key, since a loop line cannot be aligned by that key.
 """
 
 from __future__ import annotations
@@ -178,6 +179,7 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
     if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
         raise error(f"unexpected header {header!r}")
     rows: dict[str, list[tuple[int, StationKey, dt.datetime]]] = {}
+    seen: set[tuple[str, StationKey]] = set()
     for row in reader:
         if len(row) != len(TIMETABLE_HEADER):
             raise error(f"expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
@@ -186,6 +188,9 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
             entry = (int(seq), StationKey(station, activity), _parse_timestamp(planned))
         except ValueError as exc:
             raise error(str(exc)) from None
+        if (train_id, entry[1]) in seen:
+            raise error(f"train {train_id} visits {station}/{activity} twice; loop lines are not supported")
+        seen.add((train_id, entry[1]))
         rows.setdefault(train_id, []).append(entry)
     templates = {}
     for train_id, entries in rows.items():
@@ -266,10 +271,11 @@ def select_target_station(template: JourneyTemplate, current_index: int, horizon
     """First station planned at least `horizon` after the current one.
 
     Falls back to the last station when the horizon outruns the journey;
-    raises when the current station is already the last.
+    raises NoTargetError when the current station is already the last or
+    lies outside the template.
     """
     if not 1 <= current_index <= len(template):
-        raise ValueError(f"station index {current_index} outside template")
+        raise NoTargetError(f"station index {current_index} outside template")
     if horizon <= dt.timedelta(0):
         raise ValueError("horizon must be positive")
     if current_index == len(template):

@@ -2,8 +2,9 @@
 
 A *store* is the serialized form of the ingested delay series, grouped per
 train with the planned station sequence. `store_series` reads one train back
-as a zero-padded (n_series, L) delay array plus its lengths; counting,
-recovery and evaluation slice that array by station and mask it by length.
+as a zero-padded (n_series, L) delay array plus its lengths, after checking
+every delay is an integer in the store's [-N, N]; counting, recovery and
+evaluation slice that array by station and mask it by length.
 A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both are plain JSON with
 sorted keys so identical runs are byte-identical.
@@ -44,6 +45,7 @@ __all__ = [
     "BundleError",
     "CoverageError",
     "EmptySelectionError",
+    "StoreError",
     "build_store",
     "save_json",
     "load_json",
@@ -70,6 +72,10 @@ class BundleError(ValueError):
 
 class EmptySelectionError(RuntimeError):
     """No series matched the requested selection."""
+
+
+class StoreError(ValueError):
+    """A series store is malformed; the message names the train and the date."""
 
 
 def build_store(
@@ -116,33 +122,65 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
+def _store_space(store: dict) -> StateSpace:
+    """The store's state space, after checking its n_max and trains table."""
+    n_max = store.get("n_max") if isinstance(store, dict) else None
+    if type(n_max) is not int or n_max < 1:
+        raise StoreError(f"store has no valid n_max (got {n_max!r})")
+    if not isinstance(store.get("trains"), dict):
+        raise StoreError("store has no trains object")
+    return StateSpace(n_max)
+
+
 def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """One train's series: the (n_series, L) int64 delay array, zero past each
-    row's length, the lengths, and the dates."""
-    series = store["trains"][train_id]["series"]
-    lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
+    row's length, the lengths, and the dates.
+
+    Raises StoreError, naming the train and the date, for a delay that is not
+    an integer in the store's [-N, N] (a float or a bool is not).
+    """
+    n_max = _store_space(store).n_max
+    try:
+        series = store["trains"][train_id]["series"]
+        dates = [s["date"] for s in series]
+        lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
+        flat = list(itertools.chain.from_iterable(s["delays"] for s in series))
+    except (KeyError, TypeError) as exc:
+        raise StoreError(f"store train {train_id}: malformed series ({exc!r})") from None
+    # bool is a subclass of int, so the check compares types, not isinstance
+    if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
+            and max(flat, default=0) <= n_max):
+        i = next(i for i, d in enumerate(flat) if type(d) is not int or abs(d) > n_max)
+        date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
+        raise StoreError(
+            f"store train {train_id} date {date}: delay {flat[i]!r} is not an integer "
+            f"in [-{n_max}, {n_max}]"
+        )
     delays = np.zeros((len(series), lengths.max(initial=0)), dtype=np.int64)
-    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.fromiter(
-        itertools.chain.from_iterable(s["delays"] for s in series),
-        dtype=np.int64, count=int(lengths.sum()),
-    )
-    return delays, lengths, [s["date"] for s in series]
+    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
+    return delays, lengths, dates
 
 
 def store_template(store: dict, train_id: str) -> JourneyTemplate:
-    entry = store["trains"][train_id]
-    return JourneyTemplate(
-        train_id=train_id,
-        keys=tuple(StationKey(c, a) for c, a in entry["stations"]),
-        planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
-    )
+    _store_space(store)
+    if train_id not in store["trains"]:
+        raise CoverageError(f"store has no train {train_id}")
+    try:
+        entry = store["trains"][train_id]
+        return JourneyTemplate(
+            train_id=train_id,
+            keys=tuple(StationKey(c, a) for c, a in entry["stations"]),
+            planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"store train {train_id}: malformed template ({exc})") from None
 
 
 def test_store(store: dict, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate."""
+    space = _store_space(store)
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
-    space = StateSpace(store["n_max"])
     per_station = []
     reports = []
     for tid in sorted(store["trains"]):
@@ -191,9 +229,10 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     Every strategy is deterministic: the same store and config give the same
     bundle. Trains are assembled in sorted order.
     """
+    store_space = _store_space(store)
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
-    _check_n_max(store["n_max"], config.n_max, "store", "training")
+    _check_n_max(store_space.n_max, config.n_max, "store", "training")
     space = StateSpace(config.n_max)
     trains = {}
     for tid in sorted(store["trains"]):
@@ -269,6 +308,18 @@ def forecast_from_bundle(
     return _predict_chain(chain, d_s, space, config)
 
 
+def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace) -> np.ndarray:
+    """The marginal baseline's chain; CoverageError when the train has no observation at t."""
+    if train_id not in train_store["trains"]:
+        raise CoverageError(f"training store has no train {train_id}")
+    delays, lengths, _ = store_series(train_store, train_id)
+    counts = build_count_tensor(delays, lengths, t, space)
+    try:
+        return marginal_predictor(counts, space)
+    except ValueError as exc:
+        raise CoverageError(f"train {train_id} station {t}: {exc}") from None
+
+
 def _check_target(s: int, t: int) -> int:
     if s < 1:
         raise NoTargetError(f"current station {s} is before station 1")
@@ -301,11 +352,13 @@ def evaluate_store(
 
     Exactly one of `bundle` or `baseline` drives the predictions; the marginal
     baseline additionally needs the training store it draws counts from.
-    Series too short to reach the target, and trains the bundle does not
-    cover, are skipped; an empty surviving batch is an error. A fixed target
-    at or before `from_station` raises NoTargetError, and a store whose
-    delay bound exceeds the model's raises CoverageError. The bundle path
-    loads and checks each train's chain once, not once per series.
+    Each method gives one propagation chain per train, and each distinct
+    current delay of a train is predicted once. A train with no chain (no
+    target after S, a station the bundle lacks, no training observation at T)
+    skips all its series, a series too short to reach T skips itself, and an
+    empty surviving batch is an error. A fixed target at or before
+    `from_station` raises NoTargetError, and a store whose delay bound
+    exceeds the model's raises CoverageError.
     """
     if (bundle is None) == (baseline is None):
         raise ValueError("provide exactly one of bundle or baseline")
@@ -315,50 +368,37 @@ def evaluate_store(
         raise ValueError("marginal baseline needs a training store")
 
     if target is not None:
-        # before the loop: the loop counts a ValueError as a skipped train
+        # before the loop: the loop counts a NoTargetError as an uncovered train
         _check_target(from_station, target)
-    space = StateSpace(eval_store["n_max"])
-    if bundle is not None:
-        space_bundle = _bundle_space(bundle, "evaluation")
-        _check_n_max(space.n_max, space_bundle.n_max, "evaluation store", "bundle")
+    space = _store_space(eval_store)
+    model_space = space if bundle is None else _bundle_space(bundle, "evaluation")
+    _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
-        _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
+        _check_n_max(_store_space(train_store).n_max, space.n_max, "training store", "evaluation store")
     predictions: list[Prediction] = []
     actuals: list[int] = []
     detail = []
     skipped = 0
     for tid in sorted(eval_store["trains"]):
+        delays, lengths, dates = store_series(eval_store, tid)
         try:
             t_target = _resolve_target(eval_store, tid, from_station, config, target)
-        except ValueError:
-            skipped += 1
-            continue
-        if baseline == "marginal":
-            if tid not in train_store["trains"]:
-                skipped += 1
-                continue
-            train_delays, train_lengths, _ = store_series(train_store, tid)
-            marginal_counts = build_count_tensor(train_delays, train_lengths, t_target, space)
-            if not marginal_counts.n1.any():
-                skipped += 1
-                continue
-        delays, lengths, dates = store_series(eval_store, tid)
-        covered = lengths >= t_target  # T > S: a series that reaches T covers S
-        if bundle is not None:
-            try:
+            if bundle is not None:
                 chain = bundle_matrices(bundle, tid, from_station, t_target)
-            except CoverageError:
-                covered[:] = False  # the bundle cannot reach the target
-        skipped += int((~covered).sum())
-        d_S = delays[covered, from_station - 1].tolist()
-        d_T = delays[covered, t_target - 1].tolist()
-        for date, d_s, d_t in zip(itertools.compress(dates, covered), d_S, d_T):
-            if baseline == "naive":
-                pred = naive_predictor(d_s, space)
-            elif baseline == "marginal":
-                pred = marginal_predictor(marginal_counts, d_s, space, config)
+            elif baseline == "naive":
+                chain = naive_predictor(space)
             else:
-                pred = _predict_chain(chain, d_s, space_bundle, config)
+                chain = _marginal_chain(train_store, tid, t_target, space)
+        except (NoTargetError, CoverageError):
+            skipped += len(lengths)
+            continue
+        covered = lengths >= t_target  # T > S: a series that reaches T covers S
+        skipped += int((~covered).sum())
+        d_S = delays[covered, from_station - 1]
+        d_T = delays[covered, t_target - 1].tolist()
+        by_delay = {d: _predict_chain(chain, d, model_space, config) for d in np.unique(d_S).tolist()}
+        for date, d_s, d_t in zip(itertools.compress(dates, covered), d_S.tolist(), d_T):
+            pred = by_delay[d_s]
             predictions.append(pred)
             actuals.append(d_t)
             detail.append(

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
 from railmc.cli import main
-from railmc.config import RunConfig
+from railmc.config import ConfigError, RunConfig
 from railmc.pipeline import load_json, save_json
 
 
@@ -176,6 +177,22 @@ class TestExitCodes:
         assert main(train + ["--print-matrix", "T001:9"]) == 4
         assert "station 9 for train T001" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("train, station, reason", [
+        ("T001", "9", "station index 9 outside template"),
+        ("T999", "1", "store has no train T999"),
+    ], ids=["station_outside", "unknown_train"])
+    def test_forecast_horizon_without_target_exits_4(self, workspace, capsys, train, station, reason):
+        bundle = workspace / "bundle.json"
+        assert main([
+            "train", "--store", str(workspace / "store.json"),
+            "--out", str(bundle), "--strategy", "diagonal",
+        ]) == 0
+        assert main([
+            "forecast", "--bundle", str(bundle), "--train", train, "--station", station,
+            "--delay", "0", "--store", str(workspace / "store.json"),
+        ]) == 4
+        assert reason in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["1", "2"])
     def test_forecast_target_not_after_station(self, workspace, capsys, target):
         bundle = workspace / "bundle.json"
@@ -218,8 +235,11 @@ class TestExitCodes:
         ({"alpha2": 1.5}, "alpha2 must be a number in (0, 1), got 1.5"),
         ({"horizon_minutes": "20"}, "horizon_minutes must be a number in (0, inf), got '20'"),
         ({"horizon_minutes": 0}, "horizon_minutes must be a number in (0, inf), got 0"),
+        ({"clip_mode": "bogus"}, "unknown clip_mode 'bogus'; choose from saturate, drop"),
+        ({"regression_std": "bogus"}, "unknown regression_std 'bogus'; choose from printed, sqrt"),
     ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice", "string_alpha",
-            "bool_alpha", "zero_alpha", "alpha_above_1", "string_horizon", "zero_horizon"])
+            "bool_alpha", "zero_alpha", "alpha_above_1", "string_horizon", "zero_horizon",
+            "unknown_clip_mode", "unknown_regression_std"])
     def test_bad_config_exits_2(self, workspace, capsys, values, reason):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -234,7 +254,9 @@ class TestExitCodes:
         ("T001,S01,D,2017-11-07T12:00:00", "expected 5 fields, got 4"),
         ("T001,S01,D,2017-11-07T12:00:00,first", "invalid literal for int()"),
         ("T001,S01,X,2017-11-07T12:00:00,1", "unknown activity 'X'"),
-    ], ids=["field_count", "sequence", "activity"])
+        ("T001,S01,V,2017-09-04T08:07:00,2",
+         "train T001 visits S01/V twice; loop lines are not supported"),
+    ], ids=["field_count", "sequence", "activity", "loop_line"])
     def test_malformed_timetable_row_exits_2(self, workspace, capsys, row, reason):
         tt = workspace / "timetable.csv"
         lines = tt.read_text().splitlines()
@@ -366,6 +388,45 @@ def _corrupt_no_strategy(bundle):
     del bundle["meta"]["strategy"]
 
 
+def _store_delay(value):
+    def corrupt(store):
+        series = store["trains"]["T001"]["series"][3]
+        series["delays"][2] = value
+        return f"store train T001 date {series['date']}: delay {value!r} is not an integer in [-15, 15]"
+    return corrupt
+
+
+def _store_no_n_max(store):
+    del store["n_max"]
+    return "store has no valid n_max (got None)"
+
+
+def _store_trains_list(store):
+    store["trains"] = list(store["trains"])
+    return "store has no trains object"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("test", []),
+    ("train", ["--strategy", "diagonal"]),
+    ("evaluate", ["--baseline", "naive"]),
+], ids=["test", "train", "evaluate"])
+@pytest.mark.parametrize("corrupt", [
+    _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
+    _store_no_n_max, _store_trains_list,
+], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max", "no_n_max",
+        "trains_not_object"])
+def test_malformed_store_exits_2(workspace, capsys, command, flags, corrupt):
+    store, out = workspace / "store.json", workspace / "out.json"
+    payload = load_json(store)
+    reason = corrupt(payload)
+    save_json(payload, store)
+    capsys.readouterr()
+    assert main([command, "--store", str(store), "--out", str(out), *flags]) == 2
+    assert f"error: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("corrupt, reason", [
     (_corrupt_shape, "shape (1, 1), expected (31, 31)"),
     (_corrupt_nan, "NaN"),
@@ -433,6 +494,14 @@ class TestConfig:
         assert (c.trend_metric, c.jump_metric, c.minutes_metric) == (
             "median", "probability", "mean",
         )
+
+    @pytest.mark.parametrize("name", [
+        # every str field is a choice; a free-form one would be left out here
+        f.name for f in dataclasses.fields(RunConfig) if f.type in ("str", str)
+    ])
+    def test_every_choice_field_rejects_unknown_value(self, name):
+        with pytest.raises(ConfigError, match=f"unknown {name} 'bogus'"):
+            RunConfig(**{name: "bogus"})
 
     @pytest.mark.parametrize("key, value", [
         ("trend_metric", "bogus"),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from railmc import pipeline
-from railmc.config import RunConfig
+from railmc.cli import main
+from railmc.config import METRICS, POINT_METRICS, RunConfig
 from railmc.core import CountTensor, StateSpace, build_count_tensor
+from railmc.forecast import make_prediction, point_delay, propagate
 from railmc.synth import near_diagonal_spec, sample_series
 from railmc.evaluate import (
     actual_jump,
@@ -157,30 +160,49 @@ class TestTotalScore:
         assert total_score(0.0, 0.0, 2.5) == -2.5
 
 
+def predict(chain, d_s, space, config=RunConfig()):
+    """The forecast of one current delay through a (steps, k, k) chain."""
+    return make_prediction(propagate(point_delay(d_s, space), chain), d_s, space, config)
+
+
 class TestBaselinePredictors:
     def test_naive(self):
         space = StateSpace(15)
-        pred = naive_predictor(7, space)
+        chain = naive_predictor(space)
+        assert chain.shape == (0, 31, 31)
+        pred = predict(chain, 7, space)
         assert pred.trend == "equal"
         assert pred.jump is False
         assert pred.minutes == 7.0
         assert pred.distribution[space.index(7)] == 1.0
+
+    @pytest.mark.parametrize("n_max", [1, 2, 15])
+    def test_naive_is_persistence_under_every_metric(self, n_max):
+        space = StateSpace(n_max)
+        chain = naive_predictor(space)
+        for trend, jump, minutes in itertools.product(METRICS, METRICS, POINT_METRICS):
+            config = RunConfig(trend_metric=trend, jump_metric=jump, minutes_metric=minutes)
+            for d_s in sorted({-n_max, -1, 0, 1, n_max}):
+                pred = predict(chain, d_s, space, config)
+                assert (pred.trend, pred.jump) == ("equal", False)
+                assert pred.minutes == float(d_s) and type(pred.minutes) is float
 
     def test_marginal(self):
         space = StateSpace(15)
         n1 = np.zeros(space.cardinality, dtype=np.int64)
         n1[space.index(0)], n1[space.index(5)] = 3, 1
         counts = CountTensor(5, n1, np.zeros((31, 31), np.int64), np.zeros((31,) * 3, np.int64))
-        pred = marginal_predictor(counts, 0, space, RunConfig(minutes_metric="mean"))
+        chain = marginal_predictor(counts, space)
+        assert chain.shape == (1, 31, 31)
+        assert (chain[0] == n1 / 4).all()  # every row, whatever the current delay
+        pred = predict(chain, 0, space, RunConfig(minutes_metric="mean"))
         assert pred.minutes == pytest.approx(5 / 4)
         assert pred.trend == "equal"  # median stays at 0
         assert pred.jump is False  # mass off the +-1 window is 0.25 < 0.5
 
     def test_marginal_requires_observations(self):
         with pytest.raises(ValueError):
-            marginal_predictor(
-                build_count_tensor(*series(), 5, StateSpace(15)), 0, StateSpace(15), RunConfig()
-            )
+            marginal_predictor(build_count_tensor(*series(), 5, StateSpace(15)), StateSpace(15))
 
 
 class TestScoreBatch:
@@ -188,7 +210,7 @@ class TestScoreBatch:
         space = StateSpace(15)
         currents = [0, 0, 2, 5]
         actuals = [0, 3, 2, 4]
-        preds = [naive_predictor(d, space) for d in currents]
+        preds = [predict(naive_predictor(space), d, space) for d in currents]
         report = score_batch(preds, actuals)
         # actual trends: equal, increase, equal, decrease; naive says equal
         assert report.f_eq == pytest.approx(2 * 2 / (2 * 2 + 2 + 0))
@@ -209,14 +231,20 @@ class TestScoreBatch:
             score_batch([], [])
 
 
+@pytest.fixture
+def two_trains():
+    """Two trains of 20 sampled five-station journeys each."""
+    space = StateSpace(15)
+    trains = {}
+    for k, tid in enumerate(("T001", "T002")):
+        sampled = sample_series(near_diagonal_spec(space, 5, 1.5, seed=k), 20, train_id=tid)
+        trains[tid] = {"series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
+    return {"n_max": 15, "trains": trains}
+
+
 class TestEvaluateStore:
-    def test_bundle_chain_loaded_once_per_train(self, monkeypatch):
-        space = StateSpace(15)
-        trains = {}
-        for k, tid in enumerate(("T001", "T002")):
-            sampled = sample_series(near_diagonal_spec(space, 5, 1.5, seed=k), 20, train_id=tid)
-            trains[tid] = {"series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
-        store = {"n_max": 15, "trains": trains}
+    def test_bundle_chain_loaded_once_per_train(self, monkeypatch, two_trains):
+        store = two_trains
         config = RunConfig(strategy="diagonal")
         bundle = pipeline.train_bundle(store, config)
 
@@ -237,3 +265,35 @@ class TestEvaluateStore:
         assert (pred.trend, pred.jump, pred.minutes) == (
             first["trend"], first["jump"], first["minutes"],
         )
+
+    @pytest.mark.parametrize("method", ["bundle", "naive", "marginal"])
+    def test_one_prediction_per_distinct_current_delay(self, monkeypatch, two_trains, method):
+        config = RunConfig(strategy="diagonal")
+        kwargs = {"bundle": pipeline.train_bundle(two_trains, config)} if method == "bundle" else {
+            "baseline": method, "train_store": two_trains}
+        calls = []
+        original = pipeline.make_prediction
+
+        def counting(v, d_s, space, config):
+            calls.append(d_s)
+            return original(v, d_s, space, config)
+
+        monkeypatch.setattr(pipeline, "make_prediction", counting)
+        report, payload = pipeline.evaluate_store(two_trains, config, target=5, **kwargs)
+        keys = {(p["train"], p["d_S"]) for p in payload["predictions"]}
+        assert report.eval_count == 40 and len(calls) == len(keys) < 40
+        assert sorted(calls) == sorted(d_s for _, d_s in keys)
+
+    def test_uncovered_train_skips_every_series(self, tmp_path):
+        tt, rz, path = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"
+        assert main(["synth", "--series", "30", "--trains", "2", "--length", "5", "--seed", "2",
+                     "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert main(["ingest", "--timetable", str(tt), "--realization", str(rz),
+                     "--out", str(path)]) == 0
+        store = pipeline.load_json(path)
+        train_store = {**store, "trains": {"T001": store["trains"]["T001"]}}
+        config = RunConfig(strategy="diagonal")
+        bundle = pipeline.train_bundle(train_store, config)
+        for kwargs in ({"bundle": bundle}, {"baseline": "marginal", "train_store": train_store}):
+            report, payload = pipeline.evaluate_store(store, config, target=5, **kwargs)
+            assert (report.eval_count, payload["skipped"]) == (30, 30)

@@ -251,8 +251,9 @@ class TestTargetSelection:
 
     def test_bad_inputs(self):
         tmpl = template("A", "B")
-        with pytest.raises(ValueError):
-            select_target_station(tmpl, 0, dt.timedelta(minutes=20))
+        for outside in (0, 3):  # no station to predict from, so no target
+            with pytest.raises(NoTargetError, match=f"station index {outside} outside template"):
+                select_target_station(tmpl, outside, dt.timedelta(minutes=20))
         with pytest.raises(ValueError):
             select_target_station(tmpl, 1, dt.timedelta(0))
 
