@@ -8,6 +8,10 @@ statistics and df are invariant under relabeling of unobserved states.
 The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
 zero-order null is rejected. Both statistics are always computed; the ladder
 uses Q by default, with LR available as an alternative.
+
+The chi-square CDF and quantile are scipy's regularized incomplete gamma
+functions. scipy is imported inside those two functions, so only the code
+that runs the test (the `test` command) pays for loading it.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy import special
 
 from .core import CountTensor, FrequencyEstimates, estimate_frequencies
 
@@ -44,6 +47,8 @@ def chi_square_cdf(x: float, df: int) -> float:
         raise ValueError(f"df must be >= 1, got {df}")
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
+    from scipy import special
+
     return float(special.gammainc(df / 2.0, x / 2.0))
 
 
@@ -53,6 +58,8 @@ def chi_square_quantile(p: float, df: int) -> float:
         raise ValueError(f"df must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
+    from scipy import special
+
     return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 

@@ -122,14 +122,20 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
+def _space_of(n_max, error: type[ValueError], owner: str) -> StateSpace:
+    """The state space of a store's or bundle's n_max, which must be an int >= 1
+    (not a bool, a float or a string); `error` names `owner` otherwise."""
+    if type(n_max) is not int or n_max < 1:
+        raise error(f"{owner} has no valid n_max (got {n_max!r})")
+    return StateSpace(n_max)
+
+
 def _store_space(store: dict) -> StateSpace:
     """The store's state space, after checking its n_max and trains table."""
-    n_max = store.get("n_max") if isinstance(store, dict) else None
-    if type(n_max) is not int or n_max < 1:
-        raise StoreError(f"store has no valid n_max (got {n_max!r})")
+    space = _space_of(store.get("n_max") if isinstance(store, dict) else None, StoreError, "store")
     if not isinstance(store.get("trains"), dict):
         raise StoreError("store has no trains object")
-    return StateSpace(n_max)
+    return space
 
 
 def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -256,11 +262,11 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
 def _bundle_space(bundle: dict, where: str) -> StateSpace:
     """The bundle's state space, after checking its meta.n_max, meta.strategy
     and trains table."""
-    try:
-        space = StateSpace(int(bundle["meta"]["n_max"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise BundleError(f"bundle meta has no valid n_max for {where} ({exc!r})") from None
-    if not isinstance(bundle["meta"].get("strategy"), str):
+    meta = bundle.get("meta") if isinstance(bundle, dict) else None
+    if not isinstance(meta, dict):
+        raise BundleError(f"bundle has no meta object for {where}")
+    space = _space_of(meta.get("n_max"), BundleError, f"bundle meta for {where}")
+    if not isinstance(meta.get("strategy"), str):
         raise BundleError(f"bundle meta has no strategy for {where}")
     if not isinstance(bundle.get("trains"), dict):
         raise BundleError(f"bundle has no trains table for {where}")
@@ -320,10 +326,11 @@ def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace)
         raise CoverageError(f"train {train_id} station {t}: {exc}") from None
 
 
-def _check_target(s: int, t: int) -> int:
+def _check_target(s: int, t: int | None) -> int | None:
+    """Check the current station S, and a fixed target T if one is given."""
     if s < 1:
         raise NoTargetError(f"current station {s} is before station 1")
-    if t <= s:
+    if t is not None and t <= s:
         raise NoTargetError(f"target station {t} is not after current station {s}")
     return t
 
@@ -356,9 +363,9 @@ def evaluate_store(
     current delay of a train is predicted once. A train with no chain (no
     target after S, a station the bundle lacks, no training observation at T)
     skips all its series, a series too short to reach T skips itself, and an
-    empty surviving batch is an error. A fixed target at or before
-    `from_station` raises NoTargetError, and a store whose delay bound
-    exceeds the model's raises CoverageError.
+    empty surviving batch is an error. A `from_station` below 1, or a fixed
+    target at or before it, raises NoTargetError, and a store whose delay
+    bound exceeds the model's raises CoverageError.
     """
     if (bundle is None) == (baseline is None):
         raise ValueError("provide exactly one of bundle or baseline")
@@ -367,9 +374,8 @@ def evaluate_store(
     if baseline == "marginal" and train_store is None:
         raise ValueError("marginal baseline needs a training store")
 
-    if target is not None:
-        # before the loop: the loop counts a NoTargetError as an uncovered train
-        _check_target(from_station, target)
+    # before the loop: the loop counts a NoTargetError as an uncovered train
+    _check_target(from_station, target)
     space = _store_space(eval_store)
     model_space = space if bundle is None else _bundle_space(bundle, "evaluation")
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")

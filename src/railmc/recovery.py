@@ -16,7 +16,9 @@ strategy replaces *every* row with the kernel estimate.
 
 The KDE draws no random numbers. Delays are integers, so the estimate is a
 count-weighted kernel sum over at most (2N+1)^2 distinct pairs; a ridge, not
-noise, keeps the covariance of correlated pairs invertible.
+noise, keeps the covariance of correlated pairs invertible. Its rows are
+normalized by a numpy row log-sum-exp that repeats scipy's operation order,
+so this module needs no scipy.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import CountTensor, StateSpace, _conditional
 
@@ -221,6 +222,23 @@ def kde_density(model: KdeModel, x) -> float:
     return float(np.exp(_log_density_at(model, x0, x1)))
 
 
+def _row_logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite 2-D array, as a (rows, 1) column.
+
+    The operation order is scipy.special.logsumexp's (1.17), so the result is
+    bit-equal to it: the entries tied at the row peak are counted, not summed,
+    and the rest enter as log1p of their shifted sum over that count. A plain
+    max-shift differs in the last bits.
+    """
+    peak = a.max(axis=1, keepdims=True)
+    at_peak = a == peak
+    count = at_peak.sum(axis=1, keepdims=True).astype(float)
+    shifted = np.exp(a - peak)
+    shifted[at_peak] = 0.0
+    rest = shifted.sum(axis=1, keepdims=True) / count
+    return np.log1p(rest) + np.log(count) + peak
+
+
 def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     """Evaluate the density on the full state grid and normalize each row.
 
@@ -229,7 +247,7 @@ def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     """
     states = space.states().astype(float)
     logf = _log_density_at(model, states[:, None], states[None, :])
-    probs = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
+    probs = np.exp(logf - _row_logsumexp(logf))
     return probs / probs.sum(axis=1, keepdims=True)
 
 

@@ -291,6 +291,24 @@ class TestExitCodes:
         ]) == 4
         assert "current station 0 is before station 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["bundle", "naive"])
+    def test_station_before_first_without_target_exits_4(self, workspace, capsys, method):
+        # the horizon path must refuse station 0 too, not skip every train as uncovered
+        bundle = workspace / "bundle.json"
+        if method == "bundle":
+            assert main([
+                "train", "--store", str(workspace / "store.json"),
+                "--out", str(bundle), "--strategy", "diagonal",
+            ]) == 0
+        flags = ["--bundle", str(bundle)] if method == "bundle" else ["--baseline", "naive"]
+        capsys.readouterr()
+        assert main([
+            "evaluate", "--store", str(workspace / "store.json"), *flags,
+            "--from-station", "0", "--out", str(workspace / "scores.json"),
+        ]) == 4
+        assert "current station 0 is before station 1" in capsys.readouterr().err
+        assert not (workspace / "scores.json").exists()
+
 
 @pytest.fixture
 def wide_store(tmp_path):
@@ -376,6 +394,12 @@ def _corrupt_meta(bundle):
     del bundle["meta"]["n_max"]
 
 
+def _bundle_n_max(value):
+    def corrupt(bundle):
+        bundle["meta"]["n_max"] = value
+    return corrupt
+
+
 def _corrupt_no_trains(bundle):
     del bundle["trains"]
 
@@ -433,6 +457,8 @@ def test_malformed_store_exits_2(workspace, capsys, command, flags, corrupt):
     (_corrupt_negative, "negative"),
     (_corrupt_row_sum, "row 3 sums to"),
     (_corrupt_meta, "n_max"),
+    (_bundle_n_max("15"), "no valid n_max (got '15')"),
+    (_bundle_n_max(15.9), "no valid n_max (got 15.9)"),
     (_corrupt_no_trains, "no trains table"),
     (_corrupt_no_matrices, "no matrices table"),
     (_corrupt_no_strategy, "no strategy"),

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from railmc.core import StateSpace, build_count_tensor
 from railmc.recovery import (
     _RIDGE,
     _gaussian_rows,
+    _log_density_at,
+    _row_logsumexp,
     diagonal_fill,
     empirical_matrix,
     gaussian_regression_fill,
@@ -312,6 +315,52 @@ class TestKdeMatrix:
             assert kde_density(model, x) == pytest.approx(naive_density(np.array(x)), rel=1e-12)
         naive = grid / grid.sum(axis=1, keepdims=True)
         np.testing.assert_allclose(kde_matrix(model, space), naive, rtol=0, atol=1e-12)
+
+
+def _kde_grid(model, space):
+    states = space.states().astype(float)
+    return _log_density_at(model, states[:, None], states[None, :])
+
+
+class TestRowLogSumExp:
+    """The numpy row log-sum-exp must be bit-equal to scipy's, or bundles change."""
+
+    @staticmethod
+    def assert_matches_scipy(a):
+        expected = logsumexp(a, axis=1, keepdims=True)
+        assert np.array_equal(_row_logsumexp(a), expected)
+
+    def test_ties_at_the_max(self):
+        rng = np.random.default_rng(11)
+        a = rng.integers(-3, 2, size=(200, 9)).astype(float) * 0.7
+        a[:50, :3] = a[:50].max(axis=1, keepdims=True)
+        a[50] = -1.25  # every entry ties
+        assert ((a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        self.assert_matches_scipy(a)
+
+    def test_tails_that_underflow_exp(self):
+        rng = np.random.default_rng(12)
+        a = rng.normal(size=(100, 31)) * 800.0
+        a[0] = [0.0] + [-1000.0] * 30  # the whole rest underflows to zero
+        a[1, :2] = 5.0
+        a[1, 2:] = -900.0
+        assert (np.exp(a - a.max(axis=1, keepdims=True)) == 0.0).any()
+        self.assert_matches_scipy(a)
+
+    def test_single_distinct_pair(self):
+        model = kde_fit(np.full((5, 2), [1.0, -1.0]))
+        assert len(model.points) == 1
+        self.assert_matches_scipy(_kde_grid(model, StateSpace(2)))
+
+    @pytest.mark.parametrize("n_max", [1, 2, 15])
+    def test_kde_matrix_grids(self, n_max):
+        space = StateSpace(n_max)
+        spec = near_diagonal_spec(space, 2, 1.5, seed=n_max)
+        model = kde_fit(transition_pairs(sample_delays(spec, 400)))
+        logf = _kde_grid(model, space)
+        self.assert_matches_scipy(logf)
+        probs = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
+        assert np.array_equal(kde_matrix(model, space), probs / probs.sum(axis=1, keepdims=True))
 
 
 class TestMatrixOutput:

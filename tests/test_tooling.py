@@ -1,13 +1,20 @@
 """Guards against stale references: every function the benchmark's layer trace
-wraps, and every CLI flag the README names, must exist."""
+wraps, and every CLI flag the README names, must exist. Also guards the import
+cost: only `test` may load scipy."""
 
 import argparse
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import railmc
 
 LAYERTRACE = Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
 
@@ -46,3 +53,36 @@ def test_readme_flags_exist():
     flags = _readme_flags()
     assert flags, "no --flag found in README.md"
     assert sorted(flags - accepted) == []
+
+
+SCIPY_FREE_STAGES = """
+import json, sys
+from railmc.cli import main
+
+def run(*argv):
+    assert main(list(argv)) == 0, argv
+
+run("synth", "--series", "40", "--length", "4", "--seed", "2",
+    "--out-timetable", "tt.csv", "--out-realization", "rz.csv")
+run("ingest", "--timetable", "tt.csv", "--realization", "rz.csv", "--out", "store.json")
+run("train", "--store", "store.json", "--out", "bundle.json", "--strategy", "gaussian_kernel")
+run("evaluate", "--store", "store.json", "--bundle", "bundle.json", "--out", "scores.json")
+run("forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "1",
+    "--delay", "0", "--target", "3", "--out", "pred.json")
+with open("loaded.json", "w") as fh:
+    json.dump(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"), fh)
+run("test", "--store", "store.json", "--out", "order.json")
+"""
+
+
+def test_only_test_stage_imports_scipy(tmp_path):
+    # a fresh interpreter: this process already holds scipy through the tests
+    src = Path(railmc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_STAGES],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "loaded.json").read_text()) == []
+    assert "aggregate" in json.loads((tmp_path / "order.json").read_text())
