@@ -14,6 +14,7 @@ state space).
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import dataclasses
 import sys
@@ -30,7 +31,14 @@ from .config import (
     RunConfig,
 )
 from .core import StateSpace
-from .ingest import IngestError, NoTargetError, load_timetable, parse_events, write_rejects
+from .ingest import (
+    REJECT_REASONS,
+    IngestError,
+    NoTargetError,
+    load_timetable,
+    parse_events,
+    write_rejects,
+)
 from .pipeline import BundleError, CoverageError, EmptySelectionError, StoreError
 from .recovery import format_matrix_text
 from .synth import near_diagonal_spec, sample_series, write_ingest_files
@@ -96,8 +104,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if args.rejects:
         write_rejects(parse_rejects + rejects, args.rejects)
     n_series = sum(len(t["series"]) for t in store["trains"].values())
+    counts = collections.Counter(r.reason for r in parse_rejects + rejects)
+    by_reason = ", ".join(f"{r}: {counts[r]}" for r in sorted(counts, key=REJECT_REASONS.index))
     print(f"store: {len(store['trains'])} train(s), {n_series} series, "
-          f"{len(parse_rejects) + len(rejects)} rejected row(s)")
+          f"{counts.total()} rejected row(s)" + (f" ({by_reason})" if counts else ""))
     return EXIT_OK
 
 

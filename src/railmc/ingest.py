@@ -12,7 +12,16 @@ are collected into a rejects report, never silently dropped, and so is every
 repeat of a (train, date, station, activity) event after its first row. A bad
 realization header, or a malformed timetable row, raises IngestError naming
 the file and line; so does a timetable row that repeats its train's
-(station, activity) key, since a loop line cannot be aligned by that key.
+(station, activity) key, since a loop line cannot be aligned by that key, or
+one whose time has a UTC offset when its train's first time has none (or the
+reverse).
+
+The realization file is read into columns, a chunk of rows at a time: each
+distinct string is stripped and checked once, and timestamps in the exact
+``YYYY-MM-DDTHH:MM:SS`` form are converted by numpy. Any other timestamp goes
+through ``datetime.fromisoformat``, so both paths accept the same strings.
+Series are then aligned with one sort and a few array masks, never with a
+Python object per row.
 """
 
 from __future__ import annotations
@@ -20,15 +29,20 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import io
+import itertools
 import math
+import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import DelaySeries, StateSpace
+import numpy as np
+
+from .core import StateSpace
 
 __all__ = [
     "ACTIVITY_CODES",
-    "RealizationEvent",
+    "REJECT_REASONS",
+    "EventColumns",
     "StationKey",
     "JourneyTemplate",
     "RejectedRow",
@@ -37,6 +51,7 @@ __all__ = [
     "parse_events",
     "load_timetable",
     "compute_delay_minutes",
+    "delay_minutes",
     "assemble_series",
     "select_target_station",
     "write_rejects",
@@ -46,6 +61,28 @@ ACTIVITY_CODES = ("V", "D", "A", "KV", "KA")
 
 REALIZATION_HEADER = ["train_id", "date", "station_code", "activity", "planned_time", "realized_time"]
 TIMETABLE_HEADER = ["train_id", "station_code", "activity", "planned_time", "sequence"]
+
+# Every reason a realization row can be rejected for, in the order they are
+# tried: a row gets the first that applies. The first five are parse rejects.
+REJECT_REASONS = (
+    "wrong field count",
+    "unknown activity",
+    "unparseable timestamp",
+    "timezone mismatch",
+    "unparseable date",
+    "train not in timetable",
+    "station not in template",
+    "duplicate event",
+    "no usable stations",
+)
+_FIELDS, _ACTIVITY, _TIMESTAMP, _TIMEZONE, _DATE = range(1, 6)  # 1 + index in REJECT_REASONS
+
+CHUNK_ROWS = 1 << 14  # realization rows held as Python objects at once
+
+# The canonical timestamp YYYY-MM-DDTHH:MM:SS: digit and separator positions.
+_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 @dataclass(frozen=True)
@@ -58,20 +95,6 @@ class StationKey:
     def __post_init__(self) -> None:
         if self.activity not in ACTIVITY_CODES:
             raise ValueError(f"unknown activity {self.activity!r}")
-
-
-@dataclass(frozen=True)
-class RealizationEvent:
-    train_id: str
-    date: str
-    station_code: str
-    activity: str
-    planned_time: dt.datetime
-    realized_time: dt.datetime
-
-    @property
-    def key(self) -> StationKey:
-        return StationKey(self.station_code, self.activity)
 
 
 @dataclass(frozen=True)
@@ -99,6 +122,36 @@ class RejectedRow:
     reason: str
 
 
+@dataclass(frozen=True)
+class EventColumns:
+    """The accepted realization rows as columns, in file order.
+
+    `train`, `date`, `station` and `activity` hold codes into the tables of
+    distinct stripped values of the same name (plural); `delay` holds each
+    event's lateness in whole minutes, not yet clipped to a state space.
+    """
+
+    trains: list[str]
+    dates: list[str]
+    stations: list[str]
+    activities: list[str]
+    train: np.ndarray
+    date: np.ndarray
+    station: np.ndarray
+    activity: np.ndarray
+    delay: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.delay)
+
+    def take(self, rows: np.ndarray) -> EventColumns:
+        """The events selected by a boolean mask or index array, in that order."""
+        return EventColumns(
+            self.trains, self.dates, self.stations, self.activities, self.train[rows],
+            self.date[rows], self.station[rows], self.activity[rows], self.delay[rows],
+        )
+
+
 class NoTargetError(ValueError):
     """No station after the current one exists to predict."""
 
@@ -111,12 +164,99 @@ def _parse_timestamp(raw: str) -> dt.datetime:
     return dt.datetime.fromisoformat(raw.strip())
 
 
-def parse_events(stream) -> tuple[list[RealizationEvent], list[RejectedRow]]:
-    """Parse a realization CSV stream into events plus a rejects report.
+def _is_date(value: str) -> bool:
+    try:
+        dt.date.fromisoformat(value)
+    except ValueError:
+        return False
+    return True
 
-    Accepts a text stream, a byte stream, or a path. Unknown activity codes
-    and unparseable timestamps reject the row with a reason; a bad header
-    raises IngestError.
+
+class _Column:
+    """Codes of one string column: each distinct raw value is stripped and
+    numbered once, and `check` judges each distinct stripped value once."""
+
+    def __init__(self, check=lambda value: True) -> None:
+        self.values: list[str] = []
+        self.valid: list[bool] = []
+        self._check = check
+        self._stripped: dict[str, int] = {}
+        self._raw: dict[str, int] = {}
+
+    def encode(self, column: list[str]) -> np.ndarray:
+        for raw in dict.fromkeys(column):
+            if raw not in self._raw:
+                value = raw.strip()
+                if value not in self._stripped:
+                    self._stripped[value] = len(self.values)
+                    self.values.append(value)
+                    self.valid.append(self._check(value))
+                self._raw[raw] = self._stripped[value]
+        return np.fromiter(map(self._raw.__getitem__, column), dtype=np.int32, count=len(column))
+
+
+def _canonical_seconds(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Seconds since 1970 of each timestamp in the exact form
+    YYYY-MM-DDTHH:MM:SS with in-range fields, and the mask of those; every
+    other string (another ISO form, a UTC offset, whitespace) reads 0 here."""
+    n = len(column)
+    lengths = np.fromiter(map(len, column), dtype=np.intp, count=n)
+    # a longer string is cut to 19 characters, but its length fails the check
+    chars = np.array(column, dtype="U19").view(np.int32).reshape(n, 19) - ord("0")
+    digits = chars[:, _DIGITS]
+    ok = (lengths == 19) & ((digits >= 0) & (digits <= 9)).all(axis=1)
+    for at, sep in _SEPARATORS.items():
+        ok &= chars[:, at] == ord(sep) - ord("0")
+    year = chars[:, 0] * 1000 + chars[:, 1] * 100 + chars[:, 2] * 10 + chars[:, 3]
+    month, day, hour, minute, second = (
+        chars[:, at] * 10 + chars[:, at + 1] for at in (5, 8, 11, 14, 17)
+    )
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    ok &= (hour <= 23) & (minute <= 59) & (second <= 59)
+    year, month, day = (np.where(ok, x, 1) for x in (year, month, day))
+    days = (
+        ((year - 1970).astype("M8[Y]").astype("M8[M]") + (month - 1)).astype("M8[D]") + (day - 1)
+    ).astype(np.int64)
+    return np.where(ok, days * 86400 + hour * 3600 + minute * 60 + second, 0), ok
+
+
+def delay_minutes(delta_us: np.ndarray) -> np.ndarray:
+    """Lateness in whole minutes of realized minus planned time given in
+    integer microseconds, rounded half away from zero; the integer form of
+    `compute_delay_minutes`."""
+    return np.sign(delta_us) * ((np.abs(delta_us) + 30_000_000) // 60_000_000)
+
+
+def _delays(planned: list[str], realized: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Delay minutes per row, and 0 or the reject code of a row whose
+    timestamps do not parse or mix a UTC offset with none."""
+    p_seconds, p_ok = _canonical_seconds(planned)
+    r_seconds, r_ok = _canonical_seconds(realized)
+    delta_us = (r_seconds - p_seconds) * 1_000_000
+    status = np.zeros(len(planned), dtype=np.intp)
+    for i in np.flatnonzero(~(p_ok & r_ok)).tolist():
+        try:
+            p_ts, r_ts = _parse_timestamp(planned[i]), _parse_timestamp(realized[i])
+        except ValueError:
+            status[i] = _TIMESTAMP
+            continue
+        if (p_ts.tzinfo is None) != (r_ts.tzinfo is None):
+            status[i] = _TIMEZONE
+            continue
+        delta_us[i] = (r_ts - p_ts) // dt.timedelta(microseconds=1)
+    return delay_minutes(delta_us), status
+
+
+def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
+    """Parse a realization CSV stream into event columns plus a rejects report.
+
+    Accepts a text stream, a byte stream, or a path. A row is rejected, with
+    the first reason that applies, for a wrong field count, an unknown
+    activity code, a timestamp that does not parse, timestamps of which only
+    one has a UTC offset, or a date that does not parse; rejects keep file
+    order. A bad header raises IngestError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
@@ -128,40 +268,42 @@ def parse_events(stream) -> tuple[list[RealizationEvent], list[RejectedRow]]:
 
     name = getattr(stream, "name", "<realization>")
     reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
+    header = next(reader, None)
+    if header is None:
         warnings.warn("empty realization file")
-        return [], []
-    if [h.strip() for h in header] != REALIZATION_HEADER:
+    elif [h.strip() for h in header] != REALIZATION_HEADER:
         raise IngestError(f"realization {name} line 1: unexpected header {header!r}")
 
-    events: list[RealizationEvent] = []
+    columns = [_Column(), _Column(_is_date), _Column(), _Column(ACTIVITY_CODES.__contains__)]
+    parts: list[tuple[np.ndarray, ...]] = []
     rejects: list[RejectedRow] = []
-    for row in reader:
-        raw = ",".join(row)
-        if len(row) != len(REALIZATION_HEADER):
-            rejects.append(RejectedRow(raw, "wrong field count"))
-            continue
-        train_id, date, station, activity, planned, realized = (f.strip() for f in row)
-        if activity not in ACTIVITY_CODES:
-            rejects.append(RejectedRow(raw, "unknown activity"))
-            continue
-        try:
-            planned_ts = _parse_timestamp(planned)
-            realized_ts = _parse_timestamp(realized)
-        except ValueError:
-            rejects.append(RejectedRow(raw, "unparseable timestamp"))
-            continue
-        try:
-            dt.date.fromisoformat(date)
-        except ValueError:
-            rejects.append(RejectedRow(raw, "unparseable date"))
-            continue
-        events.append(
-            RealizationEvent(train_id, date, station, activity, planned_ts, realized_ts)
+    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
+        reason = np.full(len(rows), _FIELDS)
+        whole = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) == len(REALIZATION_HEADER)
+        if whole.any():
+            good = list(itertools.compress(rows, whole))
+            fields = [list(map(operator.itemgetter(f), good)) for f in range(len(REALIZATION_HEADER))]
+            codes = [col.encode(values) for col, values in zip(columns, fields)]
+            delays, status = _delays(fields[4], fields[5])
+            date_ok = np.array(columns[1].valid)[codes[1]]
+            activity_ok = np.array(columns[3].valid)[codes[3]]
+            reason[whole] = np.select(
+                [~activity_ok, status > 0, ~date_ok], [_ACTIVITY, status, _DATE], 0
+            )
+            keep = reason[whole] == 0
+            parts.append(tuple(c[keep] for c in codes) + (delays[keep],))
+        rejects.extend(
+            RejectedRow(",".join(rows[i]), REJECT_REASONS[reason[i] - 1])
+            for i in np.flatnonzero(reason).tolist()
         )
-    return events, rejects
+    train, date, station, activity, delay = (
+        np.concatenate([np.empty(0, dtype=dtype), *(p[f] for p in parts)])
+        for f, dtype in enumerate((np.int32,) * 4 + (np.int64,))
+    )
+    trains, dates, stations, activities = (col.values for col in columns)
+    return EventColumns(
+        trains, dates, stations, activities, train, date, station, activity, delay
+    ), rejects
 
 
 def load_timetable(stream) -> dict[str, JourneyTemplate]:
@@ -191,7 +333,10 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
         if (train_id, entry[1]) in seen:
             raise error(f"train {train_id} visits {station}/{activity} twice; loop lines are not supported")
         seen.add((train_id, entry[1]))
-        rows.setdefault(train_id, []).append(entry)
+        entries = rows.setdefault(train_id, [])
+        if entries and (entries[0][2].tzinfo is None) != (entry[2].tzinfo is None):
+            raise error(f"train {train_id} mixes planned times with and without a UTC offset")
+        entries.append(entry)
     templates = {}
     for train_id, entries in rows.items():
         entries.sort(key=lambda e: e[0])
@@ -209,62 +354,126 @@ def compute_delay_minutes(planned: dt.datetime, realized: dt.datetime) -> int:
     return int(math.floor(minutes + 0.5)) if minutes >= 0 else int(math.ceil(minutes - 0.5))
 
 
+def _ranks(values: list[str]) -> np.ndarray:
+    """The rank of each value in sorted order, indexed by its position."""
+    ranks = np.empty(len(values), dtype=np.intp)
+    ranks[sorted(range(len(values)), key=values.__getitem__)] = np.arange(len(values))
+    return ranks
+
+
+def _group_starts(*keys: np.ndarray) -> np.ndarray:
+    """Mask of the rows that open a run of equal keys in sorted arrays."""
+    starts = np.zeros(len(keys[0]), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        starts[1:] |= key[1:] != key[:-1]
+    return starts
+
+
 def assemble_series(
-    events: list[RealizationEvent],
-    template: JourneyTemplate,
+    events: EventColumns,
+    templates: dict[str, JourneyTemplate],
     space: StateSpace,
     clip_mode: str = "saturate",
-) -> tuple[list[DelaySeries], list[RejectedRow]]:
-    """Order one train's events along the template and emit per-date series.
+) -> tuple[dict, list[RejectedRow]]:
+    """Order the events along their trains' templates into the store's trains table.
 
-    A date missing any template station is truncated at the first gap. A
-    repeated (date, station, activity) event keeps its first row and rejects
-    the others as duplicates. Delays outside [-N, N] either saturate to the
-    bound (counted per series) or, in ``clip_mode="drop"``, truncate the
-    series before the offending station.
+    Each train gets its template's stations and planned times and one series
+    per date, in sorted date order. A date missing any template station is
+    truncated at the first gap. A repeated (date, station, activity) event
+    keeps its first row and rejects the others as duplicates. Delays outside
+    [-N, N] either saturate to the bound (counted per series) or, in
+    ``clip_mode="drop"``, truncate the series before the offending station.
+    Rejects come per sorted train: off-template and duplicate events in event
+    order, then each date with no usable stations in sorted order. An event
+    of a train without a template raises ValueError.
     """
     if clip_mode not in ("saturate", "drop"):
         raise ValueError(f"unknown clip mode {clip_mode!r}")
-    rejects: list[RejectedRow] = []
-    by_date: dict[str, dict[StationKey, RealizationEvent]] = {}
-    key_set = set(template.keys)
-    for ev in events:
-        if ev.train_id != template.train_id:
-            raise ValueError(f"event for train {ev.train_id} against template {template.train_id}")
-        if ev.key not in key_set:
-            reason = "station not in template"
-        elif ev.key in by_date.get(ev.date, {}):
-            reason = "duplicate event"
-        else:
-            by_date.setdefault(ev.date, {})[ev.key] = ev
-            continue
-        rejects.append(
-            RejectedRow(f"{ev.train_id},{ev.date},{ev.station_code},{ev.activity}", reason)
-        )
+    present = np.unique(events.train).tolist()
+    for code in present:
+        if events.trains[code] not in templates:
+            raise ValueError(f"event for train {events.trains[code]} has no template")
 
-    series: list[DelaySeries] = []
-    for date in sorted(by_date):
-        evs = by_date[date]
-        delays: list[int] = []
-        clipped = 0
-        for key in template.keys:
-            ev = evs.get(key)
-            if ev is None:
-                break  # canceled or partial journey: truncate at the gap
-            d = compute_delay_minutes(ev.planned_time, ev.realized_time)
-            if not space.contains(d):
-                if clip_mode == "drop":
-                    break
-                d = space.clip(d)
-                clipped += 1
-            delays.append(d)
-        if delays:
-            series.append(
-                DelaySeries(template.train_id, date, tuple(delays), clipped=clipped)
-            )
-        else:
-            rejects.append(RejectedRow(f"{template.train_id},{date}", "no usable stations"))
-    return series, rejects
+    # template position of each distinct (train, station, activity), -1 off the template
+    n_act = len(events.activities)
+    triples, inverse = np.unique(
+        (events.train.astype(np.int64) * len(events.stations) + events.station) * n_act
+        + events.activity,
+        return_inverse=True,
+    )
+    key_train, rest = np.divmod(triples, len(events.stations) * n_act)
+    key_station, key_activity = np.divmod(rest, n_act)
+    positions = {code: {k: i for i, k in enumerate(templates[events.trains[code]].keys)}
+                 for code in present}
+    where = np.array([
+        positions[t].get(StationKey(events.stations[s], events.activities[a]), -1)
+        for t, s, a in zip(key_train.tolist(), key_station.tolist(), key_activity.tolist())
+    ], dtype=np.intp)
+    pos = where[inverse]
+
+    train = _ranks(events.trains)[events.train]
+    date = _ranks(events.dates)[events.date]
+    order = np.lexsort((pos, date, train))  # stable: ties keep file order
+    repeat = ~_group_starts(train[order], date[order], pos[order]) & (pos[order] >= 0)
+    rejected = np.zeros(len(events), dtype=bool)
+    rejected[order[repeat]] = True
+    rejected |= pos < 0
+
+    # kept events sorted by (train, date, station); a series is the run of
+    # positions 0, 1, 2, .. up to its first gap, or in drop mode its first
+    # out-of-range delay
+    kept = order[(pos[order] >= 0) & ~repeat]
+    opens = _group_starts(train[kept], date[kept])
+    group = np.cumsum(opens) - 1
+    first = np.flatnonzero(opens)
+    delay = events.delay[kept]
+    outside = np.abs(delay) > space.n_max
+    stop = pos[kept] != np.arange(len(kept)) - first[group]
+    if clip_mode == "drop":
+        stop |= outside
+    stops = np.cumsum(stop)
+    usable = stops - (stops - stop)[first][group] == 0
+    lengths = np.bincount(group[usable], minlength=len(first))
+    clipped = np.bincount(group[usable & outside], minlength=len(first))
+    delays = np.clip(delay[usable], -space.n_max, space.n_max).tolist()
+
+    trains = {}
+    for tid in sorted(events.trains[c] for c in present):
+        template = templates[tid]
+        trains[tid] = {
+            "stations": [[k.station_code, k.activity] for k in template.keys],
+            "planned": [p.isoformat() for p in template.planned],
+            "series": [],
+        }
+    heads = kept[first]  # one event of each (train, date)
+    offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
+    for g, (t, d, c) in enumerate(zip(events.train[heads].tolist(),
+                                      events.date[heads].tolist(), clipped.tolist())):
+        if offsets[g] < offsets[g + 1]:
+            trains[events.trains[t]]["series"].append(
+                {"date": events.dates[d], "delays": delays[offsets[g]:offsets[g + 1]],
+                 "clipped": c})
+
+    # per train: rejected events in event order, then the empty dates in date order
+    rows = np.flatnonzero(rejected)
+    empty = heads[lengths == 0]
+    report = np.lexsort((
+        np.concatenate([rows, date[empty]]),
+        np.concatenate([np.zeros(len(rows), dtype=np.intp), np.ones(len(empty), dtype=np.intp)]),
+        np.concatenate([train[rows], train[empty]]),
+    ))
+    rejects = [
+        RejectedRow(f"{events.trains[t]},{events.dates[d]},{events.stations[s]},"
+                    f"{events.activities[a]}", "station not in template" if p < 0 else "duplicate event")
+        for t, d, s, a, p in zip(events.train[rows].tolist(), events.date[rows].tolist(),
+                                 events.station[rows].tolist(), events.activity[rows].tolist(),
+                                 pos[rows].tolist())
+    ] + [
+        RejectedRow(f"{events.trains[t]},{events.dates[d]}", "no usable stations")
+        for t, d in zip(events.train[empty].tolist(), events.date[empty].tolist())
+    ]
+    return trains, [rejects[i] for i in report.tolist()]
 
 
 def select_target_station(template: JourneyTemplate, current_index: int, horizon: dt.timedelta) -> int:

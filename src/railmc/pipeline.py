@@ -23,9 +23,9 @@ from .core import StateSpace, build_count_tensor, check_transition_matrix
 from .evaluate import ScoreReport, marginal_predictor, naive_predictor, score_batch
 from .forecast import Prediction, make_prediction, point_delay, propagate
 from .ingest import (
+    EventColumns,
     JourneyTemplate,
     NoTargetError,
-    RealizationEvent,
     RejectedRow,
     StationKey,
     assemble_series,
@@ -80,35 +80,22 @@ class StoreError(ValueError):
 
 def build_store(
     templates: dict[str, JourneyTemplate],
-    events: list[RealizationEvent],
+    events: EventColumns,
     config: RunConfig,
 ) -> tuple[dict, list[RejectedRow]]:
-    """Assemble parsed events into the serializable series store."""
-    space = StateSpace(config.n_max)
-    by_train: dict[str, list[RealizationEvent]] = {}
-    rejects: list[RejectedRow] = []
-    for ev in events:
-        if ev.train_id not in templates:
-            rejects.append(RejectedRow(f"{ev.train_id},{ev.date}", "train not in timetable"))
-            continue
-        by_train.setdefault(ev.train_id, []).append(ev)
+    """Assemble parsed events into the serializable series store.
 
-    trains: dict = {}
-    for tid in sorted(by_train):
-        template = templates[tid]
-        series, train_rejects = assemble_series(
-            by_train[tid], template, space, clip_mode=config.clip_mode
-        )
-        rejects.extend(train_rejects)
-        trains[tid] = {
-            "stations": [[k.station_code, k.activity] for k in template.keys],
-            "planned": [p.isoformat() for p in template.planned],
-            "series": [
-                {"date": s.date, "delays": list(s.delays), "clipped": s.clipped}
-                for s in series
-            ],
-        }
-    return {"n_max": config.n_max, "trains": trains}, rejects
+    Events of a train the timetable lacks are rejected first, in event order.
+    """
+    known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
+    rejects = [
+        RejectedRow(f"{events.trains[t]},{events.dates[d]}", "train not in timetable")
+        for t, d in zip(events.train[~known].tolist(), events.date[~known].tolist())
+    ]
+    trains, train_rejects = assemble_series(
+        events.take(known), templates, StateSpace(config.n_max), clip_mode=config.clip_mode
+    )
+    return {"n_max": config.n_max, "trains": trains}, rejects + train_rejects
 
 
 def save_json(payload: dict, path) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ __all__ = [
     "near_diagonal_spec",
     "write_ingest_files",
 ]
+
+WRITE_CHUNK_SERIES = 256  # series whose realization rows are formatted at once
 
 
 @dataclass(frozen=True)
@@ -128,6 +131,8 @@ def write_ingest_files(
     Each series becomes one calendar date of the same synthetic train; the
     planned schedule starts the base date at 08:00 with a fixed gap between
     stations, and realized times offset the plan by the sampled delay.
+    Realization timestamps are formatted by numpy a column at a time, for a
+    chunk of series at a time.
     """
     if not series:
         raise ValueError("no series to write")
@@ -143,18 +148,27 @@ def write_ingest_files(
                 planned = start + dt.timedelta(minutes=gap_minutes * (t - 1))
                 w.writerow([tid, f"S{t:02d}", "V", planned.isoformat(), t])
 
-    day0 = dt.date.fromisoformat(base_date)
+    stations = [f"S{t:02d}" for t in range(1, max_len + 1)]
+    day0 = np.datetime64(base_date, "D")
     with open(realization_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["train_id", "date", "station_code", "activity", "planned_time", "realized_time"])
-        for n, s in enumerate(series):
-            date = day0 + dt.timedelta(days=n)
-            for t, delay in enumerate(s.delays, start=1):
-                planned = dt.datetime.combine(
-                    date, dt.time(8, 0)
-                ) + dt.timedelta(minutes=gap_minutes * (t - 1))
-                realized = planned + dt.timedelta(minutes=delay)
-                w.writerow(
-                    [s.train_id, date.isoformat(), f"S{t:02d}", "V",
-                     planned.isoformat(), realized.isoformat()]
-                )
+        for first in range(0, len(series), WRITE_CHUNK_SERIES):
+            chunk = series[first:first + WRITE_CHUNK_SERIES]
+            lengths = [len(s.delays) for s in chunk]
+            days = day0 + np.arange(first, first + len(chunk))  # one date per series
+            t = np.concatenate([np.arange(k) for k in lengths])  # 0-based station of each row
+            planned = np.repeat(days, lengths) + np.timedelta64(8 * 60, "m") + gap_minutes * t
+            delay = np.fromiter(
+                itertools.chain.from_iterable(s.delays for s in chunk), dtype=np.int64, count=len(t)
+            )
+            w.writerows(zip(
+                itertools.chain.from_iterable(
+                    itertools.repeat(s.train_id, k) for s, k in zip(chunk, lengths)),
+                itertools.chain.from_iterable(
+                    itertools.repeat(d, k) for d, k in zip(np.datetime_as_string(days).tolist(), lengths)),
+                map(stations.__getitem__, t.tolist()),
+                itertools.repeat("V"),
+                np.datetime_as_string(planned, unit="s").tolist(),
+                np.datetime_as_string(planned + delay, unit="s").tolist(),
+            ))

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -256,7 +257,9 @@ class TestExitCodes:
         ("T001,S01,X,2017-11-07T12:00:00,1", "unknown activity 'X'"),
         ("T001,S01,V,2017-09-04T08:07:00,2",
          "train T001 visits S01/V twice; loop lines are not supported"),
-    ], ids=["field_count", "sequence", "activity", "loop_line"])
+        ("T001,S02,V,2017-09-04T08:07:00+01:00,2",
+         "train T001 mixes planned times with and without a UTC offset"),
+    ], ids=["field_count", "sequence", "activity", "loop_line", "mixed_offsets"])
     def test_malformed_timetable_row_exits_2(self, workspace, capsys, row, reason):
         tt = workspace / "timetable.csv"
         lines = tt.read_text().splitlines()
@@ -282,6 +285,43 @@ class TestExitCodes:
         ]) == 2
         assert f"error: realization {rz} line 1: unexpected header" in capsys.readouterr().err
         assert not (workspace / "new_store.json").exists()
+
+    def test_realization_row_mixing_offsets_is_rejected(self, workspace, capsys):
+        # one timestamp with a UTC offset and one without cannot be subtracted
+        rz = workspace / "realization.csv"
+        lines = rz.read_text().splitlines()
+        lines[2] = lines[2].replace(",V,", ",Q,")
+        lines[3] += "+01:00"
+        rz.write_text("\n".join(lines) + "\n")
+        rejects = workspace / "new_rejects.csv"
+        assert main([
+            "ingest", "--timetable", str(workspace / "timetable.csv"), "--realization", str(rz),
+            "--out", str(workspace / "new_store.json"), "--rejects", str(rejects),
+        ]) == 0
+        with open(rejects, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                ["row", "reason"], [lines[2], "unknown activity"], [lines[3], "timezone mismatch"],
+            ]
+
+    def test_ingest_summary_counts_each_reason(self, workspace, capsys):
+        rz = workspace / "realization.csv"
+        lines = rz.read_text().splitlines()  # five stations per date, one date per series
+        lines[1] = lines[1].rsplit(",", 1)[0]  # the first date loses its first station
+        lines[7] = lines[7].replace(",V,", ",Q,")
+        lines[12] = "X" + lines[12]
+        lines[17] += "Z"
+        lines.append(lines[20])
+        rz.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main([
+            "ingest", "--timetable", str(workspace / "timetable.csv"), "--realization", str(rz),
+            "--out", str(workspace / "new_store.json"),
+        ]) == 0
+        assert capsys.readouterr().out == (
+            "store: 1 train(s), 79 series, 6 rejected row(s) (wrong field count: 1, "
+            "unknown activity: 1, timezone mismatch: 1, train not in timetable: 1, "
+            "duplicate event: 1, no usable stations: 1)\n"
+        )
 
     def test_station_before_first_exits_4(self, workspace, capsys):
         # station 0 has no delay column; it must not read another station's

@@ -1,9 +1,13 @@
 import collections
+import csv
+import datetime as dt
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from railmc.core import StateSpace
+from railmc import synth
+from railmc.core import DelaySeries, StateSpace
 from railmc.ingest import assemble_series, load_timetable, parse_events
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_series, write_ingest_files
 
@@ -97,10 +101,42 @@ class TestCsvRoundTrip:
         templates = load_timetable(tt)
         events, parse_rejects = parse_events(rz)
         assert parse_rejects == []
-        recovered, rejects = assemble_series(events, templates["T001"], space)
+        recovered, rejects = assemble_series(events, templates, space)
         assert rejects == []
-        assert sorted(s.delays for s in recovered) == sorted(s.delays for s in sampled)
+        got = [tuple(s["delays"]) for s in recovered["T001"]["series"]]
+        assert sorted(got) == sorted(s.delays for s in sampled)
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_ingest_files([], tmp_path / "a.csv", tmp_path / "b.csv")
+
+
+def reference_realization(series, path, base_date="2017-09-04", gap_minutes=7):
+    """The per-row writer: one datetime and one `writerow` per event."""
+    day0 = dt.date.fromisoformat(base_date)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["train_id", "date", "station_code", "activity", "planned_time", "realized_time"])
+        for n, s in enumerate(series):
+            date = day0 + dt.timedelta(days=n)
+            for t, delay in enumerate(s.delays, start=1):
+                planned = dt.datetime.combine(date, dt.time(8, 0)) + dt.timedelta(minutes=gap_minutes * (t - 1))
+                realized = planned + dt.timedelta(minutes=delay)
+                w.writerow([s.train_id, date.isoformat(), f"S{t:02d}", "V",
+                            planned.isoformat(), realized.isoformat()])
+
+
+class TestRealizationWriter:
+    @pytest.mark.parametrize("chunk", [1, 2, 256])
+    def test_bytes_equal_per_row_writer(self, tmp_path, chunk):
+        # ragged series over two trains; a 500-minute gap runs past midnight
+        # and a delay of -600 minutes back into the day before
+        series = [
+            DelaySeries("T1", "a", (0, 3, -2)), DelaySeries("T2", "b", (-600,)),
+            DelaySeries("T1", "c", tuple(range(-5, 6))), DelaySeries("T2", "d", (15, -15)),
+        ]
+        with mock.patch.object(synth, "WRITE_CHUNK_SERIES", chunk):
+            write_ingest_files(series, tmp_path / "tt.csv", tmp_path / "rz.csv",
+                               base_date="2016-02-28", gap_minutes=500)
+        reference_realization(series, tmp_path / "ref.csv", base_date="2016-02-28", gap_minutes=500)
+        assert (tmp_path / "rz.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
