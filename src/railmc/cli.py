@@ -5,8 +5,9 @@ Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs.
 
-Exit codes: 0 ok, 1 internal error, 2 I/O error or a malformed store, bundle,
-config file, realization header or timetable row, 3 empty selection, 4 coverage gap
+Exit codes: 0 ok, 1 internal error, 2 I/O error, a missing or malformed flag, or
+a malformed store, bundle, config file, input encoding, realization header or
+timetable row, 3 empty selection, 4 coverage gap
 (a station missing from the bundle, or a delay or store outside the model's
 state space).
 """
@@ -124,6 +125,10 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    tid, sep, station = (args.print_matrix or "").rpartition(":")
+    if args.print_matrix and not (tid and sep and station.isdecimal()):
+        raise ConfigError(
+            f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
     store = pipeline.load_json(args.store)
     bundle = pipeline.train_bundle(store, config)
@@ -131,19 +136,18 @@ def cmd_train(args: argparse.Namespace) -> int:
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
     if args.print_matrix:
-        tid, t = args.print_matrix.rsplit(":", 1)
-        (mat,) = pipeline.bundle_matrices(bundle, tid, int(t) - 1, int(t))
+        (mat,) = pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
         print(format_matrix_text(mat, StateSpace(config.n_max)))
     return EXIT_OK
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    if args.target is None and args.store is None:
+        raise ConfigError("forecast needs --target or --store to resolve the target station")
     config = _config_from(args)
     bundle = pipeline.load_json(args.bundle)
-    if args.target is None and args.store is None:
-        raise SystemExit("forecast needs --target or --store to resolve the target station")
     store = None if args.target is not None else pipeline.load_json(args.store)
-    target = pipeline._resolve_target(store, args.train, args.station, config, args.target)
+    target = pipeline.resolve_target(store, args.train, args.station, config, args.target)
     pred = pipeline.forecast_from_bundle(
         bundle, args.train, args.station, args.delay, target, config
     )
@@ -157,6 +161,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if args.baseline == "marginal" and not args.train_store:
+        raise ConfigError("--baseline marginal needs --train-store")
     config = _config_from(args)
     store = pipeline.load_json(args.store)
     bundle = pipeline.load_json(args.bundle) if args.bundle else None

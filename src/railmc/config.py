@@ -23,7 +23,7 @@ CLIP_MODES = ("saturate", "drop")
 
 
 class ConfigError(ValueError):
-    """A config file or value is malformed."""
+    """A config file, value or flag is malformed, or a needed flag is missing."""
 
 
 @dataclass(frozen=True)

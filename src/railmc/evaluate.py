@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .core import CountTensor, StateSpace
 
 __all__ = [
+    "TREND_CLASSES",
     "ScoreReport",
     "f1_class",
     "actual_trend",
@@ -45,88 +45,72 @@ def f1_class(tp: int, fp: int, fn: int) -> float:
     return 2.0 * ppv * tpr / (ppv + tpr)
 
 
-def actual_trend(d_s: int, d_t: int) -> str:
-    """Realized trend class: exact comparison of d(T) against d(S)."""
-    if d_t > d_s:
-        return "increase"
-    if d_t < d_s:
-        return "decrease"
-    return "equal"
+def actual_trend(d_s, d_t) -> np.ndarray:
+    """Realized trend codes into TREND_CLASSES: exact comparison of d(T) against d(S)."""
+    d_s, d_t = np.asarray(d_s), np.asarray(d_t)
+    return np.select([d_t > d_s, d_t < d_s], [0, 1], 2)
 
 
-def actual_jump(d_s: int, d_t: int) -> bool:
-    """Realized jump: the delay moved by at least two minutes."""
-    return abs(d_t - d_s) >= 2
+def actual_jump(d_s, d_t) -> np.ndarray:
+    """Realized jumps: the delay moved by at least two minutes."""
+    return np.abs(np.asarray(d_t) - np.asarray(d_s)) >= 2
 
 
-def _binary_tallies(predicted: Sequence[bool], actual: Sequence[bool]) -> dict[str, int]:
-    tp = sum(1 for p, a in zip(predicted, actual) if p and a)
-    fp = sum(1 for p, a in zip(predicted, actual) if p and not a)
-    fn = sum(1 for p, a in zip(predicted, actual) if not p and a)
-    tn = sum(1 for p, a in zip(predicted, actual) if not p and not a)
-    return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+def _tallies(predicted, actual, n: int) -> list[dict[str, int]]:
+    """One-vs-rest tallies of each of n class codes, read off the n x n
+    confusion matrix of predicted (rows) against actual (columns) codes."""
+    predicted, actual = np.asarray(predicted, dtype=np.intp), np.asarray(actual, dtype=np.intp)
+    if len(predicted) != len(actual):
+        raise ValueError("prediction/actual length mismatch")
+    conf = np.bincount(n * predicted + actual, minlength=n * n).reshape(n, n)
+    tp = np.diag(conf)
+    fp, fn = conf.sum(axis=1) - tp, conf.sum(axis=0) - tp
+    tn = len(actual) - tp - fp - fn
+    columns = (x.tolist() for x in (tp, fp, fn, tn))
+    return [dict(zip(("tp", "fp", "fn", "tn"), t)) for t in zip(*columns)]
 
 
-def trend_score(
-    predicted: Sequence[str], actual: Sequence[str]
-) -> tuple[float, dict[str, float], dict[str, dict[str, int]]]:
-    """F_TR = mean of the one-vs-rest F1 scores for the three trend classes.
+def trend_score(predicted, actual) -> tuple[float, dict[str, float], dict[str, dict[str, int]]]:
+    """F_TR = mean of the one-vs-rest F1 scores for the three trend classes,
+    from arrays of codes into TREND_CLASSES.
 
     Returns (F_TR, per-class F1, per-class confusion tallies).
     """
-    if len(predicted) != len(actual):
-        raise ValueError("prediction/actual length mismatch")
-    per_f1: dict[str, float] = {}
-    tallies: dict[str, dict[str, int]] = {}
-    for cls in TREND_CLASSES:
-        t = _binary_tallies([p == cls for p in predicted], [a == cls for a in actual])
-        tallies[cls] = t
-        per_f1[cls] = f1_class(t["tp"], t["fp"], t["fn"])
-    f_tr = sum(per_f1.values()) / 3.0
-    return f_tr, per_f1, tallies
+    tallies = dict(zip(TREND_CLASSES, _tallies(predicted, actual, len(TREND_CLASSES))))
+    per_f1 = {cls: f1_class(t["tp"], t["fp"], t["fn"]) for cls, t in tallies.items()}
+    return sum(per_f1.values()) / 3.0, per_f1, tallies
 
 
-def jump_score(
-    predicted: Sequence[bool], actual: Sequence[bool]
-) -> tuple[float, dict[str, int]]:
-    """Binary F1 for the jump classification."""
-    if len(predicted) != len(actual):
-        raise ValueError("prediction/actual length mismatch")
-    t = _binary_tallies(predicted, actual)
+def jump_score(predicted, actual) -> tuple[float, dict[str, int]]:
+    """Binary F1 for the jump classification: the True class of the 2 x 2 case."""
+    t = _tallies(predicted, actual, 2)[1]
     return f1_class(t["tp"], t["fp"], t["fn"]), t
 
 
-def rwmse(
-    predicted_minutes: Sequence[float],
-    actual_delays: Sequence[int],
-    form: str = "printed",
-) -> float:
+def rwmse(predicted_minutes, actual_delays, form: str = "printed") -> float:
     """Root weighted error over the batch.
 
     Weight mass 0.2 is spread over small actual delays (|d| <= 1) and 0.8 over
     the rest; a batch missing one class renormalizes the surviving class's
     mass to 1. `form="printed"` puts the absolute error under the root,
-    `form="squared"` the squared error.
+    `form="squared"` the squared error, as a product. The weighted errors are
+    added in batch order, so the sum does not depend on numpy's summation order.
     """
     if form not in ("printed", "squared"):
         raise ValueError(f"unknown rwmse form {form!r}")
-    if len(predicted_minutes) != len(actual_delays):
+    minutes, delays = np.asarray(predicted_minutes, dtype=float), np.asarray(actual_delays)
+    if len(minutes) != len(delays):
         raise ValueError("prediction/actual length mismatch")
-    if not actual_delays:
+    if not len(delays):
         raise ValueError("empty batch")
-    small = sum(1 for d in actual_delays if abs(d) <= 1)
-    large = len(actual_delays) - small
-    if small and large:
-        w1, w2 = 0.2 / small, 0.8 / large
-    elif small:
-        w1, w2 = 1.0 / small, 0.0
-    else:
-        w1, w2 = 0.0, 1.0 / large
-    acc = 0.0
-    for d_hat, d in zip(predicted_minutes, actual_delays):
-        err = abs(d_hat - d) if form == "printed" else (d_hat - d) ** 2
-        acc += (w1 if abs(d) <= 1 else w2) * err
-    return math.sqrt(acc)
+    is_small = np.abs(delays) <= 1
+    small = int(is_small.sum())
+    large = len(delays) - small
+    w1 = (0.2 if large else 1.0) / small if small else 0.0
+    w2 = (0.8 if small else 1.0) / large if large else 0.0
+    diff = minutes - delays
+    err = np.abs(diff) if form == "printed" else diff * diff
+    return math.sqrt(np.add.accumulate(np.where(is_small, w1, w2) * err)[-1])
 
 
 def total_score(f_jp: float, f_tr: float, rwmse_value: float) -> float:
@@ -181,29 +165,20 @@ class ScoreReport:
         }
 
 
-def score_batch(
-    predictions: Sequence,
-    actual_delays: Sequence[int],
-    rwmse_form: str = "printed",
-) -> ScoreReport:
-    """Score predictions against the realized delays at the target station.
-
-    Each prediction is a `forecast.Prediction`; only its current_delay,
-    trend, jump and minutes are read.
-    """
-    if len(predictions) != len(actual_delays):
+def score_batch(d_s, d_t, trend, jump, minutes, rwmse_form: str = "printed") -> ScoreReport:
+    """Score a batch of predictions against the realized delays at the target
+    station, from column arrays: the current and realized delays, the
+    predicted trend codes into TREND_CLASSES, jump flags and minutes."""
+    d_s, d_t = np.asarray(d_s), np.asarray(d_t)
+    if len(d_s) != len(d_t):
         raise ValueError("prediction/actual length mismatch")
-    if not predictions:
+    if not len(d_s):
         raise ValueError("empty batch")
-    pred_trend = [p.trend for p in predictions]
-    act_trend = [actual_trend(p.current_delay, d) for p, d in zip(predictions, actual_delays)]
-    pred_jump = [p.jump for p in predictions]
-    act_jump = [actual_jump(p.current_delay, d) for p, d in zip(predictions, actual_delays)]
-    f_tr, per_f1, trend_tallies = trend_score(pred_trend, act_trend)
-    f_jp, jump_tallies = jump_score(pred_jump, act_jump)
-    err = rwmse([p.minutes for p in predictions], list(actual_delays), form=rwmse_form)
+    f_tr, per_f1, trend_tallies = trend_score(trend, actual_trend(d_s, d_t))
+    f_jp, jump_tallies = jump_score(jump, actual_jump(d_s, d_t))
+    err = rwmse(minutes, d_t, form=rwmse_form)
     return ScoreReport(
-        eval_count=len(predictions),
+        eval_count=len(d_s),
         trend_tallies=trend_tallies,
         jump_tallies=jump_tallies,
         f_in=per_f1["increase"],

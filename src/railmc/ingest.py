@@ -10,11 +10,12 @@ Arrival and departure at the same physical station are distinct stations, so
 the alignment key is (station_code, activity). Malformed realization rows
 are collected into a rejects report, never silently dropped, and so is every
 repeat of a (train, date, station, activity) event after its first row. A bad
-realization header, or a malformed timetable row, raises IngestError naming
-the file and line; so does a timetable row that repeats its train's
-(station, activity) key, since a loop line cannot be aligned by that key, or
-one whose time has a UTC offset when its train's first time has none (or the
-reverse).
+realization header, a row the csv module refuses (a field over its size
+limit), or a malformed timetable row raises IngestError naming the file and
+line; so does a timetable row that repeats its train's (station, activity)
+key, since a loop line cannot be aligned by that key, or one whose time has a
+UTC offset when its train's first time has none (or the reverse). A byte that
+is not UTF-8 raises IngestError naming the file.
 
 The realization file is read into columns, a chunk of rows at a time: each
 distinct string is stripped and checked once, and timestamps in the exact
@@ -33,6 +34,7 @@ import itertools
 import math
 import operator
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +159,21 @@ class NoTargetError(ValueError):
 
 
 class IngestError(ValueError):
-    """An input CSV has a bad header or timetable row; the message names file and line."""
+    """An input CSV is not UTF-8 text, or has a bad header or row; the message
+    names the file, and the line where the reader knows it."""
+
+
+def _checked_rows(reader, what: str) -> Iterator[list[str]]:
+    """The rows of a csv.reader over an input file. A byte that is not UTF-8,
+    or a row the csv module refuses (a field over its size limit, say), raises
+    IngestError naming the file, and the line for the latter."""
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise IngestError(f"{what}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def _parse_timestamp(raw: str) -> dt.datetime:
@@ -256,7 +272,8 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     the first reason that applies, for a wrong field count, an unknown
     activity code, a timestamp that does not parse, timestamps of which only
     one has a UTC offset, or a date that does not parse; rejects keep file
-    order. A bad header raises IngestError.
+    order. A bad header, a byte that is not UTF-8 or a row the csv module
+    refuses raises IngestError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
@@ -266,13 +283,13 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     ):
         stream = io.TextIOWrapper(stream, encoding="utf-8")
 
-    name = getattr(stream, "name", "<realization>")
-    reader = csv.reader(stream)
+    what = f"realization {getattr(stream, 'name', '<realization>')}"
+    reader = _checked_rows(csv.reader(stream), what)
     header = next(reader, None)
     if header is None:
         warnings.warn("empty realization file")
     elif [h.strip() for h in header] != REALIZATION_HEADER:
-        raise IngestError(f"realization {name} line 1: unexpected header {header!r}")
+        raise IngestError(f"{what} line 1: unexpected header {header!r}")
 
     columns = [_Column(), _Column(_is_date), _Column(), _Column(ACTIVITY_CODES.__contains__)]
     parts: list[tuple[np.ndarray, ...]] = []
@@ -313,16 +330,17 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
             return load_timetable(fh)
     name = getattr(stream, "name", "<timetable>")
     reader = csv.reader(stream)
+    rows_read = _checked_rows(reader, f"timetable {name}")
 
     def error(reason: str) -> IngestError:
         return IngestError(f"timetable {name} line {reader.line_num}: {reason}")
 
-    header = next(reader, None)
+    header = next(rows_read, None)
     if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
         raise error(f"unexpected header {header!r}")
     rows: dict[str, list[tuple[int, StationKey, dt.datetime]]] = {}
     seen: set[tuple[str, StationKey]] = set()
-    for row in reader:
+    for row in rows_read:
         if len(row) != len(TIMETABLE_HEADER):
             raise error(f"expected {len(TIMETABLE_HEADER)} fields, got {len(row)}")
         train_id, station, activity, planned, seq = (f.strip() for f in row)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .core import StateSpace, build_count_tensor, check_transition_matrix
-from .evaluate import ScoreReport, marginal_predictor, naive_predictor, score_batch
+from .evaluate import TREND_CLASSES, ScoreReport, marginal_predictor, naive_predictor, score_batch
 from .forecast import Prediction, make_prediction, point_delay, propagate
 from .ingest import (
     EventColumns,
@@ -54,6 +54,7 @@ __all__ = [
     "test_store",
     "train_bundle",
     "bundle_matrices",
+    "resolve_target",
     "forecast_from_bundle",
     "evaluate_store",
 ]
@@ -322,9 +323,11 @@ def _check_target(s: int, t: int | None) -> int | None:
     return t
 
 
-def _resolve_target(
+def resolve_target(
     store: dict | None, train_id: str, s: int, config: RunConfig, target: int | None
 ) -> int:
+    """The target station: `target` when given, after checking it lies after S;
+    else the first station past the horizon on the store's timetable."""
     if target is not None:
         return _check_target(s, target)
     template = store_template(store, train_id)
@@ -368,14 +371,13 @@ def evaluate_store(
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
         _check_n_max(_store_space(train_store).n_max, space.n_max, "training store", "evaluation store")
-    predictions: list[Prediction] = []
-    actuals: list[int] = []
+    columns = []
     detail = []
     skipped = 0
     for tid in sorted(eval_store["trains"]):
         delays, lengths, dates = store_series(eval_store, tid)
         try:
-            t_target = _resolve_target(eval_store, tid, from_station, config, target)
+            t_target = resolve_target(eval_store, tid, from_station, config, target)
             if bundle is not None:
                 chain = bundle_matrices(bundle, tid, from_station, t_target)
             elif baseline == "naive":
@@ -387,21 +389,23 @@ def evaluate_store(
             continue
         covered = lengths >= t_target  # T > S: a series that reaches T covers S
         skipped += int((~covered).sum())
-        d_S = delays[covered, from_station - 1]
-        d_T = delays[covered, t_target - 1].tolist()
-        by_delay = {d: _predict_chain(chain, d, model_space, config) for d in np.unique(d_S).tolist()}
-        for date, d_s, d_t in zip(itertools.compress(dates, covered), d_S.tolist(), d_T):
-            pred = by_delay[d_s]
-            predictions.append(pred)
-            actuals.append(d_t)
-            detail.append(
-                {"train": tid, "date": date, "S": from_station, "T": t_target,
-                 "d_S": d_s, "d_T": d_t, "trend": pred.trend, "jump": pred.jump,
-                 "minutes": pred.minutes}
-            )
-    if not predictions:
+        d_S, d_T = delays[covered, from_station - 1], delays[covered, t_target - 1]
+        # one prediction per distinct d_S, scattered back to its series
+        distinct, series_of = np.unique(d_S, return_inverse=True)
+        preds = [_predict_chain(chain, d, model_space, config) for d in distinct.tolist()]
+        trend = np.array([TREND_CLASSES.index(p.trend) for p in preds], dtype=np.intp)[series_of]
+        jump = np.array([p.jump for p in preds], dtype=bool)[series_of]
+        minutes = np.array([p.minutes for p in preds], dtype=float)[series_of]
+        columns.append((d_S, d_T, trend, jump, minutes))
+        detail.extend(
+            {"train": tid, "date": date, "S": from_station, "T": t_target, "d_S": d_s,
+             "d_T": d_t, "trend": TREND_CLASSES[c], "jump": j, "minutes": m}
+            for date, d_s, d_t, c, j, m in zip(
+                itertools.compress(dates, covered), *(x.tolist() for x in columns[-1]))
+        )
+    if not detail:
         raise EmptySelectionError("no series could be evaluated")
-    report = score_batch(predictions, actuals, rwmse_form=config.rwmse_form)
+    report = score_batch(*map(np.concatenate, zip(*columns)), rwmse_form=config.rwmse_form)
     payload = {
         "method": baseline or bundle["meta"]["strategy"],
         "skipped": skipped,

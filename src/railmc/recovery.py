@@ -39,7 +39,6 @@ __all__ = [
     "kde_fit",
     "kde_density",
     "kde_matrix",
-    "write_matrix_csv",
     "format_matrix_text",
 ]
 
@@ -249,18 +248,6 @@ def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     logf = _log_density_at(model, states[:, None], states[None, :])
     probs = np.exp(logf - _row_logsumexp(logf))
     return probs / probs.sum(axis=1, keepdims=True)
-
-
-def write_matrix_csv(matrix: np.ndarray, space: StateSpace, path) -> None:
-    """Dump a matrix as a CSV grid with state values as header and row labels."""
-    import csv
-
-    states = space.states()
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + [str(s) for s in states])
-        for r, row in enumerate(matrix):
-            w.writerow([str(states[r])] + [f"{p:.6g}" for p in row])
 
 
 def format_matrix_text(matrix: np.ndarray, space: StateSpace) -> str:

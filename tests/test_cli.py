@@ -286,6 +286,46 @@ class TestExitCodes:
         assert f"error: realization {rz} line 1: unexpected header" in capsys.readouterr().err
         assert not (workspace / "new_store.json").exists()
 
+    @pytest.mark.parametrize("fault", ["non_utf8", "oversize_field"])
+    @pytest.mark.parametrize("name", ["timetable", "realization"])
+    def test_unreadable_input_exits_2(self, workspace, capsys, name, fault):
+        path = workspace / f"{name}.csv"
+        n_lines = len(path.read_bytes().splitlines())
+        with open(path, "ab") as fh:  # one more row, after every good one
+            fh.write(b"T001,\xff\n" if fault == "non_utf8" else b"x" * 131073 + b",y\n")
+        capsys.readouterr()
+        assert main([
+            "ingest", "--timetable", str(workspace / "timetable.csv"),
+            "--realization", str(workspace / "realization.csv"),
+            "--out", str(workspace / "new_store.json"),
+        ]) == 2
+        expect = (f"error: {name} {path}: not UTF-8 text (byte 0xff: invalid start byte)"
+                  if fault == "non_utf8" else
+                  f"error: {name} {path} line {n_lines + 1}: field larger than field limit (131072)")
+        assert expect in capsys.readouterr().err
+        assert not (workspace / "new_store.json").exists()
+
+    @pytest.mark.parametrize("command, flags, reason", [
+        ("forecast", ["--bundle", "bundle.json", "--train", "T001", "--station", "1", "--delay", "0"],
+         "forecast needs --target or --store to resolve the target station"),
+        ("evaluate", ["--store", "store.json", "--baseline", "marginal"],
+         "--baseline marginal needs --train-store"),
+        ("train", ["--store", "store.json", "--print-matrix", "T001"],
+         "--print-matrix wants TRAIN:T with a station number T, got 'T001'"),
+        ("train", ["--store", "store.json", "--print-matrix", "T001:x"],
+         "--print-matrix wants TRAIN:T with a station number T, got 'T001:x'"),
+    ], ids=["forecast_no_target", "marginal_no_train_store", "print_matrix_no_station",
+            "print_matrix_bad_station"])
+    def test_flag_usage_error_exits_2(self, workspace, capsys, command, flags, reason):
+        assert main(["train", "--store", str(workspace / "store.json"),
+                     "--out", str(workspace / "bundle.json"), "--strategy", "diagonal"]) == 0
+        capsys.readouterr()
+        out = workspace / "out.json"
+        paths = [str(workspace / f) if f.endswith(".json") else f for f in flags]
+        assert main([command, *paths, "--out", str(out)]) == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not out.exists() and not (workspace / "out.json.csv").exists()
+
     def test_realization_row_mixing_offsets_is_rejected(self, workspace, capsys):
         # one timestamp with a UTC offset and one without cannot be subtracted
         rz = workspace / "realization.csv"

@@ -4,14 +4,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railmc import pipeline
 from railmc.cli import main
-from railmc.config import METRICS, POINT_METRICS, RunConfig
+from railmc.config import METRICS, POINT_METRICS, RWMSE_FORMS, RunConfig
 from railmc.core import CountTensor, StateSpace, build_count_tensor
 from railmc.forecast import make_prediction, point_delay, propagate
 from railmc.synth import near_diagonal_spec, sample_series
 from railmc.evaluate import (
+    TREND_CLASSES,
+    ScoreReport,
     actual_jump,
     actual_trend,
     f1_class,
@@ -46,20 +50,28 @@ class TestF1:
 
 class TestActualLabels:
     def test_trend_exact_comparison(self):
-        assert actual_trend(3, 4) == "increase"
-        assert actual_trend(3, 2) == "decrease"
-        assert actual_trend(3, 3) == "equal"
+        trend = actual_trend(np.array([3, 3, 3]), np.array([4, 2, 3]))
+        assert TREND_CLASSES[trend[0]] == "increase"
+        assert TREND_CLASSES[trend[1]] == "decrease"
+        assert TREND_CLASSES[trend[2]] == "equal"
 
     def test_jump_threshold(self):
-        assert actual_jump(0, 2) is True
-        assert actual_jump(0, -2) is True
-        assert actual_jump(0, 1) is False
-        assert actual_jump(5, 4) is False
+        jump = actual_jump(np.array([0, 0, 0, 5]), np.array([2, -2, 1, 4]))
+        assert jump.dtype == bool
+        assert jump[0]
+        assert jump[1]
+        assert not jump[2]
+        assert not jump[3]
+
+
+def codes(labels):
+    """Trend labels as the codes into TREND_CLASSES that scoring reads."""
+    return np.array([TREND_CLASSES.index(label) for label in labels], dtype=np.intp)
 
 
 class TestTrendScore:
     def test_all_correct(self):
-        labels = ["increase", "decrease", "equal", "increase"]
+        labels = codes(["increase", "decrease", "equal", "increase"])
         f_tr, per_f1, _ = trend_score(labels, labels)
         assert f_tr == 1.0
         assert per_f1 == {"increase": 1.0, "decrease": 1.0, "equal": 1.0}
@@ -69,7 +81,7 @@ class TestTrendScore:
         classes = ["increase", "decrease", "equal"]
         predicted = [rng.choice(classes) for _ in range(200)]
         actual = [rng.choice(classes) for _ in range(200)]
-        f_tr, per_f1, tallies = trend_score(predicted, actual)
+        f_tr, per_f1, tallies = trend_score(codes(predicted), codes(actual))
         # independent oracle: explicit 3x3 confusion matrix
         conf = {(p, a): 0 for p in classes for a in classes}
         for p, a in zip(predicted, actual):
@@ -95,13 +107,13 @@ class TestTrendScore:
         pairs = [(rng.choice(classes), rng.choice(classes)) for _ in range(50)]
         shuffled = pairs[:]
         rng.shuffle(shuffled)
-        a = trend_score([p for p, _ in pairs], [a for _, a in pairs])[0]
-        b = trend_score([p for p, _ in shuffled], [a for _, a in shuffled])[0]
+        a = trend_score(codes(p for p, _ in pairs), codes(a for _, a in pairs))[0]
+        b = trend_score(codes(p for p, _ in shuffled), codes(a for _, a in shuffled))[0]
         assert a == b
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            trend_score(["equal"], [])
+            trend_score(codes(["equal"]), codes([]))
 
 
 class TestJumpScore:
@@ -208,10 +220,11 @@ class TestBaselinePredictors:
 class TestScoreBatch:
     def test_naive_batch(self):
         space = StateSpace(15)
-        currents = [0, 0, 2, 5]
-        actuals = [0, 3, 2, 4]
-        preds = [predict(naive_predictor(space), d, space) for d in currents]
-        report = score_batch(preds, actuals)
+        currents = np.array([0, 0, 2, 5])
+        actuals = np.array([0, 3, 2, 4])
+        preds = [predict(naive_predictor(space), d, space) for d in currents.tolist()]
+        report = score_batch(currents, actuals, codes(p.trend for p in preds),
+                             [p.jump for p in preds], [p.minutes for p in preds])
         # actual trends: equal, increase, equal, decrease; naive says equal
         assert report.f_eq == pytest.approx(2 * 2 / (2 * 2 + 2 + 0))
         assert report.f_in == 0.0 and report.f_de == 0.0
@@ -228,7 +241,106 @@ class TestScoreBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            score_batch([], [])
+            score_batch([], [], [], [], [])
+
+
+class PerSeriesScorer:
+    """The per-series scorer that `score_batch` replaced, kept as its oracle:
+    string labels, generator tallies and a Python loop for the RWMSE.
+
+    One expression differs: the squared error is `e * e`, as in the array
+    scorer, not `e ** 2`. A Python float's `**` calls the C library's `pow`,
+    which misrounds the square in the last bit for about 1 in 1,200 values
+    under glibc 2.36, while a product is correctly rounded.
+    """
+
+    @staticmethod
+    def actual_trend(d_s, d_t):
+        if d_t > d_s:
+            return "increase"
+        if d_t < d_s:
+            return "decrease"
+        return "equal"
+
+    @staticmethod
+    def binary_tallies(predicted, actual):
+        tp = sum(1 for p, a in zip(predicted, actual) if p and a)
+        fp = sum(1 for p, a in zip(predicted, actual) if p and not a)
+        fn = sum(1 for p, a in zip(predicted, actual) if not p and a)
+        tn = sum(1 for p, a in zip(predicted, actual) if not p and not a)
+        return {"tp": tp, "fp": fp, "fn": fn, "tn": tn}
+
+    @classmethod
+    def rwmse(cls, predicted_minutes, actual_delays, form):
+        small = sum(1 for d in actual_delays if abs(d) <= 1)
+        large = len(actual_delays) - small
+        if small and large:
+            w1, w2 = 0.2 / small, 0.8 / large
+        elif small:
+            w1, w2 = 1.0 / small, 0.0
+        else:
+            w1, w2 = 0.0, 1.0 / large
+        acc = 0.0
+        for d_hat, d in zip(predicted_minutes, actual_delays):
+            err = abs(d_hat - d) if form == "printed" else (d_hat - d) * (d_hat - d)
+            acc += (w1 if abs(d) <= 1 else w2) * err
+        return math.sqrt(acc)
+
+    @classmethod
+    def score(cls, d_s, d_t, trend, jump, minutes, form):
+        act_trend = [cls.actual_trend(s, t) for s, t in zip(d_s, d_t)]
+        act_jump = [abs(t - s) >= 2 for s, t in zip(d_s, d_t)]
+        per_f1, tallies = {}, {}
+        for c in TREND_CLASSES:
+            t = cls.binary_tallies([p == c for p in trend], [a == c for a in act_trend])
+            tallies[c] = t
+            per_f1[c] = f1_class(t["tp"], t["fp"], t["fn"])
+        f_tr = sum(per_f1.values()) / 3.0
+        jump_tallies = cls.binary_tallies(jump, act_jump)
+        f_jp = f1_class(jump_tallies["tp"], jump_tallies["fp"], jump_tallies["fn"])
+        err = cls.rwmse(minutes, d_t, form)
+        return ScoreReport(
+            eval_count=len(d_s), trend_tallies=tallies, jump_tallies=jump_tallies,
+            f_in=per_f1["increase"], f_de=per_f1["decrease"], f_eq=per_f1["equal"],
+            f_tr=f_tr, f_jp=f_jp, rwmse=err, score=total_score(f_jp, f_tr, err),
+            rwmse_form=form,
+        )
+
+
+# the d(T) - d(S) moves of each realized trend class, equally many per class
+MOVES = {"increase": (1, 2, 3, 4), "decrease": (-1, -2, -3, -4), "equal": (0, 0, 0, 0)}
+
+
+@st.composite
+def scored_batches(draw):
+    """A batch of (d_S, d_T, predicted trend, jump, minutes) columns. The
+    actual delays are all small, all large or mixed; the predicted and the
+    actual trends each range over a drawn subset of the classes, so a class
+    can be missing from either side."""
+    low, high = draw(st.sampled_from([(0, 1), (2, 15), (0, 15)]))
+    actual = draw(st.lists(st.sampled_from(TREND_CLASSES), min_size=1, max_size=3, unique=True))
+    predicted = draw(st.lists(st.sampled_from(TREND_CLASSES), min_size=1, max_size=3, unique=True))
+    rows = draw(st.lists(st.tuples(
+        st.integers(low, high), st.sampled_from([-1, 1]),
+        st.sampled_from([m for c in actual for m in MOVES[c]]),
+        st.sampled_from(predicted), st.booleans(),
+        st.one_of(st.integers(-15, 15).map(float), st.floats(-15, 15)),
+    ), min_size=1, max_size=40))
+    return [
+        [sign * d - move for d, sign, move, *_ in rows],
+        [sign * d for d, sign, *_ in rows],
+        *([row[k] for row in rows] for k in (3, 4, 5)),
+    ]
+
+
+class TestScoreBatchOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(scored_batches(), st.sampled_from(RWMSE_FORMS))
+    def test_equals_per_series_scorer(self, batch, form):
+        d_s, d_t, trend, jump, minutes = batch
+        report = score_batch(np.array(d_s), np.array(d_t), codes(trend),
+                             np.array(jump), np.array(minutes), rwmse_form=form)
+        assert report == PerSeriesScorer.score(d_s, d_t, trend, jump, minutes, form)
 
 
 @pytest.fixture

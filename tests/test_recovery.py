@@ -17,7 +17,6 @@ from railmc.recovery import (
     kde_fit,
     kde_matrix,
     uniform_fill,
-    write_matrix_csv,
 )
 from railmc.synth import near_diagonal_spec, sample_delays
 
@@ -361,16 +360,3 @@ class TestRowLogSumExp:
         self.assert_matches_scipy(logf)
         probs = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
         assert np.array_equal(kde_matrix(model, space), probs / probs.sum(axis=1, keepdims=True))
-
-
-class TestMatrixOutput:
-    def test_csv_grid(self, tmp_path):
-        space = StateSpace(2)
-        c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
-        mat = uniform_fill(empirical_matrix(c))
-        out = tmp_path / "mat.csv"
-        write_matrix_csv(mat, space, out)
-        lines = out.read_text().splitlines()
-        assert lines[0] == ",-2,-1,0,1,2"
-        assert len(lines) == 6
-        assert lines[3].startswith("0,")
