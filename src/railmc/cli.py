@@ -3,7 +3,8 @@
 Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 ``evaluate``. All reports are JSON with sorted keys (plus CSV mirrors where
 noted), so re-running a command with the same inputs and seed produces
-byte-identical outputs.
+byte-identical outputs. Every subcommand takes one flag per settable
+RunConfig field, built from that field's declaration.
 
 Exit codes: 0 ok, 1 internal error, 2 I/O error, a missing or malformed flag, or
 a malformed store, bundle, config file, input encoding, realization header or
@@ -21,16 +22,7 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .config import (
-    CLIP_MODES,
-    METRICS,
-    POINT_METRICS,
-    RWMSE_FORMS,
-    STATISTICS,
-    STRATEGIES,
-    ConfigError,
-    RunConfig,
-)
+from .config import ConfigError, RunConfig
 from .core import StateSpace
 from .ingest import (
     REJECT_REASONS,
@@ -52,28 +44,13 @@ EXIT_COVERAGE = 4
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    defaults = RunConfig()
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--n-max", type=int, help=f"delay bound N (default {defaults.n_max})")
-    p.add_argument("--alpha1", type=float, help=f"level for the zero-order test (default {defaults.alpha1})")
-    p.add_argument("--alpha2", type=float, help=f"level for the first-order test (default {defaults.alpha2})")
-    p.add_argument("--horizon", type=float, dest="horizon_minutes",
-                   help=f"prediction horizon in minutes (default {defaults.horizon_minutes})")
-    p.add_argument("--trend-metric", choices=METRICS,
-                   help=f"metric for the trend prediction (default {defaults.trend_metric})")
-    p.add_argument("--jump-metric", choices=METRICS,
-                   help=f"metric for the jump prediction (default {defaults.jump_metric})")
-    p.add_argument("--minutes-metric", choices=POINT_METRICS,
-                   help=f"metric for the minutes prediction (default {defaults.minutes_metric})")
-    p.add_argument("--strategy", choices=STRATEGIES,
-                   help=f"matrix recovery strategy (default {defaults.strategy})")
-    p.add_argument("--statistic", choices=STATISTICS,
-                   help=f"ladder statistic for the order test (default {defaults.statistic})")
-    p.add_argument("--rwmse-form", choices=RWMSE_FORMS,
-                   help=f"error form under the RWMSE root (default {defaults.rwmse_form})")
-    p.add_argument("--clip-mode", choices=CLIP_MODES,
-                   help=f"out-of-range delay handling (default {defaults.clip_mode})")
-    p.add_argument("--seed", type=int, help=f"seed of the synthetic corpus; only synth draws random numbers (default {defaults.seed})")
+    for f in dataclasses.fields(RunConfig):
+        flag = f.metadata["flag"]
+        if flag is not None:
+            p.add_argument(flag or "--" + f.name.replace("_", "-"), dest=f.name,
+                           type=type(f.default), choices=f.metadata["choices"] or None,
+                           help=f"{f.metadata['help']} (default {f.default})")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
@@ -83,6 +60,11 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for flag, value in (("--series", args.series), ("--trains", args.trains), ("--length", args.length)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be a positive integer, got {value}")
+    if not args.dispersion > 0:  # NaN fails too
+        raise ConfigError(f"--dispersion must be a positive number, got {args.dispersion}")
     config = _config_from(args)
     space = StateSpace(config.n_max)
     series = []
@@ -114,7 +96,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    store = pipeline.load_json(args.store)
+    store = pipeline.load_json(args.store, StoreError)
     report = pipeline.test_store(store, config)
     pipeline.save_json(report, args.out)
     agg = report["aggregate"]
@@ -130,7 +112,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
-    store = pipeline.load_json(args.store)
+    store = pipeline.load_json(args.store, StoreError)
     bundle = pipeline.train_bundle(store, config)
     pipeline.save_json(bundle, args.out)
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
@@ -145,8 +127,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if args.target is None and args.store is None:
         raise ConfigError("forecast needs --target or --store to resolve the target station")
     config = _config_from(args)
-    bundle = pipeline.load_json(args.bundle)
-    store = None if args.target is not None else pipeline.load_json(args.store)
+    bundle = pipeline.load_json(args.bundle, BundleError)
+    store = None if args.target is not None else pipeline.load_json(args.store, StoreError)
     target = pipeline.resolve_target(store, args.train, args.station, config, args.target)
     pred = pipeline.forecast_from_bundle(
         bundle, args.train, args.station, args.delay, target, config
@@ -164,9 +146,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline == "marginal" and not args.train_store:
         raise ConfigError("--baseline marginal needs --train-store")
     config = _config_from(args)
-    store = pipeline.load_json(args.store)
-    bundle = pipeline.load_json(args.bundle) if args.bundle else None
-    train_store = pipeline.load_json(args.train_store) if args.train_store else None
+    store = pipeline.load_json(args.store, StoreError)
+    bundle = pipeline.load_json(args.bundle, BundleError) if args.bundle else None
+    train_store = pipeline.load_json(args.train_store, StoreError) if args.train_store else None
     report, payload = pipeline.evaluate_store(
         store, config, bundle=bundle, baseline=args.baseline,
         train_store=train_store, from_station=args.from_station, target=args.target,

@@ -1,7 +1,10 @@
 """Run configuration with the package-wide defaults.
 
 Values can come from an optional JSON config file and be overridden by CLI
-flags; flags win. A malformed file raises ConfigError naming the file.
+flags; flags win. Each RunConfig field is the one declaration of its setting:
+its default, the values it accepts, its help text and its flag, from which
+both the validation below and the CLI's flags are built. A malformed file
+raises ConfigError naming the file.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ __all__ = ["ConfigError", "RunConfig"]
 STRATEGIES = ("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")
 POINT_METRICS = ("mean", "mode", "median")
 METRICS = POINT_METRICS + ("probability",)
-STATISTICS = ("LR", "Q")
 RWMSE_FORMS = ("printed", "squared")
 REGRESSION_STDS = ("printed", "sqrt")
 CLIP_MODES = ("saturate", "drop")
@@ -26,54 +28,58 @@ class ConfigError(ValueError):
     """A config file, value or flag is malformed, or a needed flag is missing."""
 
 
+def _setting(default, help_text: str, *, choices: tuple[str, ...] = (), minimum: int = 0,
+             below: float = math.inf, flag: str | None = ""):
+    """A RunConfig field. A str setting takes one of `choices`; an int one an
+    integer >= `minimum`; a float one a number in (0, `below`). `flag` is the
+    command-line flag: "" derives it from the field name, None leaves the
+    setting to the config file."""
+    return dataclasses.field(default=default, metadata={
+        "help": help_text, "choices": choices, "minimum": minimum, "below": below, "flag": flag,
+    })
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    n_max: int = 15
-    alpha1: float = 0.05
-    alpha2: float = 0.05
-    horizon_minutes: float = 20.0
-    trend_metric: str = "median"
-    jump_metric: str = "probability"
-    minutes_metric: str = "mean"
-    strategy: str = "gaussian_kernel"
-    statistic: str = "Q"
-    rwmse_form: str = "printed"
-    regression_std: str = "printed"
-    clip_mode: str = "saturate"
-    seed: int = 0
+    n_max: int = _setting(15, "delay bound N", minimum=1)
+    alpha1: float = _setting(0.05, "level for the zero-order test", below=1)
+    alpha2: float = _setting(0.05, "level for the first-order test", below=1)
+    horizon_minutes: float = _setting(20.0, "prediction horizon in minutes", flag="--horizon")
+    trend_metric: str = _setting("median", "metric for the trend prediction", choices=METRICS)
+    jump_metric: str = _setting("probability", "metric for the jump prediction", choices=METRICS)
+    minutes_metric: str = _setting("mean", "metric for the minutes prediction", choices=POINT_METRICS)
+    strategy: str = _setting("gaussian_kernel", "matrix recovery strategy", choices=STRATEGIES)
+    rwmse_form: str = _setting("printed", "error form under the RWMSE root", choices=RWMSE_FORMS)
+    regression_std: str = _setting(
+        "printed", "spread form of the gaussian_regression fill", choices=REGRESSION_STDS, flag=None)
+    clip_mode: str = _setting("saturate", "out-of-range delay handling", choices=CLIP_MODES)
+    seed: int = _setting(0, "seed of the synthetic corpus; only synth draws random numbers")
 
     def __post_init__(self) -> None:
-        if type(self.n_max) is not int or self.n_max < 1:
-            raise ConfigError(f"n_max must be a positive integer, got {self.n_max!r}")
-        for name, high in (("alpha1", 1), ("alpha2", 1), ("horizon_minutes", math.inf)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < high:
-                raise ConfigError(f"{name} must be a number in (0, {high}), got {value!r}")
-        choices = {
-            "strategy": STRATEGIES,
-            "statistic": STATISTICS,
-            "rwmse_form": RWMSE_FORMS,
-            "regression_std": REGRESSION_STDS,
-            "clip_mode": CLIP_MODES,
-            "trend_metric": METRICS,
-            "jump_metric": METRICS,
-            "minutes_metric": POINT_METRICS,
-        }
-        for name, allowed in choices.items():
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"unknown {name} {value!r}; choose from {', '.join(allowed)}")
+        for f in dataclasses.fields(self):
+            value, meta = getattr(self, f.name), f.metadata
+            if meta["choices"]:
+                if value not in meta["choices"]:
+                    raise ConfigError(
+                        f"unknown {f.name} {value!r}; choose from {', '.join(meta['choices'])}")
+            elif isinstance(f.default, int):
+                if type(value) is not int or value < meta["minimum"]:
+                    kind = "positive" if meta["minimum"] == 1 else "non-negative"
+                    raise ConfigError(f"{f.name} must be a {kind} integer, got {value!r}")
+            elif (isinstance(value, bool) or not isinstance(value, (int, float))
+                  or not 0 < value < meta["below"]):
+                raise ConfigError(f"{f.name} must be a number in (0, {meta['below']}), got {value!r}")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
         """Build a config from an optional JSON file plus explicit overrides."""
         values: dict = {}
         if path is not None:
-            with open(path, "r", encoding="utf-8") as fh:
-                try:
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
                     file_values = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config {path} is not JSON: {exc}") from None
+            except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
+                raise ConfigError(f"config {path} is not JSON: {exc}") from None
             if not isinstance(file_values, dict):
                 raise ConfigError(f"config {path} is not a JSON object")
             unknown = set(file_values) - {f.name for f in dataclasses.fields(cls)}

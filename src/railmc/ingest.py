@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import io
 import itertools
 import math
 import operator
@@ -268,20 +267,16 @@ def _delays(planned: list[str], realized: list[str]) -> tuple[np.ndarray, np.nda
 def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     """Parse a realization CSV stream into event columns plus a rejects report.
 
-    Accepts a text stream, a byte stream, or a path. A row is rejected, with
-    the first reason that applies, for a wrong field count, an unknown
-    activity code, a timestamp that does not parse, timestamps of which only
-    one has a UTC offset, or a date that does not parse; rejects keep file
-    order. A bad header, a byte that is not UTF-8 or a row the csv module
-    refuses raises IngestError.
+    Accepts a text stream or a path. A row is rejected, with the first reason
+    that applies, for a wrong field count, an unknown activity code, a
+    timestamp that does not parse, timestamps of which only one has a UTC
+    offset, or a date that does not parse; rejects keep file order. A bad
+    header, a byte that is not UTF-8 or a row the csv module refuses raises
+    IngestError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
             return parse_events(fh)
-    if isinstance(stream, io.BufferedIOBase) or (
-        hasattr(stream, "read") and isinstance(stream.read(0), bytes)
-    ):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
 
     what = f"realization {getattr(stream, 'name', '<realization>')}"
     reader = _checked_rows(csv.reader(stream), what)

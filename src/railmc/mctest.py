@@ -6,8 +6,8 @@ computed on the truncated matrices (all-zero rows and columns removed), so the
 statistics and df are invariant under relabeling of unobserved states.
 
 The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
-zero-order null is rejected. Both statistics are always computed; the ladder
-uses Q by default, with LR available as an alternative.
+zero-order null is rejected. It runs on both statistics, and a report records
+both ladders; its `verdict_h0_0`/`verdict_h0_1` read the Q ladder.
 
 The chi-square CDF and quantile are scipy's regularized incomplete gamma
 functions. scipy is imported inside those two functions, so only the code
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 Verdict = Literal["not_rejected", "rejected", "untestable"]
-Statistic = Literal["LR", "Q"]
 
 
 def chi_square_cdf(x: float, df: int) -> float:
@@ -140,7 +139,6 @@ class OrderTestReport:
     station_index: int
     alpha1: float
     alpha2: float
-    statistic: Statistic
     lr0: float | None = None
     q0: float | None = None
     df0: int | None = None
@@ -153,18 +151,17 @@ class OrderTestReport:
 
     @property
     def verdict_h0_0(self) -> Verdict:
-        return self.verdicts[self.statistic][0]
+        return self.verdicts["Q"][0]
 
     @property
     def verdict_h0_1(self) -> Verdict | None:
-        return self.verdicts[self.statistic][1]
+        return self.verdicts["Q"][1]
 
     def to_dict(self) -> dict:
         return {
             "t": self.station_index,
             "alpha1": self.alpha1,
             "alpha2": self.alpha2,
-            "statistic": self.statistic,
             "lr0": self.lr0,
             "q0": self.q0,
             "df0": self.df0,
@@ -198,13 +195,12 @@ def markov_property_test(
     counts: CountTensor,
     alpha1: float = 0.05,
     alpha2: float = 0.05,
-    statistic: Statistic = "Q",
 ) -> OrderTestReport:
     """Run the order-test ladder on the counts for one station.
 
     Tests H0(0) at level alpha1; on rejection tests H0(1) at level alpha2.
-    Ladders for both LR and Q are recorded; `statistic` selects which one the
-    report's primary verdicts refer to.
+    Ladders for both LR and Q are recorded; the report's verdict_h0_0 and
+    verdict_h0_1 read the Q ladder.
     """
     if not 0.0 < alpha1 < 1.0 or not 0.0 < alpha2 < 1.0:
         raise ValueError("significance levels must lie in (0, 1)")
@@ -213,7 +209,6 @@ def markov_property_test(
             station_index=counts.station_index,
             alpha1=alpha1,
             alpha2=alpha2,
-            statistic=statistic,
             verdicts={"LR": ("untestable", None), "Q": ("untestable", None)},
         )
     freq = estimate_frequencies(counts)
@@ -230,7 +225,6 @@ def markov_property_test(
         station_index=counts.station_index,
         alpha1=alpha1,
         alpha2=alpha2,
-        statistic=statistic,
         lr0=lr0,
         q0=q0,
         df0=df0,

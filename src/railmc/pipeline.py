@@ -68,7 +68,7 @@ class CoverageError(RuntimeError):
 
 
 class BundleError(ValueError):
-    """A bundle's metadata or matrices are malformed."""
+    """A bundle file, or its metadata or matrices, is malformed."""
 
 
 class EmptySelectionError(RuntimeError):
@@ -76,7 +76,8 @@ class EmptySelectionError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """A series store is malformed; the message names the train and the date."""
+    """A series store is malformed; the message names the file, or the train
+    and the date."""
 
 
 def build_store(
@@ -105,9 +106,13 @@ def save_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+def load_json(path, error: type[ValueError] = ValueError) -> dict:
+    """Read a JSON file; one that is not UTF-8 JSON raises `error` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
+        raise error(f"{path} is not JSON: {exc}") from None
 
 
 def _space_of(n_max, error: type[ValueError], owner: str) -> StateSpace:
@@ -181,9 +186,7 @@ def test_store(store: dict, config: RunConfig) -> dict:
         delays, lengths, _ = store_series(store, tid)
         for t in range(2, lengths.max(initial=0) + 1):
             counts = build_count_tensor(delays, lengths, t, space)
-            report = markov_property_test(
-                counts, config.alpha1, config.alpha2, config.statistic
-            )
+            report = markov_property_test(counts, config.alpha1, config.alpha2)
             reports.append(report)
             per_station.append({"train": tid, **report.to_dict()})
     if not reports:

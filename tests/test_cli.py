@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from railmc.cli import main
+from railmc import cli
+from railmc.cli import build_parser, main
 from railmc.config import ConfigError, RunConfig
 from railmc.pipeline import load_json, save_json
 
@@ -238,9 +239,11 @@ class TestExitCodes:
         ({"horizon_minutes": 0}, "horizon_minutes must be a number in (0, inf), got 0"),
         ({"clip_mode": "bogus"}, "unknown clip_mode 'bogus'; choose from saturate, drop"),
         ({"regression_std": "bogus"}, "unknown regression_std 'bogus'; choose from printed, sqrt"),
+        ({"statistic": "Q"}, "unknown keys ['statistic']"),
+        ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice", "string_alpha",
             "bool_alpha", "zero_alpha", "alpha_above_1", "string_horizon", "zero_horizon",
-            "unknown_clip_mode", "unknown_regression_std"])
+            "unknown_clip_mode", "unknown_regression_std", "statistic", "float_seed"])
     def test_bad_config_exits_2(self, workspace, capsys, values, reason):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -325,6 +328,44 @@ class TestExitCodes:
         assert main([command, *paths, "--out", str(out)]) == 2
         assert f"error: {reason}" in capsys.readouterr().err
         assert not out.exists() and not (workspace / "out.json.csv").exists()
+
+    @pytest.mark.parametrize("fault", ["truncated", "non_utf8"])
+    @pytest.mark.parametrize("source", ["store", "bundle", "train_store", "config"])
+    def test_unreadable_json_exits_2(self, workspace, capsys, source, fault):
+        store, bundle, out = workspace / "store.json", workspace / "bundle.json", workspace / "out.json"
+        assert main(["train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal"]) == 0
+        bad = workspace / "bad.json"
+        raw = {"store": store, "bundle": bundle, "train_store": store}.get(source)
+        raw = raw.read_bytes() if raw else b'{"n_max": 15, "strategy": "diagonal"}'
+        bad.write_bytes(raw[:24] if fault == "truncated" else raw[:24] + b"\xff" + raw[24:])
+        argv = {
+            "store": ["test", "--store", str(bad)],
+            "bundle": ["forecast", "--bundle", str(bad), "--train", "T001", "--station", "1",
+                       "--delay", "0", "--target", "3"],
+            "train_store": ["evaluate", "--store", str(store), "--baseline", "marginal",
+                            "--train-store", str(bad)],
+            "config": ["train", "--store", str(store), "--config", str(bad)],
+        }[source]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {'config ' if source == 'config' else ''}{bad} is not JSON: " in err
+        assert ("can't decode byte 0xff" in err) == (fault == "non_utf8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--series", "0", "--series must be a positive integer, got 0"),
+        ("--trains", "0", "--trains must be a positive integer, got 0"),
+        ("--length", "0", "--length must be a positive integer, got 0"),
+        ("--dispersion", "0", "--dispersion must be a positive number, got 0.0"),
+        ("--dispersion", "nan", "--dispersion must be a positive number, got nan"),
+        ("--seed", "-1", "seed must be a non-negative integer, got -1"),
+    ], ids=["series", "trains", "length", "dispersion", "nan_dispersion", "negative_seed"])
+    def test_synth_flag_out_of_range_exits_2(self, tmp_path, capsys, flag, value, reason):
+        tt, rz = tmp_path / "tt.csv", tmp_path / "rz.csv"
+        assert main(["synth", flag, value, "--out-timetable", str(tt), "--out-realization", str(rz)]) == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not tt.exists() and not rz.exists()
 
     def test_realization_row_mixing_offsets_is_rejected(self, workspace, capsys):
         # one timestamp with a UTC offset and one without cannot be subtracted
@@ -585,6 +626,17 @@ def test_bundle_with_jitter_meta_still_loads(workspace):
     for suffix in (".pred.json", ".scores.json"):
         assert (workspace / f"bundle.json{suffix}").read_bytes() == (workspace / f"old_bundle.json{suffix}").read_bytes()
 
+# the required flags of each subcommand; no file is read
+SUBCOMMAND_ARGV = {
+    "synth": ["--out-timetable", "tt.csv", "--out-realization", "rz.csv"],
+    "ingest": ["--timetable", "tt.csv", "--realization", "rz.csv", "--out", "store.json"],
+    "test": ["--store", "store.json", "--out", "order.json"],
+    "train": ["--store", "store.json", "--out", "bundle.json"],
+    "forecast": ["--bundle", "bundle.json", "--train", "T001", "--station", "1", "--delay", "0"],
+    "evaluate": ["--store", "store.json", "--baseline", "naive", "--out", "scores.json"],
+}
+
+
 class TestConfig:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -608,6 +660,18 @@ class TestConfig:
     def test_every_choice_field_rejects_unknown_value(self, name):
         with pytest.raises(ConfigError, match=f"unknown {name} 'bogus'"):
             RunConfig(**{name: "bogus"})
+
+    @pytest.mark.parametrize("field", [
+        f for f in dataclasses.fields(RunConfig) if f.metadata["flag"] is not None
+    ], ids=lambda f: f.name)
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_each_flag_sets_its_field(self, command, field):
+        choices = field.metadata["choices"]
+        value = next(c for c in choices if c != field.default) if choices else (
+            field.default + 1 if isinstance(field.default, int) else field.default / 2)
+        flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
+        args = build_parser().parse_args([command, *SUBCOMMAND_ARGV[command], flag, str(value)])
+        assert getattr(cli._config_from(args), field.name) == value != field.default
 
     @pytest.mark.parametrize("key, value", [
         ("trend_metric", "bogus"),

@@ -1,9 +1,11 @@
 """Guards against stale references: every function the benchmark's layer trace
-wraps, and every CLI flag the README names, must exist. Also guards the import
-cost: only `test` may load scipy."""
+wraps, and every CLI flag the README names, must exist, and the README must
+name every flag built from a config field. Also guards the import cost: only
+`test` may load scipy."""
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import json
 import os
@@ -53,6 +55,19 @@ def test_readme_flags_exist():
     flags = _readme_flags()
     assert flags, "no --flag found in README.md"
     assert sorted(flags - accepted) == []
+
+
+def test_readme_names_every_config_flag():
+    from railmc.cli import build_parser
+    from railmc.config import RunConfig
+
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    built = {opt for p in subparsers.choices.values() for a in p._actions
+             if a.dest in fields for opt in a.option_strings}
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Common flags"):].split("\n\n", 1)[0]
+    assert built and sorted(built - set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))) == []
 
 
 SCIPY_FREE_STAGES = """
