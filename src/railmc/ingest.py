@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import itertools
-import math
 import operator
 import warnings
 from collections.abc import Iterator
@@ -51,7 +50,6 @@ __all__ = [
     "IngestError",
     "parse_events",
     "load_timetable",
-    "compute_delay_minutes",
     "delay_minutes",
     "assemble_series",
     "select_target_station",
@@ -239,8 +237,7 @@ def _canonical_seconds(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
 
 def delay_minutes(delta_us: np.ndarray) -> np.ndarray:
     """Lateness in whole minutes of realized minus planned time given in
-    integer microseconds, rounded half away from zero; the integer form of
-    `compute_delay_minutes`."""
+    integer microseconds, rounded half away from zero."""
     return np.sign(delta_us) * ((np.abs(delta_us) + 30_000_000) // 60_000_000)
 
 
@@ -359,12 +356,6 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
         except ValueError as exc:
             raise IngestError(f"timetable {name} train {train_id}: {exc}") from None
     return templates
-
-
-def compute_delay_minutes(planned: dt.datetime, realized: dt.datetime) -> int:
-    """Lateness in whole minutes, rounded half away from zero."""
-    minutes = (realized - planned).total_seconds() / 60.0
-    return int(math.floor(minutes + 0.5)) if minutes >= 0 else int(math.ceil(minutes - 0.5))
 
 
 def _ranks(values: list[str]) -> np.ndarray:
@@ -502,7 +493,10 @@ def select_target_station(template: JourneyTemplate, current_index: int, horizon
         raise ValueError("horizon must be positive")
     if current_index == len(template):
         raise NoTargetError("current station is the final station")
-    cutoff = template.planned[current_index - 1] + horizon
+    try:
+        cutoff = template.planned[current_index - 1] + horizon
+    except OverflowError:  # a cutoff past year 9999 lies past the last station
+        return len(template)
     for t in range(current_index + 1, len(template) + 1):
         if template.planned[t - 1] >= cutoff:
             return t

@@ -11,11 +11,13 @@ both ladders; its `verdict_h0_0`/`verdict_h0_1` read the Q ladder.
 
 The chi-square CDF and quantile are scipy's regularized incomplete gamma
 functions. scipy is imported inside those two functions, so only the code
-that runs the test (the `test` command) pays for loading it.
+that runs the test (the `test` command) pays for loading it. The quantile is
+memoized per (level, df).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -51,8 +53,12 @@ def chi_square_cdf(x: float, df: int) -> float:
     return float(special.gammainc(df / 2.0, x / 2.0))
 
 
+@functools.lru_cache(maxsize=None)
 def chi_square_quantile(p: float, df: int) -> float:
-    """Inverse of chi_square_cdf in its first argument."""
+    """Inverse of chi_square_cdf in its first argument.
+
+    Memoized: a run asks for a few distinct (level, df) pairs, once per station.
+    """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if not 0.0 < p < 1.0:

@@ -6,15 +6,18 @@ as a zero-padded (n_series, L) delay array plus its lengths, after checking
 every delay is an integer in the store's [-N, N]; counting, recovery and
 evaluation slice that array by station and mask it by length.
 A *bundle* holds the recovered transition matrices per train and station,
-plus the training metadata needed to reproduce it. Both are plain JSON with
-sorted keys so identical runs are byte-identical.
+plus the training metadata needed to reproduce it. Both, like every report,
+are compact JSON with sorted keys, so identical runs are byte-identical;
+`save_json` streams them through json's C encoder one train at a time.
 """
 
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import itertools
 import json
+from collections.abc import Callable
 
 import numpy as np
 
@@ -76,8 +79,12 @@ class EmptySelectionError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """A series store is malformed; the message names the file, or the train
-    and the date."""
+    """A series store is malformed. The message names the file, or the train
+    and the date; `store` is the store at fault, so a caller can name its file."""
+
+    def __init__(self, message: str, store: dict | None = None):
+        super().__init__(message)
+        self.store = store
 
 
 def build_store(
@@ -100,9 +107,33 @@ def build_store(
     return {"n_max": config.n_max, "trains": trains}, rejects + train_rejects
 
 
+# json runs its C encoder only for a one-shot encode without indent
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# levels of dicts walked in Python: the root, a trains table and one train, so
+# each train's tables (one train's matrices, its series) are one encoder call
+_STREAM_DEPTH = 3
+
+
+def _json_pieces(value, depth: int):
+    """The compact sorted-key JSON text of `value`, in pieces that join to
+    `_encode(value)`: a dict with str keys is walked `depth` levels down in
+    sorted key order, and every other value is one `_encode` call."""
+    if depth == 0 or not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
+        yield _encode(value)
+        return
+    sep = "{"
+    for key in sorted(value):
+        yield sep + _encode(key) + ":"
+        yield from _json_pieces(value[key], depth - 1)
+        sep = ","
+    yield "}" if value else "{}"
+
+
 def save_json(payload: dict, path) -> None:
+    """Write `json.dumps(payload, sort_keys=True, separators=(",", ":"))` and a
+    newline to `path`, one subtree at a time, never holding the whole text."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        fh.writelines(_json_pieces(payload, _STREAM_DEPTH))
         fh.write("\n")
 
 
@@ -115,7 +146,7 @@ def load_json(path, error: type[ValueError] = ValueError) -> dict:
         raise error(f"{path} is not JSON: {exc}") from None
 
 
-def _space_of(n_max, error: type[ValueError], owner: str) -> StateSpace:
+def _space_of(n_max, error: Callable[[str], ValueError], owner: str) -> StateSpace:
     """The state space of a store's or bundle's n_max, which must be an int >= 1
     (not a bool, a float or a string); `error` names `owner` otherwise."""
     if type(n_max) is not int or n_max < 1:
@@ -125,9 +156,10 @@ def _space_of(n_max, error: type[ValueError], owner: str) -> StateSpace:
 
 def _store_space(store: dict) -> StateSpace:
     """The store's state space, after checking its n_max and trains table."""
-    space = _space_of(store.get("n_max") if isinstance(store, dict) else None, StoreError, "store")
+    n_max = store.get("n_max") if isinstance(store, dict) else None
+    space = _space_of(n_max, functools.partial(StoreError, store=store), "store")
     if not isinstance(store.get("trains"), dict):
-        raise StoreError("store has no trains object")
+        raise StoreError("store has no trains object", store)
     return space
 
 
@@ -145,7 +177,7 @@ def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, li
         lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
         flat = list(itertools.chain.from_iterable(s["delays"] for s in series))
     except (KeyError, TypeError) as exc:
-        raise StoreError(f"store train {train_id}: malformed series ({exc!r})") from None
+        raise StoreError(f"store train {train_id}: malformed series ({exc!r})", store) from None
     # bool is a subclass of int, so the check compares types, not isinstance
     if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
             and max(flat, default=0) <= n_max):
@@ -153,7 +185,7 @@ def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, li
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
         raise StoreError(
             f"store train {train_id} date {date}: delay {flat[i]!r} is not an integer "
-            f"in [-{n_max}, {n_max}]"
+            f"in [-{n_max}, {n_max}]", store
         )
     delays = np.zeros((len(series), lengths.max(initial=0)), dtype=np.int64)
     delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
@@ -172,7 +204,7 @@ def store_template(store: dict, train_id: str) -> JourneyTemplate:
             planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"store train {train_id}: malformed template ({exc})") from None
+        raise StoreError(f"store train {train_id}: malformed template ({exc})", store) from None
 
 
 def test_store(store: dict, config: RunConfig) -> dict:
@@ -334,9 +366,11 @@ def resolve_target(
     if target is not None:
         return _check_target(s, target)
     template = store_template(store, train_id)
-    return select_target_station(
-        template, s, dt.timedelta(minutes=config.horizon_minutes)
-    )
+    try:
+        horizon = dt.timedelta(minutes=config.horizon_minutes)
+    except OverflowError:  # longer than timedelta holds: it outruns every journey
+        horizon = dt.timedelta.max
+    return select_target_station(template, s, horizon)
 
 
 def evaluate_store(

@@ -2,12 +2,15 @@ import csv
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from railmc import cli
 from railmc.cli import build_parser, main
 from railmc.config import ConfigError, RunConfig
-from railmc.pipeline import load_json, save_json
+from railmc.pipeline import load_json, save_json, train_bundle
 
 
 @pytest.fixture
@@ -82,6 +85,23 @@ class TestCommandFlow:
         ]) == 0
         assert load_json(out)["T"] == 4
 
+    @pytest.mark.parametrize("horizon", ["1e12", "1e300"])
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    def test_horizon_past_any_date_resolves_to_last_station(self, workspace, command, horizon):
+        # 1e12 minutes passes year 9999; 1e300 overflows a timedelta
+        store, bundle, out = (str(workspace / n) for n in ("store.json", "bundle.json", "out.json"))
+        assert main(["train", "--store", store, "--out", bundle, "--strategy", "diagonal"]) == 0
+        argv = {
+            "forecast": ["forecast", "--bundle", bundle, "--train", "T001", "--station", "1",
+                         "--delay", "0", "--store", store],
+            "evaluate": ["evaluate", "--store", store, "--bundle", bundle],
+        }[command]
+        code = main([*argv, "--horizon", horizon, "--out", out])
+        assert code != 1
+        assert code == 0
+        records = load_json(out).get("predictions", [load_json(out)])
+        assert records and {r["T"] for r in records} == {5}
+
     def test_baseline_evaluation(self, workspace):
         store = workspace / "store.json"
         out = workspace / "naive.json"
@@ -130,6 +150,46 @@ class TestDeterminism:
                      "--strategy", "uniform", "--n-max", "2"]) == 0
         # the meta block records the strategy name; the matrices must agree
         assert load_json(a)["trains"] == load_json(b)["trains"]
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+               | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=8))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestArtifactWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=5))
+    def test_bytes_are_compact_sorted_json(self, tmp_path_factory, payload):
+        path = tmp_path_factory.getbasetemp() / "writer.json"
+        save_json(payload, path)
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_bytes() == want.encode("utf-8")
+        assert load_json(path) == payload
+
+    def test_non_str_keys_are_left_to_the_encoder(self, tmp_path):
+        # json writes int, float, bool and None keys as strings, sorted as given
+        payload = {"trains": {10: {"a": 1}, 2: [1.5]}, "x": {True: None, False: 0}}
+        save_json(payload, tmp_path / "out.json")
+        want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        assert (tmp_path / "out.json").read_text() == want
+
+    def test_bundle_matrices_come_back_bit_equal(self, workspace):
+        bundle = train_bundle(load_json(workspace / "store.json"), RunConfig())
+        save_json(bundle, workspace / "bundle.json")
+        loaded = load_json(workspace / "bundle.json")
+        assert loaded["meta"] == bundle["meta"]
+        assert loaded["trains"].keys() == bundle["trains"].keys()
+        for tid, entry in bundle["trains"].items():
+            assert loaded["trains"][tid]["matrices"].keys() == entry["matrices"].keys()
+            for t, rows in entry["matrices"].items():
+                want = np.asarray(rows, dtype=np.float64)
+                got = np.asarray(loaded["trains"][tid]["matrices"][t], dtype=np.float64)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 class TestExitCodes:
@@ -551,24 +611,26 @@ def _store_trains_list(store):
     return "store has no trains object"
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("test", []),
-    ("train", ["--strategy", "diagonal"]),
-    ("evaluate", ["--baseline", "naive"]),
-], ids=["test", "train", "evaluate"])
+@pytest.mark.parametrize("argv", [
+    ["test", "--store", "bad"],
+    ["train", "--store", "bad", "--strategy", "diagonal"],
+    ["evaluate", "--store", "bad", "--baseline", "naive"],
+    ["evaluate", "--store", "good", "--baseline", "marginal", "--train-store", "bad"],
+], ids=["test", "train", "evaluate", "evaluate_train_store"])
 @pytest.mark.parametrize("corrupt", [
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
     _store_no_n_max, _store_trains_list,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max", "no_n_max",
         "trains_not_object"])
-def test_malformed_store_exits_2(workspace, capsys, command, flags, corrupt):
-    store, out = workspace / "store.json", workspace / "out.json"
-    payload = load_json(store)
+def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
+    good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
+    payload = load_json(good)
     reason = corrupt(payload)
-    save_json(payload, store)
+    save_json(payload, bad)
     capsys.readouterr()
-    assert main([command, "--store", str(store), "--out", str(out), *flags]) == 2
-    assert f"error: {reason}" in capsys.readouterr().err
+    paths = {"bad": str(bad), "good": str(good)}
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    assert f"error: {bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 

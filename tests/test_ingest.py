@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,7 +23,6 @@ from railmc.ingest import (
     StationKey,
     IngestError,
     assemble_series,
-    compute_delay_minutes,
     delay_minutes,
     load_timetable,
     parse_events,
@@ -34,6 +34,13 @@ from railmc.synth import near_diagonal_spec, sample_delays, write_ingest_files
 
 REAL_HEADER = "train_id,date,station_code,activity,planned_time,realized_time\n"
 TT_HEADER = "train_id,station_code,activity,planned_time,sequence\n"
+
+
+def compute_delay_minutes(planned: dt.datetime, realized: dt.datetime) -> int:
+    """Lateness in whole minutes, rounded half away from zero, from datetimes:
+    the oracle of `ingest.delay_minutes`."""
+    minutes = (realized - planned).total_seconds() / 60.0
+    return int(math.floor(minutes + 0.5)) if minutes >= 0 else int(math.ceil(minutes - 0.5))
 
 
 def ts(minute, second=0, hour=12):
@@ -123,6 +130,7 @@ class TestDelayRounding:
         planned = ts(0)
         realized = planned + dt.timedelta(seconds=seconds)
         assert compute_delay_minutes(planned, realized) == expected
+        assert delay_minutes(np.array([seconds * 1_000_000])).tolist() == [expected]
 
 
 class TestLoadTimetable:

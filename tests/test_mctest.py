@@ -67,6 +67,35 @@ class TestChiSquareFunctions:
             chi_square_quantile(0.0, 3)
         with pytest.raises(ValueError):
             chi_square_quantile(1.0, 3)
+        with pytest.raises(ValueError):
+            chi_square_quantile(0.95, 0)
+
+    def test_memoized_quantile_equals_direct(self):
+        from scipy import special
+
+        # the (level, df) pairs the statistic fixtures below reach, at two levels
+        fixtures = [
+            series((0, 0), (0, 0), (1, 1), (1, 1)),
+            series(*[(i, j) for i in (-2, -1, 0, 1) for j in (0, 1, 2)]),
+            series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)),
+            series(*[(h, i, j) for h in (0, 1, 2) for i in (0, 1) for j in (0, 1, 2, 3)]),
+        ]
+        dfs = set()
+        for delays, lengths in fixtures:
+            for t in range(2, lengths.max() + 1):
+                counts = build_count_tensor(delays, lengths, t, SPACE)
+                f = estimate_frequencies(counts)
+                dfs.add(zero_order_statistics(f, counts)[2])
+                if t >= 3:
+                    dfs.add(first_order_statistics(f, counts)[2])
+        pairs = {(1.0 - alpha, df) for alpha in (0.05, 0.01) for df in dfs if df >= 1}
+        assert {df for _, df in pairs} >= {1, 6, 12}
+        for p, df in sorted(pairs):
+            direct = float(2.0 * special.gammaincinv(df / 2.0, p))
+            assert chi_square_quantile(p, df) == direct
+            hits = chi_square_quantile.cache_info().hits
+            assert chi_square_quantile(p, df) == direct
+            assert chi_square_quantile.cache_info().hits == hits + 1
 
 
 def direct_summation_zero_order(counts):
