@@ -14,7 +14,6 @@ from .core import (
     build_count_tensor,
     estimate_frequencies,
 )
-from .forecast import Prediction
 
 __version__ = "0.1.0"
 
@@ -23,7 +22,6 @@ __all__ = [
     "StateSpace",
     "CountTensor",
     "FrequencyEstimates",
-    "Prediction",
     "build_count_tensor",
     "estimate_frequencies",
     "__version__",

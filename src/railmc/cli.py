@@ -145,15 +145,13 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     store = None if args.target is not None else pipeline.load_json(args.store, StoreError)
     with _naming_stores((store, args.store)):
         target = pipeline.resolve_target(store, args.train, args.station, config, args.target)
-    pred = pipeline.forecast_from_bundle(
-        bundle, args.train, args.station, args.delay, target, config
-    )
     record = {"train": args.train, "date": args.date, "S": args.station, "T": target,
-              **pred.to_dict()}
+              **pipeline.forecast_from_bundle(
+                  bundle, args.train, args.station, args.delay, target, config)}
     if args.out:
         pipeline.save_json(record, args.out)
     print(f"train {args.train} S={args.station} d_S={args.delay} -> T={target}: "
-          f"trend={pred.trend} jump={pred.jump} minutes={pred.minutes:.3f}")
+          f"trend={record['trend']} jump={record['jump']} minutes={record['minutes']:.3f}")
     return EXIT_OK
 
 

@@ -54,10 +54,13 @@ class StateSpace:
         """All states as an ordered integer vector -N..N."""
         return np.arange(-self.n_max, self.n_max + 1)
 
-    def index(self, delay: int) -> int:
-        """Map a delay value to its row/column index (bijection onto 0..2N)."""
-        if not -self.n_max <= delay <= self.n_max:
-            raise ValueError(f"delay {delay} outside [-{self.n_max}, {self.n_max}]")
+    def index(self, delay: int | np.ndarray) -> int | np.ndarray:
+        """Map a delay, or an array of delays, to its row/column index
+        (a bijection onto 0..2N); ValueError for a delay outside the domain."""
+        delay = np.asarray(delay)
+        outside = np.abs(delay) > self.n_max
+        if outside.any():
+            raise ValueError(f"delay {delay[outside][0]} outside [-{self.n_max}, {self.n_max}]")
         return delay + self.n_max
 
     def state(self, index: int) -> int:
@@ -137,13 +140,7 @@ def build_count_tensor(
     """
     if t < 1:
         raise ValueError(f"station index must be >= 1, got {t}")
-    window = delays[lengths >= t, max(t - 3, 0):t]
-    outside = np.abs(window) > space.n_max
-    if outside.any():
-        raise ValueError(
-            f"delay {window[outside][0]} outside [-{space.n_max}, {space.n_max}]"
-        )
-    idx = window + space.n_max
+    idx = space.index(delays[lengths >= t, max(t - 3, 0):t])
     k = space.cardinality
     return CountTensor(t, *(_tally(idx, order, k) for order in (1, 2, 3)))
 

@@ -1,30 +1,22 @@
-"""Delay-distribution propagation and prediction extraction.
+"""Delay-distribution propagation and prediction extraction, on blocks.
 
-A delay distribution v is a (k,) probability vector over the states -N..N,
-and the propagation chain P(S+1) .. P(T) is a (T - S, k, k) stack of checked
-transition matrices. The current delay becomes a unit-mass vector, is pushed
-through the chain to the target station, and the resulting distribution is
-summarized into a trend (increase/decrease/equal), a jump flag, and a
-minutes-of-delay point prediction.
+A block V is an (m, k) array of delay distributions over the states -N..N,
+one row per current delay d_S, and the propagation chain P(S+1) .. P(T) is a
+(T - S, k, k) stack of checked transition matrices. `point_delay` turns the
+current delays into unit rows, `propagate` pushes the whole block through the
+chain to the target station, and `make_prediction` reads each row's trend
+(a code into `evaluate.TREND_CLASSES`), jump flag and minutes of delay.
+A single forecast is the block with m = 1.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
 from .core import StateSpace
 
-__all__ = [
-    "Prediction",
-    "point_delay",
-    "propagate",
-    "summarize",
-    "trend_and_jump_probabilities",
-    "make_prediction",
-]
+__all__ = ["point_delay", "propagate", "make_prediction"]
 
 # A point metric within +-TREND_THRESHOLD of d_S reads "equal"; a jump is a
 # point move of at least JUMP_THRESHOLD, or jump mass >= JUMP_PROB_THRESHOLD.
@@ -33,43 +25,13 @@ JUMP_THRESHOLD = 2.0
 JUMP_PROB_THRESHOLD = 0.5
 
 
-@dataclass(frozen=True)
-class Prediction:
-    """Forecast outputs for one train at the target station."""
-
-    distribution: np.ndarray
-    current_delay: int
-    trend: str
-    jump: bool
-    minutes: float
-    config: RunConfig
-
-    def to_dict(self) -> dict:
-        return {
-            "d_S": self.current_delay,
-            "distribution": self.distribution.tolist(),
-            "trend": self.trend,
-            "jump": self.jump,
-            "minutes": self.minutes,
-            "metrics_used": {
-                "trend": self.config.trend_metric,
-                "jump": self.config.jump_metric,
-                "minutes": self.config.minutes_metric,
-            },
-        }
+def point_delay(d_s, space: StateSpace) -> np.ndarray:
+    """(m, k) block of unit rows, one at each of the m current delays."""
+    return np.eye(space.cardinality)[space.index(d_s)]
 
 
-def point_delay(initial_value: int, space: StateSpace) -> np.ndarray:
-    """Unit-mass distribution at the known current delay."""
-    if not space.contains(initial_value):
-        raise ValueError(f"delay {initial_value} outside state space")
-    v = np.zeros(space.cardinality)
-    v[space.index(initial_value)] = 1.0
-    return v
-
-
-def propagate(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
-    """Chapman-Kolmogorov product v(T) = v(S) P(S+1) ... P(T).
+def propagate(V: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Chapman-Kolmogorov product V(T) = V(S) P(S+1) ... P(T), row by row.
 
     Every matrix must be fully recovered; an undefined (NaN) row means
     recovery has not run and propagation refuses.
@@ -80,85 +42,57 @@ def propagate(v: np.ndarray, chain: np.ndarray) -> np.ndarray:
             f"chain matrix {step} has undefined row {row}; run recovery first"
         )
     for p in chain:
-        v = v @ p
-    return v
-
-
-def summarize(v: np.ndarray, space: StateSpace) -> tuple[float, int, int]:
-    """(mean, mode, median) of the distribution over delay values.
-
-    Mode ties break toward the smaller state; the median is the smallest state
-    where the cumulative mass reaches one half.
-    """
-    states = space.states()
-    mean = float(np.dot(v, states))
-    mode = int(states[int(np.argmax(v))])
-    median = int(states[int(np.searchsorted(np.cumsum(v), 0.5))])
-    return mean, mode, median
-
-
-def trend_and_jump_probabilities(
-    v: np.ndarray, d_s: int, space: StateSpace
-) -> tuple[float, float, float, float]:
-    """(P(increase), P(decrease), P(equal), P(jump)) relative to the current delay.
-
-    The jump probability drops the mass within one minute of d_S; at the domain
-    boundary out-of-range window indices contribute nothing.
-    """
-    if not space.contains(d_s):
-        raise ValueError(f"delay {d_s} outside state space")
-    idx = space.index(d_s)
-    p_inc = float(v[idx + 1 :].sum())
-    p_dec = float(v[:idx].sum())
-    p_eq = float(v[idx])
-    lo = max(0, idx - 1)
-    hi = min(space.cardinality, idx + 2)
-    p_jump = float(1.0 - v[lo:hi].sum())
-    return p_inc, p_dec, p_eq, max(0.0, p_jump)
+        # a stack of (1, k) @ (k, k) products rounds as each row's v @ p does
+        V = (V[:, None, :] @ p)[:, 0]
+    return V
 
 
 def make_prediction(
-    v: np.ndarray, d_s: int, space: StateSpace, config: RunConfig
-) -> Prediction:
-    """Extract trend/jump/minutes from a propagated distribution.
+    V: np.ndarray, d_s, space: StateSpace, config: RunConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trend codes into TREND_CLASSES, jump flags and minutes of each row of
+    the propagated block V, against its current delay in d_s.
 
-    A point metric (mean, mode, median) compares its summary against d_S:
-    the trend within +-TREND_THRESHOLD is "equal", and a move of at least
-    JUMP_THRESHOLD is a jump. The probability metric picks the strictly
-    largest trend mass (ties read "equal") and flags a jump when the mass
-    beyond one minute of d_S reaches JUMP_PROB_THRESHOLD. Minutes always
-    come from a point metric.
+    A point metric compares its summary against d_S: the mean, the mode (ties
+    break toward the smaller state) or the median (the smallest state where
+    the cumulative mass reaches one half). Within +-TREND_THRESHOLD the trend
+    is "equal", and a move of at least JUMP_THRESHOLD is a jump. The
+    probability metric picks the strictly largest of the masses above, below
+    and at d_S (ties read "equal") and flags a jump when the mass beyond one
+    minute of d_S reaches JUMP_PROB_THRESHOLD; at the domain boundary that
+    window holds only its in-range states. Minutes always come from a point
+    metric.
     """
-    mean, mode, median = summarize(v, space)
-    point = {"mean": mean, "mode": float(mode), "median": float(median)}
-    p_inc, p_dec, p_eq, p_jump = trend_and_jump_probabilities(v, d_s, space)
+    idx, d_s = space.index(d_s), np.asarray(d_s)
+    rows = np.arange(len(V))
+    states = space.states()
+    point = {
+        "mean": (V[:, None, :] @ states[:, None])[:, 0, 0],
+        "mode": states[np.argmax(V, axis=1)].astype(float),
+        "median": states[(np.cumsum(V, axis=1) < 0.5).sum(axis=1)].astype(float),
+    }
 
     if config.trend_metric == "probability":
-        if p_inc > max(p_dec, p_eq):
-            trend = "increase"
-        elif p_dec > max(p_inc, p_eq):
-            trend = "decrease"
-        else:
-            trend = "equal"
+        # each row as [0, masses below d_S, 0, masses above d_S]: reduceat adds
+        # a segment's first entry to the np.sum of the rest, so each side's mass
+        # rounds as the np.sum of its slice of the row does
+        lead = np.pad(V, ((0, 0), (1, 0)))
+        lead[rows, idx + 1] = 0.0
+        offset = rows * lead.shape[1]
+        starts = np.column_stack([offset, offset + idx + 1]).ravel()
+        p_dec, p_inc = np.add.reduceat(lead.ravel(), starts).reshape(-1, 2).T
+        p_eq = V[rows, idx]
+        up, down = p_inc > np.maximum(p_dec, p_eq), p_dec > np.maximum(p_inc, p_eq)
     else:
         move = point[config.trend_metric] - d_s
-        if move >= TREND_THRESHOLD:
-            trend = "increase"
-        elif move <= -TREND_THRESHOLD:
-            trend = "decrease"
-        else:
-            trend = "equal"
+        up, down = move >= TREND_THRESHOLD, move <= -TREND_THRESHOLD
+    trend = np.select([up, down], [0, 1], 2)
 
     if config.jump_metric == "probability":
-        jump = p_jump >= JUMP_PROB_THRESHOLD
+        # the states d_S - 1 .. d_S + 1, padded with zero mass past the boundary
+        window = np.pad(V, ((0, 0), (1, 1)))[rows[:, None], idx[:, None] + np.arange(3)]
+        jump = 1.0 - window.sum(axis=1) >= JUMP_PROB_THRESHOLD
     else:
-        jump = abs(point[config.jump_metric] - d_s) >= JUMP_THRESHOLD
+        jump = np.abs(point[config.jump_metric] - d_s) >= JUMP_THRESHOLD
 
-    return Prediction(
-        distribution=v,
-        current_delay=d_s,
-        trend=trend,
-        jump=jump,
-        minutes=point[config.minutes_metric],
-        config=config,
-    )
+    return trend, jump, point[config.minutes_metric]

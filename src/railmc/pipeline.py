@@ -24,7 +24,7 @@ import numpy as np
 from .config import RunConfig
 from .core import StateSpace, build_count_tensor, check_transition_matrix
 from .evaluate import TREND_CLASSES, ScoreReport, marginal_predictor, naive_predictor, score_batch
-from .forecast import Prediction, make_prediction, point_delay, propagate
+from .forecast import make_prediction, point_delay, propagate
 from .ingest import (
     EventColumns,
     JourneyTemplate,
@@ -167,17 +167,23 @@ def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, li
     """One train's series: the (n_series, L) int64 delay array, zero past each
     row's length, the lengths, and the dates.
 
-    Raises StoreError, naming the train and the date, for a delay that is not
-    an integer in the store's [-N, N] (a float or a bool is not).
+    Raises StoreError, naming the train and the date, for a series longer than
+    the train's stations or a delay that is not an integer in the store's
+    [-N, N] (a float or a bool is not).
     """
     n_max = _store_space(store).n_max
     try:
-        series = store["trains"][train_id]["series"]
+        entry = store["trains"][train_id]
+        n_stations, series = len(entry["stations"]), entry["series"]
         dates = [s["date"] for s in series]
         lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
         flat = list(itertools.chain.from_iterable(s["delays"] for s in series))
     except (KeyError, TypeError) as exc:
         raise StoreError(f"store train {train_id}: malformed series ({exc!r})", store) from None
+    if (lengths > n_stations).any():
+        r = int(np.argmax(lengths > n_stations))
+        raise StoreError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
+                         f"{n_stations} stations", store)
     # bool is a subclass of int, so the check compares types, not isinstance
     if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
             and max(flat, default=0) <= n_max):
@@ -296,10 +302,12 @@ def _bundle_space(bundle: dict, where: str) -> StateSpace:
     return space
 
 
-def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
-    """The checked propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k)."""
+def bundle_matrices(bundle: dict, train_id: str, s: int, t: int,
+                    space: StateSpace | None = None) -> np.ndarray:
+    """The checked propagation chain P(S+1) .. P(T) for one train, shape
+    (T - S, k, k). `space` is the bundle's state space, if the caller has read it."""
     where = f"train {train_id} station {s + 1}"
-    space = _bundle_space(bundle, where)
+    space = space or _bundle_space(bundle, where)
     if train_id not in bundle["trains"]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
     entry = bundle["trains"][train_id]
@@ -320,21 +328,30 @@ def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
     return chain
 
 
-def _predict_chain(chain: np.ndarray, d_s: int, space: StateSpace, config: RunConfig) -> Prediction:
-    return make_prediction(propagate(point_delay(d_s, space), chain), d_s, space, config)
-
-
 def forecast_from_bundle(
     bundle: dict, train_id: str, s: int, d_s: int, t: int, config: RunConfig
-) -> Prediction:
-    """Propagate the current delay through the bundle and extract predictions."""
-    chain = bundle_matrices(bundle, train_id, s, t)
-    space = _bundle_space(bundle, f"train {train_id}")
+) -> dict:
+    """The prediction record of one current delay propagated through the
+    bundle: d_S, the distribution at T, its trend, jump and minutes, and the
+    metrics that read them."""
+    space = _bundle_space(bundle, f"train {train_id} station {s + 1}")
+    chain = bundle_matrices(bundle, train_id, s, t, space)
     if not space.contains(d_s):
         raise CoverageError(
             f"delay {d_s} outside the bundle's state space [-{space.n_max}, {space.n_max}]"
         )
-    return _predict_chain(chain, d_s, space, config)
+    V = propagate(point_delay([d_s], space), chain)
+    (trend,), (jump,), (minutes,) = make_prediction(V, [d_s], space, config)
+    return {
+        "d_S": d_s,
+        "distribution": V[0].tolist(),
+        "trend": TREND_CLASSES[trend],
+        "jump": bool(jump),
+        "minutes": float(minutes),
+        "metrics_used": {
+            "trend": config.trend_metric, "jump": config.jump_metric, "minutes": config.minutes_metric,
+        },
+    }
 
 
 def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace) -> np.ndarray:
@@ -427,13 +444,11 @@ def evaluate_store(
         covered = lengths >= t_target  # T > S: a series that reaches T covers S
         skipped += int((~covered).sum())
         d_S, d_T = delays[covered, from_station - 1], delays[covered, t_target - 1]
-        # one prediction per distinct d_S, scattered back to its series
+        # one block row per distinct d_S, scattered back to its series
         distinct, series_of = np.unique(d_S, return_inverse=True)
-        preds = [_predict_chain(chain, d, model_space, config) for d in distinct.tolist()]
-        trend = np.array([TREND_CLASSES.index(p.trend) for p in preds], dtype=np.intp)[series_of]
-        jump = np.array([p.jump for p in preds], dtype=bool)[series_of]
-        minutes = np.array([p.minutes for p in preds], dtype=float)[series_of]
-        columns.append((d_S, d_T, trend, jump, minutes))
+        V = propagate(point_delay(distinct, model_space), chain)
+        predicted = make_prediction(V, distinct, model_space, config)
+        columns.append((d_S, d_T, *(x[series_of] for x in predicted)))
         detail.extend(
             {"train": tid, "date": date, "S": from_station, "T": t_target, "d_S": d_s,
              "d_T": d_t, "trend": TREND_CLASSES[c], "jump": j, "minutes": m}

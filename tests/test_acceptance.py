@@ -199,10 +199,11 @@ def _store_from(delays, n_max=15):
         "n_max": n_max,
         "trains": {
             "T001": {
+                "stations": [[f"S{t:02d}", "V"] for t in range(1, delays.shape[1] + 1)],
                 "series": [
                     {"date": f"d{n:05d}", "delays": row, "clipped": 0}
                     for n, row in enumerate(delays.tolist())
-                ]
+                ],
             }
         },
     }
@@ -236,11 +237,11 @@ def test_propagation_oracle():
         return rows / rows.sum(axis=2, keepdims=True)
 
     chain = random_chain(5)
-    v = point_delay(0, space)
-    got = propagate(v, chain)
+    V = point_delay([0], space)
+    (got,) = propagate(V, chain)
     want = np.zeros(3)
     for path in itertools.product(range(3), repeat=6):
-        p = v[path[0]]
+        p = V[0, path[0]]
         for step, mat in enumerate(chain):
             p *= mat[path[step], path[step + 1]]
         want[path[-1]] += p
@@ -248,7 +249,7 @@ def test_propagation_oracle():
 
     for _ in range(1000):
         steps = int(rng.integers(1, 6))
-        out = propagate(v, random_chain(steps))
+        (out,) = propagate(V, random_chain(steps))
         assert abs(out.sum() - 1.0) <= 1e-9
         assert (out >= 0).all()
 

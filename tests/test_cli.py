@@ -601,6 +601,12 @@ def _store_delay(value):
     return corrupt
 
 
+def _store_long_series(store):
+    series = store["trains"]["T001"]["series"][3]
+    series["delays"] = [0] * 9
+    return f"store train T001 date {series['date']}: 9 delays for 5 stations"
+
+
 def _store_no_n_max(store):
     del store["n_max"]
     return "store has no valid n_max (got None)"
@@ -619,9 +625,9 @@ def _store_trains_list(store):
 ], ids=["test", "train", "evaluate", "evaluate_train_store"])
 @pytest.mark.parametrize("corrupt", [
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
-    _store_no_n_max, _store_trains_list,
-], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max", "no_n_max",
-        "trains_not_object"])
+    _store_long_series, _store_no_n_max, _store_trains_list,
+], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
+        "series_longer_than_stations", "no_n_max", "trains_not_object"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     payload = load_json(good)

@@ -173,8 +173,10 @@ class TestTotalScore:
 
 
 def predict(chain, d_s, space, config=RunConfig()):
-    """The forecast of one current delay through a (steps, k, k) chain."""
-    return make_prediction(propagate(point_delay(d_s, space), chain), d_s, space, config)
+    """The forecasts of a block of current delays through a (steps, k, k) chain:
+    trend codes, jump flags, minutes and the propagated distributions."""
+    V = propagate(point_delay(d_s, space), chain)
+    return (*make_prediction(V, d_s, space, config), V)
 
 
 class TestBaselinePredictors:
@@ -182,11 +184,11 @@ class TestBaselinePredictors:
         space = StateSpace(15)
         chain = naive_predictor(space)
         assert chain.shape == (0, 31, 31)
-        pred = predict(chain, 7, space)
-        assert pred.trend == "equal"
-        assert pred.jump is False
-        assert pred.minutes == 7.0
-        assert pred.distribution[space.index(7)] == 1.0
+        (trend,), (jump,), (minutes,), (v,) = predict(chain, [7], space)
+        assert TREND_CLASSES[trend] == "equal"
+        assert jump.dtype == bool and not jump
+        assert minutes == 7.0
+        assert v[space.index(7)] == 1.0
 
     @pytest.mark.parametrize("n_max", [1, 2, 15])
     def test_naive_is_persistence_under_every_metric(self, n_max):
@@ -194,10 +196,11 @@ class TestBaselinePredictors:
         chain = naive_predictor(space)
         for trend, jump, minutes in itertools.product(METRICS, METRICS, POINT_METRICS):
             config = RunConfig(trend_metric=trend, jump_metric=jump, minutes_metric=minutes)
-            for d_s in sorted({-n_max, -1, 0, 1, n_max}):
-                pred = predict(chain, d_s, space, config)
-                assert (pred.trend, pred.jump) == ("equal", False)
-                assert pred.minutes == float(d_s) and type(pred.minutes) is float
+            d_s = np.array(sorted({-n_max, -1, 0, 1, n_max}))
+            trend, jump, minutes, _ = predict(chain, d_s, space, config)
+            assert [TREND_CLASSES[c] for c in trend] == ["equal"] * len(d_s)
+            assert jump.tolist() == [False] * len(d_s)
+            assert np.array_equal(minutes, d_s) and minutes.dtype == float
 
     def test_marginal(self):
         space = StateSpace(15)
@@ -207,10 +210,10 @@ class TestBaselinePredictors:
         chain = marginal_predictor(counts, space)
         assert chain.shape == (1, 31, 31)
         assert (chain[0] == n1 / 4).all()  # every row, whatever the current delay
-        pred = predict(chain, 0, space, RunConfig(minutes_metric="mean"))
-        assert pred.minutes == pytest.approx(5 / 4)
-        assert pred.trend == "equal"  # median stays at 0
-        assert pred.jump is False  # mass off the +-1 window is 0.25 < 0.5
+        (trend,), (jump,), (minutes,), _ = predict(chain, [0], space, RunConfig(minutes_metric="mean"))
+        assert minutes == pytest.approx(5 / 4)
+        assert TREND_CLASSES[trend] == "equal"  # median stays at 0
+        assert not jump  # mass off the +-1 window is 0.25 < 0.5
 
     def test_marginal_requires_observations(self):
         with pytest.raises(ValueError):
@@ -222,9 +225,8 @@ class TestScoreBatch:
         space = StateSpace(15)
         currents = np.array([0, 0, 2, 5])
         actuals = np.array([0, 3, 2, 4])
-        preds = [predict(naive_predictor(space), d, space) for d in currents.tolist()]
-        report = score_batch(currents, actuals, codes(p.trend for p in preds),
-                             [p.jump for p in preds], [p.minutes for p in preds])
+        trend, jump, minutes, _ = predict(naive_predictor(space), currents, space)
+        report = score_batch(currents, actuals, trend, jump, minutes)
         # actual trends: equal, increase, equal, decrease; naive says equal
         assert report.f_eq == pytest.approx(2 * 2 / (2 * 2 + 2 + 0))
         assert report.f_in == 0.0 and report.f_de == 0.0
@@ -350,7 +352,8 @@ def two_trains():
     trains = {}
     for k, tid in enumerate(("T001", "T002")):
         sampled = sample_series(near_diagonal_spec(space, 5, 1.5, seed=k), 20, train_id=tid)
-        trains[tid] = {"series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
+        trains[tid] = {"stations": [[f"S{t:02d}", "V"] for t in range(1, 6)],
+                       "series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
     return {"n_max": 15, "trains": trains}
 
 
@@ -373,10 +376,9 @@ class TestEvaluateStore:
         assert report.eval_count == 40 and payload["skipped"] == 0
         # each prediction equals the single-series forecast path
         first = payload["predictions"][0]
-        pred = pipeline.forecast_from_bundle(bundle, "T001", 1, first["d_S"], 5, config)
-        assert (pred.trend, pred.jump, pred.minutes) == (
-            first["trend"], first["jump"], first["minutes"],
-        )
+        record = pipeline.forecast_from_bundle(bundle, "T001", 1, first["d_S"], 5, config)
+        keys = ("d_S", "trend", "jump", "minutes")
+        assert [record[k] for k in keys] == [first[k] for k in keys]
 
     @pytest.mark.parametrize("method", ["bundle", "naive", "marginal"])
     def test_one_prediction_per_distinct_current_delay(self, monkeypatch, two_trains, method):
@@ -386,15 +388,18 @@ class TestEvaluateStore:
         calls = []
         original = pipeline.make_prediction
 
-        def counting(v, d_s, space, config):
-            calls.append(d_s)
-            return original(v, d_s, space, config)
+        def counting(V, d_s, space, config):
+            calls.append((len(V), d_s.tolist()))
+            return original(V, d_s, space, config)
 
         monkeypatch.setattr(pipeline, "make_prediction", counting)
         report, payload = pipeline.evaluate_store(two_trains, config, target=5, **kwargs)
         keys = {(p["train"], p["d_S"]) for p in payload["predictions"]}
-        assert report.eval_count == 40 and len(calls) == len(keys) < 40
-        assert sorted(calls) == sorted(d_s for _, d_s in keys)
+        # one call per covered train, with one block row per distinct d_S
+        assert report.eval_count == 40 and len(calls) == 2 and len(keys) < 40
+        for tid, (rows, d_s) in zip(("T001", "T002"), calls):
+            assert rows == len(d_s)
+            assert sorted(d_s) == sorted(d for t, d in keys if t == tid)
 
     def test_uncovered_train_skips_every_series(self, tmp_path):
         tt, rz, path = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"

@@ -1,6 +1,6 @@
 """Guards against stale references: every function the benchmark's layer trace
-wraps, and every CLI flag the README names, must exist, and the README must
-name every flag built from a config field. Also guards the import cost: only
+wraps, every name a module exports and every CLI flag the README names must
+exist, and the README must name every flag built from a config field. Also guards the import cost: only
 `test` may load scipy."""
 
 import argparse
@@ -33,6 +33,18 @@ def _trace_targets() -> list[str]:
 def test_trace_target_resolves(qualname):
     module, name = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"railmc.{module}"), name))
+
+
+MODULES = sorted(
+    "railmc" if p.stem == "__init__" else f"railmc.{p.stem}"
+    for p in Path(railmc.__file__).parent.glob("*.py")
+)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_exports_resolve(module):
+    mod = importlib.import_module(module)
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 README = LAYERTRACE.parents[1] / "README.md"
