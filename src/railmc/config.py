@@ -69,6 +69,8 @@ class RunConfig:
             elif (isinstance(value, bool) or not isinstance(value, (int, float))
                   or not 0 < value < meta["below"]):
                 raise ConfigError(f"{f.name} must be a number in (0, {meta['below']}), got {value!r}")
+            elif meta["below"] == 1 and 1.0 - value == 1.0:  # a level; 1 - level is the test's p
+                raise ConfigError(f"{f.name} {value!r} is too small: 1 - {f.name} rounds to 1")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":

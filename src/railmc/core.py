@@ -63,17 +63,8 @@ class StateSpace:
             raise ValueError(f"delay {delay[outside][0]} outside [-{self.n_max}, {self.n_max}]")
         return delay + self.n_max
 
-    def state(self, index: int) -> int:
-        if not 0 <= index < self.cardinality:
-            raise ValueError(f"index {index} outside 0..{self.cardinality - 1}")
-        return index - self.n_max
-
     def contains(self, delay: int) -> bool:
         return -self.n_max <= delay <= self.n_max
-
-    def clip(self, delay: int) -> int:
-        """Saturate a delay into the domain."""
-        return max(-self.n_max, min(self.n_max, delay))
 
 
 @dataclass(frozen=True)

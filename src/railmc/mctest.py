@@ -9,15 +9,20 @@ The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
 zero-order null is rejected. It runs on both statistics, and a report records
 both ladders; its `verdict_h0_0`/`verdict_h0_1` read the Q ladder.
 
-The chi-square CDF and quantile are scipy's regularized incomplete gamma
-functions. scipy is imported inside those two functions, so only the code
-that runs the test (the `test` command) pays for loading it. The quantile is
-memoized per (level, df).
+The chi-square CDF is the regularized incomplete gamma function, computed
+here with `math` alone: a series below x = a + 1 and a continued fraction
+above, each giving its small tail directly. The ladder compares a statistic
+with an estimate of the quantile 2·gammaincinv(df/2, 1 - alpha), found by
+Newton steps on that small tail and memoized per (level, df). The estimate
+decides unless the statistic lies within TIE_BAND of it; only then is the
+scipy-backed `chi_square_quantile` consulted, so verdicts equal scipy's while
+a normal run never loads scipy.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -39,6 +44,14 @@ __all__ = [
 Verdict = Literal["not_rejected", "rejected", "untestable"]
 
 
+# a statistic this close to its quantile, relative to the quantile, is
+# decided by scipy; the estimate agrees with scipy's quantile to about 1e-14
+# relative for df up to 250,000
+TIE_BAND = 1e-9
+_EPS = 2.0**-52
+_TINY = 1e-300
+
+
 def chi_square_cdf(x: float, df: int) -> float:
     """P(X <= x) for X ~ chi-square with df degrees of freedom.
 
@@ -46,18 +59,110 @@ def chi_square_cdf(x: float, df: int) -> float:
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
-    if x < 0:
+    if not x >= 0:  # NaN fails too
         raise ValueError(f"x must be >= 0, got {x}")
-    from scipy import special
+    return _gamma_pq(df / 2.0, x / 2.0)[0]
 
-    return float(special.gammainc(df / 2.0, x / 2.0))
+
+def _log_gamma_density(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a)): x times the gamma(a) density at x.
+
+    For a >= 10 the terms of a log x - x - lgamma(a) are far larger than
+    their sum, so it is rewritten around x = a with Stirling's series for
+    lgamma, whose first omitted term is below 2e-14 there.
+    """
+    if a < 10.0:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    # 1 + t loses x / a's digits once x is well below a
+    log_ratio = math.log(x / a) if x < 0.5 * a else math.log1p(t)
+    r = 1.0 / (a * a)
+    stirling = (1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / a
+    return a * (log_ratio - t) + 0.5 * math.log(a / (2.0 * math.pi)) - stirling
+
+
+def _gamma_pq(a: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete gammas P(a, x) and Q(a, x) = 1 - P(a, x).
+
+    Below x = a + 1 the lower tail P comes from its power series, above it
+    the upper tail Q from its continued fraction (modified Lentz); the other
+    tail is one minus it. Both need O(sqrt(a)) terms at worst; a continued
+    fraction that has not converged by then raises ArithmeticError.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
+    scale = math.exp(_log_gamma_density(a, x))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while abs(term) > abs(total) * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = scale * total
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    for i in range(1, 100 + int(10.0 * math.sqrt(a))):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = d if abs(d) > _TINY else _TINY
+        c = b + an / c
+        c = c if abs(c) > _TINY else _TINY
+        d = 1.0 / d
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= _EPS:
+            q = scale * h
+            return 1.0 - q, q
+    raise ArithmeticError(f"continued fraction for Q({a}, {x}) did not converge")
+
+
+@functools.lru_cache(maxsize=None)
+def _quantile_estimate(p: float, df: int) -> float:
+    """chi_square_quantile(p, df) without scipy, or NaN if Newton fails.
+
+    Solves on the small tail: P(a, y) = p for p <= 0.5, else
+    Q(a, y) = 1.0 - p, which is exact for p in [0.5, 1). Newton steps on the
+    tail's logarithm in u = log y, where it is concave, converge from a
+    Wilson-Hilferty start (or the lower bound of P(a, y) <= y^a / Gamma(a + 1)
+    when that is larger) in a handful of steps.
+    """
+    from statistics import NormalDist  # imported here so that only `test` pays its 2 ms
+
+    a = df / 2.0
+    upper = p > 0.5
+    target = 1.0 - p if upper else p
+    h = 2.0 / (9.0 * df)
+    y = a * (1.0 - h + NormalDist().inv_cdf(p) * math.sqrt(h)) ** 3
+    if not upper:
+        y = max(y, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
+    log_target = math.log(target)
+    try:
+        for _ in range(100):
+            tail = _gamma_pq(a, y)[upper]
+            # d log P / du = y f(y) / P, d log Q / du = -y f(y) / Q
+            slope = math.exp(_log_gamma_density(a, y)) / tail
+            step = (math.log(tail) - log_target) / (-slope if upper else slope)
+            y *= math.exp(-step)
+            if abs(step) <= 1e-12:
+                return 2.0 * y
+    except (ArithmeticError, ValueError):  # y left the floats, or a tail underflowed
+        pass
+    return math.nan
 
 
 @functools.lru_cache(maxsize=None)
 def chi_square_quantile(p: float, df: int) -> float:
-    """Inverse of chi_square_cdf in its first argument.
+    """Inverse of chi_square_cdf in its first argument, from scipy.
 
-    Memoized: a run asks for a few distinct (level, df) pairs, once per station.
+    The ladder consults it only for a statistic within TIE_BAND of the
+    estimate. Memoized per (level, df).
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
@@ -188,13 +293,22 @@ def _ladder(
 ) -> tuple[Verdict, Verdict | None]:
     if df0 < 1:
         return "untestable", None
-    if stat0 < chi_square_quantile(1.0 - alpha1, df0):
+    if _below_quantile(stat0, 1.0 - alpha1, df0):
         return "not_rejected", None
     if stat1 is None or df1 is None or df1 < 1:
         return "rejected", "untestable"
-    if stat1 < chi_square_quantile(1.0 - alpha2, df1):
+    if _below_quantile(stat1, 1.0 - alpha2, df1):
         return "rejected", "not_rejected"
     return "rejected", "rejected"
+
+
+def _below_quantile(stat: float, p: float, df: int) -> bool:
+    """stat < chi_square_quantile(p, df), decided from the estimate unless
+    stat lies within TIE_BAND of it or the estimate failed (NaN)."""
+    q = _quantile_estimate(p, df)
+    if abs(stat - q) > TIE_BAND * q:
+        return stat < q
+    return stat < chi_square_quantile(p, df)
 
 
 def markov_property_test(
@@ -208,8 +322,9 @@ def markov_property_test(
     Ladders for both LR and Q are recorded; the report's verdict_h0_0 and
     verdict_h0_1 read the Q ladder.
     """
-    if not 0.0 < alpha1 < 1.0 or not 0.0 < alpha2 < 1.0:
-        raise ValueError("significance levels must lie in (0, 1)")
+    # a level below about 1.1e-16 would test at 1 - level == 1.0
+    if not (0.0 < 1.0 - alpha1 < 1.0 and 0.0 < 1.0 - alpha2 < 1.0):
+        raise ValueError("significance levels must lie in (0, 1), with 1 - level < 1")
     if not counts.n2.any():
         return OrderTestReport(
             station_index=counts.station_index,

@@ -314,6 +314,24 @@ class TestExitCodes:
         assert f"error: config {cfg}: {reason}" in capsys.readouterr().err
         assert not (workspace / "y.json").exists()
 
+    @pytest.mark.parametrize("level", [1e-17, 1e-300, 5e-324])
+    @pytest.mark.parametrize("source", ["--alpha1", "--alpha2", "--config"])
+    def test_level_too_small_for_1_minus_level_exits_2(self, workspace, capsys, source, level):
+        # 1.0 - level rounds to 1.0: the quantile at p = 1 does not exist
+        name = "alpha1" if source == "--config" else source[2:]
+        if source == "--config":
+            cfg = workspace / "cfg.json"
+            cfg.write_text(json.dumps({name: level}))
+            flags = ["--config", str(cfg)]
+        else:
+            flags = [source, repr(level)]
+        assert main([
+            "test", "--store", str(workspace / "store.json"),
+            "--out", str(workspace / "y.json"), *flags,
+        ]) == 2
+        assert f"{name} {level!r} is too small: 1 - {name} rounds to 1" in capsys.readouterr().err
+        assert not (workspace / "y.json").exists()
+
     @pytest.mark.parametrize("row, reason", [
         ("T001,S01,D,2017-11-07T12:00:00", "expected 5 fields, got 4"),
         ("T001,S01,D,2017-11-07T12:00:00,first", "invalid literal for int()"),

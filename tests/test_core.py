@@ -53,7 +53,7 @@ class TestStateSpace:
         space = StateSpace(15)
         assert space.cardinality == 31
         for d in range(-15, 16):
-            assert space.state(space.index(d)) == d
+            assert space.states()[space.index(d)] == d
         assert space.index(-15) == 0
         assert space.index(0) == 15
         assert space.index(15) == 30
@@ -64,8 +64,8 @@ class TestStateSpace:
             space.index(4)
         with pytest.raises(ValueError):
             StateSpace(0)
-        assert space.clip(40) == 3
-        assert space.clip(-40) == -3
+        assert np.clip(40, space.states()[0], space.states()[-1]) == 3
+        assert np.clip(-40, space.states()[0], space.states()[-1]) == -3
 
 
 class TestBuildCountTensor:

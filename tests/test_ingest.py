@@ -396,7 +396,7 @@ def oracle_ingest(text, templates, config):
                 if not space.contains(d):
                     if config.clip_mode == "drop":
                         break
-                    d = space.clip(d)
+                    d = max(-space.n_max, min(space.n_max, d))
                     clipped += 1
                 delays.append(d)
             if delays:

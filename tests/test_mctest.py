@@ -11,6 +11,9 @@ from railmc.core import (
     estimate_frequencies,
 )
 from railmc.mctest import (
+    TIE_BAND,
+    _ladder,
+    _quantile_estimate,
     aggregate_reports,
     chi_square_cdf,
     chi_square_quantile,
@@ -96,6 +99,56 @@ class TestChiSquareFunctions:
             hits = chi_square_quantile.cache_info().hits
             assert chi_square_quantile(p, df) == direct
             assert chi_square_quantile.cache_info().hits == hits + 1
+
+
+class TestQuantileEstimate:
+    ALPHAS = (1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5)
+
+    def test_matches_scipy(self):
+        from scipy import special
+
+        dfs = np.unique(np.r_[np.arange(1, 301), np.geomspace(300, 250_000, 12).round()])
+        for alpha in self.ALPHAS:
+            p = 1.0 - alpha
+            direct = 2.0 * special.gammaincinv(dfs / 2.0, p)
+            est = np.array([_quantile_estimate.__wrapped__(p, int(df)) for df in dfs])
+            assert np.abs(est / direct - 1.0).max() < 1e-11, alpha
+
+    def test_lower_tail_matches_scipy(self):
+        # a level above 0.5 puts the quantile in the lower tail
+        from scipy import special
+
+        for p in (0.3, 1e-3, 2.0**-53):
+            for df in (1, 2, 5, 40, 3000):
+                direct = float(2.0 * special.gammaincinv(df / 2.0, p))
+                assert _quantile_estimate(p, df) == pytest.approx(direct, rel=1e-11)
+
+    @staticmethod
+    def _scipy_calls():
+        info = chi_square_quantile.cache_info()
+        return info.hits + info.misses
+
+    @pytest.mark.parametrize("df", [1, 6, 12, 100, 27_900])
+    @pytest.mark.parametrize("offset", [0.0, -1e-12, 1e-12])
+    def test_near_tie_consults_scipy(self, df, offset):
+        p = 1.0 - 0.05
+        q = chi_square_quantile(p, df)
+        stat = q * (1.0 + offset)
+        calls = self._scipy_calls()
+        expected = "not_rejected" if stat < q else "rejected"
+        assert _ladder(stat, df, None, None, 0.05, 0.05)[0] == expected
+        assert self._scipy_calls() == calls + 1
+
+    @pytest.mark.parametrize("df", [1, 6, 12, 100, 27_900])
+    @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+    def test_clear_verdict_skips_scipy(self, df, offset):
+        p = 1.0 - 0.01
+        q = chi_square_quantile(p, df)
+        assert abs(offset) > 100 * TIE_BAND
+        calls = self._scipy_calls()
+        expected = "not_rejected" if offset < 0 else "rejected"
+        assert _ladder(q * (1.0 + offset), df, None, None, 0.01, 0.01)[0] == expected
+        assert self._scipy_calls() == calls
 
 
 def direct_summation_zero_order(counts):
@@ -246,6 +299,8 @@ class TestMarkovPropertyTest:
         c = build_count_tensor(*series((0, 0)), 2, SPACE)
         with pytest.raises(ValueError):
             markov_property_test(c, alpha1=0.0)
+        with pytest.raises(ValueError):  # 1.0 - 1e-17 rounds to 1.0
+            markov_property_test(c, alpha2=1e-17)
 
     def test_statistics_agree_near_null(self):
         # LR and Q coincide to first order; their relative gap shrinks with

@@ -289,7 +289,7 @@ class TestKdeMatrix:
         mat = kde_matrix(kde_fit(pairs), space)
         observed_rows = sorted({int(p[0]) for p in pairs})
         for i in observed_rows:
-            j_star = space.state(int(np.argmax(mat[space.index(i)])))
+            j_star = space.states()[np.argmax(mat[space.index(i)])]
             assert abs(j_star - i) <= 2
 
     def test_matches_naive_sum_over_all_pairs(self):
