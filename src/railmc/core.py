@@ -1,15 +1,19 @@
 """Domain types, maximum-likelihood frequency estimators and the matrix check.
 
 States are integer delay minutes on the bounded domain [-N, N]. Station
-indices are 1-based along a journey. Counts are dense integer arrays indexed
-by state index (delay + N); frequencies are derived double-precision ratios
+indices are 1-based along a journey. Counts are integer arrays indexed by
+state index (delay + N); frequencies are derived double-precision ratios
 on the same indices. Rows with no observations are explicitly *undefined*
 (NaN), never emitted as all-zero probability rows.
 
 One train's aligned journeys are a zero-padded (n_series, L) integer array of
 delays plus a vector of lengths: row r holds its series' delay at station t in
 column t - 1 while t <= lengths[r], and every read is masked by the lengths.
-The counts n_j(t), n_ij(t) and n_hij(t) tally column slices of that array.
+One pass over that array counts any run of its stations at once: n_j(t) and
+n_ij(t) as dense (stations, k) and (stations, k, k) stacks, and n_hij(t) only
+on its observed cells, as sorted (station, h, i, j) codes with their counts.
+A station sees a few dozen journeys, so a dense n_hij (k^3 = 29,791 cells at
+N = 15) would be almost all zeros.
 
 A transition matrix P(t) is a plain (k, k) float array with k = 2N + 1, and a
 delay distribution v(t) a (k,) vector. A partial matrix marks its unobserved
@@ -30,6 +34,7 @@ __all__ = [
     "FrequencyEstimates",
     "build_count_tensor",
     "estimate_frequencies",
+    "context_totals",
     "check_transition_matrix",
 ]
 
@@ -80,89 +85,104 @@ class DelaySeries:
 
 @dataclass(frozen=True)
 class CountTensor:
-    """Observation counts at station t, indexed by state index (delay + N).
+    """Observation counts of one train at the stations `stations`, indexed by
+    station position s (0-based in `stations`) and state index (delay + N).
 
-    n1[j]       = n_j(t):       series delayed j minutes at station t, shape (k,)
-    n2[i, j]    = n_{i,j}(t):   j at t and i at t-1, shape (k, k)
-    n3[h, i, j] = n_{h,i,j}(t): j at t, i at t-1, h at t-2, shape (k, k, k)
+    n1[s, j]    = n_j(t):       series delayed j minutes at station t, shape (S, k)
+    n2[s, i, j] = n_{i,j}(t):   j at t and i at t-1, shape (S, k, k)
+    n3[c]       = n_{h,i,j}(t): j at t, i at t-1, h at t-2, for the observed
+                  cell n3_cells[c] = ((s k + h) k + i) k + j, shape (m,)
 
-    Only series long enough to cover the relevant stations contribute; all
+    n3_cells is sorted and holds exactly the cells with a positive count, so
+    each station's cells are one contiguous run in row-major (h, i, j) order.
+    Only series long enough to cover a station contribute to its counts; all
     series start at station 1, so the contributing set is identical for all
-    three tallies and the aggregation relations hold exactly.
+    three tallies and n1 = sum_i n2, n2 = sum_h n3 wherever n2, n3 exist.
     """
 
-    station_index: int
+    stations: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
+    n3_cells: np.ndarray
     n3: np.ndarray
 
-    def validate(self) -> None:
-        """Assert the count-aggregation relations over the contributing series."""
-        if (self.n1 < 0).any() or (self.n2 < 0).any() or (self.n3 < 0).any():
-            raise ValueError("negative count")
-        if self.n2.any() and not np.array_equal(self.n2.sum(axis=0), self.n1):
-            raise ValueError("n_j(t) != sum_i n_{i,j}(t)")
-        if self.n3.any() and not np.array_equal(self.n3.sum(axis=0), self.n2):
-            raise ValueError("n_{i,j}(t) != sum_h n_{h,i,j}(t)")
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The (s, h, i, j) index vectors of the observed n3 cells."""
+        k = self.n1.shape[1]
+        return np.unravel_index(self.n3_cells, (len(self.stations), k, k, k))
 
 
 @dataclass(frozen=True)
 class FrequencyEstimates:
-    """MLE frequencies derived from a CountTensor, on the same state indices.
+    """MLE frequencies derived from a CountTensor, on the same indices.
 
-    p1[j] = p̂_j, p2[i, j] = p̂_{i,j}, p3[h, i, j] = p̂_{h,i,j}. A row whose
+    p1[s, j] = p̂_j and p2[s, i, j] = p̂_{i,j} are dense; p3[c] = p̂_{h,i,j}
+    holds the frequency of the observed cell n3_cells[c]. A row whose
     marginal count is zero is NaN: *undefined*, not zero.
     """
 
-    station_index: int
+    stations: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
     p3: np.ndarray
 
 
 def build_count_tensor(
-    delays: np.ndarray, lengths: np.ndarray, t: int, space: StateSpace
+    delays: np.ndarray, lengths: np.ndarray, t, space: StateSpace
 ) -> CountTensor:
-    """Tally n_j(t), n_{i,j}(t), n_{h,i,j}(t) over one train's delay array.
+    """Tally n_j(t), n_{i,j}(t) and the observed n_{h,i,j}(t) over one train's
+    delay array, in one pass for every station of t: a station index or a
+    sequence of them.
 
     Row r covers station t when lengths[r] >= t; a covering row contributes
     to n1, to n2 additionally when t >= 2, and to n3 when t >= 3. A counted
     delay outside the state space raises ValueError.
     """
-    if t < 1:
-        raise ValueError(f"station index must be >= 1, got {t}")
-    idx = space.index(delays[lengths >= t, max(t - 3, 0):t])
+    stations = np.atleast_1d(np.asarray(t, dtype=np.int64))
+    if (stations < 1).any():
+        raise ValueError(f"station index must be >= 1, got {stations.min()}")
     k = space.cardinality
-    return CountTensor(t, *(_tally(idx, order, k) for order in (1, 2, 3)))
-
-
-def _tally(idx: np.ndarray, order: int, k: int) -> np.ndarray:
-    """Dense counts of the last `order` state-index columns, shape (k,) * order."""
-    shape = (k,) * order
-    if idx.shape[1] < order:
-        return np.zeros(shape, dtype=np.int64)
-    flat = np.ravel_multi_index(tuple(idx[:, -order:].T), shape)
-    return np.bincount(flat, minlength=k**order).reshape(shape)
+    row, s = np.nonzero(lengths[:, None] >= stations)
+    col = stations[s] - 1
+    # the covered states x(t-order+1) .. x(t) of each row, as one base-k number
+    states = np.zeros(len(row), dtype=np.int64)
+    codes = []
+    for order in (1, 2, 3):
+        keep = col >= order - 1
+        row, s, col, states = row[keep], s[keep], col[keep], states[keep]
+        states = states + space.index(delays[row, col - order + 1]) * k ** (order - 1)
+        codes.append(s * k**order + states)
+    size = len(stations)
+    n1 = np.bincount(codes[0], minlength=size * k).reshape(size, k)
+    n2 = np.bincount(codes[1], minlength=size * k * k).reshape(size, k, k)
+    n3_cells, n3 = np.unique(codes[2], return_counts=True)
+    return CountTensor(stations, n1, n2, n3_cells, n3)
 
 
 def estimate_frequencies(counts: CountTensor) -> FrequencyEstimates:
-    """Turn counts into MLE frequencies p̂_j, p̂_{i,j}, p̂_{h,i,j}.
+    """Turn counts into MLE frequencies p̂_j, p̂_{i,j} and, on the observed
+    cells, p̂_{h,i,j}.
 
-    Each tally is divided by its sum over the last axis; rows whose marginal
-    count is zero come out NaN.
+    Each tally is divided by its sum over the last state index; rows whose
+    marginal count is zero come out NaN.
     """
-    p1, p2, p3 = (_conditional(n) for n in (counts.n1, counts.n2, counts.n3))
-    return FrequencyEstimates(counts.station_index, p1, p2, p3)
+    p3 = counts.n3 / context_totals(counts)
+    return FrequencyEstimates(counts.stations, _conditional(counts.n1), _conditional(counts.n2), p3)
+
+
+def context_totals(counts: CountTensor) -> np.ndarray:
+    """n_{h,i}(t-1) = sum_j n_{h,i,j}(t) at each observed n3 cell: the total
+    count of the cells that share its station, h and i."""
+    context = counts.n3_cells // counts.n1.shape[1]
+    # float64 sums of integer counts are exact
+    return np.bincount(context, weights=counts.n3)[context]
 
 
 def _conditional(n: np.ndarray) -> np.ndarray:
-    """n divided by its sum over the last axis; rows summing to zero are NaN."""
-    rows = n.reshape(-1, n.shape[-1])
-    tot = rows.sum(axis=1)
-    defined = tot > 0
-    p = np.full(rows.shape, np.nan)
-    p[defined] = rows[defined] / tot[defined, None]
-    return p.reshape(n.shape)
+    """n divided by its sum over the last axis; rows summing to zero are NaN
+    (0 / 0), as counts are never negative."""
+    with np.errstate(invalid="ignore"):
+        return n / n.sum(axis=-1, keepdims=True)
 
 
 def check_transition_matrix(p: np.ndarray, space: StateSpace) -> None:

@@ -124,13 +124,14 @@ def naive_predictor(space: StateSpace) -> np.ndarray:
 
 
 def marginal_predictor(counts_at_target: CountTensor, space: StateSpace) -> np.ndarray:
-    """Marginal baseline: one step whose every row is the delay distribution
-    observed at the target station, whatever the current delay."""
+    """Marginal baseline: one step per station of the counts, the target
+    station's, whose every row is the delay distribution observed there,
+    whatever the current delay."""
     n1 = counts_at_target.n1
-    total = n1.sum()
-    if total == 0:
+    total = n1.sum(axis=1, keepdims=True)
+    if (total == 0).any():
         raise ValueError("no observations at the target station")
-    return np.tile(n1 / total, (space.cardinality, 1))[None]
+    return np.repeat((n1 / total)[:, None, :], space.cardinality, axis=1)
 
 
 @dataclass(frozen=True)

@@ -394,7 +394,8 @@ def assemble_series(
     """
     if clip_mode not in ("saturate", "drop"):
         raise ValueError(f"unknown clip mode {clip_mode!r}")
-    present = np.unique(events.train).tolist()
+    # the train codes that occur, sorted; a plain np.unique would import numpy.ma
+    present = np.flatnonzero(np.bincount(events.train)).tolist()
     for code in present:
         if events.trains[code] not in templates:
             raise ValueError(f"event for train {events.trains[code]} has no template")

@@ -1,9 +1,13 @@
-"""Chi-square test of the Markov order of delay evolution at one station.
+"""Chi-square test of the Markov order of delay evolution at each station.
 
 Implements likelihood-ratio and chi-square statistics for the zero-order and
-first-order null hypotheses on dense count arrays. Degrees of freedom are
-computed on the truncated matrices (all-zero rows and columns removed), so the
-statistics and df are invariant under relabeling of unobserved states.
+first-order null hypotheses, for every station of a count tensor at once.
+Only observed cells enter the sums: the n_ij(t) cells of the dense pair
+counts and the observed n_hij(t) cells, in row-major order per station, each
+station's terms summed by np.sum over its own run. Degrees of freedom are
+computed on the truncated matrices (all-zero rows and columns removed), the
+supports read off the same cells, so the statistics and df are invariant
+under relabeling of unobserved states.
 
 The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
 zero-order null is rejected. It runs on both statistics, and a report records
@@ -28,7 +32,7 @@ from typing import Literal
 
 import numpy as np
 
-from .core import CountTensor, FrequencyEstimates, estimate_frequencies
+from .core import CountTensor, FrequencyEstimates, context_totals, estimate_frequencies
 
 __all__ = [
     "Verdict",
@@ -173,27 +177,45 @@ def chi_square_quantile(p: float, df: int) -> float:
     return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 
-def _lr_q(
-    n: np.ndarray, p: np.ndarray, p_null: np.ndarray, tot: np.ndarray
-) -> tuple[float, float]:
-    """LR and Q summed over the observed cells of the count rows n.
+Statistics = tuple[float, float, int]
 
-    p holds the alternative's conditional frequencies and p_null the null's
-    on the same cells, and tot the count of each row's conditioning context;
-    p_null and tot broadcast to n.
+
+def _per_station(
+    station: np.ndarray, df: np.ndarray, n: np.ndarray, p: np.ndarray,
+    p_null: np.ndarray, tot: np.ndarray,
+) -> list[Statistics | None]:
+    """LR and Q summed per station over its observed cells, with its df.
+
+    The cells come sorted by station: `station` holds each cell's station
+    position, n its count, p the alternative's conditional frequency, p_null
+    the null's and tot the count of its conditioning context. Each station's
+    terms are summed over its own contiguous run by np.add.reduce (np.sum's
+    reduction), in the order a one-station array adds them: a sum over all
+    stations at once (np.bincount weights, np.add.reduceat) adds in another
+    order and changes the last bits. A station with no cell gets None.
     """
-    obs = n > 0
-    p_null = np.broadcast_to(p_null, n.shape)[obs]
-    p = p[obs]
-    lr = (2.0 * n[obs] * np.log(p / p_null)).sum()
-    q = (np.broadcast_to(tot, n.shape)[obs] * (p - p_null) ** 2 / p_null).sum()
-    return float(lr), float(q)
+    lr = 2.0 * n * np.log(p / p_null)
+    q = tot * (p - p_null) ** 2 / p_null
+    bounds = np.searchsorted(station, np.arange(len(df) + 1)).tolist()
+    return [
+        (float(np.add.reduce(lr[a:b])), float(np.add.reduce(q[a:b])), d) if a < b else None
+        for a, b, d in zip(bounds, bounds[1:], df.tolist())
+    ]
+
+
+def _support(station: np.ndarray, state: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Per station, how many distinct states occur among its cells."""
+    seen = np.zeros(shape, dtype=bool)
+    seen[station, state] = True
+    return seen.sum(axis=1)
 
 
 def zero_order_statistics(
     freq: FrequencyEstimates, counts: CountTensor
-) -> tuple[float, float, int]:
-    """Zero-order LR and Q statistics with truncated degrees of freedom.
+) -> list[Statistics | None]:
+    """Zero-order LR and Q statistics with truncated degrees of freedom, per
+    station of counts; None for a station with no transition (t < 2 or no
+    covering series).
 
     LR = 2 sum_{i,j: p_ij != 0} n_ij ln(p_ij / p_j)
     Q  = sum_{i,j: p_ij != 0} n_i(t-1) (p_ij - p_j)^2 / p_j
@@ -202,23 +224,21 @@ def zero_order_statistics(
     Only observed cells enter the sums (the 0*ln 0 convention), so deleting
     all-zero rows and columns beforehand changes nothing.
     """
-    if counts.station_index < 2:
-        raise ValueError("zero-order test needs station index t >= 2")
     n2 = counts.n2
-    row_tot = n2.sum(axis=1)
-    rows = row_tot > 0
-    if not rows.any():
-        raise ValueError("no defined transition rows: untestable")
-    n = n2[rows]
-    lr, q = _lr_q(n, freq.p2[rows], freq.p1, row_tot[rows, None])
-    df = (np.count_nonzero(rows) - 1) * (np.count_nonzero(n.any(axis=0)) - 1)
-    return lr, q, int(df)
+    cells = np.flatnonzero(n2)
+    s, i, j = np.unravel_index(cells, n2.shape)
+    row_tot = n2.sum(axis=2)
+    df = (_support(s, i, row_tot.shape) - 1) * (_support(s, j, row_tot.shape) - 1)
+    return _per_station(s, df, n2.reshape(-1)[cells], freq.p2.reshape(-1)[cells],
+                        freq.p1[s, j], row_tot[s, i])
 
 
 def first_order_statistics(
     freq: FrequencyEstimates, counts: CountTensor
-) -> tuple[float, float, int]:
-    """First-order LR and Q statistics with truncated degrees of freedom.
+) -> list[Statistics | None]:
+    """First-order LR and Q statistics with truncated degrees of freedom, per
+    station of counts; None for a station with no second-order cell (t < 3
+    or no covering series).
 
     LR = 2 sum_{h,i,j: p_hij != 0} n_hij ln(p_hij / p_ij)
     Q  = sum_{h,i,j: p_hij != 0} n_hi(t-1) (p_hij - p_ij)^2 / p_ij
@@ -227,20 +247,10 @@ def first_order_statistics(
     n_{h,i}(t-1) is aggregated as sum_j n_{h,i,j}(t), the only reading
     consistent with the statistic.
     """
-    if counts.station_index < 3:
-        raise ValueError("first-order test needs station index t >= 3")
-    n3 = counts.n3
-    pair_tot = n3.sum(axis=2)
-    pairs = pair_tot > 0
-    if not pairs.any():
-        raise ValueError("no defined second-order cells: untestable")
-    n = n3[pairs]
-    _h, i = np.nonzero(pairs)
-    lr, q = _lr_q(n, freq.p3[pairs], freq.p2[i], pair_tot[pairs, None])
-    sup_h = np.count_nonzero(pairs.any(axis=1))
-    sup_i = np.count_nonzero(pairs.any(axis=0))
-    sup_j = np.count_nonzero(n.any(axis=0))
-    return lr, q, int((sup_h - 1) * sup_i * (sup_j - 1))
+    s, h, i, j = counts.cells()
+    shape = counts.n1.shape
+    df = (_support(s, h, shape) - 1) * _support(s, i, shape) * (_support(s, j, shape) - 1)
+    return _per_station(s, df, counts.n3, freq.p3, freq.p2[s, i, j], context_totals(counts))
 
 
 @dataclass(frozen=True)
@@ -315,45 +325,33 @@ def markov_property_test(
     counts: CountTensor,
     alpha1: float = 0.05,
     alpha2: float = 0.05,
-) -> OrderTestReport:
-    """Run the order-test ladder on the counts for one station.
+) -> list[OrderTestReport]:
+    """Run the order-test ladder on the counts, one report per station.
 
     Tests H0(0) at level alpha1; on rejection tests H0(1) at level alpha2.
-    Ladders for both LR and Q are recorded; the report's verdict_h0_0 and
-    verdict_h0_1 read the Q ladder.
+    Ladders for both LR and Q are recorded; a report's verdict_h0_0 and
+    verdict_h0_1 read the Q ladder. A station with no transition is
+    untestable and records no statistic.
     """
     # a level below about 1.1e-16 would test at 1 - level == 1.0
     if not (0.0 < 1.0 - alpha1 < 1.0 and 0.0 < 1.0 - alpha2 < 1.0):
         raise ValueError("significance levels must lie in (0, 1), with 1 - level < 1")
-    if not counts.n2.any():
-        return OrderTestReport(
-            station_index=counts.station_index,
-            alpha1=alpha1,
-            alpha2=alpha2,
-            verdicts={"LR": ("untestable", None), "Q": ("untestable", None)},
-        )
     freq = estimate_frequencies(counts)
-    lr0, q0, df0 = zero_order_statistics(freq, counts)
-    lr1 = q1 = None
-    df1 = None
-    if counts.station_index >= 3 and counts.n3.any():
-        lr1, q1, df1 = first_order_statistics(freq, counts)
-    verdicts = {
-        "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
-        "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
-    }
-    return OrderTestReport(
-        station_index=counts.station_index,
-        alpha1=alpha1,
-        alpha2=alpha2,
-        lr0=lr0,
-        q0=q0,
-        df0=df0,
-        lr1=lr1,
-        q1=q1,
-        df1=df1,
-        verdicts=verdicts,
-    )
+    reports = []
+    for t, zero, first in zip(counts.stations.tolist(), zero_order_statistics(freq, counts),
+                              first_order_statistics(freq, counts)):
+        # a station with no transition has no second-order cell either
+        lr0, q0, df0 = zero or (None, None, None)
+        lr1, q1, df1 = first or (None, None, None)
+        if zero is None:
+            verdicts = {"LR": ("untestable", None), "Q": ("untestable", None)}
+        else:
+            verdicts = {
+                "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
+                "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
+            }
+        reports.append(OrderTestReport(t, alpha1, alpha2, lr0, q0, df0, lr1, q1, df1, verdicts))
+    return reports
 
 
 def aggregate_reports(reports: list[OrderTestReport]) -> dict:

@@ -222,9 +222,8 @@ def test_store(store: dict, config: RunConfig) -> dict:
     reports = []
     for tid in sorted(store["trains"]):
         delays, lengths, _ = store_series(store, tid)
-        for t in range(2, lengths.max(initial=0) + 1):
-            counts = build_count_tensor(delays, lengths, t, space)
-            report = markov_property_test(counts, config.alpha1, config.alpha2)
+        counts = build_count_tensor(delays, lengths, _stations(lengths), space)
+        for report in markov_property_test(counts, config.alpha1, config.alpha2):
             reports.append(report)
             per_station.append({"train": tid, **report.to_dict()})
     if not reports:
@@ -241,15 +240,23 @@ def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> No
         )
 
 
+def _stations(lengths: np.ndarray) -> range:
+    """The stations t >= 2 that a train's series reach: the order test's and
+    the bundle's stations."""
+    return range(2, lengths.max(initial=0) + 1)
+
+
 def _recover(
-    delays: np.ndarray, lengths: np.ndarray, t: int, space: StateSpace, config: RunConfig
-) -> np.ndarray | None:
+    delays: np.ndarray, lengths: np.ndarray, space: StateSpace, config: RunConfig
+) -> np.ndarray | list[np.ndarray]:
+    """The recovered (k, k) matrix of each station of `_stations(lengths)`:
+    a stack from one count pass for the count fills, a list of per-station
+    fits for the KDE."""
+    stations = _stations(lengths)
     if config.strategy == "gaussian_kernel":
-        pairs = delays[lengths >= t, t - 2:t].astype(float)
-        if len(pairs) == 0:
-            return None
-        return kde_matrix(kde_fit(pairs), space)
-    counts = build_count_tensor(delays, lengths, t, space)
+        return [kde_matrix(kde_fit(delays[lengths >= t, t - 2:t].astype(float)), space)
+                for t in stations]
+    counts = build_count_tensor(delays, lengths, stations, space)
     partial = empirical_matrix(counts)
     if config.strategy == "diagonal":
         return diagonal_fill(partial)
@@ -273,14 +280,12 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     for tid in sorted(store["trains"]):
         delays, lengths, _ = store_series(store, tid)
         matrices: dict = {}
-        for t in range(2, lengths.max(initial=0) + 1):
-            mat = _recover(delays, lengths, t, space, config)
-            if mat is not None:
-                try:
-                    check_transition_matrix(mat, space)
-                except ValueError as exc:
-                    raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
-                matrices[str(t)] = mat.tolist()
+        for t, mat in zip(_stations(lengths), _recover(delays, lengths, space, config)):
+            try:
+                check_transition_matrix(mat, space)
+            except ValueError as exc:
+                raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
+            matrices[str(t)] = mat.tolist()
         if matrices:
             trains[tid] = {"matrices": matrices}
     if not trains:
@@ -314,13 +319,15 @@ def bundle_matrices(bundle: dict, train_id: str, s: int, t: int,
     matrices = entry.get("matrices") if isinstance(entry, dict) else None
     if not isinstance(matrices, dict):
         raise BundleError(f"bundle has no matrices table for {where}")
-    chain = np.empty((t - s, space.cardinality, space.cardinality))
-    for step, station in enumerate(range(s + 1, t + 1)):
-        rows = matrices.get(str(station))
-        if rows is None:
-            raise CoverageError(f"bundle misses station {station} for train {train_id}")
+    stations = range(s + 1, t + 1)
+    # before allocating: a far target T would ask for a chain of any size
+    missing = next((station for station in stations if str(station) not in matrices), None)
+    if missing is not None:
+        raise CoverageError(f"bundle misses station {missing} for train {train_id}")
+    chain = np.empty((len(stations), space.cardinality, space.cardinality))
+    for step, station in enumerate(stations):
         try:
-            p = np.asarray(rows, dtype=float)
+            p = np.asarray(matrices[str(station)], dtype=float)
             check_transition_matrix(p, space)
         except (TypeError, ValueError) as exc:
             raise BundleError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
@@ -443,6 +450,8 @@ def evaluate_store(
             continue
         covered = lengths >= t_target  # T > S: a series that reaches T covers S
         skipped += int((~covered).sum())
+        if not covered.any():  # T may lie past the delay array's last column
+            continue
         d_S, d_T = delays[covered, from_station - 1], delays[covered, t_target - 1]
         # one block row per distinct d_S, scattered back to its series
         distinct, series_of = np.unique(d_S, return_inverse=True)

@@ -10,9 +10,10 @@ Four strategies build fully-defined row-stochastic matrices:
   delay pairs, normalized row-wise into a transition matrix
 
 A matrix is a plain (k, k) float array. `empirical_matrix` returns the
-count ratios with unobserved rows NaN; each fill replaces exactly the NaN
-rows in one assignment and passes observed rows through untouched. The KDE
-strategy replaces *every* row with the kernel estimate.
+count ratios of every station of a count tensor as a (stations, k, k) stack,
+with unobserved rows NaN; each fill takes such a stack (or one matrix),
+replaces exactly the NaN rows and passes observed rows through untouched.
+The KDE strategy replaces *every* row with the kernel estimate.
 
 The KDE draws no random numbers. Delays are integers, so the estimate is a
 count-weighted kernel sum over at most (2N+1)^2 distinct pairs; a ridge, not
@@ -48,28 +49,29 @@ LOG_2PI = np.log(2.0 * np.pi)
 
 
 def empirical_matrix(counts: CountTensor) -> np.ndarray:
-    """Count-ratio rows; rows with no observations stay undefined (NaN)."""
-    if counts.station_index < 2:
+    """Count-ratio rows, one (k, k) matrix per station of counts; rows with no
+    observations stay undefined (NaN)."""
+    if (counts.stations < 2).any():
         raise ValueError("transition counts need station index t >= 2")
     return _conditional(counts.n2)
 
 
 def _undefined(partial: np.ndarray) -> np.ndarray:
-    return np.isnan(partial).any(axis=1)
+    return np.isnan(partial).any(axis=-1)
 
 
 def diagonal_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become unit mass on the diagonal (delay unchanged)."""
     filled = partial.copy()
     rows = _undefined(partial)
-    filled[rows] = np.eye(len(partial))[rows]
+    filled[rows] = np.broadcast_to(np.eye(partial.shape[-1]), partial.shape)[rows]
     return filled
 
 
 def uniform_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become uniform over the whole state space."""
     filled = partial.copy()
-    filled[_undefined(partial)] = 1.0 / len(partial)
+    filled[_undefined(partial)] = 1.0 / partial.shape[-1]
     return filled
 
 
@@ -99,19 +101,29 @@ def gaussian_regression_fill(
     space: StateSpace,
     std_form: str = "printed",
 ) -> np.ndarray:
-    """Fill unobserved rows with Gaussians whose mean/spread follow fitted lines.
+    """Fill each station's unobserved rows with Gaussians whose mean/spread
+    follow lines fitted to that station's counts.
 
     Per observed row i the count-weighted mean is fitted; the spread uses the
     count-weighted sum of squared deviations divided by (count - 1), which is
     a variance-form expression (`std_form="printed"`), or its square root
     (`std_form="sqrt"`). Rows whose fitted spread is <= 0 become unit diagonal
     rows. With fewer than two observed rows regression is impossible and the
-    fill falls back to the diagonal strategy.
+    station's fill falls back to the diagonal strategy.
     """
     if std_form not in ("printed", "sqrt"):
         raise ValueError(f"unknown std_form {std_form!r}")
     states = space.states()
-    n2 = counts.n2
+    filled = np.empty_like(partial)
+    for s, n2 in enumerate(counts.n2):
+        filled[s] = _regression_fill(partial[s], n2, states, std_form)
+    return filled
+
+
+def _regression_fill(
+    partial: np.ndarray, n2: np.ndarray, states: np.ndarray, std_form: str
+) -> np.ndarray:
+    """`gaussian_regression_fill` of one station's (k, k) partial matrix and counts."""
     tot = n2.sum(axis=1)
     observed = tot > 0
     if observed.sum() < 2:

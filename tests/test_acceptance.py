@@ -29,7 +29,7 @@ from railmc.pipeline import evaluate_store, train_bundle
 from railmc.recovery import kde_fit, kde_matrix
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays
 
-from test_core import cells, sampled, series  # shared fixture helpers
+from test_core import cells, cells3, sampled, series  # shared fixture helpers
 
 
 def criterion(label):
@@ -58,7 +58,7 @@ def test_score_arithmetic():
 
 
 def _dense_zero_order(counts):
-    n2 = cells(counts.n2)
+    n2 = cells(counts.n2[0])
     states = sorted({i for i, _ in n2} | {j for _, j in n2})
     pos = {s: k for k, s in enumerate(states)}
     n = np.zeros((len(states), len(states)))
@@ -77,7 +77,7 @@ def _dense_zero_order(counts):
 
 
 def _dense_first_order(counts):
-    n3 = cells(counts.n3)
+    n3 = cells3(counts)
     pair_tot = {}
     dest_tot = {}
     for (h, i, j), c in n3.items():
@@ -103,7 +103,7 @@ def _dense_first_order(counts):
 def test_statistic_fixtures():
     c2 = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, StateSpace(15))
     f2 = estimate_frequencies(c2)
-    lr0, q0, df0 = zero_order_statistics(f2, c2)
+    ((lr0, q0, df0),) = zero_order_statistics(f2, c2)
     assert q0 == pytest.approx(2.0, abs=1e-12)
     assert lr0 == pytest.approx(8 * math.log(2), abs=1e-12)
     assert df0 == 1
@@ -114,7 +114,7 @@ def test_statistic_fixtures():
 
     c3 = build_count_tensor(*series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, StateSpace(15))
     f3 = estimate_frequencies(c3)
-    lr1, q1, df1 = first_order_statistics(f3, c3)
+    ((lr1, q1, df1),) = first_order_statistics(f3, c3)
     assert q1 == pytest.approx(2.0, abs=1e-12)
     assert lr1 == pytest.approx(8 * math.log(2), abs=1e-12)
     assert df1 == 1
@@ -156,7 +156,7 @@ def _rejection_rates(make_spec, reps=500, m=2000, t=3):
     for rep in range(reps):
         spec = make_spec(1000 + rep)
         counts = build_count_tensor(*sampled(spec, m), t, spec.space)
-        report = markov_property_test(counts)
+        (report,) = markov_property_test(counts)
         h00 += report.verdict_h0_0 == "rejected"
         h01 += report.verdict_h0_1 == "rejected"
     return h00 / reps, h01 / reps

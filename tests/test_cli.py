@@ -218,6 +218,32 @@ class TestExitCodes:
             "--station", "1", "--delay", "0", "--target", "9",
         ]) == 4
 
+    @pytest.mark.parametrize("method", ["bundle", "naive", "marginal"])
+    def test_far_target_is_a_coverage_gap(self, workspace, capsys, method):
+        # a chain to station 10^12 must not be allocated before its station 6 is missed
+        store, bundle = workspace / "store.json", workspace / "bundle.json"
+        assert main([
+            "train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal",
+        ]) == 0
+        far = ["--target", "1000000000000"]
+        if method == "bundle":
+            assert main([
+                "forecast", "--bundle", str(bundle), "--train", "T001",
+                "--station", "1", "--delay", "0", *far,
+            ]) == 4
+            assert "bundle misses station 6 for train T001" in capsys.readouterr().err
+        source = {
+            "bundle": ["--bundle", str(bundle)],
+            "naive": ["--baseline", "naive"],
+            "marginal": ["--baseline", "marginal", "--train-store", str(store)],
+        }[method]
+        # every train is uncovered, so no series is left to score
+        assert main([
+            "evaluate", "--store", str(store), *source, *far,
+            "--out", str(workspace / "scores.json"),
+        ]) == 3
+        assert "no series could be evaluated" in capsys.readouterr().err
+
     def test_last_station_has_no_target(self, workspace):
         bundle = workspace / "bundle.json"
         assert main([

@@ -10,6 +10,7 @@ from railmc.core import (
     StateSpace,
     build_count_tensor,
     check_transition_matrix,
+    context_totals,
     estimate_frequencies,
 )
 from railmc.synth import ChainSpec, sample_delays
@@ -38,6 +39,35 @@ def cells(n):
     The state space is read off the array shape (k = 2N + 1)."""
     n_max = (n.shape[0] - 1) // 2
     return {tuple(int(i) - n_max for i in ix): n[ix].item() for ix in zip(*np.nonzero(n))}
+
+
+def cells3(counts, s=0, values=None):
+    """The observed n_hij cells of station position s as {(h, i, j) delays: count},
+    or {...: value} for a vector of `values` aligned with the cells."""
+    n_max = (counts.n1.shape[1] - 1) // 2
+    values = counts.n3 if values is None else values
+    return {
+        (h - n_max, i - n_max, j - n_max): v
+        for (at, h, i, j), v in zip(zip(*(x.tolist() for x in counts.cells())), values.tolist())
+        if at == s
+    }
+
+
+def check_aggregation(c):
+    """The count-aggregation relations over the contributing series: counts are
+    positive, n_j(t) = sum_i n_ij(t) for t >= 2 and n_ij(t) = sum_h n_hij(t) for t >= 3."""
+    assert (c.n1 >= 0).all() and (c.n2 >= 0).all() and (c.n3 > 0).all()
+    assert np.array_equal(np.unique(c.n3_cells), c.n3_cells)  # sorted, no repeat
+    s, _h, i, j = c.cells()
+    n2_from_n3 = np.zeros_like(c.n2)
+    np.add.at(n2_from_n3, (s, i, j), c.n3)
+    for at, t in enumerate(c.stations.tolist()):
+        if t >= 2:
+            assert np.array_equal(c.n2[at].sum(axis=0), c.n1[at])
+        if t >= 3:
+            assert np.array_equal(n2_from_n3[at], c.n2[at])
+        else:
+            assert not n2_from_n3[at].any()
 
 
 @st.composite
@@ -71,10 +101,11 @@ class TestStateSpace:
 class TestBuildCountTensor:
     def test_direct_tally(self):
         c = build_count_tensor(*series((0, 0), (0, 1)), 2, SPACE)
-        assert cells(c.n2) == {(0, 0): 1, (0, 1): 1}
-        assert cells(c.n1) == {(0,): 1, (1,): 1}
-        assert cells(c.n3) == {}
-        assert c.n1.shape == (31,) and c.n2.shape == (31, 31) and c.n3.shape == (31, 31, 31)
+        assert cells(c.n2[0]) == {(0, 0): 1, (0, 1): 1}
+        assert cells(c.n1[0]) == {(0,): 1, (1,): 1}
+        assert cells3(c) == {}
+        assert c.n1.shape == (1, 31) and c.n2.shape == (1, 31, 31)
+        assert c.n3_cells.shape == c.n3.shape == (0,)
 
     def test_empty_set(self):
         c = build_count_tensor(*series(), 3, SPACE)
@@ -83,10 +114,10 @@ class TestBuildCountTensor:
     def test_short_series_contribute_lower_orders_only(self):
         # length-1 series counts at t=1 but not at t=2
         c1 = build_count_tensor(*series((5,), (5, 6)), 1, SPACE)
-        assert cells(c1.n1) == {(5,): 2}
+        assert cells(c1.n1[0]) == {(5,): 2}
         c2 = build_count_tensor(*series((5,), (5, 6)), 2, SPACE)
-        assert cells(c2.n1) == {(6,): 1}
-        assert cells(c2.n2) == {(5, 6): 1}
+        assert cells(c2.n1[0]) == {(6,): 1}
+        assert cells(c2.n2[0]) == {(5, 6): 1}
 
     def test_out_of_domain_delay_rejected(self):
         # -4 would index row -1, the last row, without an error
@@ -98,7 +129,10 @@ class TestBuildCountTensor:
     def test_matches_independent_recount_oracle(self, drawn):
         space, journeys, t = drawn
         c = build_count_tensor(*series(*journeys), t, space)
-        c.validate()
+        check_aggregation(c)
+        # one pass over stations 1..8 holds the same counts at t
+        every = build_count_tensor(*series(*journeys), range(1, 9), space)
+        check_aggregation(every)
         # independent single-pass tally
         n1 = collections.Counter()
         n2 = collections.Counter()
@@ -110,9 +144,10 @@ class TestBuildCountTensor:
                     n2[(d[t - 2], d[t - 1])] += 1
                 if t >= 3:
                     n3[(d[t - 3], d[t - 2], d[t - 1])] += 1
-        assert dict(n1) == cells(c.n1)
-        assert dict(n2) == cells(c.n2)
-        assert dict(n3) == cells(c.n3)
+        for tally, at in ((c, 0), (every, t - 1)):
+            assert dict(n1) == cells(tally.n1[at])
+            assert dict(n2) == cells(tally.n2[at])
+            assert dict(n3) == cells3(tally, at)
 
     def test_total_count_equals_long_enough_series(self):
         journeys = [(0,), (0, 1), (1, 1, 1), (0, 0, 1, 1)]
@@ -122,28 +157,34 @@ class TestBuildCountTensor:
 
     def test_pair_counts_consistent_with_n3(self):
         c = build_count_tensor(*series((0, 0, 0), (0, 0, 1), (1, 0, 1)), 3, SPACE)
-        assert cells(c.n3.sum(axis=2)) == {(0, 0): 2, (1, 0): 1}
+        pair_tot = collections.Counter()
+        for (h, i, _j), n in cells3(c).items():
+            pair_tot[(h, i)] += n
+        assert dict(pair_tot) == {(0, 0): 2, (1, 0): 1}
+        # context_totals gives each cell its pair's total
+        assert cells3(c, values=context_totals(c)) == {
+            (0, 0, 0): 2, (0, 0, 1): 2, (1, 0, 1): 1}
 
 
 class TestEstimateFrequencies:
     def test_ratio_row(self):
         c = build_count_tensor(*series((0, -1), (0, -1), (0, 1), (0, 1)), 2, SPACE)
         f = estimate_frequencies(c)
-        assert cells(f.p2[SPACE.index(0)]) == {(-1,): 0.5, (1,): 0.5}
+        assert cells(f.p2[0, SPACE.index(0)]) == {(-1,): 0.5, (1,): 0.5}
 
     def test_zero_row_undefined(self):
         # an unobserved row is NaN throughout; an observed row's unseen cells are 0
         c = build_count_tensor(*series((0, 1)), 2, SPACE)
         f = estimate_frequencies(c)
-        assert np.isnan(f.p2[SPACE.index(1)]).all()  # state 1 never seen at t-1
-        assert f.p2[SPACE.index(0), SPACE.index(0)] == 0.0
+        assert np.isnan(f.p2[0, SPACE.index(1)]).all()  # state 1 never seen at t-1
+        assert f.p2[0, SPACE.index(0), SPACE.index(0)] == 0.0
 
     def test_defined_rows_are_exactly_support(self):
         c = build_count_tensor(*series((0, 1), (2, 1), (2, 2)), 2, SPACE)
         f = estimate_frequencies(c)
-        defined = ~np.isnan(f.p2).all(axis=1)
+        defined = ~np.isnan(f.p2[0]).all(axis=1)
         assert set(SPACE.states()[defined]) == {0, 2}
-        assert set(SPACE.states()[f.p1 > 0]) == {1, 2}
+        assert set(SPACE.states()[f.p1[0] > 0]) == {1, 2}
 
     def test_rows_sum_to_one(self):
         space = StateSpace(2)
@@ -158,7 +199,12 @@ class TestEstimateFrequencies:
         c = build_count_tensor(*sampled(spec, 500), 3, space)
         f = estimate_frequencies(c)
         assert abs(f.p1.sum() - 1.0) < 1e-12
-        for p in (f.p2, f.p3):
+        # the observed p_hij cells, as dense rows over j per (h, i)
+        _s, h, i, j = c.cells()
+        p3 = np.full((space.cardinality,) * 3, np.nan)
+        p3[h, i] = 0.0
+        p3[h, i, j] = f.p3
+        for p in (f.p2, p3):
             rows = p.reshape(-1, space.cardinality)
             defined = rows[~np.isnan(rows).all(axis=1)]
             assert len(defined) and np.abs(defined.sum(axis=1) - 1.0).max() < 1e-12
@@ -171,14 +217,16 @@ class TestEstimateFrequencies:
         )
         c = build_count_tensor(*sampled(spec, 10_000), 2, space)
         f = estimate_frequencies(c)
-        assert np.abs(f.p2 - truth).max() < 0.05
+        assert np.abs(f.p2[0] - truth).max() < 0.05
 
     def test_permutation_invariance(self):
         s = [(0, 1, 0), (1, 1, 1), (0, 0, 1), (1, 0, 0)]
         shuffled = s[:]
         random.Random(5).shuffle(shuffled)
-        a = estimate_frequencies(build_count_tensor(*series(*s), 3, SPACE))
-        b = estimate_frequencies(build_count_tensor(*series(*shuffled), 3, SPACE))
+        ca = build_count_tensor(*series(*s), 3, SPACE)
+        cb = build_count_tensor(*series(*shuffled), 3, SPACE)
+        a, b = estimate_frequencies(ca), estimate_frequencies(cb)
+        assert np.array_equal(ca.n3_cells, cb.n3_cells)
         for pa, pb in ((a.p1, b.p1), (a.p2, b.p2), (a.p3, b.p3)):
             assert np.array_equal(pa, pb, equal_nan=True)
 

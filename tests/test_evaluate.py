@@ -206,7 +206,8 @@ class TestBaselinePredictors:
         space = StateSpace(15)
         n1 = np.zeros(space.cardinality, dtype=np.int64)
         n1[space.index(0)], n1[space.index(5)] = 3, 1
-        counts = CountTensor(5, n1, np.zeros((31, 31), np.int64), np.zeros((31,) * 3, np.int64))
+        none = np.zeros(0, np.int64)
+        counts = CountTensor(np.array([5]), n1[None], np.zeros((1, 31, 31), np.int64), none, none)
         chain = marginal_predictor(counts, space)
         assert chain.shape == (1, 31, 31)
         assert (chain[0] == n1 / 4).all()  # every row, whatever the current delay

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from railmc.core import (
@@ -88,9 +90,9 @@ class TestChiSquareFunctions:
             for t in range(2, lengths.max() + 1):
                 counts = build_count_tensor(delays, lengths, t, SPACE)
                 f = estimate_frequencies(counts)
-                dfs.add(zero_order_statistics(f, counts)[2])
+                dfs.add(zero_order_statistics(f, counts)[0][2])
                 if t >= 3:
-                    dfs.add(first_order_statistics(f, counts)[2])
+                    dfs.add(first_order_statistics(f, counts)[0][2])
         pairs = {(1.0 - alpha, df) for alpha in (0.05, 0.01) for df in dfs if df >= 1}
         assert {df for _, df in pairs} >= {1, 6, 12}
         for p, df in sorted(pairs):
@@ -153,7 +155,7 @@ class TestQuantileEstimate:
 
 def direct_summation_zero_order(counts):
     """Independent oracle: materialize dense arrays and sum term by term."""
-    n2 = cells(counts.n2)
+    n2 = cells(counts.n2[0])
     states = sorted({i for i, _ in n2} | {j for _, j in n2})
     pos = {s: k for k, s in enumerate(states)}
     n = np.zeros((len(states), len(states)))
@@ -177,7 +179,7 @@ class TestZeroOrderStatistics:
     def test_two_state_hand_case(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
         f = estimate_frequencies(c)
-        lr0, q0, df0 = zero_order_statistics(f, c)
+        ((lr0, q0, df0),) = zero_order_statistics(f, c)
         assert q0 == pytest.approx(2.0, abs=1e-12)
         assert lr0 == pytest.approx(8 * math.log(2), abs=1e-12)
         assert df0 == 1
@@ -194,7 +196,7 @@ class TestZeroOrderStatistics:
                 s += [(i, j)] * reps
         c = build_count_tensor(*series(*s), 2, SPACE)
         f = estimate_frequencies(c)
-        lr0, q0, _df = zero_order_statistics(f, c)
+        ((lr0, q0, _df),) = zero_order_statistics(f, c)
         assert lr0 == pytest.approx(0.0, abs=1e-12)
         assert q0 == pytest.approx(0.0, abs=1e-12)
 
@@ -203,7 +205,7 @@ class TestZeroOrderStatistics:
         s = [(i, j) for i in (-2, -1, 0, 1) for j in (0, 1, 2)]
         c = build_count_tensor(*series(*s), 2, SPACE)
         f = estimate_frequencies(c)
-        _lr, _q, df0 = zero_order_statistics(f, c)
+        ((_lr, _q, df0),) = zero_order_statistics(f, c)
         assert df0 == 6
 
     def test_truncation_invariance(self):
@@ -212,8 +214,8 @@ class TestZeroOrderStatistics:
         a = build_count_tensor(*series(*journeys), 2, SPACE)
         shifted = [tuple(5 * d - 3 for d in j) for j in journeys]
         b = build_count_tensor(*series(*shifted), 2, SPACE)
-        ra = zero_order_statistics(estimate_frequencies(a), a)
-        rb = zero_order_statistics(estimate_frequencies(b), b)
+        (ra,) = zero_order_statistics(estimate_frequencies(a), a)
+        (rb,) = zero_order_statistics(estimate_frequencies(b), b)
         assert ra == pytest.approx(rb)
 
     def test_random_counts_match_oracle(self):
@@ -231,7 +233,7 @@ class TestZeroOrderStatistics:
         )
         c = build_count_tensor(*sampled(spec, 400), 2, SPACE)
         f = estimate_frequencies(c)
-        got = zero_order_statistics(f, c)
+        (got,) = zero_order_statistics(f, c)
         expect = direct_summation_zero_order(c)
         assert got[0] == pytest.approx(expect[0], abs=1e-10)
         assert got[1] == pytest.approx(expect[1], abs=1e-10)
@@ -242,7 +244,7 @@ class TestFirstOrderStatistics:
     def test_hand_case(self):
         c = build_count_tensor(*series((0, 0, 0), (0, 0, 0), (1, 0, 1), (1, 0, 1)), 3, SPACE)
         f = estimate_frequencies(c)
-        lr1, q1, df1 = first_order_statistics(f, c)
+        ((lr1, q1, df1),) = first_order_statistics(f, c)
         assert q1 == pytest.approx(2.0, abs=1e-12)
         assert lr1 == pytest.approx(8 * math.log(2), abs=1e-12)
         assert df1 == 1
@@ -255,7 +257,7 @@ class TestFirstOrderStatistics:
                 s += [(h, i, 0), (h, i, 1)]
         c = build_count_tensor(*series(*s), 3, SPACE)
         f = estimate_frequencies(c)
-        lr1, q1, _df = first_order_statistics(f, c)
+        ((lr1, q1, _df),) = first_order_statistics(f, c)
         assert lr1 == pytest.approx(0.0, abs=1e-12)
         assert q1 == pytest.approx(0.0, abs=1e-12)
 
@@ -264,13 +266,120 @@ class TestFirstOrderStatistics:
         s = [(h, i, j) for h in (0, 1, 2) for i in (0, 1) for j in (0, 1, 2, 3)]
         c = build_count_tensor(*series(*s), 3, SPACE)
         f = estimate_frequencies(c)
-        assert first_order_statistics(f, c)[2] == 12
+        assert first_order_statistics(f, c)[0][2] == 12
+
+
+# The dense per-station algorithm the order test ran before it moved to the
+# observed cells of one count pass per train: k^3 tallies, frequencies and
+# statistics for one station. It is the oracle of the property below.
+
+def dense_tally(idx, order, k):
+    """Dense counts of the last `order` state-index columns, shape (k,) * order."""
+    shape = (k,) * order
+    if idx.shape[1] < order:
+        return np.zeros(shape, dtype=np.int64)
+    flat = np.ravel_multi_index(tuple(idx[:, -order:].T), shape)
+    return np.bincount(flat, minlength=k**order).reshape(shape)
+
+
+def dense_conditional(n):
+    """n divided by its sum over the last axis; rows summing to zero are NaN."""
+    rows = n.reshape(-1, n.shape[-1])
+    tot = rows.sum(axis=1)
+    defined = tot > 0
+    p = np.full(rows.shape, np.nan)
+    p[defined] = rows[defined] / tot[defined, None]
+    return p.reshape(n.shape)
+
+
+def dense_lr_q(n, p, p_null, tot):
+    obs = n > 0
+    p_null = np.broadcast_to(p_null, n.shape)[obs]
+    p = p[obs]
+    lr = (2.0 * n[obs] * np.log(p / p_null)).sum()
+    q = (np.broadcast_to(tot, n.shape)[obs] * (p - p_null) ** 2 / p_null).sum()
+    return float(lr), float(q)
+
+
+def dense_zero_order(n2, p1, p2):
+    row_tot = n2.sum(axis=1)
+    rows = row_tot > 0
+    n = n2[rows]
+    lr, q = dense_lr_q(n, p2[rows], p1, row_tot[rows, None])
+    df = (np.count_nonzero(rows) - 1) * (np.count_nonzero(n.any(axis=0)) - 1)
+    return lr, q, int(df)
+
+
+def dense_first_order(n3, p2, p3):
+    pair_tot = n3.sum(axis=2)
+    pairs = pair_tot > 0
+    n = n3[pairs]
+    _h, i = np.nonzero(pairs)
+    lr, q = dense_lr_q(n, p3[pairs], p2[i], pair_tot[pairs, None])
+    sup_h = np.count_nonzero(pairs.any(axis=1))
+    sup_i = np.count_nonzero(pairs.any(axis=0))
+    sup_j = np.count_nonzero(n.any(axis=0))
+    return lr, q, int((sup_h - 1) * sup_i * (sup_j - 1))
+
+
+def dense_order_test(delays, lengths, t, space, alpha1, alpha2):
+    """The report fields of station t: lr0, q0, df0, lr1, q1, df1 and both ladders."""
+    idx = space.index(delays[lengths >= t, max(t - 3, 0):t])
+    n1, n2, n3 = (dense_tally(idx, order, space.cardinality) for order in (1, 2, 3))
+    if t < 2 or not n2.any():
+        return (None,) * 6, {"LR": ("untestable", None), "Q": ("untestable", None)}
+    p1, p2, p3 = (dense_conditional(n) for n in (n1, n2, n3))
+    lr0, q0, df0 = dense_zero_order(n2, p1, p2)
+    lr1 = q1 = df1 = None
+    if t >= 3 and n3.any():
+        lr1, q1, df1 = dense_first_order(n3, p2, p3)
+    ladders = {
+        "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
+        "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
+    }
+    return (lr0, q0, df0, lr1, q1, df1), ladders
+
+
+@st.composite
+def ragged_trains(draw):
+    """A state space, one train's journeys of mixed lengths, and levels.
+
+    Delays come from a window of the space, so cells repeat; the stations run
+    two past the longest journey, so some are reached by no series, the last
+    reached ones often by one, and the first ones by many."""
+    space = StateSpace(draw(st.sampled_from([1, 2, 15])))
+    reach = draw(st.integers(0, space.n_max))
+    journeys = draw(st.lists(
+        st.lists(st.integers(-reach, reach), min_size=1, max_size=7), max_size=40))
+    levels = draw(st.sampled_from([(0.05, 0.05), (0.5, 0.9), (0.2, 0.01)]))
+    return space, journeys, levels
+
+
+class TestDenseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ragged_trains())
+    def test_every_station_equals_dense_oracle(self, drawn):
+        space, journeys, (alpha1, alpha2) = drawn
+        delays, lengths = series(*journeys)
+        stations = range(1, lengths.max(initial=0) + 3)
+        counts = build_count_tensor(delays, lengths, stations, space)
+        reports = markov_property_test(counts, alpha1, alpha2)
+        assert [r.station_index for r in reports] == list(stations)
+        for t, report in zip(stations, reports):
+            fields, ladders = dense_order_test(delays, lengths, t, space, alpha1, alpha2)
+            got = (report.lr0, report.q0, report.df0, report.lr1, report.q1, report.df1)
+            assert got == fields, t  # bit-equal, not approximately
+            assert report.verdicts == ladders, t
+            # a one-station count pass gives the same report
+            (alone,) = markov_property_test(
+                build_count_tensor(delays, lengths, t, space), alpha1, alpha2)
+            assert alone == report, t
 
 
 class TestMarkovPropertyTest:
     def test_hand_case_not_rejected(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        report = markov_property_test(c, alpha1=0.05)
+        (report,) = markov_property_test(c, alpha1=0.05)
         # q0 = 2 < 3.841 at df = 1
         assert report.verdict_h0_0 == "not_rejected"
         assert report.verdict_h0_1 is None
@@ -283,17 +392,17 @@ class TestMarkovPropertyTest:
             matrices=(diag, diag),
         )
         c = build_count_tensor(*sampled(spec, 10_000), 3, SPACE)
-        report = markov_property_test(c)
+        (report,) = markov_property_test(c)
         assert report.verdicts["Q"] == ("rejected", "not_rejected")
         assert report.verdicts["LR"] == ("rejected", "not_rejected")
 
     def test_degenerate_support_untestable(self):
         c = build_count_tensor(*series((0, 0), (0, 0)), 2, SPACE)
-        assert markov_property_test(c).verdict_h0_0 == "untestable"
+        assert markov_property_test(c)[0].verdict_h0_0 == "untestable"
 
     def test_no_rows_untestable(self):
         c = build_count_tensor(*series(), 2, SPACE)
-        assert markov_property_test(c).verdict_h0_0 == "untestable"
+        assert markov_property_test(c)[0].verdict_h0_0 == "untestable"
 
     def test_alpha_validation(self):
         c = build_count_tensor(*series((0, 0)), 2, SPACE)
@@ -314,9 +423,10 @@ class TestMarkovPropertyTest:
         for eps in (0.05, 0.01, 0.002):
             joint = (base[None, :] + eps * bump_dirs) / 3.0
             n2 = 10_000.0 * joint  # states -1..1
-            c = CountTensor(2, n1=n2.sum(axis=0), n2=n2, n3=np.zeros((3, 3, 3)))
+            none = np.zeros(0, dtype=np.int64)
+            c = CountTensor(np.array([2]), n2.sum(axis=0)[None], n2[None], none, none)
             f = estimate_frequencies(c)
-            lr0, q0, _ = zero_order_statistics(f, c)
+            ((lr0, q0, _),) = zero_order_statistics(f, c)
             gaps.append(abs(q0 - lr0) / q0)
         assert gaps[0] > gaps[1] > gaps[2]
 
@@ -324,13 +434,13 @@ class TestMarkovPropertyTest:
 class TestReporting:
     def test_report_roundtrips_to_dict(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        d = markov_property_test(c).to_dict()
+        d = markov_property_test(c)[0].to_dict()
         assert d["t"] == 2 and d["df0"] == 1
         assert d["verdicts"]["Q"][0] == "not_rejected"
 
     def test_aggregate_shape(self):
         counts = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        reports = [markov_property_test(counts)]
+        reports = markov_property_test(counts)
         agg = aggregate_reports(reports)
         assert agg["total_stations"] == 1
         assert agg["statistics"]["Q"] == {"reject_h0_0": 0, "reject_h0_1": 0}

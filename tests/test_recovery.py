@@ -32,7 +32,7 @@ class TestEmpiricalMatrix:
     def test_observed_row_ratios(self):
         space = StateSpace(2)
         c = build_count_tensor(*series((0, -1), (0, -1), (0, 1), (0, 2)), 2, space)
-        mat = empirical_matrix(c)
+        (mat,) = empirical_matrix(c)
         row = mat[space.index(0)]
         assert row[space.index(-1)] == pytest.approx(0.5)
         assert row[space.index(1)] == pytest.approx(0.25)
@@ -42,7 +42,7 @@ class TestEmpiricalMatrix:
     def test_unobserved_rows_undefined(self):
         space = StateSpace(2)
         c = build_count_tensor(*series((0, 1)), 2, space)
-        mat = empirical_matrix(c)
+        (mat,) = empirical_matrix(c)
         assert np.isnan(mat[space.index(1)]).all()
         assert np.isnan(mat).all(axis=1).sum() == space.cardinality - 1
 
@@ -55,18 +55,18 @@ class TestFills:
     def test_diagonal_fill(self):
         space = StateSpace(2)
         c = build_count_tensor(*series((0, 1)), 2, space)
-        mat = diagonal_fill(empirical_matrix(c))
+        (mat,) = diagonal_fill(empirical_matrix(c))
         r = space.index(2)
         assert mat[r, r] == 1.0
         assert mat[r].sum() == 1.0
-        assert np.isnan(empirical_matrix(c)[r]).all()  # the fill recovered an undefined row
+        assert np.isnan(empirical_matrix(c)[0, r]).all()  # the fill recovered an undefined row
         # observed row untouched
         assert mat[space.index(0), space.index(1)] == 1.0
 
     def test_uniform_fill(self):
         space = StateSpace(2)
         c = build_count_tensor(*series((0, 1)), 2, space)
-        mat = uniform_fill(empirical_matrix(c))
+        (mat,) = uniform_fill(empirical_matrix(c))
         r = space.index(-2)
         assert np.allclose(mat[r], 1.0 / 5.0)
 
@@ -74,9 +74,31 @@ class TestFills:
         space = StateSpace(3)
         c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
         for fill in (diagonal_fill, uniform_fill):
-            mat = fill(empirical_matrix(c))
+            (mat,) = fill(empirical_matrix(c))
             assert np.isfinite(mat).all()
             assert np.allclose(mat.sum(axis=1), 1.0)
+
+
+class TestStationStack:
+    def test_one_pass_equals_each_station_alone(self):
+        # the count fills of a whole train's stack equal each station's own fill
+        space = StateSpace(4)
+        delays = sample_delays(near_diagonal_spec(space, 6, 2.0, seed=5), 12)
+        lengths = np.array([6, 6, 5, 5, 4, 3, 6, 2, 6, 5, 4, 6])
+        stations = range(2, 7)
+        every = build_count_tensor(delays, lengths, stations, space)
+        partial = empirical_matrix(every)
+        fills = {
+            "diagonal": lambda p, c: diagonal_fill(p),
+            "uniform": lambda p, c: uniform_fill(p),
+            "gaussian_regression": lambda p, c: gaussian_regression_fill(p, c, space),
+        }
+        for name, fill in fills.items():
+            stack = fill(partial, every)
+            assert stack.shape == (len(stations), space.cardinality, space.cardinality)
+            for at, t in enumerate(stations):
+                alone = build_count_tensor(delays, lengths, t, space)
+                assert np.array_equal(stack[at], fill(empirical_matrix(alone), alone)[0]), (name, t)
 
 
 class TestGaussianRegressionFill:
@@ -92,7 +114,7 @@ class TestGaussianRegressionFill:
     def test_constant_spread_line(self):
         space = StateSpace(5)
         c = self._symmetric_counts(space)
-        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
         states = space.states()
         # filled row 3: Gaussian with mean 3, spread 1, discretized and normalized
         expected = np.exp(-0.5 * (states - 3.0) ** 2)
@@ -105,8 +127,8 @@ class TestGaussianRegressionFill:
         # with unit variance both spread conventions coincide
         space = StateSpace(5)
         c = self._symmetric_counts(space)
-        a = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="printed")
-        b = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="sqrt")
+        (a,) = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="printed")
+        (b,) = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="sqrt")
         assert np.allclose(a, b)
 
     def test_negative_fitted_spread_becomes_unit_diagonal(self):
@@ -121,7 +143,7 @@ class TestGaussianRegressionFill:
         for j in (1, 2, 3):
             s.append((2, j))
         c = build_count_tensor(*series(*s), 2, space)
-        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
         assert mat[r, r] == 1.0
@@ -133,7 +155,7 @@ class TestGaussianRegressionFill:
         space = StateSpace(3)
         c = build_count_tensor(*series((0, 1), (0, -1)), 2, space)
         with pytest.warns(UserWarning):
-            mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+            (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
         r = space.index(2)
         assert mat[r, r] == 1.0
 
@@ -141,7 +163,7 @@ class TestGaussianRegressionFill:
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
         c = build_count_tensor(*sampled(spec, 50), 2, space)
-        mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_per_row_reference(self):
@@ -149,10 +171,11 @@ class TestGaussianRegressionFill:
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 4.0, seed=9)
         c = build_count_tensor(*sampled(spec, 40), 2, space)
-        partial = empirical_matrix(c)
-        mat = gaussian_regression_fill(partial, c, space)
+        (partial,) = empirical_matrix(c)
+        (mat,) = gaussian_regression_fill(partial[None], c, space)
         states = space.states()
-        n2, tot = c.n2, c.n2.sum(axis=1)
+        (n2,) = c.n2
+        tot = n2.sum(axis=1)
         observed, spread_rows = tot > 0, tot > 1
         mean = n2[observed] @ states / tot[observed]
         dev = states[None, :] - (n2[spread_rows] @ states / tot[spread_rows])[:, None]
