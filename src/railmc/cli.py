@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import csv
 import dataclasses
 import sys
@@ -60,17 +59,6 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
     return RunConfig.load(getattr(args, "config", None), **overrides)
 
 
-@contextlib.contextmanager
-def _naming_stores(*stores):
-    """Prefix a StoreError with the file of the store at fault; `stores` holds
-    (store, path) pairs."""
-    try:
-        yield
-    except StoreError as exc:
-        path = next(path for store, path in stores if store is exc.store)
-        raise StoreError(f"{path}: {exc}") from None
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     for flag, value in (("--series", args.series), ("--trains", args.trains), ("--length", args.length)):
         if value < 1:
@@ -108,9 +96,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_test(args: argparse.Namespace) -> int:
     config = _config_from(args)
-    store = pipeline.load_json(args.store, StoreError)
-    with _naming_stores((store, args.store)):
-        report = pipeline.test_store(store, config)
+    report = pipeline.test_store(pipeline.load_store(args.store), config)
     pipeline.save_json(report, args.out)
     agg = report["aggregate"]
     for name, row in agg["statistics"].items():
@@ -125,9 +111,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
-    store = pipeline.load_json(args.store, StoreError)
-    with _naming_stores((store, args.store)):
-        bundle = pipeline.train_bundle(store, config)
+    bundle = pipeline.train_bundle(pipeline.load_store(args.store), config)
     pipeline.save_json(bundle, args.out)
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
@@ -141,10 +125,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if args.target is None and args.store is None:
         raise ConfigError("forecast needs --target or --store to resolve the target station")
     config = _config_from(args)
-    bundle = pipeline.load_json(args.bundle, BundleError)
-    store = None if args.target is not None else pipeline.load_json(args.store, StoreError)
-    with _naming_stores((store, args.store)):
-        target = pipeline.resolve_target(store, args.train, args.station, config, args.target)
+    bundle = pipeline.load_bundle(args.bundle)
+    store = None if args.target is not None else pipeline.load_store(args.store)
+    target = pipeline.resolve_target(store, args.train, args.station, config, args.target)
     record = {"train": args.train, "date": args.date, "S": args.station, "T": target,
               **pipeline.forecast_from_bundle(
                   bundle, args.train, args.station, args.delay, target, config)}
@@ -159,14 +142,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline == "marginal" and not args.train_store:
         raise ConfigError("--baseline marginal needs --train-store")
     config = _config_from(args)
-    store = pipeline.load_json(args.store, StoreError)
-    bundle = pipeline.load_json(args.bundle, BundleError) if args.bundle else None
-    train_store = pipeline.load_json(args.train_store, StoreError) if args.train_store else None
-    with _naming_stores((store, args.store), (train_store, args.train_store)):
-        report, payload = pipeline.evaluate_store(
-            store, config, bundle=bundle, baseline=args.baseline,
-            train_store=train_store, from_station=args.from_station, target=args.target,
-        )
+    store = pipeline.load_store(args.store)
+    bundle = pipeline.load_bundle(args.bundle) if args.bundle else None
+    train_store = pipeline.load_store(args.train_store) if args.train_store else None
+    report, payload = pipeline.evaluate_store(
+        store, config, bundle=bundle, baseline=args.baseline,
+        train_store=train_store, from_station=args.from_station, target=args.target,
+    )
     pipeline.save_json(payload, args.out)
     with open(str(args.out) + ".csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -22,6 +22,8 @@ METRICS = POINT_METRICS + ("probability",)
 RWMSE_FORMS = ("printed", "squared")
 REGRESSION_STDS = ("printed", "sqrt")
 CLIP_MODES = ("saturate", "drop")
+# the widest delay grid: k = 2 * 240 + 1 = 481 states, 1.8 MB per float64 matrix
+N_MAX_LIMIT = 240
 
 
 class ConfigError(ValueError):
@@ -29,19 +31,18 @@ class ConfigError(ValueError):
 
 
 def _setting(default, help_text: str, *, choices: tuple[str, ...] = (), minimum: int = 0,
-             below: float = math.inf, flag: str | None = ""):
+             maximum: float = math.inf, below: float = math.inf, flag: str | None = ""):
     """A RunConfig field. A str setting takes one of `choices`; an int one an
-    integer >= `minimum`; a float one a number in (0, `below`). `flag` is the
+    integer in [`minimum`, `maximum`]; a float one a number in (0, `below`). `flag` is the
     command-line flag: "" derives it from the field name, None leaves the
     setting to the config file."""
-    return dataclasses.field(default=default, metadata={
-        "help": help_text, "choices": choices, "minimum": minimum, "below": below, "flag": flag,
-    })
+    return dataclasses.field(default=default, metadata=dict(
+        help=help_text, choices=choices, minimum=minimum, maximum=maximum, below=below, flag=flag))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    n_max: int = _setting(15, "delay bound N", minimum=1)
+    n_max: int = _setting(15, "delay bound N", minimum=1, maximum=N_MAX_LIMIT)
     alpha1: float = _setting(0.05, "level for the zero-order test", below=1)
     alpha2: float = _setting(0.05, "level for the first-order test", below=1)
     horizon_minutes: float = _setting(20.0, "prediction horizon in minutes", flag="--horizon")
@@ -63,9 +64,10 @@ class RunConfig:
                     raise ConfigError(
                         f"unknown {f.name} {value!r}; choose from {', '.join(meta['choices'])}")
             elif isinstance(f.default, int):
-                if type(value) is not int or value < meta["minimum"]:
+                if type(value) is not int or not meta["minimum"] <= value <= meta["maximum"]:
                     kind = "positive" if meta["minimum"] == 1 else "non-negative"
-                    raise ConfigError(f"{f.name} must be a {kind} integer, got {value!r}")
+                    limit = "" if meta["maximum"] == math.inf else f"; the limit is {meta['maximum']}"
+                    raise ConfigError(f"{f.name} must be a {kind} integer, got {value!r}{limit}")
             elif (isinstance(value, bool) or not isinstance(value, (int, float))
                   or not 0 < value < meta["below"]):
                 raise ConfigError(f"{f.name} must be a number in (0, {meta['below']}), got {value!r}")

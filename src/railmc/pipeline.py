@@ -2,26 +2,26 @@
 
 A *store* is the serialized form of the ingested delay series, grouped per
 train with the planned station sequence. `store_series` reads one train back
-as a zero-padded (n_series, L) delay array plus its lengths, after checking
-every delay is an integer in the store's [-N, N]; counting, recovery and
-evaluation slice that array by station and mask it by length.
+as a zero-padded (n_series, L) delay array plus its lengths; counting,
+recovery and evaluation slice that array by station and mask it by length.
 A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
+`load_store` checks a store whole, and `load_bundle` a bundle's meta and
+tables, each naming the file. Code past them trusts what they return, except
+`bundle_matrices`, which checks each matrix as it reads it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import itertools
 import json
-from collections.abc import Callable
 
 import numpy as np
 
-from .config import RunConfig
+from .config import N_MAX_LIMIT, RunConfig
 from .core import StateSpace, build_count_tensor, check_transition_matrix
 from .evaluate import TREND_CLASSES, ScoreReport, marginal_predictor, naive_predictor, score_batch
 from .forecast import make_prediction, point_delay, propagate
@@ -52,6 +52,8 @@ __all__ = [
     "build_store",
     "save_json",
     "load_json",
+    "load_store",
+    "load_bundle",
     "store_series",
     "store_template",
     "test_store",
@@ -79,12 +81,8 @@ class EmptySelectionError(RuntimeError):
 
 
 class StoreError(ValueError):
-    """A series store is malformed. The message names the file, or the train
-    and the date; `store` is the store at fault, so a caller can name its file."""
-
-    def __init__(self, message: str, store: dict | None = None):
-        super().__init__(message)
-        self.store = store
+    """A series store is malformed. The message names the file, and the train
+    and the date where one is at fault."""
 
 
 def build_store(
@@ -107,8 +105,9 @@ def build_store(
     return {"n_max": config.n_max, "trains": trains}, rejects + train_rejects
 
 
-# json runs its C encoder only for a one-shot encode without indent
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# json runs its C encoder only for a one-shot encode without indent; it writes
+# an array through `default` as the list of its Python floats
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode
 # levels of dicts walked in Python: the root, a trains table and one train, so
 # each train's tables (one train's matrices, its series) are one encoder call
 _STREAM_DEPTH = 3
@@ -146,76 +145,87 @@ def load_json(path, error: type[ValueError] = ValueError) -> dict:
         raise error(f"{path} is not JSON: {exc}") from None
 
 
-def _space_of(n_max, error: Callable[[str], ValueError], owner: str) -> StateSpace:
-    """The state space of a store's or bundle's n_max, which must be an int >= 1
-    (not a bool, a float or a string); `error` names `owner` otherwise."""
-    if type(n_max) is not int or n_max < 1:
-        raise error(f"{owner} has no valid n_max (got {n_max!r})")
-    return StateSpace(n_max)
+def _n_max_of(table, error: type[ValueError], owner: str) -> int:
+    """The n_max of a store or a bundle's meta, which must be an int in
+    [1, N_MAX_LIMIT] (not a bool, a float or a string); `error` names `owner` otherwise."""
+    n_max = table.get("n_max") if isinstance(table, dict) else None
+    if type(n_max) is not int or not 1 <= n_max <= N_MAX_LIMIT:
+        raise error(f"{owner} has no valid n_max (got {n_max!r}); "
+                    f"it must be an integer in [1, {N_MAX_LIMIT}]")
+    return n_max
 
 
-def _store_space(store: dict) -> StateSpace:
-    """The store's state space, after checking its n_max and trains table."""
-    n_max = store.get("n_max") if isinstance(store, dict) else None
-    space = _space_of(n_max, functools.partial(StoreError, store=store), "store")
-    if not isinstance(store.get("trains"), dict):
-        raise StoreError("store has no trains object", store)
-    return space
+def _series_columns(series: list) -> tuple[list, np.ndarray, list]:
+    """A train's series as their dates, their lengths and all their delays in one list."""
+    dates = [s["date"] for s in series]
+    lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
+    return dates, lengths, list(itertools.chain.from_iterable(s["delays"] for s in series))
 
 
-def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """One train's series: the (n_series, L) int64 delay array, zero past each
-    row's length, the lengths, and the dates.
-
-    Raises StoreError, naming the train and the date, for a series longer than
-    the train's stations or a delay that is not an integer in the store's
-    [-N, N] (a float or a bool is not).
-    """
-    n_max = _store_space(store).n_max
+def _check_train(store: dict, train_id: str, n_max: int) -> None:
+    """Raise StoreError, naming the train and the date, for a template that
+    does not parse, a series longer than the train's stations, or a delay that
+    is not an integer in [-n_max, n_max] (a float or a bool is not)."""
     try:
-        entry = store["trains"][train_id]
-        n_stations, series = len(entry["stations"]), entry["series"]
-        dates = [s["date"] for s in series]
-        lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
-        flat = list(itertools.chain.from_iterable(s["delays"] for s in series))
+        n_stations = len(store_template(store, train_id).keys)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreError(f"store train {train_id}: malformed template ({exc})") from None
+    try:
+        dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
     except (KeyError, TypeError) as exc:
-        raise StoreError(f"store train {train_id}: malformed series ({exc!r})", store) from None
+        raise StoreError(f"store train {train_id}: malformed series ({exc!r})") from None
     if (lengths > n_stations).any():
         r = int(np.argmax(lengths > n_stations))
         raise StoreError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
-                         f"{n_stations} stations", store)
+                         f"{n_stations} stations")
     # bool is a subclass of int, so the check compares types, not isinstance
     if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
             and max(flat, default=0) <= n_max):
         i = next(i for i, d in enumerate(flat) if type(d) is not int or abs(d) > n_max)
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
-        raise StoreError(
-            f"store train {train_id} date {date}: delay {flat[i]!r} is not an integer "
-            f"in [-{n_max}, {n_max}]", store
-        )
-    delays = np.zeros((len(series), lengths.max(initial=0)), dtype=np.int64)
+        raise StoreError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
+                         f"integer in [-{n_max}, {n_max}]")
+
+
+def load_store(path) -> dict:
+    """Read a series store and check it whole: its n_max, its trains object,
+    and each train's template and series (see `_check_train`). Raises
+    StoreError naming the file."""
+    store = load_json(path, StoreError)
+    try:
+        n_max = _n_max_of(store, StoreError, "store")
+        if not isinstance(store.get("trains"), dict):
+            raise StoreError("store has no trains object")
+        for tid in store["trains"]:
+            _check_train(store, tid, n_max)
+    except StoreError as exc:
+        raise StoreError(f"{path}: {exc}") from None
+    return store
+
+
+def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """One train's series: the (n_series, L) int64 delay array, zero past each
+    row's length, the lengths, and the dates."""
+    dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
+    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
     delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
     return delays, lengths, dates
 
 
 def store_template(store: dict, train_id: str) -> JourneyTemplate:
-    _store_space(store)
     if train_id not in store["trains"]:
         raise CoverageError(f"store has no train {train_id}")
-    try:
-        entry = store["trains"][train_id]
-        return JourneyTemplate(
-            train_id=train_id,
-            keys=tuple(StationKey(c, a) for c, a in entry["stations"]),
-            planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"store train {train_id}: malformed template ({exc})", store) from None
+    entry = store["trains"][train_id]
+    return JourneyTemplate(
+        train_id=train_id,
+        keys=tuple(StationKey(c, a) for c, a in entry["stations"]),
+        planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
+    )
 
 
 def test_store(store: dict, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate."""
-    space = _store_space(store)
+    space = StateSpace(store["n_max"])
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
     per_station = []
@@ -271,10 +281,9 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     Every strategy is deterministic: the same store and config give the same
     bundle. Trains are assembled in sorted order.
     """
-    store_space = _store_space(store)
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
-    _check_n_max(store_space.n_max, config.n_max, "store", "training")
+    _check_n_max(store["n_max"], config.n_max, "store", "training")
     space = StateSpace(config.n_max)
     trains = {}
     for tid in sorted(store["trains"]):
@@ -285,7 +294,7 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
                 check_transition_matrix(mat, space)
             except ValueError as exc:
                 raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
-            matrices[str(t)] = mat.tolist()
+            matrices[str(t)] = mat
         if matrices:
             trains[tid] = {"matrices": matrices}
     if not trains:
@@ -293,46 +302,49 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}
 
 
-def _bundle_space(bundle: dict, where: str) -> StateSpace:
-    """The bundle's state space, after checking its meta.n_max, meta.strategy
-    and trains table."""
-    meta = bundle.get("meta") if isinstance(bundle, dict) else None
-    if not isinstance(meta, dict):
-        raise BundleError(f"bundle has no meta object for {where}")
-    space = _space_of(meta.get("n_max"), BundleError, f"bundle meta for {where}")
-    if not isinstance(meta.get("strategy"), str):
-        raise BundleError(f"bundle meta has no strategy for {where}")
-    if not isinstance(bundle.get("trains"), dict):
-        raise BundleError(f"bundle has no trains table for {where}")
-    return space
+def load_bundle(path) -> dict:
+    """Read a matrix bundle and check its envelope: a meta object with a valid
+    n_max and a strategy string, and a trains table whose every train holds a
+    matrices table. Raises BundleError naming the file. The matrices are
+    checked by `bundle_matrices`, as it reads them."""
+    bundle = load_json(path, BundleError)
+    try:
+        meta = bundle.get("meta") if isinstance(bundle, dict) else None
+        if not isinstance(meta, dict):
+            raise BundleError("bundle has no meta object")
+        _n_max_of(meta, BundleError, "bundle meta")
+        if not isinstance(meta.get("strategy"), str):
+            raise BundleError("bundle meta has no strategy")
+        if not isinstance(bundle.get("trains"), dict):
+            raise BundleError("bundle has no trains table")
+        for tid, entry in bundle["trains"].items():
+            if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
+                raise BundleError(f"bundle train {tid} has no matrices table")
+    except BundleError as exc:
+        raise BundleError(f"{path}: {exc}") from None
+    return bundle
 
 
-def bundle_matrices(bundle: dict, train_id: str, s: int, t: int,
-                    space: StateSpace | None = None) -> np.ndarray:
+def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
     """The checked propagation chain P(S+1) .. P(T) for one train, shape
-    (T - S, k, k). `space` is the bundle's state space, if the caller has read it."""
-    where = f"train {train_id} station {s + 1}"
-    space = space or _bundle_space(bundle, where)
+    (T - S, k, k); T > S."""
     if train_id not in bundle["trains"]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
-    entry = bundle["trains"][train_id]
-    matrices = entry.get("matrices") if isinstance(entry, dict) else None
-    if not isinstance(matrices, dict):
-        raise BundleError(f"bundle has no matrices table for {where}")
+    matrices = bundle["trains"][train_id]["matrices"]
     stations = range(s + 1, t + 1)
-    # before allocating: a far target T would ask for a chain of any size
+    # before converting: a far target T would ask for a chain of any size
     missing = next((station for station in stations if str(station) not in matrices), None)
     if missing is not None:
         raise CoverageError(f"bundle misses station {missing} for train {train_id}")
-    chain = np.empty((len(stations), space.cardinality, space.cardinality))
-    for step, station in enumerate(stations):
+    space = StateSpace(bundle["meta"]["n_max"])
+    chain = []
+    for station in stations:
         try:
-            p = np.asarray(matrices[str(station)], dtype=float)
-            check_transition_matrix(p, space)
+            chain.append(np.asarray(matrices[str(station)], dtype=float))
+            check_transition_matrix(chain[-1], space)
         except (TypeError, ValueError) as exc:
             raise BundleError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
-        chain[step] = p
-    return chain
+    return np.stack(chain)
 
 
 def forecast_from_bundle(
@@ -341,8 +353,8 @@ def forecast_from_bundle(
     """The prediction record of one current delay propagated through the
     bundle: d_S, the distribution at T, its trend, jump and minutes, and the
     metrics that read them."""
-    space = _bundle_space(bundle, f"train {train_id} station {s + 1}")
-    chain = bundle_matrices(bundle, train_id, s, t, space)
+    space = StateSpace(bundle["meta"]["n_max"])
+    chain = bundle_matrices(bundle, train_id, s, t)
     if not space.contains(d_s):
         raise CoverageError(
             f"delay {d_s} outside the bundle's state space [-{space.n_max}, {space.n_max}]"
@@ -427,11 +439,11 @@ def evaluate_store(
 
     # before the loop: the loop counts a NoTargetError as an uncovered train
     _check_target(from_station, target)
-    space = _store_space(eval_store)
-    model_space = space if bundle is None else _bundle_space(bundle, "evaluation")
+    space = StateSpace(eval_store["n_max"])
+    model_space = space if bundle is None else StateSpace(bundle["meta"]["n_max"])
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
-        _check_n_max(_store_space(train_store).n_max, space.n_max, "training store", "evaluation store")
+        _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
     columns = []
     detail = []
     skipped = 0

@@ -4,12 +4,13 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from railmc import cli
 from railmc.cli import build_parser, main
-from railmc.config import ConfigError, RunConfig
+from railmc.config import N_MAX_LIMIT, ConfigError, RunConfig
 from railmc.pipeline import load_json, save_json, train_bundle
 
 
@@ -160,6 +161,12 @@ JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
+# the float64 values whose text is easiest to get wrong, and any other finite one
+EDGE_FLOATS = (0.0, -0.0, 5e-324, 1e-300, 1 - 2**-53)
+SQUARE_MATRICES = st.integers(1, 4).flatmap(lambda k: arrays(
+    np.float64, (k, k),
+    elements=st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)))
+
 
 class TestArtifactWriter:
     @settings(max_examples=100, deadline=None)
@@ -170,6 +177,22 @@ class TestArtifactWriter:
         want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert path.read_bytes() == want.encode("utf-8")
         assert load_json(path) == payload
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.text(max_size=4), st.dictionaries(
+        st.integers(2, 40).map(str), SQUARE_MATRICES, max_size=3), max_size=3))
+    @example({"T001": {"2": np.array([EDGE_FLOATS[:3], EDGE_FLOATS[2:], EDGE_FLOATS[::2]])}})
+    def test_array_matrices_write_as_their_lists(self, tmp_path_factory, matrices):
+        # a bundle as `train_bundle` returns it, and as `load_bundle` reads it back
+        def bundle(matrix):
+            return {"meta": {"n_max": 1, "strategy": "diagonal"},
+                    "trains": {tid: {"matrices": {t: matrix(m) for t, m in by_station.items()}}
+                               for tid, by_station in matrices.items()}}
+        arrays_path = tmp_path_factory.getbasetemp() / "arrays.json"
+        lists_path = tmp_path_factory.getbasetemp() / "lists.json"
+        save_json(bundle(lambda m: m), arrays_path)
+        save_json(bundle(np.ndarray.tolist), lists_path)
+        assert arrays_path.read_bytes() == lists_path.read_bytes()
 
     def test_non_str_keys_are_left_to_the_encoder(self, tmp_path):
         # json writes int, float, bool and None keys as strings, sorted as given
@@ -661,24 +684,48 @@ def _store_trains_list(store):
     return "store has no trains object"
 
 
+def _store_planned_not_iso(store):
+    store["trains"]["T001"]["planned"][2] = "noon"
+    return "store train T001: malformed template (Invalid isoformat string: 'noon')"
+
+
+def _store_no_delays(store):
+    del store["trains"]["T001"]["series"][3]["delays"]
+    return "store train T001: malformed series (KeyError('delays'))"
+
+
+def _store_n_max(value):
+    def corrupt(store):
+        store["n_max"] = value
+        return f"store has no valid n_max (got {value!r}); it must be an integer in [1, 240]"
+    return corrupt
+
+
 @pytest.mark.parametrize("argv", [
     ["test", "--store", "bad"],
     ["train", "--store", "bad", "--strategy", "diagonal"],
+    ["forecast", "--bundle", "bundle", "--train", "T001", "--station", "1", "--delay", "0",
+     "--store", "bad"],
     ["evaluate", "--store", "bad", "--baseline", "naive"],
     ["evaluate", "--store", "good", "--baseline", "marginal", "--train-store", "bad"],
-], ids=["test", "train", "evaluate", "evaluate_train_store"])
+], ids=["test", "train", "forecast", "evaluate", "evaluate_train_store"])
 @pytest.mark.parametrize("corrupt", [
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
-    _store_long_series, _store_no_n_max, _store_trains_list,
+    _store_long_series, _store_no_n_max, _store_trains_list, _store_planned_not_iso,
+    _store_no_delays, _store_n_max(241),
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
-        "series_longer_than_stations", "no_n_max", "trains_not_object"])
+        "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
+        "series_without_delays", "n_max_above_limit"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
+    bundle = workspace / "bundle.json"
+    if "bundle" in argv:
+        assert main(["train", "--store", str(good), "--out", str(bundle), "--strategy", "diagonal"]) == 0
     payload = load_json(good)
     reason = corrupt(payload)
     save_json(payload, bad)
     capsys.readouterr()
-    paths = {"bad": str(bad), "good": str(good)}
+    paths = {"bad": str(bad), "good": str(good), "bundle": str(bundle)}
     assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: {bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
@@ -692,11 +739,14 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     (_corrupt_meta, "n_max"),
     (_bundle_n_max("15"), "no valid n_max (got '15')"),
     (_bundle_n_max(15.9), "no valid n_max (got 15.9)"),
+    (_bundle_n_max(241), "no valid n_max (got 241); it must be an integer in [1, 240]"),
     (_corrupt_no_trains, "no trains table"),
     (_corrupt_no_matrices, "no matrices table"),
     (_corrupt_no_strategy, "no strategy"),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
+    # a fault in a matrix names its train and station; any other names the file
+    matrix_fault = corrupt in (_corrupt_shape, _corrupt_nan, _corrupt_negative, _corrupt_row_sum)
     bundle = workspace / "bundle.json"
     assert main([
         "train", "--store", str(workspace / "store.json"),
@@ -706,17 +756,18 @@ def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     corrupt(payload)
     save_json(payload, bundle)
     capsys.readouterr()
-    assert main([
-        "forecast", "--bundle", str(bundle), "--train", "T001",
-        "--station", "1", "--delay", "0", "--target", "3",
-    ]) == 2
-    err = capsys.readouterr().err
-    assert "train T001 station 2" in err and reason in err
-    assert main([
-        "evaluate", "--store", str(workspace / "store.json"), "--bundle", str(bundle),
-        "--target", "3", "--out", str(workspace / "scores.json"),
-    ]) == 2
-    assert reason in capsys.readouterr().err
+    for argv in (
+        ["forecast", "--bundle", str(bundle), "--train", "T001",
+         "--station", "1", "--delay", "0", "--target", "3"],
+        ["evaluate", "--store", str(workspace / "store.json"), "--bundle", str(bundle),
+         "--target", "3", "--out", str(workspace / "scores.json")],
+    ):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if matrix_fault:
+            assert "train T001 station 2" in err and reason in err
+        else:
+            assert err.startswith(f"error: {bundle}: ") and reason in err
 
 
 def test_bundle_with_jitter_meta_still_loads(workspace):
@@ -784,6 +835,25 @@ class TestConfig:
         flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
         args = build_parser().parse_args([command, *SUBCOMMAND_ARGV[command], flag, str(value)])
         assert getattr(cli._config_from(args), field.name) == value != field.default
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_n_max_above_limit_exits_2(self, tmp_path, monkeypatch, capsys, command):
+        # refused when the config is built: no file is read or written
+        monkeypatch.chdir(tmp_path)
+        target = ["--target", "3"] if command == "forecast" else []
+        for n_max in (N_MAX_LIMIT + 1, 1000000):
+            assert main([command, *SUBCOMMAND_ARGV[command], *target, "--n-max", str(n_max)]) == 2
+            assert (f"error: n_max must be a positive integer, got {n_max}; the limit is 240"
+                    in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_n_max_limit_is_accepted(self, tmp_path):
+        assert RunConfig(n_max=N_MAX_LIMIT).n_max == 240
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_max": N_MAX_LIMIT + 1}))
+        with pytest.raises(ConfigError, match=f"config {cfg}: n_max must be a positive integer, "
+                                              "got 241; the limit is 240"):
+            RunConfig.load(cfg)
 
     @pytest.mark.parametrize("key, value", [
         ("trend_metric", "bogus"),

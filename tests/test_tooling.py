@@ -1,7 +1,8 @@
 """Guards against stale references: every function the benchmark's layer trace
 wraps, every name a module exports and every CLI flag the README names must
 exist, and the README must name every flag built from a config field. Also guards the import cost: no
-stage loads scipy, `test` included, unless a statistic ties its quantile, and none loads numpy.ma."""
+stage loads scipy, `test` included, unless a statistic ties its quantile, and none loads numpy.ma;
+and the CLI reads every store and bundle through the loaders that check it."""
 
 import argparse
 import ast
@@ -126,3 +127,14 @@ def test_no_stage_imports_scipy(tmp_path):
     stages = ["synth", "ingest", "train", "evaluate", "forecast", "test"]
     assert json.loads((tmp_path / "loaded.json").read_text()) == {stage: [] for stage in stages}
     assert "aggregate" in json.loads((tmp_path / "order.json").read_text())
+
+
+def test_cli_reads_artifacts_only_through_the_loaders():
+    # `load_json` reads a file unchecked; `load_store` and `load_bundle` check what it read
+    tree = ast.parse(Path(importlib.import_module("railmc.cli").__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert "load_json" not in names
+    assert {"load_store", "load_bundle"} <= names
