@@ -39,8 +39,7 @@ from .recovery import (
     diagonal_fill,
     empirical_matrix,
     gaussian_regression_fill,
-    kde_fit,
-    kde_matrix,
+    kde_recover,
     uniform_fill,
 )
 
@@ -258,15 +257,12 @@ def _stations(lengths: np.ndarray) -> range:
 
 def _recover(
     delays: np.ndarray, lengths: np.ndarray, space: StateSpace, config: RunConfig
-) -> np.ndarray | list[np.ndarray]:
-    """The recovered (k, k) matrix of each station of `_stations(lengths)`:
-    a stack from one count pass for the count fills, a list of per-station
-    fits for the KDE."""
-    stations = _stations(lengths)
+) -> np.ndarray:
+    """The recovered (k, k) matrix of each station of `_stations(lengths)`, as
+    a stack from one count pass, whatever the strategy."""
+    counts = build_count_tensor(delays, lengths, _stations(lengths), space)
     if config.strategy == "gaussian_kernel":
-        return [kde_matrix(kde_fit(delays[lengths >= t, t - 2:t].astype(float)), space)
-                for t in stations]
-    counts = build_count_tensor(delays, lengths, stations, space)
+        return kde_recover(counts, space)
     partial = empirical_matrix(counts)
     if config.strategy == "diagonal":
         return diagonal_fill(partial)
@@ -403,7 +399,8 @@ def resolve_target(
         return _check_target(s, target)
     template = store_template(store, train_id)
     try:
-        horizon = dt.timedelta(minutes=config.horizon_minutes)
+        # a positive horizon under half a microsecond would round to zero
+        horizon = max(dt.timedelta(minutes=config.horizon_minutes), dt.timedelta.resolution)
     except OverflowError:  # longer than timedelta holds: it outruns every journey
         horizon = dt.timedelta.max
     return select_target_station(template, s, horizon)

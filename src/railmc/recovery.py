@@ -16,10 +16,10 @@ replaces exactly the NaN rows and passes observed rows through untouched.
 The KDE strategy replaces *every* row with the kernel estimate.
 
 The KDE draws no random numbers. Delays are integers, so the estimate is a
-count-weighted kernel sum over at most (2N+1)^2 distinct pairs; a ridge, not
-noise, keeps the covariance of correlated pairs invertible. Its rows are
-normalized by a numpy row log-sum-exp that repeats scipy's operation order,
-so this module needs no scipy.
+count-weighted kernel sum over the observed (d(t-1), d(t)) cells of n2, at
+most (2N+1)^2 distinct pairs; a ridge, not noise, keeps the covariance of
+correlated pairs invertible. Its rows are normalized by a max-shifted
+exponential, so far-tail underflow never produces NaN.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ __all__ = [
     "uniform_fill",
     "gaussian_regression_fill",
     "kde_fit",
-    "kde_density",
     "kde_matrix",
+    "kde_recover",
     "format_matrix_text",
 ]
 
@@ -102,56 +102,53 @@ def gaussian_regression_fill(
     std_form: str = "printed",
 ) -> np.ndarray:
     """Fill each station's unobserved rows with Gaussians whose mean/spread
-    follow lines fitted to that station's counts.
+    follow lines fitted to that station's counts, for every station at once.
 
     Per observed row i the count-weighted mean is fitted; the spread uses the
     count-weighted sum of squared deviations divided by (count - 1), which is
     a variance-form expression (`std_form="printed"`), or its square root
     (`std_form="sqrt"`). Rows whose fitted spread is <= 0 become unit diagonal
-    rows. With fewer than two observed rows regression is impossible and the
-    station's fill falls back to the diagonal strategy.
+    rows. A station with fewer than two observed rows, or with no row that
+    supports a spread, cannot be regressed and gets the diagonal fill.
     """
     if std_form not in ("printed", "sqrt"):
         raise ValueError(f"unknown std_form {std_form!r}")
     states = space.states()
-    filled = np.empty_like(partial)
-    for s, n2 in enumerate(counts.n2):
-        filled[s] = _regression_fill(partial[s], n2, states, std_form)
-    return filled
+    tot = counts.n2.sum(axis=2)
+    observed, spread_rows = tot > 0, tot > 1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = counts.n2 @ states / tot
+        dev = states - mean[..., None]
+        spread = (counts.n2 * dev**2).sum(axis=2) / (tot - 1)
+        if std_form == "sqrt":
+            spread = np.sqrt(spread)
+    mi, ms = _lines(states, mean, observed)
+    si, ss_ = _lines(states, spread, spread_rows)
 
-
-def _regression_fill(
-    partial: np.ndarray, n2: np.ndarray, states: np.ndarray, std_form: str
-) -> np.ndarray:
-    """`gaussian_regression_fill` of one station's (k, k) partial matrix and counts."""
-    tot = n2.sum(axis=1)
-    observed = tot > 0
-    if observed.sum() < 2:
-        warnings.warn("fewer than two observed rows; falling back to diagonal fill")
-        return diagonal_fill(partial)
-
-    spread_rows = tot > 1
-    if not spread_rows.any():
-        warnings.warn("no rows support a spread estimate; falling back to diagonal fill")
-        return diagonal_fill(partial)
-    with np.errstate(invalid="ignore"):
-        mean = n2 @ states / tot
-    dev = states[None, :] - mean[spread_rows, None]
-    spread = (n2[spread_rows] * dev**2).sum(axis=1) / (tot[spread_rows] - 1)
-    if std_form == "sqrt":
-        spread = np.sqrt(spread)
-
-    mi, ms = np.polynomial.polynomial.polyfit(states[observed], mean[observed], 1)
-    if len(spread) >= 2:
-        si, ss_ = np.polynomial.polynomial.polyfit(states[spread_rows], spread, 1)
-    else:
-        si, ss_ = spread[0], 0.0
-
-    filled = partial.copy()
-    rows = np.flatnonzero(_undefined(partial))
+    fallback = (observed.sum(axis=1) < 2) | ~spread_rows.any(axis=1)
+    if fallback.any():
+        warnings.warn(f"{fallback.sum()} station(s) with fewer than two observed rows or no "
+                      "row supporting a spread; falling back to diagonal fill")
+    filled = diagonal_fill(partial)
+    s, rows = np.nonzero(_undefined(partial) & ~fallback[:, None])
     i = states[rows]
-    filled[rows] = _gaussian_rows(mi + ms * i, si + ss_ * i, rows, states)
+    filled[s, rows] = _gaussian_rows(mi[s] + ms[s] * i, si[s] + ss_[s] * i, rows, states)
     return filled
+
+
+def _lines(x: np.ndarray, y: np.ndarray, used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the least-squares lines y = a + b x through the
+    used points (x, y[s]) of each row s of y; a row using one point gets the
+    constant line through it, a row using none NaN."""
+    with np.errstate(invalid="ignore"):
+        n = used.sum(axis=1)
+        x_mean = np.where(used, x, 0).sum(axis=1) / n
+        y_mean = np.where(used, y, 0.0).sum(axis=1) / n
+        dx = np.where(used, x - x_mean[:, None], 0.0)
+        dy = np.where(used, y - y_mean[:, None], 0.0)
+        sxx = (dx * dx).sum(axis=1)
+        slope = np.divide((dx * dy).sum(axis=1), sxx, out=np.zeros_like(sxx), where=sxx > 0)
+    return y_mean - slope * x_mean, slope
 
 
 @dataclass(frozen=True)
@@ -170,19 +167,21 @@ class KdeModel:
         return int(self.weights.sum())
 
 
-def kde_fit(observations: np.ndarray) -> KdeModel:
-    """Estimate the sample covariance and bandwidth over all m pairs.
+def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
+    """Estimate the sample covariance and bandwidth over all m pairs, given as
+    the distinct pairs `points` (p, 2) and how often each was observed.
 
     Every pair, duplicates included, enters the mean, the covariance and
-    h = m^(-1/6); the model then keeps each distinct pair with its count. A
-    near-singular covariance (perfectly correlated or identical pairs) gets
-    an escalating ridge. With a single observation the covariance is
-    undefined and the identity is used.
+    h = m^(-1/6) with m = sum(weights). A near-singular covariance (perfectly
+    correlated or identical pairs) gets an escalating ridge. With a single
+    observation the covariance is undefined and the identity is used.
     """
-    obs = np.asarray(observations, dtype=float)
-    if obs.ndim != 2 or obs.shape[1] != 2:
-        raise ValueError(f"observations must have shape (m, 2), got {obs.shape}")
-    m = len(obs)
+    points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights)
+    if points.ndim != 2 or points.shape[1] != 2 or weights.shape != points.shape[:1]:
+        raise ValueError(f"points must have shape (p, 2) with one weight each, got "
+                         f"{points.shape} and {weights.shape}")
+    m = int(weights.sum())
     if m == 0:
         raise ValueError("no observations to fit")
 
@@ -190,14 +189,13 @@ def kde_fit(observations: np.ndarray) -> KdeModel:
         warnings.warn("single observation: substituting identity covariance")
         cov = np.eye(2)
     else:
-        centered = obs - obs.mean(axis=0)
-        cov = centered.T @ centered / (m - 1)
+        centered = points - weights @ points / m
+        cov = (centered.T * weights) @ centered / (m - 1)
         ridge = _RIDGE
         while np.linalg.det(cov) <= _SINGULAR_DET:
             cov = cov + ridge * np.eye(2)
             ridge *= 10.0
 
-    points, weights = np.unique(obs, axis=0, return_counts=True)
     det = float(np.linalg.det(cov))
     return KdeModel(
         points=points,
@@ -227,39 +225,29 @@ def _log_density_at(model: KdeModel, x, y) -> np.ndarray:
     return np.log(log_terms @ model.weights) + peak[..., 0] + log_norm
 
 
-def kde_density(model: KdeModel, x) -> float:
-    """Evaluate the fitted density at one point; strictly positive for finite x."""
-    x0, x1 = np.asarray(x, dtype=float).reshape(2)
-    return float(np.exp(_log_density_at(model, x0, x1)))
-
-
-def _row_logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a), axis=1)) of a finite 2-D array, as a (rows, 1) column.
-
-    The operation order is scipy.special.logsumexp's (1.17), so the result is
-    bit-equal to it: the entries tied at the row peak are counted, not summed,
-    and the rest enter as log1p of their shifted sum over that count. A plain
-    max-shift differs in the last bits.
-    """
-    peak = a.max(axis=1, keepdims=True)
-    at_peak = a == peak
-    count = at_peak.sum(axis=1, keepdims=True).astype(float)
-    shifted = np.exp(a - peak)
-    shifted[at_peak] = 0.0
-    rest = shifted.sum(axis=1, keepdims=True) / count
-    return np.log1p(rest) + np.log(count) + peak
-
-
 def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     """Evaluate the density on the full state grid and normalize each row.
 
-    Row i holds f((i, j)) / sum_k f((i, k)); every row is defined. Rows are
-    normalized in log-space so far-tail underflow never produces NaN.
+    Row i holds f((i, j)) / sum_k f((i, k)); every row is defined. Each row
+    is shifted by its peak log-density before exponentiating, so far-tail
+    underflow never produces NaN.
     """
     states = space.states().astype(float)
     logf = _log_density_at(model, states[:, None], states[None, :])
-    probs = np.exp(logf - _row_logsumexp(logf))
+    probs = np.exp(logf - logf.max(axis=1, keepdims=True))
     return probs / probs.sum(axis=1, keepdims=True)
+
+
+def kde_recover(counts: CountTensor, space: StateSpace) -> np.ndarray:
+    """The KDE matrix of every station of counts, as a (stations, k, k) stack,
+    each fitted to its station's (d(t-1), d(t)) pairs: the nonzero n2 cells,
+    in row-major order, weighted by their counts."""
+    states = space.states()
+    stack = np.empty(counts.n2.shape)
+    for s, n2 in enumerate(counts.n2):
+        i, j = np.nonzero(n2)
+        stack[s] = kde_matrix(kde_fit(np.column_stack((states[i], states[j])), n2[i, j]), space)
+    return stack
 
 
 def format_matrix_text(matrix: np.ndarray, space: StateSpace) -> str:

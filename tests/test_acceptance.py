@@ -26,7 +26,7 @@ from railmc.mctest import (
     zero_order_statistics,
 )
 from railmc.pipeline import evaluate_store, train_bundle
-from railmc.recovery import kde_fit, kde_matrix
+from railmc.recovery import kde_recover
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays
 
 from test_core import cells, cells3, sampled, series  # shared fixture helpers
@@ -184,13 +184,13 @@ def test_order_test_power_and_size():
 def test_kde_recovery_convergence():
     space = StateSpace(15)
     spec = near_diagonal_spec(space, 2, 2.0, seed=42)
-    pairs = sample_delays(spec, 100_000)[:, :2].astype(float)
-    mat = kde_matrix(kde_fit(pairs), space)
+    delays, lengths = sampled(spec, 100_000)
+    (mat,) = kde_recover(build_count_tensor(delays, lengths, 2, space), space)
     truth = spec.matrices[0]
     tv = 0.5 * np.abs(mat - truth).sum(axis=1).max()
     assert tv <= 0.1, f"max row TV {tv}"
     assert np.abs(mat.sum(axis=1) - 1.0).max() <= 1e-9
-    again = kde_matrix(kde_fit(pairs), space)
+    (again,) = kde_recover(build_count_tensor(delays, lengths, 2, space), space)
     assert np.array_equal(mat, again)
 
 

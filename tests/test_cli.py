@@ -103,6 +103,21 @@ class TestCommandFlow:
         records = load_json(out).get("predictions", [load_json(out)])
         assert records and {r["T"] for r in records} == {5}
 
+    @pytest.mark.parametrize("horizon", ["1e-9", "5e-324"])
+    @pytest.mark.parametrize("command", ["forecast", "evaluate"])
+    def test_horizon_under_a_microsecond_resolves_to_next_station(self, workspace, command, horizon):
+        # a timedelta of these many minutes rounds to zero; the horizon is still positive
+        store, bundle, out = (str(workspace / n) for n in ("store.json", "bundle.json", "out.json"))
+        assert main(["train", "--store", store, "--out", bundle, "--strategy", "diagonal"]) == 0
+        argv = {
+            "forecast": ["forecast", "--bundle", bundle, "--train", "T001", "--station", "1",
+                         "--delay", "0", "--store", store],
+            "evaluate": ["evaluate", "--store", store, "--bundle", bundle],
+        }[command]
+        assert main([*argv, "--horizon", horizon, "--out", out]) == 0
+        records = load_json(out).get("predictions", [load_json(out)])
+        assert records and {r["T"] for r in records} == {2}
+
     def test_baseline_evaluation(self, workspace):
         store = workspace / "store.json"
         out = workspace / "naive.json"

@@ -1,21 +1,26 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from railmc.core import StateSpace, build_count_tensor
 from railmc.recovery import (
     _RIDGE,
+    _SINGULAR_DET,
+    KdeModel,
     _gaussian_rows,
+    _lines,
     _log_density_at,
-    _row_logsumexp,
     diagonal_fill,
     empirical_matrix,
     gaussian_regression_fill,
-    kde_density,
     kde_fit,
     kde_matrix,
+    kde_recover,
     uniform_fill,
 )
 from railmc.synth import near_diagonal_spec, sample_delays
@@ -23,9 +28,58 @@ from railmc.synth import near_diagonal_spec, sample_delays
 from test_core import sampled, series
 
 
-def transition_pairs(delays):
-    """The (station 1, station 2) delay pair of every journey."""
-    return delays[:, :2].astype(float)
+def kde_fit_pairs(observations):
+    """The raw-pair fit: mean and covariance over all m rows, duplicates
+    included, then each distinct pair kept with its count. The oracle of the
+    count-based `kde_fit`."""
+    obs = np.asarray(observations, dtype=float)
+    m = len(obs)
+    if m == 1:
+        warnings.warn("single observation: substituting identity covariance")
+        cov = np.eye(2)
+    else:
+        centered = obs - obs.mean(axis=0)
+        cov = centered.T @ centered / (m - 1)
+        ridge = _RIDGE
+        while np.linalg.det(cov) <= _SINGULAR_DET:
+            cov = cov + ridge * np.eye(2)
+            ridge *= 10.0
+    points, weights = np.unique(obs, axis=0, return_counts=True)
+    return KdeModel(
+        points=points,
+        weights=weights,
+        cov=cov,
+        cov_inv=np.linalg.inv(cov),
+        log_det=float(np.log(np.linalg.det(cov))),
+        bandwidth=float(m ** (-1.0 / 6.0)),
+    )
+
+
+def fit_observations(obs):
+    """`kde_fit` of continuous observations: their distinct rows with counts."""
+    return kde_fit(*np.unique(obs, axis=0, return_counts=True))
+
+
+def kde_density(model, x) -> float:
+    """The fitted density at one point; strictly positive for finite x."""
+    x0, x1 = np.asarray(x, dtype=float).reshape(2)
+    return float(np.exp(_log_density_at(model, x0, x1)))
+
+
+def station2_kde(spec, count, space):
+    """The KDE matrix of station 2 from `count` journeys drawn from `spec`,
+    fitted through the count pass, and the (d(1), d(2)) pairs it was fitted to."""
+    delays, lengths = sampled(spec, count)
+    (mat,) = kde_recover(build_count_tensor(delays, lengths, 2, space), space)
+    return mat, delays[:, :2]
+
+
+@st.composite
+def integer_pair_sets(draw):
+    """A state space and a non-empty multiset of integer delay pairs on it."""
+    n_max = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(-n_max, n_max), st.integers(-n_max, n_max))
+    return StateSpace(n_max), draw(st.lists(pair, min_size=1, max_size=60))
 
 
 class TestEmpiricalMatrix:
@@ -167,7 +221,8 @@ class TestGaussianRegressionFill:
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_per_row_reference(self):
-        # the one-assignment fill must equal the row-by-row construction exactly
+        # the stacked fill must equal the row-by-row construction from the
+        # station's own fitted lines exactly
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 4.0, seed=9)
         c = build_count_tensor(*sampled(spec, 40), 2, space)
@@ -177,11 +232,13 @@ class TestGaussianRegressionFill:
         (n2,) = c.n2
         tot = n2.sum(axis=1)
         observed, spread_rows = tot > 0, tot > 1
-        mean = n2[observed] @ states / tot[observed]
-        dev = states[None, :] - (n2[spread_rows] @ states / tot[spread_rows])[:, None]
-        spread = (n2[spread_rows] * dev**2).sum(axis=1) / (tot[spread_rows] - 1)
-        mi, ms = np.polynomial.polynomial.polyfit(states[observed], mean, 1)
-        si, ss_ = np.polynomial.polynomial.polyfit(states[spread_rows], spread, 1)
+        mean = np.full(len(states), np.nan)
+        mean[observed] = n2[observed] @ states / tot[observed]
+        dev = states[None, :] - mean[spread_rows, None]
+        spread = np.full(len(states), np.nan)
+        spread[spread_rows] = (n2[spread_rows] * dev**2).sum(axis=1) / (tot[spread_rows] - 1)
+        (mi,), (ms,) = _lines(states, mean[None], observed[None])
+        (si,), (ss_,) = _lines(states, spread[None], spread_rows[None])
         undefined = np.flatnonzero(~observed)
         assert len(undefined) > 0
         for r in undefined:
@@ -194,6 +251,41 @@ class TestGaussianRegressionFill:
                 want = dens / dens.sum()
             assert np.array_equal(mat[r], want), r
         assert np.array_equal(mat[observed], partial[observed])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(1, 15).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.booleans(), min_size=2 * n + 1, max_size=2 * n + 1).filter(lambda u: sum(u) >= 2),
+        st.lists(st.floats(-100.0, 100.0), min_size=2 * n + 1, max_size=2 * n + 1),
+    )))
+    def test_lines_match_polyfit(self, drawn):
+        # the closed-form least-squares line equals numpy's polynomial fit
+        n_max, used, y = drawn
+        states = StateSpace(n_max).states()
+        used, y = np.array(used), np.array(y)
+        y[~used] = np.nan  # unused points are never read
+        (a,), (b,) = _lines(states, y[None], used[None])
+        want_a, want_b = np.polynomial.polynomial.polyfit(states[used], y[used], 1)
+        scale = 1.0 + np.abs(y[used]).max()
+        np.testing.assert_allclose([a, b], [want_a, want_b], rtol=1e-9, atol=1e-9 * scale)
+
+    def test_lines_through_one_point_or_none(self):
+        states = StateSpace(2).states()
+        used = np.array([[False, False, True, False, False], [False] * 5])
+        a, b = _lines(states, np.full((2, 5), 3.5), used)
+        assert a[0] == 3.5 and b[0] == 0.0
+        assert np.isnan(a[1])
+
+    def test_fallback_warns_once_with_the_count(self):
+        # stations 2 and 3 each see one observed row; station 4 regresses
+        space = StateSpace(3)
+        delays, lengths = series((0, 1, 1, 0), (0, 1, 1, 2), (0, 1, 0, 1))
+        c = build_count_tensor(delays, lengths, range(2, 5), space)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+        assert [str(w.message).split()[0] for w in caught] == ["2"]
+        assert np.array_equal(mat[:2], diagonal_fill(empirical_matrix(c))[:2])
 
     def test_row_branches(self):
         # a proper Gaussian, sigma <= 0 (own state), and far-tail underflow (nearest state)
@@ -217,7 +309,7 @@ class TestKdeFit:
     def test_bandwidth_rule(self):
         rng = np.random.default_rng(0)
         obs = rng.normal(size=(64, 2))
-        model = kde_fit(obs)
+        model = fit_observations(obs)
         assert model.bandwidth == pytest.approx(64 ** (-1 / 6))
         assert model.bandwidth == pytest.approx(0.5)
 
@@ -225,14 +317,14 @@ class TestKdeFit:
         # m = 1: identity covariance, h = 1, so the density at the
         # observation is exactly 1 / (2 pi)
         with pytest.warns(UserWarning):
-            model = kde_fit(np.array([[3.0, -2.0]]))
+            model = kde_fit(np.array([[3.0, -2.0]]), [1])
         assert kde_density(model, [3.0, -2.0]) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_degenerate_pairs_still_invertible(self):
         # perfectly correlated pairs: the first ridge step, not noise, makes the
         # covariance invertible, and the pairs themselves stay as observed
         obs = np.array([[float(i), float(i)] for i in range(-5, 6)])
-        model = kde_fit(obs)
+        model = kde_fit(obs, np.ones(len(obs), dtype=int))
         np.testing.assert_allclose(model.cov - np.cov(obs.T), _RIDGE * np.eye(2), rtol=1e-6, atol=1e-12)
         assert np.array_equal(model.points, obs)
         assert np.linalg.det(model.cov) > 1e-12
@@ -240,7 +332,7 @@ class TestKdeFit:
 
     def test_identical_pairs_get_a_ridge(self):
         # a zero sample covariance becomes a ridge times the identity
-        model = kde_fit(np.tile([2.0, 3.0], (5, 1)))
+        model = kde_fit([[2.0, 3.0]], [5])
         assert model.cov[0, 1] == model.cov[1, 0] == 0.0
         assert model.cov[0, 0] == model.cov[1, 1] >= _RIDGE
         assert np.linalg.det(model.cov) > 1e-12
@@ -248,14 +340,14 @@ class TestKdeFit:
 
     def test_positivity_far_from_data(self):
         obs = np.random.default_rng(3).normal(size=(30, 2))
-        model = kde_fit(obs)
+        model = fit_observations(obs)
         assert kde_density(model, [50.0, -50.0]) >= 0.0
         assert np.isfinite(kde_density(model, [50.0, -50.0]))
 
     def test_density_integrates_to_one(self):
         rng = np.random.default_rng(7)
         obs = rng.normal(scale=2.0, size=(40, 2))
-        model = kde_fit(obs)
+        model = fit_observations(obs)
         # Riemann sum on a wide grid
         grid = np.linspace(-15, 15, 151)
         step = grid[1] - grid[0]
@@ -269,7 +361,7 @@ class TestKdeFit:
         rng = np.random.default_rng(11)
         cov = np.array([[2.0, 0.6], [0.6, 1.0]])
         obs = rng.multivariate_normal([0.0, 0.0], cov, size=20_000)
-        model = kde_fit(obs)
+        model = fit_observations(obs)
         inv = np.linalg.inv(cov)
         det = np.linalg.det(cov)
 
@@ -282,24 +374,58 @@ class TestKdeFit:
 
     def test_determinism(self):
         obs = np.random.default_rng(1).normal(size=(25, 2))
-        a = kde_fit(obs)
-        b = kde_fit(obs)
+        a = fit_observations(obs)
+        b = fit_observations(obs)
         assert np.array_equal(a.points, b.points)
         assert kde_density(a, [0.3, 0.4]) == kde_density(b, [0.3, 0.4])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
-            kde_fit(np.zeros((0, 2)))
+            kde_fit(np.zeros((0, 2)), np.zeros(0, dtype=int))
         with pytest.raises(ValueError):
-            kde_fit(np.zeros((4, 3)))
+            kde_fit(np.zeros((4, 3)), np.ones(4, dtype=int))
+        with pytest.raises(ValueError):
+            kde_fit(np.zeros((4, 2)), np.ones(3, dtype=int))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(integer_pair_sets())
+    @example((StateSpace(3), [(2, -1)]))                        # m = 1
+    @example((StateSpace(3), [(1, 1)] * 7))                     # all pairs identical
+    @example((StateSpace(3), [(i, i) for i in range(-3, 4)]))   # perfectly correlated
+    @example((StateSpace(3), [(i, -i) for i in range(-3, 4)] * 2))
+    def test_matches_raw_pair_fit(self, drawn):
+        # the fit to the counted n2 cells equals the fit over every raw pair
+        space, pairs = drawn
+        c = build_count_tensor(*series(*pairs), 2, space)
+        (n2,) = c.n2
+        i, j = np.nonzero(n2)
+        states = space.states()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            model = kde_fit(np.column_stack((states[i], states[j])), n2[i, j])
+            raw = kde_fit_pairs(pairs)
+        assert len(caught) == 2 * (len(pairs) == 1)
+        assert np.array_equal(model.points, raw.points)
+        assert np.array_equal(model.weights, raw.weights)
+        assert model.m == raw.m == len(pairs)
+        assert model.bandwidth == raw.bandwidth
+        # an entry that is 0 in exact arithmetic is rounding in both: relative to the scale
+        np.testing.assert_allclose(model.cov, raw.cov, rtol=1e-12, atol=1e-12 * np.abs(raw.cov).max())
+        # a ridged covariance is near-singular: one rounding of the sums it was
+        # built from moves its inverse, and so the kernel, by cond(cov) ulps
+        atol = max(1e-12, 1e-15 * np.linalg.cond(raw.cov))
+        np.testing.assert_allclose(kde_matrix(model, space), kde_matrix(raw, space), rtol=0, atol=atol)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            (stack,) = kde_recover(c, space)
+        assert np.array_equal(stack, kde_matrix(model, space))
 
 
 class TestKdeMatrix:
     def test_rows_are_distributions(self):
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 2.0, seed=6)
-        pairs = transition_pairs(sample_delays(spec, 500))
-        mat = kde_matrix(kde_fit(pairs), space)
+        mat, _ = station2_kde(spec, 500, space)
         assert mat.shape == (31, 31)
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert (mat > 0).all()
@@ -308,8 +434,7 @@ class TestKdeMatrix:
     def test_near_diagonal_mass_stays_near_diagonal(self):
         space = StateSpace(15)
         spec = near_diagonal_spec(space, 2, 1.0, seed=8)
-        pairs = transition_pairs(sample_delays(spec, 2000))
-        mat = kde_matrix(kde_fit(pairs), space)
+        mat, pairs = station2_kde(spec, 2000, space)
         observed_rows = sorted({int(p[0]) for p in pairs})
         for i in observed_rows:
             j_star = space.states()[np.argmax(mat[space.index(i)])]
@@ -320,7 +445,7 @@ class TestKdeMatrix:
         # pairs must equal the per-pair kernel sum over all m rows
         space = StateSpace(4)
         pairs = np.random.default_rng(5).integers(-2, 3, size=(300, 2)).astype(float)
-        model = kde_fit(pairs)
+        model = kde_fit(*np.unique(pairs, axis=0, return_counts=True))
         assert model.m == 300 and len(model.points) <= 25
         np.testing.assert_allclose(model.cov, np.cov(pairs.T), rtol=1e-12)
         assert model.bandwidth == pytest.approx(300 ** (-1 / 6), rel=1e-12)
@@ -339,47 +464,43 @@ class TestKdeMatrix:
         np.testing.assert_allclose(kde_matrix(model, space), naive, rtol=0, atol=1e-12)
 
 
-def _kde_grid(model, space):
-    states = space.states().astype(float)
-    return _log_density_at(model, states[:, None], states[None, :])
-
-
 class TestRowLogSumExp:
-    """The numpy row log-sum-exp must be bit-equal to scipy's, or bundles change."""
+    """Each kde_matrix row, its max-shifted exponential over its sum, is
+    exp(logf - logsumexp(logf)) up to rounding.
+
+    The scipy row is divided by its sum as well: where a ridged covariance
+    puts logf near -1e7, logsumexp itself rounds by about 1e-9, which scales
+    the whole row by one factor that the division removes.
+    """
 
     @staticmethod
-    def assert_matches_scipy(a):
-        expected = logsumexp(a, axis=1, keepdims=True)
-        assert np.array_equal(_row_logsumexp(a), expected)
+    def assert_matches_scipy(model, space):
+        states = space.states().astype(float)
+        logf = _log_density_at(model, states[:, None], states[None, :])
+        want = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        np.testing.assert_allclose(kde_matrix(model, space), want, rtol=0, atol=1e-15)
+        return logf
 
     def test_ties_at_the_max(self):
-        rng = np.random.default_rng(11)
-        a = rng.integers(-3, 2, size=(200, 9)).astype(float) * 0.7
-        a[:50, :3] = a[:50].max(axis=1, keepdims=True)
-        a[50] = -1.25  # every entry ties
-        assert ((a == a.max(axis=1, keepdims=True)).sum(axis=1) > 1).any()
-        self.assert_matches_scipy(a)
+        # two pairs mirrored about d(t) = 0 put each row's peak at both -1 and 1
+        logf = self.assert_matches_scipy(kde_fit([[0.0, -1.0], [0.0, 1.0]], [3, 3]), StateSpace(3))
+        assert ((logf == logf.max(axis=1, keepdims=True)).sum(axis=1) > 1).all()
 
     def test_tails_that_underflow_exp(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(100, 31)) * 800.0
-        a[0] = [0.0] + [-1000.0] * 30  # the whole rest underflows to zero
-        a[1, :2] = 5.0
-        a[1, 2:] = -900.0
-        assert (np.exp(a - a.max(axis=1, keepdims=True)) == 0.0).any()
-        self.assert_matches_scipy(a)
+        # one pair seen 5 times gets a ridged covariance of 1.1e-5 I, so each
+        # row keeps its mass next to the pair and the rest underflows to zero
+        logf = self.assert_matches_scipy(kde_fit([[1.0, -1.0]], [5]), StateSpace(15))
+        assert (np.exp(logf - logf.max(axis=1, keepdims=True)) == 0.0).any()
 
     def test_single_distinct_pair(self):
-        model = kde_fit(np.full((5, 2), [1.0, -1.0]))
+        with pytest.warns(UserWarning):
+            model = kde_fit([[1.0, -1.0]], [1])
         assert len(model.points) == 1
-        self.assert_matches_scipy(_kde_grid(model, StateSpace(2)))
+        self.assert_matches_scipy(model, StateSpace(2))
 
     @pytest.mark.parametrize("n_max", [1, 2, 15])
     def test_kde_matrix_grids(self, n_max):
         space = StateSpace(n_max)
         spec = near_diagonal_spec(space, 2, 1.5, seed=n_max)
-        model = kde_fit(transition_pairs(sample_delays(spec, 400)))
-        logf = _kde_grid(model, space)
-        self.assert_matches_scipy(logf)
-        probs = np.exp(logf - logsumexp(logf, axis=1, keepdims=True))
-        assert np.array_equal(kde_matrix(model, space), probs / probs.sum(axis=1, keepdims=True))
+        self.assert_matches_scipy(fit_observations(sample_delays(spec, 400)[:, :2]), space)

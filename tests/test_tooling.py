@@ -2,7 +2,8 @@
 wraps, every name a module exports and every CLI flag the README names must
 exist, and the README must name every flag built from a config field. Also guards the import cost: no
 stage loads scipy, `test` included, unless a statistic ties its quantile, and none loads numpy.ma;
-and the CLI reads every store and bundle through the loaders that check it."""
+the CLI reads every store and bundle through the loaders that check it; and every recovery strategy
+reads the one count pass, with no polynomial fit and no search for distinct pairs."""
 
 import argparse
 import ast
@@ -138,3 +139,25 @@ def test_cli_reads_artifacts_only_through_the_loaders():
               for alias in node.names}
     assert "load_json" not in names
     assert {"load_store", "load_bundle"} <= names
+
+
+def _source_tree(module: str) -> ast.Module:
+    return ast.parse(Path(importlib.import_module(module).__file__).read_text(encoding="utf-8"))
+
+
+def test_recovery_fits_from_the_counts_alone():
+    # the distinct pairs are the nonzero n2 cells, and the regression lines are closed-form
+    tree = _source_tree("railmc.recovery")
+    attrs = [(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)]
+    assert ("np", "polynomial") not in attrs
+    assert ("np", "unique") not in attrs
+
+
+def test_recover_makes_one_count_pass():
+    tree = _source_tree("railmc.pipeline")
+    (recover,) = (node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_recover")
+    calls = [node for node in ast.walk(recover)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_count_tensor"]
+    assert len(calls) == 1
