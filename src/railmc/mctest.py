@@ -16,11 +16,10 @@ both ladders; its `verdict_h0_0`/`verdict_h0_1` read the Q ladder.
 The chi-square CDF is the regularized incomplete gamma function, computed
 here with `math` alone: a series below x = a + 1 and a continued fraction
 above, each giving its small tail directly. The ladder compares a statistic
-with an estimate of the quantile 2·gammaincinv(df/2, 1 - alpha), found by
-Newton steps on that small tail and memoized per (level, df). The estimate
-decides unless the statistic lies within TIE_BAND of it; only then is the
-scipy-backed `chi_square_quantile` consulted, so verdicts equal scipy's while
-a normal run never loads scipy.
+with the quantile 2·gammaincinv(df/2, 1 - alpha), found by Newton steps on
+that small tail and memoized per (level, df). The quantile decides unless the
+statistic lies within TIE_BAND of it; then the statistic's own small tail
+does, since stat < q holds exactly when P(df/2, stat/2) < 1 - alpha.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ Verdict = Literal["not_rejected", "rejected", "untestable"]
 
 
 # a statistic this close to its quantile, relative to the quantile, is
-# decided by scipy; the estimate agrees with scipy's quantile to about 1e-14
+# decided by its own tail; the quantile agrees with scipy's to about 1e-14
 # relative for df up to 250,000
 TIE_BAND = 1e-9
 _EPS = 2.0**-52
@@ -128,15 +127,19 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def _quantile_estimate(p: float, df: int) -> float:
-    """chi_square_quantile(p, df) without scipy, or NaN if Newton fails.
+def chi_square_quantile(p: float, df: int) -> float:
+    """Inverse of chi_square_cdf in its first argument, or NaN if Newton fails.
 
     Solves on the small tail: P(a, y) = p for p <= 0.5, else
     Q(a, y) = 1.0 - p, which is exact for p in [0.5, 1). Newton steps on the
     tail's logarithm in u = log y, where it is concave, converge from a
     Wilson-Hilferty start (or the lower bound of P(a, y) <= y^a / Gamma(a + 1)
-    when that is larger) in a handful of steps.
+    when that is larger) in a handful of steps. Memoized per (level, df).
     """
+    if df < 1:
+        raise ValueError(f"df must be >= 1, got {df}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
     from statistics import NormalDist  # imported here so that only `test` pays its 2 ms
 
     a = df / 2.0
@@ -159,22 +162,6 @@ def _quantile_estimate(p: float, df: int) -> float:
     except (ArithmeticError, ValueError):  # y left the floats, or a tail underflowed
         pass
     return math.nan
-
-
-@functools.lru_cache(maxsize=None)
-def chi_square_quantile(p: float, df: int) -> float:
-    """Inverse of chi_square_cdf in its first argument, from scipy.
-
-    The ladder consults it only for a statistic within TIE_BAND of the
-    estimate. Memoized per (level, df).
-    """
-    if df < 1:
-        raise ValueError(f"df must be >= 1, got {df}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    from scipy import special
-
-    return float(2.0 * special.gammaincinv(df / 2.0, p))
 
 
 Statistics = tuple[float, float, int]
@@ -313,12 +300,14 @@ def _ladder(
 
 
 def _below_quantile(stat: float, p: float, df: int) -> bool:
-    """stat < chi_square_quantile(p, df), decided from the estimate unless
-    stat lies within TIE_BAND of it or the estimate failed (NaN)."""
-    q = _quantile_estimate(p, df)
+    """stat < chi_square_quantile(p, df), decided from the memoized quantile
+    unless stat lies within TIE_BAND of it or Newton failed (NaN); then from
+    stat's small tail, exactly."""
+    q = chi_square_quantile(p, df)
     if abs(stat - q) > TIE_BAND * q:
         return stat < q
-    return stat < chi_square_quantile(p, df)
+    lower, upper = _gamma_pq(df / 2.0, stat / 2.0)
+    return upper > 1.0 - p if p > 0.5 else lower < p
 
 
 def markov_property_test(

@@ -448,6 +448,9 @@ def evaluate_store(
         delays, lengths, dates = store_series(eval_store, tid)
         try:
             t_target = resolve_target(eval_store, tid, from_station, config, target)
+            covered = lengths >= t_target  # T > S: a series that reaches T covers S
+            if not covered.any():  # T may lie past the delay array's last column
+                raise CoverageError(f"no series of train {tid} reaches station {t_target}")
             if bundle is not None:
                 chain = bundle_matrices(bundle, tid, from_station, t_target)
             elif baseline == "naive":
@@ -457,10 +460,7 @@ def evaluate_store(
         except (NoTargetError, CoverageError):
             skipped += len(lengths)
             continue
-        covered = lengths >= t_target  # T > S: a series that reaches T covers S
         skipped += int((~covered).sum())
-        if not covered.any():  # T may lie past the delay array's last column
-            continue
         d_S, d_T = delays[covered, from_station - 1], delays[covered, t_target - 1]
         # one block row per distinct d_S, scattered back to its series
         distinct, series_of = np.unique(d_S, return_inverse=True)

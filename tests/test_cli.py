@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -258,29 +260,30 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("method", ["bundle", "naive", "marginal"])
     def test_far_target_is_a_coverage_gap(self, workspace, capsys, method):
-        # a chain to station 10^12 must not be allocated before its station 6 is missed
+        # a chain to station 10^12 must not be allocated before its station 6 is missed,
+        # and a target past int64 must not reach the count pass
         store, bundle = workspace / "store.json", workspace / "bundle.json"
         assert main([
             "train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal",
         ]) == 0
-        far = ["--target", "1000000000000"]
-        if method == "bundle":
-            assert main([
-                "forecast", "--bundle", str(bundle), "--train", "T001",
-                "--station", "1", "--delay", "0", *far,
-            ]) == 4
-            assert "bundle misses station 6 for train T001" in capsys.readouterr().err
         source = {
             "bundle": ["--bundle", str(bundle)],
             "naive": ["--baseline", "naive"],
             "marginal": ["--baseline", "marginal", "--train-store", str(store)],
         }[method]
-        # every train is uncovered, so no series is left to score
-        assert main([
-            "evaluate", "--store", str(store), *source, *far,
-            "--out", str(workspace / "scores.json"),
-        ]) == 3
-        assert "no series could be evaluated" in capsys.readouterr().err
+        for far in ("1000000000000", "100000000000000000000"):
+            if method == "bundle":
+                assert main([
+                    "forecast", "--bundle", str(bundle), "--train", "T001",
+                    "--station", "1", "--delay", "0", "--target", far,
+                ]) == 4
+                assert "bundle misses station 6 for train T001" in capsys.readouterr().err
+            # every train is uncovered, so no series is left to score
+            assert main([
+                "evaluate", "--store", str(store), *source, "--target", far,
+                "--out", str(workspace / "scores.json"),
+            ]) == 3, far
+            assert "no series could be evaluated" in capsys.readouterr().err
 
     def test_last_station_has_no_target(self, workspace):
         bundle = workspace / "bundle.json"
@@ -880,3 +883,82 @@ class TestConfig:
         cfg.write_text(json.dumps({key: value}))
         with pytest.raises(ValueError, match=f"unknown {key} '{value}'"):
             RunConfig.load(cfg)
+
+
+# values no flag should turn into an internal error: zero, negatives, denormals,
+# the float extremes and integers past int64
+EDGE_VALUES = ("0", "-1", "5e-324", "2.2e-308", "1e308", "inf", "-inf", "nan",
+               "100000000000000000000", "-100000000000000000000")
+
+
+def _flag_values(f: dataclasses.Field) -> st.SearchStrategy[str]:
+    """A RunConfig field's flag values: its declared range, plus the edge values for a number."""
+    meta = f.metadata
+    if meta["choices"]:
+        return st.sampled_from(meta["choices"])
+    if isinstance(f.default, int):
+        declared = st.integers(meta["minimum"], min(meta["maximum"], 10**6)).map(str)
+    else:
+        declared = st.floats(0.0, meta["below"], exclude_min=True, exclude_max=True).map(repr)
+    return declared | st.sampled_from(EDGE_VALUES)
+
+
+FLAG_VALUES = {f.metadata["flag"] or "--" + f.name.replace("_", "-"): _flag_values(f)
+               for f in dataclasses.fields(RunConfig) if f.metadata["flag"] is not None}
+# up to three config flags a draw, so that most draws still get past the parser
+CONFIG_FLAGS = st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True).flatmap(
+    lambda flags: st.fixed_dictionaries({flag: FLAG_VALUES[flag] for flag in flags}))
+STATIONS = st.integers(1, 6).map(str) | st.sampled_from(EDGE_VALUES)
+STAGES = ("synth", "ingest", "test", "train", "forecast",
+          "evaluate bundle", "evaluate naive", "evaluate marginal")
+
+
+@pytest.fixture(scope="module")
+def fuzz_workspace(tmp_path_factory):
+    """A small CSV pair, its store and a diagonal bundle, shared by every draw."""
+    ws = tmp_path_factory.mktemp("fuzz")
+    tt, rz, store, bundle = (str(ws / name) for name in
+                             ("tt.csv", "rz.csv", "store.json", "bundle.json"))
+    assert main(["synth", "--series", "20", "--length", "4", "--seed", "5",
+                 "--out-timetable", tt, "--out-realization", rz]) == 0
+    assert main(["ingest", "--timetable", tt, "--realization", rz, "--out", store]) == 0
+    assert main(["train", "--store", store, "--out", bundle, "--strategy", "diagonal"]) == 0
+    return ws
+
+
+class TestFlagFuzz:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stage=st.sampled_from(STAGES), config=CONFIG_FLAGS, station=STATIONS,
+           delay=st.integers(-20, 20).map(str) | st.sampled_from(EDGE_VALUES),
+           target=st.none() | STATIONS)
+    @example(stage="evaluate marginal", config={}, station="1", delay="0",
+             target="100000000000000000000")
+    def test_flags_never_end_in_an_internal_error(self, fuzz_workspace,
+                                                  stage, config, station, delay, target):
+        ws = fuzz_workspace
+        store, bundle, out = str(ws / "store.json"), str(ws / "bundle.json"), str(ws / "out.json")
+        command, _, method = stage.partition(" ")
+        source = {"": [], "bundle": ["--bundle", bundle], "naive": ["--baseline", "naive"],
+                  "marginal": ["--baseline", "marginal", "--train-store", store]}[method]
+        argv = {
+            "synth": ["--series", "3", "--length", "3", "--out-timetable", str(ws / "s_tt.csv"),
+                      "--out-realization", str(ws / "s_rz.csv")],
+            "ingest": ["--timetable", str(ws / "tt.csv"), "--realization", str(ws / "rz.csv"),
+                       "--out", out],
+            "test": ["--store", store, "--out", out],
+            "train": ["--store", store, "--out", out],
+            "forecast": ["--bundle", bundle, "--train", "T001", "--store", store,
+                         "--station", station, "--delay", delay, "--out", out],
+            "evaluate": ["--store", store, *source, "--from-station", station, "--out", out],
+        }[command]
+        if target is not None and command in ("forecast", "evaluate"):
+            argv += ["--target", target]
+        argv += [arg for flag, value in config.items() for arg in (flag, value)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main([command, *argv])
+            except SystemExit as exc:  # argparse refuses a value its type cannot read
+                code = exc.code
+        assert code in (0, 2, 3, 4), err.getvalue()
+        assert "internal error" not in err.getvalue()

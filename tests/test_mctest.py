@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from railmc import mctest
 from railmc.core import (
     CountTensor,
     StateSpace,
@@ -14,8 +15,8 @@ from railmc.core import (
 )
 from railmc.mctest import (
     TIE_BAND,
+    _gamma_pq,
     _ladder,
-    _quantile_estimate,
     aggregate_reports,
     chi_square_cdf,
     chi_square_quantile,
@@ -76,8 +77,6 @@ class TestChiSquareFunctions:
             chi_square_quantile(0.95, 0)
 
     def test_memoized_quantile_equals_direct(self):
-        from scipy import special
-
         # the (level, df) pairs the statistic fixtures below reach, at two levels
         fixtures = [
             series((0, 0), (0, 0), (1, 1), (1, 1)),
@@ -96,7 +95,7 @@ class TestChiSquareFunctions:
         pairs = {(1.0 - alpha, df) for alpha in (0.05, 0.01) for df in dfs if df >= 1}
         assert {df for _, df in pairs} >= {1, 6, 12}
         for p, df in sorted(pairs):
-            direct = float(2.0 * special.gammaincinv(df / 2.0, p))
+            direct = chi_square_quantile.__wrapped__(p, df)
             assert chi_square_quantile(p, df) == direct
             hits = chi_square_quantile.cache_info().hits
             assert chi_square_quantile(p, df) == direct
@@ -113,7 +112,7 @@ class TestQuantileEstimate:
         for alpha in self.ALPHAS:
             p = 1.0 - alpha
             direct = 2.0 * special.gammaincinv(dfs / 2.0, p)
-            est = np.array([_quantile_estimate.__wrapped__(p, int(df)) for df in dfs])
+            est = np.array([chi_square_quantile.__wrapped__(p, int(df)) for df in dfs])
             assert np.abs(est / direct - 1.0).max() < 1e-11, alpha
 
     def test_lower_tail_matches_scipy(self):
@@ -123,34 +122,60 @@ class TestQuantileEstimate:
         for p in (0.3, 1e-3, 2.0**-53):
             for df in (1, 2, 5, 40, 3000):
                 direct = float(2.0 * special.gammaincinv(df / 2.0, p))
-                assert _quantile_estimate(p, df) == pytest.approx(direct, rel=1e-11)
+                assert chi_square_quantile(p, df) == pytest.approx(direct, rel=1e-11)
 
     @staticmethod
-    def _scipy_calls():
-        info = chi_square_quantile.cache_info()
-        return info.hits + info.misses
+    def _count_tail_calls(monkeypatch):
+        """Record each (a, x) the ladder passes to the incomplete gamma."""
+        calls = []
+
+        def counted(a, x):
+            calls.append((a, x))
+            return _gamma_pq(a, x)
+
+        monkeypatch.setattr(mctest, "_gamma_pq", counted)
+        return calls
 
     @pytest.mark.parametrize("df", [1, 6, 12, 100, 27_900])
-    @pytest.mark.parametrize("offset", [0.0, -1e-12, 1e-12])
-    def test_near_tie_consults_scipy(self, df, offset):
+    @pytest.mark.parametrize("offset", [0.0, -1e-12, 1e-12, -1e-14, 1e-14])
+    def test_near_tie_consults_scipy(self, monkeypatch, df, offset):
+        # the statistic's own tail decides a near tie, once, and at a nonzero
+        # offset agrees with scipy's quantile; an exact tie (offset 0) has no
+        # oracle, since scipy's gammaincc and gammaincinv disagree on some
+        from scipy import special
+
+        for alpha in (0.05, 0.7):  # the upper and the lower tail
+            p = 1.0 - alpha
+            q = float(2.0 * special.gammaincinv(df / 2.0, p))
+            stat = q * (1.0 + offset)
+            chi_square_quantile(p, df)  # memoized before counting: Newton calls the tail too
+            calls = self._count_tail_calls(monkeypatch)
+            verdict = _ladder(stat, df, None, None, alpha, alpha)[0]
+            assert calls == [(df / 2.0, stat / 2.0)], alpha
+            if offset:
+                assert verdict == ("not_rejected" if stat < q else "rejected"), alpha
+
+    @pytest.mark.parametrize("df", [1, 12, 27_900])
+    def test_failed_newton_leaves_the_verdict_to_the_tail(self, monkeypatch, df):
         p = 1.0 - 0.05
         q = chi_square_quantile(p, df)
-        stat = q * (1.0 + offset)
-        calls = self._scipy_calls()
-        expected = "not_rejected" if stat < q else "rejected"
-        assert _ladder(stat, df, None, None, 0.05, 0.05)[0] == expected
-        assert self._scipy_calls() == calls + 1
+        monkeypatch.setattr(mctest, "chi_square_quantile", lambda p, df: math.nan)
+        calls = self._count_tail_calls(monkeypatch)
+        assert _ladder(q * (1.0 - 1e-3), df, None, None, 0.05, 0.05)[0] == "not_rejected"
+        assert _ladder(q * (1.0 + 1e-3), df, None, None, 0.05, 0.05)[0] == "rejected"
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("df", [1, 6, 12, 100, 27_900])
     @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
-    def test_clear_verdict_skips_scipy(self, df, offset):
+    def test_clear_verdict_skips_scipy(self, monkeypatch, df, offset):
+        # a statistic far from the memoized quantile is decided without its tail
         p = 1.0 - 0.01
         q = chi_square_quantile(p, df)
         assert abs(offset) > 100 * TIE_BAND
-        calls = self._scipy_calls()
+        calls = self._count_tail_calls(monkeypatch)
         expected = "not_rejected" if offset < 0 else "rejected"
         assert _ladder(q * (1.0 + offset), df, None, None, 0.01, 0.01)[0] == expected
-        assert self._scipy_calls() == calls
+        assert calls == []
 
 
 def direct_summation_zero_order(counts):

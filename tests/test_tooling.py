@@ -1,9 +1,10 @@
 """Guards against stale references: every function the benchmark's layer trace
 wraps, every name a module exports and every CLI flag the README names must
-exist, and the README must name every flag built from a config field. Also guards the import cost: no
-stage loads scipy, `test` included, unless a statistic ties its quantile, and none loads numpy.ma;
-the CLI reads every store and bundle through the loaders that check it; and every recovery strategy
-reads the one count pass, with no polynomial fit and no search for distinct pairs."""
+exist, and the README must name every flag built from a config field. Also guards the runtime
+dependencies: numpy is the only one, no module imports scipy, and all six stages and an exact tie of
+the order-test ladder run with scipy blocked; no stage loads numpy.ma either. The CLI reads every
+store and bundle through the loaders that check it; and every recovery strategy reads the one count
+pass, with no polynomial fit and no search for distinct pairs."""
 
 import argparse
 import ast
@@ -93,15 +94,18 @@ def test_readme_library_example_runs(capsys):
 
 SCIPY_FREE_STAGES = """
 import json, sys
+
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+
 from railmc.cli import main
+from railmc.mctest import _ladder, chi_square_quantile
 
 loaded = {}
 
 def run(*argv):
     assert main(list(argv)) == 0, argv
-    # scipy costs about 0.4 s to import, numpy.ma (pulled in by a plain np.unique) 14 ms
-    loaded[argv[0]] = sorted(m for m in sys.modules
-                             if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])
+    # numpy.ma, pulled in by a plain np.unique, costs 14 ms to import
+    loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])
 
 run("synth", "--series", "40", "--length", "4", "--seed", "2",
     "--out-timetable", "tt.csv", "--out-realization", "rz.csv")
@@ -111,6 +115,8 @@ run("evaluate", "--store", "store.json", "--bundle", "bundle.json", "--out", "sc
 run("forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "1",
     "--delay", "0", "--target", "3", "--out", "pred.json")
 run("test", "--store", "store.json", "--out", "order.json")
+# a statistic equal to its quantile is decided by its own tail
+loaded["tie"] = _ladder(chi_square_quantile(0.95, 6), 6, None, None, 0.05, 0.05)[0]
 with open("loaded.json", "w") as fh:
     json.dump(loaded, fh)
 """
@@ -125,9 +131,28 @@ def test_no_stage_imports_scipy(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    loaded = json.loads((tmp_path / "loaded.json").read_text())
+    assert loaded.pop("tie") in ("not_rejected", "rejected")
     stages = ["synth", "ingest", "train", "evaluate", "forecast", "test"]
-    assert json.loads((tmp_path / "loaded.json").read_text()) == {stage: [] for stage in stages}
+    assert loaded == {stage: [] for stage in stages}
     assert "aggregate" in json.loads((tmp_path / "order.json").read_text())
+
+
+def test_no_module_imports_scipy():
+    def imported(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+    found = sorted(module for module in MODULES for node in ast.walk(_source_tree(module))
+                   for name in imported(node) if name.split(".")[0] == "scipy")
+    assert found == []
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_cli_reads_artifacts_only_through_the_loaders():
