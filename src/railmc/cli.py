@@ -23,18 +23,9 @@ import sys
 
 from . import pipeline
 from .config import ConfigError, RunConfig
-from .core import StateSpace
-from .ingest import (
-    REJECT_REASONS,
-    IngestError,
-    NoTargetError,
-    load_timetable,
-    parse_events,
-    write_rejects,
-)
+from .core import IngestError, NoTargetError, StateSpace
 from .pipeline import BundleError, CoverageError, EmptySelectionError, StoreError
-from .recovery import format_matrix_text
-from .synth import near_diagonal_spec, sample_series, write_ingest_files
+# each cmd_* imports the modules only its command runs, so a process loads no others
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -60,6 +51,8 @@ def _config_from(args: argparse.Namespace) -> RunConfig:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    from .synth import near_diagonal_spec, sample_series, write_ingest_files
+
     for flag, value in (("--series", args.series), ("--trains", args.trains), ("--length", args.length)):
         if value < 1:
             raise ConfigError(f"{flag} must be a positive integer, got {value}")
@@ -79,6 +72,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    from .ingest import REJECT_REASONS, load_timetable, parse_events, write_rejects
+
     config = _config_from(args)
     templates = load_timetable(args.timetable)
     events, parse_rejects = parse_events(args.realization)
@@ -116,6 +111,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
     if args.print_matrix:
+        from .recovery import format_matrix_text
+
         (mat,) = pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
         print(format_matrix_text(mat, StateSpace(config.n_max)))
     return EXIT_OK

@@ -1,5 +1,8 @@
 """Domain types, maximum-likelihood frequency estimators and the matrix check.
 
+Every command loads this module, so it also holds what every stage reads of a
+timetable (station keys, journey templates, target selection) and the input errors.
+
 States are integer delay minutes on the bounded domain [-N, N]. Station
 indices are 1-based along a journey. Counts are integer arrays indexed by
 state index (delay + N); frequencies are derived double-precision ratios
@@ -23,22 +26,82 @@ row-stochasticity check, run where matrices enter or leave a bundle.
 
 from __future__ import annotations
 
+import datetime as dt
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "StateSpace",
-    "DelaySeries",
-    "CountTensor",
-    "FrequencyEstimates",
-    "build_count_tensor",
-    "estimate_frequencies",
-    "context_totals",
-    "check_transition_matrix",
+    "ACTIVITY_CODES", "IngestError", "NoTargetError", "StationKey", "JourneyTemplate",
+    "select_target_station", "StateSpace", "DelaySeries", "CountTensor", "FrequencyEstimates",
+    "build_count_tensor", "estimate_frequencies", "context_totals", "check_transition_matrix",
 ]
 
 ROW_SUM_TOL = 1e-9
+ACTIVITY_CODES = ("V", "D", "A", "KV", "KA")
+
+
+class NoTargetError(ValueError):
+    """No station after the current one exists to predict."""
+
+
+class IngestError(ValueError):
+    """An input CSV is not UTF-8 text, or has a bad header or row; the message
+    names the file, and the line where the reader knows it."""
+
+
+@dataclass(frozen=True)
+class StationKey:
+    """Alignment key: the same station with different activities is two keys."""
+
+    station_code: str
+    activity: str
+
+    def __post_init__(self) -> None:
+        if self.activity not in ACTIVITY_CODES:
+            raise ValueError(f"unknown activity {self.activity!r}")
+
+
+@dataclass(frozen=True)
+class JourneyTemplate:
+    """Ordered station keys with planned times from the timetable."""
+
+    train_id: str
+    keys: tuple[StationKey, ...]
+    planned: tuple[dt.datetime, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.keys) != len(self.planned):
+            raise ValueError("keys and planned times length mismatch")
+        for a, b in zip(self.planned, self.planned[1:]):
+            if b < a:
+                raise ValueError("planned times must be non-decreasing")
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+
+def select_target_station(template: JourneyTemplate, current_index: int, horizon: dt.timedelta) -> int:
+    """First station planned at least `horizon` after the current one.
+
+    Falls back to the last station when the horizon outruns the journey;
+    raises NoTargetError when the current station is already the last or
+    lies outside the template.
+    """
+    if not 1 <= current_index <= len(template):
+        raise NoTargetError(f"station index {current_index} outside template")
+    if horizon <= dt.timedelta(0):
+        raise ValueError("horizon must be positive")
+    if current_index == len(template):
+        raise NoTargetError("current station is the final station")
+    try:
+        cutoff = template.planned[current_index - 1] + horizon
+    except OverflowError:  # a cutoff past year 9999 lies past the last station
+        return len(template)
+    for t in range(current_index + 1, len(template) + 1):
+        if template.planned[t - 1] >= cutoff:
+            return t
+    return len(template)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CountTensor, StateSpace
+from .forecast import TREND_CLASSES
 
 __all__ = [
     "TREND_CLASSES",
@@ -30,8 +31,6 @@ __all__ = [
     "marginal_predictor",
     "score_batch",
 ]
-
-TREND_CLASSES = ("increase", "decrease", "equal")
 
 
 def f1_class(tp: int, fp: int, fn: int) -> float:

@@ -5,8 +5,8 @@ one row per current delay d_S, and the propagation chain P(S+1) .. P(T) is a
 (T - S, k, k) stack of checked transition matrices. `point_delay` turns the
 current delays into unit rows, `propagate` pushes the whole block through the
 chain to the target station, and `make_prediction` reads each row's trend
-(a code into `evaluate.TREND_CLASSES`), jump flag and minutes of delay.
-A single forecast is the block with m = 1.
+(a code into `TREND_CLASSES`, which `evaluate` imports from here), jump
+flag and minutes of delay. A single forecast is the block with m = 1.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import numpy as np
 from .config import RunConfig
 from .core import StateSpace
 
-__all__ = ["point_delay", "propagate", "make_prediction"]
+__all__ = ["TREND_CLASSES", "point_delay", "propagate", "make_prediction"]
+
+TREND_CLASSES = ("increase", "decrease", "equal")
 
 # A point metric within +-TREND_THRESHOLD of d_S reads "equal"; a jump is a
 # point move of at least JUMP_THRESHOLD, or jump mass >= JUMP_PROB_THRESHOLD.

@@ -1,5 +1,8 @@
 """Parsing of timetable and realization event logs into aligned delay series.
 
+Only the `ingest` command loads this CSV parser. The timetable types it builds,
+`select_target_station` and the error classes live in `core` and are imported back.
+
 Canonical CSV formats (UTF-8, comma-separated, header row):
 
 * realization: ``train_id,date,station_code,activity,planned_time,realized_time``
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import StateSpace
+from .core import (ACTIVITY_CODES, IngestError, JourneyTemplate, NoTargetError, StateSpace,
+                   StationKey, select_target_station)
 
 __all__ = [
     "ACTIVITY_CODES",
@@ -55,8 +59,6 @@ __all__ = [
     "select_target_station",
     "write_rejects",
 ]
-
-ACTIVITY_CODES = ("V", "D", "A", "KV", "KA")
 
 REALIZATION_HEADER = ["train_id", "date", "station_code", "activity", "planned_time", "realized_time"]
 TIMETABLE_HEADER = ["train_id", "station_code", "activity", "planned_time", "sequence"]
@@ -82,37 +84,6 @@ CHUNK_ROWS = 1 << 14  # realization rows held as Python objects at once
 _DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
-
-
-@dataclass(frozen=True)
-class StationKey:
-    """Alignment key: the same station with different activities is two keys."""
-
-    station_code: str
-    activity: str
-
-    def __post_init__(self) -> None:
-        if self.activity not in ACTIVITY_CODES:
-            raise ValueError(f"unknown activity {self.activity!r}")
-
-
-@dataclass(frozen=True)
-class JourneyTemplate:
-    """Ordered station keys with planned times from the timetable."""
-
-    train_id: str
-    keys: tuple[StationKey, ...]
-    planned: tuple[dt.datetime, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.keys) != len(self.planned):
-            raise ValueError("keys and planned times length mismatch")
-        for a, b in zip(self.planned, self.planned[1:]):
-            if b < a:
-                raise ValueError("planned times must be non-decreasing")
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
 
 @dataclass(frozen=True)
@@ -149,15 +120,6 @@ class EventColumns:
             self.trains, self.dates, self.stations, self.activities, self.train[rows],
             self.date[rows], self.station[rows], self.activity[rows], self.delay[rows],
         )
-
-
-class NoTargetError(ValueError):
-    """No station after the current one exists to predict."""
-
-
-class IngestError(ValueError):
-    """An input CSV is not UTF-8 text, or has a bad header or row; the message
-    names the file, and the line where the reader knows it."""
 
 
 def _checked_rows(reader, what: str) -> Iterator[list[str]]:
@@ -479,29 +441,6 @@ def assemble_series(
         for t, d in zip(events.train[empty].tolist(), events.date[empty].tolist())
     ]
     return trains, [rejects[i] for i in report.tolist()]
-
-
-def select_target_station(template: JourneyTemplate, current_index: int, horizon: dt.timedelta) -> int:
-    """First station planned at least `horizon` after the current one.
-
-    Falls back to the last station when the horizon outruns the journey;
-    raises NoTargetError when the current station is already the last or
-    lies outside the template.
-    """
-    if not 1 <= current_index <= len(template):
-        raise NoTargetError(f"station index {current_index} outside template")
-    if horizon <= dt.timedelta(0):
-        raise ValueError("horizon must be positive")
-    if current_index == len(template):
-        raise NoTargetError("current station is the final station")
-    try:
-        cutoff = template.planned[current_index - 1] + horizon
-    except OverflowError:  # a cutoff past year 9999 lies past the last station
-        return len(template)
-    for t in range(current_index + 1, len(template) + 1):
-        if template.planned[t - 1] >= cutoff:
-            return t
-    return len(template)
 
 
 def write_rejects(rejects: list[RejectedRow], path) -> None:

@@ -18,30 +18,19 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import json
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import N_MAX_LIMIT, RunConfig
-from .core import StateSpace, build_count_tensor, check_transition_matrix
-from .evaluate import TREND_CLASSES, ScoreReport, marginal_predictor, naive_predictor, score_batch
-from .forecast import make_prediction, point_delay, propagate
-from .ingest import (
-    EventColumns,
-    JourneyTemplate,
-    NoTargetError,
-    RejectedRow,
-    StationKey,
-    assemble_series,
-    select_target_station,
-)
-from .mctest import aggregate_reports, markov_property_test
-from .recovery import (
-    diagonal_fill,
-    empirical_matrix,
-    gaussian_regression_fill,
-    kde_recover,
-    uniform_fill,
-)
+from .core import (JourneyTemplate, NoTargetError, StateSpace, StationKey, build_count_tensor,
+                   check_transition_matrix, select_target_station)
+from .forecast import TREND_CLASSES, make_prediction, point_delay, propagate
+# ingest, mctest, recovery and evaluate are imported by the functions that run them
+
+if TYPE_CHECKING:
+    from .evaluate import ScoreReport
+    from .ingest import EventColumns, RejectedRow
 
 __all__ = [
     "BundleError",
@@ -93,6 +82,8 @@ def build_store(
 
     Events of a train the timetable lacks are rejected first, in event order.
     """
+    from .ingest import RejectedRow, assemble_series
+
     known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
     rejects = [
         RejectedRow(f"{events.trains[t]},{events.dates[d]}", "train not in timetable")
@@ -224,6 +215,8 @@ def store_template(store: dict, train_id: str) -> JourneyTemplate:
 
 def test_store(store: dict, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate."""
+    from .mctest import aggregate_reports, markov_property_test
+
     space = StateSpace(store["n_max"])
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
@@ -260,15 +253,17 @@ def _recover(
 ) -> np.ndarray:
     """The recovered (k, k) matrix of each station of `_stations(lengths)`, as
     a stack from one count pass, whatever the strategy."""
+    from . import recovery
+
     counts = build_count_tensor(delays, lengths, _stations(lengths), space)
     if config.strategy == "gaussian_kernel":
-        return kde_recover(counts, space)
-    partial = empirical_matrix(counts)
+        return recovery.kde_recover(counts, space)
+    partial = recovery.empirical_matrix(counts)
     if config.strategy == "diagonal":
-        return diagonal_fill(partial)
+        return recovery.diagonal_fill(partial)
     if config.strategy == "uniform":
-        return uniform_fill(partial)
-    return gaussian_regression_fill(partial, counts, space, std_form=config.regression_std)
+        return recovery.uniform_fill(partial)
+    return recovery.gaussian_regression_fill(partial, counts, space, std_form=config.regression_std)
 
 
 def train_bundle(store: dict, config: RunConfig) -> dict:
@@ -371,6 +366,8 @@ def forecast_from_bundle(
 
 def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace) -> np.ndarray:
     """The marginal baseline's chain; CoverageError when the train has no observation at t."""
+    from .evaluate import marginal_predictor
+
     if train_id not in train_store["trains"]:
         raise CoverageError(f"training store has no train {train_id}")
     delays, lengths, _ = store_series(train_store, train_id)
@@ -427,6 +424,8 @@ def evaluate_store(
     target at or before it, raises NoTargetError, and a store whose delay
     bound exceeds the model's raises CoverageError.
     """
+    from .evaluate import naive_predictor, score_batch
+
     if (bundle is None) == (baseline is None):
         raise ValueError("provide exactly one of bundle or baseline")
     if baseline is not None and baseline not in BASELINES:

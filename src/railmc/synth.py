@@ -106,7 +106,8 @@ def near_diagonal_spec(
         raise ValueError("dispersion must be positive")
     states = space.states().astype(float)
     k = space.cardinality
-    dens = np.exp(-0.5 * ((states[None, :] - states[:, None]) / dispersion) ** 2)
+    with np.errstate(over="ignore"):  # a tiny dispersion sends off-diagonal terms to exp(-inf) = 0
+        dens = np.exp(-0.5 * ((states[None, :] - states[:, None]) / dispersion) ** 2)
     mat = dens / dens.sum(axis=1, keepdims=True)
     init = np.full(k, 1.0 / k) if initial is None else np.asarray(initial, dtype=float)
     return ChainSpec(

@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from railmc import cli
 from railmc.cli import build_parser, main
 from railmc.config import N_MAX_LIMIT, ConfigError, RunConfig
-from railmc.pipeline import load_json, save_json, train_bundle
+from railmc.pipeline import load_bundle, load_json, load_store, save_json, train_bundle
 
 
 @pytest.fixture
@@ -962,3 +962,106 @@ class TestFlagFuzz:
                 code = exc.code
         assert code in (0, 2, 3, 4), err.getvalue()
         assert "internal error" not in err.getvalue()
+
+
+# the seeded mutations of an input: a dropped key or field, a short row (a list,
+# string or CSV row cut to half), a NaN, a 20-digit int, a number turned into a
+# string, or a value of another JSON type
+MUTATIONS = ("drop", "short", "nan", "bigint", "string", "wrong_type")
+WRONG_TYPED = (None, True, 1.5, "x", [], {})
+FUZZ_CONFIG = {"n_max": 15, "alpha1": 0.05, "horizon_minutes": 20.0, "strategy": "diagonal",
+               "clip_mode": "saturate", "seed": 5}
+
+
+def _mutate(data, holder, key, mutation: str) -> None:
+    """Apply `mutation` to holder[key] of a list or dict; a wrong type or a sign is drawn from `data`."""
+    value = holder[key]
+    if mutation == "drop" or mutation == "short" and not isinstance(value, (list, str)):
+        del holder[key]
+    elif mutation == "short":
+        holder[key] = value[:len(value) // 2]
+    elif mutation == "nan":
+        holder[key] = float("nan")
+    elif mutation == "bigint":
+        holder[key] = data.draw(st.sampled_from((10**20, -10**20)))
+    elif mutation == "string":
+        holder[key] = str(value) if not isinstance(value, str) else "15"
+    else:
+        holder[key] = data.draw(st.sampled_from([w for w in WRONG_TYPED if type(w) is not type(value)]))
+
+
+def _mutated_json(data, value, mutation: str) -> str:
+    """The JSON text of `value` with one node mutated: from the root, the walk
+    descends into a drawn child of each non-empty container while a drawn
+    integer in 0..3 is nonzero."""
+    root = [value]  # a holder of the root, so that the root itself can be mutated
+    holder, key = root, 0
+    while isinstance(holder[key], (dict, list)) and holder[key] and data.draw(st.integers(0, 3)):
+        node = holder[key]
+        holder, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                                       else range(len(node))))
+    _mutate(data, holder, key, mutation)
+    return json.dumps(root[0]) if root else ""
+
+
+def _mutated_csv(data, path, mutation: str) -> str:
+    """The CSV at `path` with one field of one drawn row (the header too) mutated;
+    a dropped field shortens its row by one."""
+    rows = list(csv.reader(io.StringIO(path.read_text(), newline="")))
+    row = data.draw(st.sampled_from(rows))
+    if mutation == "short":
+        row[:] = row[:len(row) // 2]
+    else:
+        _mutate(data, row, data.draw(st.integers(0, len(row) - 1)), mutation)
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
+
+
+class TestMutationFuzz:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data(), target=st.sampled_from(("store", "bundle", "config", "csv")),
+           mutation=st.sampled_from(MUTATIONS),
+           strategy=st.sampled_from(("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")))
+    def test_mutated_inputs_never_end_in_an_internal_error(self, fuzz_workspace, data, target,
+                                                           mutation, strategy):
+        ws = fuzz_workspace
+        paths = {name: str(ws / name) for name in ("store.json", "bundle.json", "tt.csv", "rz.csv")}
+        if target == "csv":
+            name = data.draw(st.sampled_from(("tt.csv", "rz.csv")))
+            text = _mutated_csv(data, ws / name, mutation)
+        else:
+            name = f"{target}.json"
+            value = json.loads(json.dumps(FUZZ_CONFIG)) if target == "config" else load_json(ws / name)
+            text = _mutated_json(data, value, mutation)
+        paths[name] = str(ws / f"m_{name}")
+        (ws / f"m_{name}").write_text(text)
+        store, bundle, out = paths["store.json"], paths["bundle.json"], str(ws / "m_out.json")
+        ingest = ["ingest", "--timetable", paths["tt.csv"], "--realization", paths["rz.csv"],
+                  "--out", out, "--rejects", str(ws / "m_rejects.csv")]
+        train = ["train", "--store", store, "--out", out]
+        test = ["test", "--store", store, "--out", out]
+        forecast = ["forecast", "--bundle", bundle, "--train", "T001", "--station", "1",
+                    "--delay", "0", "--out", out]
+        evaluate = ["evaluate", "--store", store, "--bundle", bundle, "--out", out]
+        runs = {  # each stage that reads the input, and the loader its output must pass
+            "csv": [(ingest, load_store)],
+            "store": [(test, load_json), (train + ["--strategy", strategy], load_bundle),
+                      (forecast + ["--store", store], load_json), (evaluate, load_json),
+                      (["evaluate", "--store", store, "--baseline", "marginal",
+                        "--train-store", store, "--out", out], load_json)],
+            "bundle": [(forecast + ["--target", "3"], load_json), (evaluate, load_json)],
+            "config": [(ingest, load_store), (test, load_json), (train, load_bundle),
+                       (forecast + ["--store", store], load_json)],
+        }[target]
+        for argv, loader in runs:
+            if target == "config":
+                argv = argv + ["--config", paths["config.json"]]
+            (ws / "m_out.json").unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 2, 3, 4), (argv, err.getvalue())
+            assert "internal error" not in err.getvalue()
+            if code == 0:
+                loader(out)

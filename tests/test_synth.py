@@ -76,13 +76,17 @@ class TestSampleSeries:
 
 
 class TestNearDiagonalSpec:
+    @pytest.mark.filterwarnings("error")
     def test_rows_center_on_diagonal(self):
         space = StateSpace(5)
-        spec = near_diagonal_spec(space, 2, 0.8, seed=0)
-        mat = spec.matrices[0]
-        for r in range(space.cardinality):
-            assert int(np.argmax(mat[r])) == r
-        assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+        # a dispersion this tiny overflows the exponent (in the square, or in
+        # the divide for the denormal), silently: the chain is the identity
+        for dispersion, identity in ((0.8, False), (1e-300, True), (5e-324, True)):
+            mat = near_diagonal_spec(space, 2, dispersion, seed=0).matrices[0]
+            for r in range(space.cardinality):
+                assert int(np.argmax(mat[r])) == r
+            assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
+            assert (mat == np.eye(space.cardinality)).all() == identity
 
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):

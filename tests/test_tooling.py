@@ -2,9 +2,11 @@
 wraps, every name a module exports and every CLI flag the README names must
 exist, and the README must name every flag built from a config field. Also guards the runtime
 dependencies: numpy is the only one, no module imports scipy, and all six stages and an exact tie of
-the order-test ladder run with scipy blocked; no stage loads numpy.ma either. The CLI reads every
-store and bundle through the loaders that check it; and every recovery strategy reads the one count
-pass, with no polynomial fit and no search for distinct pairs."""
+the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
+fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
+loading any command's modules. The CLI reads every store and bundle through the loaders that check
+it; and every recovery strategy reads the one count pass, with no polynomial fit and no search for
+distinct pairs."""
 
 import argparse
 import ast
@@ -92,49 +94,83 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.count("\n") == 3
 
 
-SCIPY_FREE_STAGES = """
+# Runs the CLI on the argv lists given as JSON, then prints the exit codes, the
+# railmc and numpy.ma modules loaded, and for `test` an exact tie of the ladder.
+CLI_PROCESS = """
 import json, sys
 
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
 
 from railmc.cli import main
-from railmc.mctest import _ladder, chi_square_quantile
 
-loaded = {}
+runs = json.loads(sys.argv[1])
+codes = []
+for argv in runs:
+    try:
+        codes.append(main(argv))
+    except SystemExit as exc:  # argparse exits after --help
+        codes.append(exc.code)
+# numpy.ma, pulled in by a plain np.unique, costs 14 ms to import
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "railmc" or m.split(".")[:2] == ["numpy", "ma"])
+tie = None
+if runs[0][0] == "test":
+    from railmc.mctest import _ladder, chi_square_quantile
 
-def run(*argv):
-    assert main(list(argv)) == 0, argv
-    # numpy.ma, pulled in by a plain np.unique, costs 14 ms to import
-    loaded[argv[0]] = sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])
-
-run("synth", "--series", "40", "--length", "4", "--seed", "2",
-    "--out-timetable", "tt.csv", "--out-realization", "rz.csv")
-run("ingest", "--timetable", "tt.csv", "--realization", "rz.csv", "--out", "store.json")
-run("train", "--store", "store.json", "--out", "bundle.json", "--strategy", "gaussian_kernel")
-run("evaluate", "--store", "store.json", "--bundle", "bundle.json", "--out", "scores.json")
-run("forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "1",
-    "--delay", "0", "--target", "3", "--out", "pred.json")
-run("test", "--store", "store.json", "--out", "order.json")
-# a statistic equal to its quantile is decided by its own tail
-loaded["tie"] = _ladder(chi_square_quantile(0.95, 6), 6, None, None, 0.05, 0.05)[0]
-with open("loaded.json", "w") as fh:
-    json.dump(loaded, fh)
+    # a statistic equal to its quantile is decided by its own tail
+    tie = _ladder(chi_square_quantile(0.95, 6), 6, None, None, 0.05, 0.05)[0]
+print(json.dumps({"codes": codes, "loaded": loaded, "tie": tie}))
 """
+
+# every command loads these; each command adds the modules that only it runs
+ALWAYS_LOADED = ["railmc", "railmc.cli", "railmc.config", "railmc.core", "railmc.forecast",
+                 "railmc.pipeline"]
+COMMAND_MODULES = {"synth": ["railmc.synth"], "ingest": ["railmc.ingest"], "test": ["railmc.mctest"],
+                   "train": ["railmc.recovery"], "evaluate": ["railmc.evaluate"], "forecast": []}
+HELPS = [["--help"]] + [[command, "--help"] for command in COMMAND_MODULES]
+# one CLI process per run of argvs, in waves: a wave reads what the waves before
+# it wrote, and its processes run at once
+WAVES = [
+    [[["synth", "--series", "40", "--length", "4", "--seed", "2",
+       "--out-timetable", "tt.csv", "--out-realization", "rz.csv"]], HELPS],
+    [[["ingest", "--timetable", "tt.csv", "--realization", "rz.csv", "--out", "store.json"]]],
+    [[["train", "--store", "store.json", "--out", "bundle.json", "--strategy", "gaussian_kernel",
+       "--print-matrix", "T001:2"]],
+     [["test", "--store", "store.json", "--out", "order.json"]]],
+    [[["evaluate", "--store", "store.json", "--bundle", "bundle.json", "--out", "scores.json"]],
+     [["forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "1",
+       "--delay", "0", "--store", "store.json", "--out", "pred.json"]]],
+]
+
+
+def _cli_processes(wave: list[list[list[str]]], cwd: Path) -> list[dict]:
+    # fresh interpreters: this process already holds every module through the tests
+    src = Path(railmc.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    procs = [subprocess.Popen([sys.executable, "-c", CLI_PROCESS, json.dumps(runs)], cwd=cwd, env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+             for runs in wave]
+    outputs = [proc.communicate(timeout=120) + (proc.returncode,) for proc in procs]
+    for _, err, code in outputs:
+        assert code == 0, err
+    return [json.loads(out.splitlines()[-1]) for out, _, _ in outputs]
 
 
 def test_no_stage_imports_scipy(tmp_path):
-    # a fresh interpreter: this process already holds scipy through the tests
-    src = Path(railmc.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_FREE_STAGES],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads((tmp_path / "loaded.json").read_text())
-    assert loaded.pop("tie") in ("not_rejected", "rejected")
-    stages = ["synth", "ingest", "train", "evaluate", "forecast", "test"]
-    assert loaded == {stage: [] for stage in stages}
+    # each command in its own interpreter, as a user runs it, loads only its own modules
+    ran = []
+    for wave in WAVES:
+        for runs, result in zip(wave, _cli_processes(wave, tmp_path)):
+            assert result["codes"] == [0] * len(runs), runs
+            if runs is HELPS:  # parsing alone loads no command's modules
+                assert result["loaded"] == ALWAYS_LOADED
+                continue
+            ((command, *_),) = runs
+            ran.append(command)
+            assert result["loaded"] == sorted(ALWAYS_LOADED + COMMAND_MODULES[command]), command
+            if command == "test":
+                assert result["tie"] in ("not_rejected", "rejected")
+    assert sorted(ran) == sorted(COMMAND_MODULES)
     assert "aggregate" in json.loads((tmp_path / "order.json").read_text())
 
 
