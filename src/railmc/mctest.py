@@ -10,8 +10,11 @@ supports read off the same cells, so the statistics and df are invariant
 under relabeling of unobserved states.
 
 The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
-zero-order null is rejected. It runs on both statistics, and a report records
-both ladders; its `verdict_h0_0`/`verdict_h0_1` read the Q ladder.
+zero-order null is rejected. It runs on both statistics. The test returns one
+plain dict per station, the row `order.json` holds without its train: `t`,
+`alpha1`, `alpha2`, `lr0`, `q0`, `df0`, `lr1`, `q1`, `df1` and `verdicts`,
+which maps "LR" and "Q" to its [H0(0), H0(1)] list, so a row equals its own
+JSON round trip.
 
 The chi-square CDF is the regularized incomplete gamma function, computed
 here with `math` alone: a series below x = a + 1 and a continued fraction
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -35,7 +37,6 @@ from .core import CountTensor, FrequencyEstimates, context_totals, estimate_freq
 
 __all__ = [
     "Verdict",
-    "OrderTestReport",
     "chi_square_cdf",
     "chi_square_quantile",
     "zero_order_statistics",
@@ -240,46 +241,6 @@ def first_order_statistics(
     return _per_station(s, df, counts.n3, freq.p3, freq.p2[s, i, j], context_totals(counts))
 
 
-@dataclass(frozen=True)
-class OrderTestReport:
-    """Outcome of the order-test ladder at one station."""
-
-    station_index: int
-    alpha1: float
-    alpha2: float
-    lr0: float | None = None
-    q0: float | None = None
-    df0: int | None = None
-    lr1: float | None = None
-    q1: float | None = None
-    df1: int | None = None
-    # verdicts keyed by statistic name, each a (H0(0), H0(1)) pair; the
-    # H0(1) slot is None when the ladder stopped at order zero
-    verdicts: dict[str, tuple[Verdict, Verdict | None]] = field(default_factory=dict)
-
-    @property
-    def verdict_h0_0(self) -> Verdict:
-        return self.verdicts["Q"][0]
-
-    @property
-    def verdict_h0_1(self) -> Verdict | None:
-        return self.verdicts["Q"][1]
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.station_index,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "lr0": self.lr0,
-            "q0": self.q0,
-            "df0": self.df0,
-            "lr1": self.lr1,
-            "q1": self.q1,
-            "df1": self.df1,
-            "verdicts": {k: list(v) for k, v in self.verdicts.items()},
-        }
-
-
 def _ladder(
     stat0: float,
     df0: int,
@@ -287,16 +248,18 @@ def _ladder(
     df1: int | None,
     alpha1: float,
     alpha2: float,
-) -> tuple[Verdict, Verdict | None]:
+) -> list[Verdict | None]:
+    """The [H0(0), H0(1)] verdicts of one statistic; H0(1) is None when the
+    ladder stops at order zero. A list, as JSON reads it back."""
     if df0 < 1:
-        return "untestable", None
+        return ["untestable", None]
     if _below_quantile(stat0, 1.0 - alpha1, df0):
-        return "not_rejected", None
+        return ["not_rejected", None]
     if stat1 is None or df1 is None or df1 < 1:
-        return "rejected", "untestable"
+        return ["rejected", "untestable"]
     if _below_quantile(stat1, 1.0 - alpha2, df1):
-        return "rejected", "not_rejected"
-    return "rejected", "rejected"
+        return ["rejected", "not_rejected"]
+    return ["rejected", "rejected"]
 
 
 def _below_quantile(stat: float, p: float, df: int) -> bool:
@@ -314,47 +277,48 @@ def markov_property_test(
     counts: CountTensor,
     alpha1: float = 0.05,
     alpha2: float = 0.05,
-) -> list[OrderTestReport]:
-    """Run the order-test ladder on the counts, one report per station.
+) -> list[dict]:
+    """Run the order-test ladder on the counts, one row per station.
 
     Tests H0(0) at level alpha1; on rejection tests H0(1) at level alpha2.
-    Ladders for both LR and Q are recorded; a report's verdict_h0_0 and
-    verdict_h0_1 read the Q ladder. A station with no transition is
-    untestable and records no statistic.
+    A row holds the station `t`, both levels, lr0, q0, df0, lr1, q1, df1
+    and `verdicts`, the LR and Q ladders. A station with no transition is
+    untestable and its statistics are None.
     """
     # a level below about 1.1e-16 would test at 1 - level == 1.0
     if not (0.0 < 1.0 - alpha1 < 1.0 and 0.0 < 1.0 - alpha2 < 1.0):
         raise ValueError("significance levels must lie in (0, 1), with 1 - level < 1")
     freq = estimate_frequencies(counts)
-    reports = []
+    rows = []
     for t, zero, first in zip(counts.stations.tolist(), zero_order_statistics(freq, counts),
                               first_order_statistics(freq, counts)):
         # a station with no transition has no second-order cell either
         lr0, q0, df0 = zero or (None, None, None)
         lr1, q1, df1 = first or (None, None, None)
         if zero is None:
-            verdicts = {"LR": ("untestable", None), "Q": ("untestable", None)}
+            verdicts = {"LR": ["untestable", None], "Q": ["untestable", None]}
         else:
             verdicts = {
                 "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
                 "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
             }
-        reports.append(OrderTestReport(t, alpha1, alpha2, lr0, q0, df0, lr1, q1, df1, verdicts))
-    return reports
+        rows.append({"t": t, "alpha1": alpha1, "alpha2": alpha2, "lr0": lr0, "q0": q0,
+                     "df0": df0, "lr1": lr1, "q1": q1, "df1": df1, "verdicts": verdicts})
+    return rows
 
 
-def aggregate_reports(reports: list[OrderTestReport]) -> dict:
-    """Aggregate per-station reports into a summary table.
+def aggregate_reports(rows: list[dict]) -> dict:
+    """Aggregate per-station rows into a summary table.
 
     One row per statistic: total stations tested, stations rejecting H0(0),
     stations rejecting H0(1). Significance levels are recorded alongside.
     """
-    agg: dict = {"total_stations": len(reports), "statistics": {}}
-    if reports:
-        agg["alpha1"] = reports[0].alpha1
-        agg["alpha2"] = reports[0].alpha2
+    agg: dict = {"total_stations": len(rows), "statistics": {}}
+    if rows:
+        agg["alpha1"] = rows[0]["alpha1"]
+        agg["alpha2"] = rows[0]["alpha2"]
     for name in ("LR", "Q"):
-        r0 = sum(1 for r in reports if r.verdicts.get(name, (None, None))[0] == "rejected")
-        r1 = sum(1 for r in reports if r.verdicts.get(name, (None, None))[1] == "rejected")
+        r0 = sum(1 for r in rows if r["verdicts"][name][0] == "rejected")
+        r1 = sum(1 for r in rows if r["verdicts"][name][1] == "rejected")
         agg["statistics"][name] = {"reject_h0_0": r0, "reject_h0_1": r1}
     return agg

@@ -10,7 +10,9 @@ are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
 `load_store` checks a store whole, and `load_bundle` a bundle's meta and
 tables, each naming the file. Code past them trusts what they return, except
-`bundle_matrices`, which checks each matrix as it reads it.
+`bundle_matrices`, which checks each matrix as it reads it: its shape, that
+its entries are JSON numbers (not strings, booleans or nulls), and that it
+is a transition matrix.
 """
 
 from __future__ import annotations
@@ -154,16 +156,24 @@ def _series_columns(series: list) -> tuple[list, np.ndarray, list]:
 
 def _check_train(store: dict, train_id: str, n_max: int) -> None:
     """Raise StoreError, naming the train and the date, for a template that
-    does not parse, a series longer than the train's stations, or a delay that
-    is not an integer in [-n_max, n_max] (a float or a bool is not)."""
+    does not parse, a station code or a date that is not a string, a series
+    longer than the train's stations, or a delay that is not an integer in
+    [-n_max, n_max] (a float or a bool is not)."""
     try:
-        n_stations = len(store_template(store, train_id).keys)
+        keys = store_template(store, train_id).keys
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"store train {train_id}: malformed template ({exc})") from None
+    codes = [k.station_code for k in keys if type(k.station_code) is not str]
+    if codes:
+        raise StoreError(f"store train {train_id}: station code {codes[0]!r} is not a string")
+    n_stations = len(keys)
     try:
         dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
     except (KeyError, TypeError) as exc:
         raise StoreError(f"store train {train_id}: malformed series ({exc!r})") from None
+    bad_dates = [d for d in dates if type(d) is not str]
+    if bad_dates:
+        raise StoreError(f"store train {train_id}: date {bad_dates[0]!r} is not a string")
     if (lengths > n_stations).any():
         r = int(np.argmax(lengths > n_stations))
         raise StoreError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
@@ -220,17 +230,15 @@ def test_store(store: dict, config: RunConfig) -> dict:
     space = StateSpace(store["n_max"])
     if not store["trains"]:
         raise EmptySelectionError("store holds no trains")
-    per_station = []
-    reports = []
+    rows = []
     for tid in sorted(store["trains"]):
         delays, lengths, _ = store_series(store, tid)
         counts = build_count_tensor(delays, lengths, _stations(lengths), space)
-        for report in markov_property_test(counts, config.alpha1, config.alpha2):
-            reports.append(report)
-            per_station.append({"train": tid, **report.to_dict()})
-    if not reports:
+        rows.extend({"train": tid, **row}
+                    for row in markov_property_test(counts, config.alpha1, config.alpha2))
+    if not rows:
         raise EmptySelectionError("no testable stations in store")
-    return {"per_station": per_station, "aggregate": aggregate_reports(reports)}
+    return {"per_station": rows, "aggregate": aggregate_reports(rows)}
 
 
 def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> None:
@@ -330,9 +338,16 @@ def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
     space = StateSpace(bundle["meta"]["n_max"])
     chain = []
     for station in stations:
+        entries = matrices[str(station)]
         try:
-            chain.append(np.asarray(matrices[str(station)], dtype=float))
+            chain.append(np.asarray(entries, dtype=float))
             check_transition_matrix(chain[-1], space)
+            # asarray reads "0.5" and true as numbers; JSON entries must be numbers
+            if isinstance(entries, list) and not set(
+                    map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+                entry = next(x for x in itertools.chain.from_iterable(entries)
+                             if type(x) not in (int, float))
+                raise BundleError(f"entry {entry!r} is not a number")
         except (TypeError, ValueError) as exc:
             raise BundleError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
     return np.stack(chain)

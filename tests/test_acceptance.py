@@ -156,9 +156,10 @@ def _rejection_rates(make_spec, reps=500, m=2000, t=3):
     for rep in range(reps):
         spec = make_spec(1000 + rep)
         counts = build_count_tensor(*sampled(spec, m), t, spec.space)
-        (report,) = markov_property_test(counts)
-        h00 += report.verdict_h0_0 == "rejected"
-        h01 += report.verdict_h0_1 == "rejected"
+        (row,) = markov_property_test(counts)
+        h0_0, h0_1 = row["verdicts"]["Q"]
+        h00 += h0_0 == "rejected"
+        h01 += h0_1 == "rejected"
     return h00 / reps, h01 / reps
 
 

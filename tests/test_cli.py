@@ -656,6 +656,13 @@ def _corrupt_row_sum(bundle):
     bundle["trains"]["T001"]["matrices"]["2"][3][3] += 0.5
 
 
+def _corrupt_row_entries(value, other):
+    def corrupt(bundle):
+        row = bundle["trains"]["T001"]["matrices"]["2"][0]
+        row[:] = [value] + [other] * (len(row) - 1)  # still reads as a one-hot row
+    return corrupt
+
+
 def _corrupt_meta(bundle):
     del bundle["meta"]["n_max"]
 
@@ -684,6 +691,18 @@ def _store_delay(value):
         series["delays"][2] = value
         return f"store train T001 date {series['date']}: delay {value!r} is not an integer in [-15, 15]"
     return corrupt
+
+
+def _store_date(value):
+    def corrupt(store):
+        store["trains"]["T001"]["series"][3]["date"] = value
+        return f"store train T001: date {value!r} is not a string"
+    return corrupt
+
+
+def _store_int_station_code(store):
+    store["trains"]["T001"]["stations"][1][0] = 7
+    return "store train T001: station code 7 is not a string"
 
 
 def _store_long_series(store):
@@ -730,10 +749,12 @@ def _store_n_max(value):
 @pytest.mark.parametrize("corrupt", [
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
     _store_long_series, _store_no_n_max, _store_trains_list, _store_planned_not_iso,
-    _store_no_delays, _store_n_max(241),
+    _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
+    _store_int_station_code,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
-        "series_without_delays", "n_max_above_limit"])
+        "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
+        "int_station_code"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     bundle = workspace / "bundle.json"
@@ -754,6 +775,8 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     (_corrupt_nan, "NaN"),
     (_corrupt_negative, "negative"),
     (_corrupt_row_sum, "row 3 sums to"),
+    (_corrupt_row_entries(True, False), "entry True is not a number"),
+    (_corrupt_row_entries("1", "0"), "entry '1' is not a number"),
     (_corrupt_meta, "n_max"),
     (_bundle_n_max("15"), "no valid n_max (got '15')"),
     (_bundle_n_max(15.9), "no valid n_max (got 15.9)"),
@@ -763,8 +786,9 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     (_corrupt_no_strategy, "no strategy"),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
-    # a fault in a matrix names its train and station; any other names the file
-    matrix_fault = corrupt in (_corrupt_shape, _corrupt_nan, _corrupt_negative, _corrupt_row_sum)
+    # a fault in a matrix names its train and station; any other, whose reason
+    # names n_max or a missing table, names the file
+    matrix_fault = not reason.startswith(("n_max", "no "))
     bundle = workspace / "bundle.json"
     assert main([
         "train", "--store", str(workspace / "store.json"),

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -348,11 +349,11 @@ def dense_first_order(n3, p2, p3):
 
 
 def dense_order_test(delays, lengths, t, space, alpha1, alpha2):
-    """The report fields of station t: lr0, q0, df0, lr1, q1, df1 and both ladders."""
+    """The row fields of station t: lr0, q0, df0, lr1, q1, df1 and both ladders."""
     idx = space.index(delays[lengths >= t, max(t - 3, 0):t])
     n1, n2, n3 = (dense_tally(idx, order, space.cardinality) for order in (1, 2, 3))
     if t < 2 or not n2.any():
-        return (None,) * 6, {"LR": ("untestable", None), "Q": ("untestable", None)}
+        return (None,) * 6, {"LR": ["untestable", None], "Q": ["untestable", None]}
     p1, p2, p3 = (dense_conditional(n) for n in (n1, n2, n3))
     lr0, q0, df0 = dense_zero_order(n2, p1, p2)
     lr1 = q1 = df1 = None
@@ -388,26 +389,32 @@ class TestDenseOracle:
         delays, lengths = series(*journeys)
         stations = range(1, lengths.max(initial=0) + 3)
         counts = build_count_tensor(delays, lengths, stations, space)
-        reports = markov_property_test(counts, alpha1, alpha2)
-        assert [r.station_index for r in reports] == list(stations)
-        for t, report in zip(stations, reports):
+        rows = markov_property_test(counts, alpha1, alpha2)
+        assert [r["t"] for r in rows] == list(stations)
+        for t, row in zip(stations, rows):
             fields, ladders = dense_order_test(delays, lengths, t, space, alpha1, alpha2)
-            got = (report.lr0, report.q0, report.df0, report.lr1, report.q1, report.df1)
+            got = tuple(row[k] for k in ("lr0", "q0", "df0", "lr1", "q1", "df1"))
             assert got == fields, t  # bit-equal, not approximately
-            assert report.verdicts == ladders, t
-            # a one-station count pass gives the same report
+            assert row["verdicts"] == ladders, t
+            assert (row["alpha1"], row["alpha2"]) == (alpha1, alpha2), t
+            # the row is what order.json holds: it survives a JSON round trip
+            assert json.loads(json.dumps(row)) == row, t
+            # a one-station count pass gives the same row
             (alone,) = markov_property_test(
                 build_count_tensor(delays, lengths, t, space), alpha1, alpha2)
-            assert alone == report, t
+            assert alone == row, t
+        recount = {name: {f"reject_h0_{k}": sum(r["verdicts"][name][k] == "rejected" for r in rows)
+                          for k in (0, 1)} for name in ("LR", "Q")}
+        assert aggregate_reports(rows) == {
+            "total_stations": len(rows), "alpha1": alpha1, "alpha2": alpha2, "statistics": recount}
 
 
 class TestMarkovPropertyTest:
     def test_hand_case_not_rejected(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        (report,) = markov_property_test(c, alpha1=0.05)
+        (row,) = markov_property_test(c, alpha1=0.05)
         # q0 = 2 < 3.841 at df = 1
-        assert report.verdict_h0_0 == "not_rejected"
-        assert report.verdict_h0_1 is None
+        assert row["verdicts"]["Q"] == ["not_rejected", None]
 
     def test_first_order_chain_detected(self):
         space = StateSpace(1)
@@ -417,17 +424,17 @@ class TestMarkovPropertyTest:
             matrices=(diag, diag),
         )
         c = build_count_tensor(*sampled(spec, 10_000), 3, SPACE)
-        (report,) = markov_property_test(c)
-        assert report.verdicts["Q"] == ("rejected", "not_rejected")
-        assert report.verdicts["LR"] == ("rejected", "not_rejected")
+        (row,) = markov_property_test(c)
+        assert row["verdicts"]["Q"] == ["rejected", "not_rejected"]
+        assert row["verdicts"]["LR"] == ["rejected", "not_rejected"]
 
     def test_degenerate_support_untestable(self):
         c = build_count_tensor(*series((0, 0), (0, 0)), 2, SPACE)
-        assert markov_property_test(c)[0].verdict_h0_0 == "untestable"
+        assert markov_property_test(c)[0]["verdicts"]["Q"][0] == "untestable"
 
     def test_no_rows_untestable(self):
         c = build_count_tensor(*series(), 2, SPACE)
-        assert markov_property_test(c)[0].verdict_h0_0 == "untestable"
+        assert markov_property_test(c)[0]["verdicts"]["Q"][0] == "untestable"
 
     def test_alpha_validation(self):
         c = build_count_tensor(*series((0, 0)), 2, SPACE)
@@ -459,14 +466,15 @@ class TestMarkovPropertyTest:
 class TestReporting:
     def test_report_roundtrips_to_dict(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        d = markov_property_test(c)[0].to_dict()
-        assert d["t"] == 2 and d["df0"] == 1
-        assert d["verdicts"]["Q"][0] == "not_rejected"
+        (row,) = markov_property_test(c)
+        assert json.loads(json.dumps(row)) == row
+        assert row["t"] == 2 and row["df0"] == 1
+        assert row["verdicts"]["Q"][0] == "not_rejected"
 
     def test_aggregate_shape(self):
         counts = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        reports = markov_property_test(counts)
-        agg = aggregate_reports(reports)
+        rows = markov_property_test(counts)
+        agg = aggregate_reports(rows)
         assert agg["total_stations"] == 1
         assert agg["statistics"]["Q"] == {"reject_h0_0": 0, "reject_h0_1": 0}
         assert agg["alpha1"] == 0.05
