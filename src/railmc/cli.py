@@ -6,11 +6,11 @@ where noted), so re-running a command with the same inputs and seed produces
 byte-identical outputs. Every subcommand takes one flag per settable
 RunConfig field, built from that field's declaration.
 
-Exit codes: 0 ok, 1 internal error, 2 I/O error, a missing or malformed flag, or
-a malformed store, bundle, config file, input encoding, realization header or
-timetable row, 3 empty selection, 4 coverage gap
-(a station missing from the bundle, or a delay or store outside the model's
-state space).
+Exit codes: 0 ok, 1 internal error, 2 an OSError or InputError (a missing or
+malformed flag, or a malformed store, bundle, config file, input encoding,
+realization header or timetable row), 3 EmptySelectionError, 4 CoverageError
+(no target station, a station missing from the bundle, or a delay or store
+outside the model's state space). Each error class is defined in `core`.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import dataclasses
 import sys
 
 from . import pipeline
-from .config import ConfigError, RunConfig
-from .core import IngestError, NoTargetError, StateSpace
-from .pipeline import BundleError, CoverageError, EmptySelectionError, StoreError
+from .config import RunConfig
+from .core import CoverageError, EmptySelectionError, InputError, StateSpace
 # each cmd_* imports the modules only its command runs, so a process loads no others
 
 EXIT_OK = 0
@@ -55,9 +54,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
     for flag, value in (("--series", args.series), ("--trains", args.trains), ("--length", args.length)):
         if value < 1:
-            raise ConfigError(f"{flag} must be a positive integer, got {value}")
+            raise InputError(f"{flag} must be a positive integer, got {value}")
     if not args.dispersion > 0:  # NaN fails too
-        raise ConfigError(f"--dispersion must be a positive number, got {args.dispersion}")
+        raise InputError(f"--dispersion must be a positive number, got {args.dispersion}")
     config = _config_from(args)
     space = StateSpace(config.n_max)
     series = []
@@ -103,7 +102,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     tid, sep, station = (args.print_matrix or "").rpartition(":")
     if args.print_matrix and not (tid and sep and station.isdecimal()):
-        raise ConfigError(
+        raise InputError(
             f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
     bundle = pipeline.train_bundle(pipeline.load_store(args.store), config)
@@ -120,7 +119,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     if args.target is None and args.store is None:
-        raise ConfigError("forecast needs --target or --store to resolve the target station")
+        raise InputError("forecast needs --target or --store to resolve the target station")
     config = _config_from(args)
     bundle = pipeline.load_bundle(args.bundle)
     store = None if args.target is not None else pipeline.load_store(args.store)
@@ -137,7 +136,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline == "marginal" and not args.train_store:
-        raise ConfigError("--baseline marginal needs --train-store")
+        raise InputError("--baseline marginal needs --train-store")
     config = _config_from(args)
     store = pipeline.load_store(args.store)
     bundle = pipeline.load_bundle(args.bundle) if args.bundle else None
@@ -231,10 +230,10 @@ def main(argv: list[str] | None = None) -> int:
     except EmptySelectionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
-    except (CoverageError, NoTargetError) as exc:
+    except CoverageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COVERAGE
-    except (OSError, BundleError, ConfigError, IngestError, StoreError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -4,17 +4,18 @@ Values can come from an optional JSON config file and be overridden by CLI
 flags; flags win. Each RunConfig field is the one declaration of its setting:
 its default, the values it accepts, its help text and its flag, from which
 both the validation below and the CLI's flags are built. A malformed file
-raises ConfigError naming the file.
+or value raises InputError, naming the file when there is one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
-__all__ = ["ConfigError", "RunConfig"]
+from .core import InputError, load_json
+
+__all__ = ["RunConfig"]
 
 STRATEGIES = ("diagonal", "uniform", "gaussian_regression", "gaussian_kernel")
 POINT_METRICS = ("mean", "mode", "median")
@@ -24,10 +25,6 @@ REGRESSION_STDS = ("printed", "sqrt")
 CLIP_MODES = ("saturate", "drop")
 # the widest delay grid: k = 2 * 240 + 1 = 481 states, 1.8 MB per float64 matrix
 N_MAX_LIMIT = 240
-
-
-class ConfigError(ValueError):
-    """A config file, value or flag is malformed, or a needed flag is missing."""
 
 
 def _setting(default, help_text: str, *, choices: tuple[str, ...] = (), minimum: int = 0,
@@ -61,18 +58,18 @@ class RunConfig:
             value, meta = getattr(self, f.name), f.metadata
             if meta["choices"]:
                 if value not in meta["choices"]:
-                    raise ConfigError(
+                    raise InputError(
                         f"unknown {f.name} {value!r}; choose from {', '.join(meta['choices'])}")
             elif isinstance(f.default, int):
                 if type(value) is not int or not meta["minimum"] <= value <= meta["maximum"]:
                     kind = "positive" if meta["minimum"] == 1 else "non-negative"
                     limit = "" if meta["maximum"] == math.inf else f"; the limit is {meta['maximum']}"
-                    raise ConfigError(f"{f.name} must be a {kind} integer, got {value!r}{limit}")
+                    raise InputError(f"{f.name} must be a {kind} integer, got {value!r}{limit}")
             elif (isinstance(value, bool) or not isinstance(value, (int, float))
                   or not 0 < value < meta["below"]):
-                raise ConfigError(f"{f.name} must be a number in (0, {meta['below']}), got {value!r}")
+                raise InputError(f"{f.name} must be a number in (0, {meta['below']}), got {value!r}")
             elif meta["below"] == 1 and 1.0 - value == 1.0:  # a level; 1 - level is the test's p
-                raise ConfigError(f"{f.name} {value!r} is too small: 1 - {f.name} rounds to 1")
+                raise InputError(f"{f.name} {value!r} is too small: 1 - {f.name} rounds to 1")
 
     @classmethod
     def load(cls, path=None, **overrides) -> "RunConfig":
@@ -80,20 +77,19 @@ class RunConfig:
         values: dict = {}
         if path is not None:
             try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    file_values = json.load(fh)
-            except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
-                raise ConfigError(f"config {path} is not JSON: {exc}") from None
+                file_values = load_json(path)
+            except InputError as exc:
+                raise InputError(f"config {exc}") from None
             if not isinstance(file_values, dict):
-                raise ConfigError(f"config {path} is not a JSON object")
+                raise InputError(f"config {path} is not a JSON object")
             unknown = set(file_values) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
-                raise ConfigError(f"config {path}: unknown keys {sorted(unknown)}")
+                raise InputError(f"config {path}: unknown keys {sorted(unknown)}")
             values.update(file_values)
         values.update({k: v for k, v in overrides.items() if v is not None})
         try:
             return cls(**values)
-        except ConfigError as exc:
+        except InputError as exc:
             if path is None:
                 raise
-            raise ConfigError(f"config {path}: {exc}") from None
+            raise InputError(f"config {path}: {exc}") from None

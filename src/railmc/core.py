@@ -1,7 +1,9 @@
 """Domain types, maximum-likelihood frequency estimators and the matrix check.
 
 Every command loads this module, so it also holds what every stage reads of a
-timetable (station keys, journey templates, target selection) and the input errors.
+timetable (station keys, journey templates, target selection), the JSON reader
+`load_json`, and the three error classes, one per error exit code of the CLI:
+InputError (2), EmptySelectionError (3) and CoverageError (4).
 
 States are integer delay minutes on the bounded domain [-N, N]. Station
 indices are 1-based along a journey. Counts are integer arrays indexed by
@@ -27,27 +29,46 @@ row-stochasticity check, run where matrices enter or leave a bundle.
 from __future__ import annotations
 
 import datetime as dt
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ACTIVITY_CODES", "IngestError", "NoTargetError", "StationKey", "JourneyTemplate",
-    "select_target_station", "StateSpace", "DelaySeries", "CountTensor", "FrequencyEstimates",
-    "build_count_tensor", "estimate_frequencies", "context_totals", "check_transition_matrix",
+    "ACTIVITY_CODES", "InputError", "EmptySelectionError", "CoverageError", "load_json",
+    "StationKey", "JourneyTemplate", "select_target_station", "StateSpace", "DelaySeries",
+    "CountTensor", "FrequencyEstimates", "build_count_tensor", "estimate_frequencies",
+    "context_totals", "check_transition_matrix",
 ]
 
 ROW_SUM_TOL = 1e-9
 ACTIVITY_CODES = ("V", "D", "A", "KV", "KA")
 
 
-class NoTargetError(ValueError):
-    """No station after the current one exists to predict."""
+class InputError(ValueError):
+    """An input file, flag or setting is malformed, or a needed flag is missing:
+    a CSV, series store, bundle or config file, or a value read from one. The
+    message names the file, and the line, train or station where it knows them."""
 
 
-class IngestError(ValueError):
-    """An input CSV is not UTF-8 text, or has a bad header or row; the message
-    names the file, and the line where the reader knows it."""
+class EmptySelectionError(RuntimeError):
+    """No train, station or series matched the requested selection."""
+
+
+class CoverageError(RuntimeError):
+    """A model cannot answer the question asked of it: no station after the
+    current one exists to predict, the bundle lacks a matrix for a station on
+    the propagation path, or a delay falls outside the state space a model
+    was built on."""
+
+
+def load_json(path):
+    """Read a JSON file; one that is not UTF-8 JSON raises InputError naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
+        raise InputError(f"{path} is not JSON: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -85,15 +106,15 @@ def select_target_station(template: JourneyTemplate, current_index: int, horizon
     """First station planned at least `horizon` after the current one.
 
     Falls back to the last station when the horizon outruns the journey;
-    raises NoTargetError when the current station is already the last or
+    raises CoverageError when the current station is already the last or
     lies outside the template.
     """
     if not 1 <= current_index <= len(template):
-        raise NoTargetError(f"station index {current_index} outside template")
+        raise CoverageError(f"station index {current_index} outside template")
     if horizon <= dt.timedelta(0):
         raise ValueError("horizon must be positive")
     if current_index == len(template):
-        raise NoTargetError("current station is the final station")
+        raise CoverageError("current station is the final station")
     try:
         cutoff = template.planned[current_index - 1] + horizon
     except OverflowError:  # a cutoff past year 9999 lies past the last station

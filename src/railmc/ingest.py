@@ -1,7 +1,7 @@
 """Parsing of timetable and realization event logs into aligned delay series.
 
 Only the `ingest` command loads this CSV parser. The timetable types it builds,
-`select_target_station` and the error classes live in `core` and are imported back.
+`select_target_station` and InputError live in `core` and are imported back.
 
 Canonical CSV formats (UTF-8, comma-separated, header row):
 
@@ -14,11 +14,11 @@ the alignment key is (station_code, activity). Malformed realization rows
 are collected into a rejects report, never silently dropped, and so is every
 repeat of a (train, date, station, activity) event after its first row. A bad
 realization header, a row the csv module refuses (a field over its size
-limit), or a malformed timetable row raises IngestError naming the file and
+limit), or a malformed timetable row raises InputError naming the file and
 line; so does a timetable row that repeats its train's (station, activity)
 key, since a loop line cannot be aligned by that key, or one whose time has a
 UTC offset when its train's first time has none (or the reverse). A byte that
-is not UTF-8 raises IngestError naming the file.
+is not UTF-8 raises InputError naming the file.
 
 The realization file is read into columns, a chunk of rows at a time: each
 distinct string is stripped and checked once, and timestamps in the exact
@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ACTIVITY_CODES, IngestError, JourneyTemplate, NoTargetError, StateSpace,
-                   StationKey, select_target_station)
+from .core import (ACTIVITY_CODES, InputError, JourneyTemplate, StateSpace, StationKey,
+                   select_target_station)
 
 __all__ = [
     "ACTIVITY_CODES",
@@ -50,8 +50,7 @@ __all__ = [
     "StationKey",
     "JourneyTemplate",
     "RejectedRow",
-    "NoTargetError",
-    "IngestError",
+    "InputError",
     "parse_events",
     "load_timetable",
     "delay_minutes",
@@ -125,14 +124,14 @@ class EventColumns:
 def _checked_rows(reader, what: str) -> Iterator[list[str]]:
     """The rows of a csv.reader over an input file. A byte that is not UTF-8,
     or a row the csv module refuses (a field over its size limit, say), raises
-    IngestError naming the file, and the line for the latter."""
+    InputError naming the file, and the line for the latter."""
     try:
         yield from reader
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
-        raise IngestError(f"{what}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
+        raise InputError(f"{what}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
     except csv.Error as exc:
-        raise IngestError(f"{what} line {reader.line_num}: {exc}") from None
+        raise InputError(f"{what} line {reader.line_num}: {exc}") from None
 
 
 def _parse_timestamp(raw: str) -> dt.datetime:
@@ -231,7 +230,7 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     timestamp that does not parse, timestamps of which only one has a UTC
     offset, or a date that does not parse; rejects keep file order. A bad
     header, a byte that is not UTF-8 or a row the csv module refuses raises
-    IngestError.
+    InputError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "r", encoding="utf-8", newline="") as fh:
@@ -243,7 +242,7 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     if header is None:
         warnings.warn("empty realization file")
     elif [h.strip() for h in header] != REALIZATION_HEADER:
-        raise IngestError(f"{what} line 1: unexpected header {header!r}")
+        raise InputError(f"{what} line 1: unexpected header {header!r}")
 
     columns = [_Column(), _Column(_is_date), _Column(), _Column(ACTIVITY_CODES.__contains__)]
     parts: list[tuple[np.ndarray, ...]] = []
@@ -286,8 +285,8 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
     reader = csv.reader(stream)
     rows_read = _checked_rows(reader, f"timetable {name}")
 
-    def error(reason: str) -> IngestError:
-        return IngestError(f"timetable {name} line {reader.line_num}: {reason}")
+    def error(reason: str) -> InputError:
+        return InputError(f"timetable {name} line {reader.line_num}: {reason}")
 
     header = next(rows_read, None)
     if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
@@ -316,7 +315,7 @@ def load_timetable(stream) -> dict[str, JourneyTemplate]:
         try:
             templates[train_id] = JourneyTemplate(train_id, keys, planned)
         except ValueError as exc:
-            raise IngestError(f"timetable {name} train {train_id}: {exc}") from None
+            raise InputError(f"timetable {name} train {train_id}: {exc}") from None
     return templates
 
 

@@ -242,16 +242,17 @@ def first_order_statistics(
 
 
 def _ladder(
-    stat0: float,
-    df0: int,
+    stat0: float | None,
+    df0: int | None,
     stat1: float | None,
     df1: int | None,
     alpha1: float,
     alpha2: float,
 ) -> list[Verdict | None]:
     """The [H0(0), H0(1)] verdicts of one statistic; H0(1) is None when the
-    ladder stops at order zero. A list, as JSON reads it back."""
-    if df0 < 1:
+    ladder stops at order zero, and a station with no transition (df0 None)
+    is untestable. A list, as JSON reads it back."""
+    if df0 is None or df0 < 1:
         return ["untestable", None]
     if _below_quantile(stat0, 1.0 - alpha1, df0):
         return ["not_rejected", None]
@@ -295,13 +296,8 @@ def markov_property_test(
         # a station with no transition has no second-order cell either
         lr0, q0, df0 = zero or (None, None, None)
         lr1, q1, df1 = first or (None, None, None)
-        if zero is None:
-            verdicts = {"LR": ["untestable", None], "Q": ["untestable", None]}
-        else:
-            verdicts = {
-                "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
-                "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
-            }
+        verdicts = {"LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
+                    "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2)}
         rows.append({"t": t, "alpha1": alpha1, "alpha2": alpha2, "lr0": lr0, "q0": q0,
                      "df0": df0, "lr1": lr1, "q1": q1, "df1": df1, "verdicts": verdicts})
     return rows

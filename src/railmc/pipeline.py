@@ -9,10 +9,14 @@ plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
 `load_store` checks a store whole, and `load_bundle` a bundle's meta and
-tables, each naming the file. Code past them trusts what they return, except
-`bundle_matrices`, which checks each matrix as it reads it: its shape, that
-its entries are JSON numbers (not strings, booleans or nulls), and that it
-is a transition matrix.
+tables, each reading the file through `core.load_json` and naming it. Code past
+them trusts what they return, except `bundle_matrices`, which checks each
+matrix as it reads it: its shape, that its entries are JSON numbers (not
+strings, booleans or nulls), and that it is a transition matrix.
+
+Errors use the three classes of `core`: InputError for a malformed store or
+bundle, EmptySelectionError when nothing is left to test, train or evaluate,
+and CoverageError when a model has no answer for a train, station or delay.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .config import N_MAX_LIMIT, RunConfig
-from .core import (JourneyTemplate, NoTargetError, StateSpace, StationKey, build_count_tensor,
-                   check_transition_matrix, select_target_station)
+from .core import (CoverageError, EmptySelectionError, InputError, JourneyTemplate, StateSpace,
+                   StationKey, build_count_tensor, check_transition_matrix, load_json,
+                   select_target_station)
 from .forecast import TREND_CLASSES, make_prediction, point_delay, propagate
 # ingest, mctest, recovery and evaluate are imported by the functions that run them
 
@@ -35,10 +40,6 @@ if TYPE_CHECKING:
     from .ingest import EventColumns, RejectedRow
 
 __all__ = [
-    "BundleError",
-    "CoverageError",
-    "EmptySelectionError",
-    "StoreError",
     "build_store",
     "save_json",
     "load_json",
@@ -55,24 +56,6 @@ __all__ = [
 ]
 
 BASELINES = ("naive", "marginal")
-
-
-class CoverageError(RuntimeError):
-    """The bundle lacks a matrix for a station on the propagation path, or a
-    delay falls outside the state space a model was built on."""
-
-
-class BundleError(ValueError):
-    """A bundle file, or its metadata or matrices, is malformed."""
-
-
-class EmptySelectionError(RuntimeError):
-    """No series matched the requested selection."""
-
-
-class StoreError(ValueError):
-    """A series store is malformed. The message names the file, and the train
-    and the date where one is at fault."""
 
 
 def build_store(
@@ -128,21 +111,12 @@ def save_json(payload: dict, path) -> None:
         fh.write("\n")
 
 
-def load_json(path, error: type[ValueError] = ValueError) -> dict:
-    """Read a JSON file; one that is not UTF-8 JSON raises `error` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
-        raise error(f"{path} is not JSON: {exc}") from None
-
-
-def _n_max_of(table, error: type[ValueError], owner: str) -> int:
+def _n_max_of(table, owner: str) -> int:
     """The n_max of a store or a bundle's meta, which must be an int in
-    [1, N_MAX_LIMIT] (not a bool, a float or a string); `error` names `owner` otherwise."""
+    [1, N_MAX_LIMIT] (not a bool, a float or a string); InputError names `owner` otherwise."""
     n_max = table.get("n_max") if isinstance(table, dict) else None
     if type(n_max) is not int or not 1 <= n_max <= N_MAX_LIMIT:
-        raise error(f"{owner} has no valid n_max (got {n_max!r}); "
+        raise InputError(f"{owner} has no valid n_max (got {n_max!r}); "
                     f"it must be an integer in [1, {N_MAX_LIMIT}]")
     return n_max
 
@@ -155,51 +129,51 @@ def _series_columns(series: list) -> tuple[list, np.ndarray, list]:
 
 
 def _check_train(store: dict, train_id: str, n_max: int) -> None:
-    """Raise StoreError, naming the train and the date, for a template that
+    """Raise InputError, naming the train and the date, for a template that
     does not parse, a station code or a date that is not a string, a series
     longer than the train's stations, or a delay that is not an integer in
     [-n_max, n_max] (a float or a bool is not)."""
     try:
         keys = store_template(store, train_id).keys
     except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"store train {train_id}: malformed template ({exc})") from None
+        raise InputError(f"store train {train_id}: malformed template ({exc})") from None
     codes = [k.station_code for k in keys if type(k.station_code) is not str]
     if codes:
-        raise StoreError(f"store train {train_id}: station code {codes[0]!r} is not a string")
+        raise InputError(f"store train {train_id}: station code {codes[0]!r} is not a string")
     n_stations = len(keys)
     try:
         dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
     except (KeyError, TypeError) as exc:
-        raise StoreError(f"store train {train_id}: malformed series ({exc!r})") from None
+        raise InputError(f"store train {train_id}: malformed series ({exc!r})") from None
     bad_dates = [d for d in dates if type(d) is not str]
     if bad_dates:
-        raise StoreError(f"store train {train_id}: date {bad_dates[0]!r} is not a string")
+        raise InputError(f"store train {train_id}: date {bad_dates[0]!r} is not a string")
     if (lengths > n_stations).any():
         r = int(np.argmax(lengths > n_stations))
-        raise StoreError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
+        raise InputError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
                          f"{n_stations} stations")
     # bool is a subclass of int, so the check compares types, not isinstance
     if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
             and max(flat, default=0) <= n_max):
         i = next(i for i, d in enumerate(flat) if type(d) is not int or abs(d) > n_max)
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
-        raise StoreError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
+        raise InputError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
                          f"integer in [-{n_max}, {n_max}]")
 
 
 def load_store(path) -> dict:
     """Read a series store and check it whole: its n_max, its trains object,
     and each train's template and series (see `_check_train`). Raises
-    StoreError naming the file."""
-    store = load_json(path, StoreError)
+    InputError naming the file."""
+    store = load_json(path)
     try:
-        n_max = _n_max_of(store, StoreError, "store")
+        n_max = _n_max_of(store, "store")
         if not isinstance(store.get("trains"), dict):
-            raise StoreError("store has no trains object")
+            raise InputError("store has no trains object")
         for tid in store["trains"]:
             _check_train(store, tid, n_max)
-    except StoreError as exc:
-        raise StoreError(f"{path}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return store
 
 
@@ -304,23 +278,23 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
 def load_bundle(path) -> dict:
     """Read a matrix bundle and check its envelope: a meta object with a valid
     n_max and a strategy string, and a trains table whose every train holds a
-    matrices table. Raises BundleError naming the file. The matrices are
+    matrices table. Raises InputError naming the file. The matrices are
     checked by `bundle_matrices`, as it reads them."""
-    bundle = load_json(path, BundleError)
+    bundle = load_json(path)
     try:
         meta = bundle.get("meta") if isinstance(bundle, dict) else None
         if not isinstance(meta, dict):
-            raise BundleError("bundle has no meta object")
-        _n_max_of(meta, BundleError, "bundle meta")
+            raise InputError("bundle has no meta object")
+        _n_max_of(meta, "bundle meta")
         if not isinstance(meta.get("strategy"), str):
-            raise BundleError("bundle meta has no strategy")
+            raise InputError("bundle meta has no strategy")
         if not isinstance(bundle.get("trains"), dict):
-            raise BundleError("bundle has no trains table")
+            raise InputError("bundle has no trains table")
         for tid, entry in bundle["trains"].items():
             if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
-                raise BundleError(f"bundle train {tid} has no matrices table")
-    except BundleError as exc:
-        raise BundleError(f"{path}: {exc}") from None
+                raise InputError(f"bundle train {tid} has no matrices table")
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
     return bundle
 
 
@@ -347,9 +321,9 @@ def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
                     map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
                 entry = next(x for x in itertools.chain.from_iterable(entries)
                              if type(x) not in (int, float))
-                raise BundleError(f"entry {entry!r} is not a number")
+                raise InputError(f"entry {entry!r} is not a number")
         except (TypeError, ValueError) as exc:
-            raise BundleError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
+            raise InputError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
     return np.stack(chain)
 
 
@@ -396,9 +370,9 @@ def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace)
 def _check_target(s: int, t: int | None) -> int | None:
     """Check the current station S, and a fixed target T if one is given."""
     if s < 1:
-        raise NoTargetError(f"current station {s} is before station 1")
+        raise CoverageError(f"current station {s} is before station 1")
     if t is not None and t <= s:
-        raise NoTargetError(f"target station {t} is not after current station {s}")
+        raise CoverageError(f"target station {t} is not after current station {s}")
     return t
 
 
@@ -436,8 +410,8 @@ def evaluate_store(
     target after S, a station the bundle lacks, no training observation at T)
     skips all its series, a series too short to reach T skips itself, and an
     empty surviving batch is an error. A `from_station` below 1, or a fixed
-    target at or before it, raises NoTargetError, and a store whose delay
-    bound exceeds the model's raises CoverageError.
+    target at or before it, or a store whose delay bound exceeds the model's,
+    raises CoverageError.
     """
     from .evaluate import naive_predictor, score_batch
 
@@ -448,7 +422,7 @@ def evaluate_store(
     if baseline == "marginal" and train_store is None:
         raise ValueError("marginal baseline needs a training store")
 
-    # before the loop: the loop counts a NoTargetError as an uncovered train
+    # before the loop: the loop counts a CoverageError as an uncovered train
     _check_target(from_station, target)
     space = StateSpace(eval_store["n_max"])
     model_space = space if bundle is None else StateSpace(bundle["meta"]["n_max"])
@@ -471,7 +445,7 @@ def evaluate_store(
                 chain = naive_predictor(space)
             else:
                 chain = _marginal_chain(train_store, tid, t_target, space)
-        except (NoTargetError, CoverageError):
+        except CoverageError:
             skipped += len(lengths)
             continue
         skipped += int((~covered).sum())

@@ -83,25 +83,18 @@ def sample_delays(spec: ChainSpec, count: int) -> np.ndarray:
     return idx - spec.space.n_max
 
 
-def sample_series(
-    spec: ChainSpec, count: int, train_id: str = "synth", date_prefix: str = "d"
-) -> list[DelaySeries]:
+def sample_series(spec: ChainSpec, count: int, train_id: str = "synth") -> list[DelaySeries]:
     """`sample_delays` as dated records of one train, for `write_ingest_files`."""
     return [
-        DelaySeries(train_id=train_id, date=f"{date_prefix}{n:05d}", delays=tuple(row))
+        DelaySeries(train_id=train_id, date=f"d{n:05d}", delays=tuple(row))
         for n, row in enumerate(sample_delays(spec, count).tolist())
     ]
 
 
-def near_diagonal_spec(
-    space: StateSpace,
-    length: int,
-    dispersion: float,
-    seed: int,
-    initial: np.ndarray | None = None,
-) -> ChainSpec:
+def near_diagonal_spec(space: StateSpace, length: int, dispersion: float, seed: int) -> ChainSpec:
     """First-order chain whose rows are discretized Gaussians centered on the
-    row state, mimicking the rarity of delay jumps between adjacent stations."""
+    row state, mimicking the rarity of delay jumps between adjacent stations;
+    the first station's delay is uniform."""
     if dispersion <= 0:
         raise ValueError("dispersion must be positive")
     states = space.states().astype(float)
@@ -109,12 +102,11 @@ def near_diagonal_spec(
     with np.errstate(over="ignore"):  # a tiny dispersion sends off-diagonal terms to exp(-inf) = 0
         dens = np.exp(-0.5 * ((states[None, :] - states[:, None]) / dispersion) ** 2)
     mat = dens / dens.sum(axis=1, keepdims=True)
-    init = np.full(k, 1.0 / k) if initial is None else np.asarray(initial, dtype=float)
     return ChainSpec(
         space=space,
         length=length,
         order=1,
-        initial=init,
+        initial=np.full(k, 1.0 / k),
         seed=seed,
         matrices=tuple(mat.copy() for _ in range(length - 1)),
     )

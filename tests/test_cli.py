@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from railmc import cli
 from railmc.cli import build_parser, main
-from railmc.config import N_MAX_LIMIT, ConfigError, RunConfig
+from railmc.config import N_MAX_LIMIT, STRATEGIES, RunConfig
+from railmc.core import InputError
 from railmc.pipeline import load_bundle, load_json, load_store, save_json, train_bundle
 
 
@@ -245,6 +246,47 @@ class TestExitCodes:
         assert main([
             "test", "--store", str(store), "--out", str(tmp_path / "out.json"),
         ]) == 3
+
+    def test_train_on_empty_store_is_empty_selection(self, tmp_path, capsys):
+        store, out = tmp_path / "empty.json", tmp_path / "bundle.json"
+        save_json({"n_max": 15, "trains": {}}, store)
+        assert main(["train", "--store", str(store), "--out", str(out)]) == 3
+        assert "error: store holds no trains" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, reason", [
+        (["test"], "no testable stations in store"),
+        *((["train", "--strategy", s], "no trainable stations in store") for s in STRATEGIES),
+    ], ids=["test", *STRATEGIES])
+    def test_one_station_journeys_are_empty_selection(self, tmp_path, capsys, command, reason):
+        # a one-station journey has no transition to test or to recover
+        tt, rz, store = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"
+        assert main(["synth", "--series", "5", "--trains", "2", "--length", "1",
+                     "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert main(["ingest", "--timetable", str(tt), "--realization", str(rz),
+                     "--out", str(store)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main([command[0], "--store", str(store), "--out", str(out), *command[1:]]) == 3
+        assert f"error: {reason}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_marginal_training_store_short_of_target(self, workspace, capsys):
+        # training series that stop at station 3 have no observation at station 5
+        store, short, out = workspace / "store.json", workspace / "short.json", workspace / "s.json"
+        payload = load_json(store)
+        for entry in payload["trains"].values():
+            for series in entry["series"]:
+                series["delays"] = series["delays"][:3]
+        save_json(payload, short)
+        argv = ["evaluate", "--store", str(store), "--baseline", "marginal",
+                "--train-store", str(short), "--out", str(out)]
+        capsys.readouterr()
+        assert main([*argv, "--target", "5"]) == 3
+        assert "error: no series could be evaluated" in capsys.readouterr().err
+        assert not out.exists()
+        assert main([*argv, "--target", "3"]) == 0
+        assert load_json(out)["skipped"] == 0
 
     def test_coverage_gap(self, workspace):
         bundle = workspace / "bundle.json"
@@ -863,7 +905,7 @@ class TestConfig:
         f.name for f in dataclasses.fields(RunConfig) if f.type in ("str", str)
     ])
     def test_every_choice_field_rejects_unknown_value(self, name):
-        with pytest.raises(ConfigError, match=f"unknown {name} 'bogus'"):
+        with pytest.raises(InputError, match=f"unknown {name} 'bogus'"):
             RunConfig(**{name: "bogus"})
 
     @pytest.mark.parametrize("field", [
@@ -893,7 +935,7 @@ class TestConfig:
         assert RunConfig(n_max=N_MAX_LIMIT).n_max == 240
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n_max": N_MAX_LIMIT + 1}))
-        with pytest.raises(ConfigError, match=f"config {cfg}: n_max must be a positive integer, "
+        with pytest.raises(InputError, match=f"config {cfg}: n_max must be a positive integer, "
                                               "got 241; the limit is 240"):
             RunConfig.load(cfg)
 

@@ -402,6 +402,26 @@ class TestEvaluateStore:
             assert rows == len(d_s)
             assert sorted(d_s) == sorted(d for t, d in keys if t == tid)
 
+    def test_marginal_skips_a_train_its_training_store_does_not_reach(self, two_trains):
+        # T001's training series stop at station 3, so it has no observation at T = 5
+        t001 = two_trains["trains"]["T001"]
+        short = {**t001, "series": [{**s, "delays": s["delays"][:3]} for s in t001["series"]]}
+        train_store = {**two_trains, "trains": {**two_trains["trains"], "T001": short}}
+        report, payload = pipeline.evaluate_store(
+            two_trains, RunConfig(), baseline="marginal", train_store=train_store, target=5)
+        assert (report.eval_count, payload["skipped"]) == (20, len(t001["series"]))
+        assert {p["train"] for p in payload["predictions"]} == {"T002"}
+
+    @pytest.mark.parametrize("kwargs, reason", [
+        ({}, "provide exactly one of bundle or baseline"),
+        ({"bundle": {}, "baseline": "naive"}, "provide exactly one of bundle or baseline"),
+        ({"baseline": "persistence"}, "unknown baseline 'persistence'"),
+        ({"baseline": "marginal"}, "marginal baseline needs a training store"),
+    ], ids=["neither", "both", "unknown_baseline", "marginal_without_train_store"])
+    def test_bad_arguments_raise(self, two_trains, kwargs, reason):
+        with pytest.raises(ValueError, match=reason):
+            pipeline.evaluate_store(two_trains, RunConfig(), target=5, **kwargs)
+
     def test_uncovered_train_skips_every_series(self, tmp_path):
         tt, rz, path = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"
         assert main(["synth", "--series", "30", "--trains", "2", "--length", "5", "--seed", "2",

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from railmc import ingest
 from railmc.config import RunConfig
-from railmc.core import DelaySeries, StateSpace
+from railmc.core import CoverageError, DelaySeries, StateSpace
 from railmc.ingest import (
     ACTIVITY_CODES,
     JourneyTemplate,
-    NoTargetError,
     RejectedRow,
     StationKey,
-    IngestError,
+    InputError,
     assemble_series,
     delay_minutes,
     load_timetable,
@@ -106,7 +105,7 @@ class TestParseEvents:
         assert rejects[0].reason == "wrong field count"
 
     def test_bad_header_raises(self):
-        with pytest.raises(IngestError, match="realization <realization> line 1: unexpected header"):
+        with pytest.raises(InputError, match="realization <realization> line 1: unexpected header"):
             parse_events(io.StringIO("a,b,c\n1,2,3\n"))
 
     def test_empty_file_warns(self):
@@ -148,11 +147,11 @@ class TestLoadTimetable:
             "519,A,V,2017-11-07T12:07:00,1",
             "519,B,V,2017-11-07T12:00:00,2",
         ]
-        with pytest.raises(IngestError, match="train 519: planned times must be non-decreasing"):
+        with pytest.raises(InputError, match="train 519: planned times must be non-decreasing"):
             load_timetable(io.StringIO(TT_HEADER + "\n".join(rows) + "\n"))
 
     def test_bad_header(self):
-        with pytest.raises(IngestError, match="line 1: unexpected header"):
+        with pytest.raises(InputError, match="line 1: unexpected header"):
             load_timetable(io.StringIO("train,station\n"))
 
 
@@ -276,13 +275,13 @@ class TestTargetSelection:
 
     def test_last_station_raises(self):
         tmpl = template("A", "B")
-        with pytest.raises(NoTargetError):
+        with pytest.raises(CoverageError):
             select_target_station(tmpl, 2, dt.timedelta(minutes=20))
 
     def test_bad_inputs(self):
         tmpl = template("A", "B")
         for outside in (0, 3):  # no station to predict from, so no target
-            with pytest.raises(NoTargetError, match=f"station index {outside} outside template"):
+            with pytest.raises(CoverageError, match=f"station index {outside} outside template"):
                 select_target_station(tmpl, outside, dt.timedelta(minutes=20))
         with pytest.raises(ValueError):
             select_target_station(tmpl, 1, dt.timedelta(0))

@@ -5,11 +5,13 @@ dependencies: numpy is the only one, no module imports scipy, and all six stages
 the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
 loading any command's modules. The CLI reads every store and bundle through the loaders that check
-it; and every recovery strategy reads the one count pass, with no polynomial fit and no search for
-distinct pairs."""
+it; every recovery strategy reads the one count pass, with no polynomial fit and no search for
+distinct pairs; and the package defines one exception class per error exit code, all in core, each
+mapped to its code by cli.main."""
 
 import argparse
 import ast
+import builtins
 import dataclasses
 import importlib
 import json
@@ -222,3 +224,31 @@ def test_recover_makes_one_count_pass():
     calls = [node for node in ast.walk(recover)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_count_tensor"]
     assert len(calls) == 1
+
+
+def test_one_exception_class_per_error_exit_code():
+    classes = [(module, node) for module in MODULES for node in ast.walk(_source_tree(module))
+               if isinstance(node, ast.ClassDef)]
+    errors = {name for name, value in vars(builtins).items()
+              if isinstance(value, type) and issubclass(value, BaseException)}
+    defined = set()
+    for _ in classes:  # a class may derive from one defined after it
+        for module, node in classes:
+            if {getattr(b, "id", getattr(b, "attr", None)) for b in node.bases} & errors:
+                defined.add((module, node.name))
+                errors.add(node.name)
+    assert sorted(defined) == [("railmc.core", "CoverageError"), ("railmc.core", "EmptySelectionError"),
+                               ("railmc.core", "InputError")]
+    # cli.main maps each class, and OSError, to its exit code, each named by one handler
+    (main,) = (node for node in _source_tree("railmc.cli").body
+               if isinstance(node, ast.FunctionDef) and node.name == "main")
+    (handlers,) = (node.handlers for node in ast.walk(main) if isinstance(node, ast.Try))
+    codes = {}
+    for handler in handlers:
+        types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        (exit_code,) = (node.value.id for node in handler.body if isinstance(node, ast.Return))
+        for t in types:
+            assert t.id not in codes
+            codes[t.id] = exit_code
+    assert codes == {"EmptySelectionError": "EXIT_EMPTY", "CoverageError": "EXIT_COVERAGE",
+                     "InputError": "EXIT_IO", "OSError": "EXIT_IO", "Exception": "EXIT_INTERNAL"}
