@@ -106,14 +106,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
     bundle = pipeline.train_bundle(pipeline.load_store(args.store), config)
+    # looked up before the bundle is written, so a run that exits 4 writes nothing
+    shown = (pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
+             if args.print_matrix else [])
     pipeline.save_json(bundle, args.out)
     n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
     print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
     if args.print_matrix:
         from .recovery import format_matrix_text
 
-        (mat,) = pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
-        print(format_matrix_text(mat, StateSpace(config.n_max)))
+        print(format_matrix_text(shown[0], StateSpace(config.n_max)))
     return EXIT_OK
 
 

@@ -113,13 +113,6 @@ class EventColumns:
     def __len__(self) -> int:
         return len(self.delay)
 
-    def take(self, rows: np.ndarray) -> EventColumns:
-        """The events selected by a boolean mask or index array, in that order."""
-        return EventColumns(
-            self.trains, self.dates, self.stations, self.activities, self.train[rows],
-            self.date[rows], self.station[rows], self.activity[rows], self.delay[rows],
-        )
-
 
 def _checked_rows(reader, what: str) -> Iterator[list[str]]:
     """The rows of a csv.reader over an input file. A byte that is not UTF-8,
@@ -349,19 +342,19 @@ def assemble_series(
     keeps its first row and rejects the others as duplicates. Delays outside
     [-N, N] either saturate to the bound (counted per series) or, in
     ``clip_mode="drop"``, truncate the series before the offending station.
-    Rejects come per sorted train: off-template and duplicate events in event
-    order, then each date with no usable stations in sorted order. An event
-    of a train without a template raises ValueError.
+    Every event of a train without a template is rejected first, in event
+    order, as ``train,date``. The other rejects follow per sorted train:
+    off-template and duplicate events in event order, then each date with no
+    usable stations in sorted order.
     """
     if clip_mode not in ("saturate", "drop"):
         raise ValueError(f"unknown clip mode {clip_mode!r}")
-    # the train codes that occur, sorted; a plain np.unique would import numpy.ma
-    present = np.flatnonzero(np.bincount(events.train)).tolist()
-    for code in present:
-        if events.trains[code] not in templates:
-            raise ValueError(f"event for train {events.trains[code]} has no template")
+    known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
+    # the known train codes that occur, sorted; a plain np.unique would import numpy.ma
+    present = np.flatnonzero(np.bincount(events.train[known])).tolist()
 
-    # template position of each distinct (train, station, activity), -1 off the template
+    # template position of each distinct (train, station, activity), -1 off the
+    # template or for a train without one
     n_act = len(events.activities)
     triples, inverse = np.unique(
         (events.train.astype(np.int64) * len(events.stations) + events.station) * n_act
@@ -373,7 +366,7 @@ def assemble_series(
     positions = {code: {k: i for i, k in enumerate(templates[events.trains[code]].keys)}
                  for code in present}
     where = np.array([
-        positions[t].get(StationKey(events.stations[s], events.activities[a]), -1)
+        positions.get(t, {}).get(StationKey(events.stations[s], events.activities[a]), -1)
         for t, s, a in zip(key_train.tolist(), key_station.tolist(), key_activity.tolist())
     ], dtype=np.intp)
     pos = where[inverse]
@@ -384,7 +377,7 @@ def assemble_series(
     repeat = ~_group_starts(train[order], date[order], pos[order]) & (pos[order] >= 0)
     rejected = np.zeros(len(events), dtype=bool)
     rejected[order[repeat]] = True
-    rejected |= pos < 0
+    rejected |= (pos < 0) & known
 
     # kept events sorted by (train, date, station); a series is the run of
     # positions 0, 1, 2, .. up to its first gap, or in drop mode its first
@@ -421,7 +414,9 @@ def assemble_series(
                 {"date": events.dates[d], "delays": delays[offsets[g]:offsets[g + 1]],
                  "clipped": c})
 
-    # per train: rejected events in event order, then the empty dates in date order
+    # unknown trains' events in event order; then per train: rejected events
+    # in event order, then the empty dates in date order
+    unknown = np.flatnonzero(~known)
     rows = np.flatnonzero(rejected)
     empty = heads[lengths == 0]
     report = np.lexsort((
@@ -439,7 +434,10 @@ def assemble_series(
         RejectedRow(f"{events.trains[t]},{events.dates[d]}", "no usable stations")
         for t, d in zip(events.train[empty].tolist(), events.date[empty].tolist())
     ]
-    return trains, [rejects[i] for i in report.tolist()]
+    return trains, [
+        RejectedRow(f"{events.trains[t]},{events.dates[d]}", "train not in timetable")
+        for t, d in zip(events.train[unknown].tolist(), events.date[unknown].tolist())
+    ] + [rejects[i] for i in report.tolist()]
 
 
 def write_rejects(rejects: list[RejectedRow], path) -> None:

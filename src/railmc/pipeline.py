@@ -1,9 +1,11 @@
 """End-to-end wiring: series stores, training bundles, and batch evaluation.
 
 A *store* is the serialized form of the ingested delay series, grouped per
-train with the planned station sequence. `store_series` reads one train back
-as a zero-padded (n_series, L) delay array plus its lengths; counting,
-recovery and evaluation slice that array by station and mask it by length.
+train with the planned station sequence. `build_store` only puts the trains
+table of `ingest.assemble_series` in the store's envelope; ingest decides
+every reject. `store_series` reads one train back as a zero-padded
+(n_series, L) delay array plus its lengths; counting, recovery and
+evaluation slice that array by station and mask it by length.
 A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
@@ -63,21 +65,14 @@ def build_store(
     events: EventColumns,
     config: RunConfig,
 ) -> tuple[dict, list[RejectedRow]]:
-    """Assemble parsed events into the serializable series store.
+    """The series store of the parsed events: `ingest.assemble_series`'s trains
+    table in the store envelope, and its rejects as they are."""
+    from .ingest import assemble_series
 
-    Events of a train the timetable lacks are rejected first, in event order.
-    """
-    from .ingest import RejectedRow, assemble_series
-
-    known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
-    rejects = [
-        RejectedRow(f"{events.trains[t]},{events.dates[d]}", "train not in timetable")
-        for t, d in zip(events.train[~known].tolist(), events.date[~known].tolist())
-    ]
-    trains, train_rejects = assemble_series(
-        events.take(known), templates, StateSpace(config.n_max), clip_mode=config.clip_mode
+    trains, rejects = assemble_series(
+        events, templates, StateSpace(config.n_max), clip_mode=config.clip_mode
     )
-    return {"n_max": config.n_max, "trains": trains}, rejects + train_rejects
+    return {"n_max": config.n_max, "trains": trains}, rejects
 
 
 # json runs its C encoder only for a one-shot encode without indent; it writes

@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _SINGULAR_DET = 1e-12
+_SINGULAR_REL = 1e-12  # a singular covariance's a*d - b*c rounds to a few ulps of a*d
 _RIDGE = 1e-6
 LOG_2PI = np.log(2.0 * np.pi)
 
@@ -173,7 +174,9 @@ def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
 
     Every pair, duplicates included, enters the mean, the covariance and
     h = m^(-1/6) with m = sum(weights). A near-singular covariance (perfectly
-    correlated or identical pairs) gets an escalating ridge. With a single
+    correlated or identical pairs) gets an escalating ridge until its
+    closed-form determinant a*d - b*c reaches both 1e-12 and 1e-12 * a*d (LU
+    can round an exactly singular determinant above 1e-12). With a single
     observation the covariance is undefined and the identity is used.
     """
     points = np.asarray(points, dtype=float)
@@ -192,7 +195,8 @@ def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
         centered = points - weights @ points / m
         cov = (centered.T * weights) @ centered / (m - 1)
         ridge = _RIDGE
-        while np.linalg.det(cov) <= _SINGULAR_DET:
+        while (ad := cov[0, 0] * cov[1, 1]) - cov[0, 1] * cov[1, 0] < max(_SINGULAR_DET,
+                                                                       _SINGULAR_REL * ad):
             cov = cov + ridge * np.eye(2)
             ridge *= 10.0
 

@@ -344,9 +344,15 @@ class TestExitCodes:
         train = ["train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal"]
         assert main(train + ["--print-matrix", "T001:3"]) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[0] == "-15"
-        # the journey has 5 stations, so station 9 has no matrix
-        assert main(train + ["--print-matrix", "T001:9"]) == 4
-        assert "station 9 for train T001" in capsys.readouterr().err
+        # the journey has 5 stations, so station 9 has no matrix; a failing run
+        # writes no bundle and prints no summary
+        fresh = workspace / "fresh.json"
+        for matrix, reason in [("T001:9", "station 9 for train T001"), ("T009:3", "train T009")]:
+            assert main(["train", "--store", str(store), "--out", str(fresh),
+                         "--strategy", "diagonal", "--print-matrix", matrix]) == 4
+            out, err = capsys.readouterr()
+            assert reason in err and out == ""
+            assert not fresh.exists()
 
     @pytest.mark.parametrize("train, station, reason", [
         ("T001", "9", "station index 9 outside template"),

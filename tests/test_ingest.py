@@ -251,11 +251,32 @@ class TestAssembleSeries:
         series, _ = assemble(events, tmpl, StateSpace(15))
         assert [s.date for s in series] == ["2017-11-07", "2017-11-08", "2017-11-09"]
 
-    def test_train_mismatch_raises(self):
-        tmpl = template("A", "B")
-        events, _ = parse_events(io.StringIO(REAL_HEADER + event("A", ts(0), ts(0), train="other")))
-        with pytest.raises(ValueError):
-            assemble_series(events, {tmpl.train_id: tmpl}, StateSpace(15))
+    def test_unknown_train_rejected_first(self):
+        # "B" has no template and sorts between "A" and "C", but its rows come
+        # first, in event order (dates 08, 07, 06), ahead of both trains' rejects
+        a, c = template("X", "Y", train="A"), template("X", "Y", train="C")
+        rows = [
+            event("X", ts(0), ts(1), train="B", date="2017-11-08"),
+            event("X", ts(0), ts(2), train="A"),
+            event("Z", ts(0), ts(0), train="A"),
+            event("Y", ts(7), ts(7), train="B"),
+            event("X", ts(0), ts(0), train="C"),
+            event("X", ts(0), ts(5), train="C"),
+            event("X", ts(0), ts(0), train="B", date="2017-11-06"),
+        ]
+        events, parse_rejects = parse_events(io.StringIO(REAL_HEADER + "\n".join(rows) + "\n"))
+        assert parse_rejects == []
+        trains, rejects = assemble_series(events, {"A": a, "C": c}, StateSpace(15))
+        assert sorted(trains) == ["A", "C"]
+        assert [s["delays"] for s in trains["A"]["series"]] == [[2]]
+        assert [s["delays"] for s in trains["C"]["series"]] == [[0]]
+        assert [(r.row, r.reason) for r in rejects] == [
+            ("B,2017-11-08", "train not in timetable"),
+            ("B,2017-11-07", "train not in timetable"),
+            ("B,2017-11-06", "train not in timetable"),
+            ("A,2017-11-07,Z,V", "station not in template"),
+            ("C,2017-11-07,X,V", "duplicate event"),
+        ]
 
 
 class TestTargetSelection:

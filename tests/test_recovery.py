@@ -1,9 +1,12 @@
 import math
 import warnings
+from collections import Counter
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
@@ -11,6 +14,7 @@ from railmc.core import StateSpace, build_count_tensor
 from railmc.recovery import (
     _RIDGE,
     _SINGULAR_DET,
+    _SINGULAR_REL,
     KdeModel,
     _gaussian_rows,
     _lines,
@@ -41,7 +45,8 @@ def kde_fit_pairs(observations):
         centered = obs - obs.mean(axis=0)
         cov = centered.T @ centered / (m - 1)
         ridge = _RIDGE
-        while np.linalg.det(cov) <= _SINGULAR_DET:
+        while (cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+               < max(_SINGULAR_DET, _SINGULAR_REL * cov[0, 0] * cov[1, 1])):
             cov = cov + ridge * np.eye(2)
             ridge *= 10.0
     points, weights = np.unique(obs, axis=0, return_counts=True)
@@ -80,6 +85,59 @@ def integer_pair_sets(draw):
     n_max = draw(st.integers(1, 6))
     pair = st.tuples(st.integers(-n_max, n_max), st.integers(-n_max, n_max))
     return StateSpace(n_max), draw(st.lists(pair, min_size=1, max_size=60))
+
+
+@st.composite
+def singular_pair_sets(draw):
+    """Distinct integer pairs whose sample covariance is exactly singular, and
+    their counts: two pairs (possibly equal), or 3-5 distinct collinear pairs."""
+    coord = st.integers(-15, 15)
+    if draw(st.booleans()):
+        pairs = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=2))
+    else:
+        x0, y0 = draw(st.tuples(coord, coord))
+        dx, dy = draw(st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any))
+        steps = draw(st.lists(st.integers(-6, 6), min_size=3, max_size=5, unique=True))
+        pairs = [(x0 + k * dx, y0 + k * dy) for k in steps]
+    counts = Counter()
+    for pair, weight in zip(pairs, draw(st.lists(st.integers(1, 40), min_size=len(pairs),
+                                                  max_size=len(pairs)))):
+        counts[pair] += weight
+    return list(counts), list(counts.values())
+
+
+def exact_covariance(pairs, weights) -> tuple[Fraction, Fraction, Fraction]:
+    """The sample covariance (sxx, sxy, syy) of the weighted integer pairs, exactly."""
+    m = sum(weights)
+    mx = Fraction(sum(w * x for (x, _), w in zip(pairs, weights)), m)
+    my = Fraction(sum(w * y for (_, y), w in zip(pairs, weights)), m)
+    dev = [(x - mx, y - my, w) for (x, y), w in zip(pairs, weights)]
+    sxx = sum(w * dx * dx for dx, _, w in dev) / (m - 1)
+    sxy = sum(w * dx * dy for dx, dy, w in dev) / (m - 1)
+    syy = sum(w * dy * dy for _, dy, w in dev) / (m - 1)
+    return sxx, sxy, syy
+
+
+def kde_matrix_decimal(model: KdeModel, space: StateSpace) -> np.ndarray:
+    """`kde_matrix` of the same model (its float covariance, bandwidth, pairs
+    and counts taken exactly) evaluated with 60 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        (a, b), (c, d) = ([Decimal(float(x)) for x in row] for row in model.cov)
+        det = a * d - b * c
+        two_h2 = 2 * Decimal(float(model.bandwidth)) ** 2
+        points = [(Decimal(float(x)), Decimal(float(y)), int(w))
+                  for (x, y), w in zip(model.points, model.weights)]
+        rows = []
+        for i in space.states().tolist():
+            exponents = [[(-(d * (i - x) ** 2 - (b + c) * (i - x) * (j - y) + a * (j - y) ** 2)
+                           / det / two_h2, w) for x, y, w in points]
+                         for j in space.states().tolist()]
+            peak = max(e for cell in exponents for e, _ in cell)
+            f = [sum(w * (e - peak).exp() for e, w in cell) for cell in exponents]
+            total = sum(f)
+            rows.append([float(v / total) for v in f])
+    return np.array(rows)
 
 
 class TestEmpiricalMatrix:
@@ -387,8 +445,37 @@ class TestKdeFit:
         with pytest.raises(ValueError):
             kde_fit(np.zeros((4, 2)), np.ones(3, dtype=int))
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(singular_pair_sets())
+    @example(([(1, -10), (11, 5)], [1, 1]))  # LU rounds its zero determinant to 1.07e-12
+    @example(([(2, 3)], [5]))                 # all pairs identical
+    def test_ridge_applies_to_every_singular_covariance(self, drawn):
+        pairs, weights = drawn
+        sxx, sxy, syy = exact_covariance(pairs, weights)
+        assert sxx * syy - sxy * sxy == 0
+        model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
+        assert (np.diag(model.cov) - [float(sxx), float(syy)] >= _RIDGE * (1 - 1e-6)).all()
+        assert model.cov[0, 1] == pytest.approx(float(sxy), rel=1e-12, abs=1e-12)
+        # a ridge r >= 1e-6 bounds the inverse by about 1 / r
+        assert np.abs(model.cov_inv).max() <= 1.01 / _RIDGE
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(integer_pair_sets())
+    def test_ridge_applies_only_to_singular_covariances(self, drawn):
+        _space, pairs = drawn
+        counts = Counter(pairs)
+        assume(len(pairs) > 1)  # one observation takes the identity
+        sxx, sxy, syy = exact_covariance(list(counts), list(counts.values()))
+        model = kde_fit(np.array(list(counts), dtype=float), np.array(list(counts.values())))
+        ridge = np.diag(model.cov) - [float(sxx), float(syy)]
+        if sxx * syy - sxy * sxy == 0:
+            assert (ridge >= _RIDGE * (1 - 1e-6)).all()
+        else:
+            np.testing.assert_allclose(ridge, 0.0, atol=1e-12 * float(max(sxx, syy)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(integer_pair_sets())
+    @example((StateSpace(11), [(1, -10), (11, 5)]))             # LU misses the singularity
     @example((StateSpace(3), [(2, -1)]))                        # m = 1
     @example((StateSpace(3), [(1, 1)] * 7))                     # all pairs identical
     @example((StateSpace(3), [(i, i) for i in range(-3, 4)]))   # perfectly correlated
@@ -464,6 +551,34 @@ class TestKdeMatrix:
         np.testing.assert_allclose(kde_matrix(model, space), naive, rtol=0, atol=1e-12)
 
 
+class TestKdeDecimalOracle:
+    """Ridged stations' KDE matrices against a 60-digit evaluation of the
+    same model.
+
+    Bound: eps * cond(cov). A ridged covariance is nearly singular. Rounding
+    in `np.linalg.inv` and in the exponent sums acts like a relative error of
+    about eps * cond(cov) in its smallest eigenvalue, so every kernel
+    exponent across the line of the pairs moves by that relative amount. The
+    cells that carry a row's mass have exponents within O(1) of each other,
+    so their probabilities move by about eps * cond(cov) too. The stations
+    below stay within 0.12 of the bound.
+    """
+
+    @pytest.mark.parametrize("pairs, weights, n_max", [
+        # unridged, row d(t-1) = 4 put [0.562, 0.438] on d(t) = -6, -5; 60 digits give ~[0.5, 0.5]
+        ([[1, -10], [11, 5]], [1, 1], 15),
+        ([[-4, -3], [0, -1], [8, 3]], [1, 2, 3], 10),
+        ([[-6, 9], [-4, 6], [-2, 3], [0, 0], [2, -3]], [3, 1, 4, 1, 5], 15),
+    ], ids=["two_pairs", "three_collinear", "five_collinear"])
+    def test_ridged_station_matches_60_digits(self, pairs, weights, n_max):
+        model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
+        space = StateSpace(n_max)
+        want = kde_matrix_decimal(model, space)
+        bound = np.finfo(float).eps * np.linalg.cond(model.cov)
+        assert 1e6 < np.linalg.cond(model.cov) < 1e9  # ridged, so the bound is meaningful
+        np.testing.assert_allclose(kde_matrix(model, space), want, rtol=0, atol=bound)
+
+
 class TestRowLogSumExp:
     """Each kde_matrix row, its max-shifted exponential over its sum, is
     exp(logf - logsumexp(logf)) up to rounding.
@@ -488,7 +603,7 @@ class TestRowLogSumExp:
         assert ((logf == logf.max(axis=1, keepdims=True)).sum(axis=1) > 1).all()
 
     def test_tails_that_underflow_exp(self):
-        # one pair seen 5 times gets a ridged covariance of 1.1e-5 I, so each
+        # one pair seen 5 times gets a ridged covariance of 1e-6 I, so each
         # row keeps its mass next to the pair and the rest underflows to zero
         logf = self.assert_matches_scipy(kde_fit([[1.0, -1.0]], [5]), StateSpace(15))
         assert (np.exp(logf - logf.max(axis=1, keepdims=True)) == 0.0).any()

@@ -6,8 +6,8 @@ the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Ea
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
 loading any command's modules. The CLI reads every store and bundle through the loaders that check
 it; every recovery strategy reads the one count pass, with no polynomial fit and no search for
-distinct pairs; and the package defines one exception class per error exit code, all in core, each
-mapped to its code by cli.main."""
+distinct pairs; the package defines one exception class per error exit code, all in core, each
+mapped to its code by cli.main; and ingest alone decides every reject."""
 
 import argparse
 import ast
@@ -252,3 +252,18 @@ def test_one_exception_class_per_error_exit_code():
             codes[t.id] = exit_code
     assert codes == {"EmptySelectionError": "EXIT_EMPTY", "CoverageError": "EXIT_COVERAGE",
                      "InputError": "EXIT_IO", "OSError": "EXIT_IO", "Exception": "EXIT_INTERNAL"}
+
+
+def test_only_ingest_decides_rejects():
+    # no other module builds a rejects row or names a reason for one
+    from railmc.ingest import REJECT_REASONS
+
+    found = []
+    for module in MODULES:
+        for node in ast.walk(_source_tree(module)):
+            if isinstance(node, ast.Call) and "RejectedRow" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((module, "RejectedRow", node.lineno))
+            elif isinstance(node, ast.Constant) and node.value in REJECT_REASONS:
+                found.append((module, node.value, node.lineno))
+    assert found and {module for module, _, _ in found} == {"railmc.ingest"}, found
