@@ -11,6 +11,13 @@ malformed flag, or a malformed store, bundle, config file, input encoding,
 realization header or timetable row), 3 EmptySelectionError, 4 CoverageError
 (no target station, a station missing from the bundle, or a delay or store
 outside the model's state space). Each error class is defined in `core`.
+
+`main(argv)` parses with only the invoked subcommand's flags built and returns
+the exit code; library callers and tests call it. The process entry `run()`,
+used by `python -m railmc.cli` and the `railmc` script, calls `main()`,
+flushes stdout and stderr and ends with `os._exit`, skipping interpreter
+teardown, so no `atexit` handler runs. A failed final flush (a full disk, a
+closed pipe) turns exit 0 into 2.
 """
 
 from __future__ import annotations
@@ -19,7 +26,9 @@ import argparse
 import collections
 import csv
 import dataclasses
+import os
 import sys
+from typing import NoReturn
 
 from . import pipeline
 from .config import RunConfig
@@ -158,47 +167,35 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="railmc",
-        description="Non-homogeneous Markov chain delay models: order testing, "
-                    "matrix recovery, forecasting, and scoring.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate synthetic timetable/realization CSVs")
+def _synth_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--series", type=int, default=200, help="series per train")
     p.add_argument("--trains", type=int, default=1)
     p.add_argument("--length", type=int, default=5, help="stations per journey")
     p.add_argument("--dispersion", type=float, default=1.5)
     p.add_argument("--out-timetable", required=True)
     p.add_argument("--out-realization", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="parse CSVs into a series store")
+
+def _ingest_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timetable", required=True)
     p.add_argument("--realization", required=True)
     p.add_argument("--out", required=True, help="series store JSON path")
     p.add_argument("--rejects", help="rejects report CSV path")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("test", help="run the Markov property test over a store")
+
+def _test_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="test report JSON path")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("train", help="recover transition matrices into a bundle")
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True, help="matrix bundle JSON path")
     p.add_argument("--print-matrix", metavar="TRAIN:T",
                    help="print one recovered matrix as a text grid")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("forecast", help="predict one train's delay at a future station")
+
+def _forecast_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bundle", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--date", default="")
@@ -207,10 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, help="target station index T")
     p.add_argument("--store", help="store for horizon-based target resolution")
     p.add_argument("--out", help="prediction record JSON path")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_forecast)
 
-    p = sub.add_parser("evaluate", help="score predictions over a store")
+
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", required=True, help="evaluation store JSON")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--bundle", help="trained matrix bundle JSON")
@@ -219,14 +215,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-station", type=int, default=1)
     p.add_argument("--target", type=int, help="fixed target station (else horizon-based)")
     p.add_argument("--out", required=True, help="score report JSON path (CSV mirror alongside)")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_evaluate)
 
+
+# each subcommand: its help line, the function adding its own flags, and its handler
+COMMANDS = {
+    "synth": ("generate synthetic timetable/realization CSVs", _synth_flags, cmd_synth),
+    "ingest": ("parse CSVs into a series store", _ingest_flags, cmd_ingest),
+    "test": ("run the Markov property test over a store", _test_flags, cmd_test),
+    "train": ("recover transition matrices into a bundle", _train_flags, cmd_train),
+    "forecast": ("predict one train's delay at a future station", _forecast_flags, cmd_forecast),
+    "evaluate": ("score predictions over a store", _evaluate_flags, cmd_evaluate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser listing every subcommand; only `command` gets its flags and handler.
+
+    A process runs one command, so the others' flags would be built for nothing.
+    """
+    parser = argparse.ArgumentParser(
+        prog="railmc",
+        description="Non-homogeneous Markov chain delay models: order testing, "
+                    "matrix recovery, forecasting, and scoring.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_flags(p)
+            _add_config_flags(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the top-level parser takes no value, so the first command name is the command
+    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
     try:
         return args.func(args)
     except EmptySelectionError as exc:
@@ -243,5 +268,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INTERNAL
 
 
+def run() -> NoReturn:
+    """The process entry: `main()`, then flush and `os._exit`, skipping interpreter teardown.
+
+    A `SystemExit` (argparse's --help and usage errors) maps to its code as in
+    CPython. Every file is closed by its `with` block by now.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
+        if code is None:
+            code = EXIT_OK
+        elif not isinstance(code, int):
+            print(code, file=sys.stderr)
+            code = EXIT_INTERNAL
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None:  # None when the process started with the descriptor closed
+                stream.flush()
+        except OSError:  # a full disk or a closed pipe
+            code = code or EXIT_IO
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

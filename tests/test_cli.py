@@ -3,6 +3,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +14,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import railmc
 from railmc import cli
-from railmc.cli import build_parser, main
+from railmc.cli import COMMANDS, build_parser, main
 from railmc.config import N_MAX_LIMIT, STRATEGIES, RunConfig
 from railmc.core import InputError
 from railmc.pipeline import load_bundle, load_json, load_store, save_json, train_bundle
@@ -879,6 +884,70 @@ def test_bundle_with_jitter_meta_still_loads(workspace):
     for suffix in (".pred.json", ".scores.json"):
         assert (workspace / f"bundle.json{suffix}").read_bytes() == (workspace / f"old_bundle.json{suffix}").read_bytes()
 
+# one `python -m railmc.cli` process per argv, in waves: a wave reads what the
+# waves before it wrote, and its processes run at once; each argv's exit code
+PROCESS_WAVES = [
+    [(["synth", "--series", "20", "--length", "4", "--seed", "5",
+       "--out-timetable", "tt.csv", "--out-realization", "rz.csv"], 0),
+     (["train", "--store", "store.json"], 2)],  # a usage error: --out is required
+    [(["ingest", "--timetable", "tt.csv", "--realization", "rz.csv", "--out", "store.json",
+       "--rejects", "rejects.csv"], 0)],
+    [(["test", "--store", "store.json", "--out", "order.json"], 0),
+     (["train", "--store", "store.json", "--out", "bundle.json", "--print-matrix", "T001:2"], 0)],
+    [(["evaluate", "--store", "store.json", "--bundle", "bundle.json", "--out", "scores.json"], 0),
+     (["forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "1", "--delay", "0",
+       "--store", "store.json", "--out", "pred.json"], 0),
+     (["forecast", "--bundle", "bundle.json", "--train", "T001", "--station", "0", "--delay", "0",
+       "--target", "3"], 4)],  # a CoverageError: station 0 is before station 1
+]
+
+
+def _cli_env() -> dict:
+    # stdout block-buffered, as it is by default, so only the final flush writes it out
+    src = Path(railmc.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+class TestProcesses:
+    def test_processes_match_in_process_runs(self, tmp_path, monkeypatch, capsys):
+        # the process entry flushes and ends with os._exit; main() returns the same code
+        procs, local = tmp_path / "procs", tmp_path / "local"
+        procs.mkdir()
+        local.mkdir()
+        monkeypatch.chdir(local)
+        for wave in PROCESS_WAVES:
+            running = [subprocess.Popen([sys.executable, "-m", "railmc.cli", *argv], cwd=procs,
+                                        env=_cli_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                        text=True)
+                       for argv, _ in wave]
+            for (argv, code), proc in zip(wave, running):
+                out, err = proc.communicate(timeout=120)
+                try:
+                    local_code = main(argv)
+                except SystemExit as exc:  # argparse's usage error
+                    local_code = exc.code
+                assert (proc.returncode, out, err) == (local_code, *capsys.readouterr()), argv
+                assert proc.returncode == code, err
+        files = sorted(p.name for p in procs.iterdir())
+        assert files == sorted(p.name for p in local.iterdir())
+        assert {"scores.json.csv", "pred.json", "rejects.csv"} <= set(files)
+        for name in files:
+            assert (procs / name).read_bytes() == (local / name).read_bytes(), name
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_stdout_on_a_full_device_exits_2(self, tmp_path):
+        # the summary line fails at the final flush
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "railmc.cli", "synth", "--series", "2", "--length", "3",
+                 "--out-timetable", "tt.csv", "--out-realization", "rz.csv"],
+                cwd=tmp_path, env=_cli_env(), stdout=full,
+                stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert (tmp_path / "rz.csv").stat().st_size > 0
+
+
 # the required flags of each subcommand; no file is read
 SUBCOMMAND_ARGV = {
     "synth": ["--out-timetable", "tt.csv", "--out-realization", "rz.csv"],
@@ -888,6 +957,26 @@ SUBCOMMAND_ARGV = {
     "forecast": ["--bundle", "bundle.json", "--train", "T001", "--station", "1", "--delay", "0"],
     "evaluate": ["--store", "store.json", "--baseline", "naive", "--out", "scores.json"],
 }
+
+# every config flag, and --config and --help, on each subcommand
+COMMON_OPTIONS = {"-h", "--help", "--config", "--n-max", "--alpha1", "--alpha2", "--horizon",
+                  "--trend-metric", "--jump-metric", "--minutes-metric", "--strategy", "--rwmse-form",
+                  "--clip-mode", "--seed"}
+OWN_OPTIONS = {
+    "synth": {"--series", "--trains", "--length", "--dispersion", "--out-timetable", "--out-realization"},
+    "ingest": {"--timetable", "--realization", "--out", "--rejects"},
+    "test": {"--store", "--out"},
+    "train": {"--store", "--out", "--print-matrix"},
+    "forecast": {"--bundle", "--train", "--date", "--station", "--delay", "--target", "--store", "--out"},
+    "evaluate": {"--store", "--bundle", "--baseline", "--train-store", "--from-station", "--target",
+                 "--out"},
+}
+
+
+def _subparsers(parser) -> dict:
+    (action,) = (a for a in parser._actions if a.choices and a.dest == "command")
+    return action.choices
+
 
 
 class TestConfig:
@@ -923,8 +1012,30 @@ class TestConfig:
         value = next(c for c in choices if c != field.default) if choices else (
             field.default + 1 if isinstance(field.default, int) else field.default / 2)
         flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
-        args = build_parser().parse_args([command, *SUBCOMMAND_ARGV[command], flag, str(value)])
+        args = build_parser(command).parse_args([command, *SUBCOMMAND_ARGV[command], flag, str(value)])
         assert getattr(cli._config_from(args), field.name) == value != field.default
+
+    @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
+    def test_each_command_parser_has_its_own_options(self, command):
+        # the option strings each subcommand accepted when every parser held every flag
+        parsers = _subparsers(build_parser(command))
+        assert list(parsers) == list(SUBCOMMAND_ARGV)
+        assert set(parsers[command]._option_string_actions) == COMMON_OPTIONS | OWN_OPTIONS[command]
+        # the other subcommands are listed, with no flags built
+        assert {name: set(p._option_string_actions) for name, p in parsers.items() if name != command} == {
+            name: {"-h", "--help"} for name in SUBCOMMAND_ARGV if name != command}
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        listed = {tuple(line.split(None, 1)) for line in out.splitlines()}
+        assert {(name, help_text) for name, (help_text, _, _) in COMMANDS.items()} <= listed
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus", "--store", "store.json"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
     def test_n_max_above_limit_exits_2(self, tmp_path, monkeypatch, capsys, command):

@@ -7,7 +7,9 @@ fresh process, loads exactly the railmc modules its command runs, and every --he
 loading any command's modules. The CLI reads every store and bundle through the loaders that check
 it; every recovery strategy reads the one count pass, with no polynomial fit and no search for
 distinct pairs; the package defines one exception class per error exit code, all in core, each
-mapped to its code by cli.main; and ingest alone decides every reject."""
+mapped to its code by cli.main; and ingest alone decides every reject. The console script is
+cli.run, the one function that ends the process with os._exit, and every file the package opens
+is a with item, so that hard exit loses no data."""
 
 import argparse
 import ast
@@ -66,23 +68,30 @@ def _readme_flags() -> set[str]:
     return set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
 
 
-def test_readme_flags_exist():
-    from railmc.cli import build_parser
+def _command_parsers() -> list[argparse.ArgumentParser]:
+    """Each subcommand's parser, built with its flags as the process running it builds it."""
+    from railmc.cli import COMMANDS, build_parser
 
-    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    accepted = {opt for p in subparsers.choices.values() for opt in p._option_string_actions}
+    parsers = []
+    for command in COMMANDS:
+        (subparsers,) = (a for a in build_parser(command)._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        parsers.append(subparsers.choices[command])
+    return parsers
+
+
+def test_readme_flags_exist():
+    accepted = {opt for p in _command_parsers() for opt in p._option_string_actions}
     flags = _readme_flags()
     assert flags, "no --flag found in README.md"
     assert sorted(flags - accepted) == []
 
 
 def test_readme_names_every_config_flag():
-    from railmc.cli import build_parser
     from railmc.config import RunConfig
 
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    (subparsers,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    built = {opt for p in subparsers.choices.values() for a in p._actions
+    built = {opt for p in _command_parsers() for a in p._actions
              if a.dest in fields for opt in a.option_strings}
     text = README.read_text(encoding="utf-8")
     paragraph = text[text.index("Common flags"):].split("\n\n", 1)[0]
@@ -191,6 +200,40 @@ def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert [re.match(r"[A-Za-z0-9_.-]+", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_console_script_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((README.parent / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert project["scripts"] == {"railmc": "railmc.cli:run"}
+
+
+def test_every_open_is_a_with_item():
+    # cli.run ends the process with os._exit, which flushes and closes no file
+    # object, so each file must be closed by its with block before main returns
+    opens, managed = [], set()
+    for module in MODULES:
+        for node in ast.walk(_source_tree(module)):
+            if isinstance(node, ast.Call) and "open" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                opens.append((module, node.lineno, node))
+            elif isinstance(node, (ast.With, ast.AsyncWith)):
+                managed |= {id(item.context_expr) for item in node.items}
+    assert opens
+    assert [(module, line) for module, line, node in opens if id(node) not in managed] == []
+
+
+def test_only_the_process_entry_calls_os_exit():
+    def exits(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "_exit"
+                or isinstance(node, ast.alias) and node.name == "_exit"]
+
+    found = {module: lines for module in MODULES if (lines := exits(_source_tree(module)))}
+    (run,) = (node for node in _source_tree("railmc.cli").body
+              if isinstance(node, ast.FunctionDef) and node.name == "run")
+    assert len(exits(run)) == 1
+    assert found == {"railmc.cli": exits(run)}
 
 
 def test_cli_reads_artifacts_only_through_the_loaders():
