@@ -1,20 +1,21 @@
 """End-to-end wiring: series stores, training bundles, and batch evaluation.
 
-A *store* is the serialized form of the ingested delay series, grouped per
-train with the planned station sequence. `build_store` only puts the trains
-table of `ingest.assemble_series` in the store's envelope; ingest decides
-every reject. `store_series` reads one train back as a zero-padded
-(n_series, L) delay array plus its lengths; counting, recovery and
-evaluation slice that array by station and mask it by length.
+A *store* holds the ingested delay series per train with its planned station
+sequence; `build_store` only puts the trains table of `ingest.assemble_series`
+in the store's envelope, as ingest decides every reject. A store is parsed
+once, where it is read: `parse_store` checks a store document whole and
+turns each train into its journey template and a zero-padded (n_series, L)
+int64 delay array with its lengths and dates, which the stages slice by
+station and mask by length; `store_series` and `store_template` look them up.
 A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
-`load_store` checks a store whole, and `load_bundle` a bundle's meta and
-tables, each reading the file through `core.load_json` and naming it. Code past
-them trusts what they return, except `bundle_matrices`, which checks each
-matrix as it reads it: its shape, that its entries are JSON numbers (not
-strings, booleans or nulls), and that it is a transition matrix.
+`load_store` and `load_bundle` (which checks a bundle's meta and tables) read
+the file through `core.load_json` and name it. Code past them trusts what they
+return, except `bundle_matrices`, which checks each matrix as it reads it: its
+shape, that its entries are JSON numbers (not strings, booleans or nulls), and
+that it is a transition matrix.
 
 Errors use the three classes of `core`: InputError for a malformed store or
 bundle, EmptySelectionError when nothing is left to test, train or evaluate,
@@ -26,6 +27,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import json
+from collections import Counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,19 +44,9 @@ if TYPE_CHECKING:
     from .ingest import EventColumns, RejectedRow
 
 __all__ = [
-    "build_store",
-    "save_json",
-    "load_json",
-    "load_store",
-    "load_bundle",
-    "store_series",
-    "store_template",
-    "test_store",
-    "train_bundle",
-    "bundle_matrices",
-    "resolve_target",
-    "forecast_from_bundle",
-    "evaluate_store",
+    "build_store", "save_json", "load_json", "parse_store", "load_store", "load_bundle",
+    "store_series", "store_template", "test_store", "train_bundle", "bundle_matrices",
+    "resolve_target", "forecast_from_bundle", "evaluate_store",
 ]
 
 BASELINES = ("naive", "marginal")
@@ -116,37 +108,43 @@ def _n_max_of(table, owner: str) -> int:
     return n_max
 
 
-def _series_columns(series: list) -> tuple[list, np.ndarray, list]:
-    """A train's series as their dates, their lengths and all their delays in one list."""
-    dates = [s["date"] for s in series]
-    lengths = np.array([len(s["delays"]) for s in series], dtype=np.int64)
-    return dates, lengths, list(itertools.chain.from_iterable(s["delays"] for s in series))
-
-
-def _check_train(store: dict, train_id: str, n_max: int) -> None:
-    """Raise InputError, naming the train and the date, for a template that
-    does not parse, a station code or a date that is not a string, a series
-    longer than the train's stations, or a delay that is not an integer in
-    [-n_max, n_max] (a float or a bool is not)."""
+def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, tuple]:
+    """One store train's template and `store_series` arrays. InputError names the
+    train and the date for a template that does not parse (`stations` not a list
+    of [code, activity] lists, say), a station code or date that is not a string,
+    a station visited twice, a series longer than the train's stations, or a
+    delay that is not an integer in [-n_max, n_max] (a float or a bool is not)."""
     try:
-        keys = store_template(store, train_id).keys
+        stations = entry["stations"]
+        if type(stations) is not list or any(type(s) is not list or len(s) != 2 for s in stations):
+            raise ValueError("stations is not a list of [code, activity] lists")
+        template = JourneyTemplate(
+            train_id=train_id,
+            keys=tuple(StationKey(c, a) for c, a in stations),
+            planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"store train {train_id}: malformed template ({exc})") from None
-    codes = [k.station_code for k in keys if type(k.station_code) is not str]
+    codes = [k.station_code for k in template.keys if type(k.station_code) is not str]
     if codes:
         raise InputError(f"store train {train_id}: station code {codes[0]!r} is not a string")
-    n_stations = len(keys)
+    loops = [k for k, n in Counter(template.keys).items() if n > 1]
+    if loops:
+        raise InputError(f"store train {train_id} visits {loops[0].station_code}/{loops[0].activity} "
+                         "twice; loop lines are not supported")
     try:
-        dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
+        dates = [s["date"] for s in entry["series"]]
+        lengths = np.array([len(s["delays"]) for s in entry["series"]], dtype=np.int64)
+        flat = list(itertools.chain.from_iterable(s["delays"] for s in entry["series"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"store train {train_id}: malformed series ({exc!r})") from None
     bad_dates = [d for d in dates if type(d) is not str]
     if bad_dates:
         raise InputError(f"store train {train_id}: date {bad_dates[0]!r} is not a string")
-    if (lengths > n_stations).any():
-        r = int(np.argmax(lengths > n_stations))
-        raise InputError(f"store train {train_id} date {dates[r]}: {lengths[r]} delays for "
-                         f"{n_stations} stations")
+    long = np.flatnonzero(lengths > len(template))
+    if long.size:
+        raise InputError(f"store train {train_id} date {dates[long[0]]}: {lengths[long[0]]} delays "
+                         f"for {len(template)} stations")
     # bool is a subclass of int, so the check compares types, not isinstance
     if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
             and max(flat, default=0) <= n_max):
@@ -154,42 +152,42 @@ def _check_train(store: dict, train_id: str, n_max: int) -> None:
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
         raise InputError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
                          f"integer in [-{n_max}, {n_max}]")
+    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
+    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
+    delays.flags.writeable = lengths.flags.writeable = False  # every stage shares them
+    return template, (delays, lengths, dates)
 
 
-def load_store(path) -> dict:
-    """Read a series store and check it whole: its n_max, its trains object,
-    and each train's template and series (see `_check_train`). Raises
-    InputError naming the file."""
-    store = load_json(path)
-    try:
-        n_max = _n_max_of(store, "store")
-        if not isinstance(store.get("trains"), dict):
-            raise InputError("store has no trains object")
-        for tid in store["trains"]:
-            _check_train(store, tid, n_max)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
+def parse_store(document) -> dict:
+    """Check a store document whole (its n_max, trains object and each train) and
+    parse it: each train's `store_series` arrays under "trains", its template under "templates"."""
+    n_max = _n_max_of(document, "store")
+    if not isinstance(document.get("trains"), dict):
+        raise InputError("store has no trains object")
+    store = {"n_max": n_max, "trains": {}, "templates": {}}
+    for tid, entry in document["trains"].items():
+        store["templates"][tid], store["trains"][tid] = _parse_train(tid, entry, n_max)
     return store
 
 
+def load_store(path) -> dict:
+    """`parse_store` of the store file at `path`; its InputError names the file."""
+    document = load_json(path)
+    try:
+        return parse_store(document)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """One train's series: the (n_series, L) int64 delay array, zero past each
-    row's length, the lengths, and the dates."""
-    dates, lengths, flat = _series_columns(store["trains"][train_id]["series"])
-    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
-    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
-    return delays, lengths, dates
+    """One train's (n_series, L) int64 delay array, zero past each row's length, lengths and dates."""
+    return store["trains"][train_id]
 
 
 def store_template(store: dict, train_id: str) -> JourneyTemplate:
-    if train_id not in store["trains"]:
+    if train_id not in store["templates"]:
         raise CoverageError(f"store has no train {train_id}")
-    entry = store["trains"][train_id]
-    return JourneyTemplate(
-        train_id=train_id,
-        keys=tuple(StationKey(c, a) for c, a in entry["stations"]),
-        planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
-    )
+    return store["templates"][train_id]
 
 
 def test_store(store: dict, config: RunConfig) -> dict:

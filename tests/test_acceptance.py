@@ -25,7 +25,7 @@ from railmc.mctest import (
     markov_property_test,
     zero_order_statistics,
 )
-from railmc.pipeline import evaluate_store, train_bundle
+from railmc.pipeline import evaluate_store, parse_store, train_bundle
 from railmc.recovery import kde_recover
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays
 
@@ -196,18 +196,19 @@ def test_kde_recovery_convergence():
 
 
 def _store_from(delays, n_max=15):
-    return {
+    return parse_store({
         "n_max": n_max,
         "trains": {
             "T001": {
                 "stations": [[f"S{t:02d}", "V"] for t in range(1, delays.shape[1] + 1)],
+                "planned": [f"2024-01-01T08:{t:02d}:00" for t in range(delays.shape[1])],
                 "series": [
                     {"date": f"d{n:05d}", "delays": row, "clipped": 0}
                     for n, row in enumerate(delays.tolist())
                 ],
             }
         },
-    }
+    })
 
 
 @criterion("Gaussian-kernel recovery outscores every fill strategy on sparse data")

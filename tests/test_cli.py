@@ -1,11 +1,13 @@
 import contextlib
 import csv
 import dataclasses
+import datetime as dt
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +17,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import railmc
-from railmc import cli
+from railmc import cli, pipeline
 from railmc.cli import COMMANDS, build_parser, main
 from railmc.config import N_MAX_LIMIT, STRATEGIES, RunConfig
 from railmc.core import InputError
-from railmc.pipeline import load_bundle, load_json, load_store, save_json, train_bundle
+from railmc.pipeline import (load_bundle, load_json, load_store, parse_store, save_json,
+                             store_series, store_template, train_bundle)
 
 
 @pytest.fixture
@@ -225,7 +228,7 @@ class TestArtifactWriter:
         assert (tmp_path / "out.json").read_text() == want
 
     def test_bundle_matrices_come_back_bit_equal(self, workspace):
-        bundle = train_bundle(load_json(workspace / "store.json"), RunConfig())
+        bundle = train_bundle(parse_store(load_json(workspace / "store.json")), RunConfig())
         save_json(bundle, workspace / "bundle.json")
         loaded = load_json(workspace / "bundle.json")
         assert loaded["meta"] == bundle["meta"]
@@ -758,6 +761,18 @@ def _store_int_station_code(store):
     return "store train T001: station code 7 is not a string"
 
 
+def _store_stations(value):
+    def corrupt(store):
+        store["trains"]["T001"]["stations"] = value
+        return "store train T001: malformed template (stations is not a list of [code, activity] lists)"
+    return corrupt
+
+
+def _store_loop_line(store):
+    store["trains"]["T001"]["stations"][1] = ["S01", "V"]
+    return "store train T001 visits S01/V twice; loop lines are not supported"
+
+
 def _store_long_series(store):
     series = store["trains"]["T001"]["series"][3]
     series["delays"] = [0] * 9
@@ -803,11 +818,12 @@ def _store_n_max(value):
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
     _store_long_series, _store_no_n_max, _store_trains_list, _store_planned_not_iso,
     _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
-    _store_int_station_code,
+    _store_int_station_code, _store_stations(["AV", "BV", "CV", "DV", "EV"]),
+    _store_stations({"AV": 0, "BV": 1, "CV": 2, "DV": 3, "EV": 4}), _store_loop_line,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
         "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
-        "int_station_code"])
+        "int_station_code", "stations_of_strings", "stations_object", "loop_line"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     bundle = workspace / "bundle.json"
@@ -821,6 +837,44 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: {bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestStoreParsedOnce:
+    def test_lookups_return_the_parsed_objects(self, workspace):
+        store = load_store(workspace / "store.json")
+        first, again = store_series(store, "T001"), store_series(store, "T001")
+        assert len(first) == 3 and all(a is b for a, b in zip(first, again))
+        assert store_template(store, "T001") is store_template(store, "T001")
+
+    @pytest.mark.parametrize("argv, loads", [
+        (["test", "--store", "store"], 1),
+        (["evaluate", "--store", "store", "--bundle", "bundle"], 1),
+        (["evaluate", "--store", "store", "--baseline", "marginal", "--train-store", "store"], 2),
+    ], ids=["test", "evaluate_bundle", "evaluate_marginal"])
+    def test_each_loaded_train_is_parsed_once(self, tmp_path, monkeypatch, argv, loads):
+        # two trains, and no --target: evaluate resolves each train's target from its template
+        tt, rz, store, bundle = (tmp_path / n for n in ("tt.csv", "rz.csv", "store.json", "bundle.json"))
+        assert main(["synth", "--series", "30", "--trains", "2", "--length", "5",
+                     "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert main(["ingest", "--timetable", str(tt), "--realization", str(rz), "--out", str(store)]) == 0
+        assert main(["train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal"]) == 0
+        parsed, planned = [], []
+        parse_train = pipeline._parse_train
+
+        class CountingDatetime(dt.datetime):
+            @classmethod
+            def fromisoformat(cls, text):
+                planned.append(text)
+                return dt.datetime.fromisoformat(text)
+
+        monkeypatch.setattr(pipeline, "_parse_train",
+                            lambda tid, *args: parsed.append(tid) or parse_train(tid, *args))
+        monkeypatch.setattr(pipeline, "dt", types.SimpleNamespace(
+            datetime=CountingDatetime, timedelta=dt.timedelta))
+        paths = {"store": str(store), "bundle": str(bundle)}
+        assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.json")]) == 0
+        assert sorted(parsed) == sorted(["T001", "T002"] * loads)
+        assert len(planned) == 2 * 5 * loads
 
 
 @pytest.mark.parametrize("corrupt, reason", [

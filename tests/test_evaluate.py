@@ -346,16 +346,21 @@ class TestScoreBatchOracle:
         assert report == PerSeriesScorer.score(d_s, d_t, trend, jump, minutes, form)
 
 
-@pytest.fixture
-def two_trains():
-    """Two trains of 20 sampled five-station journeys each."""
+def _two_trains_document():
+    """Two trains of 20 sampled five-station journeys each, as a store document."""
     space = StateSpace(15)
     trains = {}
     for k, tid in enumerate(("T001", "T002")):
         sampled = sample_series(near_diagonal_spec(space, 5, 1.5, seed=k), 20, train_id=tid)
         trains[tid] = {"stations": [[f"S{t:02d}", "V"] for t in range(1, 6)],
+                       "planned": [f"2024-01-01T08:{10 * t:02d}:00" for t in range(5)],
                        "series": [{"date": s.date, "delays": list(s.delays)} for s in sampled]}
     return {"n_max": 15, "trains": trains}
+
+
+@pytest.fixture
+def two_trains():
+    return pipeline.parse_store(_two_trains_document())
 
 
 class TestEvaluateStore:
@@ -404,9 +409,10 @@ class TestEvaluateStore:
 
     def test_marginal_skips_a_train_its_training_store_does_not_reach(self, two_trains):
         # T001's training series stop at station 3, so it has no observation at T = 5
-        t001 = two_trains["trains"]["T001"]
+        document = _two_trains_document()
+        t001 = document["trains"]["T001"]
         short = {**t001, "series": [{**s, "delays": s["delays"][:3]} for s in t001["series"]]}
-        train_store = {**two_trains, "trains": {**two_trains["trains"], "T001": short}}
+        train_store = pipeline.parse_store({**document, "trains": {**document["trains"], "T001": short}})
         report, payload = pipeline.evaluate_store(
             two_trains, RunConfig(), baseline="marginal", train_store=train_store, target=5)
         assert (report.eval_count, payload["skipped"]) == (20, len(t001["series"]))
@@ -428,7 +434,7 @@ class TestEvaluateStore:
                      "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
         assert main(["ingest", "--timetable", str(tt), "--realization", str(rz),
                      "--out", str(path)]) == 0
-        store = pipeline.load_json(path)
+        store = pipeline.load_store(path)
         train_store = {**store, "trains": {"T001": store["trains"]["T001"]}}
         config = RunConfig(strategy="diagonal")
         bundle = pipeline.train_bundle(train_store, config)

@@ -28,7 +28,7 @@ from railmc.ingest import (
     select_target_station,
     write_rejects,
 )
-from railmc.pipeline import build_store, store_series
+from railmc.pipeline import build_store, parse_store, store_series
 from railmc.synth import near_diagonal_spec, sample_delays, write_ingest_files
 
 REAL_HEADER = "train_id,date,station_code,activity,planned_time,realized_time\n"
@@ -346,7 +346,7 @@ class TestIngestRoundTrip:
             store, rejects = build_store(load_timetable(tt), events, RunConfig(n_max=n_max))
         assert parse_rejects == [] and rejects == []
         assert all(s["clipped"] == 0 for s in store["trains"]["T001"]["series"])
-        got, got_lengths, _dates = store_series(store, "T001")
+        got, got_lengths, _dates = store_series(parse_store(store), "T001")
         assert np.array_equal(got_lengths, lengths)
         width = lengths.max()
         padded = np.where(np.arange(width) < lengths[:, None], delays[:, :width], 0)

@@ -5,7 +5,7 @@ dependencies: numpy is the only one, no module imports scipy, and all six stages
 the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
 loading any command's modules. The CLI reads every store and bundle through the loaders that check
-it; every recovery strategy reads the one count pass, with no polynomial fit and no search for
+it, and only the store parser reads a store document's keys; every recovery strategy reads the one count pass, with no polynomial fit and no search for
 distinct pairs; the package defines one exception class per error exit code, all in core, each
 mapped to its code by cli.main; and ingest alone decides every reject. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
@@ -267,6 +267,20 @@ def test_recover_makes_one_count_pass():
     calls = [node for node in ast.walk(recover)
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "build_count_tensor"]
     assert len(calls) == 1
+
+
+def test_only_the_store_parser_reads_store_documents():
+    # a store is parsed once, where it is read; every stage reads the parsed arrays
+    keys = {"stations", "planned", "series", "date", "delays"}
+    readers = set()
+    for fn in _source_tree("railmc.pipeline").body:
+        for node in ast.walk(fn):
+            key = (node.slice if isinstance(node, ast.Subscript) else
+                   node.args[0] if isinstance(node, ast.Call) and node.args
+                   and getattr(node.func, "attr", None) == "get" else None)
+            if isinstance(key, ast.Constant) and key.value in keys:
+                readers.add(getattr(fn, "name", "<module>"))
+    assert readers and readers <= {"parse_store", "_parse_train"}, readers
 
 
 def test_one_exception_class_per_error_exit_code():
