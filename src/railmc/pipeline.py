@@ -11,11 +11,9 @@ A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
-`load_store` and `load_bundle` (which checks a bundle's meta and tables) read
-the file through `core.load_json` and name it. Code past them trusts what they
-return, except `bundle_matrices`, which checks each matrix as it reads it: its
-shape, that its entries are JSON numbers (not strings, booleans or nulls), and
-that it is a transition matrix.
+`load_store` and `load_bundle` read a file through `core.load_json`, parse it
+whole and name it. Code past them trusts what they return: `parse_bundle` turns
+each matrix into a float64 array, so `bundle_matrices` only stacks a chain.
 
 Errors use the three classes of `core`: InputError for a malformed store or
 bundle, EmptySelectionError when nothing is left to test, train or evaluate,
@@ -44,9 +42,9 @@ if TYPE_CHECKING:
     from .ingest import EventColumns, RejectedRow
 
 __all__ = [
-    "build_store", "save_json", "load_json", "parse_store", "load_store", "load_bundle",
-    "store_series", "store_template", "test_store", "train_bundle", "bundle_matrices",
-    "resolve_target", "forecast_from_bundle", "evaluate_store",
+    "build_store", "save_json", "load_json", "parse_store", "load_store", "parse_bundle",
+    "load_bundle", "store_series", "store_template", "test_store", "train_bundle",
+    "bundle_matrices", "resolve_target", "forecast_from_bundle", "evaluate_store",
 ]
 
 BASELINES = ("naive", "marginal")
@@ -145,15 +143,17 @@ def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, tup
     if long.size:
         raise InputError(f"store train {train_id} date {dates[long[0]]}: {lengths[long[0]]} delays "
                          f"for {len(template)} stations")
-    # bool is a subclass of int, so the check compares types, not isinstance
-    if not (set(map(type, flat)) <= {int} and -n_max <= min(flat, default=0)
-            and max(flat, default=0) <= n_max):
+    try:  # bool is a subclass of int, so the check compares types, not isinstance
+        values = np.array(flat, dtype=np.int64) if set(map(type, flat)) <= {int} else None
+    except OverflowError:  # an int beyond int64 lies outside every [-n_max, n_max]
+        values = None
+    if values is None or ((values < -n_max) | (values > n_max)).any():
         i = next(i for i, d in enumerate(flat) if type(d) is not int or abs(d) > n_max)
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
         raise InputError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
                          f"integer in [-{n_max}, {n_max}]")
     delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
-    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.array(flat, dtype=np.int64)
+    delays[np.arange(delays.shape[1]) < lengths[:, None]] = values
     delays.flags.writeable = lengths.flags.writeable = False  # every stage shares them
     return template, (delays, lengths, dates)
 
@@ -170,13 +170,18 @@ def parse_store(document) -> dict:
     return store
 
 
-def load_store(path) -> dict:
-    """`parse_store` of the store file at `path`; its InputError names the file."""
+def _load(path, parse):
+    """`parse` of the JSON document at `path`; its InputError names the file."""
     document = load_json(path)
     try:
-        return parse_store(document)
+        return parse(document)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+
+
+def load_store(path) -> dict:
+    """`parse_store` of the store file at `path`; its InputError names the file."""
+    return _load(path, parse_store)
 
 
 def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
@@ -268,56 +273,53 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
     return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}
 
 
+def parse_bundle(document) -> dict:
+    """Check a bundle document whole (its meta, trains table and every matrix) and
+    parse it: the same document with each matrix a float64 (k, k) array, as
+    `train_bundle` returns it. InputError names the train and station of a bad matrix."""
+    meta = document.get("meta") if isinstance(document, dict) else None
+    if not isinstance(meta, dict):
+        raise InputError("bundle has no meta object")
+    space = StateSpace(_n_max_of(meta, "bundle meta"))
+    if not isinstance(meta.get("strategy"), str):
+        raise InputError("bundle meta has no strategy")
+    if not isinstance(document.get("trains"), dict):
+        raise InputError("bundle has no trains table")
+    for tid, entry in document["trains"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
+            raise InputError(f"bundle train {tid} has no matrices table")
+    trains = {tid: {**entry, "matrices": {}} for tid, entry in document["trains"].items()}
+    for tid, entry in document["trains"].items():
+        for station, entries in entry["matrices"].items():
+            try:
+                matrix = np.asarray(entries, dtype=float)
+                check_transition_matrix(matrix, space)
+                # asarray reads "0.5" and true as numbers; JSON entries must be numbers
+                if isinstance(entries, list) and not set(
+                        map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+                    bad = next(x for x in itertools.chain.from_iterable(entries)
+                               if type(x) not in (int, float))
+                    raise InputError(f"entry {bad!r} is not a number")
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bundle matrix for train {tid} station {station}: {exc}") from None
+            trains[tid]["matrices"][station] = matrix
+    return {**document, "trains": trains}
+
+
 def load_bundle(path) -> dict:
-    """Read a matrix bundle and check its envelope: a meta object with a valid
-    n_max and a strategy string, and a trains table whose every train holds a
-    matrices table. Raises InputError naming the file. The matrices are
-    checked by `bundle_matrices`, as it reads them."""
-    bundle = load_json(path)
-    try:
-        meta = bundle.get("meta") if isinstance(bundle, dict) else None
-        if not isinstance(meta, dict):
-            raise InputError("bundle has no meta object")
-        _n_max_of(meta, "bundle meta")
-        if not isinstance(meta.get("strategy"), str):
-            raise InputError("bundle meta has no strategy")
-        if not isinstance(bundle.get("trains"), dict):
-            raise InputError("bundle has no trains table")
-        for tid, entry in bundle["trains"].items():
-            if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
-                raise InputError(f"bundle train {tid} has no matrices table")
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return bundle
+    """`parse_bundle` of the bundle file at `path`; its InputError names the file."""
+    return _load(path, parse_bundle)
 
 
 def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
-    """The checked propagation chain P(S+1) .. P(T) for one train, shape
-    (T - S, k, k); T > S."""
+    """The propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k); T > S."""
     if train_id not in bundle["trains"]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
     matrices = bundle["trains"][train_id]["matrices"]
-    stations = range(s + 1, t + 1)
-    # before converting: a far target T would ask for a chain of any size
-    missing = next((station for station in stations if str(station) not in matrices), None)
-    if missing is not None:
-        raise CoverageError(f"bundle misses station {missing} for train {train_id}")
-    space = StateSpace(bundle["meta"]["n_max"])
-    chain = []
-    for station in stations:
-        entries = matrices[str(station)]
-        try:
-            chain.append(np.asarray(entries, dtype=float))
-            check_transition_matrix(chain[-1], space)
-            # asarray reads "0.5" and true as numbers; JSON entries must be numbers
-            if isinstance(entries, list) and not set(
-                    map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
-                entry = next(x for x in itertools.chain.from_iterable(entries)
-                             if type(x) not in (int, float))
-                raise InputError(f"entry {entry!r} is not a number")
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bundle matrix for train {train_id} station {station}: {exc}") from None
-    return np.stack(chain)
+    try:  # stops at the first missing station, however far the target T
+        return np.stack([matrices[str(station)] for station in range(s + 1, t + 1)])
+    except KeyError as exc:
+        raise CoverageError(f"bundle misses station {exc.args[0]} for train {train_id}") from None
 
 
 def forecast_from_bundle(

@@ -695,27 +695,33 @@ class TestStateSpaceGaps:
         assert "delay 40 outside the bundle's state space [-15, 15]" in capsys.readouterr().err
 
 
-def _corrupt_shape(bundle):
-    bundle["trains"]["T001"]["matrices"]["2"] = [[1.0]]
+# each matrix corruptor faults train T001's matrix at station `t` and returns t
+def _corrupt_shape(bundle, t="2"):
+    bundle["trains"]["T001"]["matrices"][t] = [[1.0]]
+    return t
 
 
-def _corrupt_nan(bundle):
-    bundle["trains"]["T001"]["matrices"]["2"][0][0] = float("nan")
+def _corrupt_nan(bundle, t="2"):
+    bundle["trains"]["T001"]["matrices"][t][0][0] = float("nan")
+    return t
 
 
-def _corrupt_negative(bundle):
-    row = bundle["trains"]["T001"]["matrices"]["2"][0]
+def _corrupt_negative(bundle, t="2"):
+    row = bundle["trains"]["T001"]["matrices"][t][0]
     row[:] = [-0.5, 1.5] + [0.0] * (len(row) - 2)  # still sums to one
+    return t
 
 
-def _corrupt_row_sum(bundle):
-    bundle["trains"]["T001"]["matrices"]["2"][3][3] += 0.5
+def _corrupt_row_sum(bundle, t="2"):
+    bundle["trains"]["T001"]["matrices"][t][3][3] += 0.5
+    return t
 
 
 def _corrupt_row_entries(value, other):
-    def corrupt(bundle):
-        row = bundle["trains"]["T001"]["matrices"]["2"][0]
+    def corrupt(bundle, t="2"):
+        row = bundle["trains"]["T001"]["matrices"][t][0]
         row[:] = [value] + [other] * (len(row) - 1)  # still reads as a one-hot row
+        return t
     return corrupt
 
 
@@ -816,11 +822,13 @@ def _store_n_max(value):
 ], ids=["test", "train", "forecast", "evaluate", "evaluate_train_store"])
 @pytest.mark.parametrize("corrupt", [
     _store_delay("x"), _store_delay(1.7), _store_delay(True), _store_delay(40),
+    _store_delay(10**20), _store_delay(-2**63),
     _store_long_series, _store_no_n_max, _store_trains_list, _store_planned_not_iso,
     _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
     _store_int_station_code, _store_stations(["AV", "BV", "CV", "DV", "EV"]),
     _store_stations({"AV": 0, "BV": 1, "CV": 2, "DV": 3, "EV": 4}), _store_loop_line,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
+        "delay_beyond_int64", "delay_int64_min",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
         "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
         "int_station_code", "stations_of_strings", "stations_object", "loop_line"])
@@ -877,13 +885,18 @@ class TestStoreParsedOnce:
         assert len(planned) == 2 * 5 * loads
 
 
-@pytest.mark.parametrize("corrupt, reason", [
+MATRIX_FAULTS = [
     (_corrupt_shape, "shape (1, 1), expected (31, 31)"),
     (_corrupt_nan, "NaN"),
     (_corrupt_negative, "negative"),
     (_corrupt_row_sum, "row 3 sums to"),
     (_corrupt_row_entries(True, False), "entry True is not a number"),
     (_corrupt_row_entries("1", "0"), "entry '1' is not a number"),
+]
+
+
+@pytest.mark.parametrize("corrupt, reason", [
+    *MATRIX_FAULTS,
     (_corrupt_meta, "n_max"),
     (_bundle_n_max("15"), "no valid n_max (got '15')"),
     (_bundle_n_max(15.9), "no valid n_max (got 15.9)"),
@@ -891,20 +904,22 @@ class TestStoreParsedOnce:
     (_corrupt_no_trains, "no trains table"),
     (_corrupt_no_matrices, "no matrices table"),
     (_corrupt_no_strategy, "no strategy"),
+    # station 5 lies past every chain that `--target 3` reads: the bundle is checked whole
+    *(pytest.param(lambda bundle, c=corrupt: c(bundle, "5"), reason, id=f"station_5-{reason}")
+      for corrupt, reason in MATRIX_FAULTS),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
-    # a fault in a matrix names its train and station; any other, whose reason
-    # names n_max or a missing table, names the file
-    matrix_fault = not reason.startswith(("n_max", "no "))
+    # every fault names the file; a fault in a matrix also names its train and station
     bundle = workspace / "bundle.json"
     assert main([
         "train", "--store", str(workspace / "store.json"),
         "--out", str(bundle), "--strategy", "diagonal",
     ]) == 0
     payload = load_json(bundle)
-    corrupt(payload)
+    station = corrupt(payload)
     save_json(payload, bundle)
     capsys.readouterr()
+    where = f"bundle matrix for train T001 station {station}: " if station else ""
     for argv in (
         ["forecast", "--bundle", str(bundle), "--train", "T001",
          "--station", "1", "--delay", "0", "--target", "3"],
@@ -913,10 +928,53 @@ def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     ):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        if matrix_fault:
-            assert "train T001 station 2" in err and reason in err
-        else:
-            assert err.startswith(f"error: {bundle}: ") and reason in err
+        assert err.startswith(f"error: {bundle}: {where}") and reason in err
+
+
+class TestBundleParsedOnce:
+    @pytest.mark.parametrize("argv", [
+        ["forecast", "--bundle", "bundle", "--train", "T002", "--station", "1", "--delay", "2",
+         "--store", "store"],
+        ["evaluate", "--store", "store", "--bundle", "bundle"],
+    ], ids=["forecast", "evaluate_horizon"])
+    def test_each_matrix_is_checked_once_where_it_loads(self, tmp_path, monkeypatch, argv):
+        # two trains and a KDE bundle, so the matrices hold full-precision floats
+        tt, rz, store, bundle = (tmp_path / n for n in ("tt.csv", "rz.csv", "store.json", "bundle.json"))
+        assert main(["synth", "--series", "30", "--trains", "2", "--length", "5",
+                     "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert main(["ingest", "--timetable", str(tt), "--realization", str(rz), "--out", str(store)]) == 0
+        assert main(["train", "--store", str(store), "--out", str(bundle)]) == 0
+        events, chains = [], []
+        check, load, lookup = (pipeline.check_transition_matrix, pipeline.load_bundle,
+                               pipeline.bundle_matrices)
+
+        def marked_load(path):
+            events.append("load")
+            loaded = load(path)
+            events.append("loaded")
+            return loaded
+
+        def recorded_lookup(*args):
+            chains.append((*args[1:], lookup(*args)))
+            return chains[-1][-1]
+
+        monkeypatch.setattr(pipeline, "check_transition_matrix",
+                            lambda *args: events.append("check") or check(*args))
+        monkeypatch.setattr(pipeline, "load_bundle", marked_load)
+        monkeypatch.setattr(pipeline, "bundle_matrices", recorded_lookup)
+        paths = {"store": str(store), "bundle": str(bundle)}
+        assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.json")]) == 0
+        document = load_json(bundle)
+        n_matrices = sum(len(entry["matrices"]) for entry in document["trains"].values())
+        assert len(document["trains"]) == 2 and n_matrices == 8
+        assert events == ["load"] + ["check"] * n_matrices + ["loaded"]
+        assert {train for train, *_ in chains} == ({"T002"} if argv[0] == "forecast" else {"T001", "T002"})
+        for train, s, t, chain in chains:
+            want = np.array([document["trains"][train]["matrices"][str(u)] for u in range(s + 1, t + 1)],
+                            dtype=np.float64)
+            assert chain.dtype == np.float64 and chain.tobytes() == want.tobytes()
+        save_json(load(bundle), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == bundle.read_bytes()
 
 
 def test_bundle_with_jitter_meta_still_loads(workspace):
@@ -937,6 +995,19 @@ def test_bundle_with_jitter_meta_still_loads(workspace):
         ]) == 0
     for suffix in (".pred.json", ".scores.json"):
         assert (workspace / f"bundle.json{suffix}").read_bytes() == (workspace / f"old_bundle.json{suffix}").read_bytes()
+
+def test_train_with_an_empty_matrices_table_loads_and_covers_nothing(workspace, capsys):
+    bundle = workspace / "bundle.json"
+    assert main(["train", "--store", str(workspace / "store.json"), "--out", str(bundle),
+                 "--strategy", "diagonal"]) == 0
+    payload = load_json(bundle)
+    payload["trains"]["T001"]["matrices"] = {}
+    save_json(payload, bundle)
+    capsys.readouterr()
+    assert main(["forecast", "--bundle", str(bundle), "--train", "T001", "--station", "1",
+                 "--delay", "0", "--target", "3"]) == 4
+    assert "bundle misses station 2 for train T001" in capsys.readouterr().err
+
 
 # one `python -m railmc.cli` process per argv, in waves: a wave reads what the
 # waves before it wrote, and its processes run at once; each argv's exit code

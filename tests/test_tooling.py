@@ -5,8 +5,9 @@ dependencies: numpy is the only one, no module imports scipy, and all six stages
 the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
 loading any command's modules. The CLI reads every store and bundle through the loaders that check
-it, and only the store parser reads a store document's keys; every recovery strategy reads the one count pass, with no polynomial fit and no search for
-distinct pairs; the package defines one exception class per error exit code, all in core, each
+it, only the store parser reads a store document's keys, and only the trainer and the bundle
+parser check a transition matrix; every recovery strategy reads the one count pass, with no
+polynomial fit and no search for distinct pairs; the package defines one exception class per error exit code, all in core, each
 mapped to its code by cli.main; and ingest alone decides every reject. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
 is a with item, so that hard exit loses no data."""
@@ -281,6 +282,17 @@ def test_only_the_store_parser_reads_store_documents():
             if isinstance(key, ast.Constant) and key.value in keys:
                 readers.add(getattr(fn, "name", "<module>"))
     assert readers and readers <= {"parse_store", "_parse_train"}, readers
+
+
+def test_only_the_trainer_and_the_bundle_parser_check_matrices():
+    # a bundle is parsed once, where it is read; `bundle_matrices` only stacks a chain
+    callers = set()
+    for fn in _source_tree("railmc.pipeline").body:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and "check_transition_matrix" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                callers.add(getattr(fn, "name", "<module>"))
+    assert callers == {"train_bundle", "parse_bundle"}, callers
 
 
 def test_one_exception_class_per_error_exit_code():
