@@ -129,7 +129,7 @@ def select_target_station(template: JourneyTemplate, current_index: int, horizon
 class StateSpace:
     """The bounded integer delay domain [-n_max, n_max] in minutes."""
 
-    n_max: int = 15
+    n_max: int
 
     def __post_init__(self) -> None:
         if self.n_max < 1:

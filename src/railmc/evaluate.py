@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import CountTensor, StateSpace
 from .forecast import TREND_CLASSES
 
@@ -86,17 +87,15 @@ def jump_score(predicted, actual) -> tuple[float, dict[str, int]]:
     return f1_class(t["tp"], t["fp"], t["fn"]), t
 
 
-def rwmse(predicted_minutes, actual_delays, form: str = "printed") -> float:
+def rwmse(predicted_minutes, actual_delays, config: RunConfig) -> float:
     """Root weighted error over the batch.
 
     Weight mass 0.2 is spread over small actual delays (|d| <= 1) and 0.8 over
     the rest; a batch missing one class renormalizes the surviving class's
-    mass to 1. `form="printed"` puts the absolute error under the root,
-    `form="squared"` the squared error, as a product. The weighted errors are
+    mass to 1. `config.rwmse_form` "printed" puts the absolute error under the
+    root, "squared" the squared error, as a product. The weighted errors are
     added in batch order, so the sum does not depend on numpy's summation order.
     """
-    if form not in ("printed", "squared"):
-        raise ValueError(f"unknown rwmse form {form!r}")
     minutes, delays = np.asarray(predicted_minutes, dtype=float), np.asarray(actual_delays)
     if len(minutes) != len(delays):
         raise ValueError("prediction/actual length mismatch")
@@ -108,7 +107,7 @@ def rwmse(predicted_minutes, actual_delays, form: str = "printed") -> float:
     w1 = (0.2 if large else 1.0) / small if small else 0.0
     w2 = (0.8 if small else 1.0) / large if large else 0.0
     diff = minutes - delays
-    err = np.abs(diff) if form == "printed" else diff * diff
+    err = np.abs(diff) if config.rwmse_form == "printed" else diff * diff
     return math.sqrt(np.add.accumulate(np.where(is_small, w1, w2) * err)[-1])
 
 
@@ -147,7 +146,7 @@ class ScoreReport:
     f_jp: float
     rwmse: float
     score: float
-    rwmse_form: str = "printed"
+    rwmse_form: str
 
     def to_dict(self) -> dict:
         return {
@@ -165,10 +164,11 @@ class ScoreReport:
         }
 
 
-def score_batch(d_s, d_t, trend, jump, minutes, rwmse_form: str = "printed") -> ScoreReport:
+def score_batch(d_s, d_t, trend, jump, minutes, config: RunConfig) -> ScoreReport:
     """Score a batch of predictions against the realized delays at the target
     station, from column arrays: the current and realized delays, the
-    predicted trend codes into TREND_CLASSES, jump flags and minutes."""
+    predicted trend codes into TREND_CLASSES, jump flags and minutes. The
+    RWMSE takes its form from `config.rwmse_form`."""
     d_s, d_t = np.asarray(d_s), np.asarray(d_t)
     if len(d_s) != len(d_t):
         raise ValueError("prediction/actual length mismatch")
@@ -176,7 +176,7 @@ def score_batch(d_s, d_t, trend, jump, minutes, rwmse_form: str = "printed") -> 
         raise ValueError("empty batch")
     f_tr, per_f1, trend_tallies = trend_score(trend, actual_trend(d_s, d_t))
     f_jp, jump_tallies = jump_score(jump, actual_jump(d_s, d_t))
-    err = rwmse(minutes, d_t, form=rwmse_form)
+    err = rwmse(minutes, d_t, config)
     return ScoreReport(
         eval_count=len(d_s),
         trend_tallies=trend_tallies,
@@ -188,5 +188,5 @@ def score_batch(d_s, d_t, trend, jump, minutes, rwmse_form: str = "printed") -> 
         f_jp=f_jp,
         rwmse=err,
         score=total_score(f_jp, f_tr, err),
-        rwmse_form=rwmse_form,
+        rwmse_form=config.rwmse_form,
     )

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ACTIVITY_CODES, InputError, JourneyTemplate, StateSpace, StationKey,
-                   select_target_station)
+from .config import RunConfig
+from .core import ACTIVITY_CODES, InputError, JourneyTemplate, StationKey, select_target_station
 
 __all__ = [
     "ACTIVITY_CODES",
@@ -329,10 +329,7 @@ def _group_starts(*keys: np.ndarray) -> np.ndarray:
 
 
 def assemble_series(
-    events: EventColumns,
-    templates: dict[str, JourneyTemplate],
-    space: StateSpace,
-    clip_mode: str = "saturate",
+    events: EventColumns, templates: dict[str, JourneyTemplate], config: RunConfig
 ) -> tuple[dict, list[RejectedRow]]:
     """Order the events along their trains' templates into the store's trains table.
 
@@ -340,15 +337,14 @@ def assemble_series(
     per date, in sorted date order. A date missing any template station is
     truncated at the first gap. A repeated (date, station, activity) event
     keeps its first row and rejects the others as duplicates. Delays outside
-    [-N, N] either saturate to the bound (counted per series) or, in
-    ``clip_mode="drop"``, truncate the series before the offending station.
+    [-N, N], N = `config.n_max`, either saturate to the bound (counted per
+    series) or, when `config.clip_mode` is "drop", truncate the series before
+    the offending station.
     Every event of a train without a template is rejected first, in event
     order, as ``train,date``. The other rejects follow per sorted train:
     off-template and duplicate events in event order, then each date with no
     usable stations in sorted order.
     """
-    if clip_mode not in ("saturate", "drop"):
-        raise ValueError(f"unknown clip mode {clip_mode!r}")
     known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
     # the known train codes that occur, sorted; a plain np.unique would import numpy.ma
     present = np.flatnonzero(np.bincount(events.train[known])).tolist()
@@ -387,15 +383,15 @@ def assemble_series(
     group = np.cumsum(opens) - 1
     first = np.flatnonzero(opens)
     delay = events.delay[kept]
-    outside = np.abs(delay) > space.n_max
+    outside = np.abs(delay) > config.n_max
     stop = pos[kept] != np.arange(len(kept)) - first[group]
-    if clip_mode == "drop":
+    if config.clip_mode == "drop":
         stop |= outside
     stops = np.cumsum(stop)
     usable = stops - (stops - stop)[first][group] == 0
     lengths = np.bincount(group[usable], minlength=len(first))
     clipped = np.bincount(group[usable & outside], minlength=len(first))
-    delays = np.clip(delay[usable], -space.n_max, space.n_max).tolist()
+    delays = np.clip(delay[usable], -config.n_max, config.n_max).tolist()
 
     trains = {}
     for tid in sorted(events.trains[c] for c in present):

@@ -33,6 +33,7 @@ from typing import Literal
 
 import numpy as np
 
+from .config import RunConfig
 from .core import CountTensor, FrequencyEstimates, context_totals, estimate_frequencies
 
 __all__ = [
@@ -274,21 +275,15 @@ def _below_quantile(stat: float, p: float, df: int) -> bool:
     return upper > 1.0 - p if p > 0.5 else lower < p
 
 
-def markov_property_test(
-    counts: CountTensor,
-    alpha1: float = 0.05,
-    alpha2: float = 0.05,
-) -> list[dict]:
+def markov_property_test(counts: CountTensor, config: RunConfig) -> list[dict]:
     """Run the order-test ladder on the counts, one row per station.
 
-    Tests H0(0) at level alpha1; on rejection tests H0(1) at level alpha2.
-    A row holds the station `t`, both levels, lr0, q0, df0, lr1, q1, df1
-    and `verdicts`, the LR and Q ladders. A station with no transition is
-    untestable and its statistics are None.
+    Tests H0(0) at level `config.alpha1`; on rejection tests H0(1) at level
+    `config.alpha2`. A row holds the station `t`, both levels, lr0, q0, df0,
+    lr1, q1, df1 and `verdicts`, the LR and Q ladders. A station with no
+    transition is untestable and its statistics are None.
     """
-    # a level below about 1.1e-16 would test at 1 - level == 1.0
-    if not (0.0 < 1.0 - alpha1 < 1.0 and 0.0 < 1.0 - alpha2 < 1.0):
-        raise ValueError("significance levels must lie in (0, 1), with 1 - level < 1")
+    alpha1, alpha2 = config.alpha1, config.alpha2
     freq = estimate_frequencies(counts)
     rows = []
     for t, zero, first in zip(counts.stations.tolist(), zero_order_statistics(freq, counts),

@@ -25,6 +25,7 @@ from __future__ import annotations
 import datetime as dt
 import itertools
 import json
+import re
 from collections import Counter
 from typing import TYPE_CHECKING
 
@@ -48,6 +49,8 @@ __all__ = [
 ]
 
 BASELINES = ("naive", "marginal")
+# the only keys `bundle_matrices` reads: str(t) for a station t >= 2
+_STATION_KEY = re.compile(r"[2-9]|[1-9][0-9]+")
 
 
 def build_store(
@@ -59,9 +62,7 @@ def build_store(
     table in the store envelope, and its rejects as they are."""
     from .ingest import assemble_series
 
-    trains, rejects = assemble_series(
-        events, templates, StateSpace(config.n_max), clip_mode=config.clip_mode
-    )
+    trains, rejects = assemble_series(events, templates, config)
     return {"n_max": config.n_max, "trains": trains}, rejects
 
 
@@ -109,17 +110,20 @@ def _n_max_of(table, owner: str) -> int:
 def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, tuple]:
     """One store train's template and `store_series` arrays. InputError names the
     train and the date for a template that does not parse (`stations` not a list
-    of [code, activity] lists, say), a station code or date that is not a string,
-    a station visited twice, a series longer than the train's stations, or a
-    delay that is not an integer in [-n_max, n_max] (a float or a bool is not)."""
+    of [code, activity] lists, or `planned` not a list, say), a station code or
+    date that is not a string, a station visited twice, a series longer than the
+    train's stations, or a delay that is not an integer in [-n_max, n_max] (a
+    float or a bool is not)."""
     try:
-        stations = entry["stations"]
+        stations, planned = entry["stations"], entry["planned"]
         if type(stations) is not list or any(type(s) is not list or len(s) != 2 for s in stations):
             raise ValueError("stations is not a list of [code, activity] lists")
+        if type(planned) is not list:  # an object would be read by its keys
+            raise ValueError("planned is not a list")
         template = JourneyTemplate(
             train_id=train_id,
             keys=tuple(StationKey(c, a) for c, a in stations),
-            planned=tuple(dt.datetime.fromisoformat(p) for p in entry["planned"]),
+            planned=tuple(dt.datetime.fromisoformat(p) for p in planned),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"store train {train_id}: malformed template ({exc})") from None
@@ -206,8 +210,7 @@ def test_store(store: dict, config: RunConfig) -> dict:
     for tid in sorted(store["trains"]):
         delays, lengths, _ = store_series(store, tid)
         counts = build_count_tensor(delays, lengths, _stations(lengths), space)
-        rows.extend({"train": tid, **row}
-                    for row in markov_property_test(counts, config.alpha1, config.alpha2))
+        rows.extend({"train": tid, **row} for row in markov_property_test(counts, config))
     if not rows:
         raise EmptySelectionError("no testable stations in store")
     return {"per_station": rows, "aggregate": aggregate_reports(rows)}
@@ -243,7 +246,7 @@ def _recover(
         return recovery.diagonal_fill(partial)
     if config.strategy == "uniform":
         return recovery.uniform_fill(partial)
-    return recovery.gaussian_regression_fill(partial, counts, space, std_form=config.regression_std)
+    return recovery.gaussian_regression_fill(partial, counts, space, config)
 
 
 def train_bundle(store: dict, config: RunConfig) -> dict:
@@ -276,7 +279,8 @@ def train_bundle(store: dict, config: RunConfig) -> dict:
 def parse_bundle(document) -> dict:
     """Check a bundle document whole (its meta, trains table and every matrix) and
     parse it: the same document with each matrix a float64 (k, k) array, as
-    `train_bundle` returns it. InputError names the train and station of a bad matrix."""
+    `train_bundle` returns it. InputError names the train and the key of a matrix
+    keyed other than str(t) for a station t >= 2, and the train and station of a bad matrix."""
     meta = document.get("meta") if isinstance(document, dict) else None
     if not isinstance(meta, dict):
         raise InputError("bundle has no meta object")
@@ -288,6 +292,10 @@ def parse_bundle(document) -> dict:
     for tid, entry in document["trains"].items():
         if not isinstance(entry, dict) or not isinstance(entry.get("matrices"), dict):
             raise InputError(f"bundle train {tid} has no matrices table")
+        bad = [k for k in entry["matrices"] if type(k) is not str or not _STATION_KEY.fullmatch(k)]
+        if bad:
+            raise InputError(f"bundle train {tid}: matrix key {bad[0]!r} is not a station "
+                             "t >= 2 written as str(t)")
     trains = {tid: {**entry, "matrices": {}} for tid, entry in document["trains"].items()}
     for tid, entry in document["trains"].items():
         for station, entries in entry["matrices"].items():
@@ -458,7 +466,7 @@ def evaluate_store(
         )
     if not detail:
         raise EmptySelectionError("no series could be evaluated")
-    report = score_batch(*map(np.concatenate, zip(*columns)), rwmse_form=config.rwmse_form)
+    report = score_batch(*map(np.concatenate, zip(*columns)), config)
     payload = {
         "method": baseline or bundle["meta"]["strategy"],
         "skipped": skipped,

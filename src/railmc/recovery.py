@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .core import CountTensor, StateSpace, _conditional
 
 __all__ = [
@@ -100,20 +101,18 @@ def gaussian_regression_fill(
     partial: np.ndarray,
     counts: CountTensor,
     space: StateSpace,
-    std_form: str = "printed",
+    config: RunConfig,
 ) -> np.ndarray:
     """Fill each station's unobserved rows with Gaussians whose mean/spread
     follow lines fitted to that station's counts, for every station at once.
 
     Per observed row i the count-weighted mean is fitted; the spread uses the
     count-weighted sum of squared deviations divided by (count - 1), which is
-    a variance-form expression (`std_form="printed"`), or its square root
-    (`std_form="sqrt"`). Rows whose fitted spread is <= 0 become unit diagonal
+    a variance-form expression (`config.regression_std` "printed"), or its
+    square root ("sqrt"). Rows whose fitted spread is <= 0 become unit diagonal
     rows. A station with fewer than two observed rows, or with no row that
     supports a spread, cannot be regressed and gets the diagonal fill.
     """
-    if std_form not in ("printed", "sqrt"):
-        raise ValueError(f"unknown std_form {std_form!r}")
     states = space.states()
     tot = counts.n2.sum(axis=2)
     observed, spread_rows = tot > 0, tot > 1
@@ -121,7 +120,7 @@ def gaussian_regression_fill(
         mean = counts.n2 @ states / tot
         dev = states - mean[..., None]
         spread = (counts.n2 * dev**2).sum(axis=2) / (tot - 1)
-        if std_form == "sqrt":
+        if config.regression_std == "sqrt":
             spread = np.sqrt(spread)
     mi, ms = _lines(states, mean, observed)
     si, ss_ = _lines(states, spread, spread_rows)

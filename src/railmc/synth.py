@@ -53,7 +53,8 @@ class ChainSpec:
         if self.length < 1:
             raise ValueError("journey length must be >= 1")
         for dist in (self.initial, *self.matrices, *self.marginals, *self.tensors):
-            if (np.abs(dist.sum(axis=-1) - 1.0) > 1e-12).any() or (dist < 0).any():
+            # a NaN entry fails both comparisons
+            if not ((np.abs(dist.sum(axis=-1) - 1.0) <= 1e-12).all() and (dist >= 0).all()):
                 raise ValueError("chain rows must be probability vectors")
 
 
@@ -95,7 +96,7 @@ def near_diagonal_spec(space: StateSpace, length: int, dispersion: float, seed: 
     """First-order chain whose rows are discretized Gaussians centered on the
     row state, mimicking the rarity of delay jumps between adjacent stations;
     the first station's delay is uniform."""
-    if dispersion <= 0:
+    if not dispersion > 0:  # NaN fails too
         raise ValueError("dispersion must be positive")
     states = space.states().astype(float)
     k = space.cardinality

@@ -156,7 +156,7 @@ def _rejection_rates(make_spec, reps=500, m=2000, t=3):
     for rep in range(reps):
         spec = make_spec(1000 + rep)
         counts = build_count_tensor(*sampled(spec, m), t, spec.space)
-        (row,) = markov_property_test(counts)
+        (row,) = markov_property_test(counts, RunConfig())
         h0_0, h0_1 = row["verdicts"]["Q"]
         h00 += h0_0 == "rejected"
         h01 += h0_1 == "rejected"
@@ -266,8 +266,8 @@ def test_rwmse_validity():
         if not (small and large):
             continue
         assert small * (0.2 / small) + large * (0.8 / large) == pytest.approx(1.0, abs=1e-12)
-    assert rwmse([1.0, 7.0], [0, 5]) == pytest.approx(1.3416, abs=1e-4)
-    assert rwmse([1.0, 7.0], [0, 5]) == pytest.approx(math.sqrt(1.8), abs=1e-12)
+    assert rwmse([1.0, 7.0], [0, 5], RunConfig()) == pytest.approx(1.3416, abs=1e-4)
+    assert rwmse([1.0, 7.0], [0, 5], RunConfig()) == pytest.approx(math.sqrt(1.8), abs=1e-12)
 
 
 @criterion("chi-square cdf/quantile round-trip and match numerical integration")

@@ -747,6 +747,13 @@ def _corrupt_no_strategy(bundle):
     del bundle["meta"]["strategy"]
 
 
+def _bundle_station_key(key):
+    def corrupt(bundle):  # a valid matrix under a key no station is looked up by
+        matrices = bundle["trains"]["T001"]["matrices"]
+        matrices[key] = matrices["2"]
+    return corrupt
+
+
 def _store_delay(value):
     def corrupt(store):
         series = store["trains"]["T001"]["series"][3]
@@ -800,6 +807,12 @@ def _store_planned_not_iso(store):
     return "store train T001: malformed template (Invalid isoformat string: 'noon')"
 
 
+def _store_planned_object(store):
+    entry = store["trains"]["T001"]
+    entry["planned"] = {p: i for i, p in enumerate(entry["planned"])}
+    return "store train T001: malformed template (planned is not a list)"
+
+
 def _store_no_delays(store):
     del store["trains"]["T001"]["series"][3]["delays"]
     return "store train T001: malformed series (KeyError('delays'))"
@@ -827,11 +840,13 @@ def _store_n_max(value):
     _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
     _store_int_station_code, _store_stations(["AV", "BV", "CV", "DV", "EV"]),
     _store_stations({"AV": 0, "BV": 1, "CV": 2, "DV": 3, "EV": 4}), _store_loop_line,
+    _store_planned_object,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
         "delay_beyond_int64", "delay_int64_min",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
         "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
-        "int_station_code", "stations_of_strings", "stations_object", "loop_line"])
+        "int_station_code", "stations_of_strings", "stations_object", "loop_line",
+        "planned_object"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     bundle = workspace / "bundle.json"
@@ -907,6 +922,9 @@ MATRIX_FAULTS = [
     # station 5 lies past every chain that `--target 3` reads: the bundle is checked whole
     *(pytest.param(lambda bundle, c=corrupt: c(bundle, "5"), reason, id=f"station_5-{reason}")
       for corrupt, reason in MATRIX_FAULTS),
+    *(pytest.param(_bundle_station_key(key), f"bundle train T001: matrix key {key!r} is not a "
+                   "station t >= 2 written as str(t)", id=f"station_key_{key}")
+      for key in ("x", "02", "1", "-4")),
 ])
 def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
     # every fault names the file; a fault in a matrix also names its train and station

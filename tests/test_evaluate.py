@@ -129,7 +129,7 @@ class TestRwmse:
     def test_hand_value(self):
         # one small-delay error of 1 (weight 0.2) and one large-delay error of
         # 2 (weight 0.8): sqrt(0.2 * 1 + 0.8 * 2) = sqrt(1.8)
-        value = rwmse([1.0, 7.0], [0, 5])
+        value = rwmse([1.0, 7.0], [0, 5], RunConfig())
         assert value == pytest.approx(math.sqrt(1.8), abs=1e-12)
         assert value == pytest.approx(1.3416, abs=1e-4)
 
@@ -144,22 +144,20 @@ class TestRwmse:
 
     def test_single_class_renormalizes(self):
         # all actual delays small: surviving class carries full unit mass
-        assert rwmse([1.0, 0.0], [0, 1]) == pytest.approx(math.sqrt(0.5 * 1 + 0.5 * 1))
-        assert rwmse([6.0, 6.0], [5, 7]) == pytest.approx(math.sqrt(0.5 * 1 + 0.5 * 1))
+        assert rwmse([1.0, 0.0], [0, 1], RunConfig()) == pytest.approx(math.sqrt(0.5 * 1 + 0.5 * 1))
+        assert rwmse([6.0, 6.0], [5, 7], RunConfig()) == pytest.approx(math.sqrt(0.5 * 1 + 0.5 * 1))
 
     def test_squared_form(self):
-        assert rwmse([2.0, 8.0], [0, 5], form="squared") == pytest.approx(
+        assert rwmse([2.0, 8.0], [0, 5], RunConfig(rwmse_form="squared")) == pytest.approx(
             math.sqrt(0.2 * 4 + 0.8 * 9)
         )
 
     def test_zero_error(self):
-        assert rwmse([0.0, 5.0], [0, 5]) == 0.0
+        assert rwmse([0.0, 5.0], [0, 5], RunConfig()) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            rwmse([], [])
-        with pytest.raises(ValueError):
-            rwmse([1.0], [0], form="bogus")
+            rwmse([], [], RunConfig())
 
 
 class TestTotalScore:
@@ -227,7 +225,7 @@ class TestScoreBatch:
         currents = np.array([0, 0, 2, 5])
         actuals = np.array([0, 3, 2, 4])
         trend, jump, minutes, _ = predict(naive_predictor(space), currents, space)
-        report = score_batch(currents, actuals, trend, jump, minutes)
+        report = score_batch(currents, actuals, trend, jump, minutes, RunConfig())
         # actual trends: equal, increase, equal, decrease; naive says equal
         assert report.f_eq == pytest.approx(2 * 2 / (2 * 2 + 2 + 0))
         assert report.f_in == 0.0 and report.f_de == 0.0
@@ -244,7 +242,7 @@ class TestScoreBatch:
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            score_batch([], [], [], [], [])
+            score_batch([], [], [], [], [], RunConfig())
 
 
 class PerSeriesScorer:
@@ -342,7 +340,7 @@ class TestScoreBatchOracle:
     def test_equals_per_series_scorer(self, batch, form):
         d_s, d_t, trend, jump, minutes = batch
         report = score_batch(np.array(d_s), np.array(d_t), codes(trend),
-                             np.array(jump), np.array(minutes), rwmse_form=form)
+                             np.array(jump), np.array(minutes), RunConfig(rwmse_form=form))
         assert report == PerSeriesScorer.score(d_s, d_t, trend, jump, minutes, form)
 
 

@@ -51,12 +51,12 @@ def event(station, planned, realized, train="519", date="2017-11-07", activity="
     return f"{train},{date},{station},{activity},{planned.isoformat()},{realized.isoformat()}"
 
 
-def assemble(events, tmpl, space, clip_mode="saturate"):
+def assemble(events, tmpl, config):
     """Parse CSV rows and assemble them against one template: the train's
     series as records, and the rejects."""
     parsed, parse_rejects = parse_events(io.StringIO(REAL_HEADER + "\n".join(events) + "\n"))
     assert parse_rejects == []
-    trains, rejects = assemble_series(parsed, {tmpl.train_id: tmpl}, space, clip_mode=clip_mode)
+    trains, rejects = assemble_series(parsed, {tmpl.train_id: tmpl}, config)
     series = [
         DelaySeries(tid, s["date"], tuple(s["delays"]), clipped=s["clipped"])
         for tid, entry in trains.items() for s in entry["series"]
@@ -163,7 +163,7 @@ class TestAssembleSeries:
             event("B", tmpl.planned[1], tmpl.planned[1]),
             event("C", tmpl.planned[2], tmpl.planned[2] - dt.timedelta(minutes=2)),
         ]
-        series, rejects = assemble(events, tmpl, StateSpace(15))
+        series, rejects = assemble(events, tmpl, RunConfig())
         assert rejects == []
         assert series[0].delays == (1, 0, -2)
         assert series[0].clipped == 0
@@ -174,7 +174,7 @@ class TestAssembleSeries:
             event("A", tmpl.planned[0], tmpl.planned[0]),
             event("C", tmpl.planned[2], tmpl.planned[2]),
         ]
-        series, _ = assemble(events, tmpl, StateSpace(15))
+        series, _ = assemble(events, tmpl, RunConfig())
         assert series[0].delays == (0,)
 
     def test_saturate_clip_counts(self):
@@ -183,7 +183,7 @@ class TestAssembleSeries:
             event("A", tmpl.planned[0], tmpl.planned[0] + dt.timedelta(minutes=40)),
             event("B", tmpl.planned[1], tmpl.planned[1]),
         ]
-        series, _ = assemble(events, tmpl, StateSpace(15))
+        series, _ = assemble(events, tmpl, RunConfig())
         assert series[0].delays == (15, 0)
         assert series[0].clipped == 1
 
@@ -194,7 +194,7 @@ class TestAssembleSeries:
             event("B", tmpl.planned[1], tmpl.planned[1] + dt.timedelta(minutes=40)),
             event("C", tmpl.planned[2], tmpl.planned[2]),
         ]
-        series, _ = assemble(events, tmpl, StateSpace(15), clip_mode="drop")
+        series, _ = assemble(events, tmpl, RunConfig(clip_mode="drop"))
         assert series[0].delays == (0,)
         assert series[0].clipped == 0
 
@@ -203,7 +203,7 @@ class TestAssembleSeries:
         events = [
             event("B", tmpl.planned[1], tmpl.planned[1]),  # first station missing
         ]
-        series, rejects = assemble(events, tmpl, StateSpace(15))
+        series, rejects = assemble(events, tmpl, RunConfig())
         assert series == []
         assert rejects[0].reason == "no usable stations"
 
@@ -214,7 +214,7 @@ class TestAssembleSeries:
             event("B", tmpl.planned[1], tmpl.planned[1]),
             event("X", tmpl.planned[1], tmpl.planned[1]),
         ]
-        series, rejects = assemble(events, tmpl, StateSpace(15))
+        series, rejects = assemble(events, tmpl, RunConfig())
         assert len(series) == 1
         assert rejects[0].reason == "station not in template"
 
@@ -226,7 +226,7 @@ class TestAssembleSeries:
             event("B", tmpl.planned[1], tmpl.planned[1]),
             event("A", tmpl.planned[0], tmpl.planned[0] + dt.timedelta(minutes=9)),
         ]
-        series, rejects = assemble(events, tmpl, StateSpace(15))
+        series, rejects = assemble(events, tmpl, RunConfig())
         assert [s.delays for s in series] == [(-7, 0)]
         assert [(r.row, r.reason) for r in rejects] == [("519,2017-11-07,A,V", "duplicate event")]
 
@@ -238,7 +238,7 @@ class TestAssembleSeries:
             events.append(event("A", tmpl.planned[0], tmpl.planned[0], date=date))
         # one extra date with only the second station (rejected)
         events.append(event("B", tmpl.planned[1], tmpl.planned[1], date="2017-11-09"))
-        series, rejects = assemble(events, tmpl, StateSpace(15))
+        series, rejects = assemble(events, tmpl, RunConfig())
         dates = {s.date for s in series} | {r.row.split(",")[1] for r in rejects}
         assert dates == {ev.split(",")[1] for ev in events}
 
@@ -248,7 +248,7 @@ class TestAssembleSeries:
             event("A", tmpl.planned[0], tmpl.planned[0], date=d)
             for d in ("2017-11-09", "2017-11-07", "2017-11-08")
         ]
-        series, _ = assemble(events, tmpl, StateSpace(15))
+        series, _ = assemble(events, tmpl, RunConfig())
         assert [s.date for s in series] == ["2017-11-07", "2017-11-08", "2017-11-09"]
 
     def test_unknown_train_rejected_first(self):
@@ -266,7 +266,7 @@ class TestAssembleSeries:
         ]
         events, parse_rejects = parse_events(io.StringIO(REAL_HEADER + "\n".join(rows) + "\n"))
         assert parse_rejects == []
-        trains, rejects = assemble_series(events, {"A": a, "C": c}, StateSpace(15))
+        trains, rejects = assemble_series(events, {"A": a, "C": c}, RunConfig())
         assert sorted(trains) == ["A", "C"]
         assert [s["delays"] for s in trains["A"]["series"]] == [[2]]
         assert [s["delays"] for s in trains["C"]["series"]] == [[0]]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from railmc import mctest
+from railmc.config import RunConfig
 from railmc.core import (
     CountTensor,
     StateSpace,
@@ -389,7 +390,8 @@ class TestDenseOracle:
         delays, lengths = series(*journeys)
         stations = range(1, lengths.max(initial=0) + 3)
         counts = build_count_tensor(delays, lengths, stations, space)
-        rows = markov_property_test(counts, alpha1, alpha2)
+        config = RunConfig(alpha1=alpha1, alpha2=alpha2)
+        rows = markov_property_test(counts, config)
         assert [r["t"] for r in rows] == list(stations)
         for t, row in zip(stations, rows):
             fields, ladders = dense_order_test(delays, lengths, t, space, alpha1, alpha2)
@@ -400,8 +402,7 @@ class TestDenseOracle:
             # the row is what order.json holds: it survives a JSON round trip
             assert json.loads(json.dumps(row)) == row, t
             # a one-station count pass gives the same row
-            (alone,) = markov_property_test(
-                build_count_tensor(delays, lengths, t, space), alpha1, alpha2)
+            (alone,) = markov_property_test(build_count_tensor(delays, lengths, t, space), config)
             assert alone == row, t
         recount = {name: {f"reject_h0_{k}": sum(r["verdicts"][name][k] == "rejected" for r in rows)
                           for k in (0, 1)} for name in ("LR", "Q")}
@@ -412,7 +413,7 @@ class TestDenseOracle:
 class TestMarkovPropertyTest:
     def test_hand_case_not_rejected(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        (row,) = markov_property_test(c, alpha1=0.05)
+        (row,) = markov_property_test(c, RunConfig(alpha1=0.05))
         # q0 = 2 < 3.841 at df = 1
         assert row["verdicts"]["Q"] == ["not_rejected", None]
 
@@ -424,24 +425,17 @@ class TestMarkovPropertyTest:
             matrices=(diag, diag),
         )
         c = build_count_tensor(*sampled(spec, 10_000), 3, SPACE)
-        (row,) = markov_property_test(c)
+        (row,) = markov_property_test(c, RunConfig())
         assert row["verdicts"]["Q"] == ["rejected", "not_rejected"]
         assert row["verdicts"]["LR"] == ["rejected", "not_rejected"]
 
     def test_degenerate_support_untestable(self):
         c = build_count_tensor(*series((0, 0), (0, 0)), 2, SPACE)
-        assert markov_property_test(c)[0]["verdicts"]["Q"][0] == "untestable"
+        assert markov_property_test(c, RunConfig())[0]["verdicts"]["Q"][0] == "untestable"
 
     def test_no_rows_untestable(self):
         c = build_count_tensor(*series(), 2, SPACE)
-        assert markov_property_test(c)[0]["verdicts"]["Q"][0] == "untestable"
-
-    def test_alpha_validation(self):
-        c = build_count_tensor(*series((0, 0)), 2, SPACE)
-        with pytest.raises(ValueError):
-            markov_property_test(c, alpha1=0.0)
-        with pytest.raises(ValueError):  # 1.0 - 1e-17 rounds to 1.0
-            markov_property_test(c, alpha2=1e-17)
+        assert markov_property_test(c, RunConfig())[0]["verdicts"]["Q"][0] == "untestable"
 
     def test_statistics_agree_near_null(self):
         # LR and Q coincide to first order; their relative gap shrinks with
@@ -466,14 +460,14 @@ class TestMarkovPropertyTest:
 class TestReporting:
     def test_report_roundtrips_to_dict(self):
         c = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        (row,) = markov_property_test(c)
+        (row,) = markov_property_test(c, RunConfig())
         assert json.loads(json.dumps(row)) == row
         assert row["t"] == 2 and row["df0"] == 1
         assert row["verdicts"]["Q"][0] == "not_rejected"
 
     def test_aggregate_shape(self):
         counts = build_count_tensor(*series((0, 0), (0, 0), (1, 1), (1, 1)), 2, SPACE)
-        rows = markov_property_test(counts)
+        rows = markov_property_test(counts, RunConfig())
         agg = aggregate_reports(rows)
         assert agg["total_stations"] == 1
         assert agg["statistics"]["Q"] == {"reject_h0_0": 0, "reject_h0_1": 0}

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from railmc.config import RunConfig
 from railmc.core import StateSpace, build_count_tensor
 from railmc.recovery import (
     _RIDGE,
@@ -203,7 +204,7 @@ class TestStationStack:
         fills = {
             "diagonal": lambda p, c: diagonal_fill(p),
             "uniform": lambda p, c: uniform_fill(p),
-            "gaussian_regression": lambda p, c: gaussian_regression_fill(p, c, space),
+            "gaussian_regression": lambda p, c: gaussian_regression_fill(p, c, space, RunConfig()),
         }
         for name, fill in fills.items():
             stack = fill(partial, every)
@@ -226,7 +227,7 @@ class TestGaussianRegressionFill:
     def test_constant_spread_line(self):
         space = StateSpace(5)
         c = self._symmetric_counts(space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         states = space.states()
         # filled row 3: Gaussian with mean 3, spread 1, discretized and normalized
         expected = np.exp(-0.5 * (states - 3.0) ** 2)
@@ -239,8 +240,9 @@ class TestGaussianRegressionFill:
         # with unit variance both spread conventions coincide
         space = StateSpace(5)
         c = self._symmetric_counts(space)
-        (a,) = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="printed")
-        (b,) = gaussian_regression_fill(empirical_matrix(c), c, space, std_form="sqrt")
+        printed, sqrt = (RunConfig(regression_std=form) for form in ("printed", "sqrt"))
+        (a,) = gaussian_regression_fill(empirical_matrix(c), c, space, printed)
+        (b,) = gaussian_regression_fill(empirical_matrix(c), c, space, sqrt)
         assert np.allclose(a, b)
 
     def test_negative_fitted_spread_becomes_unit_diagonal(self):
@@ -255,7 +257,7 @@ class TestGaussianRegressionFill:
         for j in (1, 2, 3):
             s.append((2, j))
         c = build_count_tensor(*series(*s), 2, space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
         assert mat[r, r] == 1.0
@@ -267,7 +269,7 @@ class TestGaussianRegressionFill:
         space = StateSpace(3)
         c = build_count_tensor(*series((0, 1), (0, -1)), 2, space)
         with pytest.warns(UserWarning):
-            (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
+            (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         r = space.index(2)
         assert mat[r, r] == 1.0
 
@@ -275,7 +277,7 @@ class TestGaussianRegressionFill:
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
         c = build_count_tensor(*sampled(spec, 50), 2, space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space)
+        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_per_row_reference(self):
@@ -285,7 +287,7 @@ class TestGaussianRegressionFill:
         spec = near_diagonal_spec(space, 2, 4.0, seed=9)
         c = build_count_tensor(*sampled(spec, 40), 2, space)
         (partial,) = empirical_matrix(c)
-        (mat,) = gaussian_regression_fill(partial[None], c, space)
+        (mat,) = gaussian_regression_fill(partial[None], c, space, RunConfig())
         states = space.states()
         (n2,) = c.n2
         tot = n2.sum(axis=1)
@@ -341,7 +343,7 @@ class TestGaussianRegressionFill:
         c = build_count_tensor(delays, lengths, range(2, 5), space)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            mat = gaussian_regression_fill(empirical_matrix(c), c, space)
+            mat = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         assert [str(w.message).split()[0] for w in caught] == ["2"]
         assert np.array_equal(mat[:2], diagonal_fill(empirical_matrix(c))[:2])
 
@@ -355,12 +357,6 @@ class TestGaussianRegressionFill:
         assert np.array_equal(rows[0], gauss / gauss.sum())
         assert np.array_equal(rows[1], [1.0, 0, 0, 0, 0])
         assert np.array_equal(rows[2], [0, 0, 0, 0, 1.0])
-
-    def test_unknown_std_form(self):
-        space = StateSpace(2)
-        c = build_count_tensor(*series((0, 1), (1, 0)), 2, space)
-        with pytest.raises(ValueError):
-            gaussian_regression_fill(empirical_matrix(c), c, space, std_form="bogus")
 
 
 class TestKdeFit:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from railmc import synth
+from railmc.config import RunConfig
 from railmc.core import DelaySeries, StateSpace
 from railmc.ingest import assemble_series, load_timetable, parse_events
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_series, write_ingest_files
@@ -20,6 +21,13 @@ class TestChainSpec:
                       matrices=(np.eye(3),))
         with pytest.raises(ValueError):
             ChainSpec(space, 2, 3, np.full(3, 1 / 3), seed=0)
+        # NaN fails every comparison, so "> tolerance" and "< 0" checks let it through
+        for nan_row in (np.array([np.nan, 0.5, 0.5]), np.full(3, np.nan)):
+            with pytest.raises(ValueError, match="probability vectors"):
+                ChainSpec(space, 2, 1, nan_row, seed=0, matrices=(np.eye(3),))
+            with pytest.raises(ValueError, match="probability vectors"):
+                ChainSpec(space, 2, 1, np.full(3, 1 / 3), seed=0,
+                          matrices=(np.vstack([np.eye(3)[:2], nan_row]),))
 
     def test_identity_matrix_freezes_delays(self):
         space = StateSpace(2)
@@ -91,6 +99,8 @@ class TestNearDiagonalSpec:
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):
             near_diagonal_spec(StateSpace(2), 2, 0.0, seed=0)
+        with pytest.raises(ValueError, match="dispersion must be positive"):
+            near_diagonal_spec(StateSpace(3), 4, float("nan"), seed=0)
 
 
 class TestCsvRoundTrip:
@@ -105,7 +115,7 @@ class TestCsvRoundTrip:
         templates = load_timetable(tt)
         events, parse_rejects = parse_events(rz)
         assert parse_rejects == []
-        recovered, rejects = assemble_series(events, templates, space)
+        recovered, rejects = assemble_series(events, templates, RunConfig())
         assert rejects == []
         got = [tuple(s["delays"]) for s in recovered["T001"]["series"]]
         assert sorted(got) == sorted(s.delays for s in sampled)

@@ -8,7 +8,8 @@ loading any command's modules. The CLI reads every store and bundle through the 
 it, only the store parser reads a store document's keys, and only the trainer and the bundle
 parser check a transition matrix; every recovery strategy reads the one count pass, with no
 polynomial fit and no search for distinct pairs; the package defines one exception class per error exit code, all in core, each
-mapped to its code by cli.main; and ingest alone decides every reject. The console script is
+mapped to its code by cli.main; ingest alone decides every reject; and no module but config
+gives a run setting a default or lists its accepted values. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
 is a with item, so that hard exit loses no data."""
 
@@ -336,3 +337,36 @@ def test_only_ingest_decides_rejects():
             elif isinstance(node, ast.Constant) and node.value in REJECT_REASONS:
                 found.append((module, node.value, node.lineno))
     assert found and {module for module, _, _ in found} == {"railmc.ingest"}, found
+
+
+def test_each_setting_is_declared_in_config_only():
+    # a RunConfig field declares its setting's default and accepted values; a function
+    # that reads the setting takes the checked config and repeats neither
+    from railmc.config import RunConfig
+
+    choices = [set(f.metadata["choices"]) for f in dataclasses.fields(RunConfig)
+               if f.metadata["choices"]]
+    accepted = set().union(*choices)
+    found = []
+    for module in MODULES:
+        if module == "railmc.config":
+            continue
+        for node in ast.walk(_source_tree(module)):
+            defaults = []
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                params = positional[len(positional) - len(args.defaults):] + args.kwonlyargs
+                pairs = [(a, d) for a, d in zip(params, args.defaults + args.kw_defaults) if d]
+                found += [(module, node.lineno, a.arg) for a, _ in pairs if a.arg in ("alpha1", "alpha2")]
+                defaults = [d for _, d in pairs]
+            elif isinstance(node, ast.ClassDef):
+                defaults = [n.value for n in node.body
+                            if isinstance(n, (ast.AnnAssign, ast.Assign)) and n.value is not None]
+            elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                values = {e.value for e in node.elts if isinstance(e, ast.Constant)}
+                if any(len(values & c) >= 2 for c in choices):
+                    found.append((module, node.lineno, ast.unparse(node)))
+            found += [(module, d.lineno, d.value) for d in defaults
+                      if isinstance(d, ast.Constant) and d.value in accepted]
+    assert found == [], found
