@@ -10,7 +10,8 @@ Exit codes: 0 ok, 1 internal error, 2 an OSError or InputError (a missing or
 malformed flag, or a malformed store, bundle, config file, input encoding,
 realization header or timetable row), 3 EmptySelectionError, 4 CoverageError
 (no target station, a station missing from the bundle, or a delay or store
-outside the model's state space). Each error class is defined in `core`.
+outside the model's state space), 5 MemoryError (the command needs more memory
+than the process may have). Each error class but MemoryError is defined in `core`.
 
 `main(argv)` parses with only the invoked subcommand's flags built and returns
 the exit code; library callers and tests call it. The process entry `run()`,
@@ -40,6 +41,7 @@ EXIT_INTERNAL = 1
 EXIT_IO = 2
 EXIT_EMPTY = 3
 EXIT_COVERAGE = 4
+EXIT_MEMORY = 5
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -263,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {args.command} ran out of memory: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -63,12 +63,15 @@ class CoverageError(RuntimeError):
 
 
 def load_json(path):
-    """Read a JSON file; one that is not UTF-8 JSON raises InputError naming it."""
+    """Read a JSON file; one that is not UTF-8 JSON, or that nests deeper than
+    the reader can follow, raises InputError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except ValueError as exc:  # a JSON syntax error or a byte that is not UTF-8
         raise InputError(f"{path} is not JSON: {exc}") from None
+    except RecursionError:
+        raise InputError(f"{path} nests its JSON arrays or objects too deeply to read") from None
 
 
 @dataclass(frozen=True)

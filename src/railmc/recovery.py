@@ -18,8 +18,13 @@ The KDE strategy replaces *every* row with the kernel estimate.
 The KDE draws no random numbers. Delays are integers, so the estimate is a
 count-weighted kernel sum over the observed (d(t-1), d(t)) cells of n2, at
 most (2N+1)^2 distinct pairs; a ridge, not noise, keeps the covariance of
-correlated pairs invertible. Its rows are normalized by a max-shifted
-exponential, so far-tail underflow never produces NaN.
+correlated pairs invertible, and its 2x2 inverse is closed-form. Pairs and
+grid cells both lie on the integer lattice, so `kde_matrix` evaluates the
+density from one (at most (4N+1)^2) table of kernel exponents and one matmul
+per station, whatever the number of pairs. Each row the table cannot certify
+(and every row of a ridged, single-observation or off-lattice fit) is the
+exact pair sum instead. Either way a row is normalized from max-shifted
+exponentials, so far-tail underflow never produces NaN.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .config import RunConfig
 from .core import CountTensor, StateSpace, _conditional
@@ -48,6 +54,9 @@ _SINGULAR_DET = 1e-12
 _SINGULAR_REL = 1e-12  # a singular covariance's a*d - b*c rounds to a few ulps of a*d
 _RIDGE = 1e-6
 LOG_2PI = np.log(2.0 * np.pi)
+_FLUSH = -708.0         # exp() of a smaller exponent is subnormal: taken as 0
+_ROW_FLOOR = 2.0**-512  # a certified lattice row's largest cell is at least this
+_LOG_BOUND = 512.0      # and its log-density lies within this of 0
 
 
 def empirical_matrix(counts: CountTensor) -> np.ndarray:
@@ -161,6 +170,7 @@ class KdeModel:
     cov_inv: np.ndarray
     log_det: float
     bandwidth: float            # h = m^(-1/6)
+    ridge: float = 0.0          # added to the covariance's diagonal; 0 when it was invertible
 
     @property
     def m(self) -> int:
@@ -174,9 +184,9 @@ def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
     Every pair, duplicates included, enters the mean, the covariance and
     h = m^(-1/6) with m = sum(weights). A near-singular covariance (perfectly
     correlated or identical pairs) gets an escalating ridge until its
-    closed-form determinant a*d - b*c reaches both 1e-12 and 1e-12 * a*d (LU
-    can round an exactly singular determinant above 1e-12). With a single
-    observation the covariance is undefined and the identity is used.
+    determinant a*d - b*c reaches both 1e-12 and 1e-12 * a*d. With a single
+    observation the covariance is undefined and the identity is used. The
+    inverse and the log-determinant of the 2x2 covariance are closed-form.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights)
@@ -187,27 +197,38 @@ def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
     if m == 0:
         raise ValueError("no observations to fit")
 
+    ridge = 0.0
     if m == 1:
         warnings.warn("single observation: substituting identity covariance")
         cov = np.eye(2)
     else:
         centered = points - weights @ points / m
         cov = (centered.T * weights) @ centered / (m - 1)
-        ridge = _RIDGE
+        step = _RIDGE
         while (ad := cov[0, 0] * cov[1, 1]) - cov[0, 1] * cov[1, 0] < max(_SINGULAR_DET,
                                                                        _SINGULAR_REL * ad):
-            cov = cov + ridge * np.eye(2)
-            ridge *= 10.0
+            cov = cov + step * np.eye(2)
+            ridge += step
+            step *= 10.0
 
-    det = float(np.linalg.det(cov))
+    (a, b), (c, d) = cov
+    det = a * d - b * c
     return KdeModel(
         points=points,
         weights=weights,
         cov=cov,
-        cov_inv=np.linalg.inv(cov),
+        cov_inv=np.array([[d, -b], [-c, a]]) / det,
         log_det=float(np.log(det)),
         bandwidth=float(m ** (-1.0 / 6.0)),
+        ridge=ridge,
     )
+
+
+def _kernel_exponents(model: KdeModel, dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """A kernel's exponent at the offsets (dx, dy), broadcast against each
+    other; both density paths compute it in this one operation order."""
+    c = model.cov_inv / (-2.0 * model.bandwidth**2)
+    return c[0, 0] * dx * dx + (c[0, 1] + c[1, 0]) * dx * dy + c[1, 1] * dy * dy
 
 
 def _log_density_at(model: KdeModel, x, y) -> np.ndarray:
@@ -219,26 +240,101 @@ def _log_density_at(model: KdeModel, x, y) -> np.ndarray:
     """
     dx = np.asarray(x, dtype=float)[..., None] - model.points[:, 0]
     dy = np.asarray(y, dtype=float)[..., None] - model.points[:, 1]
-    c = model.cov_inv / (-2.0 * model.bandwidth**2)
-    log_terms = c[0, 0] * dx * dx + (c[0, 1] + c[1, 0]) * dx * dy + c[1, 1] * dy * dy
+    log_terms = _kernel_exponents(model, dx, dy)
     peak = log_terms.max(axis=-1, keepdims=True)
     log_terms -= peak
     np.exp(log_terms, out=log_terms)
-    log_norm = -(np.log(model.m) + 2.0 * np.log(model.bandwidth) + 0.5 * model.log_det + LOG_2PI)
-    return np.log(log_terms @ model.weights) + peak[..., 0] + log_norm
+    return np.log(log_terms @ model.weights) + peak[..., 0] + _log_norm(model)
+
+
+def _log_norm(model: KdeModel) -> float:
+    return -(np.log(model.m) + 2.0 * np.log(model.bandwidth) + 0.5 * model.log_det + LOG_2PI)
+
+
+def _pair_sum_rows(model: KdeModel, x: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The exact rows: the density at (x_r, every state) from the pair sum,
+    each row shifted by its peak log-density before it is exponentiated and
+    divided by its sum."""
+    logf = _log_density_at(model, x[:, None], states[None, :])
+    probs = np.exp(logf - logf.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def _on_lattice(model: KdeModel, n_max: int) -> bool:
+    """Whether the lattice may serve the model: an unridged fit to more than
+    one pair, whose pairs are integer states of [-n_max, n_max]."""
+    points = model.points
+    return (model.ridge == 0.0 and model.m > 1 and bool((points == np.rint(points)).all())
+            and bool((np.abs(points) <= n_max).all()))
+
+
+def _lattice_rows(model: KdeModel, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The normalized density rows from one table of kernel exponents, and
+    which of them the table certifies.
+
+    Pairs and grid cells are integers in [-N, N], so every exponent is an
+    entry T[a, b] of one table over the offsets a = x - px, b = y - py the
+    pairs' bounding box needs (at most (4N+1)^2 of them), computed in the
+    pair sum's operation order. Each offset row a is shifted by its maximum
+    M[a] and exponentiated once. A Toeplitz view of the table (no copy) then
+    meets the count grid W in one matmul: g[a, h, j] = sum_l W[h, l] E[a, j - l].
+    Output row i sums its source rows h with the factors exp(M[i - h] - S_i),
+    where S_i is the largest of its M[i - h].
+
+    A row is certified when its sum is finite, its largest cell is at least
+    `_ROW_FLOOR` and its log-density lies within `_LOG_BOUND` of 0. The floor
+    bounds what underflow dropped: each term flushed to zero is below
+    2^-1022 times its count. Past the bound, the pair sum's own rounding of
+    a log-density, eps * |log f|, exceeds 1e-13 of the row.
+    """
+    k = 2 * n_max + 1
+    pairs = model.points.astype(np.intp) + n_max   # state indices (h, l)
+    (h0, l0), (h1, l1) = pairs.min(axis=0), pairs.max(axis=0)
+    counts = np.zeros((h1 - h0 + 1, l1 - l0 + 1))
+    counts[pairs[:, 0] - h0, l1 - pairs[:, 1]] = model.weights  # columns reversed: the view reads j - l
+    sources = np.flatnonzero(counts.any(axis=1))
+    table = _kernel_exponents(model, np.arange(-h1, k - h0, dtype=float)[:, None],
+                              np.arange(-l1, k - l0, dtype=float))
+    shift = table.max(axis=1)
+    table -= shift[:, None]
+    table[table < _FLUSH] = -np.inf                 # no subnormal reaches the matmul
+    np.exp(table, out=table)
+    # toeplitz[a, s, j] = table[a, s + j]; sliding_window_view builds the same
+    # view, but its argument checks cost a sparse station about 7% of its time
+    row, cell = table.strides
+    toeplitz = as_strided(table, (len(table), counts.shape[1], k), (row, cell, cell),
+                          writeable=False)
+    g = counts[sources] @ toeplitz
+    offset = np.arange(k)[:, None] + (h1 - h0) - sources      # (k, sources): a = i - h
+    source_shift = shift[offset]
+    row_shift = source_shift.max(axis=1)
+    scale = np.exp(source_shift - row_shift[:, None])
+    rows = (scale[:, None, :] @ g[offset, np.arange(len(sources))])[:, 0, :]
+    total = rows.sum(axis=1)
+    peak = rows.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        certified = (np.isfinite(total) & (peak >= _ROW_FLOOR)
+                     & (np.abs(np.log(peak) + row_shift + _log_norm(model)) <= _LOG_BOUND))
+        return rows / total[:, None], certified
 
 
 def kde_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
     """Evaluate the density on the full state grid and normalize each row.
 
-    Row i holds f((i, j)) / sum_k f((i, k)); every row is defined. Each row
-    is shifted by its peak log-density before exponentiating, so far-tail
-    underflow never produces NaN.
+    Row i holds f((i, j)) / sum_k f((i, k)); every row is defined, and
+    far-tail underflow never produces NaN. Rows the lattice certifies come
+    from one exponent table and one matmul (`_lattice_rows`), at a cost set
+    by N, not by the distinct pairs. Every other row, and every row of a
+    ridged, single-observation or off-lattice model, is the pair sum: each
+    row shifted by its peak log-density before exponentiating.
     """
     states = space.states().astype(float)
-    logf = _log_density_at(model, states[:, None], states[None, :])
-    probs = np.exp(logf - logf.max(axis=1, keepdims=True))
-    return probs / probs.sum(axis=1, keepdims=True)
+    if not _on_lattice(model, space.n_max):
+        return _pair_sum_rows(model, states, states)
+    probs, certified = _lattice_rows(model, space.n_max)
+    if not certified.all():
+        probs[~certified] = _pair_sum_rows(model, states[~certified], states)
+    return probs
 
 
 def kde_recover(counts: CountTensor, space: StateSpace) -> np.ndarray:

@@ -10,6 +10,11 @@ import sys
 import types
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -949,6 +954,33 @@ def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
         assert err.startswith(f"error: {bundle}: {where}") and reason in err
 
 
+# json's reader raises RecursionError once the nesting passes the interpreter's recursion limit
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("kind", ["store", "bundle", "config"])
+def test_deeply_nested_json_exits_2(workspace, capsys, kind):
+    deep, store, out = workspace / "deep.json", workspace / "store.json", workspace / "out.json"
+    bundle = workspace / "bundle.json"
+    assert main(["train", "--store", str(store), "--out", str(bundle), "--strategy", "diagonal"]) == 0
+    deep.write_text(DEEP_JSON)
+    forecast = ["forecast", "--train", "T001", "--station", "1", "--delay", "0", "--out", str(out)]
+    read_by = {
+        "store": [["test", "--store", str(deep), "--out", str(out)],
+                  [*forecast, "--bundle", str(bundle), "--store", str(deep)]],
+        "bundle": [[*forecast, "--bundle", str(deep), "--target", "3"],
+                   ["evaluate", "--store", str(store), "--bundle", str(deep), "--out", str(out)]],
+        "config": [["test", "--store", str(store), "--out", str(out), "--config", str(deep)],
+                   [*forecast, "--bundle", str(bundle), "--target", "3", "--config", str(deep)]],
+    }[kind]
+    capsys.readouterr()
+    for argv in read_by:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{deep} nests its JSON arrays or objects too deeply to read" in err, err
+        assert not out.exists()
+
+
 class TestBundleParsedOnce:
     @pytest.mark.parametrize("argv", [
         ["forecast", "--bundle", "bundle", "--train", "T002", "--station", "1", "--delay", "2",
@@ -1089,6 +1121,21 @@ class TestProcesses:
                 stderr=subprocess.PIPE, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert (tmp_path / "rz.csv").stat().st_size > 0
+
+    @pytest.mark.skipif(resource is None, reason="no resource module on this system")
+    def test_out_of_memory_exits_5(self, tmp_path):
+        # 10^8 series of 20 delays need 14.9 GiB; the address-space limit binds the child alone
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "railmc.cli", "synth", "--series", "100000000", "--length", "20",
+             "--out-timetable", "tt.csv", "--out-realization", "rz.csv"],
+            cwd=tmp_path, env=_cli_env(), preexec_fn=limit_address_space,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 5, proc.stderr
+        assert proc.stderr.startswith("error: synth ran out of memory: "), proc.stderr
+        assert "internal error" not in proc.stderr
 
 
 # the required flags of each subcommand; no file is read
@@ -1292,8 +1339,8 @@ class TestFlagFuzz:
 
 # the seeded mutations of an input: a dropped key or field, a short row (a list,
 # string or CSV row cut to half), a NaN, a 20-digit int, a number turned into a
-# string, or a value of another JSON type
-MUTATIONS = ("drop", "short", "nan", "bigint", "string", "wrong_type")
+# string, a value of another JSON type, or 200,000 nested arrays (a long field in a CSV)
+MUTATIONS = ("drop", "short", "nan", "bigint", "string", "wrong_type", "nest")
 WRONG_TYPED = (None, True, 1.5, "x", [], {})
 FUZZ_CONFIG = {"n_max": 15, "alpha1": 0.05, "horizon_minutes": 20.0, "strategy": "diagonal",
                "clip_mode": "saturate", "seed": 5}
@@ -1312,6 +1359,8 @@ def _mutate(data, holder, key, mutation: str) -> None:
         holder[key] = data.draw(st.sampled_from((10**20, -10**20)))
     elif mutation == "string":
         holder[key] = str(value) if not isinstance(value, str) else "15"
+    elif mutation == "nest":
+        holder[key] = DEEP_JSON  # a string here; `_mutated_json` writes it as nested arrays
     else:
         holder[key] = data.draw(st.sampled_from([w for w in WRONG_TYPED if type(w) is not type(value)]))
 
@@ -1327,7 +1376,7 @@ def _mutated_json(data, value, mutation: str) -> str:
         holder, key = node, data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
                                                        else range(len(node))))
     _mutate(data, holder, key, mutation)
-    return json.dumps(root[0]) if root else ""
+    return json.dumps(root[0]).replace(json.dumps(DEEP_JSON), DEEP_JSON) if root else ""
 
 
 def _mutated_csv(data, path, mutation: str) -> str:

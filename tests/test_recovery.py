@@ -18,8 +18,10 @@ from railmc.recovery import (
     _SINGULAR_REL,
     KdeModel,
     _gaussian_rows,
+    _lattice_rows,
     _lines,
     _log_density_at,
+    _on_lattice,
     diagonal_fill,
     empirical_matrix,
     gaussian_regression_fill,
@@ -547,6 +549,15 @@ class TestKdeMatrix:
         np.testing.assert_allclose(kde_matrix(model, space), naive, rtol=0, atol=1e-12)
 
 
+RIDGED_STATIONS = [
+    # unridged, row d(t-1) = 4 put [0.562, 0.438] on d(t) = -6, -5; 60 digits give ~[0.5, 0.5]
+    ([[1, -10], [11, 5]], [1, 1], 15),
+    ([[-4, -3], [0, -1], [8, 3]], [1, 2, 3], 10),
+    ([[-6, 9], [-4, 6], [-2, 3], [0, 0], [2, -3]], [3, 1, 4, 1, 5], 15),
+]
+RIDGED_IDS = ["two_pairs", "three_collinear", "five_collinear"]
+
+
 class TestKdeDecimalOracle:
     """Ridged stations' KDE matrices against a 60-digit evaluation of the
     same model.
@@ -560,12 +571,7 @@ class TestKdeDecimalOracle:
     below stay within 0.12 of the bound.
     """
 
-    @pytest.mark.parametrize("pairs, weights, n_max", [
-        # unridged, row d(t-1) = 4 put [0.562, 0.438] on d(t) = -6, -5; 60 digits give ~[0.5, 0.5]
-        ([[1, -10], [11, 5]], [1, 1], 15),
-        ([[-4, -3], [0, -1], [8, 3]], [1, 2, 3], 10),
-        ([[-6, 9], [-4, 6], [-2, 3], [0, 0], [2, -3]], [3, 1, 4, 1, 5], 15),
-    ], ids=["two_pairs", "three_collinear", "five_collinear"])
+    @pytest.mark.parametrize("pairs, weights, n_max", RIDGED_STATIONS, ids=RIDGED_IDS)
     def test_ridged_station_matches_60_digits(self, pairs, weights, n_max):
         model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
         space = StateSpace(n_max)
@@ -574,6 +580,111 @@ class TestKdeDecimalOracle:
         assert 1e6 < np.linalg.cond(model.cov) < 1e9  # ridged, so the bound is meaningful
         np.testing.assert_allclose(kde_matrix(model, space), want, rtol=0, atol=bound)
 
+
+
+def pair_sum_matrix(model: KdeModel, space: StateSpace) -> np.ndarray:
+    """The pair sum: every cell's log-density from every distinct pair, each
+    row shifted by its peak before it is exponentiated and divided by its sum.
+    The oracle of the lattice rows of `kde_matrix`."""
+    states = space.states().astype(float)
+    logf = _log_density_at(model, states[:, None], states[None, :])
+    probs = np.exp(logf - logf.max(axis=1, keepdims=True))
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+@st.composite
+def small_pair_sets(draw):
+    """A state space with N in 1..15, and 1-5 distinct integer pairs on it with counts 1-5."""
+    n_max = draw(st.integers(1, 15))
+    coord = st.integers(-n_max, n_max)
+    pairs = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(pairs), max_size=len(pairs)))
+    return n_max, pairs, weights
+
+
+class TestLatticeOracle:
+    """`kde_matrix` against the pair sum, within atol 1e-12: the rows the
+    exponent table certifies, and the pair-sum rows of every other row."""
+
+    @staticmethod
+    def assert_matches_pair_sum(model, space):
+        got = kde_matrix(model, space)
+        assert np.isfinite(got).all()
+        np.testing.assert_allclose(got, pair_sum_matrix(model, space), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("n_max", [2, 15])
+    def test_dense_station(self, n_max, seed):
+        space = StateSpace(n_max)
+        model = fit_observations(sample_delays(near_diagonal_spec(space, 2, 1.5, seed), 2000)[:, :2])
+        assert _on_lattice(model, n_max) and _lattice_rows(model, n_max)[1].all()
+        self.assert_matches_pair_sum(model, space)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sparse_station(self, seed):
+        space = StateSpace(15)
+        model = fit_observations(sample_delays(near_diagonal_spec(space, 2, 4.0, seed), 20)[:, :2])
+        assert len(model.points) <= 20 and _on_lattice(model, 15)
+        self.assert_matches_pair_sum(model, space)
+
+    @pytest.mark.parametrize("pairs, weights, n_max", RIDGED_STATIONS, ids=RIDGED_IDS)
+    def test_ridged_station_takes_the_pair_sum(self, pairs, weights, n_max):
+        model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
+        assert model.ridge > 0 and not _on_lattice(model, n_max)
+        assert np.array_equal(kde_matrix(model, StateSpace(n_max)), pair_sum_matrix(model, StateSpace(n_max)))
+
+    def test_off_lattice_and_single_pair_models_take_the_pair_sum(self):
+        space = StateSpace(3)
+        with pytest.warns(UserWarning):
+            single = kde_fit([[1.0, -1.0]], [1])
+        between = kde_fit([[0.5, 1.0], [1.0, -2.0], [-1.0, 0.0]], [1, 1, 1])
+        outside = kde_fit([[4.0, 1.0], [1.0, -2.0], [-1.0, 0.0]], [1, 1, 1])
+        for model in (single, between, outside):
+            assert not _on_lattice(model, space.n_max)
+            assert np.array_equal(kde_matrix(model, space), pair_sum_matrix(model, space))
+
+    def test_rows_that_underflow_in_the_table_take_the_pair_sum(self):
+        # far from these three pairs every term of rows d(t-1) = -5, 3, 4, 5
+        # underflows in the table, which leaves 0 / 0 there
+        model = kde_fit(np.array([[-2.0, -5.0], [0.0, 3.0], [0.0, 4.0]]), np.array([1, 2, 8]))
+        with np.errstate(invalid="ignore"):
+            lattice, certified = _lattice_rows(model, 5)
+        empty = np.isnan(lattice).any(axis=1)
+        assert np.flatnonzero(empty).tolist() == [0, 8, 9, 10] and not certified[empty].any()
+        self.assert_matches_pair_sum(model, StateSpace(5))
+
+    def test_rows_far_out_in_log_density_take_the_pair_sum(self):
+        # a nearly singular, unridged covariance: rows d(t-1) < 14 sit hundreds
+        # to thousands below 0 in log-density, where the pair sum rounds each
+        # log f by about eps * |log f|. There the table (closer to a 60-digit
+        # evaluation) and the pair sum differ by up to 4e-10, so only the two
+        # rows next to the pairs are certified.
+        model = kde_fit(np.array([[14.0, -4.0], [14.0, -2.0], [15.0, -3.0]]), np.array([1466, 891, 1]))
+        space = StateSpace(15)
+        lattice, certified = _lattice_rows(model, 15)
+        assert model.ridge == 0 and np.flatnonzero(certified).tolist() == [29, 30]
+        assert np.abs(lattice - pair_sum_matrix(model, space)).max() > 1e-10
+        self.assert_matches_pair_sum(model, space)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_pair_sets())
+    @example((5, [(-2, -5), (0, 3), (0, 4)], [1, 2, 8]))  # four rows underflow in the table
+    @example((1, [(0, 0), (1, 1)], [1, 1]))                # ridged
+    @example((3, [(1, -1)], [1]))                          # m = 1
+    def test_random_small_pair_sets(self, drawn):
+        n_max, pairs, weights = drawn
+        space = StateSpace(n_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # m = 1
+            model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
+        want = pair_sum_matrix(model, space)
+        if _on_lattice(model, n_max):
+            # a row the lattice gets wrong (NaN included) is never certified
+            with np.errstate(invalid="ignore"):
+                lattice, certified = _lattice_rows(model, n_max)
+            wrong = ~(np.abs(lattice - want) <= 1e-12).all(axis=1)
+            assert not (certified & wrong).any()
+        self.assert_matches_pair_sum(model, space)
 
 class TestRowLogSumExp:
     """Each kde_matrix row, its max-shifted exponential over its sum, is

@@ -262,6 +262,17 @@ def test_recovery_fits_from_the_counts_alone():
     assert ("np", "unique") not in attrs
 
 
+def test_recovery_inverts_the_covariance_in_closed_form():
+    # the 2x2 inverse and log-determinant need no LU: the KDE fit makes no np.linalg call
+    tree = _source_tree("railmc.recovery")
+    found = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "linalg"
+             or isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                 "linalg" in name for name in [getattr(node, "module", None) or "",
+                                               *(alias.name for alias in node.names)])]
+    assert found == []
+
+
 def test_recover_makes_one_count_pass():
     tree = _source_tree("railmc.pipeline")
     (recover,) = (node for node in tree.body
@@ -321,7 +332,8 @@ def test_one_exception_class_per_error_exit_code():
             assert t.id not in codes
             codes[t.id] = exit_code
     assert codes == {"EmptySelectionError": "EXIT_EMPTY", "CoverageError": "EXIT_COVERAGE",
-                     "InputError": "EXIT_IO", "OSError": "EXIT_IO", "Exception": "EXIT_INTERNAL"}
+                     "InputError": "EXIT_IO", "OSError": "EXIT_IO", "MemoryError": "EXIT_MEMORY",
+                     "Exception": "EXIT_INTERNAL"}
 
 
 def test_only_ingest_decides_rejects():
