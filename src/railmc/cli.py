@@ -3,8 +3,9 @@
 Subcommands: ``synth``, ``ingest``, ``test``, ``train``, ``forecast``,
 ``evaluate``. All reports are compact JSON with sorted keys (plus CSV mirrors
 where noted), so re-running a command with the same inputs and seed produces
-byte-identical outputs. Every subcommand takes one flag per settable
-RunConfig field, built from that field's declaration.
+byte-identical outputs. Each subcommand takes one flag per RunConfig field
+that it reads, built from that field's declaration, and no flag for a field it
+does not read: such a flag is a usage error (exit 2).
 
 Exit codes: 0 ok, 1 internal error, 2 an OSError or InputError (a missing or
 malformed flag, or a malformed store, bundle, config file, input encoding,
@@ -33,7 +34,7 @@ from typing import NoReturn
 
 from . import pipeline
 from .config import RunConfig
-from .core import CoverageError, EmptySelectionError, InputError, StateSpace
+from .core import CoverageError, EmptySelectionError, InputError, StateSpace, open_output
 # each cmd_* imports the modules only its command runs, so a process loads no others
 
 EXIT_OK = 0
@@ -44,18 +45,17 @@ EXIT_COVERAGE = 4
 EXIT_MEMORY = 5
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", help="JSON config file; flags override its values")
     for f in dataclasses.fields(RunConfig):
-        flag = f.metadata["flag"]
-        if flag is not None:
-            p.add_argument(flag or "--" + f.name.replace("_", "-"), dest=f.name,
+        if command in f.metadata["commands"]:
+            p.add_argument(f.metadata["flag"] or "--" + f.name.replace("_", "-"), dest=f.name,
                            type=type(f.default), choices=f.metadata["choices"] or None,
                            help=f"{f.metadata['help']} (default {f.default})")
 
 
 def _config_from(args: argparse.Namespace) -> RunConfig:
-    # a field with no flag (regression_std) reads None and falls through
+    # a field whose flag the command lacks reads None and keeps its file or default value
     overrides = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
     return RunConfig.load(getattr(args, "config", None), **overrides)
 
@@ -133,6 +133,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_forecast(args: argparse.Namespace) -> int:
     if args.target is None and args.store is None:
         raise InputError("forecast needs --target or --store to resolve the target station")
+    if args.target is not None and args.store is not None:
+        raise InputError(
+            "forecast takes --target or --store, not both: --target leaves --store unread")
     config = _config_from(args)
     bundle = pipeline.load_bundle(args.bundle)
     store = None if args.target is not None else pipeline.load_store(args.store)
@@ -150,6 +153,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.baseline == "marginal" and not args.train_store:
         raise InputError("--baseline marginal needs --train-store")
+    if args.baseline != "marginal" and args.train_store is not None:
+        raise InputError("--train-store is read only by --baseline marginal")
     config = _config_from(args)
     store = pipeline.load_store(args.store)
     bundle = pipeline.load_bundle(args.bundle) if args.bundle else None
@@ -159,7 +164,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         train_store=train_store, from_station=args.from_station, target=args.target,
     )
     pipeline.save_json(payload, args.out)
-    with open(str(args.out) + ".csv", "w", newline="") as fh:
+    with open_output(str(args.out) + ".csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["method", "F_TR", "F_JP", "RWMSE", "total_score"])
         w.writerow([payload["method"], f"{report.f_tr:.5f}", f"{report.f_jp:.5f}",
@@ -195,6 +200,8 @@ def _train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="matrix bundle JSON path")
     p.add_argument("--print-matrix", metavar="TRAIN:T",
                    help="print one recovered matrix as a text grid")
+    # read by no run; kept while perfbench/workloads.py:207 passes it (ROADMAP item 1)
+    p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
 
 
 def _forecast_flags(p: argparse.ArgumentParser) -> None:
@@ -245,7 +252,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if name == command:
             add_flags(p)
-            _add_config_flags(p)
+            _add_config_flags(p, name)
             p.set_defaults(func=func)
     return parser
 

@@ -2,9 +2,12 @@
 
 Values can come from an optional JSON config file and be overridden by CLI
 flags; flags win. Each RunConfig field is the one declaration of its setting:
-its default, the values it accepts, its help text and its flag, from which
-both the validation below and the CLI's flags are built. A malformed file
-or value raises InputError, naming the file when there is one.
+its default, the values it accepts, its help text, the commands that read it
+and its flag, from which both the validation below and the CLI's flags are
+built: each command gets a flag for every setting it reads, and for no other.
+A config file may hold any field, so that one file can serve the whole
+pipeline. A malformed file or value raises InputError, naming the file when
+there is one.
 """
 
 from __future__ import annotations
@@ -27,31 +30,40 @@ CLIP_MODES = ("saturate", "drop")
 N_MAX_LIMIT = 240
 
 
-def _setting(default, help_text: str, *, choices: tuple[str, ...] = (), minimum: int = 0,
-             maximum: float = math.inf, below: float = math.inf, flag: str | None = ""):
-    """A RunConfig field. A str setting takes one of `choices`; an int one an
-    integer in [`minimum`, `maximum`]; a float one a number in (0, `below`). `flag` is the
-    command-line flag: "" derives it from the field name, None leaves the
-    setting to the config file."""
+def _setting(default, help_text: str, commands: tuple[str, ...], *, choices: tuple[str, ...] = (),
+             minimum: int = 0, maximum: float = math.inf, below: float = math.inf, flag: str = ""):
+    """A RunConfig field read by the CLI `commands`, each of which gets its flag.
+    A str setting takes one of `choices`; an int one an integer in [`minimum`,
+    `maximum`]; a float one a number in (0, `below`). `flag` is the command-line
+    flag, derived from the field name when empty."""
     return dataclasses.field(default=default, metadata=dict(
-        help=help_text, choices=choices, minimum=minimum, maximum=maximum, below=below, flag=flag))
+        help=help_text, commands=commands, choices=choices, minimum=minimum, maximum=maximum,
+        below=below, flag=flag))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    n_max: int = _setting(15, "delay bound N", minimum=1, maximum=N_MAX_LIMIT)
-    alpha1: float = _setting(0.05, "level for the zero-order test", below=1)
-    alpha2: float = _setting(0.05, "level for the first-order test", below=1)
-    horizon_minutes: float = _setting(20.0, "prediction horizon in minutes", flag="--horizon")
-    trend_metric: str = _setting("median", "metric for the trend prediction", choices=METRICS)
-    jump_metric: str = _setting("probability", "metric for the jump prediction", choices=METRICS)
-    minutes_metric: str = _setting("mean", "metric for the minutes prediction", choices=POINT_METRICS)
-    strategy: str = _setting("gaussian_kernel", "matrix recovery strategy", choices=STRATEGIES)
-    rwmse_form: str = _setting("printed", "error form under the RWMSE root", choices=RWMSE_FORMS)
-    regression_std: str = _setting(
-        "printed", "spread form of the gaussian_regression fill", choices=REGRESSION_STDS, flag=None)
-    clip_mode: str = _setting("saturate", "out-of-range delay handling", choices=CLIP_MODES)
-    seed: int = _setting(0, "seed of the synthetic corpus; only synth draws random numbers")
+    n_max: int = _setting(15, "delay bound N", ("synth", "ingest", "train"),
+                          minimum=1, maximum=N_MAX_LIMIT)
+    alpha1: float = _setting(0.05, "level for the zero-order test", ("test",), below=1)
+    alpha2: float = _setting(0.05, "level for the first-order test", ("test",), below=1)
+    horizon_minutes: float = _setting(20.0, "prediction horizon in minutes",
+                                      ("forecast", "evaluate"), flag="--horizon")
+    trend_metric: str = _setting("median", "metric for the trend prediction",
+                                 ("forecast", "evaluate"), choices=METRICS)
+    jump_metric: str = _setting("probability", "metric for the jump prediction",
+                                ("forecast", "evaluate"), choices=METRICS)
+    minutes_metric: str = _setting("mean", "metric for the minutes prediction",
+                                   ("forecast", "evaluate"), choices=POINT_METRICS)
+    strategy: str = _setting("gaussian_kernel", "matrix recovery strategy", ("train",),
+                             choices=STRATEGIES)
+    rwmse_form: str = _setting("printed", "error form under the RWMSE root", ("evaluate",),
+                               choices=RWMSE_FORMS)
+    regression_std: str = _setting("printed", "spread form of the gaussian_regression fill",
+                                   ("train",), choices=REGRESSION_STDS)
+    clip_mode: str = _setting("saturate", "out-of-range delay handling", ("ingest",),
+                              choices=CLIP_MODES)
+    seed: int = _setting(0, "seed of the synthetic corpus", ("synth",))
 
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):

@@ -2,8 +2,9 @@
 
 Every command loads this module, so it also holds what every stage reads of a
 timetable (station keys, journey templates, target selection), the JSON reader
-`load_json`, and the three error classes, one per error exit code of the CLI:
-InputError (2), EmptySelectionError (3) and CoverageError (4).
+`load_json`, the writer of every output file `open_output`, and the three
+error classes, one per error exit code of the CLI: InputError (2),
+EmptySelectionError (3) and CoverageError (4).
 
 States are integer delay minutes on the bounded domain [-N, N]. Station
 indices are 1-based along a journey. Counts are integer arrays indexed by
@@ -28,14 +29,18 @@ row-stochasticity check, run where matrices enter or leave a bundle.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import json
+import os
+import stat
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ACTIVITY_CODES", "InputError", "EmptySelectionError", "CoverageError", "load_json",
+    "ACTIVITY_CODES", "InputError", "EmptySelectionError", "CoverageError", "load_json", "open_output",
     "StationKey", "JourneyTemplate", "select_target_station", "StateSpace", "DelaySeries",
     "CountTensor", "FrequencyEstimates", "build_count_tensor", "estimate_frequencies",
     "context_totals", "check_transition_matrix",
@@ -72,6 +77,44 @@ def load_json(path):
         raise InputError(f"{path} is not JSON: {exc}") from None
     except RecursionError:
         raise InputError(f"{path} nests its JSON arrays or objects too deeply to read") from None
+
+
+@contextlib.contextmanager
+def open_output(path, newline=None):
+    """Open `path` to write UTF-8 text, so that a write that fails midway leaves
+    the previous file intact.
+
+    A regular file, or a path with no file yet, is written to a temporary file
+    in the same directory, which replaces `path` only once it is complete and
+    closed; on any failure the temporary file is removed. It takes the mode of
+    the file it replaces, or for a new file 0666 minus the umask, as `open`
+    would give it. A device, a FIFO or a symlink (`/dev/stdout`, say) is written
+    in place: renaming over a device node would replace the node.
+    """
+    try:
+        st = os.lstat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        return
+    if st is not None:
+        mode = stat.S_IMODE(st.st_mode)
+    else:
+        umask = os.umask(0)  # read by setting it; a CLI process runs one thread
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    directory, name = os.path.split(os.fspath(path))
+    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+            os.chmod(tmp, mode)  # mkstemp creates it 0600
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass(frozen=True)

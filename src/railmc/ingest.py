@@ -34,14 +34,14 @@ import csv
 import datetime as dt
 import itertools
 import operator
-import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .core import ACTIVITY_CODES, InputError, JourneyTemplate, StationKey, select_target_station
+from .core import (ACTIVITY_CODES, InputError, JourneyTemplate, StationKey, open_output,
+                   select_target_station)
 
 __all__ = [
     "ACTIVITY_CODES",
@@ -221,8 +221,8 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     Accepts a text stream or a path. A row is rejected, with the first reason
     that applies, for a wrong field count, an unknown activity code, a
     timestamp that does not parse, timestamps of which only one has a UTC
-    offset, or a date that does not parse; rejects keep file order. A bad
-    header, a byte that is not UTF-8 or a row the csv module refuses raises
+    offset, or a date that does not parse; rejects keep file order. A missing
+    or bad header, a byte that is not UTF-8 or a row the csv module refuses raises
     InputError.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
@@ -233,8 +233,8 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     reader = _checked_rows(csv.reader(stream), what)
     header = next(reader, None)
     if header is None:
-        warnings.warn("empty realization file")
-    elif [h.strip() for h in header] != REALIZATION_HEADER:
+        raise InputError(f"{what} line 1: no header row")
+    if [h.strip() for h in header] != REALIZATION_HEADER:
         raise InputError(f"{what} line 1: unexpected header {header!r}")
 
     columns = [_Column(), _Column(_is_date), _Column(), _Column(ACTIVITY_CODES.__contains__)]
@@ -438,7 +438,7 @@ def assemble_series(
 
 def write_rejects(rejects: list[RejectedRow], path) -> None:
     """Write the rejects report as a CSV of original row + reason."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["row", "reason"])
         for r in rejects:

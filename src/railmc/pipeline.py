@@ -31,10 +31,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import N_MAX_LIMIT, RunConfig
+from .config import N_MAX_LIMIT, STRATEGIES, RunConfig
 from .core import (CoverageError, EmptySelectionError, InputError, JourneyTemplate, StateSpace,
                    StationKey, build_count_tensor, check_transition_matrix, load_json,
-                   select_target_station)
+                   open_output, select_target_station)
 from .forecast import TREND_CLASSES, make_prediction, point_delay, propagate
 # ingest, mctest, recovery and evaluate are imported by the functions that run them
 
@@ -91,8 +91,9 @@ def _json_pieces(value, depth: int):
 
 def save_json(payload: dict, path) -> None:
     """Write `json.dumps(payload, sort_keys=True, separators=(",", ":"))` and a
-    newline to `path`, one subtree at a time, never holding the whole text."""
-    with open(path, "w", encoding="utf-8") as fh:
+    newline to `path`, one subtree at a time, never holding the whole text; a
+    failed write leaves the previous file intact."""
+    with open_output(path) as fh:
         fh.writelines(_json_pieces(payload, _STREAM_DEPTH))
         fh.write("\n")
 
@@ -285,8 +286,11 @@ def parse_bundle(document) -> dict:
     if not isinstance(meta, dict):
         raise InputError("bundle has no meta object")
     space = StateSpace(_n_max_of(meta, "bundle meta"))
-    if not isinstance(meta.get("strategy"), str):
+    if "strategy" not in meta:
         raise InputError("bundle meta has no strategy")
+    if meta["strategy"] not in STRATEGIES:
+        raise InputError(f"bundle meta has unknown strategy {meta['strategy']!r}; "
+                         f"choose from {', '.join(STRATEGIES)}")
     if not isinstance(document.get("trains"), dict):
         raise InputError("bundle has no trains table")
     for tid, entry in document["trains"].items():

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DelaySeries, StateSpace
+from .core import DelaySeries, StateSpace, open_output
 
 __all__ = [
     "ChainSpec",
@@ -134,7 +134,7 @@ def write_ingest_files(
     max_len = max(len(s.delays) for s in series)
     start = dt.datetime.fromisoformat(f"{base_date}T08:00:00")
 
-    with open(timetable_path, "w", newline="") as fh:
+    with open_output(timetable_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["train_id", "station_code", "activity", "planned_time", "sequence"])
         for tid in train_ids:
@@ -144,7 +144,7 @@ def write_ingest_files(
 
     stations = [f"S{t:02d}" for t in range(1, max_len + 1)]
     day0 = np.datetime64(base_date, "D")
-    with open(realization_path, "w", newline="") as fh:
+    with open_output(realization_path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["train_id", "date", "station_code", "activity", "planned_time", "realized_time"])
         for first in range(0, len(series), WRITE_CHUNK_SERIES):

@@ -311,11 +311,11 @@ def test_end_to_end_determinism(tmp_path):
         ]) == 0
         assert cli_main(["test", "--store", str(store), "--out", str(report)]) == 0
         assert cli_main([
-            "train", "--store", str(store), "--out", str(bundle), "--seed", "5",
+            "train", "--store", str(store), "--out", str(bundle),
         ]) == 0
         assert cli_main([
             "evaluate", "--store", str(store), "--bundle", str(bundle),
-            "--target", "4", "--out", str(scores), "--seed", "5",
+            "--target", "4", "--out", str(scores),
         ]) == 0
         outputs.append([p.read_bytes() for p in (tt, rz, store, report, bundle, scores)])
     assert outputs[0] == outputs[1]

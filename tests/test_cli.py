@@ -5,6 +5,8 @@ import datetime as dt
 import io
 import json
 import os
+import signal
+import stat
 import subprocess
 import sys
 import types
@@ -231,6 +233,24 @@ class TestArtifactWriter:
         save_json(payload, tmp_path / "out.json")
         want = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
         assert (tmp_path / "out.json").read_text() == want
+
+    def test_replaced_file_keeps_its_mode_and_a_symlink_is_written_through(self, tmp_path):
+        # a new file gets 0666 minus the umask, as open(path, "w") would give it
+        umask = os.umask(0o027)
+        try:
+            save_json({}, tmp_path / "new.json")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+        kept, link = tmp_path / "kept.json", tmp_path / "link.json"
+        kept.write_text("previous")
+        kept.chmod(0o604)
+        save_json({}, kept)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o604 and kept.read_text() == "{}\n"
+        link.symlink_to(kept)
+        save_json({"a": 1}, link)
+        assert link.is_symlink() and kept.read_text() == '{"a":1}\n'
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.json", "link.json", "new.json"]
 
     def test_bundle_matrices_come_back_bit_equal(self, workspace):
         bundle = train_bundle(parse_store(load_json(workspace / "store.json")), RunConfig())
@@ -495,6 +515,16 @@ class TestExitCodes:
         assert f"error: realization {rz} line 1: unexpected header" in capsys.readouterr().err
         assert not (workspace / "new_store.json").exists()
 
+    def test_empty_realization_exits_2(self, workspace, capsys):
+        rz = workspace / "realization.csv"
+        rz.write_text("")
+        assert main([
+            "ingest", "--timetable", str(workspace / "timetable.csv"), "--realization", str(rz),
+            "--out", str(workspace / "new_store.json"),
+        ]) == 2
+        assert capsys.readouterr().err == f"error: realization {rz} line 1: no header row\n"
+        assert not (workspace / "new_store.json").exists()
+
     @pytest.mark.parametrize("fault", ["non_utf8", "oversize_field"])
     @pytest.mark.parametrize("name", ["timetable", "realization"])
     def test_unreadable_input_exits_2(self, workspace, capsys, name, fault):
@@ -519,11 +549,19 @@ class TestExitCodes:
          "forecast needs --target or --store to resolve the target station"),
         ("evaluate", ["--store", "store.json", "--baseline", "marginal"],
          "--baseline marginal needs --train-store"),
+        ("forecast", ["--bundle", "bundle.json", "--train", "T001", "--station", "1", "--delay", "0",
+                      "--target", "3", "--store", "missing.json"],
+         "forecast takes --target or --store, not both: --target leaves --store unread"),
+        ("evaluate", ["--store", "store.json", "--bundle", "bundle.json", "--train-store", "missing.json"],
+         "--train-store is read only by --baseline marginal"),
+        ("evaluate", ["--store", "store.json", "--baseline", "naive", "--train-store", "store.json"],
+         "--train-store is read only by --baseline marginal"),
         ("train", ["--store", "store.json", "--print-matrix", "T001"],
          "--print-matrix wants TRAIN:T with a station number T, got 'T001'"),
         ("train", ["--store", "store.json", "--print-matrix", "T001:x"],
          "--print-matrix wants TRAIN:T with a station number T, got 'T001:x'"),
-    ], ids=["forecast_no_target", "marginal_no_train_store", "print_matrix_no_station",
+    ], ids=["forecast_no_target", "marginal_no_train_store", "forecast_target_and_store",
+            "bundle_with_train_store", "naive_with_train_store", "print_matrix_no_station",
             "print_matrix_bad_station"])
     def test_flag_usage_error_exits_2(self, workspace, capsys, command, flags, reason):
         assert main(["train", "--store", str(workspace / "store.json"),
@@ -752,6 +790,12 @@ def _corrupt_no_strategy(bundle):
     del bundle["meta"]["strategy"]
 
 
+def _bundle_strategy(value):
+    def corrupt(bundle):
+        bundle["meta"]["strategy"] = value
+    return corrupt
+
+
 def _bundle_station_key(key):
     def corrupt(bundle):  # a valid matrix under a key no station is looked up by
         matrices = bundle["trains"]["T001"]["matrices"]
@@ -924,6 +968,10 @@ MATRIX_FAULTS = [
     (_corrupt_no_trains, "no trains table"),
     (_corrupt_no_matrices, "no matrices table"),
     (_corrupt_no_strategy, "no strategy"),
+    pytest.param(_bundle_strategy("kde"), "unknown strategy 'kde'; choose from diagonal, uniform, "
+                 "gaussian_regression, gaussian_kernel", id="strategy_unknown"),
+    # valid JSON, but a lone surrogate that no UTF-8 writer of the score report can encode
+    pytest.param(_bundle_strategy("\udc80x"), "unknown strategy '\\udc80x'", id="strategy_surrogate"),
     # station 5 lies past every chain that `--target 3` reads: the bundle is checked whole
     *(pytest.param(lambda bundle, c=corrupt: c(bundle, "5"), reason, id=f"station_5-{reason}")
       for corrupt, reason in MATRIX_FAULTS),
@@ -1123,6 +1171,39 @@ class TestProcesses:
         assert (tmp_path / "rz.csv").stat().st_size > 0
 
     @pytest.mark.skipif(resource is None, reason="no resource module on this system")
+    @pytest.mark.parametrize("argv, target", [
+        (["train", "--store", "store.json", "--out", "bundle.json"], "bundle.json"),
+        (["ingest", "--timetable", "timetable.csv", "--realization", "realization.csv",
+          "--out", "/dev/null", "--rejects", "rejects.csv"], "rejects.csv"),
+        (["evaluate", "--store", "store.json", "--baseline", "naive", "--out", "null.json"],
+         "null.json.csv"),
+        (["synth", "--series", "5", "--out-timetable", "timetable.csv",
+          "--out-realization", "realization.csv"], "timetable.csv"),
+        (["synth", "--series", "5", "--out-timetable", "/dev/null",
+          "--out-realization", "realization.csv"], "realization.csv"),
+    ], ids=["save_json", "write_rejects", "scores_csv", "synth_timetable", "synth_realization"])
+    def test_failed_write_keeps_the_previous_file(self, workspace, argv, target):
+        # a child under an 8-byte file-size limit, with SIGXFSZ ignored, gets EFBIG from the
+        # writer of `target`; every other output goes to /dev/null, a device with no size
+        # limit, directly or through the symlink null.json, and is written in place
+        def limit_file_size():
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, (8, 8))
+
+        (workspace / "null.json").symlink_to("/dev/null")
+        previous = f"the previous {target}\n".encode()
+        (workspace / target).write_bytes(previous)
+        listed = sorted(p.name for p in workspace.iterdir())
+        proc = subprocess.run(
+            [sys.executable, "-m", "railmc.cli", *argv], cwd=workspace,
+            env={**_cli_env(), "PYTHONDONTWRITEBYTECODE": "1"}, preexec_fn=limit_file_size,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: [Errno 27] File too large"), proc.stderr
+        assert (workspace / target).read_bytes() == previous
+        assert sorted(p.name for p in workspace.iterdir()) == listed
+
+    @pytest.mark.skipif(resource is None, reason="no resource module on this system")
     def test_out_of_memory_exits_5(self, tmp_path):
         # 10^8 series of 20 delays need 14.9 GiB; the address-space limit binds the child alone
         def limit_address_space():
@@ -1148,15 +1229,21 @@ SUBCOMMAND_ARGV = {
     "evaluate": ["--store", "store.json", "--baseline", "naive", "--out", "scores.json"],
 }
 
-# every config flag, and --config and --help, on each subcommand
-COMMON_OPTIONS = {"-h", "--help", "--config", "--n-max", "--alpha1", "--alpha2", "--horizon",
-                  "--trend-metric", "--jump-metric", "--minutes-metric", "--strategy", "--rwmse-form",
-                  "--clip-mode", "--seed"}
+# the config flags of each subcommand: one per RunConfig field that the command reads
+CONFIG_OPTIONS = {
+    "synth": {"--n-max", "--seed"},
+    "ingest": {"--n-max", "--clip-mode"},
+    "test": {"--alpha1", "--alpha2"},
+    "train": {"--n-max", "--strategy", "--regression-std"},
+    "forecast": {"--horizon", "--trend-metric", "--jump-metric", "--minutes-metric"},
+    "evaluate": {"--horizon", "--trend-metric", "--jump-metric", "--minutes-metric", "--rwmse-form"},
+}
+# each subcommand's own flags; train's --seed is hidden, and read by no run
 OWN_OPTIONS = {
     "synth": {"--series", "--trains", "--length", "--dispersion", "--out-timetable", "--out-realization"},
     "ingest": {"--timetable", "--realization", "--out", "--rejects"},
     "test": {"--store", "--out"},
-    "train": {"--store", "--out", "--print-matrix"},
+    "train": {"--store", "--out", "--print-matrix", "--seed"},
     "forecast": {"--bundle", "--train", "--date", "--station", "--delay", "--target", "--store", "--out"},
     "evaluate": {"--store", "--bundle", "--baseline", "--train-store", "--from-station", "--target",
                  "--out"},
@@ -1193,24 +1280,33 @@ class TestConfig:
         with pytest.raises(InputError, match=f"unknown {name} 'bogus'"):
             RunConfig(**{name: "bogus"})
 
-    @pytest.mark.parametrize("field", [
-        f for f in dataclasses.fields(RunConfig) if f.metadata["flag"] is not None
-    ], ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", dataclasses.fields(RunConfig), ids=lambda f: f.name)
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
-    def test_each_flag_sets_its_field(self, command, field):
+    def test_each_flag_sets_its_field(self, tmp_path, monkeypatch, capsys, command, field):
+        # a command that reads the field takes its flag; to any other command the flag is
+        # a usage error that names it, raised before any file is read or written
         choices = field.metadata["choices"]
         value = next(c for c in choices if c != field.default) if choices else (
             field.default + 1 if isinstance(field.default, int) else field.default / 2)
         flag = field.metadata["flag"] or "--" + field.name.replace("_", "-")
-        args = build_parser(command).parse_args([command, *SUBCOMMAND_ARGV[command], flag, str(value)])
-        assert getattr(cli._config_from(args), field.name) == value != field.default
+        argv = [command, *SUBCOMMAND_ARGV[command], flag, str(value)]
+        if flag in CONFIG_OPTIONS[command] | OWN_OPTIONS[command]:  # train's hidden --seed too
+            args = build_parser(command).parse_args(argv)
+            assert getattr(cli._config_from(args), field.name) == value != field.default
+            return
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
     def test_each_command_parser_has_its_own_options(self, command):
-        # the option strings each subcommand accepted when every parser held every flag
         parsers = _subparsers(build_parser(command))
         assert list(parsers) == list(SUBCOMMAND_ARGV)
-        assert set(parsers[command]._option_string_actions) == COMMON_OPTIONS | OWN_OPTIONS[command]
+        assert set(parsers[command]._option_string_actions) == (
+            {"-h", "--help", "--config"} | OWN_OPTIONS[command] | CONFIG_OPTIONS[command])
         # the other subcommands are listed, with no flags built
         assert {name: set(p._option_string_actions) for name, p in parsers.items() if name != command} == {
             name: {"-h", "--help"} for name in SUBCOMMAND_ARGV if name != command}
@@ -1229,14 +1325,79 @@ class TestConfig:
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
     def test_n_max_above_limit_exits_2(self, tmp_path, monkeypatch, capsys, command):
-        # refused when the config is built: no file is read or written
+        # refused when the config is built, or by the parser of a command that does not
+        # read n_max: no file is read or written
         monkeypatch.chdir(tmp_path)
-        target = ["--target", "3"] if command == "forecast" else []
         for n_max in (N_MAX_LIMIT + 1, 1000000):
-            assert main([command, *SUBCOMMAND_ARGV[command], *target, "--n-max", str(n_max)]) == 2
-            assert (f"error: n_max must be a positive integer, got {n_max}; the limit is 240"
-                    in capsys.readouterr().err)
+            argv = [command, *SUBCOMMAND_ARGV[command], "--n-max", str(n_max)]
+            if command in ("synth", "ingest", "train"):
+                assert main(argv) == 2
+                expect = f"error: n_max must be a positive integer, got {n_max}; the limit is 240"
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                expect = f"error: unrecognized arguments: --n-max {n_max}"
+            assert expect in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--strategy", "uniform", "--clip-mode", "drop", "--seed", "9", "--alpha1", "0.3"]),
+        ("evaluate", ["--n-max", "3"]),
+        ("forecast", ["--n-max", "3"]),
+    ], ids=["evaluate_model_flags", "evaluate_n_max", "forecast_n_max"])
+    def test_unread_setting_flags_exit_2(self, workspace, capsys, command, flags):
+        # each run would exit 0 without the flags, on a model that they do not change
+        bundle, out = str(workspace / "bundle.json"), workspace / "out.json"
+        assert main(["train", "--store", str(workspace / "store.json"), "--out", bundle]) == 0
+        argv = {"evaluate": ["evaluate", "--store", str(workspace / "store.json"), "--bundle", bundle],
+                "forecast": ["forecast", "--bundle", bundle, "--train", "T001", "--station", "1",
+                             "--delay", "0", "--target", "3"]}[command] + ["--out", str(out)]
+        assert main(argv) == 0
+        out.unlink()
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flags)
+        assert exc.value.code == 2
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_command_reads_its_declared_settings(self, workspace, monkeypatch):
+        # every RunConfig field read outside __post_init__'s validation, per command
+        fields = {f.name for f in dataclasses.fields(RunConfig)}
+        validate = RunConfig.__post_init__.__code__
+        read = set()
+
+        def recording(self, name):
+            if name in fields and sys._getframe(1).f_code is not validate:
+                read.add(name)
+            return object.__getattribute__(self, name)
+
+        ws = str(workspace)
+        store, bundle = f"{ws}/store.json", f"{ws}/bundle.json"
+        forecast = ["forecast", "--bundle", bundle, "--train", "T001", "--station", "1", "--delay", "2"]
+        runs = [
+            ["synth", "--series", "5", "--out-timetable", f"{ws}/tt.csv", "--out-realization", f"{ws}/rz.csv"],
+            ["ingest", "--timetable", f"{ws}/timetable.csv", "--realization", f"{ws}/realization.csv",
+             "--out", f"{ws}/store2.json"],
+            ["test", "--store", store, "--out", f"{ws}/order.json"],
+            ["train", "--store", store, "--out", f"{ws}/regression.json", "--strategy", "gaussian_regression"],
+            ["train", "--store", store, "--out", bundle, "--strategy", "gaussian_kernel"],
+            forecast + ["--store", store],
+            forecast + ["--target", "4"],
+            ["evaluate", "--store", store, "--bundle", bundle, "--out", f"{ws}/s1.json"],
+            ["evaluate", "--store", store, "--baseline", "marginal", "--train-store", store,
+             "--target", "4", "--out", f"{ws}/s2.json"],
+            ["evaluate", "--store", store, "--baseline", "naive", "--out", f"{ws}/s3.json"],
+        ]
+        monkeypatch.setattr(RunConfig, "__getattribute__", recording)
+        reads = {}
+        for argv in runs:
+            read.clear()
+            assert main(argv) == 0, argv
+            reads.setdefault(argv[0], set()).update(read)
+        assert reads == {command: {f.name for f in dataclasses.fields(RunConfig)
+                                   if command in f.metadata["commands"]} for command in COMMANDS}
 
     def test_n_max_limit_is_accepted(self, tmp_path):
         assert RunConfig(n_max=N_MAX_LIMIT).n_max == 240
@@ -1277,13 +1438,22 @@ def _flag_values(f: dataclasses.Field) -> st.SearchStrategy[str]:
 
 
 FLAG_VALUES = {f.metadata["flag"] or "--" + f.name.replace("_", "-"): _flag_values(f)
-               for f in dataclasses.fields(RunConfig) if f.metadata["flag"] is not None}
-# up to three config flags a draw, so that most draws still get past the parser
-CONFIG_FLAGS = st.lists(st.sampled_from(sorted(FLAG_VALUES)), max_size=3, unique=True).flatmap(
-    lambda flags: st.fixed_dictionaries({flag: FLAG_VALUES[flag] for flag in flags}))
+               for f in dataclasses.fields(RunConfig)}
 STATIONS = st.integers(1, 6).map(str) | st.sampled_from(EDGE_VALUES)
 STAGES = ("synth", "ingest", "test", "train", "forecast",
           "evaluate bundle", "evaluate naive", "evaluate marginal")
+
+
+def _stage_config(stage: str) -> st.SearchStrategy[tuple[str, dict]]:
+    """A stage with up to three of its command's config flags, so that most draws
+    still get past the parser, each with a drawn value."""
+    flags = sorted(CONFIG_OPTIONS[stage.partition(" ")[0]])
+    return st.lists(st.sampled_from(flags), max_size=3, unique=True).flatmap(
+        lambda drawn: st.tuples(st.just(stage), st.fixed_dictionaries(
+            {flag: FLAG_VALUES[flag] for flag in drawn})))
+
+
+STAGE_CONFIGS = st.sampled_from(STAGES).flatmap(_stage_config)
 
 
 @pytest.fixture(scope="module")
@@ -1301,14 +1471,15 @@ def fuzz_workspace(tmp_path_factory):
 
 class TestFlagFuzz:
     @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(stage=st.sampled_from(STAGES), config=CONFIG_FLAGS, station=STATIONS,
+    @given(stage_config=STAGE_CONFIGS, station=STATIONS,
            delay=st.integers(-20, 20).map(str) | st.sampled_from(EDGE_VALUES),
            target=st.none() | STATIONS)
-    @example(stage="evaluate marginal", config={}, station="1", delay="0",
+    @example(stage_config=("evaluate marginal", {}), station="1", delay="0",
              target="100000000000000000000")
     def test_flags_never_end_in_an_internal_error(self, fuzz_workspace,
-                                                  stage, config, station, delay, target):
+                                                  stage_config, station, delay, target):
         ws = fuzz_workspace
+        stage, config = stage_config
         store, bundle, out = str(ws / "store.json"), str(ws / "bundle.json"), str(ws / "out.json")
         command, _, method = stage.partition(" ")
         source = {"": [], "bundle": ["--bundle", bundle], "naive": ["--baseline", "naive"],
@@ -1320,12 +1491,14 @@ class TestFlagFuzz:
                        "--out", out],
             "test": ["--store", store, "--out", out],
             "train": ["--store", store, "--out", out],
-            "forecast": ["--bundle", bundle, "--train", "T001", "--store", store,
+            "forecast": ["--bundle", bundle, "--train", "T001",
                          "--station", station, "--delay", delay, "--out", out],
             "evaluate": ["--store", store, *source, "--from-station", station, "--out", out],
         }[command]
         if target is not None and command in ("forecast", "evaluate"):
             argv += ["--target", target]
+        elif command == "forecast":
+            argv += ["--store", store]
         argv += [arg for flag, value in config.items() for arg in (flag, value)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

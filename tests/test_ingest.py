@@ -108,10 +108,9 @@ class TestParseEvents:
         with pytest.raises(InputError, match="realization <realization> line 1: unexpected header"):
             parse_events(io.StringIO("a,b,c\n1,2,3\n"))
 
-    def test_empty_file_warns(self):
-        with pytest.warns(UserWarning):
-            events, rejects = parse_events(io.StringIO(""))
-        assert len(events) == 0 and rejects == []
+    def test_empty_file_raises(self):
+        with pytest.raises(InputError, match="^realization <realization> line 1: no header row$"):
+            parse_events(io.StringIO(""))
 
     def test_path_input(self, tmp_path):
         p = tmp_path / "real.csv"

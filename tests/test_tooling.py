@@ -1,6 +1,6 @@
 """Guards against stale references: every function the benchmark's layer trace
 wraps, every name a module exports and every CLI flag the README names must
-exist, and the README must name every flag built from a config field. Also guards the runtime
+exist, and the README must list each command's config flags as its parser builds them. Also guards the runtime
 dependencies: numpy is the only one, no module imports scipy, and all six stages and an exact tie of
 the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
@@ -11,7 +11,8 @@ polynomial fit and no search for distinct pairs; the package defines one excepti
 mapped to its code by cli.main; ingest alone decides every reject; and no module but config
 gives a run setting a default or lists its accepted values. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
-is a with item, so that hard exit loses no data."""
+is a with item, so that hard exit loses no data; every file it writes goes through
+core.open_output, so that a failed write leaves the previous file intact."""
 
 import argparse
 import ast
@@ -90,14 +91,19 @@ def test_readme_flags_exist():
 
 
 def test_readme_names_every_config_flag():
+    # README lists each command's config flags, one line per command, as its parser builds them
+    from railmc.cli import COMMANDS
     from railmc.config import RunConfig
 
     fields = {f.name for f in dataclasses.fields(RunConfig)}
-    built = {opt for p in _command_parsers() for a in p._actions
-             if a.dest in fields for opt in a.option_strings}
+    built = {command: {opt for a in p._actions if a.dest in fields and a.help != argparse.SUPPRESS
+                       for opt in a.option_strings}
+             for command, p in zip(COMMANDS, _command_parsers())}
     text = README.read_text(encoding="utf-8")
-    paragraph = text[text.index("Common flags"):].split("\n\n", 1)[0]
-    assert built and sorted(built - set(re.findall(r"--[a-z][a-z0-9-]*", paragraph))) == []
+    listing = text[text.index("Config flags"):].split("\n\n", 2)[1]
+    listed = {m[1]: set(re.findall(r"--[a-z][a-z0-9-]*", m[2]))
+              for m in re.finditer(r"^- `(\w+)`: (.*)$", listing, re.MULTILINE)}
+    assert all(built.values()) and listed == built
 
 
 def test_readme_library_example_runs(capsys):
@@ -223,6 +229,25 @@ def test_every_open_is_a_with_item():
                 managed |= {id(item.context_expr) for item in node.items}
     assert opens
     assert [(module, line) for module, line, node in opens if id(node) not in managed] == []
+
+
+def test_every_write_goes_through_the_output_helper():
+    # core.open_output replaces a regular file only once its new content is complete
+    def write_mode(call):
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+    trees = {module: _source_tree(module) for module in MODULES}
+    (helper,) = (node for node in trees["railmc.core"].body
+                 if isinstance(node, ast.FunctionDef) and node.name == "open_output")
+    inside = {id(node) for node in ast.walk(helper)}
+    writes = [(module, node.lineno, id(node) in inside) for module, tree in trees.items()
+              for node in ast.walk(tree) if isinstance(node, ast.Call) and "open" in (
+                  getattr(node.func, "id", None), getattr(node.func, "attr", None))
+              and write_mode(node)]
+    assert any(ok for _, _, ok in writes)
+    assert [(module, line) for module, line, ok in writes if not ok] == []
 
 
 def test_only_the_process_entry_calls_os_exit():
