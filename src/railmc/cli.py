@@ -158,7 +158,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from(args)
     store = pipeline.load_store(args.store)
     bundle = pipeline.load_bundle(args.bundle) if args.bundle else None
-    train_store = pipeline.load_store(args.train_store) if args.train_store else None
+    train_store = args.train_store and (  # the --store file named again is parsed once
+        store if os.path.samefile(args.store, args.train_store) else pipeline.load_store(args.train_store))
     report, payload = pipeline.evaluate_store(
         store, config, bundle=bundle, baseline=args.baseline,
         train_store=train_store, from_station=args.from_station, target=args.target,
@@ -253,14 +254,16 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if name == command:
             add_flags(p)
             _add_config_flags(p, name)
-            p.set_defaults(func=func)
+            p.set_defaults(func=func, usage_error=p.error)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the top-level parser takes no value, so the first command name is the command
-    args = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_args(argv)
+    args, extra = build_parser(next((a for a in argv if a in COMMANDS), None)).parse_known_args(argv)
+    if extra:  # reported with the command's usage line, which lists the flags it takes
+        args.usage_error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except EmptySelectionError as exc:

@@ -2,15 +2,15 @@
 
 Samples journeys from known zero-order, first-order, and second-order chains
 so every statistical operation in the package has a reproducible oracle. Can
-also emit the sampled data as timetable/realization CSV files so the full
-ingestion pipeline is exercised end-to-end.
+also emit the sampled data as timetable/realization CSV files, formatted from
+date and clock string tables, so the full ingestion pipeline is exercised.
 """
 
 from __future__ import annotations
 
 import csv
-import datetime as dt
 import itertools
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +113,21 @@ def near_diagonal_spec(space: StateSpace, length: int, dispersion: float, seed: 
     )
 
 
+def _csv_fields(values) -> np.ndarray:
+    """Each value as `csv.writer` writes it inside a row: quoted only where csv must."""
+    rows: list[str] = []
+    csv.writer(types.SimpleNamespace(write=rows.append)).writerows((v, "") for v in values)
+    return np.array([row[:-3] for row in rows], dtype=object)  # less the "," and "\r\n"
+
+
+def _stamps(base_date: str, minutes: np.ndarray, clock: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ISO date and the `clock` string of minute counts from 00:00 on the base date."""
+    days, of_day = np.divmod(minutes, 1440)  # floor: a negative count falls on an earlier day
+    lo, hi = int(days.min(initial=2**62)), int(days.max(initial=-2**62))  # no times: no dates
+    dates = np.datetime_as_string(np.datetime64(base_date, "D") + np.arange(lo, hi + 1)).astype(object)
+    return dates[days - lo], clock[of_day]
+
+
 def write_ingest_files(
     series: list[DelaySeries],
     timetable_path,
@@ -125,44 +140,36 @@ def write_ingest_files(
     Each series becomes one calendar date of the same synthetic train; the
     planned schedule starts the base date at 08:00 with a fixed gap between
     stations, and realized times offset the plan by the sampled delay.
-    Realization timestamps are formatted by numpy a column at a time, for a
-    chunk of series at a time.
+    No datetime is made per row: a time is the minute count `day*1440 + 480 + gap*(t-1)`
+    (plus the delay) from the base date, whose floor `divmod` by 1440 indexes a table of
+    dates, one `np.datetime_as_string` call per chunk of series, and one of the 1,440
+    `THH:MM:00` clocks: exact past midnight and before the base date. Train ids and
+    station codes go through `csv.writer` once each, so the bytes are `writerow`'s.
     """
     if not series:
         raise ValueError("no series to write")
     train_ids = sorted({s.train_id for s in series})
+    quoted = dict(zip(train_ids, _csv_fields(train_ids)))
     max_len = max(len(s.delays) for s in series)
-    start = dt.datetime.fromisoformat(f"{base_date}T08:00:00")
-
+    codes = _csv_fields(f"S{t:02d}" for t in range(1, max_len + 1))
+    # per call: 1,440 strings kept for the process pin ~0.5 MB of freed heap after many writes
+    clock = np.array([f"T{h:02d}:{m:02d}:00" for h in range(24) for m in range(60)], dtype=object)
+    stations = [",%s,V,%s%s,%d\r\n" % row for row in zip(
+        codes, *_stamps(base_date, 480 + gap_minutes * np.arange(max_len), clock), range(1, max_len + 1))]
     with open_output(timetable_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["train_id", "station_code", "activity", "planned_time", "sequence"])
-        for tid in train_ids:
-            for t in range(1, max_len + 1):
-                planned = start + dt.timedelta(minutes=gap_minutes * (t - 1))
-                w.writerow([tid, f"S{t:02d}", "V", planned.isoformat(), t])
+        fh.write("train_id,station_code,activity,planned_time,sequence\r\n")
+        fh.write("".join(quoted[tid] + row for tid in train_ids for row in stations))
 
-    stations = [f"S{t:02d}" for t in range(1, max_len + 1)]
-    day0 = np.datetime64(base_date, "D")
     with open_output(realization_path, newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["train_id", "date", "station_code", "activity", "planned_time", "realized_time"])
-        for first in range(0, len(series), WRITE_CHUNK_SERIES):
+        fh.write("train_id,date,station_code,activity,planned_time,realized_time\r\n")
+        for first in range(0, len(series), WRITE_CHUNK_SERIES):  # one format and one write each
             chunk = series[first:first + WRITE_CHUNK_SERIES]
-            lengths = [len(s.delays) for s in chunk]
-            days = day0 + np.arange(first, first + len(chunk))  # one date per series
-            t = np.concatenate([np.arange(k) for k in lengths])  # 0-based station of each row
-            planned = np.repeat(days, lengths) + np.timedelta64(8 * 60, "m") + gap_minutes * t
-            delay = np.fromiter(
-                itertools.chain.from_iterable(s.delays for s in chunk), dtype=np.int64, count=len(t)
-            )
-            w.writerows(zip(
-                itertools.chain.from_iterable(
-                    itertools.repeat(s.train_id, k) for s, k in zip(chunk, lengths)),
-                itertools.chain.from_iterable(
-                    itertools.repeat(d, k) for d, k in zip(np.datetime_as_string(days).tolist(), lengths)),
-                map(stations.__getitem__, t.tolist()),
-                itertools.repeat("V"),
-                np.datetime_as_string(planned, unit="s").tolist(),
-                np.datetime_as_string(planned + delay, unit="s").tolist(),
-            ))
+            lengths = np.array([len(s.delays) for s in chunk], dtype=np.int64)
+            delay = np.fromiter(itertools.chain(*(s.delays for s in chunk)), np.int64, lengths.sum())
+            t = np.arange(len(delay)) - np.repeat(np.cumsum(lengths) - lengths, lengths)  # 0-based
+            midnight = np.repeat(np.arange(first, first + len(chunk)) * 1440, lengths)  # its date, 00:00
+            minutes = midnight + 480 + gap_minutes * t
+            dates, clocks = _stamps(base_date, np.stack([midnight, minutes, minutes + delay]), clock)
+            tid = np.repeat(np.array([quoted[s.train_id] for s in chunk], dtype=object), lengths)
+            cells = np.stack([tid, dates[0], codes[t], dates[1], clocks[1], dates[2], clocks[2]], axis=1)
+            fh.write("%s,%s,%s,V,%s%s,%s%s\r\n" * len(delay) % tuple(cells.ravel().tolist()))

@@ -5,6 +5,7 @@ import datetime as dt
 import io
 import json
 import os
+import shutil
 import signal
 import stat
 import subprocess
@@ -921,8 +922,10 @@ class TestStoreParsedOnce:
     @pytest.mark.parametrize("argv, loads", [
         (["test", "--store", "store"], 1),
         (["evaluate", "--store", "store", "--bundle", "bundle"], 1),
-        (["evaluate", "--store", "store", "--baseline", "marginal", "--train-store", "store"], 2),
-    ], ids=["test", "evaluate_bundle", "evaluate_marginal"])
+        # one file named by both --store and --train-store is parsed once; a copy of it twice
+        (["evaluate", "--store", "store", "--baseline", "marginal", "--train-store", "store"], 1),
+        (["evaluate", "--store", "store", "--baseline", "marginal", "--train-store", "copy"], 2),
+    ], ids=["test", "evaluate_bundle", "evaluate_marginal", "evaluate_marginal_copy"])
     def test_each_loaded_train_is_parsed_once(self, tmp_path, monkeypatch, argv, loads):
         # two trains, and no --target: evaluate resolves each train's target from its template
         tt, rz, store, bundle = (tmp_path / n for n in ("tt.csv", "rz.csv", "store.json", "bundle.json"))
@@ -943,10 +946,25 @@ class TestStoreParsedOnce:
                             lambda tid, *args: parsed.append(tid) or parse_train(tid, *args))
         monkeypatch.setattr(pipeline, "dt", types.SimpleNamespace(
             datetime=CountingDatetime, timedelta=dt.timedelta))
-        paths = {"store": str(store), "bundle": str(bundle)}
+        shutil.copyfile(store, tmp_path / "copy.json")
+        paths = {"store": str(store), "bundle": str(bundle), "copy": str(tmp_path / "copy.json")}
         assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.json")]) == 0
         assert sorted(parsed) == sorted(["T001", "T002"] * loads)
         assert len(planned) == 2 * 5 * loads
+
+    def test_one_store_named_twice_scores_as_a_copy_of_it(self, workspace):
+        # --train-store naming the --store file (or a link to it) reuses the parsed store
+        store = workspace / "store.json"
+        shutil.copyfile(store, workspace / "copy.json")
+        (workspace / "link.json").symlink_to(store)
+        for name in ("store", "link", "copy"):
+            assert main(["evaluate", "--store", str(store), "--baseline", "marginal",
+                         "--train-store", str(workspace / f"{name}.json"),
+                         "--out", str(workspace / f"scores_{name}.json")]) == 0
+        for suffix in (".json", ".json.csv"):
+            copy = (workspace / f"scores_copy{suffix}").read_bytes()
+            assert (workspace / f"scores_store{suffix}").read_bytes() == copy
+            assert (workspace / f"scores_link{suffix}").read_bytes() == copy
 
 
 MATRIX_FAULTS = [
@@ -1060,7 +1078,8 @@ class TestBundleParsedOnce:
                             lambda *args: events.append("check") or check(*args))
         monkeypatch.setattr(pipeline, "load_bundle", marked_load)
         monkeypatch.setattr(pipeline, "bundle_matrices", recorded_lookup)
-        paths = {"store": str(store), "bundle": str(bundle)}
+        shutil.copyfile(store, tmp_path / "copy.json")
+        paths = {"store": str(store), "bundle": str(bundle), "copy": str(tmp_path / "copy.json")}
         assert main([paths.get(a, a) for a in argv] + ["--out", str(tmp_path / "out.json")]) == 0
         document = load_json(bundle)
         n_matrices = sum(len(entry["matrices"]) for entry in document["trains"].values())
@@ -1157,6 +1176,16 @@ class TestProcesses:
         assert {"scores.json.csv", "pred.json", "rejects.csv"} <= set(files)
         for name in files:
             assert (procs / name).read_bytes() == (local / name).read_bytes(), name
+
+    def test_unread_flag_gets_the_command_usage_in_a_process(self, tmp_path):
+        # the process entry turns the command parser's usage error into exit 2
+        proc = subprocess.run(
+            [sys.executable, "-m", "railmc.cli", "evaluate", "--seed", "3", "--store", "x",
+             "--baseline", "naive", "--out", "y"],
+            cwd=tmp_path, env=_cli_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        _assert_command_usage_error(proc.stderr, "evaluate", "--seed 3")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
     def test_stdout_on_a_full_device_exits_2(self, tmp_path):
@@ -1256,6 +1285,13 @@ def _subparsers(parser) -> dict:
 
 
 
+def _assert_command_usage_error(err: str, command: str, extra: str) -> None:
+    """The invoked command's parser reports an unread flag, under its own usage line."""
+    assert err.startswith(f"usage: railmc {command} [-h]"), err
+    assert err.endswith(f"railmc {command}: error: unrecognized arguments: {extra}\n"), err
+    assert "{synth,ingest,test,train,forecast,evaluate}" not in err
+
+
 class TestConfig:
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -1298,7 +1334,9 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"error: unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {flag} {value}" in err
+        _assert_command_usage_error(err, command, f"{flag} {value}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", list(SUBCOMMAND_ARGV))
@@ -1338,7 +1376,10 @@ class TestConfig:
                     main(argv)
                 assert exc.value.code == 2
                 expect = f"error: unrecognized arguments: --n-max {n_max}"
-            assert expect in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert expect in err
+            if command not in ("synth", "ingest", "train"):
+                _assert_command_usage_error(err, command, f"--n-max {n_max}")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, flags", [
@@ -1359,7 +1400,9 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(argv + flags)
         assert exc.value.code == 2
-        assert f"error: unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unrecognized arguments: {' '.join(flags)}" in err
+        _assert_command_usage_error(err, command, " ".join(flags))
         assert not out.exists()
 
     def test_each_command_reads_its_declared_settings(self, workspace, monkeypatch):

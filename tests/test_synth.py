@@ -1,10 +1,14 @@
 import collections
 import csv
 import datetime as dt
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from railmc import synth
 from railmc.config import RunConfig
@@ -125,10 +129,23 @@ class TestCsvRoundTrip:
             write_ingest_files([], tmp_path / "a.csv", tmp_path / "b.csv")
 
 
+def reference_timetable(series, path, base_date="2017-09-04", gap_minutes=7):
+    """The per-row timetable writer: one datetime and one `writerow` per train and station."""
+    start = dt.datetime.fromisoformat(f"{base_date}T08:00:00")
+    max_len = max(len(s.delays) for s in series)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["train_id", "station_code", "activity", "planned_time", "sequence"])
+        for tid in sorted({s.train_id for s in series}):
+            for t in range(1, max_len + 1):
+                planned = start + dt.timedelta(minutes=gap_minutes * (t - 1))
+                w.writerow([tid, f"S{t:02d}", "V", planned.isoformat(), t])
+
+
 def reference_realization(series, path, base_date="2017-09-04", gap_minutes=7):
     """The per-row writer: one datetime and one `writerow` per event."""
     day0 = dt.date.fromisoformat(base_date)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["train_id", "date", "station_code", "activity", "planned_time", "realized_time"])
         for n, s in enumerate(series):
@@ -140,6 +157,39 @@ def reference_realization(series, path, base_date="2017-09-04", gap_minutes=7):
                             planned.isoformat(), realized.isoformat()])
 
 
+def assert_writer_matches_references(series, directory, chunk, base_date, gap_minutes):
+    """Both files of `write_ingest_files`, with `chunk` series a chunk, byte-equal the per-row writers'."""
+    directory = Path(directory)
+    with mock.patch.object(synth, "WRITE_CHUNK_SERIES", chunk):
+        write_ingest_files(series, directory / "tt.csv", directory / "rz.csv",
+                           base_date=base_date, gap_minutes=gap_minutes)
+    reference_timetable(series, directory / "ref_tt.csv", base_date=base_date, gap_minutes=gap_minutes)
+    reference_realization(series, directory / "ref_rz.csv", base_date=base_date, gap_minutes=gap_minutes)
+    assert (directory / "tt.csv").read_bytes() == (directory / "ref_tt.csv").read_bytes()
+    assert (directory / "rz.csv").read_bytes() == (directory / "ref_rz.csv").read_bytes()
+
+
+# characters csv must quote, spaces, and non-ASCII text, mixed with plain id characters
+TRAIN_IDS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "T", "0", "7", "é", "列", "🚆"])
+                    | st.characters(codec="utf-8"), max_size=6)
+# days just before a leap day, a year end or both, each series one day after the last
+BASE_DATES = st.builds(
+    lambda anchor, offset: (anchor + dt.timedelta(days=offset)).isoformat(),
+    st.sampled_from([dt.date(2000, 2, 27), dt.date(2015, 12, 29), dt.date(2016, 2, 27),
+                     dt.date(2019, 12, 31), dt.date(2100, 2, 27)]),
+    st.integers(-3, 3))
+
+
+@st.composite
+def writer_inputs(draw):
+    ids = draw(st.lists(TRAIN_IDS, min_size=1, max_size=3))
+    series = draw(st.lists(
+        st.builds(DelaySeries, st.sampled_from(ids), st.just("d"),
+                  st.lists(st.integers(-240, 240), min_size=1, max_size=30).map(tuple)),
+        min_size=1, max_size=8))
+    return series, draw(st.integers(1, 5)), draw(BASE_DATES), draw(st.integers(1, 1440))
+
+
 class TestRealizationWriter:
     @pytest.mark.parametrize("chunk", [1, 2, 256])
     def test_bytes_equal_per_row_writer(self, tmp_path, chunk):
@@ -149,8 +199,15 @@ class TestRealizationWriter:
             DelaySeries("T1", "a", (0, 3, -2)), DelaySeries("T2", "b", (-600,)),
             DelaySeries("T1", "c", tuple(range(-5, 6))), DelaySeries("T2", "d", (15, -15)),
         ]
-        with mock.patch.object(synth, "WRITE_CHUNK_SERIES", chunk):
-            write_ingest_files(series, tmp_path / "tt.csv", tmp_path / "rz.csv",
-                               base_date="2016-02-28", gap_minutes=500)
-        reference_realization(series, tmp_path / "ref.csv", base_date="2016-02-28", gap_minutes=500)
-        assert (tmp_path / "rz.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        assert_writer_matches_references(series, tmp_path, chunk, "2016-02-28", 500)
+
+    @settings(max_examples=100, deadline=None)
+    @given(writer_inputs())
+    @example(([DelaySeries('a,"b\r\n', "d", (-240, 0, 240)), DelaySeries(" é", "d", (1,) * 30)],
+              2, "2016-02-28", 1440))
+    # the first series' realized times fall on the days before the base date
+    @example(([DelaySeries("T1", "d", (-600, -3000)), DelaySeries("T1", "d", (-481,))], 1, "2017-01-01", 1))
+    def test_bytes_equal_per_row_writers_on_any_input(self, drawn):
+        series, chunk, base_date, gap_minutes = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writer_matches_references(series, tmp, chunk, base_date, gap_minutes)

@@ -1,6 +1,7 @@
 """Guards against stale references: every function the benchmark's layer trace
 wraps, every name a module exports and every CLI flag the README names must
-exist, and the README must list each command's config flags as its parser builds them. Also guards the runtime
+exist, every call the benchmark's corpus and checks make into railmc must bind
+to its signature, and the README must list each command's config flags as its parser builds them. Also guards the runtime
 dependencies: numpy is the only one, no module imports scipy, and all six stages and an exact tie of
 the order-test ladder run with scipy blocked; no stage loads numpy.ma either. Each stage, as a
 fresh process, loads exactly the railmc modules its command runs, and every --help exits 0 without
@@ -19,6 +20,7 @@ import ast
 import builtins
 import dataclasses
 import importlib
+import inspect
 import json
 import os
 import re
@@ -45,6 +47,45 @@ def _trace_targets() -> list[str]:
 def test_trace_target_resolves(qualname):
     module, name = qualname.split(".")
     assert callable(getattr(importlib.import_module(f"railmc.{module}"), name))
+
+
+def _railmc_calls(path: Path):
+    """The names `path` imports from railmc, and each call it makes through one of them:
+    its source text, the function it calls and the call node."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "railmc":
+            module = importlib.import_module(node.module)
+            for alias in node.names:  # a name the module defines, or a submodule of it
+                imported[alias.asname or alias.name] = (
+                    getattr(module, alias.name) if hasattr(module, alias.name)
+                    else importlib.import_module(f"{node.module}.{alias.name}"))
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        attr = node.func.attr if isinstance(node.func, ast.Attribute) else None
+        name = node.func.value if attr else node.func
+        if isinstance(name, ast.Name) and name.id in imported:
+            target = imported[name.id]
+            calls.append((ast.unparse(node.func), getattr(target, attr) if attr else target, node))
+    return imported, calls
+
+
+@pytest.mark.parametrize("name", ["workloads.py", "checks.py"])
+def test_benchmark_calls_into_railmc_bind(name):
+    # the benchmark imports these names and calls these functions with these arguments: a
+    # rename or a signature change fails here, not in the benchmark run
+    imported, calls = _railmc_calls(LAYERTRACE.parent / name)
+    assert imported, f"perfbench/{name} imports nothing from railmc"
+    for _, func, call in calls:
+        if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+            continue  # *args or **kwargs: the counts are not in the source
+        inspect.signature(func).bind(*call.args, **{k.arg: k.value for k in call.keywords})
+    if name == "workloads.py":
+        assert {text for text, _, _ in calls} >= {
+            "synth.near_diagonal_spec", "synth.sample_series", "synth.write_ingest_files", "StateSpace"}
 
 
 MODULES = sorted(
