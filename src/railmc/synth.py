@@ -1,9 +1,11 @@
 """Seeded ground-truth generators for delay series.
 
 Samples journeys from known zero-order, first-order, and second-order chains
-so every statistical operation in the package has a reproducible oracle. Can
-also emit the sampled data as timetable/realization CSV files, formatted from
-date and clock string tables, so the full ingestion pipeline is exercised.
+so every statistical operation in the package has a reproducible oracle. Stations
+may share one read-only array: each distinct array is checked and summed into one
+cumulative table once, and one uniform draw serves a whole spec. Can also emit the
+sampled data as timetable/realization CSV files, formatted from date and clock
+string tables, so the full ingestion pipeline is exercised.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ class ChainSpec:
     order 0: `marginals[t-1]` is the independent delay distribution at t.
     order 2: `tensors[t-3]` maps the (t-2, t-1) state pair to a row; the step
              into station 2 still uses `matrices[0]`.
+    Stations may share one array (`near_diagonal_spec` passes one read-only matrix);
+    the counts and shapes are checked per role, and each distinct array once.
     """
 
     space: StateSpace
@@ -52,35 +56,44 @@ class ChainSpec:
             raise ValueError(f"unsupported order {self.order}")
         if self.length < 1:
             raise ValueError("journey length must be >= 1")
-        for dist in (self.initial, *self.matrices, *self.marginals, *self.tensors):
+        k, n, order = self.space.cardinality, self.length, self.order
+        distinct = {}  # (id, shape) -> (role, array): an array shared by stations is checked once
+        for name, arrays, count, shape in (
+            ("initial", (self.initial,), 1, (k,)),
+            ("marginals", self.marginals, n if order == 0 else 0, (k,)),
+            ("matrices", self.matrices, (0, n - 1, min(n - 1, 1))[order], (k, k)),
+            ("tensors", self.tensors, max(n - 2, 0) if order == 2 else 0, (k, k, k)),
+        ):
+            if len(arrays) != count:
+                raise ValueError(f"order-{order} chain of length {n} takes {count} {name}, got {len(arrays)}")
+            distinct.update(((id(a), shape), (name, a)) for a in arrays)
+        for (_, shape), (name, dist) in distinct.items():
+            if dist.shape != shape:
+                raise ValueError(f"{name} over {k} states must have shape {shape}, got {dist.shape}")
             # a NaN entry fails both comparisons
             if not ((np.abs(dist.sum(axis=-1) - 1.0) <= 1e-12).all() and (dist >= 0).all()):
                 raise ValueError("chain rows must be probability vectors")
 
 
-def _draw_rows(rng: np.random.Generator, rows: np.ndarray) -> np.ndarray:
-    """One categorical draw per row of a (n, k) probability array."""
-    cum = np.cumsum(rows, axis=1)
-    r = rng.random(len(rows))
-    return (cum > r[:, None]).argmax(axis=1)
-
-
 def sample_delays(spec: ChainSpec, count: int) -> np.ndarray:
     """Sample `count` full journeys as a (count, length) array of delays;
-    deterministic for a fixed spec seed."""
+    deterministic for a fixed spec seed. One `random((length, count))` draw (the stream of
+    one `random(count)` per station) and one cumulative table per distinct array, whose
+    gathered rows each station compares with its uniforms."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    rng = np.random.default_rng(spec.seed)
+    u = np.random.default_rng(spec.seed).random((spec.length, count))[:, :, None]
+    arrays = {id(a): a for a in (spec.initial, *spec.marginals, *spec.matrices, *spec.tensors)}
+    cum = {key: np.cumsum(a, axis=-1) for key, a in arrays.items()}
     idx = np.empty((count, spec.length), dtype=np.int64)
-    idx[:, 0] = _draw_rows(rng, np.tile(spec.initial, (count, 1)))
-    for t in range(2, spec.length + 1):
-        if spec.order == 0:
-            rows = np.tile(spec.marginals[t - 1], (count, 1))
+    for t in range(1, spec.length + 1):
+        if t == 1 or spec.order == 0:  # one row, broadcast over the journeys
+            rows = cum[id(spec.marginals[t - 1] if t > 1 else spec.initial)]
         elif spec.order == 1 or t == 2:
-            rows = spec.matrices[t - 2][idx[:, t - 2]]
+            rows = cum[id(spec.matrices[t - 2])][idx[:, t - 2]]
         else:
-            rows = spec.tensors[t - 3][idx[:, t - 3], idx[:, t - 2]]
-        idx[:, t - 1] = _draw_rows(rng, rows)
+            rows = cum[id(spec.tensors[t - 3])][idx[:, t - 3], idx[:, t - 2]]
+        idx[:, t - 1] = (rows > u[t - 1]).argmax(axis=-1)
     return idx - spec.space.n_max
 
 
@@ -103,13 +116,14 @@ def near_diagonal_spec(space: StateSpace, length: int, dispersion: float, seed: 
     with np.errstate(over="ignore"):  # a tiny dispersion sends off-diagonal terms to exp(-inf) = 0
         dens = np.exp(-0.5 * ((states[None, :] - states[:, None]) / dispersion) ** 2)
     mat = dens / dens.sum(axis=1, keepdims=True)
+    mat.flags.writeable = False  # one array for every station
     return ChainSpec(
         space=space,
         length=length,
         order=1,
         initial=np.full(k, 1.0 / k),
         seed=seed,
-        matrices=tuple(mat.copy() for _ in range(length - 1)),
+        matrices=(mat,) * (length - 1),
     )
 
 

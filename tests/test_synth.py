@@ -1,6 +1,7 @@
 import collections
 import csv
 import datetime as dt
+import hashlib
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -10,11 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from railmc import synth
+from railmc import cli, synth
 from railmc.config import RunConfig
 from railmc.core import DelaySeries, StateSpace
 from railmc.ingest import assemble_series, load_timetable, parse_events
-from railmc.synth import ChainSpec, near_diagonal_spec, sample_series, write_ingest_files
+from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays, sample_series, write_ingest_files
 
 
 class TestChainSpec:
@@ -32,6 +33,20 @@ class TestChainSpec:
             with pytest.raises(ValueError, match="probability vectors"):
                 ChainSpec(space, 2, 1, np.full(3, 1 / 3), seed=0,
                           matrices=(np.vstack([np.eye(3)[:2], nan_row]),))
+        # arrays over 5 states in a 3-state space would sample delays outside [-1, 1]
+        with pytest.raises(ValueError, match=r"initial over 3 states must have shape \(3,\), got \(5,\)"):
+            ChainSpec(space, 2, 1, np.full(5, 0.2), seed=0, matrices=(np.full((5, 5), 0.2),))
+        with pytest.raises(ValueError, match=r"matrices over 3 states must have shape \(3, 3\)"):
+            ChainSpec(space, 2, 1, np.full(3, 1 / 3), seed=0, matrices=(np.full((5, 5), 0.2),))
+        # a station with no matrix would fail in `sample_delays` with an IndexError
+        with pytest.raises(ValueError, match="order-1 chain of length 3 takes 2 matrices, got 1"):
+            ChainSpec(space, 3, 1, np.full(3, 1 / 3), seed=0, matrices=(np.eye(3),))
+        with pytest.raises(ValueError, match="order-2 chain of length 4 takes 2 tensors, got 1"):
+            ChainSpec(space, 4, 2, np.full(3, 1 / 3), seed=0, matrices=(np.eye(3),),
+                      tensors=(np.full((3, 3, 3), 1 / 3),))
+        with pytest.raises(ValueError, match="order-0 chain of length 2 takes 0 matrices, got 1"):
+            ChainSpec(space, 2, 0, np.full(3, 1 / 3), seed=0, marginals=(np.eye(3)[0],) * 2,
+                      matrices=(np.eye(3),))
 
     def test_identity_matrix_freezes_delays(self):
         space = StateSpace(2)
@@ -100,11 +115,122 @@ class TestNearDiagonalSpec:
             assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-12)
             assert (mat == np.eye(space.cardinality)).all() == identity
 
+    def test_matrices_are_one_read_only_array(self):
+        spec = near_diagonal_spec(StateSpace(2), 5, 1.0, seed=0)
+        first = spec.matrices[0]
+        assert len(spec.matrices) == 4 and all(m is first for m in spec.matrices)
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
     def test_dispersion_validation(self):
         with pytest.raises(ValueError):
             near_diagonal_spec(StateSpace(2), 2, 0.0, seed=0)
         with pytest.raises(ValueError, match="dispersion must be positive"):
             near_diagonal_spec(StateSpace(3), 4, float("nan"), seed=0)
+
+
+def reference_sample_delays(spec, count):
+    """The per-station sampler: one `random(count)` call and one cumulative sum over
+    the rows gathered at each station, the initial and order-0 rows tiled per journey."""
+    rng = np.random.default_rng(spec.seed)
+
+    def draw(rows):
+        cum = np.cumsum(rows, axis=1)
+        r = rng.random(len(rows))
+        return (cum > r[:, None]).argmax(axis=1)
+
+    idx = np.empty((count, spec.length), dtype=np.int64)
+    idx[:, 0] = draw(np.tile(spec.initial, (count, 1)))
+    for t in range(2, spec.length + 1):
+        if spec.order == 0:
+            rows = np.tile(spec.marginals[t - 1], (count, 1))
+        elif spec.order == 1 or t == 2:
+            rows = spec.matrices[t - 2][idx[:, t - 2]]
+        else:
+            rows = spec.tensors[t - 3][idx[:, t - 3], idx[:, t - 2]]
+        idx[:, t - 1] = draw(rows)
+    return idx - spec.space.n_max
+
+
+@st.composite
+def chain_specs(draw):
+    """A spec of any order whose stations draw their arrays from a pool of 1 to 3:
+    one array shared by every station, distinct arrays, or a mix."""
+    space = StateSpace(draw(st.integers(1, 3)))
+    k, length, order = space.cardinality, draw(st.integers(1, 6)), draw(st.sampled_from([0, 1, 2]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def rows(shape):  # some zero entries, never an all-zero row
+        a = rng.random(shape) * (rng.random(shape) > 0.3)
+        a[a.sum(axis=-1) == 0] = 1.0
+        return a / a.sum(axis=-1, keepdims=True)
+
+    def stations(n, shape):
+        pool = [rows(shape) for _ in range(draw(st.integers(1, 3)))]
+        return tuple(pool[i % len(pool)] for i in range(n))
+
+    counts = {0: (length, 0, 0), 1: (0, length - 1, 0), 2: (0, min(length - 1, 1), max(length - 2, 0))}[order]
+    marginals, matrices, tensors = (stations(n, shape) for n, shape in zip(counts, [(k,), (k, k), (k, k, k)]))
+    return ChainSpec(space, length, order, rows(k), seed=draw(st.integers(0, 2**63)),
+                     matrices=matrices, marginals=marginals, tensors=tensors)
+
+
+class TestSampleDelaysOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(chain_specs(), st.integers(1, 64))
+    def test_matches_per_station_sampler(self, spec, count):
+        got = sample_delays(spec, count)
+        assert got.dtype == np.int64 and got.shape == (count, spec.length)
+        assert np.array_equal(got, reference_sample_delays(spec, count))
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_specs():
+    """One spec of each order over 5 states, from fixed rows."""
+    space = StateSpace(2)
+    k = space.cardinality
+    rng = np.random.default_rng(0)
+
+    def rows(shape):
+        a = rng.random(shape) + 0.05
+        return a / a.sum(axis=-1, keepdims=True)
+
+    initial = rows(k)
+    order0 = ChainSpec(space, 5, 0, initial, seed=11, marginals=tuple(rows(k) for _ in range(5)))
+    order1 = ChainSpec(space, 5, 1, initial, seed=12, matrices=tuple(rows((k, k)) for _ in range(4)))
+    matrix = rows((k, k))
+    order2 = ChainSpec(space, 5, 2, initial, seed=13, matrices=(matrix,), tensors=(rows((k, k, k)),) * 3)
+    return {"order0": order0, "order1": order1, "order2": order2}
+
+
+class TestGoldenStream:
+    """The synthetic stream, pinned: any change in draw order or CSV bytes shows here.
+
+    The digests were computed with the per-station sampler (one `random(count)` call
+    and one cumulative sum of the gathered rows per station), before the sampler drew
+    all of a spec's uniforms at once; a change that alters them changes every corpus.
+    """
+
+    def test_cli_synth_csv_digests(self, tmp_path, capsys):
+        tt, rz = tmp_path / "tt.csv", tmp_path / "rz.csv"
+        assert cli.main(["synth", "--series", "20", "--trains", "3", "--length", "6", "--seed", "7",
+                         "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert _sha256(tt.read_bytes()) == "104fe348a190ba29bef5855a347f3d2fd2e26973cc03d96dd9ea2228227a1eb2"
+        assert _sha256(rz.read_bytes()) == "326835e0b686f46564b7bdfcb0ded3c21731c5072322c8a9b599d982ea632b9c"
+
+    def test_sample_delays_digests(self):
+        expected = {
+            "order0": "647e7f1774a5c7419b405b0fa8034d5f3af93884fbc75b2b5efdd8ce9ccaa197",
+            "order1": "44112e890f92ea0defbe1b7d41073aff065b8f3ff9e3a5dddb5f28bdb77f4380",
+            "order2": "099fe921757c4be00e47c5cb960fce4c3657764d91e89605aaf79ae3fc8f57a7",
+        }
+        got = {name: _sha256(sample_delays(spec, 40).astype("<i8").tobytes())
+               for name, spec in _golden_specs().items()}
+        assert got == expected
 
 
 class TestCsvRoundTrip:
