@@ -43,6 +43,8 @@ EXIT_IO = 2
 EXIT_EMPTY = 3
 EXIT_COVERAGE = 4
 EXIT_MEMORY = 5
+# the train:station keys `train` names of the stations whose recovery fell back
+FALLBACKS_NAMED = 5
 
 
 def _add_config_flags(p: argparse.ArgumentParser, command: str) -> None:
@@ -116,7 +118,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise InputError(
             f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
     config = _config_from(args)
-    bundle = pipeline.train_bundle(pipeline.load_store(args.store), config)
+    fallbacks: list = []
+    bundle = pipeline.train_bundle(pipeline.load_store(args.store), config, fallbacks)
+    if fallbacks:
+        named = ", ".join(f"{tid}:{t}" for tid, t in fallbacks[:FALLBACKS_NAMED])
+        more = f" and {len(fallbacks) - FALLBACKS_NAMED} more" if len(fallbacks) > FALLBACKS_NAMED else ""
+        print(f"warning: {len(fallbacks)} station(s) {pipeline.FALLBACKS[config.strategy]}: "
+              f"{named}{more}", file=sys.stderr)
     # looked up before the bundle is written, so a run that exits 4 writes nothing
     shown = (pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
              if args.print_matrix else [])

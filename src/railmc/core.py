@@ -12,19 +12,22 @@ state index (delay + N); frequencies are derived double-precision ratios
 on the same indices. Rows with no observations are explicitly *undefined*
 (NaN), never emitted as all-zero probability rows.
 
-One train's aligned journeys are a zero-padded (n_series, L) integer array of
-delays plus a vector of lengths: row r holds its series' delay at station t in
-column t - 1 while t <= lengths[r], and every read is masked by the lengths.
-One pass over that array counts any run of its stations at once: n_j(t) and
-n_ij(t) as dense (stations, k) and (stations, k, k) stacks, and n_hij(t) only
-on its observed cells, as sorted (station, h, i, j) codes with their counts.
-A station sees a few dozen journeys, so a dense n_hij (k^3 = 29,791 cells at
-N = 15) would be almost all zeros.
+Aligned journeys are a zero-padded (n_series, L) integer array of delays plus
+a vector of lengths: row r holds its series' delay at station t in column
+t - 1 while t <= lengths[r], and every read is masked by the lengths. The rows
+of many trains share one array when each row carries its train's code. One
+pass over that array counts any run of (train, station) entries at once, each
+entry counting only its own train's rows: n_j(t) and n_ij(t) as dense
+(entries, k) and (entries, k, k) stacks, and n_hij(t) only on its observed
+cells, as sorted (entry, h, i, j) codes with their counts. A station sees a
+few dozen journeys, so a dense n_hij (k^3 = 29,791 cells at N = 15) would be
+almost all zeros.
 
 A transition matrix P(t) is a plain (k, k) float array with k = 2N + 1, and a
 delay distribution v(t) a (k,) vector. A partial matrix marks its unobserved
 rows NaN until recovery fills them; `check_transition_matrix` is the one
-row-stochasticity check, run where matrices enter or leave a bundle.
+row-stochasticity check, run where matrices enter or leave a bundle, on one
+matrix or on a whole stack.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,10 +217,9 @@ class DelaySeries:
     clipped: int = 0  # observations saturated into the domain during assembly
 
 
-@dataclass(frozen=True)
-class CountTensor:
-    """Observation counts of one train at the stations `stations`, indexed by
-    station position s (0-based in `stations`) and state index (delay + N).
+class CountTensor(NamedTuple):
+    """Observation counts at the (train, station) entries `trains`, `stations`,
+    indexed by entry position s (0-based) and state index (delay + N).
 
     n1[s, j]    = n_j(t):       series delayed j minutes at station t, shape (S, k)
     n2[s, i, j] = n_{i,j}(t):   j at t and i at t-1, shape (S, k, k)
@@ -224,10 +227,13 @@ class CountTensor:
                   cell n3_cells[c] = ((s k + h) k + i) k + j, shape (m,)
 
     n3_cells is sorted and holds exactly the cells with a positive count, so
-    each station's cells are one contiguous run in row-major (h, i, j) order.
-    Only series long enough to cover a station contribute to its counts; all
-    series start at station 1, so the contributing set is identical for all
-    three tallies and n1 = sum_i n2, n2 = sum_h n3 wherever n2, n3 exist.
+    each entry's cells are one contiguous run in row-major (h, i, j) order.
+    Only series of the entry's train long enough to cover its station
+    contribute to its counts; all series start at station 1, so the
+    contributing set is identical for all three tallies and n1 = sum_i n2,
+    n2 = sum_h n3 wherever n2, n3 exist. `trains` holds each entry's train
+    code (`build_count_tensor` always fills it). A NamedTuple, not a frozen
+    dataclass, because every command process builds the class at import.
     """
 
     stations: np.ndarray
@@ -235,6 +241,7 @@ class CountTensor:
     n2: np.ndarray
     n3_cells: np.ndarray
     n3: np.ndarray
+    trains: np.ndarray | None = None
 
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The (s, h, i, j) index vectors of the observed n3 cells."""
@@ -242,51 +249,73 @@ class CountTensor:
         return np.unravel_index(self.n3_cells, (len(self.stations), k, k, k))
 
 
-@dataclass(frozen=True)
-class FrequencyEstimates:
+class FrequencyEstimates(NamedTuple):
     """MLE frequencies derived from a CountTensor, on the same indices.
 
     p1[s, j] = p̂_j and p2[s, i, j] = p̂_{i,j} are dense; p3[c] = p̂_{h,i,j}
     holds the frequency of the observed cell n3_cells[c]. A row whose
-    marginal count is zero is NaN: *undefined*, not zero.
+    marginal count is zero is NaN: *undefined*, not zero. The dense p2 is
+    divided out of `counts` where it is read: the order test reads n_{i,j}(t)
+    only at its observed cells.
     """
 
-    stations: np.ndarray
+    counts: CountTensor
     p1: np.ndarray
-    p2: np.ndarray
     p3: np.ndarray
+
+    @property
+    def stations(self) -> np.ndarray:
+        return self.counts.stations
+
+    @property
+    def p2(self) -> np.ndarray:
+        return _conditional(self.counts.n2)
 
 
 def build_count_tensor(
-    delays: np.ndarray, lengths: np.ndarray, t, space: StateSpace
+    delays: np.ndarray, lengths: np.ndarray, t, space: StateSpace, *,
+    series_train: np.ndarray | None = None, station_train: np.ndarray | None = None,
 ) -> CountTensor:
-    """Tally n_j(t), n_{i,j}(t) and the observed n_{h,i,j}(t) over one train's
-    delay array, in one pass for every station of t: a station index or a
-    sequence of them.
+    """Tally n_j(t), n_{i,j}(t) and the observed n_{h,i,j}(t) over a delay
+    array, in one pass for every station of t: a station index or a sequence
+    of them.
 
-    Row r covers station t when lengths[r] >= t; a covering row contributes
-    to n1, to n2 additionally when t >= 2, and to n3 when t >= 3. A counted
-    delay outside the state space raises ValueError.
+    Without train codes every row is one train's. With them, series_train
+    holds each row's train code and station_train each station's, and the
+    entry (station_train[s], t[s]) counts only the rows of its train. Row r
+    covers an entry of its train when lengths[r] >= t; a covering row
+    contributes to n1, to n2 additionally when t >= 2, and to n3 when t >= 3.
+    A counted delay outside the state space raises ValueError.
     """
     stations = np.atleast_1d(np.asarray(t, dtype=np.int64))
     if (stations < 1).any():
         raise ValueError(f"station index must be >= 1, got {stations.min()}")
+    if (series_train is None) != (station_train is None):
+        raise ValueError("series_train and station_train go together")
+    if series_train is None:
+        series_train = np.zeros(len(lengths), dtype=np.int64)
+        station_train = np.zeros(len(stations), dtype=np.int64)
     k = space.cardinality
-    row, s = np.nonzero(lengths[:, None] >= stations)
+    # each train's entries in one row, padded with a station that no row reaches
+    order = np.argsort(station_train, kind="stable")
+    train = station_train[order]
+    n_trains = int(max(train.max(initial=-1), np.max(series_train, initial=-1))) + 1
+    slot = np.arange(len(order)) - np.searchsorted(train, np.arange(n_trains))[train]
+    station_of = np.full((n_trains, int(slot.max(initial=-1)) + 1), np.iinfo(np.int64).max)
+    station_of[train, slot] = stations[order]
+    entry_of = np.zeros(station_of.shape, dtype=np.int64)
+    entry_of[train, slot] = order
+    row, slot = np.nonzero(lengths[:, None] >= station_of[series_train])
+    s = entry_of[series_train[row], slot]
     col = stations[s] - 1
-    # the covered states x(t-order+1) .. x(t) of each row, as one base-k number
-    states = np.zeros(len(row), dtype=np.int64)
-    codes = []
-    for order in (1, 2, 3):
-        keep = col >= order - 1
-        row, s, col, states = row[keep], s[keep], col[keep], states[keep]
-        states = states + space.index(delays[row, col - order + 1]) * k ** (order - 1)
-        codes.append(s * k**order + states)
+    # each covering row's states at t, t - 1 and t - 2 (a station before the
+    # first reads the first, which the earlier index call already checked)
+    x0, x1, x2 = (space.index(delays[row, np.maximum(col - back, 0)]) for back in range(3))
     size = len(stations)
-    n1 = np.bincount(codes[0], minlength=size * k).reshape(size, k)
-    n2 = np.bincount(codes[1], minlength=size * k * k).reshape(size, k, k)
-    n3_cells, n3 = np.unique(codes[2], return_counts=True)
-    return CountTensor(stations, n1, n2, n3_cells, n3)
+    n1 = np.bincount(s * k + x0, minlength=size * k).reshape(size, k)
+    n2 = np.bincount(((s * k + x1) * k + x0)[col >= 1], minlength=size * k * k).reshape(size, k, k)
+    n3_cells, n3 = np.unique((((s * k + x2) * k + x1) * k + x0)[col >= 2], return_counts=True)
+    return CountTensor(stations, n1, n2, n3_cells, n3, np.asarray(station_train, dtype=np.int64))
 
 
 def estimate_frequencies(counts: CountTensor) -> FrequencyEstimates:
@@ -296,39 +325,49 @@ def estimate_frequencies(counts: CountTensor) -> FrequencyEstimates:
     Each tally is divided by its sum over the last state index; rows whose
     marginal count is zero come out NaN.
     """
-    p3 = counts.n3 / context_totals(counts)
-    return FrequencyEstimates(counts.stations, _conditional(counts.n1), _conditional(counts.n2), p3)
+    return FrequencyEstimates(counts, _conditional(counts.n1), counts.n3 / context_totals(counts))
 
 
 def context_totals(counts: CountTensor) -> np.ndarray:
     """n_{h,i}(t-1) = sum_j n_{h,i,j}(t) at each observed n3 cell: the total
     count of the cells that share its station, h and i."""
     context = counts.n3_cells // counts.n1.shape[1]
-    # float64 sums of integer counts are exact
-    return np.bincount(context, weights=counts.n3)[context]
+    if not len(context):
+        return np.zeros(0)
+    # the cells are sorted, so each context is one run; integer sums are exact
+    start = np.flatnonzero(np.concatenate(([True], context[1:] != context[:-1])))
+    size = np.diff(np.append(start, len(context)))
+    return np.repeat(np.add.reduceat(counts.n3, start), size).astype(float)
 
 
 def _conditional(n: np.ndarray) -> np.ndarray:
     """n divided by its sum over the last axis; rows summing to zero are NaN
     (0 / 0), as counts are never negative."""
-    with np.errstate(invalid="ignore"):
-        return n / n.sum(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):  # einsum adds integer rows exactly, and faster than sum
+        return n / np.einsum("...j->...", n)[..., None]
 
 
-def check_transition_matrix(p: np.ndarray, space: StateSpace) -> None:
-    """Raise ValueError unless p is a complete (k, k) row-stochastic matrix.
+def check_transition_matrix(p: np.ndarray, space: StateSpace, stacked: bool = False) -> None:
+    """Raise ValueError unless p is a complete (k, k) row-stochastic matrix,
+    or with `stacked` an (n, k, k) stack of them.
 
     Every entry must be finite and non-negative, and every row must sum to
-    one within ROW_SUM_TOL.
+    one within ROW_SUM_TOL. A stack passes exactly when each of its matrices
+    does; its message does not say which matrix failed.
     """
     k = space.cardinality
-    if p.shape != (k, k):
-        raise ValueError(f"matrix shape {p.shape}, expected {(k, k)} for n_max {space.n_max}")
+    shape = p.shape[1:] if stacked else p.shape
+    if shape != (k, k):
+        raise ValueError(f"matrix shape {shape}, expected {(k, k)} for n_max {space.n_max}")
+    sums = p.sum(axis=-1)
+    off = np.abs(sums - 1.0)
+    # NaN fails both comparisons, and an infinite entry makes its row sum fail
+    if (p >= 0).all() and (off <= ROW_SUM_TOL).all():
+        return
     if not np.isfinite(p).all():
         raise ValueError("matrix holds NaN or infinite entries")
     if (p < 0).any():
         raise ValueError("matrix holds negative entries")
-    off = np.abs(p.sum(axis=1) - 1.0)
     if (off > ROW_SUM_TOL).any():
-        r = int(np.argmax(off))
-        raise ValueError(f"row {r} sums to {p[r].sum()!r}, not 1")
+        at = np.unravel_index(np.argmax(off), off.shape)
+        raise ValueError(f"row {int(at[-1])} sums to {sums[at]!r}, not 1")

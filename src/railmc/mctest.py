@@ -10,7 +10,9 @@ supports read off the same cells, so the statistics and df are invariant
 under relabeling of unobserved states.
 
 The accept/reject ladder tests H0(0) first and only proceeds to H0(1) when the
-zero-order null is rejected. It runs on both statistics. The test returns one
+zero-order null is rejected. It runs on both statistics, deciding the verdicts
+of every station as arrays. The stations may be (train, station) entries of
+many trains, as `build_count_tensor` counts them. The test returns one
 plain dict per station, the row `order.json` holds without its train: `t`,
 `alpha1`, `alpha2`, `lr0`, `q0`, `df0`, `lr1`, `q1`, `df1` and `verdicts`,
 which maps "LR" and "Q" to its [H0(0), H0(1)] list, so a row equals its own
@@ -20,7 +22,8 @@ The chi-square CDF is the regularized incomplete gamma function, computed
 here with `math` alone: a series below x = a + 1 and a continued fraction
 above, each giving its small tail directly. The ladder compares a statistic
 with the quantile 2·gammaincinv(df/2, 1 - alpha), found by Newton steps on
-that small tail and memoized per (level, df). The quantile decides unless the
+that small tail and memoized per (level, df), where two bounds on the
+quantile leave it open (`_below_quantile`). The quantile decides unless the
 statistic lies within TIE_BAND of it; then the statistic's own small tail
 does, since stat < q holds exactly when P(df/2, stat/2) < 1 - alpha.
 """
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 Verdict = Literal["not_rejected", "rejected", "untestable"]
+_VERDICTS = ("untestable", "rejected", "not_rejected", None)
 
 
 # a statistic this close to its quantile, relative to the quantile, is
@@ -128,6 +132,18 @@ def _gamma_pq(a: float, x: float) -> tuple[float, float]:
     raise ArithmeticError(f"continued fraction for Q({a}, {x}) did not converge")
 
 
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile at p in (0, 1), within about 1e-6: the
+    rational approximation 26.2.23 of Abramowitz and Stegun (within 4.5e-4)
+    and one Newton step on math.erfc, on the smaller tail."""
+    r = min(p, 1.0 - p)
+    t = math.sqrt(-2.0 * math.log(r))
+    z = (2.515517 + t * (0.802853 + t * 0.010328)) / (
+        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))) - t
+    z -= (0.5 * math.erfc(-z / math.sqrt(2.0)) - r) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+    return -z if p > 0.5 else z
+
+
 @functools.lru_cache(maxsize=None)
 def chi_square_quantile(p: float, df: int) -> float:
     """Inverse of chi_square_cdf in its first argument, or NaN if Newton fails.
@@ -135,20 +151,19 @@ def chi_square_quantile(p: float, df: int) -> float:
     Solves on the small tail: P(a, y) = p for p <= 0.5, else
     Q(a, y) = 1.0 - p, which is exact for p in [0.5, 1). Newton steps on the
     tail's logarithm in u = log y, where it is concave, converge from a
-    Wilson-Hilferty start (or the lower bound of P(a, y) <= y^a / Gamma(a + 1)
-    when that is larger) in a handful of steps. Memoized per (level, df).
+    Wilson-Hilferty start on a closed-form normal quantile (or the lower
+    bound of P(a, y) <= y^a / Gamma(a + 1) when that is larger) in a handful
+    of steps. Memoized per (level, df).
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    from statistics import NormalDist  # imported here so that only `test` pays its 2 ms
-
     a = df / 2.0
     upper = p > 0.5
     target = 1.0 - p if upper else p
     h = 2.0 / (9.0 * df)
-    y = a * (1.0 - h + NormalDist().inv_cdf(p) * math.sqrt(h)) ** 3
+    y = a * (1.0 - h + _normal_quantile(p) * math.sqrt(h)) ** 3
     if not upper:
         y = max(y, math.exp((math.log(p) + math.lgamma(a + 1.0)) / a))
     log_target = math.log(target)
@@ -178,18 +193,25 @@ def _per_station(
     The cells come sorted by station: `station` holds each cell's station
     position, n its count, p the alternative's conditional frequency, p_null
     the null's and tot the count of its conditioning context. Each station's
-    terms are summed over its own contiguous run by np.add.reduce (np.sum's
-    reduction), in the order a one-station array adds them: a sum over all
-    stations at once (np.bincount weights, np.add.reduceat) adds in another
-    order and changes the last bits. A station with no cell gets None.
+    terms are summed by np.add.reduce (np.sum's reduction) in the order a
+    one-station array adds them: the stations whose runs have one length are
+    gathered into the rows of one array and reduced along them, which adds
+    each row as that row alone. A sum over all stations at once (np.bincount
+    weights, np.add.reduceat) adds in another order and changes the last
+    bits. A station with no cell gets None.
     """
     lr = 2.0 * n * np.log(p / p_null)
     q = tot * (p - p_null) ** 2 / p_null
-    bounds = np.searchsorted(station, np.arange(len(df) + 1)).tolist()
-    return [
-        (float(np.add.reduce(lr[a:b])), float(np.add.reduce(q[a:b])), d) if a < b else None
-        for a, b, d in zip(bounds, bounds[1:], df.tolist())
-    ]
+    bounds = np.searchsorted(station, np.arange(len(df) + 1))
+    start, size = bounds[:-1], np.diff(bounds)
+    sums = np.zeros((2, len(df)))
+    for length in (np.flatnonzero(np.bincount(size)[1:]) + 1).tolist():  # each run length > 0
+        which = np.flatnonzero(size == length)
+        cells = start[which, None] + np.arange(length)
+        sums[0, which] = np.add.reduce(lr[cells], axis=1)
+        sums[1, which] = np.add.reduce(q[cells], axis=1)
+    return [(a, b, d) if m else None
+            for a, b, d, m in zip(*sums.tolist(), df.tolist(), (size > 0).tolist())]
 
 
 def _support(station: np.ndarray, state: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -214,12 +236,16 @@ def zero_order_statistics(
     all-zero rows and columns beforehand changes nothing.
     """
     n2 = counts.n2
-    cells = np.flatnonzero(n2)
+    cells = np.flatnonzero(n2 > 0)  # a bool array's nonzero scan is the faster one
     s, i, j = np.unravel_index(cells, n2.shape)
-    row_tot = n2.sum(axis=2)
-    df = (_support(s, i, row_tot.shape) - 1) * (_support(s, j, row_tot.shape) - 1)
-    return _per_station(s, df, n2.reshape(-1)[cells], freq.p2.reshape(-1)[cells],
-                        freq.p1[s, j], row_tot[s, i])
+    n = n2.reshape(-1)[cells]
+    row = cells // n2.shape[2]  # each cell's (s, i)
+    # n_i(t-1) of each cell's row, summed over its cells (float64 sums of counts are exact)
+    row_tot = np.bincount(row, weights=n)[row]
+    shape = counts.n1.shape
+    df = (_support(s, i, shape) - 1) * (_support(s, j, shape) - 1)
+    # p2 at the observed cells, divided as the dense freq.p2 divides them
+    return _per_station(s, df, n, n / row_tot, freq.p1[s, j], row_tot)
 
 
 def first_order_statistics(
@@ -239,7 +265,31 @@ def first_order_statistics(
     s, h, i, j = counts.cells()
     shape = counts.n1.shape
     df = (_support(s, h, shape) - 1) * _support(s, i, shape) * (_support(s, j, shape) - 1)
-    return _per_station(s, df, counts.n3, freq.p3, freq.p2[s, i, j], context_totals(counts))
+    # p2 at the cells' (s, i, j), divided as the dense freq.p2 divides them: all
+    # series counted at t >= 3 reach t - 2, so n_i(t-1) sums the cells over h and j
+    row = s * shape[1] + i
+    p2 = counts.n2[s, i, j] / np.bincount(row, weights=counts.n3)[row]
+    return _per_station(s, df, counts.n3, freq.p3, p2, context_totals(counts))
+
+
+def _ladders(
+    stat0: np.ndarray, df0: np.ndarray, stat1: np.ndarray, df1: np.ndarray,
+    alpha1: float, alpha2: float,
+) -> tuple[list, list]:
+    """The H0(0) and H0(1) verdicts of each statistic at each station: stat0
+    and stat1 hold one row per statistic and a column per station, and df0 and
+    df1 a df per station, 0 where a station has no statistic. H0(1) is None
+    where the ladder stops at order zero, and a station with no transition
+    (df0 < 1) is untestable. A quantile or tail is computed only where a
+    verdict reads it. Nested lists, as JSON reads them back."""
+    below0 = _below_quantile(stat0, 1.0 - alpha1, df0)
+    second = (df0 >= 1) & ~below0  # H0(0) rejected: the ladder goes on to H0(1)
+    below1 = _below_quantile(stat1, 1.0 - alpha2, np.where(second, df1, 0))
+    # verdict codes into _VERDICTS: untestable 0, rejected 1, not rejected 2, no test 3
+    h0 = (df0 >= 1) * (1 + below0)
+    h1 = np.where(second, (df1 >= 1) * (1 + below1), 3)
+    return ([[_VERDICTS[c] for c in row] for row in h0.tolist()],
+            [[_VERDICTS[c] for c in row] for row in h1.tolist()])
 
 
 def _ladder(
@@ -250,52 +300,61 @@ def _ladder(
     alpha1: float,
     alpha2: float,
 ) -> list[Verdict | None]:
-    """The [H0(0), H0(1)] verdicts of one statistic; H0(1) is None when the
-    ladder stops at order zero, and a station with no transition (df0 None)
-    is untestable. A list, as JSON reads it back."""
-    if df0 is None or df0 < 1:
-        return ["untestable", None]
-    if _below_quantile(stat0, 1.0 - alpha1, df0):
-        return ["not_rejected", None]
-    if stat1 is None or df1 is None or df1 < 1:
-        return ["rejected", "untestable"]
-    if _below_quantile(stat1, 1.0 - alpha2, df1):
-        return ["rejected", "not_rejected"]
-    return ["rejected", "rejected"]
+    """The [H0(0), H0(1)] verdicts of one statistic at one station; a missing
+    statistic (None) has no df. A list, as JSON reads it back."""
+    ((h0,),), ((h1,),) = _ladders(np.array([[stat0 or 0.0]]), np.array([df0 or 0]),
+                                  np.array([[stat1 or 0.0]]), np.array([df1 or 0]), alpha1, alpha2)
+    return [h0, h1]
 
 
-def _below_quantile(stat: float, p: float, df: int) -> bool:
-    """stat < chi_square_quantile(p, df), decided from the memoized quantile
-    unless stat lies within TIE_BAND of it or Newton failed (NaN); then from
-    stat's small tail, exactly."""
-    q = chi_square_quantile(p, df)
-    if abs(stat - q) > TIE_BAND * q:
-        return stat < q
-    lower, upper = _gamma_pq(df / 2.0, stat / 2.0)
-    return upper > 1.0 - p if p > 0.5 else lower < p
+def _below_quantile(stat: np.ndarray, p: float, df: np.ndarray) -> np.ndarray:
+    """stat < chi_square_quantile(p, df) wherever df >= 1 (False elsewhere),
+    df broadcast against stat.
+
+    Two bounds decide without the quantile: for p >= 1/2 it is at least the
+    median, which exceeds df - 2/3, so a statistic below df - 1 lies below
+    it; and by the Laurent-Massart inequality it is at most
+    df + 2 sqrt(df x) + 2 x with x = -log(1 - p), so a statistic above that
+    lies above it. Any other is decided from the memoized quantile of its df
+    unless it lies within TIE_BAND of it or Newton failed (NaN); then from
+    the statistic's small tail, exactly."""
+    df = np.broadcast_to(df, stat.shape)
+    x = -math.log1p(-p)
+    below = (df >= 1) & (stat < df - 1.0) if p >= 0.5 else np.zeros(stat.shape, dtype=bool)
+    open_ = (df >= 1) & ~below & ~(stat > df + 2.0 * np.sqrt(df * x) + 2.0 * x)
+    q = np.zeros(stat.shape)
+    q[open_] = [chi_square_quantile(p, d) for d in df[open_].tolist()]  # memoized per df
+    below[open_] = stat[open_] < q[open_]
+    for at in np.flatnonzero(open_ & ~(np.abs(stat - q) > TIE_BAND * q)).tolist():
+        lower, upper = _gamma_pq(df.flat[at] / 2.0, stat.flat[at] / 2.0)
+        below.flat[at] = upper > 1.0 - p if p > 0.5 else lower < p
+    return below
 
 
 def markov_property_test(counts: CountTensor, config: RunConfig) -> list[dict]:
-    """Run the order-test ladder on the counts, one row per station.
+    """Run the order-test ladder on the counts, one row per station entry.
 
     Tests H0(0) at level `config.alpha1`; on rejection tests H0(1) at level
     `config.alpha2`. A row holds the station `t`, both levels, lr0, q0, df0,
-    lr1, q1, df1 and `verdicts`, the LR and Q ladders. A station with no
-    transition is untestable and its statistics are None.
+    lr1, q1, df1 and `verdicts`, the LR and Q ladders, decided as arrays over
+    every entry. A station with no transition is untestable and its
+    statistics are None.
     """
     alpha1, alpha2 = config.alpha1, config.alpha2
     freq = estimate_frequencies(counts)
-    rows = []
-    for t, zero, first in zip(counts.stations.tolist(), zero_order_statistics(freq, counts),
-                              first_order_statistics(freq, counts)):
-        # a station with no transition has no second-order cell either
-        lr0, q0, df0 = zero or (None, None, None)
-        lr1, q1, df1 = first or (None, None, None)
-        verdicts = {"LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
-                    "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2)}
-        rows.append({"t": t, "alpha1": alpha1, "alpha2": alpha2, "lr0": lr0, "q0": q0,
-                     "df0": df0, "lr1": lr1, "q1": q1, "df1": df1, "verdicts": verdicts})
-    return rows
+    # a station with no transition has no second-order cell either
+    zero = [z or (None,) * 3 for z in zero_order_statistics(freq, counts)]
+    first = [f or (None,) * 3 for f in first_order_statistics(freq, counts)]
+    # as (LR, Q, df) rows of arrays, a missing statistic reading 0 with df 0
+    order0, order1 = (
+        np.array([r if r[2] else (0.0, 0.0, 0) for r in rows], dtype=float).reshape(-1, 3).T
+        for rows in (zero, first))
+    (lr_h0, q_h0), (lr_h1, q_h1) = _ladders(order0[:2], order0[2].astype(np.int64), order1[:2],
+                                            order1[2].astype(np.int64), alpha1, alpha2)
+    return [{"t": t, "alpha1": alpha1, "alpha2": alpha2, "lr0": a, "q0": b, "df0": c,
+             "lr1": d, "q1": e, "df1": f, "verdicts": {"LR": [g, h], "Q": [i, j]}}
+            for t, (a, b, c), (d, e, f), g, h, i, j in zip(
+                counts.stations.tolist(), zero, first, lr_h0, lr_h1, q_h0, q_h1)]
 
 
 def aggregate_reports(rows: list[dict]) -> dict:

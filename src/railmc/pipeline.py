@@ -3,10 +3,15 @@
 A *store* holds the ingested delay series per train with its planned station
 sequence; `build_store` only puts the trains table of `ingest.assemble_series`
 in the store's envelope, as ingest decides every reject. A store is parsed
-once, where it is read: `parse_store` checks a store document whole and
-turns each train into its journey template and a zero-padded (n_series, L)
-int64 delay array with its lengths and dates, which the stages slice by
-station and mask by length; `store_series` and `store_template` look them up.
+once, where it is read: `parse_store` checks a store document whole and lays
+every series of every train into one `SeriesTable`, a zero-padded
+(n_series, L) int64 delay array with each series' length, date and train
+code, grouped by train in sorted order; `store_series` and `store_template`
+look up one train's part. The stages read the table network-wide: the order
+test and the bundle count every (train, station) entry of a block of whole
+trains in one pass and test or recover the block as one stack, and
+`evaluate_store` groups series by train only to pick each train's target
+and chain, then predicts a block of trains at once.
 A *bundle* holds the recovered transition matrices per train and station,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
@@ -27,7 +32,7 @@ import itertools
 import json
 import re
 from collections import Counter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -43,7 +48,7 @@ if TYPE_CHECKING:
     from .ingest import EventColumns, RejectedRow
 
 __all__ = [
-    "build_store", "save_json", "load_json", "parse_store", "load_store", "parse_bundle",
+    "build_store", "save_json", "load_json", "SeriesTable", "parse_store", "load_store", "parse_bundle",
     "load_bundle", "store_series", "store_template", "test_store", "train_bundle",
     "bundle_matrices", "resolve_target", "forecast_from_bundle", "evaluate_store",
 ]
@@ -108,13 +113,13 @@ def _n_max_of(table, owner: str) -> int:
     return n_max
 
 
-def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, tuple]:
-    """One store train's template and `store_series` arrays. InputError names the
-    train and the date for a template that does not parse (`stations` not a list
-    of [code, activity] lists, or `planned` not a list, say), a station code or
-    date that is not a string, a station visited twice, a series longer than the
-    train's stations, or a delay that is not an integer in [-n_max, n_max] (a
-    float or a bool is not)."""
+def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, list, list, np.ndarray]:
+    """One store train's template, and its series' dates, lengths and delays,
+    these flat as int16. InputError names the train and the date for a template
+    that does not parse (`stations` not a list of [code, activity] lists, or
+    `planned` not a list, say), a station code or date that is not a string, a
+    station visited twice, a series longer than the train's stations, or a delay
+    that is not an integer in [-n_max, n_max] (a float or a bool is not)."""
     try:
         stations, planned = entry["stations"], entry["planned"]
         if type(stations) is not list or any(type(s) is not list or len(s) != 2 for s in stations):
@@ -137,42 +142,71 @@ def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, tup
                          "twice; loop lines are not supported")
     try:
         dates = [s["date"] for s in entry["series"]]
-        lengths = np.array([len(s["delays"]) for s in entry["series"]], dtype=np.int64)
+        lengths = [len(s["delays"]) for s in entry["series"]]
         flat = list(itertools.chain.from_iterable(s["delays"] for s in entry["series"]))
     except (KeyError, TypeError) as exc:
         raise InputError(f"store train {train_id}: malformed series ({exc!r})") from None
     bad_dates = [d for d in dates if type(d) is not str]
     if bad_dates:
         raise InputError(f"store train {train_id}: date {bad_dates[0]!r} is not a string")
-    long = np.flatnonzero(lengths > len(template))
-    if long.size:
-        raise InputError(f"store train {train_id} date {dates[long[0]]}: {lengths[long[0]]} delays "
+    if max(lengths, default=0) > len(template):
+        long = next(i for i, n in enumerate(lengths) if n > len(template))
+        raise InputError(f"store train {train_id} date {dates[long]}: {lengths[long]} delays "
                          f"for {len(template)} stations")
     try:  # bool is a subclass of int, so the check compares types, not isinstance
-        values = np.array(flat, dtype=np.int64) if set(map(type, flat)) <= {int} else None
-    except OverflowError:  # an int beyond int64 lies outside every [-n_max, n_max]
+        values = np.array(flat, dtype=np.int16) if set(map(type, flat)) <= {int} else None
+    except OverflowError:  # an int beyond int16 lies outside every [-n_max, n_max]
         values = None
     if values is None or ((values < -n_max) | (values > n_max)).any():
         i = next(i for i, d in enumerate(flat) if type(d) is not int or abs(d) > n_max)
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
         raise InputError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
                          f"integer in [-{n_max}, {n_max}]")
-    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
-    delays[np.arange(delays.shape[1]) < lengths[:, None]] = values
-    delays.flags.writeable = lengths.flags.writeable = False  # every stage shares them
-    return template, (delays, lengths, dates)
+    return template, dates, lengths, values
+
+
+class SeriesTable(NamedTuple):
+    """Every series of a parsed store in one layout, grouped by train in sorted
+    train order. The arrays are read-only, as every stage shares them."""
+
+    ids: list[str]          # the sorted train ids; a train code indexes them
+    delays: np.ndarray      # (n_series, L) int64; row r holds station t in column t - 1
+    lengths: np.ndarray     # (n_series,) stations each series reaches; columns past it are 0
+    train: np.ndarray       # (n_series,) each series' train code, non-decreasing
+    dates: list[str]        # each series' date
+    reach: np.ndarray       # (n_trains,) each train's longest series, 0 for a train with none
+
+    def rows(self) -> list[int]:
+        """The first row of each train, and past the last one the row count."""
+        return np.searchsorted(self.train, np.arange(len(self.ids) + 1)).tolist()
 
 
 def parse_store(document) -> dict:
     """Check a store document whole (its n_max, trains object and each train) and
-    parse it: each train's `store_series` arrays under "trains", its template under "templates"."""
+    parse it: the `SeriesTable` of all its series under "table", each train's
+    template under "templates", and each train's `store_series` lookup, views
+    into the table, under "trains"."""
     n_max = _n_max_of(document, "store")
     if not isinstance(document.get("trains"), dict):
         raise InputError("store has no trains object")
-    store = {"n_max": n_max, "trains": {}, "templates": {}}
-    for tid, entry in document["trains"].items():
-        store["templates"][tid], store["trains"][tid] = _parse_train(tid, entry, n_max)
-    return store
+    parsed = {tid: _parse_train(tid, entry, n_max) for tid, entry in document["trains"].items()}
+    ids = sorted(parsed)
+    lengths = np.array([n for tid in ids for n in parsed[tid][2]], dtype=np.int64)
+    train = np.repeat(np.arange(len(ids)), [len(parsed[tid][2]) for tid in ids])
+    dates = [d for tid in ids for d in parsed[tid][1]]
+    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
+    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.concatenate(
+        [parsed[tid][3] for tid in ids] or [np.zeros(0, dtype=np.int16)])
+    reach = np.array([max(parsed[tid][2], default=0) for tid in ids], dtype=np.int64)
+    for array in (delays, lengths, train, reach):
+        array.flags.writeable = False
+    table = SeriesTable(ids, delays, lengths, train, dates, reach)
+    rows = table.rows()
+    return {
+        "n_max": n_max, "table": table, "templates": {tid: parsed[tid][0] for tid in ids},
+        "trains": {tid: (delays[a:b, :n], lengths[a:b], dates[a:b])
+                   for tid, a, b, n in zip(ids, rows, rows[1:], reach.tolist())},
+    }
 
 
 def _load(path, parse):
@@ -200,18 +234,62 @@ def store_template(store: dict, train_id: str) -> JourneyTemplate:
     return store["templates"][train_id]
 
 
+class _Block(NamedTuple):
+    """Whole trains of a store and their (train, station) entries, counted in
+    one pass; a train code of the block indexes its `ids`."""
+
+    ids: list[str]
+    delays: np.ndarray
+    lengths: np.ndarray
+    series_train: np.ndarray
+    stations: np.ndarray
+    station_train: np.ndarray
+
+
+# the (train, station) entries of one count pass: the order test and the bundle
+# count the whole trains that start within this many entries, evaluation this
+# many trains, so that no count stack grows with the network (n2 at N = 15
+# takes 7.7 kB an entry)
+_BLOCK_STATIONS = 128
+
+
+def _station_blocks(table: SeriesTable) -> Iterator[_Block]:
+    """The (train, station) axis of the order test and the bundle: each train's
+    stations 2 .. its longest series, train by train, in blocks of the whole
+    trains whose first entry falls in one stretch of _BLOCK_STATIONS entries.
+    A block with no entry is left out."""
+    per_train = np.maximum(table.reach - 1, 0)
+    first = np.cumsum(per_train) - per_train
+    cuts = (np.flatnonzero(np.diff(first // _BLOCK_STATIONS)) + 1).tolist()
+    bounds = [0, *cuts, len(table.ids)]
+    rows = table.rows()
+    for c0, c1 in itertools.pairwise(bounds):
+        count = per_train[c0:c1]
+        station_train = np.repeat(np.arange(c1 - c0), count)
+        if not len(station_train):
+            continue
+        stations = 2 + np.arange(len(station_train)) - np.repeat(first[c0:c1] - first[c0], count)
+        r0, r1 = rows[c0], rows[c1]
+        yield _Block(table.ids[c0:c1], table.delays[r0:r1], table.lengths[r0:r1],
+                     table.train[r0:r1] - c0, stations, station_train)
+
+
 def test_store(store: dict, config: RunConfig) -> dict:
-    """Run the Markov property test per (train, station) and aggregate."""
+    """Run the Markov property test per (train, station) and aggregate, one
+    count pass and one set of array verdicts per block of trains."""
     from .mctest import aggregate_reports, markov_property_test
 
     space = StateSpace(store["n_max"])
-    if not store["trains"]:
+    if not store["table"].ids:
         raise EmptySelectionError("store holds no trains")
     rows = []
-    for tid in sorted(store["trains"]):
-        delays, lengths, _ = store_series(store, tid)
-        counts = build_count_tensor(delays, lengths, _stations(lengths), space)
-        rows.extend({"train": tid, **row} for row in markov_property_test(counts, config))
+    for block in _station_blocks(store["table"]):
+        counts = build_count_tensor(block.delays, block.lengths, block.stations, space,
+                                    series_train=block.series_train,
+                                    station_train=block.station_train)
+        for c, row in zip(counts.trains.tolist(), markov_property_test(counts, config)):
+            row["train"] = block.ids[c]
+            rows.append(row)
     if not rows:
         raise EmptySelectionError("no testable stations in store")
     return {"per_station": rows, "aggregate": aggregate_reports(rows)}
@@ -226,52 +304,60 @@ def _check_n_max(data_n_max: int, model_n_max: int, data: str, model: str) -> No
         )
 
 
-def _stations(lengths: np.ndarray) -> range:
-    """The stations t >= 2 that a train's series reach: the order test's and
-    the bundle's stations."""
-    return range(2, lengths.max(initial=0) + 1)
+# what a station's recovery fell back to, by strategy; `train` names such stations
+FALLBACKS = {
+    "gaussian_regression": "fell back to the diagonal fill (fewer than two observed rows, "
+                           "or no row supporting a spread)",
+    "gaussian_kernel": "took the identity covariance (a single observation)",
+}
 
 
-def _recover(
-    delays: np.ndarray, lengths: np.ndarray, space: StateSpace, config: RunConfig
-) -> np.ndarray:
-    """The recovered (k, k) matrix of each station of `_stations(lengths)`, as
-    a stack from one count pass, whatever the strategy."""
+def _recover(block: _Block, space: StateSpace, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The recovered (k, k) matrix of each (train, station) entry of a block, as
+    a stack from one count pass, whatever the strategy, and the mask of the
+    entries whose recovery fell back (FALLBACKS)."""
     from . import recovery
 
-    counts = build_count_tensor(delays, lengths, _stations(lengths), space)
+    counts = build_count_tensor(block.delays, block.lengths, block.stations, space,
+                                series_train=block.series_train, station_train=block.station_train)
     if config.strategy == "gaussian_kernel":
-        return recovery.kde_recover(counts, space)
+        return recovery.kde_recover(counts, space), counts.n2.sum(axis=(1, 2)) == 1
     partial = recovery.empirical_matrix(counts)
-    if config.strategy == "diagonal":
-        return recovery.diagonal_fill(partial)
-    if config.strategy == "uniform":
-        return recovery.uniform_fill(partial)
-    return recovery.gaussian_regression_fill(partial, counts, space, config)
+    if config.strategy == "gaussian_regression":
+        return recovery.gaussian_regression_fill(partial, counts, space, config)
+    fill = recovery.diagonal_fill if config.strategy == "diagonal" else recovery.uniform_fill
+    return fill(partial), np.zeros(len(partial), dtype=bool)
 
 
-def train_bundle(store: dict, config: RunConfig) -> dict:
+def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) -> dict:
     """Recover transition matrices for every (train, station) in the store.
 
     Every strategy is deterministic: the same store and config give the same
-    bundle. Trains are assembled in sorted order.
+    bundle. Trains are assembled in sorted order, each block's stack checked
+    at once. `fallbacks`, when given, receives the (train, station) of each
+    matrix whose recovery fell back (FALLBACKS), in that order.
     """
-    if not store["trains"]:
+    if not store["table"].ids:
         raise EmptySelectionError("store holds no trains")
     _check_n_max(store["n_max"], config.n_max, "store", "training")
     space = StateSpace(config.n_max)
-    trains = {}
-    for tid in sorted(store["trains"]):
-        delays, lengths, _ = store_series(store, tid)
-        matrices: dict = {}
-        for t, mat in zip(_stations(lengths), _recover(delays, lengths, space, config)):
-            try:
-                check_transition_matrix(mat, space)
-            except ValueError as exc:
-                raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
-            matrices[str(t)] = mat
-        if matrices:
-            trains[tid] = {"matrices": matrices}
+    trains: dict = {}
+    for block in _station_blocks(store["table"]):
+        stack, fell_back = _recover(block, space, config)
+        keys = list(zip([block.ids[c] for c in block.station_train.tolist()],
+                        block.stations.tolist()))
+        try:
+            check_transition_matrix(stack, space, stacked=True)
+        except ValueError:  # name the first bad matrix
+            for (tid, t), mat in zip(keys, stack):
+                try:
+                    check_transition_matrix(mat, space)
+                except ValueError as exc:
+                    raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
+        for (tid, t), mat in zip(keys, stack):
+            trains.setdefault(tid, {"matrices": {}})["matrices"][str(t)] = mat
+        if fallbacks is not None:
+            fallbacks.extend(itertools.compress(keys, fell_back.tolist()))
     if not trains:
         raise EmptySelectionError("no trainable stations in store")
     return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}
@@ -360,18 +446,22 @@ def forecast_from_bundle(
     }
 
 
-def _marginal_chain(train_store: dict, train_id: str, t: int, space: StateSpace) -> np.ndarray:
-    """The marginal baseline's chain; CoverageError when the train has no observation at t."""
+def _marginal_chains(train_store: dict, targets: dict[str, int],
+                     space: StateSpace) -> dict[str, np.ndarray]:
+    """The marginal baseline's chain of each train of `targets` at its target
+    station, from one count pass over the training store. A train the training
+    store lacks, or whose training series all stop before its target, gets none."""
     from .evaluate import marginal_predictor
 
-    if train_id not in train_store["trains"]:
-        raise CoverageError(f"training store has no train {train_id}")
-    delays, lengths, _ = store_series(train_store, train_id)
-    counts = build_count_tensor(delays, lengths, t, space)
-    try:
-        return marginal_predictor(counts, space)
-    except ValueError as exc:
-        raise CoverageError(f"train {train_id} station {t}: {exc}") from None
+    table = train_store["table"]
+    code = {tid: c for c, tid in enumerate(table.ids)}
+    wanted = [tid for tid, t in targets.items() if tid in code and table.reach[code[tid]] >= t]
+    if not wanted:
+        return {}
+    counts = build_count_tensor(table.delays, table.lengths, [targets[tid] for tid in wanted],
+                                space, series_train=table.train,
+                                station_train=np.array([code[tid] for tid in wanted]))
+    return dict(zip(wanted, marginal_predictor(counts, space)[:, None]))
 
 
 def _check_target(s: int, t: int | None) -> int | None:
@@ -436,44 +526,62 @@ def evaluate_store(
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
         _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
-    columns = []
-    detail = []
-    skipped = 0
-    for tid in sorted(eval_store["trains"]):
-        delays, lengths, dates = store_series(eval_store, tid)
-        try:
-            t_target = resolve_target(eval_store, tid, from_station, config, target)
-            covered = lengths >= t_target  # T > S: a series that reaches T covers S
-            if not covered.any():  # T may lie past the delay array's last column
-                raise CoverageError(f"no series of train {tid} reaches station {t_target}")
-            if bundle is not None:
-                chain = bundle_matrices(bundle, tid, from_station, t_target)
-            elif baseline == "naive":
-                chain = naive_predictor(space)
-            else:
-                chain = _marginal_chain(train_store, tid, t_target, space)
-        except CoverageError:
-            skipped += len(lengths)
+    table = eval_store["table"]
+    first_row = table.rows()
+    naive = naive_predictor(space) if baseline == "naive" else None
+    k = model_space.cardinality
+    columns, detail = [], []
+    # series are grouped by train only to pick each train's target T and chain,
+    # a block of trains at a time; a train without either skips all its series
+    for c0 in range(0, len(table.ids), _BLOCK_STATIONS):
+        c1 = min(c0 + _BLOCK_STATIONS, len(table.ids))
+        targets, chains = {}, {}
+        for tid, reach in zip(table.ids[c0:c1], table.reach[c0:c1].tolist()):
+            try:
+                t_target = resolve_target(eval_store, tid, from_station, config, target)
+                if reach < t_target:  # T may lie past the delay array's last column
+                    raise CoverageError(f"no series of train {tid} reaches station {t_target}")
+                if bundle is not None:
+                    chains[tid] = bundle_matrices(bundle, tid, from_station, t_target)
+            except CoverageError:
+                continue
+            targets[tid] = t_target
+        if naive is not None:
+            chains = dict.fromkeys(targets, naive)
+        elif baseline == "marginal":
+            chains = _marginal_chains(train_store, targets, space)
+        r0, r1 = first_row[c0], first_row[c1]
+        t_of = np.array([targets[tid] if tid in chains else 0 for tid in table.ids[c0:c1]],
+                        dtype=np.int64)[table.train[r0:r1] - c0]
+        rows = r0 + np.flatnonzero((t_of > 0) & (table.lengths[r0:r1] >= t_of))  # T > S covers S
+        if not len(rows):
             continue
-        skipped += int((~covered).sum())
-        d_S, d_T = delays[covered, from_station - 1], delays[covered, t_target - 1]
-        # one block row per distinct d_S, scattered back to its series
-        distinct, series_of = np.unique(d_S, return_inverse=True)
-        V = propagate(point_delay(distinct, model_space), chain)
+        train, t_of = table.train[rows], t_of[rows - r0]
+        d_S, d_T = table.delays[rows, from_station - 1], table.delays[rows, t_of - 1]
+        # one block row per distinct (train, d_S), propagated through its train's
+        # chain and scattered back to its series
+        keys, series_of = np.unique(train * k + model_space.index(d_S), return_inverse=True)
+        key_train, distinct = np.divmod(keys, k)
+        distinct -= model_space.n_max
+        V = point_delay(distinct, model_space)
+        bounds = np.searchsorted(key_train, np.arange(c0, c1 + 1)).tolist()
+        for c, tid in enumerate(table.ids[c0:c1]):
+            if bounds[c] < bounds[c + 1]:
+                V[bounds[c]:bounds[c + 1]] = propagate(V[bounds[c]:bounds[c + 1]], chains[tid])
         predicted = make_prediction(V, distinct, model_space, config)
         columns.append((d_S, d_T, *(x[series_of] for x in predicted)))
         detail.extend(
-            {"train": tid, "date": date, "S": from_station, "T": t_target, "d_S": d_s,
-             "d_T": d_t, "trend": TREND_CLASSES[c], "jump": j, "minutes": m}
-            for date, d_s, d_t, c, j, m in zip(
-                itertools.compress(dates, covered), *(x.tolist() for x in columns[-1]))
+            {"train": table.ids[c], "date": table.dates[r], "S": from_station, "T": t, "d_S": d_s,
+             "d_T": d_t, "trend": TREND_CLASSES[code], "jump": j, "minutes": m}
+            for c, r, t, d_s, d_t, code, j, m in zip(
+                train.tolist(), rows.tolist(), t_of.tolist(), *(x.tolist() for x in columns[-1]))
         )
     if not detail:
         raise EmptySelectionError("no series could be evaluated")
     report = score_batch(*map(np.concatenate, zip(*columns)), config)
     payload = {
         "method": baseline or bundle["meta"]["strategy"],
-        "skipped": skipped,
+        "skipped": len(table.train) - len(detail),
         "scores": report.to_dict(),
         "predictions": detail,
     }

@@ -29,7 +29,6 @@ exponentials, so far-tail underflow never produces NaN.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,17 +72,12 @@ def _undefined(partial: np.ndarray) -> np.ndarray:
 
 def diagonal_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become unit mass on the diagonal (delay unchanged)."""
-    filled = partial.copy()
-    rows = _undefined(partial)
-    filled[rows] = np.broadcast_to(np.eye(partial.shape[-1]), partial.shape)[rows]
-    return filled
+    return np.where(_undefined(partial)[..., None], np.eye(partial.shape[-1]), partial)
 
 
 def uniform_fill(partial: np.ndarray) -> np.ndarray:
     """Unobserved rows become uniform over the whole state space."""
-    filled = partial.copy()
-    filled[_undefined(partial)] = 1.0 / partial.shape[-1]
-    return filled
+    return np.where(_undefined(partial)[..., None], 1.0 / partial.shape[-1], partial)
 
 
 def _gaussian_rows(
@@ -111,9 +105,10 @@ def gaussian_regression_fill(
     counts: CountTensor,
     space: StateSpace,
     config: RunConfig,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Fill each station's unobserved rows with Gaussians whose mean/spread
-    follow lines fitted to that station's counts, for every station at once.
+    follow lines fitted to that station's counts, for every station at once;
+    returns the filled stack and the mask of the stations that fell back.
 
     Per observed row i the count-weighted mean is fitted; the spread uses the
     count-weighted sum of squared deviations divided by (count - 1), which is
@@ -135,14 +130,11 @@ def gaussian_regression_fill(
     si, ss_ = _lines(states, spread, spread_rows)
 
     fallback = (observed.sum(axis=1) < 2) | ~spread_rows.any(axis=1)
-    if fallback.any():
-        warnings.warn(f"{fallback.sum()} station(s) with fewer than two observed rows or no "
-                      "row supporting a spread; falling back to diagonal fill")
     filled = diagonal_fill(partial)
     s, rows = np.nonzero(_undefined(partial) & ~fallback[:, None])
     i = states[rows]
     filled[s, rows] = _gaussian_rows(mi[s] + ms[s] * i, si[s] + ss_[s] * i, rows, states)
-    return filled
+    return filled, fallback
 
 
 def _lines(x: np.ndarray, y: np.ndarray, used: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +191,6 @@ def kde_fit(points: np.ndarray, weights: np.ndarray) -> KdeModel:
 
     ridge = 0.0
     if m == 1:
-        warnings.warn("single observation: substituting identity covariance")
         cov = np.eye(2)
     else:
         centered = points - weights @ points / m

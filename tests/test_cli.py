@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 try:
@@ -33,20 +34,30 @@ from railmc.pipeline import (load_bundle, load_json, load_store, parse_store, sa
                              store_series, store_template, train_bundle)
 
 
-@pytest.fixture
-def workspace(tmp_path):
-    """Synthetic timetable/realization pair plus the ingested store."""
-    tt = tmp_path / "timetable.csv"
-    rz = tmp_path / "realization.csv"
-    store = tmp_path / "store.json"
+WORKSPACE_FILES = ("timetable.csv", "realization.csv", "store.json", "rejects.csv")
+
+
+@pytest.fixture(scope="session")
+def workspace_corpus(tmp_path_factory):
+    """Synthetic timetable/realization pair plus the ingested store, made once."""
+    path = tmp_path_factory.mktemp("workspace")
+    tt, rz = path / "timetable.csv", path / "realization.csv"
     assert main([
         "synth", "--series", "80", "--trains", "1", "--length", "5",
         "--out-timetable", str(tt), "--out-realization", str(rz), "--seed", "3",
     ]) == 0
     assert main([
         "ingest", "--timetable", str(tt), "--realization", str(rz),
-        "--out", str(store), "--rejects", str(tmp_path / "rejects.csv"),
+        "--out", str(path / "store.json"), "--rejects", str(path / "rejects.csv"),
     ]) == 0
+    return path
+
+
+@pytest.fixture
+def workspace(tmp_path, workspace_corpus):
+    """A copy of the session's corpus files in this test's own directory."""
+    for name in WORKSPACE_FILES:
+        shutil.copy(workspace_corpus / name, tmp_path / name)
     return tmp_path
 
 
@@ -1124,6 +1135,44 @@ def test_train_with_an_empty_matrices_table_loads_and_covers_nothing(workspace, 
     assert main(["forecast", "--bundle", str(bundle), "--train", "T001", "--station", "1",
                  "--delay", "0", "--target", "3"]) == 4
     assert "bundle misses station 2 for train T001" in capsys.readouterr().err
+
+
+class TestTrainFallbacks:
+    def test_regression_fallback_names_its_trains_and_stations(self, tmp_path, capsys):
+        tt, rz, store = tmp_path / "tt.csv", tmp_path / "rz.csv", tmp_path / "store.json"
+        assert main(["synth", "--series", "40", "--trains", "3", "--length", "6", "--dispersion",
+                     "4", "--seed", "3", "--out-timetable", str(tt), "--out-realization", str(rz)]) == 0
+        assert main(["ingest", "--timetable", str(tt), "--realization", str(rz), "--out", str(store),
+                     "--n-max", "5", "--clip-mode", "drop"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback is reported as data, never as a warning
+            assert main(["train", "--store", str(store), "--out", str(tmp_path / "b.json"),
+                         "--strategy", "gaussian_regression", "--n-max", "5"]) == 0
+        assert capsys.readouterr().err == (
+            "warning: 2 station(s) fell back to the diagonal fill (fewer than two observed rows, "
+            "or no row supporting a spread): T003:4, T003:6\n")
+
+    @pytest.mark.parametrize("strategy, reason", [
+        ("gaussian_regression", "fell back to the diagonal fill"),
+        ("gaussian_kernel", "took the identity covariance (a single observation)"),
+        ("diagonal", None),
+    ])
+    def test_many_fallbacks_name_the_first_five(self, tmp_path, capsys, strategy, reason):
+        # one series a train: each station sees a single observation
+        train = {"stations": [[f"S{t}", "V"] for t in range(8)],
+                 "planned": [f"2024-01-01T08:{t:02d}:00" for t in range(8)],
+                 "series": [{"date": "2024-02-01", "delays": [0, 1, 1, 0, -1, 0, 1, 0]}]}
+        store = tmp_path / "store.json"
+        save_json({"n_max": 2, "trains": {"T1": train}}, store)
+        assert main(["train", "--store", str(store), "--out", str(tmp_path / "b.json"),
+                     "--strategy", strategy, "--n-max", "2"]) == 0
+        err = capsys.readouterr().err
+        if reason is None:
+            assert err == ""
+        else:
+            assert err.startswith(f"warning: 7 station(s) {reason}")
+            assert err.endswith(": T1:2, T1:3, T1:4, T1:5, T1:6 and 2 more\n")
 
 
 # one `python -m railmc.cli` process per argv, in waves: a wave reads what the

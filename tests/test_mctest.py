@@ -104,6 +104,36 @@ class TestChiSquareFunctions:
             assert chi_square_quantile.cache_info().hits == hits + 1
 
 
+class TestQuantileBounds:
+    """The two bounds `_below_quantile` decides by before it needs a quantile."""
+
+    DFS = np.unique(np.r_[np.arange(1, 2001), np.geomspace(2000, 1.2e8, 60).round()])
+
+    def test_bounds_bracket_the_quantile(self):
+        from scipy import special
+
+        for p in (1e-12, 0.01, 0.3, 0.5, 0.7, 0.95, 0.99, 1 - 1e-6, 1 - 1e-12):
+            q = 2.0 * special.gammaincinv(self.DFS / 2.0, p)
+            x = -math.log1p(-p)
+            assert (q < self.DFS + 2.0 * np.sqrt(self.DFS * x) + 2.0 * x).all(), p
+            if p >= 0.5:  # the median exceeds df - 2/3
+                assert (q > self.DFS - 1.0).all(), p
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.integers(1, 400), st.sampled_from([0.05, 0.3, 0.5, 0.7, 0.95, 0.99]),
+           st.floats(0.0, 3.0))
+    def test_verdicts_equal_those_of_the_quantile(self, df, p, scale):
+        # statistics across both bounds and the quantile, decided with and without them
+        stat = np.array([scale * df, df - 1.0, np.nextafter(df - 1.0, 0.0), 0.0])
+        x = -math.log1p(-p)
+        upper = df + 2.0 * math.sqrt(df * x) + 2.0 * x
+        stat = np.r_[stat, upper, np.nextafter(upper, np.inf), 2.0 * upper]
+        q = chi_square_quantile(p, df)
+        far = np.abs(stat - q) > TIE_BAND * q
+        got = mctest._below_quantile(stat, p, np.full(len(stat), df))
+        assert (got[far] == (stat[far] < q)).all()
+
+
 class TestQuantileEstimate:
     ALPHAS = (1e-12, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.5)
 

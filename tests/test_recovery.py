@@ -42,7 +42,6 @@ def kde_fit_pairs(observations):
     obs = np.asarray(observations, dtype=float)
     m = len(obs)
     if m == 1:
-        warnings.warn("single observation: substituting identity covariance")
         cov = np.eye(2)
     else:
         centered = obs - obs.mean(axis=0)
@@ -206,7 +205,7 @@ class TestStationStack:
         fills = {
             "diagonal": lambda p, c: diagonal_fill(p),
             "uniform": lambda p, c: uniform_fill(p),
-            "gaussian_regression": lambda p, c: gaussian_regression_fill(p, c, space, RunConfig()),
+            "gaussian_regression": lambda p, c: gaussian_regression_fill(p, c, space, RunConfig())[0],
         }
         for name, fill in fills.items():
             stack = fill(partial, every)
@@ -229,7 +228,7 @@ class TestGaussianRegressionFill:
     def test_constant_spread_line(self):
         space = StateSpace(5)
         c = self._symmetric_counts(space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        (mat,), _ = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         states = space.states()
         # filled row 3: Gaussian with mean 3, spread 1, discretized and normalized
         expected = np.exp(-0.5 * (states - 3.0) ** 2)
@@ -243,8 +242,8 @@ class TestGaussianRegressionFill:
         space = StateSpace(5)
         c = self._symmetric_counts(space)
         printed, sqrt = (RunConfig(regression_std=form) for form in ("printed", "sqrt"))
-        (a,) = gaussian_regression_fill(empirical_matrix(c), c, space, printed)
-        (b,) = gaussian_regression_fill(empirical_matrix(c), c, space, sqrt)
+        (a,), _ = gaussian_regression_fill(empirical_matrix(c), c, space, printed)
+        (b,), _ = gaussian_regression_fill(empirical_matrix(c), c, space, sqrt)
         assert np.allclose(a, b)
 
     def test_negative_fitted_spread_becomes_unit_diagonal(self):
@@ -259,7 +258,7 @@ class TestGaussianRegressionFill:
         for j in (1, 2, 3):
             s.append((2, j))
         c = build_count_tensor(*series(*s), 2, space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        (mat,), _ = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         # fitted line: sigma(i) = 2.5 - 0.75 i, negative from i = 4 on
         r = space.index(4)
         assert mat[r, r] == 1.0
@@ -270,8 +269,8 @@ class TestGaussianRegressionFill:
     def test_single_observed_row_falls_back_to_diagonal(self):
         space = StateSpace(3)
         c = build_count_tensor(*series((0, 1), (0, -1)), 2, space)
-        with pytest.warns(UserWarning):
-            (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        (mat,), fell_back = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        assert fell_back.tolist() == [True]
         r = space.index(2)
         assert mat[r, r] == 1.0
 
@@ -279,7 +278,7 @@ class TestGaussianRegressionFill:
         space = StateSpace(10)
         spec = near_diagonal_spec(space, 2, 1.5, seed=4)
         c = build_count_tensor(*sampled(spec, 50), 2, space)
-        (mat,) = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        (mat,), _ = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
 
     def test_matches_per_row_reference(self):
@@ -289,7 +288,7 @@ class TestGaussianRegressionFill:
         spec = near_diagonal_spec(space, 2, 4.0, seed=9)
         c = build_count_tensor(*sampled(spec, 40), 2, space)
         (partial,) = empirical_matrix(c)
-        (mat,) = gaussian_regression_fill(partial[None], c, space, RunConfig())
+        (mat,), _ = gaussian_regression_fill(partial[None], c, space, RunConfig())
         states = space.states()
         (n2,) = c.n2
         tot = n2.sum(axis=1)
@@ -338,15 +337,15 @@ class TestGaussianRegressionFill:
         assert a[0] == 3.5 and b[0] == 0.0
         assert np.isnan(a[1])
 
-    def test_fallback_warns_once_with_the_count(self):
+    def test_fallback_mask_names_the_stations(self):
         # stations 2 and 3 each see one observed row; station 4 regresses
         space = StateSpace(3)
         delays, lengths = series((0, 1, 1, 0), (0, 1, 1, 2), (0, 1, 0, 1))
         c = build_count_tensor(delays, lengths, range(2, 5), space)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            mat = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
-        assert [str(w.message).split()[0] for w in caught] == ["2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the fallback is data, not a warning
+            mat, fell_back = gaussian_regression_fill(empirical_matrix(c), c, space, RunConfig())
+        assert fell_back.tolist() == [True, True, False]
         assert np.array_equal(mat[:2], diagonal_fill(empirical_matrix(c))[:2])
 
     def test_row_branches(self):
@@ -372,8 +371,8 @@ class TestKdeFit:
     def test_single_point_density(self):
         # m = 1: identity covariance, h = 1, so the density at the
         # observation is exactly 1 / (2 pi)
-        with pytest.warns(UserWarning):
-            model = kde_fit(np.array([[3.0, -2.0]]), [1])
+        model = kde_fit(np.array([[3.0, -2.0]]), [1])
+        assert model.m == 1 and np.array_equal(model.cov, np.eye(2))
         assert kde_density(model, [3.0, -2.0]) == pytest.approx(1 / (2 * math.pi), rel=1e-12)
 
     def test_degenerate_pairs_still_invertible(self):
@@ -485,11 +484,10 @@ class TestKdeFit:
         (n2,) = c.n2
         i, j = np.nonzero(n2)
         states = space.states()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # one observation is data (m == 1), not a warning
             model = kde_fit(np.column_stack((states[i], states[j])), n2[i, j])
-            raw = kde_fit_pairs(pairs)
-        assert len(caught) == 2 * (len(pairs) == 1)
+        raw = kde_fit_pairs(pairs)
         assert np.array_equal(model.points, raw.points)
         assert np.array_equal(model.weights, raw.weights)
         assert model.m == raw.m == len(pairs)
@@ -500,9 +498,7 @@ class TestKdeFit:
         # built from moves its inverse, and so the kernel, by cond(cov) ulps
         atol = max(1e-12, 1e-15 * np.linalg.cond(raw.cov))
         np.testing.assert_allclose(kde_matrix(model, space), kde_matrix(raw, space), rtol=0, atol=atol)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            (stack,) = kde_recover(c, space)
+        (stack,) = kde_recover(c, space)
         assert np.array_equal(stack, kde_matrix(model, space))
 
 
@@ -635,8 +631,7 @@ class TestLatticeOracle:
 
     def test_off_lattice_and_single_pair_models_take_the_pair_sum(self):
         space = StateSpace(3)
-        with pytest.warns(UserWarning):
-            single = kde_fit([[1.0, -1.0]], [1])
+        single = kde_fit([[1.0, -1.0]], [1])
         between = kde_fit([[0.5, 1.0], [1.0, -2.0], [-1.0, 0.0]], [1, 1, 1])
         outside = kde_fit([[4.0, 1.0], [1.0, -2.0], [-1.0, 0.0]], [1, 1, 1])
         for model in (single, between, outside):
@@ -674,9 +669,7 @@ class TestLatticeOracle:
     def test_random_small_pair_sets(self, drawn):
         n_max, pairs, weights = drawn
         space = StateSpace(n_max)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # m = 1
-            model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
+        model = kde_fit(np.array(pairs, dtype=float), np.array(weights))
         want = pair_sum_matrix(model, space)
         if _on_lattice(model, n_max):
             # a row the lattice gets wrong (NaN included) is never certified
@@ -716,9 +709,8 @@ class TestRowLogSumExp:
         assert (np.exp(logf - logf.max(axis=1, keepdims=True)) == 0.0).any()
 
     def test_single_distinct_pair(self):
-        with pytest.warns(UserWarning):
-            model = kde_fit([[1.0, -1.0]], [1])
-        assert len(model.points) == 1
+        model = kde_fit([[1.0, -1.0]], [1])
+        assert len(model.points) == 1 and model.m == 1
         self.assert_matches_scipy(model, StateSpace(2))
 
     @pytest.mark.parametrize("n_max", [1, 2, 15])

@@ -154,6 +154,19 @@ def test_readme_library_example_runs(capsys):
     assert capsys.readouterr().out.count("\n") == 3
 
 
+def test_readme_network_example_prints_what_it_says(capsys):
+    # the second example reads the first one's names and states its output in comments
+    text = README.read_text(encoding="utf-8")
+    first, second = (block.split("```", 1)[0] for block in
+                     text[text.index("## Library use"):].split("```python\n")[1:3])
+    namespace: dict = {}
+    exec(compile(first, "README.md", "exec"), namespace)
+    capsys.readouterr()
+    exec(compile(second, "README.md", "exec"), namespace)
+    said = [line.split("  # ", 1)[1] for line in second.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == said
+
+
 # Runs the CLI on the argv lists given as JSON, then prints the exit codes, the
 # railmc and numpy.ma modules loaded, and for `test` an exact tie of the ladder.
 CLI_PROCESS = """
