@@ -129,8 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     shown = (pipeline.bundle_matrices(bundle, tid, int(station) - 1, int(station))
              if args.print_matrix else [])
     pipeline.save_json(bundle, args.out)
-    n_mat = sum(len(t["matrices"]) for t in bundle["trains"].values())
-    print(f"bundle: strategy={config.strategy}, {len(bundle['trains'])} train(s), {n_mat} matrices")
+    print(f"bundle: strategy={config.strategy}, {len(bundle.ids)} train(s), {len(bundle.station)} matrices")
     if args.print_matrix:
         from .recovery import format_matrix_text
 

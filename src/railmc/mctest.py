@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Literal
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .config import RunConfig
 from .core import CountTensor, FrequencyEstimates, context_totals, estimate_frequencies
 
 __all__ = [
-    "Verdict",
     "chi_square_cdf",
     "chi_square_quantile",
     "zero_order_statistics",
@@ -49,7 +47,6 @@ __all__ = [
     "aggregate_reports",
 ]
 
-Verdict = Literal["not_rejected", "rejected", "untestable"]
 _VERDICTS = ("untestable", "rejected", "not_rejected", None)
 
 
@@ -290,21 +287,6 @@ def _ladders(
     h1 = np.where(second, (df1 >= 1) * (1 + below1), 3)
     return ([[_VERDICTS[c] for c in row] for row in h0.tolist()],
             [[_VERDICTS[c] for c in row] for row in h1.tolist()])
-
-
-def _ladder(
-    stat0: float | None,
-    df0: int | None,
-    stat1: float | None,
-    df1: int | None,
-    alpha1: float,
-    alpha2: float,
-) -> list[Verdict | None]:
-    """The [H0(0), H0(1)] verdicts of one statistic at one station; a missing
-    statistic (None) has no df. A list, as JSON reads it back."""
-    ((h0,),), ((h1,),) = _ladders(np.array([[stat0 or 0.0]]), np.array([df0 or 0]),
-                                  np.array([[stat1 or 0.0]]), np.array([df1 or 0]), alpha1, alpha2)
-    return [h0, h1]
 
 
 def _below_quantile(stat: np.ndarray, p: float, df: np.ndarray) -> np.ndarray:

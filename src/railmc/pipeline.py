@@ -12,13 +12,13 @@ test and the bundle count every (train, station) entry of a block of whole
 trains in one pass and test or recover the block as one stack, and
 `evaluate_store` groups series by train only to pick each train's target
 and chain, then predicts a block of trains at once.
-A *bundle* holds the recovered transition matrices per train and station,
+A *bundle* is a `Bundle`: every recovered transition matrix in one stack,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
 `save_json` streams them through json's C encoder one train at a time.
 `load_store` and `load_bundle` read a file through `core.load_json`, parse it
-whole and name it. Code past them trusts what they return: `parse_bundle` turns
-each matrix into a float64 array, so `bundle_matrices` only stacks a chain.
+whole and name it. Code past them trusts what they return: `parse_bundle` gives
+the `Bundle` that `train_bundle` gives, and `bundle_matrices` slices its stack.
 
 Errors use the three classes of `core`: InputError for a malformed store or
 bundle, EmptySelectionError when nothing is left to test, train or evaluate,
@@ -27,12 +27,13 @@ and CoverageError when a model has no answer for a train, station or delay.
 
 from __future__ import annotations
 
+import bisect
 import datetime as dt
 import itertools
 import json
 import re
 from collections import Counter
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,12 +50,12 @@ if TYPE_CHECKING:
 
 __all__ = [
     "build_store", "save_json", "load_json", "SeriesTable", "parse_store", "load_store", "parse_bundle",
-    "load_bundle", "store_series", "store_template", "test_store", "train_bundle",
+    "Bundle", "load_bundle", "store_series", "store_template", "test_store", "train_bundle",
     "bundle_matrices", "resolve_target", "forecast_from_bundle", "evaluate_store",
 ]
 
 BASELINES = ("naive", "marginal")
-# the only keys `bundle_matrices` reads: str(t) for a station t >= 2
+# the matrix keys of a bundle document: str(t) for a station t >= 2
 _STATION_KEY = re.compile(r"[2-9]|[1-9][0-9]+")
 
 
@@ -94,10 +95,15 @@ def _json_pieces(value, depth: int):
     yield "}" if value else "{}"
 
 
-def save_json(payload: dict, path) -> None:
+def save_json(payload: dict | Bundle, path) -> None:
     """Write `json.dumps(payload, sort_keys=True, separators=(",", ":"))` and a
     newline to `path`, one subtree at a time, never holding the whole text; a
-    failed write leaves the previous file intact."""
+    failed write leaves the previous file intact. A `Bundle` is written as its
+    document, each matrix a view into the stack."""
+    if isinstance(payload, Bundle):
+        payload = {"meta": payload.meta, "trains": {
+            tid: {"matrices": dict(zip(map(str, payload.station[a:b].tolist()), payload.matrices[a:b]))}
+            for tid, a, b in zip(payload.ids, payload.starts, payload.starts[1:])}}
     with open_output(path) as fh:
         fh.writelines(_json_pieces(payload, _STREAM_DEPTH))
         fh.write("\n")
@@ -329,45 +335,79 @@ def _recover(block: _Block, space: StateSpace, config: RunConfig) -> tuple[np.nd
     return fill(partial), np.zeros(len(partial), dtype=bool)
 
 
-def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) -> dict:
+class Bundle(NamedTuple):
+    """Every matrix of a trained or loaded bundle in one read-only stack, by train, then station."""
+
+    meta: dict              # n_max, strategy and any other key a bundle file holds
+    ids: list[str]          # the sorted train ids, a train with no matrix included
+    starts: list[int]       # the first row of each train, and past the last one the row count
+    matrices: np.ndarray    # (n, k, k) float64; row r is P(t) for t = station[r]
+    station: np.ndarray     # (n,) int64
+
+
+def _check_stack(entries, space: StateSpace, named: Iterable[tuple] = ()) -> np.ndarray:
+    """`entries`, an (n, k, k) stack or its nested lists, as a float64 stack of
+    transition matrices, checked at once. When it fails, the (name, matrix)
+    pairs of `named`, in the order to report them, are checked one by one as
+    stacks of one, to raise the first bad one's error under its name."""
+    try:
+        stack = np.asarray(entries, dtype=float)
+        check_transition_matrix(stack, space, stacked=True)
+        # asarray reads "0.5" and true as numbers; JSON entries must be numbers
+        rows = list(itertools.chain.from_iterable(e for e in entries if isinstance(e, list)))
+        if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            bad = next(x for x in itertools.chain.from_iterable(rows) if type(x) not in (int, float))
+            raise ValueError(f"entry {bad!r} is not a number")
+        return stack
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
+        for name, matrix in named:
+            try:
+                np.asarray(matrix, dtype=float)  # a matrix that does not read fails as it does alone
+                _check_stack([matrix], space)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"{name}: {exc}") from None
+        raise
+
+
+def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) -> Bundle:
     """Recover transition matrices for every (train, station) in the store.
 
     Every strategy is deterministic: the same store and config give the same
     bundle. Trains are assembled in sorted order, each block's stack checked
-    at once. `fallbacks`, when given, receives the (train, station) of each
-    matrix whose recovery fell back (FALLBACKS), in that order.
+    at once and copied into one stack. `fallbacks`, when given, receives the
+    (train, station) of each matrix whose recovery fell back (FALLBACKS), in that order.
     """
     if not store["table"].ids:
         raise EmptySelectionError("store holds no trains")
     _check_n_max(store["n_max"], config.n_max, "store", "training")
     space = StateSpace(config.n_max)
-    trains: dict = {}
+    counts = np.maximum(store["table"].reach - 1, 0).tolist()  # each train's stations 2 .. reach
+    if not any(counts):
+        raise EmptySelectionError("no trainable stations in store")
+    matrices = np.empty((sum(counts), space.cardinality, space.cardinality))
+    row = 0
     for block in _station_blocks(store["table"]):
         stack, fell_back = _recover(block, space, config)
         keys = list(zip([block.ids[c] for c in block.station_train.tolist()],
                         block.stations.tolist()))
-        try:
-            check_transition_matrix(stack, space, stacked=True)
-        except ValueError:  # name the first bad matrix
-            for (tid, t), mat in zip(keys, stack):
-                try:
-                    check_transition_matrix(mat, space)
-                except ValueError as exc:
-                    raise ValueError(f"recovered matrix for train {tid} station {t}: {exc}") from None
-        for (tid, t), mat in zip(keys, stack):
-            trains.setdefault(tid, {"matrices": {}})["matrices"][str(t)] = mat
+        _check_stack(stack, space, ((f"recovered matrix for train {tid} station {t}", mat)
+                                    for (tid, t), mat in zip(keys, stack)))
+        matrices[row:row + len(stack)] = stack
+        row += len(stack)
         if fallbacks is not None:
             fallbacks.extend(itertools.compress(keys, fell_back.tolist()))
-    if not trains:
-        raise EmptySelectionError("no trainable stations in store")
-    return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}
+    station = np.concatenate([np.arange(2, n + 2, dtype=np.int64) for n in counts if n])
+    matrices.flags.writeable = station.flags.writeable = False
+    return Bundle({"n_max": config.n_max, "strategy": config.strategy},
+                  list(itertools.compress(store["table"].ids, counts)),
+                  [0, *itertools.accumulate(filter(None, counts))], matrices, station)
 
 
-def parse_bundle(document) -> dict:
+def parse_bundle(document) -> Bundle:
     """Check a bundle document whole (its meta, trains table and every matrix) and
-    parse it: the same document with each matrix a float64 (k, k) array, as
-    `train_bundle` returns it. InputError names the train and the key of a matrix
-    keyed other than str(t) for a station t >= 2, and the train and station of a bad matrix."""
+    parse it into the `Bundle` that `train_bundle` returns. InputError names the
+    train and the key of a matrix keyed other than str(t) for a station t >= 2,
+    and the train and station of the first bad matrix in document order."""
     meta = document.get("meta") if isinstance(document, dict) else None
     if not isinstance(meta, dict):
         raise InputError("bundle has no meta object")
@@ -386,47 +426,52 @@ def parse_bundle(document) -> dict:
         if bad:
             raise InputError(f"bundle train {tid}: matrix key {bad[0]!r} is not a station "
                              "t >= 2 written as str(t)")
-    trains = {tid: {**entry, "matrices": {}} for tid, entry in document["trains"].items()}
-    for tid, entry in document["trains"].items():
-        for station, entries in entry["matrices"].items():
-            try:
-                matrix = np.asarray(entries, dtype=float)
-                check_transition_matrix(matrix, space)
-                # asarray reads "0.5" and true as numbers; JSON entries must be numbers
-                if isinstance(entries, list) and not set(
-                        map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
-                    bad = next(x for x in itertools.chain.from_iterable(entries)
-                               if type(x) not in (int, float))
-                    raise InputError(f"entry {bad!r} is not a number")
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"bundle matrix for train {tid} station {station}: {exc}") from None
-            trains[tid]["matrices"][station] = matrix
-    return {**document, "trains": trains}
+    ids = sorted(document["trains"])
+    stations = [sorted(map(int, document["trains"][tid]["matrices"])) for tid in ids]
+    starts = [0, *itertools.accumulate(map(len, stations))]
+    matrices = np.empty((starts[-1], space.cardinality, space.cardinality))
+    # read only if a train fails: every matrix in document order, to name the first bad one
+    named = ((f"bundle matrix for train {tid} station {t}", matrix)
+             for tid, entry in document["trains"].items() for t, matrix in entry["matrices"].items())
+    try:  # each train's matrices as one array, checked at once
+        for tid, keys, a, b in zip(ids, stations, starts, starts[1:]):
+            if keys:
+                matrices[a:b] = _check_stack([document["trains"][tid]["matrices"][str(t)] for t in keys],
+                                             space, named)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    station = np.array([t for keys in stations for t in keys], dtype=np.int64)
+    matrices.flags.writeable = station.flags.writeable = False
+    return Bundle(meta, ids, starts, matrices, station)
 
 
-def load_bundle(path) -> dict:
+def load_bundle(path) -> Bundle:
     """`parse_bundle` of the bundle file at `path`; its InputError names the file."""
     return _load(path, parse_bundle)
 
 
-def bundle_matrices(bundle: dict, train_id: str, s: int, t: int) -> np.ndarray:
-    """The propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k); T > S."""
-    if train_id not in bundle["trains"]:
+def bundle_matrices(bundle: Bundle, train_id: str, s: int, t: int) -> np.ndarray:
+    """The propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k),
+    a view into the bundle's stack; T > S."""
+    c = bisect.bisect_left(bundle.ids, train_id)
+    if bundle.ids[c:c + 1] != [train_id]:
         raise CoverageError(f"bundle has no matrices for train {train_id}")
-    matrices = bundle["trains"][train_id]["matrices"]
-    try:  # stops at the first missing station, however far the target T
-        return np.stack([matrices[str(station)] for station in range(s + 1, t + 1)])
-    except KeyError as exc:
-        raise CoverageError(f"bundle misses station {exc.args[0]} for train {train_id}") from None
+    a, b = bundle.starts[c:c + 2]
+    stations = bundle.station[a:b].tolist()  # sorted and distinct: i .. j - 1 hold those in S+1 .. T
+    i, j = bisect.bisect_left(stations, s + 1), bisect.bisect_right(stations, t)
+    if j - i < t - s:  # name the first missing station, however far the target T
+        missing = next(u for u, v in zip(itertools.count(s + 1), stations[i:j] + [None]) if u != v)
+        raise CoverageError(f"bundle misses station {missing} for train {train_id}")
+    return bundle.matrices[a + i:a + j]
 
 
 def forecast_from_bundle(
-    bundle: dict, train_id: str, s: int, d_s: int, t: int, config: RunConfig
+    bundle: Bundle, train_id: str, s: int, d_s: int, t: int, config: RunConfig
 ) -> dict:
     """The prediction record of one current delay propagated through the
     bundle: d_S, the distribution at T, its trend, jump and minutes, and the
     metrics that read them."""
-    space = StateSpace(bundle["meta"]["n_max"])
+    space = StateSpace(bundle.meta["n_max"])
     chain = bundle_matrices(bundle, train_id, s, t)
     if not space.contains(d_s):
         raise CoverageError(
@@ -492,7 +537,7 @@ def resolve_target(
 def evaluate_store(
     eval_store: dict,
     config: RunConfig,
-    bundle: dict | None = None,
+    bundle: Bundle | None = None,
     baseline: str | None = None,
     train_store: dict | None = None,
     from_station: int = 1,
@@ -522,7 +567,7 @@ def evaluate_store(
     # before the loop: the loop counts a CoverageError as an uncovered train
     _check_target(from_station, target)
     space = StateSpace(eval_store["n_max"])
-    model_space = space if bundle is None else StateSpace(bundle["meta"]["n_max"])
+    model_space = space if bundle is None else StateSpace(bundle.meta["n_max"])
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
         _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
@@ -580,7 +625,7 @@ def evaluate_store(
         raise EmptySelectionError("no series could be evaluated")
     report = score_batch(*map(np.concatenate, zip(*columns)), config)
     payload = {
-        "method": baseline or bundle["meta"]["strategy"],
+        "method": baseline or bundle.meta["strategy"],
         "skipped": len(table.train) - len(detail),
         "scores": report.to_dict(),
         "predictions": detail,

@@ -268,13 +268,13 @@ class TestArtifactWriter:
         bundle = train_bundle(parse_store(load_json(workspace / "store.json")), RunConfig())
         save_json(bundle, workspace / "bundle.json")
         loaded = load_json(workspace / "bundle.json")
-        assert loaded["meta"] == bundle["meta"]
-        assert loaded["trains"].keys() == bundle["trains"].keys()
-        for tid, entry in bundle["trains"].items():
-            assert loaded["trains"][tid]["matrices"].keys() == entry["matrices"].keys()
-            for t, rows in entry["matrices"].items():
-                want = np.asarray(rows, dtype=np.float64)
-                got = np.asarray(loaded["trains"][tid]["matrices"][t], dtype=np.float64)
+        assert loaded["meta"] == bundle.meta
+        assert list(loaded["trains"]) == bundle.ids
+        for tid, a, b in zip(bundle.ids, bundle.starts, bundle.starts[1:]):
+            stations = bundle.station[a:b].tolist()
+            assert loaded["trains"][tid]["matrices"].keys() == set(map(str, stations))
+            for t, want in zip(stations, bundle.matrices[a:b]):
+                got = np.asarray(loaded["trains"][tid]["matrices"][str(t)], dtype=np.float64)
                 assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
@@ -1031,6 +1031,55 @@ def test_malformed_bundle_exits_2(workspace, capsys, corrupt, reason):
         assert err.startswith(f"error: {bundle}: {where}") and reason in err
 
 
+def _identity(k=3):
+    return np.eye(k).tolist()
+
+
+# each fault of the matrix of train T3 at station 4, and the error it raises
+FIRST_MATRIX_FAULTS = {
+    "shape": ([[1.0]], "matrix shape (1, 1), expected (3, 3) for n_max 1"),
+    "true": ([[True, False, False], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "entry True is not a number"),
+    "string": ([["0.5", 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "entry '0.5' is not a number"),
+    "nan": ([[float("nan"), 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            "matrix holds NaN or infinite entries"),
+    "row_sum": ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "row 0 sums to np.float64(1.5), not 1"),
+}
+
+
+@pytest.mark.parametrize("fault", [*FIRST_MATRIX_FAULTS, "key_01"])
+def test_the_first_bad_matrix_in_document_order_is_named(tmp_path, capsys, fault):
+    # trains listed T2, T3, T1 and stations 2, 4, 3, as a file not written by
+    # save_json may list them: the middle matrix of the second train is bad, and
+    # so are two later ones that sorted order (T1 first, station 3 before 4) reads first
+    trains = {tid: {"matrices": {t: _identity() for t in ("2", "4", "3")}} for tid in ("T2", "T3", "T1")}
+    matrix, message = FIRST_MATRIX_FAULTS.get(fault, FIRST_MATRIX_FAULTS["nan"])
+    trains["T3"]["matrices"]["4"] = matrix
+    trains["T3"]["matrices"]["3"] = [[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    trains["T1"]["matrices"]["2"] = [[0.5, 0.5, 0.0]]
+    where = "bundle matrix for train T3 station 4: "
+    if fault == "key_01":  # a key of the envelope is checked before any matrix is read
+        trains["T1"]["matrices"]["01"] = _identity()
+        where, message = "", "bundle train T1: matrix key '01' is not a station t >= 2 written as str(t)"
+    bundle = tmp_path / "bundle.json"
+    bundle.write_text(json.dumps({"meta": {"n_max": 1, "strategy": "diagonal"}, "trains": trains}))
+    assert main(["forecast", "--bundle", str(bundle), "--train", "T2", "--station", "1",
+                 "--delay", "0", "--target", "2"]) == 2
+    assert capsys.readouterr().err == f"error: {bundle}: {where}{message}\n"
+
+
+def test_a_bundle_entry_beyond_float_range_exits_2(tmp_path, capsys):
+    # an integer literal no float can hold is a malformed entry, not an internal error
+    bundle = tmp_path / "bundle.json"
+    trains = {"T1": {"matrices": {"2": _identity(), "3": _identity()}}}
+    text = json.dumps({"meta": {"n_max": 1, "strategy": "diagonal"}, "trains": trains})
+    bundle.write_text(text.replace('"3": [[1.0', '"3": [[1' + "0" * 400, 1))
+    assert main(["forecast", "--bundle", str(bundle), "--train", "T1", "--station", "1",
+                 "--delay", "0", "--target", "2"]) == 2
+    assert capsys.readouterr().err == (f"error: {bundle}: bundle matrix for train T1 station 3: "
+                                       "int too large to convert to float\n")
+
+
 # json's reader raises RecursionError once the nesting passes the interpreter's recursion limit
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
@@ -1085,8 +1134,8 @@ class TestBundleParsedOnce:
             chains.append((*args[1:], lookup(*args)))
             return chains[-1][-1]
 
-        monkeypatch.setattr(pipeline, "check_transition_matrix",
-                            lambda *args: events.append("check") or check(*args))
+        monkeypatch.setattr(pipeline, "check_transition_matrix", lambda p, *args, **kwargs: events.append(
+            ("check", p.shape, kwargs.get("stacked"))) or check(p, *args, **kwargs))
         monkeypatch.setattr(pipeline, "load_bundle", marked_load)
         monkeypatch.setattr(pipeline, "bundle_matrices", recorded_lookup)
         shutil.copyfile(store, tmp_path / "copy.json")
@@ -1095,7 +1144,8 @@ class TestBundleParsedOnce:
         document = load_json(bundle)
         n_matrices = sum(len(entry["matrices"]) for entry in document["trains"].values())
         assert len(document["trains"]) == 2 and n_matrices == 8
-        assert events == ["load"] + ["check"] * n_matrices + ["loaded"]
+        # one check of each train's stack, where the bundle loads
+        assert events == ["load"] + [("check", (n_matrices // 2, 31, 31), True)] * 2 + ["loaded"]
         assert {train for train, *_ in chains} == ({"T002"} if argv[0] == "forecast" else {"T001", "T002"})
         for train, s, t, chain in chains:
             want = np.array([document["trains"][train]["matrices"][str(u)] for u in range(s + 1, t + 1)],

@@ -317,8 +317,8 @@ class TestPredictions:
         assert pred.jump is True
         assert pred.minutes == pytest.approx(0.2 * 3 + 0.3 * 4 + 0.5 * 5)
         # the forecast record of a bundle whose one step moves any delay to v
-        bundle = {"meta": {"n_max": 5, "strategy": "diagonal"},
-                  "trains": {"T001": {"matrices": {"2": [v] * space.cardinality}}}}
+        bundle = pipeline.parse_bundle({"meta": {"n_max": 5, "strategy": "diagonal"},
+                                        "trains": {"T001": {"matrices": {"2": [v] * space.cardinality}}}})
         d = pipeline.forecast_from_bundle(bundle, "T001", 1, 0, 2, RunConfig())
         assert d["metrics_used"] == {"trend": "median", "jump": "probability", "minutes": "mean"}
         assert d["d_S"] == 0

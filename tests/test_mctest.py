@@ -18,7 +18,7 @@ from railmc.core import (
 from railmc.mctest import (
     TIE_BAND,
     _gamma_pq,
-    _ladder,
+    _ladders,
     aggregate_reports,
     chi_square_cdf,
     chi_square_quantile,
@@ -31,6 +31,15 @@ from railmc.synth import ChainSpec
 from test_core import cells, sampled, series
 
 SPACE = StateSpace(15)
+
+
+def h0_verdicts(stats, df, alpha):
+    """The H0(0) verdicts of one statistic at stations of one df: `_ladders` on
+    a (1, n) row with no order-one statistic, both levels `alpha`."""
+    n = len(stats)
+    (h0,), _ = _ladders(np.array([stats], dtype=float), np.full(n, df), np.zeros((1, n)),
+                        np.zeros(n, dtype=np.int64), alpha, alpha)
+    return h0
 
 
 def chi2_cdf_by_quadrature(x, df):
@@ -182,7 +191,7 @@ class TestQuantileEstimate:
             stat = q * (1.0 + offset)
             chi_square_quantile(p, df)  # memoized before counting: Newton calls the tail too
             calls = self._count_tail_calls(monkeypatch)
-            verdict = _ladder(stat, df, None, None, alpha, alpha)[0]
+            (verdict,) = h0_verdicts([stat], df, alpha)
             assert calls == [(df / 2.0, stat / 2.0)], alpha
             if offset:
                 assert verdict == ("not_rejected" if stat < q else "rejected"), alpha
@@ -193,8 +202,8 @@ class TestQuantileEstimate:
         q = chi_square_quantile(p, df)
         monkeypatch.setattr(mctest, "chi_square_quantile", lambda p, df: math.nan)
         calls = self._count_tail_calls(monkeypatch)
-        assert _ladder(q * (1.0 - 1e-3), df, None, None, 0.05, 0.05)[0] == "not_rejected"
-        assert _ladder(q * (1.0 + 1e-3), df, None, None, 0.05, 0.05)[0] == "rejected"
+        verdicts = h0_verdicts([q * (1.0 - 1e-3), q * (1.0 + 1e-3)], df, 0.05)
+        assert verdicts == ["not_rejected", "rejected"]
         assert len(calls) == 2
 
     @pytest.mark.parametrize("df", [1, 6, 12, 100, 27_900])
@@ -206,7 +215,7 @@ class TestQuantileEstimate:
         assert abs(offset) > 100 * TIE_BAND
         calls = self._count_tail_calls(monkeypatch)
         expected = "not_rejected" if offset < 0 else "rejected"
-        assert _ladder(q * (1.0 + offset), df, None, None, 0.01, 0.01)[0] == expected
+        assert h0_verdicts([q * (1.0 + offset)], df, 0.01) == [expected]
         assert calls == []
 
 
@@ -379,22 +388,32 @@ def dense_first_order(n3, p2, p3):
     return lr, q, int((sup_h - 1) * sup_i * (sup_j - 1))
 
 
-def dense_order_test(delays, lengths, t, space, alpha1, alpha2):
-    """The row fields of station t: lr0, q0, df0, lr1, q1, df1 and both ladders."""
+def dense_order_test(delays, lengths, t, space):
+    """The row fields of station t: lr0, q0, df0, lr1, q1, df1."""
     idx = space.index(delays[lengths >= t, max(t - 3, 0):t])
     n1, n2, n3 = (dense_tally(idx, order, space.cardinality) for order in (1, 2, 3))
     if t < 2 or not n2.any():
-        return (None,) * 6, {"LR": ["untestable", None], "Q": ["untestable", None]}
+        return (None,) * 6
     p1, p2, p3 = (dense_conditional(n) for n in (n1, n2, n3))
     lr0, q0, df0 = dense_zero_order(n2, p1, p2)
     lr1 = q1 = df1 = None
     if t >= 3 and n3.any():
         lr1, q1, df1 = dense_first_order(n3, p2, p3)
-    ladders = {
-        "LR": _ladder(lr0, df0, lr1, df1, alpha1, alpha2),
-        "Q": _ladder(q0, df0, q1, df1, alpha1, alpha2),
-    }
-    return (lr0, q0, df0, lr1, q1, df1), ladders
+    return lr0, q0, df0, lr1, q1, df1
+
+
+def dense_ladders(fields, alpha1, alpha2):
+    """Each station's LR and Q ladders from its `dense_order_test` fields, all
+    decided by one `_ladders` call on the (2, n) rows of LR and Q; a missing
+    statistic reads 0 with df 0."""
+    lr0, q0, df0, lr1, q1, df1 = (np.array([0 if x is None else x for x in column])
+                                  for column in zip(*fields))
+    (lr_h0, q_h0), (lr_h1, q_h1) = _ladders(np.array([lr0, q0], dtype=float), df0.astype(np.int64),
+                                            np.array([lr1, q1], dtype=float), df1.astype(np.int64),
+                                            alpha1, alpha2)
+    return [{"LR": [a, b], "Q": [c, d]} if f[2] is not None else
+            {"LR": ["untestable", None], "Q": ["untestable", None]}
+            for f, a, b, c, d in zip(fields, lr_h0, lr_h1, q_h0, q_h1)]
 
 
 @st.composite
@@ -423,8 +442,8 @@ class TestDenseOracle:
         config = RunConfig(alpha1=alpha1, alpha2=alpha2)
         rows = markov_property_test(counts, config)
         assert [r["t"] for r in rows] == list(stations)
-        for t, row in zip(stations, rows):
-            fields, ladders = dense_order_test(delays, lengths, t, space, alpha1, alpha2)
+        every = [dense_order_test(delays, lengths, t, space) for t in stations]
+        for t, row, fields, ladders in zip(stations, rows, every, dense_ladders(every, alpha1, alpha2)):
             got = tuple(row[k] for k in ("lr0", "q0", "df0", "lr1", "q1", "df1"))
             assert got == fields, t  # bit-equal, not approximately
             assert row["verdicts"] == ladders, t

@@ -5,6 +5,9 @@ score every train of a store in blocks of trains. The oracles below are the
 per-train loops those functions ran before: one count pass, one order test,
 one recovery and one propagation per train, read through `store_series`.
 The property compares both bit for bit on random multi-train stores.
+
+A bundle is one `pipeline.Bundle` whether trained or loaded; its oracle is the
+dict of trains of dicts from str(t) to matrix that bundles were before.
 """
 
 import itertools
@@ -81,11 +84,32 @@ def oracle_train_bundle(store, config):
     return {"meta": {"n_max": config.n_max, "strategy": config.strategy}, "trains": trains}, fallbacks
 
 
+def as_bundle(document):
+    """The `Bundle` of a bundle document of per-train matrix dicts, each
+    train's matrices stacked in station order and the trains in sorted order."""
+    ids = sorted(document["trains"])
+    tables = [document["trains"][tid]["matrices"] for tid in ids]
+    stations = [sorted(table, key=int) for table in tables]
+    k = 2 * document["meta"]["n_max"] + 1
+    matrices = np.concatenate([np.zeros((0, k, k))] + [
+        np.stack([table[t] for t in keys]) for table, keys in zip(tables, stations) if keys])
+    station = np.array([int(t) for keys in stations for t in keys], dtype=np.int64)
+    return pipeline.Bundle(document["meta"], ids, [0, *itertools.accumulate(map(len, stations))],
+                           matrices, station)
+
+
+def assert_same_bundle(got, want):
+    """Field by field, the arrays bit for bit."""
+    assert (got.meta, got.ids, got.starts) == (want.meta, want.ids, want.starts)
+    for a, b in ((got.matrices, want.matrices), (got.station, want.station)):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def oracle_evaluate_store(eval_store, config, bundle=None, baseline=None, train_store=None,
                           from_station=1, target=None):
     pipeline._check_target(from_station, target)
     space = StateSpace(eval_store["n_max"])
-    model_space = space if bundle is None else StateSpace(bundle["meta"]["n_max"])
+    model_space = space if bundle is None else StateSpace(bundle.meta["n_max"])
     columns, detail, skipped = [], [], 0
     for tid in sorted(eval_store["trains"]):
         delays, lengths, dates = pipeline.store_series(eval_store, tid)
@@ -124,7 +148,7 @@ def oracle_evaluate_store(eval_store, config, bundle=None, baseline=None, train_
     if not detail:
         raise EmptySelectionError("no series could be evaluated")
     report = score_batch(*map(np.concatenate, zip(*columns)), config)
-    return report, {"method": baseline or bundle["meta"]["strategy"], "skipped": skipped,
+    return report, {"method": baseline or bundle.meta["strategy"], "skipped": skipped,
                     "scores": report.to_dict(), "predictions": detail}
 
 
@@ -210,7 +234,7 @@ class TestNetworkEqualsPerTrain:
                     oracle_train_bundle(store, config_s)
                 continue
             want, want_fallbacks = oracle_train_bundle(store, config_s)
-            assert _outcome(lambda: bundle) == _outcome(lambda: want), strategy
+            assert_same_bundle(bundle, as_bundle(want))
             assert fallbacks == want_fallbacks, strategy
             bundles.append(bundle)
         methods = [{"baseline": "naive"}, {"baseline": "marginal", "train_store": train_store},
@@ -221,6 +245,70 @@ class TestNetworkEqualsPerTrain:
                 args = dict(from_station=from_station, target=target, **kwargs)
                 assert _evaluation(lambda: pipeline.evaluate_store(store, config, **args)) == \
                     _evaluation(lambda: oracle_evaluate_store(store, config, **args)), args
+
+
+class TestTrainedBundleIsLoadedBundle:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(networks())
+    @example((1, EDGES, EDGES, 20.0))
+    def test_saved_and_loaded_bundle_equals_the_trained_one(self, tmp_path_factory, drawn):
+        # EDGES holds a train whose series all stop at station 1 and trains of different lengths
+        n_max, document, _, _ = drawn
+        store = pipeline.parse_store(document)
+        path = tmp_path_factory.getbasetemp() / "round_trip.json"
+        for strategy in STRATEGIES:
+            config = RunConfig(n_max=n_max, strategy=strategy)
+            try:
+                bundle = pipeline.train_bundle(store, config)
+            except EmptySelectionError:
+                continue
+            pipeline.save_json(bundle, path)
+            assert_same_bundle(pipeline.load_bundle(path), bundle)
+            # the oracle: the per-train dicts, as lists, written by json itself
+            want, _ = oracle_train_bundle(store, config)
+            lists = {"meta": want["meta"], "trains": {
+                tid: {"matrices": {t: m.tolist() for t, m in entry["matrices"].items()}}
+                for tid, entry in want["trains"].items()}}
+            assert path.read_text() == json.dumps(lists, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _identity(k=3):
+    return np.eye(k).tolist()
+
+
+@pytest.mark.parametrize("train, s, t, message", [
+    ("C", 1, 2, "bundle has no matrices for train C"),
+    ("AA", 1, 2, "bundle has no matrices for train AA"),
+    ("0", 1, 2, "bundle has no matrices for train 0"),
+    ("A", 1, 3, "bundle misses station 2 for train A"),
+    ("B", 1, 5, "bundle misses station 4 for train B"),
+    ("B", 1, 40, "bundle misses station 4 for train B"),
+    ("B", 3, 6, "bundle misses station 4 for train B"),
+    ("B", 4, 6, "bundle misses station 6 for train B"),
+    ("B", 5, 7, "bundle misses station 6 for train B"),
+    ("B", 1, 10**30, "bundle misses station 4 for train B"),
+    ("B", 9, 10**30, "bundle misses station 11 for train B"),
+], ids=["missing_train_last", "missing_train_between", "missing_train_first", "empty_table",
+        "gap", "gap_far_target", "gap_at_start", "past_the_last", "after_the_last",
+        "gap_before_a_huge_target", "a_huge_target"])
+def test_a_chain_the_bundle_lacks_names_the_train_or_the_first_missing_station(train, s, t, message):
+    bundle = pipeline.parse_bundle({"meta": {"n_max": 1, "strategy": "diagonal"}, "trains": {
+        "A": {"matrices": {}}, "B": {"matrices": {"10": _identity(), "2": _identity(), "3": _identity(),
+                                                  "5": _identity()}}}})
+    with pytest.raises(CoverageError, match=f"^{re.escape(message)}$"):
+        pipeline.bundle_matrices(bundle, train, s, t)
+
+
+def test_a_chain_is_a_view_of_its_stations_in_order():
+    # a distinct permutation matrix per station, so the order of a chain shows
+    steps = {str(t): np.eye(3)[[t % 3, (t + 1) % 3, (t + 2) % 3]].tolist() for t in (2, 3, 4, 10)}
+    bundle = pipeline.parse_bundle({"meta": {"n_max": 1, "strategy": "diagonal"},
+                                    "trains": {"B": {"matrices": steps}, "A": {"matrices": {}}}})
+    assert (bundle.ids, bundle.starts, bundle.station.tolist()) == (["A", "B"], [0, 0, 4], [2, 3, 4, 10])
+    chain = pipeline.bundle_matrices(bundle, "B", 1, 4)
+    assert chain.base is not None and not chain.flags.writeable
+    assert chain.tolist() == [steps["2"], steps["3"], steps["4"]]
+    assert pipeline.bundle_matrices(bundle, "B", 9, 10).tolist() == [steps["10"]]
 
 
 def test_edge_stores_parse_to_views_of_one_table():

@@ -188,10 +188,12 @@ loaded = sorted(m for m in sys.modules
                 if m.split(".")[0] == "railmc" or m.split(".")[:2] == ["numpy", "ma"])
 tie = None
 if runs[0][0] == "test":
-    from railmc.mctest import _ladder, chi_square_quantile
+    import numpy as np
+    from railmc.mctest import _ladders, chi_square_quantile
 
     # a statistic equal to its quantile is decided by its own tail
-    tie = _ladder(chi_square_quantile(0.95, 6), 6, None, None, 0.05, 0.05)[0]
+    ((tie,),), _ = _ladders(np.array([[chi_square_quantile(0.95, 6)]]), np.array([6]),
+                            np.array([[0.0]]), np.array([0]), 0.05, 0.05)
 print(json.dumps({"codes": codes, "loaded": loaded, "tie": tie}))
 """
 
@@ -376,14 +378,42 @@ def test_only_the_store_parser_reads_store_documents():
 
 
 def test_only_the_trainer_and_the_bundle_parser_check_matrices():
-    # a bundle is parsed once, where it is read; `bundle_matrices` only stacks a chain
-    callers = set()
+    # a bundle is parsed once, where it is read; `bundle_matrices` only slices a chain.
+    # `_check_stack` is the one stack check, naming the first bad matrix by
+    # checking the matrices one by one (it calls itself for that); only the
+    # trainer and the bundle parser call it, and nothing else calls the check
+    callers = {"check_transition_matrix": set(), "_check_stack": set()}
     for fn in _source_tree("railmc.pipeline").body:
         for node in ast.walk(fn):
-            if isinstance(node, ast.Call) and "check_transition_matrix" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                callers.add(getattr(fn, "name", "<module>"))
-    assert callers == {"train_bundle", "parse_bundle"}, callers
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in callers and getattr(fn, "name", None) != name:
+                    callers[name].add(getattr(fn, "name", "<module>"))
+    assert callers == {"check_transition_matrix": {"_check_stack"},
+                       "_check_stack": {"train_bundle", "parse_bundle"}}, callers
+
+
+def test_only_the_bundle_parser_reads_bundle_documents():
+    # a bundle document is read once, by `parse_bundle`, and built once, by the
+    # view `save_json` writes; every stage reads the `Bundle` fields. A store's
+    # own "trains" table is built and read by the store's functions.
+    readers = {"trains": set(), "matrices": set()}
+    for fn in _source_tree("railmc.pipeline").body:
+        for node in ast.walk(fn):
+            keys = (node.keys if isinstance(node, ast.Dict) else
+                    [node.slice] if isinstance(node, ast.Subscript) else
+                    node.args[:1] if isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) == "get" else [])
+            for key in keys:
+                if isinstance(key, ast.Constant) and key.value in readers:
+                    readers[key.value].add(getattr(fn, "name", "<module>"))
+    bundle = {"parse_bundle", "save_json"}
+    assert readers == {"trains": bundle | {"build_store", "parse_store", "store_series"},
+                       "matrices": bundle}, readers
+    (lookup,) = (fn for fn in _source_tree("railmc.pipeline").body
+                 if getattr(fn, "name", None) == "bundle_matrices")
+    assert [node for node in ast.walk(lookup)
+            if isinstance(node, ast.Attribute) and node.attr == "stack"] == []
 
 
 def test_one_exception_class_per_error_exit_code():
