@@ -114,9 +114,10 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     tid, sep, station = (args.print_matrix or "").rpartition(":")
-    if args.print_matrix and not (tid and sep and station.isdecimal()):
+    # no bundle holds a matrix for a station below 2
+    if args.print_matrix and not (tid and sep and station.isdecimal() and int(station) >= 2):
         raise InputError(
-            f"--print-matrix wants TRAIN:T with a station number T, got {args.print_matrix!r}")
+            f"--print-matrix wants TRAIN:T with a station number T >= 2, got {args.print_matrix!r}")
     config = _config_from(args)
     fallbacks: list = []
     bundle = pipeline.train_bundle(pipeline.load_store(args.store), config, fallbacks)

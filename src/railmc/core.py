@@ -370,4 +370,4 @@ def check_transition_matrix(p: np.ndarray, space: StateSpace, stacked: bool = Fa
         raise ValueError("matrix holds negative entries")
     if (off > ROW_SUM_TOL).any():
         at = np.unravel_index(np.argmax(off), off.shape)
-        raise ValueError(f"row {int(at[-1])} sums to {sums[at]!r}, not 1")
+        raise ValueError(f"row {int(at[-1])} sums to {float(sums[at])}, not 1")

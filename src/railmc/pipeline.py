@@ -3,15 +3,16 @@
 A *store* holds the ingested delay series per train with its planned station
 sequence; `build_store` only puts the trains table of `ingest.assemble_series`
 in the store's envelope, as ingest decides every reject. A store is parsed
-once, where it is read: `parse_store` checks a store document whole and lays
-every series of every train into one `SeriesTable`, a zero-padded
-(n_series, L) int64 delay array with each series' length, date and train
-code, grouped by train in sorted order; `store_series` and `store_template`
-look up one train's part. The stages read the table network-wide: the order
+once, where it is read: `parse_store` checks a store document whole and gives
+a `Store`, every series of every train in one zero-padded (n_series, L) int64
+delay array with each series' length, date and train code, grouped by train
+in sorted order and indexed by `ids` and `starts` as a bundle is, plus each
+train's template; `store_series`, `store_template` and `bundle_matrices` find
+a train by the same lookup. The stages read the store network-wide: the order
 test and the bundle count every (train, station) entry of a block of whole
 trains in one pass and test or recover the block as one stack, and
-`evaluate_store` groups series by train only to pick each train's target
-and chain, then predicts a block of trains at once.
+`evaluate_store` groups series by train only to pick each train's target and
+chain, then predicts a block of trains at once.
 A *bundle* is a `Bundle`: every recovered transition matrix in one stack,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
@@ -49,7 +50,7 @@ if TYPE_CHECKING:
     from .ingest import EventColumns, RejectedRow
 
 __all__ = [
-    "build_store", "save_json", "load_json", "SeriesTable", "parse_store", "load_store", "parse_bundle",
+    "build_store", "save_json", "load_json", "Store", "parse_store", "load_store", "parse_bundle",
     "Bundle", "load_bundle", "store_series", "store_template", "test_store", "train_bundle",
     "bundle_matrices", "resolve_target", "forecast_from_bundle", "evaluate_store",
 ]
@@ -171,48 +172,42 @@ def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, lis
     return template, dates, lengths, values
 
 
-class SeriesTable(NamedTuple):
-    """Every series of a parsed store in one layout, grouped by train in sorted
-    train order. The arrays are read-only, as every stage shares them."""
+class Store(NamedTuple):
+    """A parsed store: every series in one layout, grouped by train in sorted
+    train order, and each train's template. The arrays are read-only, as every
+    stage shares them."""
 
+    n_max: int
     ids: list[str]          # the sorted train ids; a train code indexes them
+    starts: list[int]       # the first row of each train, and past the last one the row count
     delays: np.ndarray      # (n_series, L) int64; row r holds station t in column t - 1
     lengths: np.ndarray     # (n_series,) stations each series reaches; columns past it are 0
     train: np.ndarray       # (n_series,) each series' train code, non-decreasing
     dates: list[str]        # each series' date
     reach: np.ndarray       # (n_trains,) each train's longest series, 0 for a train with none
-
-    def rows(self) -> list[int]:
-        """The first row of each train, and past the last one the row count."""
-        return np.searchsorted(self.train, np.arange(len(self.ids) + 1)).tolist()
+    templates: list[JourneyTemplate]  # each train's template
 
 
-def parse_store(document) -> dict:
+def parse_store(document) -> Store:
     """Check a store document whole (its n_max, trains object and each train) and
-    parse it: the `SeriesTable` of all its series under "table", each train's
-    template under "templates", and each train's `store_series` lookup, views
-    into the table, under "trains"."""
+    parse it into one `Store`."""
     n_max = _n_max_of(document, "store")
     if not isinstance(document.get("trains"), dict):
         raise InputError("store has no trains object")
     parsed = {tid: _parse_train(tid, entry, n_max) for tid, entry in document["trains"].items()}
     ids = sorted(parsed)
-    lengths = np.array([n for tid in ids for n in parsed[tid][2]], dtype=np.int64)
-    train = np.repeat(np.arange(len(ids)), [len(parsed[tid][2]) for tid in ids])
-    dates = [d for tid in ids for d in parsed[tid][1]]
+    templates, dates, train_lengths, values = zip(*map(parsed.get, ids)) if ids else ((),) * 4
+    lengths = np.array(list(itertools.chain.from_iterable(train_lengths)), dtype=np.int64)
+    starts = [0, *itertools.accumulate(map(len, train_lengths))]
     delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
     delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.concatenate(
-        [parsed[tid][3] for tid in ids] or [np.zeros(0, dtype=np.int16)])
-    reach = np.array([max(parsed[tid][2], default=0) for tid in ids], dtype=np.int64)
+        [*values, np.zeros(0, dtype=np.int16)])
+    train = np.repeat(np.arange(len(ids)), np.diff(starts))
+    reach = np.array([max(n, default=0) for n in train_lengths], dtype=np.int64)
     for array in (delays, lengths, train, reach):
         array.flags.writeable = False
-    table = SeriesTable(ids, delays, lengths, train, dates, reach)
-    rows = table.rows()
-    return {
-        "n_max": n_max, "table": table, "templates": {tid: parsed[tid][0] for tid in ids},
-        "trains": {tid: (delays[a:b, :n], lengths[a:b], dates[a:b])
-                   for tid, a, b, n in zip(ids, rows, rows[1:], reach.tolist())},
-    }
+    return Store(n_max, ids, starts, delays, lengths, train,
+                 list(itertools.chain.from_iterable(dates)), reach, list(templates))
 
 
 def _load(path, parse):
@@ -224,20 +219,29 @@ def _load(path, parse):
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_store(path) -> dict:
+def load_store(path) -> Store:
     """`parse_store` of the store file at `path`; its InputError names the file."""
     return _load(path, parse_store)
 
 
-def store_series(store: dict, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """One train's (n_series, L) int64 delay array, zero past each row's length, lengths and dates."""
-    return store["trains"][train_id]
+def _rows_of(table: Store | Bundle, train_id: str, missing: str) -> tuple[int, int, int]:
+    """The code of `train_id` among the sorted `table.ids`, and its first row
+    and the row past its last; CoverageError `missing` when it is absent."""
+    c = bisect.bisect_left(table.ids, train_id)
+    if table.ids[c:c + 1] != [train_id]:
+        raise CoverageError(missing)
+    return c, table.starts[c], table.starts[c + 1]
 
 
-def store_template(store: dict, train_id: str) -> JourneyTemplate:
-    if train_id not in store["templates"]:
-        raise CoverageError(f"store has no train {train_id}")
-    return store["templates"][train_id]
+def store_series(store: Store, train_id: str) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """One train's (n_series, L) int64 delay array, zero past each row's length,
+    lengths and dates; the arrays are views into the store's."""
+    c, a, b = _rows_of(store, train_id, f"store has no train {train_id}")
+    return store.delays[a:b, :store.reach[c]], store.lengths[a:b], store.dates[a:b]
+
+
+def store_template(store: Store, train_id: str) -> JourneyTemplate:
+    return store.templates[_rows_of(store, train_id, f"store has no train {train_id}")[0]]
 
 
 class _Block(NamedTuple):
@@ -259,37 +263,36 @@ class _Block(NamedTuple):
 _BLOCK_STATIONS = 128
 
 
-def _station_blocks(table: SeriesTable) -> Iterator[_Block]:
+def _station_blocks(store: Store) -> Iterator[_Block]:
     """The (train, station) axis of the order test and the bundle: each train's
     stations 2 .. its longest series, train by train, in blocks of the whole
     trains whose first entry falls in one stretch of _BLOCK_STATIONS entries.
     A block with no entry is left out."""
-    per_train = np.maximum(table.reach - 1, 0)
+    per_train = np.maximum(store.reach - 1, 0)
     first = np.cumsum(per_train) - per_train
     cuts = (np.flatnonzero(np.diff(first // _BLOCK_STATIONS)) + 1).tolist()
-    bounds = [0, *cuts, len(table.ids)]
-    rows = table.rows()
+    bounds = [0, *cuts, len(store.ids)]
     for c0, c1 in itertools.pairwise(bounds):
         count = per_train[c0:c1]
         station_train = np.repeat(np.arange(c1 - c0), count)
         if not len(station_train):
             continue
         stations = 2 + np.arange(len(station_train)) - np.repeat(first[c0:c1] - first[c0], count)
-        r0, r1 = rows[c0], rows[c1]
-        yield _Block(table.ids[c0:c1], table.delays[r0:r1], table.lengths[r0:r1],
-                     table.train[r0:r1] - c0, stations, station_train)
+        r0, r1 = store.starts[c0], store.starts[c1]
+        yield _Block(store.ids[c0:c1], store.delays[r0:r1], store.lengths[r0:r1],
+                     store.train[r0:r1] - c0, stations, station_train)
 
 
-def test_store(store: dict, config: RunConfig) -> dict:
+def test_store(store: Store, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate, one
     count pass and one set of array verdicts per block of trains."""
     from .mctest import aggregate_reports, markov_property_test
 
-    space = StateSpace(store["n_max"])
-    if not store["table"].ids:
+    space = StateSpace(store.n_max)
+    if not store.ids:
         raise EmptySelectionError("store holds no trains")
     rows = []
-    for block in _station_blocks(store["table"]):
+    for block in _station_blocks(store):
         counts = build_count_tensor(block.delays, block.lengths, block.stations, space,
                                     series_train=block.series_train,
                                     station_train=block.station_train)
@@ -369,7 +372,7 @@ def _check_stack(entries, space: StateSpace, named: Iterable[tuple] = ()) -> np.
         raise
 
 
-def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) -> Bundle:
+def train_bundle(store: Store, config: RunConfig, fallbacks: list | None = None) -> Bundle:
     """Recover transition matrices for every (train, station) in the store.
 
     Every strategy is deterministic: the same store and config give the same
@@ -377,16 +380,16 @@ def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) 
     at once and copied into one stack. `fallbacks`, when given, receives the
     (train, station) of each matrix whose recovery fell back (FALLBACKS), in that order.
     """
-    if not store["table"].ids:
+    if not store.ids:
         raise EmptySelectionError("store holds no trains")
-    _check_n_max(store["n_max"], config.n_max, "store", "training")
+    _check_n_max(store.n_max, config.n_max, "store", "training")
     space = StateSpace(config.n_max)
-    counts = np.maximum(store["table"].reach - 1, 0).tolist()  # each train's stations 2 .. reach
+    counts = np.maximum(store.reach - 1, 0).tolist()  # each train's stations 2 .. reach
     if not any(counts):
         raise EmptySelectionError("no trainable stations in store")
     matrices = np.empty((sum(counts), space.cardinality, space.cardinality))
     row = 0
-    for block in _station_blocks(store["table"]):
+    for block in _station_blocks(store):
         stack, fell_back = _recover(block, space, config)
         keys = list(zip([block.ids[c] for c in block.station_train.tolist()],
                         block.stations.tolist()))
@@ -399,7 +402,7 @@ def train_bundle(store: dict, config: RunConfig, fallbacks: list | None = None) 
     station = np.concatenate([np.arange(2, n + 2, dtype=np.int64) for n in counts if n])
     matrices.flags.writeable = station.flags.writeable = False
     return Bundle({"n_max": config.n_max, "strategy": config.strategy},
-                  list(itertools.compress(store["table"].ids, counts)),
+                  list(itertools.compress(store.ids, counts)),
                   [0, *itertools.accumulate(filter(None, counts))], matrices, station)
 
 
@@ -453,10 +456,7 @@ def load_bundle(path) -> Bundle:
 def bundle_matrices(bundle: Bundle, train_id: str, s: int, t: int) -> np.ndarray:
     """The propagation chain P(S+1) .. P(T) for one train, shape (T - S, k, k),
     a view into the bundle's stack; T > S."""
-    c = bisect.bisect_left(bundle.ids, train_id)
-    if bundle.ids[c:c + 1] != [train_id]:
-        raise CoverageError(f"bundle has no matrices for train {train_id}")
-    a, b = bundle.starts[c:c + 2]
+    _, a, b = _rows_of(bundle, train_id, f"bundle has no matrices for train {train_id}")
     stations = bundle.station[a:b].tolist()  # sorted and distinct: i .. j - 1 hold those in S+1 .. T
     i, j = bisect.bisect_left(stations, s + 1), bisect.bisect_right(stations, t)
     if j - i < t - s:  # name the first missing station, however far the target T
@@ -491,20 +491,19 @@ def forecast_from_bundle(
     }
 
 
-def _marginal_chains(train_store: dict, targets: dict[str, int],
+def _marginal_chains(train_store: Store, targets: dict[str, int],
                      space: StateSpace) -> dict[str, np.ndarray]:
     """The marginal baseline's chain of each train of `targets` at its target
     station, from one count pass over the training store. A train the training
     store lacks, or whose training series all stop before its target, gets none."""
     from .evaluate import marginal_predictor
 
-    table = train_store["table"]
-    code = {tid: c for c, tid in enumerate(table.ids)}
-    wanted = [tid for tid, t in targets.items() if tid in code and table.reach[code[tid]] >= t]
+    code = {tid: c for c, tid in enumerate(train_store.ids)}
+    wanted = [tid for tid, t in targets.items() if tid in code and train_store.reach[code[tid]] >= t]
     if not wanted:
         return {}
-    counts = build_count_tensor(table.delays, table.lengths, [targets[tid] for tid in wanted],
-                                space, series_train=table.train,
+    counts = build_count_tensor(train_store.delays, train_store.lengths,
+                                [targets[tid] for tid in wanted], space, series_train=train_store.train,
                                 station_train=np.array([code[tid] for tid in wanted]))
     return dict(zip(wanted, marginal_predictor(counts, space)[:, None]))
 
@@ -519,7 +518,7 @@ def _check_target(s: int, t: int | None) -> int | None:
 
 
 def resolve_target(
-    store: dict | None, train_id: str, s: int, config: RunConfig, target: int | None
+    store: Store | None, train_id: str, s: int, config: RunConfig, target: int | None
 ) -> int:
     """The target station: `target` when given, after checking it lies after S;
     else the first station past the horizon on the store's timetable."""
@@ -535,11 +534,11 @@ def resolve_target(
 
 
 def evaluate_store(
-    eval_store: dict,
+    eval_store: Store,
     config: RunConfig,
     bundle: Bundle | None = None,
     baseline: str | None = None,
-    train_store: dict | None = None,
+    train_store: Store | None = None,
     from_station: int = 1,
     target: int | None = None,
 ) -> tuple[ScoreReport, dict]:
@@ -566,22 +565,20 @@ def evaluate_store(
 
     # before the loop: the loop counts a CoverageError as an uncovered train
     _check_target(from_station, target)
-    space = StateSpace(eval_store["n_max"])
+    space = StateSpace(eval_store.n_max)
     model_space = space if bundle is None else StateSpace(bundle.meta["n_max"])
     _check_n_max(space.n_max, model_space.n_max, "evaluation store", "bundle")
     if baseline == "marginal":
-        _check_n_max(train_store["n_max"], space.n_max, "training store", "evaluation store")
-    table = eval_store["table"]
-    first_row = table.rows()
+        _check_n_max(train_store.n_max, space.n_max, "training store", "evaluation store")
     naive = naive_predictor(space) if baseline == "naive" else None
     k = model_space.cardinality
     columns, detail = [], []
     # series are grouped by train only to pick each train's target T and chain,
     # a block of trains at a time; a train without either skips all its series
-    for c0 in range(0, len(table.ids), _BLOCK_STATIONS):
-        c1 = min(c0 + _BLOCK_STATIONS, len(table.ids))
+    for c0 in range(0, len(eval_store.ids), _BLOCK_STATIONS):
+        c1 = min(c0 + _BLOCK_STATIONS, len(eval_store.ids))
         targets, chains = {}, {}
-        for tid, reach in zip(table.ids[c0:c1], table.reach[c0:c1].tolist()):
+        for tid, reach in zip(eval_store.ids[c0:c1], eval_store.reach[c0:c1].tolist()):
             try:
                 t_target = resolve_target(eval_store, tid, from_station, config, target)
                 if reach < t_target:  # T may lie past the delay array's last column
@@ -595,14 +592,14 @@ def evaluate_store(
             chains = dict.fromkeys(targets, naive)
         elif baseline == "marginal":
             chains = _marginal_chains(train_store, targets, space)
-        r0, r1 = first_row[c0], first_row[c1]
-        t_of = np.array([targets[tid] if tid in chains else 0 for tid in table.ids[c0:c1]],
-                        dtype=np.int64)[table.train[r0:r1] - c0]
-        rows = r0 + np.flatnonzero((t_of > 0) & (table.lengths[r0:r1] >= t_of))  # T > S covers S
+        r0, r1 = eval_store.starts[c0], eval_store.starts[c1]
+        t_of = np.array([targets[tid] if tid in chains else 0 for tid in eval_store.ids[c0:c1]],
+                        dtype=np.int64)[eval_store.train[r0:r1] - c0]
+        rows = r0 + np.flatnonzero((t_of > 0) & (eval_store.lengths[r0:r1] >= t_of))  # T > S covers S
         if not len(rows):
             continue
-        train, t_of = table.train[rows], t_of[rows - r0]
-        d_S, d_T = table.delays[rows, from_station - 1], table.delays[rows, t_of - 1]
+        train, t_of = eval_store.train[rows], t_of[rows - r0]
+        d_S, d_T = eval_store.delays[rows, from_station - 1], eval_store.delays[rows, t_of - 1]
         # one block row per distinct (train, d_S), propagated through its train's
         # chain and scattered back to its series
         keys, series_of = np.unique(train * k + model_space.index(d_S), return_inverse=True)
@@ -610,14 +607,14 @@ def evaluate_store(
         distinct -= model_space.n_max
         V = point_delay(distinct, model_space)
         bounds = np.searchsorted(key_train, np.arange(c0, c1 + 1)).tolist()
-        for c, tid in enumerate(table.ids[c0:c1]):
+        for c, tid in enumerate(eval_store.ids[c0:c1]):
             if bounds[c] < bounds[c + 1]:
                 V[bounds[c]:bounds[c + 1]] = propagate(V[bounds[c]:bounds[c + 1]], chains[tid])
         predicted = make_prediction(V, distinct, model_space, config)
         columns.append((d_S, d_T, *(x[series_of] for x in predicted)))
         detail.extend(
-            {"train": table.ids[c], "date": table.dates[r], "S": from_station, "T": t, "d_S": d_s,
-             "d_T": d_t, "trend": TREND_CLASSES[code], "jump": j, "minutes": m}
+            {"train": eval_store.ids[c], "date": eval_store.dates[r], "S": from_station, "T": t,
+             "d_S": d_s, "d_T": d_t, "trend": TREND_CLASSES[code], "jump": j, "minutes": m}
             for c, r, t, d_s, d_t, code, j, m in zip(
                 train.tolist(), rows.tolist(), t_of.tolist(), *(x.tolist() for x in columns[-1]))
         )
@@ -626,7 +623,7 @@ def evaluate_store(
     report = score_batch(*map(np.concatenate, zip(*columns)), config)
     payload = {
         "method": baseline or bundle.meta["strategy"],
-        "skipped": len(table.train) - len(detail),
+        "skipped": len(eval_store.train) - len(detail),
         "scores": report.to_dict(),
         "predictions": detail,
     }

@@ -152,14 +152,14 @@ def _order2_spec(seed):
 
 
 def _rejection_rates(make_spec, reps=500, m=2000, t=3):
-    h00 = h01 = 0
-    for rep in range(reps):
-        spec = make_spec(1000 + rep)
-        counts = build_count_tensor(*sampled(spec, m), t, spec.space)
-        (row,) = markov_property_test(counts, RunConfig())
-        h0_0, h0_1 = row["verdicts"]["Q"]
-        h00 += h0_0 == "rejected"
-        h01 += h0_1 == "rejected"
+    # each repetition is one train of one count pass and one order test
+    specs = [make_spec(1000 + rep) for rep in range(reps)]
+    delays = np.concatenate([sample_delays(spec, m) for spec in specs])
+    counts = build_count_tensor(delays, np.full(len(delays), specs[0].length), np.full(reps, t),
+                                specs[0].space, series_train=np.repeat(np.arange(reps), m),
+                                station_train=np.arange(reps))
+    verdicts = np.array([row["verdicts"]["Q"] for row in markov_property_test(counts, RunConfig())])
+    h00, h01 = (verdicts == "rejected").sum(axis=0).tolist()
     return h00 / reps, h01 / reps
 
 

@@ -29,7 +29,7 @@ import railmc
 from railmc import cli, pipeline
 from railmc.cli import COMMANDS, build_parser, main
 from railmc.config import N_MAX_LIMIT, STRATEGIES, RunConfig
-from railmc.core import InputError
+from railmc.core import CoverageError, InputError
 from railmc.pipeline import (load_bundle, load_json, load_store, parse_store, save_json,
                              store_series, store_template, train_bundle)
 
@@ -569,12 +569,16 @@ class TestExitCodes:
         ("evaluate", ["--store", "store.json", "--baseline", "naive", "--train-store", "store.json"],
          "--train-store is read only by --baseline marginal"),
         ("train", ["--store", "store.json", "--print-matrix", "T001"],
-         "--print-matrix wants TRAIN:T with a station number T, got 'T001'"),
+         "--print-matrix wants TRAIN:T with a station number T >= 2, got 'T001'"),
         ("train", ["--store", "store.json", "--print-matrix", "T001:x"],
-         "--print-matrix wants TRAIN:T with a station number T, got 'T001:x'"),
+         "--print-matrix wants TRAIN:T with a station number T >= 2, got 'T001:x'"),
+        ("train", ["--store", "store.json", "--print-matrix", "T001:1"],
+         "--print-matrix wants TRAIN:T with a station number T >= 2, got 'T001:1'"),
+        ("train", ["--store", "store.json", "--print-matrix", "T001:0"],
+         "--print-matrix wants TRAIN:T with a station number T >= 2, got 'T001:0'"),
     ], ids=["forecast_no_target", "marginal_no_train_store", "forecast_target_and_store",
             "bundle_with_train_store", "naive_with_train_store", "print_matrix_no_station",
-            "print_matrix_bad_station"])
+            "print_matrix_bad_station", "print_matrix_station_1", "print_matrix_station_0"])
     def test_flag_usage_error_exits_2(self, workspace, capsys, command, flags, reason):
         assert main(["train", "--store", str(workspace / "store.json"),
                      "--out", str(workspace / "bundle.json"), "--strategy", "diagonal"]) == 0
@@ -925,10 +929,16 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
 
 class TestStoreParsedOnce:
     def test_lookups_return_the_parsed_objects(self, workspace):
+        # a train's series are read-only views into the store's arrays: no copy, no re-parse
         store = load_store(workspace / "store.json")
-        first, again = store_series(store, "T001"), store_series(store, "T001")
-        assert len(first) == 3 and all(a is b for a, b in zip(first, again))
-        assert store_template(store, "T001") is store_template(store, "T001")
+        delays, lengths, dates = store_series(store, "T001")
+        assert delays.base is store.delays and lengths.base is store.lengths
+        assert not (delays.flags.writeable or lengths.flags.writeable)
+        assert dates == store.dates[:len(lengths)]
+        assert store_template(store, "T001") is store_template(store, "T001") is store.templates[0]
+        for lookup in (store_series, store_template):
+            with pytest.raises(CoverageError, match="^store has no train T999$"):
+                lookup(store, "T999")
 
     @pytest.mark.parametrize("argv, loads", [
         (["test", "--store", "store"], 1),
@@ -1043,7 +1053,7 @@ FIRST_MATRIX_FAULTS = {
     "nan": ([[float("nan"), 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
             "matrix holds NaN or infinite entries"),
     "row_sum": ([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                "row 0 sums to np.float64(1.5), not 1"),
+                "row 0 sums to 1.5, not 1"),
 }
 
 

@@ -37,11 +37,11 @@ def _stations(lengths):
 
 
 def oracle_test_store(store, config):
-    space = StateSpace(store["n_max"])
-    if not store["trains"]:
+    space = StateSpace(store.n_max)
+    if not store.ids:
         raise EmptySelectionError("store holds no trains")
     rows = []
-    for tid in sorted(store["trains"]):
+    for tid in store.ids:
         delays, lengths, _ = pipeline.store_series(store, tid)
         counts = build_count_tensor(delays, lengths, _stations(lengths), space)
         rows.extend({"train": tid, **row} for row in markov_property_test(counts, config))
@@ -64,11 +64,11 @@ def oracle_recover(delays, lengths, space, config):
 
 def oracle_train_bundle(store, config):
     """The bundle and the (train, station) keys whose recovery fell back."""
-    if not store["trains"]:
+    if not store.ids:
         raise EmptySelectionError("store holds no trains")
     space = StateSpace(config.n_max)
     trains, fallbacks = {}, []
-    for tid in sorted(store["trains"]):
+    for tid in store.ids:
         delays, lengths, _ = pipeline.store_series(store, tid)
         stack, fell_back = oracle_recover(delays, lengths, space, config)
         matrices = {}
@@ -108,10 +108,10 @@ def assert_same_bundle(got, want):
 def oracle_evaluate_store(eval_store, config, bundle=None, baseline=None, train_store=None,
                           from_station=1, target=None):
     pipeline._check_target(from_station, target)
-    space = StateSpace(eval_store["n_max"])
+    space = StateSpace(eval_store.n_max)
     model_space = space if bundle is None else StateSpace(bundle.meta["n_max"])
     columns, detail, skipped = [], [], 0
-    for tid in sorted(eval_store["trains"]):
+    for tid in eval_store.ids:
         delays, lengths, dates = pipeline.store_series(eval_store, tid)
         try:
             t_target = pipeline.resolve_target(eval_store, tid, from_station, config, target)
@@ -123,7 +123,7 @@ def oracle_evaluate_store(eval_store, config, bundle=None, baseline=None, train_
             elif baseline == "naive":
                 chain = naive_predictor(space)
             else:
-                if tid not in train_store["trains"]:
+                if tid not in train_store.ids:
                     raise CoverageError(f"training store has no train {tid}")
                 t_delays, t_lengths, _ = pipeline.store_series(train_store, tid)
                 try:
@@ -313,12 +313,13 @@ def test_a_chain_is_a_view_of_its_stations_in_order():
 
 def test_edge_stores_parse_to_views_of_one_table():
     store = pipeline.parse_store(EDGES)
-    table = store["table"]
-    assert table.ids == ["A", "T1", "T2", "b"]
-    assert table.reach.tolist() == [1, 0, 6, 2]
-    assert table.train.tolist() == [0, 0, 0, 2, 2, 2, 2, 3, 3, 3]
-    for tid, (delays, lengths, dates) in store["trains"].items():
-        assert delays.base is table.delays and not delays.flags.writeable
+    assert (store.n_max, store.ids, store.starts) == (1, ["A", "T1", "T2", "b"], [0, 3, 3, 7, 10])
+    assert store.reach.tolist() == [1, 0, 6, 2]
+    assert store.train.tolist() == [0, 0, 0, 2, 2, 2, 2, 3, 3, 3]
+    assert [template.train_id for template in store.templates] == store.ids
+    for tid in store.ids:
+        delays, lengths, dates = pipeline.store_series(store, tid)
+        assert delays.base is store.delays and not delays.flags.writeable
         want = EDGES["trains"][tid]["series"]
         assert dates == [s["date"] for s in want]
         assert [row[:n].tolist() for row, n in zip(delays, lengths)] == [s["delays"] for s in want]

@@ -396,7 +396,8 @@ def test_only_the_trainer_and_the_bundle_parser_check_matrices():
 def test_only_the_bundle_parser_reads_bundle_documents():
     # a bundle document is read once, by `parse_bundle`, and built once, by the
     # view `save_json` writes; every stage reads the `Bundle` fields. A store's
-    # own "trains" table is built and read by the store's functions.
+    # own "trains" table is built by `build_store` and read by `parse_store`
+    # alone, and no parsed store is a dict: it is a `Store`, read by its fields.
     readers = {"trains": set(), "matrices": set()}
     for fn in _source_tree("railmc.pipeline").body:
         for node in ast.walk(fn):
@@ -408,8 +409,9 @@ def test_only_the_bundle_parser_reads_bundle_documents():
                 if isinstance(key, ast.Constant) and key.value in readers:
                     readers[key.value].add(getattr(fn, "name", "<module>"))
     bundle = {"parse_bundle", "save_json"}
-    assert readers == {"trains": bundle | {"build_store", "parse_store", "store_series"},
-                       "matrices": bundle}, readers
+    assert readers == {"trains": bundle | {"build_store", "parse_store"}, "matrices": bundle}, readers
+    assert [node.value for node in ast.walk(_source_tree("railmc.pipeline"))
+            if isinstance(node, ast.Constant) and node.value in ("table", "templates")] == []
     (lookup,) = (fn for fn in _source_tree("railmc.pipeline").body
                  if getattr(fn, "name", None) == "bundle_matrices")
     assert [node for node in ast.walk(lookup)
