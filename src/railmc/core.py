@@ -110,7 +110,10 @@ def open_output(path, newline=None):
         os.umask(umask)
         mode = 0o666 & ~umask
     directory, name = os.path.split(os.fspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    try:
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory or ".")
+    except OSError as exc:  # name the output asked for, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with open(fd, "w", encoding="utf-8", newline=newline) as fh:
             os.chmod(tmp, mode)  # mkstemp creates it 0600

@@ -8,15 +8,16 @@ a `Store`, every series of every train in one zero-padded (n_series, L) int64
 delay array with each series' length, date and train code, grouped by train
 in sorted order and indexed by `ids` and `starts` as a bundle is, plus each
 train's template; `store_series`, `store_template` and `bundle_matrices` find
-a train by the same lookup. The stages read the store network-wide: the order
-test and the bundle count every (train, station) entry of a block of whole
-trains in one pass and test or recover the block as one stack, and
-`evaluate_store` groups series by train only to pick each train's target and
-chain, then predicts a block of trains at once.
+a train by the same lookup. The stages read the store network-wide:
+`_station_blocks` counts every (train, station) entry of a block of whole
+trains in one pass, and the order test and the bundle test or recover each
+block's counts as one stack; `evaluate_store` groups series by train only to
+pick each train's target and chain, then predicts a block of trains at once.
 A *bundle* is a `Bundle`: every recovered transition matrix in one stack,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
-`save_json` streams them through json's C encoder one train at a time.
+`save_json` writes each in one call of json's C encoder, except a bundle,
+whose text alone grows with the network: it is written one train at a time.
 `load_store` and `load_bundle` read a file through `core.load_json`, parse it
 whole and name it. Code past them trusts what they return: `parse_bundle` gives
 the `Bundle` that `train_bundle` gives, and `bundle_matrices` slices its stack.
@@ -39,8 +40,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .config import N_MAX_LIMIT, STRATEGIES, RunConfig
-from .core import (CoverageError, EmptySelectionError, InputError, JourneyTemplate, StateSpace,
-                   StationKey, build_count_tensor, check_transition_matrix, load_json,
+from .core import (CountTensor, CoverageError, EmptySelectionError, InputError, JourneyTemplate,
+                   StateSpace, StationKey, build_count_tensor, check_transition_matrix, load_json,
                    open_output, select_target_station)
 from .forecast import TREND_CLASSES, make_prediction, point_delay, propagate
 # ingest, mctest, recovery and evaluate are imported by the functions that run them
@@ -76,37 +77,24 @@ def build_store(
 # json runs its C encoder only for a one-shot encode without indent; it writes
 # an array through `default` as the list of its Python floats
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode
-# levels of dicts walked in Python: the root, a trains table and one train, so
-# each train's tables (one train's matrices, its series) are one encoder call
-_STREAM_DEPTH = 3
-
-
-def _json_pieces(value, depth: int):
-    """The compact sorted-key JSON text of `value`, in pieces that join to
-    `_encode(value)`: a dict with str keys is walked `depth` levels down in
-    sorted key order, and every other value is one `_encode` call."""
-    if depth == 0 or not isinstance(value, dict) or not all(isinstance(k, str) for k in value):
-        yield _encode(value)
-        return
-    sep = "{"
-    for key in sorted(value):
-        yield sep + _encode(key) + ":"
-        yield from _json_pieces(value[key], depth - 1)
-        sep = ","
-    yield "}" if value else "{}"
 
 
 def save_json(payload: dict | Bundle, path) -> None:
     """Write `json.dumps(payload, sort_keys=True, separators=(",", ":"))` and a
-    newline to `path`, one subtree at a time, never holding the whole text; a
-    failed write leaves the previous file intact. A `Bundle` is written as its
-    document, each matrix a view into the stack."""
-    if isinstance(payload, Bundle):
-        payload = {"meta": payload.meta, "trains": {
-            tid: {"matrices": dict(zip(map(str, payload.station[a:b].tolist()), payload.matrices[a:b]))}
-            for tid, a, b in zip(payload.ids, payload.starts, payload.starts[1:])}}
+    newline to `path`; a failed write leaves the previous file intact. A `Bundle`
+    is written as its document one train at a time, one encoder call per train's
+    matrices table (views into the stack), never holding its whole text: that
+    reaches hundreds of megabytes, where no other artifact reaches a few."""
     with open_output(path) as fh:
-        fh.writelines(_json_pieces(payload, _STREAM_DEPTH))
+        if isinstance(payload, Bundle):
+            # sorted keys put "meta" first: the head ends where the trains table opens
+            fh.write(_encode({"meta": payload.meta, "trains": {}})[:-2])
+            for c, (tid, a, b) in enumerate(zip(payload.ids, payload.starts, payload.starts[1:])):
+                matrices = dict(zip(map(str, payload.station[a:b].tolist()), payload.matrices[a:b]))
+                fh.write(("," if c else "") + _encode(tid) + ":" + _encode({"matrices": matrices}))
+            fh.write("}}")
+        else:
+            fh.write(_encode(payload))
         fh.write("\n")
 
 
@@ -244,30 +232,19 @@ def store_template(store: Store, train_id: str) -> JourneyTemplate:
     return store.templates[_rows_of(store, train_id, f"store has no train {train_id}")[0]]
 
 
-class _Block(NamedTuple):
-    """Whole trains of a store and their (train, station) entries, counted in
-    one pass; a train code of the block indexes its `ids`."""
-
-    ids: list[str]
-    delays: np.ndarray
-    lengths: np.ndarray
-    series_train: np.ndarray
-    stations: np.ndarray
-    station_train: np.ndarray
-
-
-# the (train, station) entries of one count pass: the order test and the bundle
-# count the whole trains that start within this many entries, evaluation this
-# many trains, so that no count stack grows with the network (n2 at N = 15
-# takes 7.7 kB an entry)
+# the (train, station) entries of one count pass: `_station_blocks` counts, for
+# the order test and the bundle, the whole trains that start within this many
+# entries, and evaluation reads this many trains at a time, so that no count
+# stack grows with the network (n2 at N = 15 takes 7.7 kB an entry)
 _BLOCK_STATIONS = 128
 
 
-def _station_blocks(store: Store) -> Iterator[_Block]:
-    """The (train, station) axis of the order test and the bundle: each train's
-    stations 2 .. its longest series, train by train, in blocks of the whole
-    trains whose first entry falls in one stretch of _BLOCK_STATIONS entries.
-    A block with no entry is left out."""
+def _station_blocks(store: Store, space: StateSpace) -> Iterator[tuple[list[str], CountTensor]]:
+    """The (train, station) axis of the order test and the bundle, counted: each
+    train's stations 2 .. its longest series, train by train, in blocks of the
+    whole trains whose first entry falls in one stretch of _BLOCK_STATIONS
+    entries, each block's ids and the counts of its one count pass, whose
+    train codes index the ids. A block with no entry is left out."""
     per_train = np.maximum(store.reach - 1, 0)
     first = np.cumsum(per_train) - per_train
     cuts = (np.flatnonzero(np.diff(first // _BLOCK_STATIONS)) + 1).tolist()
@@ -279,25 +256,22 @@ def _station_blocks(store: Store) -> Iterator[_Block]:
             continue
         stations = 2 + np.arange(len(station_train)) - np.repeat(first[c0:c1] - first[c0], count)
         r0, r1 = store.starts[c0], store.starts[c1]
-        yield _Block(store.ids[c0:c1], store.delays[r0:r1], store.lengths[r0:r1],
-                     store.train[r0:r1] - c0, stations, station_train)
+        yield store.ids[c0:c1], build_count_tensor(
+            store.delays[r0:r1], store.lengths[r0:r1], stations, space,
+            series_train=store.train[r0:r1] - c0, station_train=station_train)
 
 
 def test_store(store: Store, config: RunConfig) -> dict:
     """Run the Markov property test per (train, station) and aggregate, one
-    count pass and one set of array verdicts per block of trains."""
+    set of array verdicts per counted block of trains."""
     from .mctest import aggregate_reports, markov_property_test
 
-    space = StateSpace(store.n_max)
     if not store.ids:
         raise EmptySelectionError("store holds no trains")
     rows = []
-    for block in _station_blocks(store):
-        counts = build_count_tensor(block.delays, block.lengths, block.stations, space,
-                                    series_train=block.series_train,
-                                    station_train=block.station_train)
+    for ids, counts in _station_blocks(store, StateSpace(store.n_max)):
         for c, row in zip(counts.trains.tolist(), markov_property_test(counts, config)):
-            row["train"] = block.ids[c]
+            row["train"] = ids[c]
             rows.append(row)
     if not rows:
         raise EmptySelectionError("no testable stations in store")
@@ -321,14 +295,12 @@ FALLBACKS = {
 }
 
 
-def _recover(block: _Block, space: StateSpace, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The recovered (k, k) matrix of each (train, station) entry of a block, as
-    a stack from one count pass, whatever the strategy, and the mask of the
-    entries whose recovery fell back (FALLBACKS)."""
+def _recover(counts: CountTensor, space: StateSpace, config: RunConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The recovered (k, k) matrix of each (train, station) entry of a block's
+    counts, as one stack whatever the strategy, and the mask of the entries
+    whose recovery fell back (FALLBACKS)."""
     from . import recovery
 
-    counts = build_count_tensor(block.delays, block.lengths, block.stations, space,
-                                series_train=block.series_train, station_train=block.station_train)
     if config.strategy == "gaussian_kernel":
         return recovery.kde_recover(counts, space), counts.n2.sum(axis=(1, 2)) == 1
     partial = recovery.empirical_matrix(counts)
@@ -389,10 +361,9 @@ def train_bundle(store: Store, config: RunConfig, fallbacks: list | None = None)
         raise EmptySelectionError("no trainable stations in store")
     matrices = np.empty((sum(counts), space.cardinality, space.cardinality))
     row = 0
-    for block in _station_blocks(store):
+    for ids, block in _station_blocks(store, space):
         stack, fell_back = _recover(block, space, config)
-        keys = list(zip([block.ids[c] for c in block.station_train.tolist()],
-                        block.stations.tolist()))
+        keys = list(zip([ids[c] for c in block.trains.tolist()], block.stations.tolist()))
         _check_stack(stack, space, ((f"recovered matrix for train {tid} station {t}", mat)
                                     for (tid, t), mat in zip(keys, stack)))
         matrices[row:row + len(stack)] = stack

@@ -285,6 +285,13 @@ class TestExitCodes:
             "--out", str(tmp_path / "out.json"),
         ]) == 2
 
+    def test_out_in_a_missing_directory_is_io_error_naming_it(self, workspace, capsys):
+        # the error names the output asked for, not the temporary file beside it
+        out = workspace / "missing" / "out.json"
+        assert main(["test", "--store", str(workspace / "store.json"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert sorted(p.name for p in workspace.rglob("*")) == sorted(WORKSPACE_FILES)
+
     def test_empty_store_is_empty_selection(self, tmp_path):
         store = tmp_path / "empty.json"
         save_json({"n_max": 15, "trains": {}}, store)

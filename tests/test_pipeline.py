@@ -299,16 +299,24 @@ def test_a_chain_the_bundle_lacks_names_the_train_or_the_first_missing_station(t
         pipeline.bundle_matrices(bundle, train, s, t)
 
 
-def test_a_chain_is_a_view_of_its_stations_in_order():
+def test_a_chain_is_a_view_of_its_stations_in_order(tmp_path):
     # a distinct permutation matrix per station, so the order of a chain shows
     steps = {str(t): np.eye(3)[[t % 3, (t + 1) % 3, (t + 2) % 3]].tolist() for t in (2, 3, 4, 10)}
-    bundle = pipeline.parse_bundle({"meta": {"n_max": 1, "strategy": "diagonal"},
-                                    "trains": {"B": {"matrices": steps}, "A": {"matrices": {}}}})
-    assert (bundle.ids, bundle.starts, bundle.station.tolist()) == (["A", "B"], [0, 0, 4], [2, 3, 4, 10])
+    document = {"meta": {"n_max": 1, "strategy": "diagonal"},
+                "trains": {"B": {"matrices": steps}, "A": {"matrices": {}},
+                           "Zü\u00f1": {"matrices": {"3": steps["3"]}}}}
+    bundle = pipeline.parse_bundle(document)
+    assert (bundle.ids, bundle.starts, bundle.station.tolist()) == (
+        ["A", "B", "Zü\u00f1"], [0, 0, 4, 5], [2, 3, 4, 10, 3])
     chain = pipeline.bundle_matrices(bundle, "B", 1, 4)
     assert chain.base is not None and not chain.flags.writeable
     assert chain.tolist() == [steps["2"], steps["3"], steps["4"]]
     assert pipeline.bundle_matrices(bundle, "B", 9, 10).tolist() == [steps["10"]]
+    # written back a train at a time, the bundle is its document's text: trains
+    # sorted, station keys sorted as strings ("10" before "2"), non-ASCII escaped
+    pipeline.save_json(bundle, tmp_path / "bundle.json")
+    want = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    assert (tmp_path / "bundle.json").read_text(encoding="ascii") == want
 
 
 def test_edge_stores_parse_to_views_of_one_table():
