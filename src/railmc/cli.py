@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import csv
 import dataclasses
 import os
 import sys
@@ -159,6 +158,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    import csv
+
     if args.baseline == "marginal" and not args.train_store:
         raise InputError("--baseline marginal needs --train-store")
     if args.baseline != "marginal" and args.train_store is not None:

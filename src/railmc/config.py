@@ -93,7 +93,7 @@ class RunConfig:
             except InputError as exc:
                 raise InputError(f"config {exc}") from None
             if not isinstance(file_values, dict):
-                raise InputError(f"config {path} is not a JSON object")
+                raise InputError(f"config {path}: not a JSON object")
             unknown = set(file_values) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise InputError(f"config {path}: unknown keys {sorted(unknown)}")

@@ -267,10 +267,6 @@ class FrequencyEstimates(NamedTuple):
     p3: np.ndarray
 
     @property
-    def stations(self) -> np.ndarray:
-        return self.counts.stations
-
-    @property
     def p2(self) -> np.ndarray:
         return _conditional(self.counts.n2)
 

@@ -8,11 +8,12 @@ a `Store`, every series of every train in one zero-padded (n_series, L) int64
 delay array with each series' length, date and train code, grouped by train
 in sorted order and indexed by `ids` and `starts` as a bundle is, plus each
 train's template; `store_series`, `store_template` and `bundle_matrices` find
-a train by the same lookup. The stages read the store network-wide:
-`_station_blocks` counts every (train, station) entry of a block of whole
-trains in one pass, and the order test and the bundle test or recover each
-block's counts as one stack; `evaluate_store` groups series by train only to
-pick each train's target and chain, then predicts a block of trains at once.
+a train by the same lookup. The stages read the store network-wide on one
+(train, station) axis, each train's stations 2 .. its longest series, that
+`_station_axis` alone derives: `_station_blocks` counts each block of whole
+trains of it in one pass, the order test labels its rows by it, and it sizes
+and indexes the bundle's stack; `evaluate_store` groups series by train only
+to pick each train's target and chain, then predicts a block of trains at once.
 A *bundle* is a `Bundle`: every recovered transition matrix in one stack,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
@@ -239,26 +240,30 @@ def store_template(store: Store, train_id: str) -> JourneyTemplate:
 _BLOCK_STATIONS = 128
 
 
-def _station_blocks(store: Store, space: StateSpace) -> Iterator[tuple[list[str], CountTensor]]:
-    """The (train, station) axis of the order test and the bundle, counted: each
-    train's stations 2 .. its longest series, train by train, in blocks of the
-    whole trains whose first entry falls in one stretch of _BLOCK_STATIONS
-    entries, each block's ids and the counts of its one count pass, whose
-    train codes index the ids. A block with no entry is left out."""
+def _station_axis(store: Store) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each entry's train code and station on the (train, station) axis, each
+    train's stations 2 .. its longest series in train order, and the bundle's
+    `starts`: the first entry of each train that has one, then the entry count."""
     per_train = np.maximum(store.reach - 1, 0)
+    train = np.repeat(np.arange(len(store.ids)), per_train)
     first = np.cumsum(per_train) - per_train
-    cuts = (np.flatnonzero(np.diff(first // _BLOCK_STATIONS)) + 1).tolist()
-    bounds = [0, *cuts, len(store.ids)]
-    for c0, c1 in itertools.pairwise(bounds):
-        count = per_train[c0:c1]
-        station_train = np.repeat(np.arange(c1 - c0), count)
-        if not len(station_train):
-            continue
-        stations = 2 + np.arange(len(station_train)) - np.repeat(first[c0:c1] - first[c0], count)
+    starts = [*first[per_train > 0].tolist(), len(train)]
+    return train, 2 + np.arange(len(train)) - first[train], starts
+
+
+def _station_blocks(store: Store, axis, space: StateSpace) -> Iterator[tuple[int, int, CountTensor]]:
+    """`axis`, the store's `_station_axis`, cut into blocks of the whole trains
+    whose first entry falls in one stretch of _BLOCK_STATIONS entries: each
+    block's entries e0:e1 and their counts (one pass; train codes from e0's train)."""
+    train, station, starts = axis
+    heads = [e for e, before in zip(starts[:-1], [-1, *starts])
+             if e // _BLOCK_STATIONS != before // _BLOCK_STATIONS]
+    for e0, e1 in itertools.pairwise([*heads, starts[-1]]):
+        c0, c1 = int(train[e0]), int(train[e1 - 1]) + 1
         r0, r1 = store.starts[c0], store.starts[c1]
-        yield store.ids[c0:c1], build_count_tensor(
-            store.delays[r0:r1], store.lengths[r0:r1], stations, space,
-            series_train=store.train[r0:r1] - c0, station_train=station_train)
+        yield e0, e1, build_count_tensor(
+            store.delays[r0:r1], store.lengths[r0:r1], station[e0:e1], space,
+            series_train=store.train[r0:r1] - c0, station_train=train[e0:e1] - c0)
 
 
 def test_store(store: Store, config: RunConfig) -> dict:
@@ -269,9 +274,10 @@ def test_store(store: Store, config: RunConfig) -> dict:
     if not store.ids:
         raise EmptySelectionError("store holds no trains")
     rows = []
-    for ids, counts in _station_blocks(store, StateSpace(store.n_max)):
-        for c, row in zip(counts.trains.tolist(), markov_property_test(counts, config)):
-            row["train"] = ids[c]
+    train, _, _ = axis = _station_axis(store)
+    for e0, e1, counts in _station_blocks(store, axis, StateSpace(store.n_max)):
+        for c, row in zip(train[e0:e1].tolist(), markov_property_test(counts, config)):
+            row["train"] = store.ids[c]
             rows.append(row)
     if not rows:
         raise EmptySelectionError("no testable stations in store")
@@ -348,33 +354,30 @@ def train_bundle(store: Store, config: RunConfig, fallbacks: list | None = None)
     """Recover transition matrices for every (train, station) in the store.
 
     Every strategy is deterministic: the same store and config give the same
-    bundle. Trains are assembled in sorted order, each block's stack checked
-    at once and copied into one stack. `fallbacks`, when given, receives the
-    (train, station) of each matrix whose recovery fell back (FALLBACKS), in that order.
+    bundle. The store's `_station_axis` sizes one stack and is its index; each
+    block's stack is checked at once and fills the rows of its entries.
+    `fallbacks`, when given, receives the (train, station) of each matrix whose
+    recovery fell back (FALLBACKS), in that order.
     """
     if not store.ids:
         raise EmptySelectionError("store holds no trains")
     _check_n_max(store.n_max, config.n_max, "store", "training")
     space = StateSpace(config.n_max)
-    counts = np.maximum(store.reach - 1, 0).tolist()  # each train's stations 2 .. reach
-    if not any(counts):
+    train, station, starts = axis = _station_axis(store)
+    if not len(station):
         raise EmptySelectionError("no trainable stations in store")
-    matrices = np.empty((sum(counts), space.cardinality, space.cardinality))
-    row = 0
-    for ids, block in _station_blocks(store, space):
-        stack, fell_back = _recover(block, space, config)
-        keys = list(zip([ids[c] for c in block.trains.tolist()], block.stations.tolist()))
+    matrices = np.empty((len(station), space.cardinality, space.cardinality))
+    for e0, e1, counts in _station_blocks(store, axis, space):
+        stack, fell_back = _recover(counts, space, config)
+        keys = list(zip([store.ids[c] for c in train[e0:e1].tolist()], station[e0:e1].tolist()))
         _check_stack(stack, space, ((f"recovered matrix for train {tid} station {t}", mat)
                                     for (tid, t), mat in zip(keys, stack)))
-        matrices[row:row + len(stack)] = stack
-        row += len(stack)
+        matrices[e0:e1] = stack
         if fallbacks is not None:
             fallbacks.extend(itertools.compress(keys, fell_back.tolist()))
-    station = np.concatenate([np.arange(2, n + 2, dtype=np.int64) for n in counts if n])
     matrices.flags.writeable = station.flags.writeable = False
     return Bundle({"n_max": config.n_max, "strategy": config.strategy},
-                  list(itertools.compress(store.ids, counts)),
-                  [0, *itertools.accumulate(filter(None, counts))], matrices, station)
+                  [store.ids[c] for c in train[starts[:-1]].tolist()], starts, matrices, station)
 
 
 def parse_bundle(document) -> Bundle:

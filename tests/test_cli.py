@@ -468,9 +468,11 @@ class TestExitCodes:
         ({"regression_std": "bogus"}, "unknown regression_std 'bogus'; choose from printed, sqrt"),
         ({"statistic": "Q"}, "unknown keys ['statistic']"),
         ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+        ([1], "not a JSON object"),
     ], ids=["unknown_key", "epsilon", "string_n_max", "unknown_choice", "string_alpha",
             "bool_alpha", "zero_alpha", "alpha_above_1", "string_horizon", "zero_horizon",
-            "unknown_clip_mode", "unknown_regression_std", "statistic", "float_seed"])
+            "unknown_clip_mode", "unknown_regression_std", "statistic", "float_seed",
+            "not_an_object"])
     def test_bad_config_exits_2(self, workspace, capsys, values, reason):
         cfg = workspace / "cfg.json"
         cfg.write_text(json.dumps(values))
@@ -885,6 +887,11 @@ def _store_planned_object(store):
     return "store train T001: malformed template (planned is not a list)"
 
 
+def _store_planned_short(store):
+    store["trains"]["T001"]["planned"].pop()
+    return "store train T001: malformed template (keys and planned times length mismatch)"
+
+
 def _store_no_delays(store):
     del store["trains"]["T001"]["series"][3]["delays"]
     return "store train T001: malformed series (KeyError('delays'))"
@@ -912,13 +919,13 @@ def _store_n_max(value):
     _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
     _store_int_station_code, _store_stations(["AV", "BV", "CV", "DV", "EV"]),
     _store_stations({"AV": 0, "BV": 1, "CV": 2, "DV": 3, "EV": 4}), _store_loop_line,
-    _store_planned_object,
+    _store_planned_object, _store_planned_short,
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
         "delay_beyond_int64", "delay_int64_min",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
         "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
         "int_station_code", "stations_of_strings", "stations_object", "loop_line",
-        "planned_object"])
+        "planned_object", "planned_short"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     bundle = workspace / "bundle.json"

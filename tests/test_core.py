@@ -119,6 +119,14 @@ class TestBuildCountTensor:
         assert cells(c2.n1[0]) == {(6,): 1}
         assert cells(c2.n2[0]) == {(5, 6): 1}
 
+    @pytest.mark.parametrize("t, kwargs, reason", [
+        ([2, 0], {}, "station index must be >= 1, got 0"),
+        (2, {"series_train": np.zeros(2, dtype=np.int64)}, "series_train and station_train go together"),
+    ], ids=["station_below_1", "series_train_alone"])
+    def test_bad_arguments_rejected(self, t, kwargs, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            build_count_tensor(*series((0, 0), (0, 1)), t, SPACE, **kwargs)
+
     def test_out_of_domain_delay_rejected(self):
         # -4 would index row -1, the last row, without an error
         with pytest.raises(ValueError, match="delay -4"):

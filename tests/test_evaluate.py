@@ -158,6 +158,8 @@ class TestRwmse:
     def test_validation(self):
         with pytest.raises(ValueError):
             rwmse([], [], RunConfig())
+        with pytest.raises(ValueError, match="prediction/actual length mismatch"):
+            rwmse([0.0, 1.0], [0], RunConfig())
 
 
 class TestTotalScore:
@@ -243,6 +245,10 @@ class TestScoreBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             score_batch([], [], [], [], [], RunConfig())
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="prediction/actual length mismatch"):
+            score_batch([0, 1], [0], [2, 2], [False, False], [0.0, 1.0], RunConfig())
 
 
 class PerSeriesScorer:

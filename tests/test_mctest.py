@@ -80,6 +80,10 @@ class TestChiSquareFunctions:
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             chi_square_cdf(1.0, 0)
+        with pytest.raises(ValueError, match="x must be >= 0, got -1.0"):
+            chi_square_cdf(-1.0, 3)
+        with pytest.raises(ValueError, match="x must be >= 0, got nan"):
+            chi_square_cdf(float("nan"), 3)
         with pytest.raises(ValueError):
             chi_square_quantile(0.0, 3)
         with pytest.raises(ValueError):

@@ -349,6 +349,30 @@ def test_block_size_changes_no_result(monkeypatch, blocks):
                 store, config, baseline="marginal", train_store=store, target=2))) == want
 
 
+@pytest.mark.parametrize("blocks", [2, 1000])
+def test_the_bundle_index_is_the_counted_axis(monkeypatch, tmp_path, blocks):
+    # the trained bundle's ids, starts and station are the (train, station) keys
+    # `_station_blocks` counts, block after block, and its saved file parses to them
+    monkeypatch.setattr(pipeline, "_BLOCK_STATIONS", blocks)
+    store = pipeline.parse_store(EDGES)
+    axis = pipeline._station_axis(store)
+    train, keys, bounds = axis[0], [], []
+    for e0, e1, counts in pipeline._station_blocks(store, axis, StateSpace(1)):
+        assert counts.trains.tolist() == (train[e0:e1] - train[e0]).tolist()
+        keys += zip([store.ids[c] for c in train[e0:e1].tolist()], counts.stations.tolist())
+        bounds.append((e0, e1))
+    assert bounds == {2: [(0, 5), (5, 6)], 1000: [(0, 6)]}[blocks]
+    ids = list(dict.fromkeys(tid for tid, _ in keys))
+    starts = [[tid for tid, _ in keys].index(i) for i in ids] + [len(keys)]
+    want = (ids, starts, [t for _, t in keys])
+    assert want == (["T2", "b"], [0, 5, 6], [2, 3, 4, 5, 6, 2])
+    bundle = pipeline.train_bundle(store, RunConfig(n_max=1))
+    assert (bundle.ids, bundle.starts, bundle.station.tolist()) == want
+    pipeline.save_json(bundle, tmp_path / "bundle.json")
+    loaded = pipeline.parse_bundle(json.loads((tmp_path / "bundle.json").read_text()))
+    assert (loaded.ids, loaded.starts, loaded.station.tolist()) == want
+
+
 FAULTS = {
     "range": lambda train: train["series"][1]["delays"].__setitem__(0, 2),
     "type": lambda train: train["series"][0]["delays"].__setitem__(1, "1"),

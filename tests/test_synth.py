@@ -26,6 +26,8 @@ class TestChainSpec:
                       matrices=(np.eye(3),))
         with pytest.raises(ValueError):
             ChainSpec(space, 2, 3, np.full(3, 1 / 3), seed=0)
+        with pytest.raises(ValueError, match="journey length must be >= 1"):
+            ChainSpec(space, 0, 0, np.full(3, 1 / 3), seed=0)
         # NaN fails every comparison, so "> tolerance" and "< 0" checks let it through
         for nan_row in (np.array([np.nan, 0.5, 0.5]), np.full(3, np.nan)):
             with pytest.raises(ValueError, match="probability vectors"):

@@ -365,6 +365,28 @@ def test_recover_makes_one_count_pass():
         "_station_blocks": 1, "_recover": 0, "test_store": 0}
 
 
+def test_the_station_axis_is_derived_once():
+    # `_station_axis` alone turns each train's longest series into its stations
+    # 2 .. reach; the order test and the trainer read that axis, and the trainer
+    # sizes and indexes its stack by it, with no axis of its own
+    functions = {node.name: node for node in _source_tree("railmc.pipeline").body
+                 if isinstance(node, ast.FunctionDef)}
+
+    def derives(fn):  # computes `<store>.reach - 1`
+        return any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                   and getattr(node.left, "attr", None) == "reach" for node in ast.walk(fn))
+
+    def calls(fn, name):
+        return any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+                   for node in ast.walk(fn))
+
+    assert [name for name, fn in functions.items() if derives(fn)] == ["_station_axis"]
+    assert {name for name, fn in functions.items() if calls(fn, "_station_axis")} == {
+        "test_store", "train_bundle"}
+    assert [node.attr for node in ast.walk(functions["train_bundle"])
+            if isinstance(node, ast.Attribute) and node.attr in ("reach", "arange")] == []
+
+
 def test_only_the_store_parser_reads_store_documents():
     # a store is parsed once, where it is read; every stage reads the parsed arrays
     keys = {"stations", "planned", "series", "date", "delays"}
