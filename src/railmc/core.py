@@ -51,6 +51,16 @@ __all__ = [
 ]
 
 ROW_SUM_TOL = 1e-9
+# A trained bundle stores each transition probability at its row's resolution:
+# `pipeline.train_bundle` sets every recovered entry in (0, ENTRY_FLOOR) to
+# exactly 0.0. Such an entry is below half an ulp of its row sum, 1.0, so it
+# cannot move that sum, and below the 1e-13 of the row to which KDE recovery
+# is certified (`recovery._lattice_rows`); yet JSON writes and reads a far-tail
+# value such as 3e-250 two to three times as slowly as an ordinary probability,
+# and 0.0 several times faster than either. A row of k entries moves by at most
+# k * ENTRY_FLOOR (5.3e-14 at N = 240), far inside ROW_SUM_TOL, so no row is
+# renormalized.
+ENTRY_FLOOR = 2.0**-53
 ACTIVITY_CODES = ("V", "D", "A", "KV", "KA")
 
 
@@ -162,12 +172,14 @@ def select_target_station(template: JourneyTemplate, current_index: int, horizon
     raises CoverageError when the current station is already the last or
     lies outside the template.
     """
+    train = template.train_id
     if not 1 <= current_index <= len(template):
-        raise CoverageError(f"station index {current_index} outside template")
+        raise CoverageError(f"train {train}: station index {current_index} outside template "
+                            f"of {len(template)} stations")
     if horizon <= dt.timedelta(0):
         raise ValueError("horizon must be positive")
     if current_index == len(template):
-        raise CoverageError("current station is the final station")
+        raise CoverageError(f"train {train}: current station {current_index} is the final station")
     try:
         cutoff = template.planned[current_index - 1] + horizon
     except OverflowError:  # a cutoff past year 9999 lies past the last station

@@ -41,9 +41,9 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .config import N_MAX_LIMIT, STRATEGIES, RunConfig
-from .core import (CountTensor, CoverageError, EmptySelectionError, InputError, JourneyTemplate,
-                   StateSpace, StationKey, build_count_tensor, check_transition_matrix, load_json,
-                   open_output, select_target_station)
+from .core import (ENTRY_FLOOR, CountTensor, CoverageError, EmptySelectionError, InputError,
+                   JourneyTemplate, StateSpace, StationKey, build_count_tensor,
+                   check_transition_matrix, load_json, open_output, select_target_station)
 from .forecast import TREND_CLASSES, make_prediction, point_delay, propagate
 # ingest, mctest, recovery and evaluate are imported by the functions that run them
 
@@ -355,7 +355,8 @@ def train_bundle(store: Store, config: RunConfig, fallbacks: list | None = None)
 
     Every strategy is deterministic: the same store and config give the same
     bundle. The store's `_station_axis` sizes one stack and is its index; each
-    block's stack is checked at once and fills the rows of its entries.
+    block's stack has its entries in (0, core.ENTRY_FLOOR) set to 0.0, is
+    checked at once as it is stored, and fills the rows of its entries.
     `fallbacks`, when given, receives the (train, station) of each matrix whose
     recovery fell back (FALLBACKS), in that order.
     """
@@ -369,6 +370,8 @@ def train_bundle(store: Store, config: RunConfig, fallbacks: list | None = None)
     matrices = np.empty((len(station), space.cardinality, space.cardinality))
     for e0, e1, counts in _station_blocks(store, axis, space):
         stack, fell_back = _recover(counts, space, config)
+        # a tail entry below the floor becomes 0.0; a negative or NaN one reaches the check
+        stack[(stack > 0) & (stack < ENTRY_FLOOR)] = 0.0
         keys = list(zip([store.ids[c] for c in train[e0:e1].tolist()], station[e0:e1].tolist()))
         _check_stack(stack, space, ((f"recovered matrix for train {tid} station {t}", mat)
                                     for (tid, t), mat in zip(keys, stack)))

@@ -407,9 +407,10 @@ class TestExitCodes:
             assert not fresh.exists()
 
     @pytest.mark.parametrize("train, station, reason", [
-        ("T001", "9", "station index 9 outside template"),
+        ("T001", "9", "train T001: station index 9 outside template of 5 stations"),
+        ("T001", "5", "train T001: current station 5 is the final station"),
         ("T999", "1", "store has no train T999"),
-    ], ids=["station_outside", "unknown_train"])
+    ], ids=["station_outside", "final_station", "unknown_train"])
     def test_forecast_horizon_without_target_exits_4(self, workspace, capsys, train, station, reason):
         bundle = workspace / "bundle.json"
         assert main([

@@ -7,7 +7,8 @@ one recovery and one propagation per train, read through `store_series`.
 The property compares both bit for bit on random multi-train stores.
 
 A bundle is one `pipeline.Bundle` whether trained or loaded; its oracle is the
-dict of trains of dicts from str(t) to matrix that bundles were before.
+dict of trains of dicts from str(t) to matrix that bundles were before, each
+recovered entry in (0, ENTRY_FLOOR) set to 0.0 as `train_bundle` stores it.
 """
 
 import itertools
@@ -21,8 +22,8 @@ from hypothesis import strategies as st
 
 from railmc import pipeline
 from railmc.config import RunConfig
-from railmc.core import (CoverageError, EmptySelectionError, InputError, StateSpace,
-                         build_count_tensor, check_transition_matrix)
+from railmc.core import (ENTRY_FLOOR, ROW_SUM_TOL, CoverageError, EmptySelectionError, InputError,
+                         StateSpace, build_count_tensor, check_transition_matrix)
 from railmc.evaluate import marginal_predictor, naive_predictor, score_batch
 from railmc.forecast import TREND_CLASSES, make_prediction, point_delay, propagate
 from railmc.mctest import aggregate_reports, markov_property_test
@@ -73,6 +74,7 @@ def oracle_train_bundle(store, config):
         stack, fell_back = oracle_recover(delays, lengths, space, config)
         matrices = {}
         for t, mat, fell in zip(_stations(lengths), stack, fell_back):
+            mat = np.where((mat > 0) & (mat < ENTRY_FLOOR), 0.0, mat)
             check_transition_matrix(mat, space)
             matrices[str(t)] = mat
             if fell:
@@ -202,6 +204,12 @@ def _journeys(n_stations, lengths):
 EDGES = {"n_max": 1, "trains": {"T2": _journeys(6, [6, 3, 6, 2]), "T1": _journeys(3, [])}}
 EDGES["trains"]["A"] = _journeys(4, [1, 1, 1])
 EDGES["trains"]["b"] = _journeys(2, [2, 1, 2])
+# correlated journeys at n_max 3, whose KDE rows hold entries in (0, ENTRY_FLOOR)
+TAILS = {"n_max": 3, "trains": {"T1": {
+    "stations": [[f"S{t}", "V"] for t in range(4)],
+    "planned": [f"2024-01-01T08:{10 * t:02d}:00" for t in range(4)],
+    "series": [{"date": f"2024-02-{d + 1:02d}", "delays": j} for d, j in enumerate(
+        [[0, 0, 0, 0], [1, 1, 1, 1], [0, 0, 1, 1], [1, 1, 0, 0], [0, 1, 1, 1], [1, 0, 0, 0]])]}}}
 
 
 @st.composite
@@ -216,6 +224,7 @@ class TestNetworkEqualsPerTrain:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(networks())
     @example((1, EDGES, EDGES, 20.0))
+    @example((3, TAILS, EDGES, 20.0))
     def test_every_stage_equals_the_per_train_oracle(self, drawn):
         n_max, document, train_document, horizon = drawn
         store, train_store = pipeline.parse_store(document), pipeline.parse_store(train_document)
@@ -236,6 +245,9 @@ class TestNetworkEqualsPerTrain:
             want, want_fallbacks = oracle_train_bundle(store, config_s)
             assert_same_bundle(bundle, as_bundle(want))
             assert fallbacks == want_fallbacks, strategy
+            # every stored entry is 0.0 or at least the floor, and every row still sums to 1
+            assert not ((bundle.matrices > 0) & (bundle.matrices < ENTRY_FLOOR)).any(), strategy
+            assert (np.abs(bundle.matrices.sum(axis=-1) - 1.0) <= ROW_SUM_TOL).all(), strategy
             bundles.append(bundle)
         methods = [{"baseline": "naive"}, {"baseline": "marginal", "train_store": train_store},
                    {"baseline": "marginal", "train_store": store}]
@@ -395,16 +407,41 @@ def test_the_first_failing_train_in_document_order_is_named(first, second):
 
 
 def test_a_bad_recovered_matrix_is_named_by_train_and_station(monkeypatch):
-    # the stack is checked at once; the first bad matrix in (train, station) order is named
+    # the stack is checked at once; the first bad matrix in (train, station) order is named.
+    # A negative entry above -ENTRY_FLOOR leaves its row summing to 1, and only the
+    # floor's `> 0` keeps it from being zeroed before the check
     from railmc import recovery
 
     fill = recovery.diagonal_fill
+    for spoil, reason in [(lambda row: row * 2.0, "row 0 sums to "),
+                          (lambda row: [1.0, -1e-300, 0.0], "matrix holds negative entries"),
+                          (lambda row: [1.0, np.nan, 0.0], "matrix holds NaN or infinite entries")]:
 
-    def spoiled(partial):
-        stack = fill(partial)
-        stack[1:, 0] *= 2.0  # T2's stations 3 to 6 and b's station 2
-        return stack
+        def spoiled(partial, spoil=spoil):
+            stack = fill(partial)
+            stack[1:, 0] = spoil(stack[1:, 0])  # row 0 of T2's stations 3 to 6 and b's station 2
+            return stack
 
-    monkeypatch.setattr(recovery, "diagonal_fill", spoiled)
-    with pytest.raises(ValueError, match=r"^recovered matrix for train T2 station 3: row 0 sums to "):
-        pipeline.train_bundle(pipeline.parse_store(EDGES), RunConfig(n_max=1, strategy="diagonal"))
+        monkeypatch.setattr(recovery, "diagonal_fill", spoiled)
+        with pytest.raises(ValueError, match=f"^recovered matrix for train T2 station 3: {reason}"):
+            pipeline.train_bundle(pipeline.parse_store(EDGES), RunConfig(n_max=1, strategy="diagonal"))
+
+
+def test_a_bundle_with_entries_below_the_floor_loads_and_scores_as_written(tmp_path):
+    # bundles trained before the floor hold far-tail entries; reading one keeps every
+    # bit, writing it back gives its text, and it scores as its matrices do unread
+    rows = [[0.75, 0.25, 1e-300], [3e-250, 0.5, 0.5], [1.25e-40, 5e-324, 1.0]]
+    steps = {str(t): [rows[(r + t) % 3] for r in range(3)] for t in range(2, 7)}
+    document = {"meta": {"n_max": 1, "strategy": "gaussian_kernel"},
+                "trains": {"T2": {"matrices": steps}, "b": {"matrices": {"2": steps["2"]}}}}
+    text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+    (tmp_path / "old.json").write_text(text)
+    bundle = pipeline.load_bundle(tmp_path / "old.json")
+    assert_same_bundle(bundle, as_bundle(document))
+    assert (bundle.matrices == 5e-324).sum() == 6
+    pipeline.save_json(bundle, tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    store, config = pipeline.parse_store(EDGES), RunConfig(n_max=1)
+    for target in (None, 6):
+        assert _evaluation(lambda: pipeline.evaluate_store(store, config, bundle=bundle, target=target)) \
+            == _evaluation(lambda: oracle_evaluate_store(store, config, as_bundle(document), target=target))
