@@ -17,27 +17,40 @@ realization header, a row the csv module refuses (a field over its size
 limit), or a malformed timetable row raises InputError naming the file and
 line; so does a timetable row that repeats its train's (station, activity)
 key, since a loop line cannot be aligned by that key, or one whose time has a
-UTC offset when its train's first time has none (or the reverse). A byte that
-is not UTF-8 raises InputError naming the file.
+UTC offset when its train's first time has none (or the reverse). So does a
+byte that is not UTF-8, in either file.
 
-The realization file is read into columns, a chunk of rows at a time: each
-distinct string is stripped and checked once, and timestamps in the exact
-``YYYY-MM-DDTHH:MM:SS`` form are converted by numpy. Any other timestamp goes
-through ``datetime.fromisoformat``, so both paths accept the same strings.
-Series are then aligned with one sort and a few array masks, never with a
-Python object per row.
+The realization file is read as bytes, in blocks of whole records, into
+columns. One pass first checks that it is UTF-8 and looks for a quote byte.
+A quote-free file is split on its bytes where csv.reader splits unquoted
+text: records at LF, CRLF or a lone CR, fields at commas. Only each block's
+distinct train, date, station and activity values are decoded, then stripped
+and checked once each; timestamps in the exact ``YYYY-MM-DDTHH:MM:SS`` form
+are converted by numpy from their digit bytes. Only other timestamps and
+rejected rows become strings. A file holding a quote byte is read by
+csv.reader, since quoting can put commas and line breaks inside a field, and
+feeds the same columns. Any timestamp that is not canonical goes through
+``datetime.fromisoformat``, so both forms accept the same strings. Series are
+then aligned with one sort and a few array masks, never with a Python object
+per row.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
 import csv
 import datetime as dt
+import io
 import itertools
 import operator
-from collections.abc import Iterator
+import tempfile
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import RunConfig
 from .core import (ACTIVITY_CODES, InputError, JourneyTemplate, StationKey, open_output,
@@ -77,11 +90,12 @@ REJECT_REASONS = (
 )
 _FIELDS, _ACTIVITY, _TIMESTAMP, _TIMEZONE, _DATE = range(1, 6)  # 1 + index in REJECT_REASONS
 
-CHUNK_ROWS = 1 << 14  # realization rows held as Python objects at once
+BLOCK_BYTES = 1 << 18  # realization bytes read, and tokenized, at once
+_KEY_BYTES = 64  # a code field any wider is keyed by its Python string
 
-# The canonical timestamp YYYY-MM-DDTHH:MM:SS: digit and separator positions.
-_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_SEPARATORS = {4: "-", 7: "-", 10: "T", 13: ":", 16: ":"}
+# The canonical timestamp YYYY-MM-DDTHH:MM:SS: the least and greatest code of each character.
+_LEAST, _GREATEST = (np.frombuffer(form, dtype=np.uint8)
+                     for form in (b"0000-00-00T00:00:00", b"9999-99-99T99:99:99"))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
@@ -115,16 +129,30 @@ class EventColumns:
 
 
 def _checked_rows(reader, what: str) -> Iterator[list[str]]:
-    """The rows of a csv.reader over an input file. A byte that is not UTF-8,
-    or a row the csv module refuses (a field over its size limit, say), raises
-    InputError naming the file, and the line for the latter."""
+    """The rows of a csv.reader over an input file. A row the csv module
+    refuses (a field over its size limit, say) raises InputError naming the
+    file and line."""
     try:
         yield from reader
-    except UnicodeDecodeError as exc:
-        byte = exc.object[exc.start]
-        raise InputError(f"{what}: not UTF-8 text (byte 0x{byte:02x}: {exc.reason})") from None
     except csv.Error as exc:
         raise InputError(f"{what} line {reader.line_num}: {exc}") from None
+
+
+@contextlib.contextmanager
+def _seekable(stream) -> Iterator:
+    """A binary stream that can seek, of a stream's bytes: the stream itself,
+    or, for a text stream (encoded as UTF-8) or one that cannot seek (a
+    pipe), a copy written BLOCK_BYTES at a time that spills to a temporary
+    file once it outgrows BLOCK_BYTES."""
+    text = isinstance(stream, io.TextIOBase)
+    if not text and stream.seekable():
+        yield stream
+        return
+    with tempfile.SpooledTemporaryFile(BLOCK_BYTES) as copy:
+        while block := stream.read(BLOCK_BYTES):
+            copy.write(block.encode() if text else block)
+        copy.seek(0)
+        yield copy
 
 
 def _parse_timestamp(raw: str) -> dt.datetime:
@@ -140,44 +168,52 @@ def _is_date(value: str) -> bool:
 
 
 class _Column:
-    """Codes of one string column: each distinct raw value is stripped and
-    numbered once, and `check` judges each distinct stripped value once."""
+    """Codes of one string column: each distinct stripped value is numbered
+    once, and `check` judges it once."""
 
     def __init__(self, check=lambda value: True) -> None:
         self.values: list[str] = []
         self.valid: list[bool] = []
         self._check = check
-        self._stripped: dict[str, int] = {}
-        self._raw: dict[str, int] = {}
+        self._code: dict[str, int] = {}
 
-    def encode(self, column: list[str]) -> np.ndarray:
-        for raw in dict.fromkeys(column):
-            if raw not in self._raw:
-                value = raw.strip()
-                if value not in self._stripped:
-                    self._stripped[value] = len(self.values)
-                    self.values.append(value)
-                    self.valid.append(self._check(value))
-                self._raw[raw] = self._stripped[value]
-        return np.fromiter(map(self._raw.__getitem__, column), dtype=np.int32, count=len(column))
+    def codes(self, distinct: list[str]) -> np.ndarray:
+        """The code of each distinct raw value, numbering new stripped values in order."""
+        stripped = [raw.strip() for raw in distinct]
+        for value in stripped:
+            if value not in self._code:
+                self._code[value] = len(self.values)
+                self.values.append(value)
+                self.valid.append(self._check(value))
+        return np.array([self._code[value] for value in stripped], dtype=np.int32)
 
 
-def _canonical_seconds(column: list[str]) -> tuple[np.ndarray, np.ndarray]:
+class _Rows(NamedTuple):
+    """One block of realization records, tokenized. Only the six-field
+    records have columns; `fields` counts the fields of every record."""
+
+    fields: np.ndarray
+    codes: list[tuple[list[str], np.ndarray]]  # per code column: distinct raw values, row indexes
+    stamps: tuple[np.ndarray, np.ndarray]  # (2n, 19) codes and lengths: n planned, then n realized
+    stamp: Callable[[int, int], str]  # the text of timestamp column c (0 planned) of six-field row i
+    record: Callable[[int], str]  # the text of record i, its fields joined by commas
+
+
+def _first_seen(values: list[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct values in first-appearance order, and each value's index into them."""
+    index = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+
+
+def _canonical_seconds(chars: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Seconds since 1970 of each timestamp in the exact form
-    YYYY-MM-DDTHH:MM:SS with in-range fields, and the mask of those; every
-    other string (another ISO form, a UTC offset, whitespace) reads 0 here."""
-    n = len(column)
-    lengths = np.fromiter(map(len, column), dtype=np.intp, count=n)
-    # a longer string is cut to 19 characters, but its length fails the check
-    chars = np.array(column, dtype="U19").view(np.int32).reshape(n, 19) - ord("0")
-    digits = chars[:, _DIGITS]
-    ok = (lengths == 19) & ((digits >= 0) & (digits <= 9)).all(axis=1)
-    for at, sep in _SEPARATORS.items():
-        ok &= chars[:, at] == ord(sep) - ord("0")
-    year = chars[:, 0] * 1000 + chars[:, 1] * 100 + chars[:, 2] * 10 + chars[:, 3]
-    month, day, hour, minute, second = (
-        chars[:, at] * 10 + chars[:, at + 1] for at in (5, 8, 11, 14, 17)
-    )
+    YYYY-MM-DDTHH:MM:SS with in-range fields, and the mask of those, from the
+    (n, 19) codes of each timestamp's first 19 characters and its length;
+    every other timestamp (another ISO form, a UTC offset, whitespace) reads 0 here."""
+    ok = (lengths == 19) & ((chars >= _LEAST) & (chars <= _GREATEST)).all(axis=1)
+    digits = np.subtract(chars, ord("0"), dtype=np.int32)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1], dtype=np.int32)
+    month, day, hour, minute, second = (digits[:, 5:18:3] * 10 + digits[:, 6:19:3]).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
     ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
@@ -195,16 +231,16 @@ def delay_minutes(delta_us: np.ndarray) -> np.ndarray:
     return np.sign(delta_us) * ((np.abs(delta_us) + 30_000_000) // 60_000_000)
 
 
-def _delays(planned: list[str], realized: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Delay minutes per row, and 0 or the reject code of a row whose
-    timestamps do not parse or mix a UTC offset with none."""
-    p_seconds, p_ok = _canonical_seconds(planned)
-    r_seconds, r_ok = _canonical_seconds(realized)
-    delta_us = (r_seconds - p_seconds) * 1_000_000
-    status = np.zeros(len(planned), dtype=np.intp)
-    for i in np.flatnonzero(~(p_ok & r_ok)).tolist():
+def _delays(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
+    """Delay minutes per six-field row, and 0 or the reject code of a row
+    whose timestamps do not parse or mix a UTC offset with none."""
+    seconds, ok = _canonical_seconds(*rows.stamps)
+    n = len(seconds) // 2
+    delta_us = (seconds[n:] - seconds[:n]) * 1_000_000
+    status = np.zeros(n, dtype=np.intp)
+    for i in np.flatnonzero(~(ok[:n] & ok[n:])).tolist():
         try:
-            p_ts, r_ts = _parse_timestamp(planned[i]), _parse_timestamp(realized[i])
+            p_ts, r_ts = _parse_timestamp(rows.stamp(0, i)), _parse_timestamp(rows.stamp(1, i))
         except ValueError:
             status[i] = _TIMESTAMP
             continue
@@ -215,23 +251,178 @@ def _delays(planned: list[str], realized: list[str]) -> tuple[np.ndarray, np.nda
     return delay_minutes(delta_us), status
 
 
-def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
-    """Parse a realization CSV stream into event columns plus a rejects report.
+def _text_rows(fh, what: str) -> Iterator:
+    """The header of a realization text stream (None if it is empty), then
+    its records as csv.reader reads them, in blocks of about BLOCK_BYTES
+    characters."""
+    read = 0
 
-    Accepts a text stream or a path. A row is rejected, with the first reason
-    that applies, for a wrong field count, an unknown activity code, a
-    timestamp that does not parse, timestamps of which only one has a UTC
-    offset, or a date that does not parse; rejects keep file order. A missing
-    or bad header, a byte that is not UTF-8 or a row the csv module refuses raises
-    InputError.
-    """
-    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, "r", encoding="utf-8", newline="") as fh:
-            return parse_events(fh)
+    def lines():
+        nonlocal read
+        for line in fh:
+            read += len(line)
+            yield line
 
-    what = f"realization {getattr(stream, 'name', '<realization>')}"
-    reader = _checked_rows(csv.reader(stream), what)
-    header = next(reader, None)
+    rows = _checked_rows(csv.reader(lines()), what)
+    yield next(rows, None)
+    while True:
+        block, read = [], 0
+        for row in rows:
+            block.append(row)
+            if read >= BLOCK_BYTES:
+                break
+        if not block:
+            return
+        fields = np.fromiter(map(len, block), dtype=np.intp, count=len(block))
+        good = list(itertools.compress(block, fields == len(REALIZATION_HEADER)))
+        columns = [list(map(operator.itemgetter(f), good)) for f in range(len(REALIZATION_HEADER))]
+        stamps = columns[4] + columns[5]
+        # a longer string is cut to 19 characters, but its length fails the check
+        yield _Rows(fields, [_first_seen(c) for c in columns[:4]],
+                    (np.array(stamps, dtype="U19").view(np.int32).reshape(-1, 19),
+                     np.fromiter(map(len, stamps), dtype=np.intp, count=len(stamps))),
+                    lambda c, i, columns=columns: columns[4 + c][i],
+                    lambda i, block=block: ",".join(block[i]))
+
+
+def _scan(fh, what: str) -> bool:
+    """Whether a binary stream holds a quote byte from where it stands, to
+    which it is returned. A byte that is not UTF-8 raises InputError naming
+    its line, which counts records as csv does."""
+    at = fh.tell()
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    quoted, read = False, 0
+    while True:
+        block = fh.read(BLOCK_BYTES)
+        quoted = quoted or b'"' in block
+        pending = decoder.getstate()[0]
+        if pending or not block.isascii():
+            try:
+                decoder.decode(block, final=not block)
+            except UnicodeDecodeError as exc:
+                before, line, last = read - len(pending) + exc.start, 1, b""
+                fh.seek(at)
+                while before:  # the records before the bad byte, a block at a time
+                    chunk = fh.read(min(before, BLOCK_BYTES))
+                    line += chunk.count(b"\n") + chunk.count(b"\r") - (last + chunk).count(b"\r\n")
+                    before, last = before - len(chunk), chunk[-1:]
+                byte = exc.object[exc.start]
+                raise InputError(f"{what} line {line}: not UTF-8 text "
+                                 f"(byte 0x{byte:02x}: {exc.reason})") from None
+        if not block:
+            fh.seek(at)
+            return quoted
+        read += len(block)
+
+
+def _whole_records(fh) -> Iterator[bytes]:
+    """A binary stream's bytes in blocks that end where a record does: each
+    holds the whole records of about BLOCK_BYTES bytes, the last may lack a
+    terminator."""
+    rest: list[bytes] = []
+    while block := fh.read(BLOCK_BYTES):
+        # after the last LF, or the last CR whose next byte is known
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            yield b"".join([*rest, block[:cut]])
+            rest = [block[cut:]]
+        else:
+            rest.append(block)
+    if last := b"".join(rest):
+        yield last
+
+
+def _record_bounds(buf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end offset of each record in a block of `size` bytes: a
+    record ends at LF, CRLF or a lone CR, as csv.reader reads text opened
+    with newline=""."""
+    cr = np.flatnonzero(buf == ord("\r")).astype(np.int32)
+    lf = np.flatnonzero(buf == ord("\n")).astype(np.int32)
+    paired = buf[cr + 1] == ord("\n")  # the CR of a CRLF
+    lone = buf[np.maximum(lf - 1, 0)] != ord("\r")  # an LF not after a CR
+    end = np.sort(np.concatenate([cr, lf[lone]]))
+    start = np.sort(np.concatenate([np.array([-1], dtype=np.int32), cr[~paired], lf])) + 1
+    if start[-1] < size:  # a last record without a terminator
+        return start, np.append(end, np.int32(size))
+    return start[:-1], end
+
+
+def _check_widths(data: bytes, start: np.ndarray, end: np.ndarray, line: int, what: str) -> None:
+    """Raise InputError at the first of these records, numbered from `line`,
+    with a field of more characters than csv accepts."""
+    limit = csv.field_size_limit()
+    for i in np.flatnonzero(end - start > limit).tolist():
+        if max(map(len, data[start[i]:end[i]].decode().split(","))) > limit:
+            raise InputError(f"{what} line {line + i}: field larger than field limit ({limit})")
+
+
+def _byte_distinct(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """`_first_seen` of the fields data[start:end], decoded, found on their
+    bytes: only each distinct value is decoded."""
+    length = end - start
+    width = int(length.max(initial=0))
+    if width > _KEY_BYTES:
+        return _first_seen([data[a:b].decode() for a, b in zip(start.tolist(), end.tolist())])
+    # one key per field: its bytes, zeros after them, and its length in the
+    # last byte, so that those zeros are not taken for NUL bytes
+    keys = np.zeros((len(start), max(8, width + 1)), dtype=np.uint8)
+    keys[:, :width] = sliding_window_view(buf, width)[start]
+    keys[:, :width][np.arange(width) >= length[:, None]] = 0
+    keys[:, -1] = length
+    key = keys.view(np.uint64 if keys.shape[1] == 8 else f"V{keys.shape[1]}").ravel()
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    seen = first[order]
+    return [data[a:b].decode() for a, b in zip(start[seen].tolist(), end[seen].tolist())], rank[inverse]
+
+
+def _byte_block(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray,
+                commas: np.ndarray) -> _Rows:
+    """The records data[start:end] of a quote-free block, split at commas."""
+    first = np.searchsorted(commas, start)  # each record's first comma
+    # a blank record counts one field here, none in csv.reader: not six either way
+    fields = np.searchsorted(commas, end) - first + 1
+    whole = np.flatnonzero(fields == len(REALIZATION_HEADER))
+    c = first[whole]
+    starts = [start[whole], *(commas[c + k] + 1 for k in range(5))]
+    ends = [*(commas[c + k] for k in range(5)), end[whole]]
+    stamps = np.concatenate(starts[4:])  # planned, then realized
+    return _Rows(
+        fields,
+        [_byte_distinct(data, buf, s, e) for s, e in zip(starts[:4], ends[:4])],
+        # 19 canonical characters are 19 ASCII bytes, so bytes decide as characters do
+        (sliding_window_view(buf, 19)[stamps], np.concatenate(ends[4:]) - stamps),
+        lambda c, i: data[starts[4 + c][i]:ends[4 + c][i]].decode(),
+        lambda i: data[start[i]:end[i]].decode(),
+    )
+
+
+def _byte_rows(fh, what: str) -> Iterator:
+    """The header of a quote-free realization file (None if it is empty),
+    then its records in blocks, split on the bytes where csv.reader splits
+    unquoted text."""
+    line = 1  # of the block's first record
+    for data in _whole_records(fh):
+        # zero bytes after the block: a key or timestamp window from any field start fits
+        buf = np.frombuffer(data + bytes(_KEY_BYTES), dtype=np.uint8)
+        start, end = _record_bounds(buf, len(data))
+        if line == 1:
+            _check_widths(data, start[:1], end[:1], line, what)
+            header = data[start[0]:end[0]].decode()
+            yield header.split(",") if header else []
+            start, end, line = start[1:], end[1:], 2
+        _check_widths(data, start, end, line, what)
+        yield _byte_block(data, buf, start, end, np.flatnonzero(buf == ord(",")).astype(np.int32))
+        line += len(start)
+    if line == 1:
+        yield None
+
+
+def _events(rows: Iterator, what: str) -> tuple[EventColumns, list[RejectedRow]]:
+    """Event columns and parse rejects from a header, then blocks of `_Rows`."""
+    header = next(rows)
     if header is None:
         raise InputError(f"{what} line 1: no header row")
     if [h.strip() for h in header] != REALIZATION_HEADER:
@@ -240,14 +431,12 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     columns = [_Column(), _Column(_is_date), _Column(), _Column(ACTIVITY_CODES.__contains__)]
     parts: list[tuple[np.ndarray, ...]] = []
     rejects: list[RejectedRow] = []
-    while rows := list(itertools.islice(reader, CHUNK_ROWS)):
-        reason = np.full(len(rows), _FIELDS)
-        whole = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)) == len(REALIZATION_HEADER)
+    for block in rows:
+        reason = np.full(len(block.fields), _FIELDS)
+        whole = block.fields == len(REALIZATION_HEADER)
         if whole.any():
-            good = list(itertools.compress(rows, whole))
-            fields = [list(map(operator.itemgetter(f), good)) for f in range(len(REALIZATION_HEADER))]
-            codes = [col.encode(values) for col, values in zip(columns, fields)]
-            delays, status = _delays(fields[4], fields[5])
+            codes = [col.codes(distinct)[index] for col, (distinct, index) in zip(columns, block.codes)]
+            delays, status = _delays(block)
             date_ok = np.array(columns[1].valid)[codes[1]]
             activity_ok = np.array(columns[3].valid)[codes[3]]
             reason[whole] = np.select(
@@ -256,7 +445,7 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
             keep = reason[whole] == 0
             parts.append(tuple(c[keep] for c in codes) + (delays[keep],))
         rejects.extend(
-            RejectedRow(",".join(rows[i]), REJECT_REASONS[reason[i] - 1])
+            RejectedRow(block.record(i), REJECT_REASONS[reason[i] - 1])
             for i in np.flatnonzero(reason).tolist()
         )
     train, date, station, activity, delay = (
@@ -269,12 +458,49 @@ def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     ), rejects
 
 
+def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
+    """Parse a realization CSV into event columns plus a rejects report.
+
+    Accepts a path, a binary stream or a text stream; a text stream, or one
+    that cannot seek, is copied a block at a time for the two passes (see
+    `_seekable`). A row is rejected, with the first reason that applies, for
+    a wrong field count, an unknown activity code, a timestamp that does not
+    parse, timestamps of which only one has a UTC offset, or a date that does
+    not parse; rejects keep file order. A missing or bad header, a byte that
+    is not UTF-8 or a field over the csv module's size limit raises
+    InputError.
+    """
+    if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
+        with open(stream, "rb") as fh:
+            return parse_events(fh)
+
+    what = f"realization {getattr(stream, 'name', '<realization>')}"
+    with _seekable(stream) as fh:
+        if not _scan(fh, what):
+            return _events(_byte_rows(fh, what), what)
+        # quoting can put commas and line breaks inside a field: only csv reads it
+        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+        try:
+            return _events(_text_rows(text, what), what)
+        finally:
+            text.detach()
+
+
 def load_timetable(stream) -> dict[str, JourneyTemplate]:
     """Read the timetable CSV into one journey template per train."""
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, "r", encoding="utf-8", newline="") as fh:
-            return load_timetable(fh)
-    name = getattr(stream, "name", "<timetable>")
+        with open(stream, "rb") as fh, _seekable(fh) as data:
+            _scan(data, f"timetable {fh.name}")
+            text = io.TextIOWrapper(data, encoding="utf-8", newline="")
+            try:
+                return _templates(text, fh.name)
+            finally:
+                text.detach()
+    return _templates(stream, getattr(stream, "name", "<timetable>"))
+
+
+def _templates(stream, name: str) -> dict[str, JourneyTemplate]:
+    """The journey templates of a timetable text stream named `name`."""
     reader = csv.reader(stream)
     rows_read = _checked_rows(reader, f"timetable {name}")
 

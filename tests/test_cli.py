@@ -560,9 +560,9 @@ class TestExitCodes:
             "--realization", str(workspace / "realization.csv"),
             "--out", str(workspace / "new_store.json"),
         ]) == 2
-        expect = (f"error: {name} {path}: not UTF-8 text (byte 0xff: invalid start byte)"
-                  if fault == "non_utf8" else
-                  f"error: {name} {path} line {n_lines + 1}: field larger than field limit (131072)")
+        expect = f"error: {name} {path} line {n_lines + 1}: " + (
+            "not UTF-8 text (byte 0xff: invalid start byte)" if fault == "non_utf8" else
+            "field larger than field limit (131072)")
         assert expect in capsys.readouterr().err
         assert not (workspace / "new_store.json").exists()
 

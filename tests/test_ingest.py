@@ -3,6 +3,8 @@ import datetime as dt
 import io
 import json
 import math
+import os
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -152,6 +154,26 @@ class TestLoadTimetable:
     def test_bad_header(self):
         with pytest.raises(InputError, match="line 1: unexpected header"):
             load_timetable(io.StringIO("train,station\n"))
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("tail, error", [
+        (b"", None), (b"519,\xff\n", "line 3: not UTF-8 text (byte 0xff: invalid start byte)"),
+    ], ids=["utf8", "non_utf8"])
+    def test_a_path_that_cannot_seek_is_read(self, tail, error):
+        # a pipe's path, as /dev/stdin may be: it is copied a block at a time
+        read, write = os.pipe()
+        os.write(write, (TT_HEADER + "519,Ütr,V,2017-11-07T12:00:00,1\r\n").encode() + tail)
+        os.close(write)
+        path = f"/dev/fd/{read}"
+        try:
+            with mock.patch.object(ingest, "BLOCK_BYTES", 8):
+                if error is None:
+                    assert load_timetable(path)["519"].keys == (StationKey("Ütr", "V"),)
+                else:
+                    with pytest.raises(InputError, match=f"^timetable {path} {re.escape(error)}$"):
+                        load_timetable(path)
+        finally:
+            os.close(read)
 
 
 class TestAssembleSeries:
@@ -531,15 +553,157 @@ def realization_corpora(draw):
     return text, templates, RunConfig(n_max=n_max, clip_mode=clip_mode)
 
 
+WHAT = "realization <realization>"
+# the values of each field of a six-field row; a station wider than any byte key
+SIX_FIELDS = [
+    ["519", " 519 ", "Ütr", "T\x00"],
+    ["2017-11-07", " 2017-11-08", "2017-11-31", "\x00"],
+    ["Bl", "Ütr", " 日本 ", "A", "A\x00", "", "W" * (ingest._KEY_BYTES + 1)],
+    ["V", " A ", "KV", "Q", "V\x00"],
+    ["2017-11-07T12:00:00", " 2017-11-07T12:00:00 ", "2017-11-07T12:00:00+01:00", "2017-11-07T12:00",
+     "２017-11-07T12:00:00", "2017-11-07T12:00:00\x00", "2017-11-07 12:00:00", "x"],
+    ["2017-11-07T12:02:30", "2017-11-07T11:58:00", "2017-11-07T12:01:00+00:00", "2017-02-30T12:00:00"],
+]
+# csv.reader splits a quote-free field only at commas and line breaks
+FIELD_TEXT = st.text(st.characters(blacklist_characters='",\r\n', blacklist_categories=("Cs",)), max_size=4)
+
+
+@st.composite
+def quote_free_files(draw):
+    """Quote-free realization bytes: LF, CRLF and lone CR terminators, blank
+    records, a last record with or without one, NUL bytes, non-ASCII, padded
+    and wide fields, rows of six fields and rows of any other count."""
+    def six():
+        return [draw(st.sampled_from(pool)) for pool in SIX_FIELDS]
+
+    records = draw(st.lists(st.one_of(
+        st.builds(six), st.lists(FIELD_TEXT, max_size=8), st.just([])), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(records) + 1,
+                         max_size=len(records) + 1))
+    if draw(st.booleans()):
+        ends[-1] = ""  # a last record without a terminator
+    lines = [REAL_HEADER.rstrip("\n")] + [",".join(r) for r in records]
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+def csv_path(data: bytes):
+    """The csv.reader path of `parse_events`, the one that reads quoted files."""
+    return ingest._events(ingest._text_rows(io.StringIO(data.decode(), newline=""), WHAT), WHAT)
+
+
+def assert_same_parse(got, want):
+    (got_events, got_rejects), (want_events, want_rejects) = got, want
+    assert got_rejects == want_rejects
+    for name, value in vars(want_events).items():
+        other = getattr(got_events, name)
+        assert other == value if isinstance(value, list) else (
+            other.dtype == value.dtype and np.array_equal(other, value)), name
+
+
+@pytest.fixture
+def field_limit():
+    old = csv.field_size_limit(20)
+    yield
+    csv.field_size_limit(old)
+
+
+class TestByteTokenizer:
+    """The byte path of `parse_events` against its csv.reader path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(quote_free_files(), st.one_of(st.integers(1, 48), st.just(1 << 18)))
+    def test_splits_as_csv_reader_does(self, data, block_bytes):
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):  # records straddle blocks
+            assert_same_parse(parse_events(io.BytesIO(data)), csv_path(data))
+
+    @pytest.mark.parametrize("records, trains, stations, delays, rejects", [
+        (["519,2017-11-07,Bl,V,2017-11-07T12:00:00,2017-11-07T12:01:00",
+          '519,2017-11-07,"Ut",V,2017-11-07T12:00:00,2017-11-07T12:02:00'],
+         ["519"], ["Bl", "Ut"], [1, 2], []),
+        (['"5,1\r\n9",2017-11-07,Bl,V,2017-11-07T12:00:00,2017-11-07T12:01:00', '"a,b",c'],
+         ["5,1\r\n9"], ["Bl"], [1], [RejectedRow("a,b,c", "wrong field count")]),
+    ], ids=["quote_in_last_record", "comma_and_crlf_in_quotes"])
+    def test_a_quote_byte_takes_the_csv_path(self, records, trains, stations, delays, rejects):
+        data = "\r\n".join([REAL_HEADER.rstrip("\n"), *records, ""]).encode()
+        with mock.patch.object(ingest, "_byte_rows", side_effect=AssertionError("byte path")):
+            events, got_rejects = parse_events(io.BytesIO(data))
+        assert (events.trains, events.stations, events.delay.tolist()) == (trains, stations, delays)
+        assert got_rejects == rejects
+
+    def test_a_field_is_keyed_by_its_own_bytes(self):
+        # the three "A" are followed by other bytes; "A" and "A\0" differ only past A
+        data = b"A,A\x00,Abc,A,\x00,,A"
+        commas = [-1, *(i for i, b in enumerate(data) if b == ord(",")), len(data)]
+        start, end = (np.array(x, dtype=np.int32) for x in (np.add(commas[:-1], 1), commas[1:]))
+        buf = np.frombuffer(data + bytes(ingest._KEY_BYTES), dtype=np.uint8)
+        distinct, index = ingest._byte_distinct(data, buf, start, end)
+        assert distinct == ["A", "A\x00", "Abc", "\x00", ""]
+        assert index.tolist() == [0, 1, 2, 0, 3, 4, 0]
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "line 1: no header row"),
+        (b"\r\nx", "line 1: unexpected header []"),
+        (b"a,b,c\n1,2,3\n", "line 1: unexpected header ['a', 'b', 'c']"),
+        (b"train_id," + b"x" * 21 + b"\n", "line 1: field larger than field limit (20)"),
+        (REAL_HEADER.encode() + b"\rx\r\n519,2017-11-07," + "é".encode() * 21 + b",V",
+         "line 4: field larger than field limit (20)"),
+        (REAL_HEADER.encode() + b"519,2017-11-07," + "é".encode() * 20
+         + b",V,2017-11-07T12:00:00,2017-11-07T12:01:00\n", None),
+    ], ids=["empty", "blank_header", "bad_header", "wide_header", "wide_field", "twenty_characters"])
+    def test_errors_as_the_csv_path_gives_them(self, field_limit, data, message):
+        if message is None:  # 40 bytes, but 20 characters: within the limit
+            assert_same_parse(parse_events(io.BytesIO(data)), csv_path(data))
+            return
+        for parse in (parse_events, lambda d: csv_path(d.getvalue())):
+            with pytest.raises(InputError) as exc:
+                parse(io.BytesIO(data))
+            assert str(exc.value) == f"{WHAT} {message}"
+
+    def test_a_pipe_is_read(self):
+        # a stream that cannot seek back for the second pass, as /dev/stdin may be
+        read, write = os.pipe()
+        os.write(write, (REAL_HEADER + "519,2017-11-07,Bl,V,2017-11-07T12:00:00,2017-11-07T12:01:00\n"
+                         ).encode())
+        os.close(write)
+        with open(read, "rb") as fh, mock.patch.object(ingest, "BLOCK_BYTES", 8):
+            events, rejects = parse_events(fh)
+        assert (events.delay.tolist(), rejects) == ([1], [])
+
+    def test_a_text_stream_is_read_a_block_at_a_time(self):
+        class Text(io.StringIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        sizes = []
+        text = REAL_HEADER + "519,2017-11-07,Bl,V,2017-11-07T12:00:00,2017-11-07T12:01:00\n"
+        with mock.patch.object(ingest, "BLOCK_BYTES", 8):
+            events, rejects = parse_events(Text(text))
+        assert (events.delay.tolist(), rejects) == ([1], [])
+        assert set(sizes) == {8}
+
+    @pytest.mark.parametrize("block_bytes", [1, 5, 1 << 18])
+    @pytest.mark.parametrize("tail, message", [
+        (b"519,\xff\n", "line 4: not UTF-8 text (byte 0xff: invalid start byte)"),
+        (b"519,\xc3", "line 4: not UTF-8 text (byte 0xc3: unexpected end of data)"),
+    ])
+    def test_a_byte_not_utf8_names_its_line(self, block_bytes, tail, message):
+        # a two-byte character before the fault straddles blocks of 1 and 5 bytes
+        data = REAL_HEADER.encode() + "519,Ütr\r\n\r".encode() + tail
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
+                pytest.raises(InputError, match=f"^{WHAT} {re.escape(message)}$"):
+            parse_events(io.BytesIO(data))
+
+
 class TestColumnarIngest:
     """`parse_events` plus `build_store` against the per-row reference."""
 
     @settings(max_examples=60, deadline=None)
-    @given(realization_corpora(), st.integers(1, 8))
-    def test_equals_per_row_reference(self, corpus, chunk_rows):
+    @given(realization_corpora(), st.integers(1, 256))
+    def test_equals_per_row_reference(self, corpus, block_bytes):
         text, templates, config = corpus
         want_store, want_rejects = oracle_ingest(text, templates, config)
-        with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):  # rows span chunks
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):  # rows span blocks
             got_store, got_rejects = columnar_ingest(text, templates, config)
         assert got_rejects == want_rejects
         assert got_store == want_store

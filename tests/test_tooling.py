@@ -13,13 +13,15 @@ mapped to its code by cli.main; ingest alone decides every reject; and no module
 gives a run setting a default or lists its accepted values. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
 is a with item, so that hard exit loses no data; every file it writes goes through
-core.open_output, so that a failed write leaves the previous file intact."""
+core.open_output, so that a failed write leaves the previous file intact. The network-scale
+probe imports the standard library only and runs every stage on a tiny corpus."""
 
 import argparse
 import ast
 import builtins
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -517,3 +519,23 @@ def test_each_setting_is_declared_in_config_only():
             found += [(module, d.lineno, d.value) for d in defaults
                       if isinstance(d, ast.Constant) and d.value in accepted]
     assert found == [], found
+
+
+def test_scale_probe_runs_every_stage_on_a_tiny_corpus(capsys):
+    # the runner imports the standard library only, so a stage's peak RSS is its own
+    path = README.parent / "tools" / "scale_probe.py"
+    imported = {name.split(".")[0] for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                for name in ([a.name for a in node.names] if isinstance(node, ast.Import) else
+                             [node.module] if isinstance(node, ast.ImportFrom) else [])}
+    assert imported <= sys.stdlib_module_names | {"__future__"}
+    spec = importlib.util.spec_from_file_location("scale_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    tree = Path(railmc.__file__).resolve().parents[2]
+    assert probe.main(["--tree", str(tree), "--runs", "1", "--series", "2", "--trains", "1",
+                       "--length", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["corpus"]["realization_rows"] == 10
+    assert [r["stage"] for r in report["runs"]] == list(probe.STAGES)
+    assert all(r["wall_s"] > 0 and r["peak_rss_mib"] > 0 for r in report["runs"])
+    assert list(report["medians"][str(tree)]) == list(probe.STAGES)
