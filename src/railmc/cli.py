@@ -92,10 +92,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     pipeline.save_json(store, args.out)
     if args.rejects:
         write_rejects(parse_rejects + rejects, args.rejects)
-    n_series = sum(len(t["series"]) for t in store["trains"].values())
     counts = collections.Counter(r.reason for r in parse_rejects + rejects)
     by_reason = ", ".join(f"{r}: {counts[r]}" for r in sorted(counts, key=REJECT_REASONS.index))
-    print(f"store: {len(store['trains'])} train(s), {n_series} series, "
+    print(f"store: {len(store.ids)} train(s), {len(store.dates)} series, "
           f"{counts.total()} rejected row(s)" + (f" ({by_reason})" if counts else ""))
     return EXIT_OK
 

@@ -26,8 +26,8 @@ almost all zeros.
 A transition matrix P(t) is a plain (k, k) float array with k = 2N + 1, and a
 delay distribution v(t) a (k,) vector. A partial matrix marks its unobserved
 rows NaN until recovery fills them; `check_transition_matrix` is the one
-row-stochasticity check, run where matrices enter or leave a bundle, on one
-matrix or on a whole stack.
+row-stochasticity check, run where matrices enter or leave a bundle, on an
+(n, k, k) stack of them.
 """
 
 from __future__ import annotations
@@ -223,13 +223,12 @@ class StateSpace:
 
 @dataclass(frozen=True)
 class DelaySeries:
-    """One train's per-station delays on one date, as read from or written to
-    CSV. Station t maps to delays[t-1]."""
+    """One train's per-station delays on one date, as written to CSV. Station
+    t maps to delays[t-1]."""
 
     train_id: str
     date: str
     delays: tuple[int, ...]
-    clipped: int = 0  # observations saturated into the domain during assembly
 
 
 class CountTensor(NamedTuple):
@@ -358,18 +357,17 @@ def _conditional(n: np.ndarray) -> np.ndarray:
         return n / np.einsum("...j->...", n)[..., None]
 
 
-def check_transition_matrix(p: np.ndarray, space: StateSpace, stacked: bool = False) -> None:
-    """Raise ValueError unless p is a complete (k, k) row-stochastic matrix,
-    or with `stacked` an (n, k, k) stack of them.
+def check_transition_matrix(p: np.ndarray, space: StateSpace) -> None:
+    """Raise ValueError unless p is an (n, k, k) stack of complete row-stochastic
+    matrices; a single matrix is checked as p[None].
 
     Every entry must be finite and non-negative, and every row must sum to
     one within ROW_SUM_TOL. A stack passes exactly when each of its matrices
     does; its message does not say which matrix failed.
     """
     k = space.cardinality
-    shape = p.shape[1:] if stacked else p.shape
-    if shape != (k, k):
-        raise ValueError(f"matrix shape {shape}, expected {(k, k)} for n_max {space.n_max}")
+    if p.shape[1:] != (k, k):
+        raise ValueError(f"matrix shape {p.shape[1:]}, expected {(k, k)} for n_max {space.n_max}")
     sums = p.sum(axis=-1)
     off = np.abs(sums - 1.0)
     # NaN fails both comparisons, and an infinite entry makes its row sum fail

@@ -32,7 +32,9 @@ csv.reader, since quoting can put commas and line breaks inside a field, and
 feeds the same columns. Any timestamp that is not canonical goes through
 ``datetime.fromisoformat``, so both forms accept the same strings. Series are
 then aligned with one sort and a few array masks, never with a Python object
-per row.
+per row, and returned as columns (per series its train code, date, length
+and clipped count, then all delays), which `pipeline.build_store` lays out as
+the `Store`; ingest builds no store document.
 """
 
 from __future__ import annotations
@@ -556,41 +558,48 @@ def _group_starts(*keys: np.ndarray) -> np.ndarray:
 
 def assemble_series(
     events: EventColumns, templates: dict[str, JourneyTemplate], config: RunConfig
-) -> tuple[dict, list[RejectedRow]]:
-    """Order the events along their trains' templates into the store's trains table.
-
-    Each train gets its template's stations and planned times and one series
-    per date, in sorted date order. A date missing any template station is
-    truncated at the first gap. A repeated (date, station, activity) event
-    keeps its first row and rejects the others as duplicates. Delays outside
-    [-N, N], N = `config.n_max`, either saturate to the bound (counted per
-    series) or, when `config.clip_mode` is "drop", truncate the series before
-    the offending station.
+) -> tuple[tuple, list[RejectedRow]]:
+    """Order the events along their trains' templates into the series columns
+    that `pipeline.build_store` lays out: the template of each train with events
+    and a template, in sorted train order, even one whose dates are all
+    rejected; per series, by train and then by sorted date, its train code into
+    those templates, date, length and clipped count; then every delay, series
+    after series. A date missing any template station is truncated at the
+    first gap. A repeated (date, station, activity) event keeps its first row
+    and rejects the others as duplicates. Delays outside [-N, N], N =
+    `config.n_max`, either saturate to the bound (counted per series) or, when
+    `config.clip_mode` is "drop", truncate the series before the offending
+    station.
     Every event of a train without a template is rejected first, in event
     order, as ``train,date``. The other rejects follow per sorted train:
     off-template and duplicate events in event order, then each date with no
     usable stations in sorted order.
     """
     known = np.array([tid in templates for tid in events.trains], dtype=bool)[events.train]
-    # the known train codes that occur, sorted; a plain np.unique would import numpy.ma
-    present = np.flatnonzero(np.bincount(events.train[known])).tolist()
+    # the known train codes that occur, in sorted train order; a plain
+    # np.unique would import numpy.ma
+    present = sorted(np.flatnonzero(np.bincount(events.train[known])).tolist(),
+                     key=events.trains.__getitem__)
 
-    # template position of each distinct (train, station, activity), -1 off the
-    # template or for a train without one
-    n_act = len(events.activities)
+    # template position of each distinct (train, station, activity) code, -1
+    # off the template or for a train without one: the present trains'
+    # template entries are coded the same way and looked up in one search
+    n_station, n_act = len(events.stations), len(events.activities)
     triples, inverse = np.unique(
-        (events.train.astype(np.int64) * len(events.stations) + events.station) * n_act
-        + events.activity,
+        (events.train.astype(np.int64) * n_station + events.station) * n_act + events.activity,
         return_inverse=True,
     )
-    key_train, rest = np.divmod(triples, len(events.stations) * n_act)
-    key_station, key_activity = np.divmod(rest, n_act)
-    positions = {code: {k: i for i, k in enumerate(templates[events.trains[code]].keys)}
-                 for code in present}
-    where = np.array([
-        positions.get(t, {}).get(StationKey(events.stations[s], events.activities[a]), -1)
-        for t, s, a in zip(key_train.tolist(), key_station.tolist(), key_activity.tolist())
-    ], dtype=np.intp)
+    station_code = {s: i for i, s in enumerate(events.stations)}
+    activity_code = {a: i for i, a in enumerate(events.activities)}
+    entries = [(c, i, station_code.get(k.station_code, -1), activity_code.get(k.activity, -1))
+               for c in present for i, k in enumerate(templates[events.trains[c]].keys)]
+    key_train, key_pos, key_station, key_activity = np.array(entries, dtype=np.int64).reshape(-1, 4).T
+    codes = (key_train * n_station + key_station) * n_act + key_activity
+    at = np.searchsorted(triples, codes)
+    hit = (key_station >= 0) & (key_activity >= 0) & (at < len(triples))
+    hit[hit] = triples[at[hit]] == codes[hit]
+    where = np.full(len(triples), -1, dtype=np.intp)
+    where[at[hit]] = key_pos[hit]
     pos = where[inverse]
 
     train = _ranks(events.trains)[events.train]
@@ -617,24 +626,14 @@ def assemble_series(
     usable = stops - (stops - stop)[first][group] == 0
     lengths = np.bincount(group[usable], minlength=len(first))
     clipped = np.bincount(group[usable & outside], minlength=len(first))
-    delays = np.clip(delay[usable], -config.n_max, config.n_max).tolist()
 
-    trains = {}
-    for tid in sorted(events.trains[c] for c in present):
-        template = templates[tid]
-        trains[tid] = {
-            "stations": [[k.station_code, k.activity] for k in template.keys],
-            "planned": [p.isoformat() for p in template.planned],
-            "series": [],
-        }
     heads = kept[first]  # one event of each (train, date)
-    offsets = np.concatenate([[0], np.cumsum(lengths)]).tolist()
-    for g, (t, d, c) in enumerate(zip(events.train[heads].tolist(),
-                                      events.date[heads].tolist(), clipped.tolist())):
-        if offsets[g] < offsets[g + 1]:
-            trains[events.trains[t]]["series"].append(
-                {"date": events.dates[d], "delays": delays[offsets[g]:offsets[g + 1]],
-                 "clipped": c})
+    some = lengths > 0
+    code = np.zeros(len(events.trains), dtype=np.int64)
+    code[present] = np.arange(len(present))
+    columns = ([templates[events.trains[c]] for c in present], code[events.train[heads[some]]],
+               [events.dates[d] for d in events.date[heads[some]].tolist()], lengths[some],
+               clipped[some], np.clip(delay[usable], -config.n_max, config.n_max))
 
     # unknown trains' events in event order; then per train: rejected events
     # in event order, then the empty dates in date order
@@ -656,7 +655,7 @@ def assemble_series(
         RejectedRow(f"{events.trains[t]},{events.dates[d]}", "no usable stations")
         for t, d in zip(events.train[empty].tolist(), events.date[empty].tolist())
     ]
-    return trains, [
+    return columns, [
         RejectedRow(f"{events.trains[t]},{events.dates[d]}", "train not in timetable")
         for t, d in zip(events.train[unknown].tolist(), events.date[unknown].tolist())
     ] + [rejects[i] for i in report.tolist()]

@@ -1,19 +1,21 @@
 """End-to-end wiring: series stores, training bundles, and batch evaluation.
 
 A *store* holds the ingested delay series per train with its planned station
-sequence; `build_store` only puts the trains table of `ingest.assemble_series`
-in the store's envelope, as ingest decides every reject. A store is parsed
-once, where it is read: `parse_store` checks a store document whole and gives
-a `Store`, every series of every train in one zero-padded (n_series, L) int64
-delay array with each series' length, date and train code, grouped by train
-in sorted order and indexed by `ids` and `starts` as a bundle is, plus each
-train's template; `store_series`, `store_template` and `bundle_matrices` find
-a train by the same lookup. The stages read the store network-wide on one
-(train, station) axis, each train's stations 2 .. its longest series, that
-`_station_axis` alone derives: `_station_blocks` counts each block of whole
-trains of it in one pass, the order test labels its rows by it, and it sizes
-and indexes the bundle's stack; `evaluate_store` groups series by train only
-to pick each train's target and chain, then predicts a block of trains at once.
+sequence, in memory always as one `Store`: every series of every train in one
+zero-padded (n_series, L) int64 delay array with each series' length, date,
+clipped count and train code, grouped by train in sorted order and indexed by
+`ids` and `starts` as a bundle is, plus each train's template. `build_store`
+lays out the series columns of `ingest.assemble_series`, as ingest decides
+every reject, and `parse_store` those of a store document it checks whole,
+both through `_store`. `save_json` writes a `Store` as that document; it and
+`parse_store` are the only code that knows the document. `store_series`,
+`store_template` and `bundle_matrices` find a train by the same lookup. The
+stages read the store network-wide on one (train, station) axis, each train's
+stations 2 .. its longest series, that `_station_axis` alone derives:
+`_station_blocks` counts each block of whole trains of it in one pass, the
+order test labels its rows by it, and it sizes and indexes the bundle's
+stack; `evaluate_store` groups series by train only to pick each train's
+target and chain, then predicts a block of trains at once.
 A *bundle* is a `Bundle`: every recovered transition matrix in one stack,
 plus the training metadata needed to reproduce it. Both, like every report,
 are compact JSON with sorted keys, so identical runs are byte-identical;
@@ -66,13 +68,13 @@ def build_store(
     templates: dict[str, JourneyTemplate],
     events: EventColumns,
     config: RunConfig,
-) -> tuple[dict, list[RejectedRow]]:
-    """The series store of the parsed events: `ingest.assemble_series`'s trains
-    table in the store envelope, and its rejects as they are."""
+) -> tuple[Store, list[RejectedRow]]:
+    """The `Store` of the parsed events, laid out from `ingest.assemble_series`'s
+    series columns as `parse_store` lays out a document's, and its rejects as they are."""
     from .ingest import assemble_series
 
-    trains, rejects = assemble_series(events, templates, config)
-    return {"n_max": config.n_max, "trains": trains}, rejects
+    columns, rejects = assemble_series(events, templates, config)
+    return _store(config.n_max, *columns), rejects
 
 
 # json runs its C encoder only for a one-shot encode without indent; it writes
@@ -80,12 +82,25 @@ def build_store(
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=np.ndarray.tolist).encode
 
 
-def save_json(payload: dict | Bundle, path) -> None:
+def save_json(payload: dict | Store | Bundle, path) -> None:
     """Write `json.dumps(payload, sort_keys=True, separators=(",", ":"))` and a
-    newline to `path`; a failed write leaves the previous file intact. A `Bundle`
-    is written as its document one train at a time, one encoder call per train's
-    matrices table (views into the stack), never holding its whole text: that
-    reaches hundreds of megabytes, where no other artifact reaches a few."""
+    newline to `path`; a failed write leaves the previous file intact. A `Store`
+    is written as its store document, in one encoder call: its n_max, and per
+    train its stations, planned times and series, each a date, its delays and
+    its clipped count. A `Bundle` is written as its document one train at a
+    time, one encoder call per train's matrices table (views into the stack),
+    never holding its whole text: that reaches hundreds of megabytes, where no
+    other artifact reaches a few."""
+    if isinstance(payload, Store):
+        flat = payload.delays[np.arange(payload.delays.shape[1]) < payload.lengths[:, None]].tolist()
+        ends = np.cumsum(payload.lengths).tolist()
+        series = [{"date": d, "delays": flat[e - n:e], "clipped": c} for d, n, e, c in zip(
+            payload.dates, payload.lengths.tolist(), ends, payload.clipped.tolist())]
+        payload = {"n_max": payload.n_max, "trains": {
+            tid: {"stations": [[k.station_code, k.activity] for k in template.keys],
+                  "planned": [p.isoformat() for p in template.planned], "series": series[a:b]}
+            for tid, template, a, b in zip(payload.ids, payload.templates, payload.starts,
+                                           payload.starts[1:])}}
     with open_output(path) as fh:
         if isinstance(payload, Bundle):
             # sorted keys put "meta" first: the head ends where the trains table opens
@@ -109,13 +124,16 @@ def _n_max_of(table, owner: str) -> int:
     return n_max
 
 
-def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, list, list, np.ndarray]:
-    """One store train's template, and its series' dates, lengths and delays,
-    these flat as int16. InputError names the train and the date for a template
-    that does not parse (`stations` not a list of [code, activity] lists, or
-    `planned` not a list, say), a station code or date that is not a string, a
-    station visited twice, a series longer than the train's stations, or a delay
-    that is not an integer in [-n_max, n_max] (a float or a bool is not)."""
+def _parse_train(train_id: str, entry,
+                 n_max: int) -> tuple[JourneyTemplate, list, list, list, np.ndarray]:
+    """One store train's template, and its series' dates, lengths, clipped
+    counts and delays, these flat as int16. InputError names the train and the
+    date for a template that does not parse (`stations` not a list of [code,
+    activity] lists, or `planned` not a list, say), a station code or date that
+    is not a string, a station visited twice, a series longer than the train's
+    stations, a delay that is not an integer in [-n_max, n_max] (a float or a
+    bool is not), or a clipped count that is not an integer in [0, the series'
+    length]. A series without a clipped count reads 0."""
     try:
         stations, planned = entry["stations"], entry["planned"]
         if type(stations) is not list or any(type(s) is not list or len(s) != 2 for s in stations):
@@ -158,13 +176,18 @@ def _parse_train(train_id: str, entry, n_max: int) -> tuple[JourneyTemplate, lis
         date = dates[int(np.searchsorted(np.cumsum(lengths), i, side="right"))]
         raise InputError(f"store train {train_id} date {date}: delay {flat[i]!r} is not an "
                          f"integer in [-{n_max}, {n_max}]")
-    return template, dates, lengths, values
+    clipped = [s.get("clipped", 0) for s in entry["series"]]  # every series is an object by now
+    for date, c, n in zip(dates, clipped, lengths):
+        if type(c) is not int or not 0 <= c <= n:
+            raise InputError(f"store train {train_id} date {date}: clipped {c!r} is not an "
+                             f"integer in [0, {n}]")
+    return template, dates, lengths, clipped, values
 
 
 class Store(NamedTuple):
-    """A parsed store: every series in one layout, grouped by train in sorted
-    train order, and each train's template. The arrays are read-only, as every
-    stage shares them."""
+    """A store, built by ingest or parsed from a file: every series in one
+    layout, grouped by train in sorted train order, and each train's template.
+    The arrays are read-only, as every stage shares them."""
 
     n_max: int
     ids: list[str]          # the sorted train ids; a train code indexes them
@@ -173,8 +196,25 @@ class Store(NamedTuple):
     lengths: np.ndarray     # (n_series,) stations each series reaches; columns past it are 0
     train: np.ndarray       # (n_series,) each series' train code, non-decreasing
     dates: list[str]        # each series' date
+    clipped: np.ndarray     # (n_series,) delays each series saturated into [-n_max, n_max] at ingest
     reach: np.ndarray       # (n_trains,) each train's longest series, 0 for a train with none
     templates: list[JourneyTemplate]  # each train's template
+
+
+def _store(n_max: int, templates, train, dates, lengths, clipped, delays) -> Store:
+    """The read-only `Store` of series columns grouped by train: each train's
+    template in sorted train order; per series its train code into them, date,
+    length and clipped count; and every series' delays, concatenated."""
+    lengths, train, clipped = (np.asarray(a, dtype=np.int64) for a in (lengths, train, clipped))
+    padded = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = delays
+    reach = np.zeros(len(templates), dtype=np.int64)
+    np.maximum.at(reach, train, lengths)
+    for array in (padded, lengths, train, clipped, reach):
+        array.flags.writeable = False
+    return Store(n_max, [t.train_id for t in templates],
+                 np.searchsorted(train, np.arange(len(templates) + 1)).tolist(),
+                 padded, lengths, train, list(dates), clipped, reach, list(templates))
 
 
 def parse_store(document) -> Store:
@@ -184,19 +224,11 @@ def parse_store(document) -> Store:
     if not isinstance(document.get("trains"), dict):
         raise InputError("store has no trains object")
     parsed = {tid: _parse_train(tid, entry, n_max) for tid, entry in document["trains"].items()}
-    ids = sorted(parsed)
-    templates, dates, train_lengths, values = zip(*map(parsed.get, ids)) if ids else ((),) * 4
-    lengths = np.array(list(itertools.chain.from_iterable(train_lengths)), dtype=np.int64)
-    starts = [0, *itertools.accumulate(map(len, train_lengths))]
-    delays = np.zeros((len(lengths), lengths.max(initial=0)), dtype=np.int64)
-    delays[np.arange(delays.shape[1]) < lengths[:, None]] = np.concatenate(
-        [*values, np.zeros(0, dtype=np.int16)])
-    train = np.repeat(np.arange(len(ids)), np.diff(starts))
-    reach = np.array([max(n, default=0) for n in train_lengths], dtype=np.int64)
-    for array in (delays, lengths, train, reach):
-        array.flags.writeable = False
-    return Store(n_max, ids, starts, delays, lengths, train,
-                 list(itertools.chain.from_iterable(dates)), reach, list(templates))
+    templates, dates, lengths, clipped, values = list(zip(*map(parsed.get, sorted(parsed)))) or ((),) * 5
+    chain = itertools.chain.from_iterable
+    return _store(n_max, templates, np.repeat(np.arange(len(dates)), list(map(len, dates))),
+                  list(chain(dates)), list(chain(lengths)), list(chain(clipped)),
+                  np.concatenate([*values, np.zeros(0, dtype=np.int16)]))
 
 
 def _load(path, parse):
@@ -333,7 +365,7 @@ def _check_stack(entries, space: StateSpace, named: Iterable[tuple] = ()) -> np.
     stacks of one, to raise the first bad one's error under its name."""
     try:
         stack = np.asarray(entries, dtype=float)
-        check_transition_matrix(stack, space, stacked=True)
+        check_transition_matrix(stack, space)
         # asarray reads "0.5" and true as numbers; JSON entries must be numbers
         rows = list(itertools.chain.from_iterable(e for e in entries if isinstance(e, list)))
         if not set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:

@@ -837,6 +837,15 @@ def _store_delay(value):
     return corrupt
 
 
+def _store_clipped(value):
+    def corrupt(store):  # a callable `value` gives the count from the series' length
+        series = store["trains"]["T001"]["series"][3]
+        n = len(series["delays"])
+        series["clipped"] = bad = value(n) if callable(value) else value
+        return f"store train T001 date {series['date']}: clipped {bad!r} is not an integer in [0, {n}]"
+    return corrupt
+
+
 def _store_date(value):
     def corrupt(store):
         store["trains"]["T001"]["series"][3]["date"] = value
@@ -920,13 +929,15 @@ def _store_n_max(value):
     _store_no_delays, _store_n_max(241), _store_date(float("nan")), _store_date(10**20),
     _store_int_station_code, _store_stations(["AV", "BV", "CV", "DV", "EV"]),
     _store_stations({"AV": 0, "BV": 1, "CV": 2, "DV": 3, "EV": 4}), _store_loop_line,
-    _store_planned_object, _store_planned_short,
+    _store_planned_object, _store_planned_short, _store_clipped(True), _store_clipped(-1),
+    _store_clipped(lambda n: n + 1), _store_clipped(1.0), _store_clipped("1"),
 ], ids=["string_delay", "float_delay", "bool_delay", "delay_outside_n_max",
         "delay_beyond_int64", "delay_int64_min",
         "series_longer_than_stations", "no_n_max", "trains_not_object", "planned_not_iso",
         "series_without_delays", "n_max_above_limit", "nan_date", "int_date",
         "int_station_code", "stations_of_strings", "stations_object", "loop_line",
-        "planned_object", "planned_short"])
+        "planned_object", "planned_short", "bool_clipped", "negative_clipped",
+        "clipped_above_length", "float_clipped", "string_clipped"])
 def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     good, bad, out = workspace / "store.json", workspace / "bad.json", workspace / "out.json"
     bundle = workspace / "bundle.json"
@@ -940,6 +951,16 @@ def test_malformed_store_exits_2(workspace, capsys, argv, corrupt):
     assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     assert f"error: {bad}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_a_series_without_clipped_reads_zero(workspace):
+    # a hand-made store may leave the count out
+    payload = load_json(workspace / "store.json")
+    series = payload["trains"]["T001"]["series"]
+    series[0]["clipped"] = 2
+    del series[1]["clipped"]
+    save_json(payload, workspace / "bare.json")
+    assert load_store(workspace / "bare.json").clipped[:3].tolist() == [2, 0, series[2]["clipped"]]
 
 
 class TestStoreParsedOnce:
@@ -1159,8 +1180,8 @@ class TestBundleParsedOnce:
             chains.append((*args[1:], lookup(*args)))
             return chains[-1][-1]
 
-        monkeypatch.setattr(pipeline, "check_transition_matrix", lambda p, *args, **kwargs: events.append(
-            ("check", p.shape, kwargs.get("stacked"))) or check(p, *args, **kwargs))
+        monkeypatch.setattr(pipeline, "check_transition_matrix",
+                            lambda p, *args: events.append(("check", p.shape)) or check(p, *args))
         monkeypatch.setattr(pipeline, "load_bundle", marked_load)
         monkeypatch.setattr(pipeline, "bundle_matrices", recorded_lookup)
         shutil.copyfile(store, tmp_path / "copy.json")
@@ -1170,7 +1191,7 @@ class TestBundleParsedOnce:
         n_matrices = sum(len(entry["matrices"]) for entry in document["trains"].values())
         assert len(document["trains"]) == 2 and n_matrices == 8
         # one check of each train's stack, where the bundle loads
-        assert events == ["load"] + [("check", (n_matrices // 2, 31, 31), True)] * 2 + ["loaded"]
+        assert events == ["load"] + [("check", (n_matrices // 2, 31, 31))] * 2 + ["loaded"]
         assert {train for train, *_ in chains} == ({"T002"} if argv[0] == "forecast" else {"T001", "T002"})
         for train, s, t, chain in chains:
             want = np.array([document["trains"][train]["matrices"][str(u)] for u in range(s + 1, t + 1)],

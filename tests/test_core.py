@@ -242,7 +242,7 @@ class TestEstimateFrequencies:
 class TestCheckTransitionMatrix:
     def test_accepts_row_stochastic(self):
         space = StateSpace(1)
-        check_transition_matrix(np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]]), space)
+        check_transition_matrix(np.array([[[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.2, 0.3, 0.5]]]), space)
 
     @pytest.mark.parametrize("p, reason", [
         (np.eye(5), r"shape \(5, 5\), expected \(3, 3\)"),
@@ -252,4 +252,4 @@ class TestCheckTransitionMatrix:
     ])
     def test_rejects(self, p, reason):
         with pytest.raises(ValueError, match=reason):
-            check_transition_matrix(np.asarray(p, dtype=float), StateSpace(1))
+            check_transition_matrix(np.asarray(p, dtype=float)[None], StateSpace(1))

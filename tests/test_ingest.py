@@ -1,3 +1,4 @@
+import collections
 import csv
 import datetime as dt
 import io
@@ -23,14 +24,13 @@ from railmc.ingest import (
     RejectedRow,
     StationKey,
     InputError,
-    assemble_series,
     delay_minutes,
     load_timetable,
     parse_events,
     select_target_station,
     write_rejects,
 )
-from railmc.pipeline import build_store, parse_store, store_series
+from railmc.pipeline import build_store, load_store, save_json, store_series
 from railmc.synth import near_diagonal_spec, sample_delays, write_ingest_files
 
 REAL_HEADER = "train_id,date,station_code,activity,planned_time,realized_time\n"
@@ -53,15 +53,19 @@ def event(station, planned, realized, train="519", date="2017-11-07", activity="
     return f"{train},{date},{station},{activity},{planned.isoformat()},{realized.isoformat()}"
 
 
+Assembled = collections.namedtuple("Assembled", "date delays clipped")
+
+
 def assemble(events, tmpl, config):
     """Parse CSV rows and assemble them against one template: the train's
-    series as records, and the rejects."""
+    series as `Assembled` records, and the rejects."""
     parsed, parse_rejects = parse_events(io.StringIO(REAL_HEADER + "\n".join(events) + "\n"))
     assert parse_rejects == []
-    trains, rejects = assemble_series(parsed, {tmpl.train_id: tmpl}, config)
+    store, rejects = build_store({tmpl.train_id: tmpl}, parsed, config)
     series = [
-        DelaySeries(tid, s["date"], tuple(s["delays"]), clipped=s["clipped"])
-        for tid, entry in trains.items() for s in entry["series"]
+        Assembled(date, tuple(row[:n]), k)
+        for date, row, n, k in zip(store.dates, store.delays.tolist(), store.lengths.tolist(),
+                                   store.clipped.tolist())
     ]
     return series, rejects
 
@@ -287,10 +291,9 @@ class TestAssembleSeries:
         ]
         events, parse_rejects = parse_events(io.StringIO(REAL_HEADER + "\n".join(rows) + "\n"))
         assert parse_rejects == []
-        trains, rejects = assemble_series(events, {"A": a, "C": c}, RunConfig())
-        assert sorted(trains) == ["A", "C"]
-        assert [s["delays"] for s in trains["A"]["series"]] == [[2]]
-        assert [s["delays"] for s in trains["C"]["series"]] == [[0]]
+        store, rejects = build_store({"A": a, "C": c}, events, RunConfig())
+        assert store.ids == ["A", "C"] and store.templates == [a, c]
+        assert store.delays.tolist() == [[2], [0]] and store.train.tolist() == [0, 1]
         assert [(r.row, r.reason) for r in rejects] == [
             ("B,2017-11-08", "train not in timetable"),
             ("B,2017-11-07", "train not in timetable"),
@@ -366,18 +369,52 @@ class TestIngestRoundTrip:
             events, parse_rejects = parse_events(rz)
             store, rejects = build_store(load_timetable(tt), events, RunConfig(n_max=n_max))
         assert parse_rejects == [] and rejects == []
-        assert all(s["clipped"] == 0 for s in store["trains"]["T001"]["series"])
-        got, got_lengths, _dates = store_series(parse_store(store), "T001")
+        assert not store.clipped.any()
+        got, got_lengths, _dates = store_series(store, "T001")
         assert np.array_equal(got_lengths, lengths)
         width = lengths.max()
         padded = np.where(np.arange(width) < lengths[:, None], delays[:, :width], 0)
         assert got.dtype == np.int64 and np.array_equal(got, padded)
 
+    def test_built_store_equals_its_written_file_parsed(self, tmp_path):
+        # "A" saturates two delays on its first date and stops at a gap on its
+        # second, "B" has its one date rejected and keeps its template with no
+        # series, and "C" has planned times with a UTC offset
+        a, b = template("X", "Y", "Z", train="A"), template("X", "Y", train="B")
+        start = dt.datetime(2017, 11, 7, 12, tzinfo=dt.timezone(dt.timedelta(hours=1)))
+        c = JourneyTemplate("C", (StationKey("X", "A"), StationKey("X", "D")),
+                            (start, start + dt.timedelta(seconds=90)))
+        rows = [
+            event("X", ts(0), ts(40), train="A"), event("Y", ts(7), ts(8), train="A"),
+            event("Z", ts(14), ts(0), train="A"),
+            event("X", ts(0), ts(0), train="A", date="2017-11-08"),
+            event("Z", ts(14), ts(19), train="A", date="2017-11-08"),
+            event("Y", ts(7), ts(7), train="B"),
+            event("X", ts(0), ts(2), train="C", activity="A"),
+            event("X", ts(1), ts(3), train="C", activity="D"),
+        ]
+        events, _ = parse_events(io.StringIO(REAL_HEADER + "\n".join(rows) + "\n"))
+        built, rejects = build_store({"A": a, "B": b, "C": c}, events, RunConfig(n_max=3))
+        assert [(r.row, r.reason) for r in rejects] == [("B,2017-11-07", "no usable stations")]
+        assert built.starts == [0, 2, 2, 3] and built.clipped.tolist() == [2, 0, 0]
+        assert built.delays.tolist() == [[3, 1, -3], [0, 0, 0], [2, 2, 0]]
+        save_json(built, tmp_path / "store.json")
+        parsed = load_store(tmp_path / "store.json")
+        for field, got, want in zip(parsed._fields, parsed, built):
+            if isinstance(want, np.ndarray):  # bit-equal, and read-only in both
+                assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+                assert not (got.flags.writeable or want.flags.writeable), field
+            else:
+                assert got == want, field
+        save_json(parsed, tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == (tmp_path / "store.json").read_bytes()
+
 
 def oracle_ingest(text, templates, config):
     """The per-row reference: each row checked and kept as a Python record,
-    then grouped by train and date in dicts. Returns the store and the
-    rejects report in the order `ingest` writes them."""
+    then grouped by train and date in dicts. Returns the store file's text,
+    `json.dumps` of the store document, and the rejects report in the order
+    `ingest` writes them."""
     reader = csv.reader(io.StringIO(text))
     next(reader)
     events, rejects = [], []
@@ -449,13 +486,17 @@ def oracle_ingest(text, templates, config):
             "planned": [p.isoformat() for p in template.planned],
             "series": series,
         }
-    return {"n_max": config.n_max, "trains": trains}, rejects
+    document = {"n_max": config.n_max, "trains": trains}
+    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n", rejects
 
 
 def columnar_ingest(text, templates, config):
+    """`parse_events`, `build_store` and `save_json`: the store file's text and the rejects."""
     events, parse_rejects = parse_events(io.StringIO(text))
     store, rejects = build_store(templates, events, config)
-    return store, parse_rejects + rejects
+    with tempfile.TemporaryDirectory() as tmp:
+        save_json(store, Path(tmp) / "store.json")
+        return (Path(tmp) / "store.json").read_text(encoding="utf-8"), parse_rejects + rejects
 
 
 BASE = dt.datetime(2017, 11, 7, 12)
@@ -702,12 +743,11 @@ class TestColumnarIngest:
     @given(realization_corpora(), st.integers(1, 256))
     def test_equals_per_row_reference(self, corpus, block_bytes):
         text, templates, config = corpus
-        want_store, want_rejects = oracle_ingest(text, templates, config)
+        want_text, want_rejects = oracle_ingest(text, templates, config)
         with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):  # rows span blocks
-            got_store, got_rejects = columnar_ingest(text, templates, config)
+            got_text, got_rejects = columnar_ingest(text, templates, config)
         assert got_rejects == want_rejects
-        assert got_store == want_store
-        assert json.dumps(got_store, sort_keys=True) == json.dumps(want_store, sort_keys=True)
+        assert got_text == want_text
 
     @pytest.mark.parametrize("stamp", ODD_TIMESTAMPS)
     def test_odd_timestamp_as_fromisoformat_reads_it(self, stamp):

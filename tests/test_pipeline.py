@@ -75,7 +75,7 @@ def oracle_train_bundle(store, config):
         matrices = {}
         for t, mat, fell in zip(_stations(lengths), stack, fell_back):
             mat = np.where((mat > 0) & (mat < ENTRY_FLOOR), 0.0, mat)
-            check_transition_matrix(mat, space)
+            check_transition_matrix(mat[None], space)
             matrices[str(t)] = mat
             if fell:
                 fallbacks.append((tid, t))

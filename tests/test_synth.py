@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from railmc import cli, synth
 from railmc.config import RunConfig
 from railmc.core import DelaySeries, StateSpace
-from railmc.ingest import assemble_series, load_timetable, parse_events
+from railmc.ingest import load_timetable, parse_events
+from railmc.pipeline import build_store
 from railmc.synth import ChainSpec, near_diagonal_spec, sample_delays, sample_series, write_ingest_files
 
 
@@ -247,9 +248,9 @@ class TestCsvRoundTrip:
         templates = load_timetable(tt)
         events, parse_rejects = parse_events(rz)
         assert parse_rejects == []
-        recovered, rejects = assemble_series(events, templates, RunConfig())
-        assert rejects == []
-        got = [tuple(s["delays"]) for s in recovered["T001"]["series"]]
+        store, rejects = build_store(templates, events, RunConfig())
+        assert rejects == [] and store.ids == ["T001"]
+        got = [tuple(row[:n]) for row, n in zip(store.delays.tolist(), store.lengths.tolist())]
         assert sorted(got) == sorted(s.delays for s in sampled)
 
     def test_empty_series_rejected(self, tmp_path):

@@ -390,17 +390,26 @@ def test_the_station_axis_is_derived_once():
 
 
 def test_only_the_store_parser_reads_store_documents():
-    # a store is parsed once, where it is read; every stage reads the parsed arrays
-    keys = {"stations", "planned", "series", "date", "delays"}
-    readers = set()
-    for fn in _source_tree("railmc.pipeline").body:
-        for node in ast.walk(fn):
-            key = (node.slice if isinstance(node, ast.Subscript) else
-                   node.args[0] if isinstance(node, ast.Call) and node.args
-                   and getattr(node.func, "attr", None) == "get" else None)
-            if isinstance(key, ast.Constant) and key.value in keys:
-                readers.add(getattr(fn, "name", "<module>"))
-    assert readers and readers <= {"parse_store", "_parse_train"}, readers
+    # in memory a store is one `Store`, built by `_store` alone, for `build_store`
+    # and `parse_store`; only `save_json` builds a store document and only
+    # `parse_store` (with `_parse_train`, its per-train part) reads one
+    keys = {"stations", "planned", "series", "delays", "clipped"}
+    knowers, calls = set(), {"_store": set(), "_parse_train": set(), "Store": set()}
+    for module in MODULES:
+        for fn in _source_tree(module).body:
+            for node in ast.walk(fn):
+                found = (node.keys if isinstance(node, ast.Dict) else
+                         [node.slice] if isinstance(node, ast.Subscript) else
+                         node.args[:1] if isinstance(node, ast.Call)
+                         and getattr(node.func, "attr", None) == "get" else [])
+                if any(isinstance(key, ast.Constant) and key.value in keys for key in found):
+                    knowers.add((module, getattr(fn, "name", "<module>")))
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) in calls:
+                    calls[node.func.id].add((module, getattr(fn, "name", "<module>")))
+    p = "railmc.pipeline"
+    assert knowers == {(p, "save_json"), (p, "_parse_train")}, knowers
+    assert calls == {"_store": {(p, "build_store"), (p, "parse_store")},
+                     "_parse_train": {(p, "parse_store")}, "Store": {(p, "_store")}}, calls
 
 
 def test_only_the_trainer_and_the_bundle_parser_check_matrices():
@@ -422,8 +431,8 @@ def test_only_the_trainer_and_the_bundle_parser_check_matrices():
 def test_only_the_bundle_parser_reads_bundle_documents():
     # a bundle document is read once, by `parse_bundle`, and built once, by the
     # view `save_json` writes; every stage reads the `Bundle` fields. A store's
-    # own "trains" table is built by `build_store` and read by `parse_store`
-    # alone, and no parsed store is a dict: it is a `Store`, read by its fields.
+    # own "trains" table is built by `save_json` and read by `parse_store`
+    # alone, and no store in memory is a dict: it is a `Store`, read by its fields.
     readers = {"trains": set(), "matrices": set()}
     for fn in _source_tree("railmc.pipeline").body:
         for node in ast.walk(fn):
@@ -435,7 +444,7 @@ def test_only_the_bundle_parser_reads_bundle_documents():
                 if isinstance(key, ast.Constant) and key.value in readers:
                     readers[key.value].add(getattr(fn, "name", "<module>"))
     bundle = {"parse_bundle", "save_json"}
-    assert readers == {"trains": bundle | {"build_store", "parse_store"}, "matrices": bundle}, readers
+    assert readers == {"trains": bundle | {"parse_store"}, "matrices": bundle}, readers
     assert [node.value for node in ast.walk(_source_tree("railmc.pipeline"))
             if isinstance(node, ast.Constant) and node.value in ("table", "templates")] == []
     (lookup,) = (fn for fn in _source_tree("railmc.pipeline").body
@@ -538,4 +547,7 @@ def test_scale_probe_runs_every_stage_on_a_tiny_corpus(capsys):
     assert report["corpus"]["realization_rows"] == 10
     assert [r["stage"] for r in report["runs"]] == list(probe.STAGES)
     assert all(r["wall_s"] > 0 and r["peak_rss_mib"] > 0 for r in report["runs"])
-    assert list(report["medians"][str(tree)]) == list(probe.STAGES)
+    # the layers are timed in a process of their own, after the stages
+    (layers,) = report["layers"]
+    assert list(layers) == ["run", "tree", *probe.LAYERS] and all(layers[n] > 0 for n in probe.LAYERS)
+    assert list(report["medians"][str(tree)]) == [*probe.STAGES, "layers"]
