@@ -232,8 +232,8 @@ class DelaySeries:
 
 
 class CountTensor(NamedTuple):
-    """Observation counts at the (train, station) entries `trains`, `stations`,
-    indexed by entry position s (0-based) and state index (delay + N).
+    """Observation counts at (train, station) entries, whose stations are
+    `stations`, indexed by entry position s (0-based) and state index (delay + N).
 
     n1[s, j]    = n_j(t):       series delayed j minutes at station t, shape (S, k)
     n2[s, i, j] = n_{i,j}(t):   j at t and i at t-1, shape (S, k, k)
@@ -245,8 +245,7 @@ class CountTensor(NamedTuple):
     Only series of the entry's train long enough to cover its station
     contribute to its counts; all series start at station 1, so the
     contributing set is identical for all three tallies and n1 = sum_i n2,
-    n2 = sum_h n3 wherever n2, n3 exist. `trains` holds each entry's train
-    code (`build_count_tensor` always fills it). A NamedTuple, not a frozen
+    n2 = sum_h n3 wherever n2, n3 exist. A NamedTuple, not a frozen
     dataclass, because every command process builds the class at import.
     """
 
@@ -255,7 +254,6 @@ class CountTensor(NamedTuple):
     n2: np.ndarray
     n3_cells: np.ndarray
     n3: np.ndarray
-    trains: np.ndarray | None = None
 
     def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The (s, h, i, j) index vectors of the observed n3 cells."""
@@ -325,7 +323,7 @@ def build_count_tensor(
     n1 = np.bincount(s * k + x0, minlength=size * k).reshape(size, k)
     n2 = np.bincount(((s * k + x1) * k + x0)[col >= 1], minlength=size * k * k).reshape(size, k, k)
     n3_cells, n3 = np.unique((((s * k + x2) * k + x1) * k + x0)[col >= 2], return_counts=True)
-    return CountTensor(stations, n1, n2, n3_cells, n3, np.asarray(station_train, dtype=np.int64))
+    return CountTensor(stations, n1, n2, n3_cells, n3)
 
 
 def estimate_frequencies(counts: CountTensor) -> FrequencyEstimates:

@@ -20,33 +20,37 @@ key, since a loop line cannot be aligned by that key, or one whose time has a
 UTC offset when its train's first time has none (or the reverse). So does a
 byte that is not UTF-8, in either file.
 
-The realization file is read as bytes, in blocks of whole records, into
-columns. One pass first checks that it is UTF-8 and looks for a quote byte.
-A quote-free file is split on its bytes where csv.reader splits unquoted
-text: records at LF, CRLF or a lone CR, fields at commas. Only each block's
-distinct train, date, station and activity values are decoded, then stripped
-and checked once each; timestamps in the exact ``YYYY-MM-DDTHH:MM:SS`` form
-are converted by numpy from their digit bytes. Only other timestamps and
-rejected rows become strings. A file holding a quote byte is read by
-csv.reader, since quoting can put commas and line breaks inside a field, and
-feeds the same columns. Any timestamp that is not canonical goes through
-``datetime.fromisoformat``, so both forms accept the same strings. Series are
-then aligned with one sort and a few array masks, never with a Python object
-per row, and returned as columns (per series its train code, date, length
-and clipped count, then all delays), which `pipeline.build_store` lays out as
-the `Store`; ingest builds no store document.
+Each file is read once, as bytes in blocks of whole records of about
+BLOCK_BYTES; a pipe is read the same way and never copied, and a text stream
+is read BLOCK_BYTES characters at a time and encoded as UTF-8. A block is
+checked for UTF-8 before any of its records is read, so of several faults in
+a file the one in the earliest block is named, and within one block a byte
+that is not UTF-8 comes first. The unterminated last record of a file is a
+block of its own. Realization blocks become columns. A block without a quote
+byte is split on its bytes where csv.reader splits unquoted text: records at
+LF, CRLF or a lone CR, fields at commas. Only each block's distinct train,
+date, station and activity values are decoded, then stripped and checked
+once each; timestamps in the exact ``YYYY-MM-DDTHH:MM:SS`` form are
+converted by numpy from their digit bytes. Only other timestamps and
+rejected rows become strings. From the first block that holds a quote byte
+on, since quoting can put commas and line breaks inside a field, csv.reader
+reads the decoded lines of that block and every later one, split as text
+opened with newline="" is, and feeds the same columns. The timetable is read
+by csv.reader from the same lines. Any timestamp that is not canonical goes
+through ``datetime.fromisoformat``, so both forms accept the same strings.
+Series are then aligned with one sort and a few array masks, never with a
+Python object per row, and returned as columns (per series its train code,
+date, length and clipped count, then all delays), which `pipeline.build_store`
+lays out as the `Store`; ingest builds no store document.
 """
 
 from __future__ import annotations
 
-import codecs
-import contextlib
 import csv
 import datetime as dt
 import io
 import itertools
 import operator
-import tempfile
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -92,7 +96,7 @@ REJECT_REASONS = (
 )
 _FIELDS, _ACTIVITY, _TIMESTAMP, _TIMEZONE, _DATE = range(1, 6)  # 1 + index in REJECT_REASONS
 
-BLOCK_BYTES = 1 << 18  # realization bytes read, and tokenized, at once
+BLOCK_BYTES = 1 << 18  # input bytes read, and tokenized, at once
 _KEY_BYTES = 64  # a code field any wider is keyed by its Python string
 
 # The canonical timestamp YYYY-MM-DDTHH:MM:SS: the least and greatest code of each character.
@@ -130,31 +134,14 @@ class EventColumns:
         return len(self.delay)
 
 
-def _checked_rows(reader, what: str) -> Iterator[list[str]]:
-    """The rows of a csv.reader over an input file. A row the csv module
-    refuses (a field over its size limit, say) raises InputError naming the
-    file and line."""
+def _checked_rows(reader, what: str, first: int = 1) -> Iterator[list[str]]:
+    """The rows of a csv.reader over an input file's lines from line `first`
+    on. A row the csv module refuses (a field over its size limit, say)
+    raises InputError naming the file and line."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise InputError(f"{what} line {reader.line_num}: {exc}") from None
-
-
-@contextlib.contextmanager
-def _seekable(stream) -> Iterator:
-    """A binary stream that can seek, of a stream's bytes: the stream itself,
-    or, for a text stream (encoded as UTF-8) or one that cannot seek (a
-    pipe), a copy written BLOCK_BYTES at a time that spills to a temporary
-    file once it outgrows BLOCK_BYTES."""
-    text = isinstance(stream, io.TextIOBase)
-    if not text and stream.seekable():
-        yield stream
-        return
-    with tempfile.SpooledTemporaryFile(BLOCK_BYTES) as copy:
-        while block := stream.read(BLOCK_BYTES):
-            copy.write(block.encode() if text else block)
-        copy.seek(0)
-        yield copy
+        raise InputError(f"{what} line {first - 1 + reader.line_num}: {exc}") from None
 
 
 def _parse_timestamp(raw: str) -> dt.datetime:
@@ -253,20 +240,21 @@ def _delays(rows: _Rows) -> tuple[np.ndarray, np.ndarray]:
     return delay_minutes(delta_us), status
 
 
-def _text_rows(fh, what: str) -> Iterator:
-    """The header of a realization text stream (None if it is empty), then
-    its records as csv.reader reads them, in blocks of about BLOCK_BYTES
-    characters."""
+def _text_rows(lines: Iterator[str], line: int, what: str) -> Iterator:
+    """Realization records as csv.reader reads them from `lines`, the first
+    being line `line`, in blocks of about BLOCK_BYTES characters; from line 1,
+    the header (None if there is none) comes first."""
     read = 0
 
-    def lines():
+    def counted():
         nonlocal read
-        for line in fh:
-            read += len(line)
-            yield line
+        for text in lines:
+            read += len(text)
+            yield text
 
-    rows = _checked_rows(csv.reader(lines()), what)
-    yield next(rows, None)
+    rows = _checked_rows(csv.reader(counted()), what, line)
+    if line == 1:
+        yield next(rows, None)
     while True:
         block, read = [], 0
         for row in rows:
@@ -287,42 +275,16 @@ def _text_rows(fh, what: str) -> Iterator:
                     lambda i, block=block: ",".join(block[i]))
 
 
-def _scan(fh, what: str) -> bool:
-    """Whether a binary stream holds a quote byte from where it stands, to
-    which it is returned. A byte that is not UTF-8 raises InputError naming
-    its line, which counts records as csv does."""
-    at = fh.tell()
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    quoted, read = False, 0
-    while True:
-        block = fh.read(BLOCK_BYTES)
-        quoted = quoted or b'"' in block
-        pending = decoder.getstate()[0]
-        if pending or not block.isascii():
-            try:
-                decoder.decode(block, final=not block)
-            except UnicodeDecodeError as exc:
-                before, line, last = read - len(pending) + exc.start, 1, b""
-                fh.seek(at)
-                while before:  # the records before the bad byte, a block at a time
-                    chunk = fh.read(min(before, BLOCK_BYTES))
-                    line += chunk.count(b"\n") + chunk.count(b"\r") - (last + chunk).count(b"\r\n")
-                    before, last = before - len(chunk), chunk[-1:]
-                byte = exc.object[exc.start]
-                raise InputError(f"{what} line {line}: not UTF-8 text "
-                                 f"(byte 0x{byte:02x}: {exc.reason})") from None
-        if not block:
-            fh.seek(at)
-            return quoted
-        read += len(block)
-
-
-def _whole_records(fh) -> Iterator[bytes]:
-    """A binary stream's bytes in blocks that end where a record does: each
-    holds the whole records of about BLOCK_BYTES bytes, the last may lack a
-    terminator."""
+def _whole_records(stream) -> Iterator[bytes]:
+    """A binary or text stream's bytes in blocks that end where a record
+    does: each holds the whole records of about BLOCK_BYTES bytes, and the
+    unterminated last record is a block of its own. A text stream is read
+    BLOCK_BYTES characters at a time and encoded as UTF-8."""
+    text = isinstance(stream, io.TextIOBase)
     rest: list[bytes] = []
-    while block := fh.read(BLOCK_BYTES):
+    while block := stream.read(BLOCK_BYTES):
+        if text:
+            block = block.encode()
         # after the last LF, or the last CR whose next byte is known
         cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
         if cut:
@@ -332,6 +294,28 @@ def _whole_records(fh) -> Iterator[bytes]:
             rest.append(block)
     if last := b"".join(rest):
         yield last
+
+
+def _decoded(data: bytes, line: int, what: str) -> str:
+    """A block of whole records as text. A byte that is not UTF-8 raises
+    InputError naming its line, the block's first being `line`."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        before = data[:exc.start]  # its records' line breaks, counted as csv counts lines
+        line += before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+        raise InputError(f"{what} line {line}: not UTF-8 text "
+                         f"(byte 0x{data[exc.start]:02x}: {exc.reason})") from None
+
+
+def _lines(blocks: Iterator[bytes], line: int, what: str) -> Iterator[str]:
+    """The lines of blocks of whole records, the first block's first being
+    line `line`: each block decoded, then split as text opened with
+    newline="" is, every line keeping its LF, CRLF or lone CR."""
+    for data in blocks:
+        lines = io.StringIO(_decoded(data, line, what), newline="").readlines()
+        line += len(lines)
+        yield from lines
 
 
 def _record_bounds(buf: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -401,12 +385,20 @@ def _byte_block(data: bytes, buf: np.ndarray, start: np.ndarray, end: np.ndarray
     )
 
 
-def _byte_rows(fh, what: str) -> Iterator:
-    """The header of a quote-free realization file (None if it is empty),
-    then its records in blocks, split on the bytes where csv.reader splits
-    unquoted text."""
+def _byte_rows(stream, what: str) -> Iterator:
+    """The header of a realization stream (None if it is empty), then its
+    records in blocks: split on the bytes where csv.reader splits unquoted
+    text up to the first block that holds a quote byte, and read by
+    csv.reader from that block on."""
+    blocks = _whole_records(stream)
     line = 1  # of the block's first record
-    for data in _whole_records(fh):
+    for data in blocks:
+        if b'"' in data:
+            # quoting can put commas and line breaks inside a field: only csv reads it
+            yield from _text_rows(_lines(itertools.chain([data], blocks), line, what), line, what)
+            return
+        if not data.isascii():
+            _decoded(data, line, what)  # only to name a byte that is not UTF-8
         # zero bytes after the block: a key or timestamp window from any field start fits
         buf = np.frombuffer(data + bytes(_KEY_BYTES), dtype=np.uint8)
         start, end = _record_bounds(buf, len(data))
@@ -463,54 +455,50 @@ def _events(rows: Iterator, what: str) -> tuple[EventColumns, list[RejectedRow]]
 def parse_events(stream) -> tuple[EventColumns, list[RejectedRow]]:
     """Parse a realization CSV into event columns plus a rejects report.
 
-    Accepts a path, a binary stream or a text stream; a text stream, or one
-    that cannot seek, is copied a block at a time for the two passes (see
-    `_seekable`). A row is rejected, with the first reason that applies, for
-    a wrong field count, an unknown activity code, a timestamp that does not
-    parse, timestamps of which only one has a UTC offset, or a date that does
-    not parse; rejects keep file order. A missing or bad header, a byte that
+    Accepts a path, a binary stream or a text stream, read once in blocks of
+    whole records (see `_whole_records` and `_byte_rows`). A row is rejected,
+    with the first reason that applies, for a wrong field count, an unknown
+    activity code, a timestamp that does not parse, timestamps of which only
+    one has a UTC offset, or a date that does not parse; rejects keep file
+    order. A missing or bad header, a byte that
     is not UTF-8 or a field over the csv module's size limit raises
-    InputError.
+    InputError naming the line; of several, the one in the earliest block,
+    and within a block a byte that is not UTF-8.
     """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
         with open(stream, "rb") as fh:
             return parse_events(fh)
 
     what = f"realization {getattr(stream, 'name', '<realization>')}"
-    with _seekable(stream) as fh:
-        if not _scan(fh, what):
-            return _events(_byte_rows(fh, what), what)
-        # quoting can put commas and line breaks inside a field: only csv reads it
-        text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
-        try:
-            return _events(_text_rows(text, what), what)
-        finally:
-            text.detach()
+    return _events(_byte_rows(stream, what), what)
 
 
 def load_timetable(stream) -> dict[str, JourneyTemplate]:
-    """Read the timetable CSV into one journey template per train."""
+    """Read the timetable CSV into one journey template per train.
+
+    Accepts a path, a binary stream or a text stream, read once in blocks of
+    whole records (see `_whole_records`) whose lines csv.reader reads. A
+    missing or bad header, a malformed row, a row that repeats its train's
+    (station, activity) key or mixes planned times with and without a UTC
+    offset, a byte that is not UTF-8 or a field over the csv module's size
+    limit raises InputError naming the line; of several, the one in the
+    earliest block, and within a block a byte that is not UTF-8.
+    """
     if isinstance(stream, (str, bytes)) or hasattr(stream, "__fspath__"):
-        with open(stream, "rb") as fh, _seekable(fh) as data:
-            _scan(data, f"timetable {fh.name}")
-            text = io.TextIOWrapper(data, encoding="utf-8", newline="")
-            try:
-                return _templates(text, fh.name)
-            finally:
-                text.detach()
-    return _templates(stream, getattr(stream, "name", "<timetable>"))
+        with open(stream, "rb") as fh:
+            return load_timetable(fh)
 
-
-def _templates(stream, name: str) -> dict[str, JourneyTemplate]:
-    """The journey templates of a timetable text stream named `name`."""
-    reader = csv.reader(stream)
-    rows_read = _checked_rows(reader, f"timetable {name}")
+    what = f"timetable {getattr(stream, 'name', '<timetable>')}"
+    reader = csv.reader(_lines(_whole_records(stream), 1, what))
+    rows_read = _checked_rows(reader, what)
 
     def error(reason: str) -> InputError:
-        return InputError(f"timetable {name} line {reader.line_num}: {reason}")
+        return InputError(f"{what} line {reader.line_num}: {reason}")
 
     header = next(rows_read, None)
-    if header is None or [h.strip() for h in header] != TIMETABLE_HEADER:
+    if header is None:
+        raise InputError(f"{what} line 1: no header row")
+    if [h.strip() for h in header] != TIMETABLE_HEADER:
         raise error(f"unexpected header {header!r}")
     rows: dict[str, list[tuple[int, StationKey, dt.datetime]]] = {}
     seen: set[tuple[str, StationKey]] = set()
@@ -536,7 +524,7 @@ def _templates(stream, name: str) -> dict[str, JourneyTemplate]:
         try:
             templates[train_id] = JourneyTemplate(train_id, keys, planned)
         except ValueError as exc:
-            raise InputError(f"timetable {name} train {train_id}: {exc}") from None
+            raise InputError(f"{what} train {train_id}: {exc}") from None
     return templates
 
 

@@ -156,15 +156,17 @@ class TestLoadTimetable:
             load_timetable(io.StringIO(TT_HEADER + "\n".join(rows) + "\n"))
 
     def test_bad_header(self):
-        with pytest.raises(InputError, match="line 1: unexpected header"):
-            load_timetable(io.StringIO("train,station\n"))
+        for text, message in [("train,station\n", "line 1: unexpected header ['train', 'station']"),
+                              ("", "line 1: no header row")]:
+            with pytest.raises(InputError, match=f"^timetable <timetable> {re.escape(message)}$"):
+                load_timetable(io.StringIO(text))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     @pytest.mark.parametrize("tail, error", [
         (b"", None), (b"519,\xff\n", "line 3: not UTF-8 text (byte 0xff: invalid start byte)"),
     ], ids=["utf8", "non_utf8"])
     def test_a_path_that_cannot_seek_is_read(self, tail, error):
-        # a pipe's path, as /dev/stdin may be: it is copied a block at a time
+        # a pipe's path, as /dev/stdin may be: it is read once, a block at a time
         read, write = os.pipe()
         os.write(write, (TT_HEADER + "519,Ütr,V,2017-11-07T12:00:00,1\r\n").encode() + tail)
         os.close(write)
@@ -178,6 +180,27 @@ class TestLoadTimetable:
                         load_timetable(path)
         finally:
             os.close(read)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("block_bytes", [1, 8, 1 << 18])
+    def test_every_source_reads_as_a_file(self, tmp_path, block_bytes):
+        # lone-CR line ends, a quoted field and a two-byte character, from a
+        # pipe's path, a binary stream and a text stream
+        data = (TT_HEADER.rstrip("\n") + '\r519,Ütr,V,2017-11-07T12:00:00,1\r'
+                '519,"B,l",A,2017-11-07T12:05:00,2\r520,A,V,2017-11-07T13:00:00,1').encode()
+        (tmp_path / "timetable.csv").write_bytes(data)
+        read, write = os.pipe()
+        os.write(write, data)
+        os.close(write)
+        try:
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
+                want = load_timetable(tmp_path / "timetable.csv")
+                got = [load_timetable(f"/dev/fd/{read}"), load_timetable(io.BytesIO(data)),
+                       load_timetable(io.StringIO(data.decode()))]
+        finally:
+            os.close(read)
+        assert want["519"].keys == (StationKey("Ütr", "V"), StationKey("B,l", "A"))
+        assert got == [want] * 3
 
 
 class TestAssembleSeries:
@@ -609,16 +632,39 @@ SIX_FIELDS = [
 FIELD_TEXT = st.text(st.characters(blacklist_characters='",\r\n', blacklist_categories=("Cs",)), max_size=4)
 
 
+# what csv.reader reads in a quoted field: commas, CR, LF and doubled quotes
+QUOTED_TEXT = st.text(st.sampled_from(list('ab,"\r\né ')), max_size=5)
+
+
+def _quoted(text: str) -> str:
+    return '"' + text.replace('"', '""') + '"'
+
+
 @st.composite
-def quote_free_files(draw):
-    """Quote-free realization bytes: LF, CRLF and lone CR terminators, blank
-    records, a last record with or without one, NUL bytes, non-ASCII, padded
-    and wide fields, rows of six fields and rows of any other count."""
+def realization_files(draw):
+    """Realization bytes: LF, CRLF and lone CR terminators, blank records, a
+    last record with or without one, NUL bytes, non-ASCII, padded and wide
+    fields, rows of six fields and rows of any other count. From a drawn
+    record on, a field may be quoted, be followed by more text after its
+    closing quote, or hold a stray quote in its middle, so that the first
+    quote byte can fall in any block, or in none."""
     def six():
         return [draw(st.sampled_from(pool)) for pool in SIX_FIELDS]
 
+    def quoting(field):
+        form = draw(st.sampled_from(["plain", "plain", "quoted", "text", "after", "stray"]))
+        if form == "quoted":
+            return _quoted(field)
+        if form == "text":
+            return _quoted(draw(QUOTED_TEXT))
+        if form == "after":
+            return _quoted(draw(QUOTED_TEXT)) + field
+        return field[:1] + '"' + field[1:] if form == "stray" and field else field
+
     records = draw(st.lists(st.one_of(
         st.builds(six), st.lists(FIELD_TEXT, max_size=8), st.just([])), max_size=12))
+    quoted_from = draw(st.integers(0, 13))
+    records = [r if i < quoted_from else [quoting(f) for f in r] for i, r in enumerate(records)]
     ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(records) + 1,
                          max_size=len(records) + 1))
     if draw(st.booleans()):
@@ -628,8 +674,10 @@ def quote_free_files(draw):
 
 
 def csv_path(data: bytes):
-    """The csv.reader path of `parse_events`, the one that reads quoted files."""
-    return ingest._events(ingest._text_rows(io.StringIO(data.decode(), newline=""), WHAT), WHAT)
+    """`parse_events` with csv.reader over the whole file, as it reads a file's
+    blocks from the first that holds a quote byte on."""
+    lines = io.StringIO(data.decode(), newline="")
+    return ingest._events(ingest._text_rows(lines, 1, WHAT), WHAT)
 
 
 def assert_same_parse(got, want):
@@ -651,10 +699,12 @@ def field_limit():
 class TestByteTokenizer:
     """The byte path of `parse_events` against its csv.reader path."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(quote_free_files(), st.one_of(st.integers(1, 48), st.just(1 << 18)))
+    @settings(max_examples=80, deadline=None)
+    @given(realization_files(), st.one_of(st.integers(1, 48), st.just(1 << 18)))
     def test_splits_as_csv_reader_does(self, data, block_bytes):
-        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):  # records straddle blocks
+        # records, and quoted fields, straddle blocks; csv.reader takes over
+        # at the first block with a quote byte
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes):
             assert_same_parse(parse_events(io.BytesIO(data)), csv_path(data))
 
     @pytest.mark.parametrize("records, trains, stations, delays, rejects", [
@@ -666,7 +716,7 @@ class TestByteTokenizer:
     ], ids=["quote_in_last_record", "comma_and_crlf_in_quotes"])
     def test_a_quote_byte_takes_the_csv_path(self, records, trains, stations, delays, rejects):
         data = "\r\n".join([REAL_HEADER.rstrip("\n"), *records, ""]).encode()
-        with mock.patch.object(ingest, "_byte_rows", side_effect=AssertionError("byte path")):
+        with mock.patch.object(ingest, "BLOCK_BYTES", 8):  # the quote is in a later block
             events, got_rejects = parse_events(io.BytesIO(data))
         assert (events.trains, events.stations, events.delay.tolist()) == (trains, stations, delays)
         assert got_rejects == rejects
@@ -700,15 +750,26 @@ class TestByteTokenizer:
                 parse(io.BytesIO(data))
             assert str(exc.value) == f"{WHAT} {message}"
 
-    def test_a_pipe_is_read(self):
-        # a stream that cannot seek back for the second pass, as /dev/stdin may be
+    def test_a_pipe_is_read(self, tmp_path):
+        # a stream that cannot seek, as /dev/stdin may be, longer than a block:
+        # it is read once and never copied, so no temporary file is made
         read, write = os.pipe()
         os.write(write, (REAL_HEADER + "519,2017-11-07,Bl,V,2017-11-07T12:00:00,2017-11-07T12:01:00\n"
-                         ).encode())
+                         '519,2017-11-07,"B,l",V,2017-11-07T12:00:00,2017-11-07T12:02:00\n').encode())
         os.close(write)
-        with open(read, "rb") as fh, mock.patch.object(ingest, "BLOCK_BYTES", 8):
+        with open(read, "rb") as fh, mock.patch.object(ingest, "BLOCK_BYTES", 8), \
+                mock.patch.object(tempfile, "tempdir", str(tmp_path / "missing")):
             events, rejects = parse_events(fh)
-        assert (events.delay.tolist(), rejects) == ([1], [])
+        assert (events.stations, events.delay.tolist(), rejects) == (["Bl", "B,l"], [1, 2], [])
+
+    @pytest.mark.parametrize("block_bytes", [1, 16, 1 << 18])
+    def test_a_field_after_the_switch_names_its_line(self, field_limit, block_bytes):
+        # lines 2-3 are quote-free and line 4 opens a quoted field that ends on
+        # line 5: line 7 is counted across the switch and the quoted line break
+        data = REAL_HEADER.encode() + b'a,b\r\n\rc,"d\ne"\nf\n' + b"x" * 21 + b"\n"
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
+                pytest.raises(InputError, match=f"^{WHAT} line 7: field larger than field limit"):
+            parse_events(io.BytesIO(data))
 
     def test_a_text_stream_is_read_a_block_at_a_time(self):
         class Text(io.StringIO):
@@ -731,9 +792,25 @@ class TestByteTokenizer:
     def test_a_byte_not_utf8_names_its_line(self, block_bytes, tail, message):
         # a two-byte character before the fault straddles blocks of 1 and 5 bytes
         data = REAL_HEADER.encode() + "519,Ütr\r\n\r".encode() + tail
+        for quote in (b"", b'"'):  # read on its bytes, or by csv.reader
+            with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
+                    pytest.raises(InputError, match=f"^{WHAT} {re.escape(message)}$"):
+                parse_events(io.BytesIO(data.replace(b"519,\xff", b'519,' + quote + b"\xff")
+                                        .replace(b"519,\xc3", b"519," + quote + b"\xc3")))
+
+    @pytest.mark.parametrize("block_bytes, line", [(1 << 18, 4), (1, 2)])
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_the_earliest_block_names_the_fault(self, field_limit, block_bytes, line, quote):
+        # a bad byte on line 4 and a field over the limit on line 2: in one
+        # block the byte is named, in blocks of a line each the earlier line
+        data = (REAL_HEADER + quote + "x" * 21 + "\nok\n519,").encode() + b"\xff\n"
         with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
-                pytest.raises(InputError, match=f"^{WHAT} {re.escape(message)}$"):
+                pytest.raises(InputError, match=f"^{WHAT} line {line}: "):
             parse_events(io.BytesIO(data))
+        timetable = (TT_HEADER + "519,A,V,not-a-time,1\nok\n519,").encode() + b"\xff\n"
+        with mock.patch.object(ingest, "BLOCK_BYTES", block_bytes), \
+                pytest.raises(InputError, match=f"^timetable <timetable> line {line}: "):
+            load_timetable(io.BytesIO(timetable))
 
 
 class TestColumnarIngest:

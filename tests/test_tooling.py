@@ -9,7 +9,7 @@ loading any command's modules. The CLI reads every store and bundle through the 
 it, only the store parser reads a store document's keys, and only the trainer and the bundle
 parser check a transition matrix; every recovery strategy reads the one count pass, with no
 polynomial fit and no search for distinct pairs; the package defines one exception class per error exit code, all in core, each
-mapped to its code by cli.main; ingest alone decides every reject; and no module but config
+mapped to its code by cli.main; ingest alone decides every reject, and reads each input once; and no module but config
 gives a run setting a default or lists its accepted values. The console script is
 cli.run, the one function that ends the process with os._exit, and every file the package opens
 is a with item, so that hard exit loses no data; every file it writes goes through
@@ -495,6 +495,22 @@ def test_only_ingest_decides_rejects():
             elif isinstance(node, ast.Constant) and node.value in REJECT_REASONS:
                 found.append((module, node.value, node.lineno))
     assert found and {module for module, _, _ in found} == {"railmc.ingest"}, found
+
+
+def test_ingest_reads_each_input_once():
+    # `_whole_records` reads a stream once, a block at a time: ingest makes no
+    # copy to read again, seeks nowhere and wraps no stream in a second reader
+    tree = _source_tree("railmc.ingest")
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"codecs", "tempfile"}
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not names & {"seek", "tell", "TextIOWrapper"}
+    readers = [getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "read"]
+    assert readers == ["_whole_records"]
 
 
 def test_each_setting_is_declared_in_config_only():
